@@ -18,6 +18,7 @@ Fields enter either as FormField, as two-chart ChartedField (split at
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,16 +35,14 @@ from .forms import (
     weighted_r4_rule,
 )
 from .instanton import (
-    DIRECTIONS,
     BackgroundConnection,
     ChartedField,
     ParamQ,
     combo_field,
-    d2A_dp1p1,
-    dA_dparam,
-    datilde_dparam,
+    derivative_fields,
     extended_connection,
     glued_connection,
+    sample_charted,
 )
 from .liealg import AlgElement, exp_map
 
@@ -57,6 +56,7 @@ __all__ = [
     "mgs_coefficients",
     "gram_schmidt_ball",
     "gram_schmidt_weighted",
+    "tilde_fields",
     "project_perp",
     "basis_directional_derivative",
 ]
@@ -74,7 +74,8 @@ class NodeField:
     val: np.ndarray            # (N,3,4)
     jac: Optional[np.ndarray]  # (N,3,4,4) or None when not needed
     _grad: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _grad_key: Optional[int] = field(default=None, repr=False, compare=False)
+    _grad_ctx: Optional[weakref.ref] = field(default=None, repr=False,
+                                             compare=False)
 
     def __add__(self, other):
         j = None if self.jac is None or other.jac is None else self.jac + other.jac
@@ -91,16 +92,19 @@ class NodeField:
     __rmul__ = __mul__
 
 
-_EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k, _s in ((0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
-                       (0, 2, 1, -1.0), (2, 1, 0, -1.0), (1, 0, 2, -1.0)):
-    _EPS3[_i, _j, _k] = _s
-
-
 def _cov_grad(Aval, val, jac, eps):
-    """grad_A^eps a: out[n,a,mu,nu] = d_nu a_mu + eps [A_nu, a_mu] (cross bracket)."""
-    br = np.einsum("abc,nbv,ncu->nauv", _EPS3, Aval, val, optimize=True)
-    return jac + eps * br
+    """grad_A^eps a: out[n,a,mu,nu] = d_nu a_mu + eps [A_nu, a_mu] (cross bracket).
+
+    The cross product is written out component by component in a node-last
+    layout, so every product runs over all nodes in one pass.
+    """
+    At = np.ascontiguousarray((eps * Aval).transpose(1, 2, 0))[:, None]  # [b,.,nu,n]
+    vt = np.ascontiguousarray(val.transpose(1, 2, 0))[:, :, None]        # [c,mu,.,n]
+    br = np.empty((3, 4, 4, Aval.shape[0]))
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(At[b], vt[c], out=br[a])
+        br[a] -= At[c] * vt[b]
+    return np.add(jac, br.transpose(3, 0, 1, 2), out=np.empty_like(jac))
 
 
 @dataclass
@@ -121,27 +125,36 @@ class InnerContext:
             self.wvals = weight_fn(self.rule.nodes)
 
     # -- evaluation -----------------------------------------------------
-    def arrays(self, f, need_jac=True) -> NodeField:
+    def arrays(self, f, need_jac=True):
+        """Sample a field on the rule.
+
+        A list of charted fields gives a list of node fields, sampled in one
+        sample_charted pass that shares one atom memo per chart.
+        """
+        if isinstance(f, list):
+            pairs = sample_charted(f, self.rule.nodes, self.mask, need_jac)
+            return [NodeField(self.rule, val, jac) for val, jac in pairs]
         if isinstance(f, NodeField):
             if f.rule is not self.rule:
                 raise ValueError("NodeField sampled on a different rule")
             return f
         X = self.rule.nodes
         if isinstance(f, ChartedField):
-            val = f.value_split(X, self.mask)
-            jac = f.jac_split(X, self.mask) if need_jac else None
-        else:
-            val = f.value(X)
-            jac = f.jac(X) if need_jac else None
-        return NodeField(self.rule, val, jac)
+            val, jac = sample_charted([f], X, self.mask, need_jac=need_jac)[0]
+            return NodeField(self.rule, val, jac)
+        return NodeField(self.rule, f.value(X), f.jac(X) if need_jac else None)
 
     def grad_of(self, nf: NodeField) -> np.ndarray:
-        """Covariant gradient of a node field, cached per context."""
-        if nf._grad_key == id(self) and nf._grad is not None:
+        """Covariant gradient of a node field, cached per context.
+
+        The cache holds a weak reference to the context that filled it, so a
+        later context can never be handed the gradient of a freed one.
+        """
+        if nf._grad_ctx is not None and nf._grad_ctx() is self:
             return nf._grad
         g = _cov_grad(self.Aval, nf.val, nf.jac, self.eps)
         nf._grad = g
-        nf._grad_key = id(self)
+        nf._grad_ctx = weakref.ref(self)
         return g
 
     # -- pairing --------------------------------------------------------
@@ -279,41 +292,56 @@ class GramBasis:
         return combo_field(self.raw_fields, self.coeff[i - 1], name=f"a{i}")
 
     def node_field(self, i: int) -> NodeField:
-        c = self.coeff[i - 1]
-        out = None
-        for cj, nf in zip(c, self.raw_nodefields):
-            if cj == 0.0:
-                continue
-            out = nf * cj if out is None else out + nf * cj
-        return out
+        return _combine(self.coeff[i - 1], self.raw_nodefields)
 
     def gram_residual(self) -> float:
         got = self.coeff @ self.raw_gram @ self.coeff.T
         return float(np.max(np.abs(got - np.eye(len(self.coeff)))))
 
 
+def _combine(coeffs, nodefields) -> NodeField:
+    """sum_j c_j f_j over node fields, skipping zero coefficients."""
+    out = None
+    for cj, nf in zip(coeffs, nodefields):
+        if cj == 0.0:
+            continue
+        out = nf * cj if out is None else out + nf * cj
+    return out
+
+
 def _raw_gram(ctx: InnerContext, nodefields) -> np.ndarray:
-    """All pairwise inner products at once via one weighted matrix product."""
+    """All pairwise inner products at once via one weighted matrix product.
+
+    Row k of M holds field k's weighted gradient entries, then its weighted
+    value entries; rows are written in place into one preallocated matrix.
+    """
     N = ctx.rule.nodes.shape[0]
-    sw = np.sqrt(ctx.rule.weights)
-    sl = sw * np.sqrt(ctx.wvals) if ctx.weighted else sw
-    rows = []
-    for nf in nodefields:
-        g = (ctx.grad_of(nf).reshape(N, -1) * sw[:, None]).ravel()
-        v = (nf.val.reshape(N, -1) * sl[:, None]).ravel()
-        rows.append(np.concatenate([g, v]))
-    M = np.stack(rows)
+    sw = np.sqrt(ctx.rule.weights)[:, None]
+    sl = sw * np.sqrt(ctx.wvals)[:, None] if ctx.weighted else sw
+    M = np.empty((len(nodefields), N * 60))
+    for row, nf in zip(M, nodefields):
+        np.multiply(ctx.grad_of(nf).reshape(N, 48), sw,
+                    out=row[:N * 48].reshape(N, 48))
+        np.multiply(nf.val.reshape(N, 12), sl, out=row[N * 48:].reshape(N, 12))
     G = M @ M.T
     if not np.all(np.isfinite(G)):
         raise NumericalError("non-finite Gram matrix")
     return G
 
 
-def _basis_from_fields(kind, ctx, fields) -> GramBasis:
-    nfs = [ctx.arrays(f) for f in fields]
+def _basis_from_fields(kind, ctx, fields, nodefields=None) -> GramBasis:
+    """Orthonormalize fields; nodefields, when given, are their samples."""
+    nfs = [ctx.arrays(f) for f in fields] if nodefields is None else nodefields
     G = _raw_gram(ctx, nfs)
     C = mgs_coefficients(G)
     return GramBasis(kind, C, list(fields), ctx, G, nfs)
+
+
+def _ball_fields(q: ParamQ, bg: BackgroundConnection, pi2: str,
+                 tol: float = 1e-4, rule: QuadratureRule = None):
+    """The ball context at q and the eight raw fields dA/dq_i, one A for all."""
+    A = glued_connection(q, bg, pi2)
+    return ball_context(A, q.eps, rule=rule, tol=tol), derivative_fields(A)
 
 
 def gram_schmidt_ball(q: ParamQ, bg: BackgroundConnection = None,
@@ -321,10 +349,21 @@ def gram_schmidt_ball(q: ParamQ, bg: BackgroundConnection = None,
                       rule: QuadratureRule = None) -> GramBasis:
     """Orthonormalize the eight parameter derivatives of the glued family."""
     bg = BackgroundConnection() if bg is None else bg
-    A = glued_connection(q, bg, pi2)
-    ctx = ball_context(A, q.eps, rule=rule, tol=tol)
-    raw = [dA_dparam(q, d, bg, pi2) for d in DIRECTIONS]
-    return _basis_from_fields("ball", ctx, raw)
+    ctx, raw = _ball_fields(q, bg, pi2, tol=tol, rule=rule)
+    return _basis_from_fields("ball", ctx, raw, ctx.arrays(raw))
+
+
+def tilde_fields(ctx: InnerContext, q: ParamQ, coeff: np.ndarray):
+    """The extension's derivatives along the ball-basis vector fields q_i.
+
+    Returns the charted combinations sum_j c_ij dAt/dq_j and their samples
+    on ctx.  The eight raw derivatives are sampled in one pass and combined
+    node-wise, instead of evaluating each combination's term list.
+    """
+    raw = derivative_fields(extended_connection(q), name="dAt")
+    raw_nf = ctx.arrays(raw)
+    fields = [combo_field(raw, c, name=f"at{i+1}") for i, c in enumerate(coeff)]
+    return fields, [_combine(c, raw_nf) for c in coeff]
 
 
 def gram_schmidt_weighted(q: ParamQ, ball_basis: GramBasis = None,
@@ -339,12 +378,9 @@ def gram_schmidt_weighted(q: ParamQ, ball_basis: GramBasis = None,
     """
     if ball_basis is None:
         ball_basis = gram_schmidt_ball(q, bg, pi2, tol=tol)
-    At = extended_connection(q)
-    ctx = weighted_context(At, q.eps, rule=rule, tol=tol)
-    raw_dirs = [datilde_dparam(q, d) for d in DIRECTIONS]
-    tilde = [combo_field(raw_dirs, ball_basis.coeff[i], name=f"at{i+1}")
-             for i in range(len(DIRECTIONS))]
-    return _basis_from_fields("weighted", ctx, tilde)
+    ctx = weighted_context(extended_connection(q), q.eps, rule=rule, tol=tol)
+    fields, nfs = tilde_fields(ctx, q, ball_basis.coeff)
+    return _basis_from_fields("weighted", ctx, fields, nfs)
 
 
 def project_perp(v, basis: GramBasis, A=None, eps=None,
@@ -383,19 +419,10 @@ def _shift_along(q: ParamQ, vec: np.ndarray, t: float) -> ParamQ:
 def _basis_field_at(q: ParamQ, i: int, ctx: InnerContext,
                     bg: BackgroundConnection, pi2: str) -> NodeField:
     """a_i at a (possibly shifted) q, sampled on the base rule and base mask."""
-    A = glued_connection(q, bg, pi2)
-    shifted_ctx = InnerContext(ctx.rule, q.eps,
-                               _connection_samples(A, ctx.rule, ctx.mask),
-                               mask=ctx.mask)
-    raw = [dA_dparam(q, d, bg, pi2) for d in DIRECTIONS]
-    nfs = [shifted_ctx.arrays(f) for f in raw]
+    shifted_ctx, raw = _ball_fields(q, bg, pi2, rule=ctx.rule)
+    nfs = shifted_ctx.arrays(raw)
     C = mgs_coefficients(_raw_gram(shifted_ctx, nfs))
-    out = None
-    for cj, nf in zip(C[i - 1], nfs):
-        if cj == 0.0:
-            continue
-        out = nf * cj if out is None else out + nf * cj
-    return out
+    return _combine(C[i - 1], nfs)
 
 
 def basis_directional_derivative(q: ParamQ, i: int, j: int,

@@ -28,6 +28,7 @@ from .basis import (
     gram_schmidt_ball,
     gram_schmidt_weighted,
     project_perp,
+    tilde_fields,
 )
 from .forms import (
     FormField,
@@ -42,9 +43,7 @@ from .instanton import (
     BackgroundConnection,
     ChartedField,
     ParamQ,
-    combo_field,
     d2A_dp1p1,
-    datilde_dparam,
     difference_b,
     extended_connection,
     glued_connection,
@@ -379,11 +378,13 @@ def _row_bounded(name, eps, vals, expo, max_ratio=10.0, scales=None,
 
 def _row_band(name, eps, vals, expo, band=3.0) -> QuantityRow:
     ratios = [v / e ** expo for v, e in zip(vals, eps)]
-    ok = min(ratios) > 0 and max(ratios) / min(ratios) <= band
+    lo, hi = min(ratios), max(ratios)
+    # a ratio at or below 0 has no finite spread and fails the band
+    spread = hi / lo if lo > 0 else float("inf")
     return QuantityRow(name, list(eps), list(vals), expo, "band", None, None,
-                       "pass" if ok else "fail",
+                       "pass" if spread <= band else "fail",
                        f"eps^{expo:g}-normalized spread "
-                       f"{max(ratios)/min(ratios):.3g} (allowed {band:g})")
+                       f"{spread:.3g} (allowed {band:g})")
 
 
 def _row_threshold(name, eps, vals, thresh, note="") -> QuantityRow:
@@ -442,11 +443,7 @@ def compute_point_metrics(q: ParamQ, bg: BackgroundConnection = None,
         del wb
 
     if "l36" in blocks:
-        raw_t = [datilde_dparam(q, d) for d in DIRECTIONS]
-        tilde_nf = []
-        for i in range(8):
-            f = combo_field(raw_t, basis.coeff[i], name=f"at{i+1}")
-            tilde_nf.append(ctx.arrays(f))
+        _, tilde_nf = tilde_fields(ctx, q, basis.coeff)
         for i in range(8):
             dnf = basis.node_field(i + 1) - tilde_nf[i]
             out[f"basis_diff_{i+1}"] = float(

@@ -50,12 +50,14 @@ __all__ = [
     "glued_connection",
     "extended_connection",
     "difference_b",
+    "derivative_fields",
     "dA_dparam",
     "datilde_dparam",
     "ddiff_dparam",
     "d2A_dp1p1",
     "d2Atilde_dp1p1",
     "transition_quaternion",
+    "sample_charted",
 ]
 
 
@@ -249,28 +251,21 @@ class LinRadAtom:
     def eval(self, X, ydirs=(), dlam=0):
         Y = X - self.p
         s = np.sum(Y * Y, axis=1)
-        f = [self.radial(s, self.lam, ds=j, dlam=dlam) for j in range(4)]
-        M, k = self.M, len(ydirs)
-        My = np.einsum("auv,nv->nau", M, Y)
-        if k == 0:
-            return My * f[0][:, None, None]
-        if k == 1:
-            (e,) = ydirs
-            return (M[None, :, :, e] * f[0][:, None, None]
-                    + My * (2.0 * Y[:, e] * f[1])[:, None, None])
-        if k == 2:
-            e1, e2 = ydirs
-            out = (M[None, :, :, e1] * (2.0 * Y[:, e2] * f[1])[:, None, None]
-                   + M[None, :, :, e2] * (2.0 * Y[:, e1] * f[1])[:, None, None])
-            rad = (2.0 * f[1] if e1 == e2 else 0.0) + 4.0 * Y[:, e1] * Y[:, e2] * f[2]
-            return out + My * rad[:, None, None]
-        if k == 3:
-            a, b, c = ydirs
-            out = (M[None, :, :, a] * _scalar_radial_derivs(Y, f, (b, c))[:, None, None]
-                   + M[None, :, :, b] * _scalar_radial_derivs(Y, f, (a, c))[:, None, None]
-                   + M[None, :, :, c] * _scalar_radial_derivs(Y, f, (a, b))[:, None, None])
-            return out + My * _scalar_radial_derivs(Y, f, (a, b, c))[:, None, None]
-        raise ValueError("atom derivatives implemented to order 3")
+        k = len(ydirs)
+        if k > 3:
+            raise ValueError("atom derivatives implemented to order 3")
+        f = [self.radial(s, self.lam, ds=j, dlam=dlam) for j in range(k + 1)]
+        M = self.M
+        # (M y) as one GEMM: (N,4) @ (4,12), rows ordered (a, u)
+        My = (Y @ M.reshape(12, 4).T).reshape(-1, 3, 4)
+        # My is linear in y, so each derivative falls on f except at most one
+        out = None
+        for i, e in enumerate(ydirs):
+            rest = ydirs[:i] + ydirs[i + 1:]
+            v = M[None, :, :, e] * _scalar_radial_derivs(Y, f, rest)[:, None, None]
+            out = v if out is None else out + v
+        v = My * _scalar_radial_derivs(Y, f, ydirs)[:, None, None]
+        return v if out is None else out + v
 
 
 class BetaAtom:
@@ -348,14 +343,21 @@ class Term:
 
 
 def _atom_eval(memo, atom, X, ydirs, dlam):
-    key = (id(atom), tuple(sorted(ydirs)), dlam)
+    # keyed on the atom object itself: the key keeps it alive, so a memo
+    # shared across term lists never sees a recycled id
+    ydirs = tuple(sorted(ydirs))
+    key = (atom, ydirs, dlam)
     if key not in memo:
-        memo[key] = atom.eval(X, tuple(sorted(ydirs)), dlam)
+        memo[key] = atom.eval(X, ydirs, dlam)
     return memo[key]
 
 
 def _term_value(memo, t: Term, X, extra_ydirs=()):
-    """Value of a term with extra spatial derivatives, Leibniz-expanded."""
+    """coef * beta * atom of a term with extra spatial derivatives.
+
+    The Leibniz expansion is summed here; the algebra matrix t.mat is left
+    for the caller, which applies it once per group of terms sharing it.
+    """
     n_extra = len(extra_ydirs)
     out = None
     # distribute extra derivatives between the beta factor and the atom
@@ -367,46 +369,66 @@ def _term_value(memo, t: Term, X, extra_ydirs=()):
             if t.beta is None and beta_dirs:
                 continue
             v = _atom_eval(memo, t.lie, X, t.lie_ydirs + lie_dirs, t.lie_dlam)
-            if t.mat is not None:
-                v = np.einsum("ab,nbu->nau", t.mat, v)
             if t.beta is not None:
                 b = _atom_eval(memo, t.beta, X, t.beta_ydirs + beta_dirs, t.beta_dlam)
-                v = v * b[:, None, None]
-            v = t.coef * v
+                v = v * (t.coef * b)[:, None, None]
+            else:
+                v = t.coef * v
             out = v if out is None else out + v
     return out
 
 
-def terms_value(terms, X):
-    X = np.asarray(X, dtype=float)
-    out = np.zeros((X.shape[0], 3, 4))
-    memo = {}
+def _terms_sum(memo, terms, X, extra_ydirs=()):
+    """Sum of the terms' values, each distinct matrix applied once.
+
+    Terms whose matrices are equal (the conjugation R, or R L_i after a
+    rotation derivative) are summed first; the sum is then mapped by one
+    (3,3) @ (N,3,4) matmul.
+    """
+    groups = {}                       # matrix bytes -> [mat, partial sum]
     for t in terms:
-        out += _term_value(memo, t, X)
+        v = _term_value(memo, t, X, extra_ydirs)
+        key = None if t.mat is None else t.mat.tobytes()
+        if key in groups:
+            groups[key][1] += v
+        else:
+            groups[key] = [t.mat, v]
+    out = np.zeros((X.shape[0], 3, 4))
+    for mat, v in groups.values():
+        out += v if mat is None else np.matmul(mat, v)
     return out
 
 
-def terms_jac(terms, X):
+def terms_value(terms, X, memo=None):
+    """Value of a term list at X, (N,3,4).
+
+    memo (optional) is an atom-evaluation cache shared by calls at the same
+    X; term lists holding the same atom objects then evaluate each atom
+    channel once.
+    """
     X = np.asarray(X, dtype=float)
-    out = np.zeros((X.shape[0], 3, 4, 4))
-    memo = {}
-    for t in terms:
-        for nu in range(4):
-            out[..., nu] += _term_value(memo, t, X, (nu,))
+    return _terms_sum({} if memo is None else memo, terms, X)
+
+
+def terms_jac(terms, X, memo=None):
+    """Spatial jacobian of a term list at X, (N,3,4,4); memo as terms_value."""
+    X = np.asarray(X, dtype=float)
+    memo = {} if memo is None else memo
+    out = np.empty((X.shape[0], 3, 4, 4))
+    for nu in range(4):
+        out[..., nu] = _terms_sum(memo, terms, X, (nu,))
     return out
 
 
 def terms_hess(terms, X):
     X = np.asarray(X, dtype=float)
-    out = np.zeros((X.shape[0], 3, 4, 4, 4))
+    out = np.empty((X.shape[0], 3, 4, 4, 4))
     memo = {}
-    for t in terms:
-        for nu in range(4):
-            for rho in range(nu, 4):
-                v = _term_value(memo, t, X, (nu, rho))
-                out[..., nu, rho] += v
-                if rho != nu:
-                    out[..., rho, nu] += v
+    for nu in range(4):
+        for rho in range(nu, 4):
+            v = _terms_sum(memo, terms, X, (nu, rho))
+            out[..., nu, rho] = v
+            out[..., rho, nu] = v
     return out
 
 
@@ -562,22 +584,33 @@ class ChartedField:
 
     def value_split(self, X, mask_inner):
         """Chart-consistent value on a batch with a given inner-chart mask."""
-        X = np.asarray(X, dtype=float)
-        out = np.zeros((X.shape[0], 3, 4))
-        if np.any(mask_inner):
-            out[mask_inner] = terms_value(self.inner_terms, X[mask_inner])
-        if np.any(~mask_inner):
-            out[~mask_inner] = terms_value(self.outer_terms, X[~mask_inner])
-        return out
+        return sample_charted([self], X, mask_inner, need_jac=False)[0][0]
 
-    def jac_split(self, X, mask_inner):
-        X = np.asarray(X, dtype=float)
-        out = np.zeros((X.shape[0], 3, 4, 4))
-        if np.any(mask_inner):
-            out[mask_inner] = terms_jac(self.inner_terms, X[mask_inner])
-        if np.any(~mask_inner):
-            out[~mask_inner] = terms_jac(self.outer_terms, X[~mask_inner])
-        return out
+
+def sample_charted(fields, X, mask_inner, need_jac=True):
+    """Values (and jacobians) of charted fields at X in one pass per chart.
+
+    Each chart's nodes are cut out once and every field is evaluated there
+    with one atom memo, so fields holding the same atom objects (the
+    derivative_fields of one connection) evaluate each atom channel once.
+    The memo lives only for the pass.  Returns (val, jac) pairs, jac None
+    when need_jac is false.
+    """
+    X = np.asarray(X, dtype=float)
+    N = X.shape[0]
+    vals = [np.zeros((N, 3, 4)) for _ in fields]
+    jacs = [np.zeros((N, 3, 4, 4)) if need_jac else None for _ in fields]
+    for sel, chart in ((mask_inner, "inner_terms"), (~mask_inner, "outer_terms")):
+        if not np.any(sel):
+            continue
+        Xs = X[sel]
+        memo = {}
+        for f, val, jac in zip(fields, vals, jacs):
+            terms = getattr(f, chart)
+            val[sel] = terms_value(terms, Xs, memo=memo)
+            if need_jac:
+                jac[sel] = terms_jac(terms, Xs, memo=memo)
+    return list(zip(vals, jacs))
 
 
 def combo_field(fields, coeffs, name="") -> ChartedField:
@@ -748,24 +781,30 @@ def _apply_direction(terms, direction: str):
     raise ValueError(f"unknown direction {direction!r}; use one of {DIRECTIONS}")
 
 
+def derivative_fields(A: ChartedField, directions=DIRECTIONS,
+                      name: str = "dA") -> list:
+    """Parameter derivatives of one family member, one field per direction.
+
+    Every field is derived from A's own term lists, so all of them hold A's
+    atom objects and sample_charted shares one atom memo across them.
+    """
+    return [ChartedField(A.p, A.lam,
+                         _apply_direction(A.inner_terms, d),
+                         _apply_direction(A.outer_terms, d),
+                         name=f"{name}/d{d}")
+            for d in directions]
+
+
 def dA_dparam(q: ParamQ, direction: str, bg: BackgroundConnection = None,
               pi2: str = "model") -> ChartedField:
     """Analytic parameter derivative of the glued family, chart-wise."""
     bg = BackgroundConnection() if bg is None else bg
-    A = glued_connection(q, bg, pi2)
-    return ChartedField(q.p, q.lam,
-                        _apply_direction(A.inner_terms, direction),
-                        _apply_direction(A.outer_terms, direction),
-                        name=f"dA/d{direction}")
+    return derivative_fields(glued_connection(q, bg, pi2), (direction,))[0]
 
 
 def datilde_dparam(q: ParamQ, direction: str) -> ChartedField:
     """Analytic parameter derivative of the extension."""
-    At = extended_connection(q)
-    return ChartedField(q.p, q.lam,
-                        _apply_direction(At.inner_terms, direction),
-                        _apply_direction(At.outer_terms, direction),
-                        name=f"dAt/d{direction}")
+    return derivative_fields(extended_connection(q), (direction,), "dAt")[0]
 
 
 def ddiff_dparam(q: ParamQ, direction: str, bg: BackgroundConnection = None,

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from ymeps.forms import FormField, NumericalError, ball_rule, weighted_r4_rule
-from ymeps.instanton import ParamQ, glued_connection
+from ymeps.forms import (
+    FormField,
+    NumericalError,
+    ball_rule,
+    domain_ball_rule,
+    weighted_r4_rule,
+)
+from ymeps.instanton import ParamQ, extended_connection, glued_connection
 from ymeps.basis import (
     GramBasis,
     TailWarning,
@@ -90,6 +96,27 @@ def test_inner_weighted_matches_ball_for_supported_fields():
     vb = inner_ball(f1, f2, A, q.eps)
     vw = inner_weighted(f1, f2, A, q.eps)
     assert vw == pytest.approx(vb, rel=5e-7)
+
+
+def test_gradient_cache_is_not_served_to_a_later_context():
+    # sample on a context that is dropped at once, then pair the same node
+    # field under A and under Atilde on one rule: each short-lived context may
+    # reuse a freed one's address, and each must compute its own gradient
+    q = ParamQ.default(2.0 ** -5)
+    A, At = glued_connection(q), extended_connection(q)
+    rule = domain_ball_rule(q.p, q.lam)
+    f = bump_field(q.p, 0.6, np.eye(3, 4))
+
+    def fresh(conn):
+        nf = ball_context(conn, q.eps, rule=rule).arrays(f)
+        return inner_ball(nf, nf, conn, q.eps, rule=rule)
+
+    want_A, want_At = fresh(A), fresh(At)
+    assert abs(want_At - want_A) > 1e-6 * abs(want_A)
+    nf = ball_context(A, q.eps, rule=rule).arrays(f)
+    for _ in range(3):
+        assert inner_ball(nf, nf, A, q.eps, rule=rule) == want_A
+        assert inner_ball(nf, nf, At, q.eps, rule=rule) == want_At
 
 
 def test_inner_weighted_constant_field_reports_tail():

@@ -11,6 +11,7 @@ from ymeps.functionals import (
     _cdot,
     _codiff,
     _curv,
+    _row_band,
     _wsum,
     bump_one_form,
     charge,
@@ -307,3 +308,10 @@ def test_report_verdict_logic():
     assert not rep.passed()
     assert [r.quantity for r in rep.failures()] == ["y"]
     assert EstimateReport("5.7", rows[:1]).passed()
+
+
+def test_band_row_with_a_zero_ratio_fails_with_infinite_spread():
+    row = _row_band("a11", [2.0 ** -4, 2.0 ** -5, 2.0 ** -6, 2.0 ** -7],
+                    [0.0, 0.02, 0.007, 0.0025], 1.5)
+    assert row.verdict == "fail"
+    assert "spread inf" in row.note

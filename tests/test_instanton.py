@@ -13,8 +13,11 @@ from ymeps.instanton import (
     DIRECTIONS,
     ETA,
     ETABAR,
+    PI2_STRATEGIES,
     BackgroundConnection,
     BetaAtom,
+    BgAtom,
+    LinRadAtom,
     ParamError,
     ParamQ,
     Term,
@@ -23,11 +26,13 @@ from ymeps.instanton import (
     d2A_dp1p1,
     dA_dparam,
     datilde_dparam,
+    derivative_fields,
     difference_b,
     extended_connection,
     glued_connection,
     i1_form,
     i2_form,
+    sample_charted,
     terms_form_field,
     terms_jac,
     terms_value,
@@ -524,3 +529,57 @@ def test_direction_name_validation():
     with pytest.raises(ValueError):
         dA_dparam(q, "mu")
     assert DIRECTIONS == ("p1", "p2", "p3", "p4", "xi1", "xi2", "xi3", "lam")
+
+
+# ---------------------------------------------------------------------------
+# one evaluation pass for the eight derivative fields
+
+
+def _pass_nodes(q, n=240):
+    """Nodes in both charts around an off-center p; mask = inner chart."""
+    rng = np.random.default_rng(RNG_SEED + 7)
+    dirs = rng.standard_normal((n, 4))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    r = q.lam * np.geomspace(0.02, 2.5 / q.lam, n)
+    X = q.p + r[:, None] * dirs
+    return X, r < q.lam / 4.0
+
+
+@pytest.mark.parametrize("pi2", PI2_STRATEGIES)
+def test_one_pass_matches_per_field_evaluation(pi2):
+    # reference: each direction's own family member and its own atom memo
+    q = ParamQ.default(2.0 ** -5, p=[0.12, -0.2, 0.07, 0.15],
+                       g=exp_map(AlgElement(0.9, -0.4, 1.3)))
+    assert np.linalg.norm(q.p) < 0.4
+    X, mask = _pass_nodes(q)
+    assert 0 < mask.sum() < len(mask)
+    fields = derivative_fields(glued_connection(q, pi2=pi2))
+    got = sample_charted(fields, X, mask)
+    for d, (val, jac) in zip(DIRECTIONS, got):
+        ref = dA_dparam(q, d, pi2=pi2)
+        for sel, terms in ((mask, ref.inner_terms), (~mask, ref.outer_terms)):
+            for one, per_field in ((val[sel], terms_value(terms, X[sel])),
+                                   (jac[sel], terms_jac(terms, X[sel]))):
+                scale = np.max(np.abs(per_field))
+                assert scale > 0.0
+                assert np.max(np.abs(one - per_field)) <= 1e-13 * scale, d
+
+
+def test_one_pass_evaluates_each_atom_channel_once(monkeypatch):
+    q = ParamQ.default(2.0 ** -5, p=[0.1, 0.0, -0.1, 0.05])
+    X, mask = _pass_nodes(q, n=60)
+    seen = []
+    for cls in (LinRadAtom, BetaAtom, BgAtom):
+        orig = cls.eval
+
+        def counted(self, Y, ydirs=(), dlam=0, _orig=orig):
+            seen.append((id(self), tuple(ydirs), dlam, len(Y)))
+            return _orig(self, Y, ydirs, dlam)
+        monkeypatch.setattr(cls, "eval", counted)
+    sample_charted(derivative_fields(glued_connection(q)), X, mask)
+    assert len(seen) == len(set(seen))
+    per_field = len(seen)
+    seen.clear()
+    for d in DIRECTIONS:
+        sample_charted([dA_dparam(q, d)], X, mask)
+    assert per_field < len(seen)
