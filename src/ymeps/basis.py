@@ -18,17 +18,16 @@ Fields enter either as FormField, as two-chart ChartedField (split at
 from __future__ import annotations
 
 import warnings
-import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .forms import (
-    FormField,
     NumericalError,
     QuadratureRule,
     ball_rule,
+    cov_grad_coeffs,
     domain_ball_rule,
     tail_report,
     weight_fn,
@@ -73,9 +72,6 @@ class NodeField:
     rule: QuadratureRule
     val: np.ndarray            # (N,3,4)
     jac: Optional[np.ndarray]  # (N,3,4,4) or None when not needed
-    _grad: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _grad_ctx: Optional[weakref.ref] = field(default=None, repr=False,
-                                             compare=False)
 
     def __add__(self, other):
         j = None if self.jac is None or other.jac is None else self.jac + other.jac
@@ -90,21 +86,6 @@ class NodeField:
                          None if self.jac is None else self.jac * c)
 
     __rmul__ = __mul__
-
-
-def _cov_grad(Aval, val, jac, eps):
-    """grad_A^eps a: out[n,a,mu,nu] = d_nu a_mu + eps [A_nu, a_mu] (cross bracket).
-
-    The cross product is written out component by component in a node-last
-    layout, so every product runs over all nodes in one pass.
-    """
-    At = np.ascontiguousarray((eps * Aval).transpose(1, 2, 0))[:, None]  # [b,.,nu,n]
-    vt = np.ascontiguousarray(val.transpose(1, 2, 0))[:, :, None]        # [c,mu,.,n]
-    br = np.empty((3, 4, 4, Aval.shape[0]))
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(At[b], vt[c], out=br[a])
-        br[a] -= At[c] * vt[b]
-    return np.add(jac, br.transpose(3, 0, 1, 2), out=np.empty_like(jac))
 
 
 @dataclass
@@ -145,22 +126,13 @@ class InnerContext:
         return NodeField(self.rule, f.value(X), f.jac(X) if need_jac else None)
 
     def grad_of(self, nf: NodeField) -> np.ndarray:
-        """Covariant gradient of a node field, cached per context.
-
-        The cache holds a weak reference to the context that filled it, so a
-        later context can never be handed the gradient of a freed one.
-        """
-        if nf._grad_ctx is not None and nf._grad_ctx() is self:
-            return nf._grad
-        g = _cov_grad(self.Aval, nf.val, nf.jac, self.eps)
-        nf._grad = g
-        nf._grad_ctx = weakref.ref(self)
-        return g
+        """Covariant gradient of a node field under this context's connection."""
+        return cov_grad_coeffs(self.Aval, nf.val, nf.jac, self.eps)
 
     # -- pairing --------------------------------------------------------
     def density(self, fa: NodeField, fb: NodeField) -> np.ndarray:
         ga = self.grad_of(fa)
-        gb = self.grad_of(fb)
+        gb = ga if fb is fa else self.grad_of(fb)
         d = np.einsum("namu,namu->n", ga, gb, optimize=False)
         l2 = np.einsum("nam,nam->n", fa.val, fb.val, optimize=False)
         if self.weighted:
@@ -282,10 +254,6 @@ class GramBasis:
     ctx: InnerContext
     raw_gram: np.ndarray
     raw_nodefields: list = field(default_factory=list, repr=False)
-
-    @property
-    def q_vectors(self) -> np.ndarray:
-        return self.coeff
 
     def field(self, i: int) -> ChartedField:
         """The i-th orthonormal field (1-based) as a charted field."""

@@ -16,44 +16,39 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-
-from .liealg import AlgElement
 
 __all__ = [
     "MULTI_INDEX",
     "COMP_INDEX",
-    "Point4",
     "FormValue",
     "FormField",
     "QuadratureRule",
     "QuadratureError",
     "NumericalError",
     "hodge_star",
+    "cdot",
     "star_coeffs",
-    "wedge_bracket",
     "bracket_wedge_coeffs",
+    "d_coeffs",
+    "cov_d_coeffs",
+    "codiff_coeffs",
+    "curvature_coeffs",
+    "cov_grad_coeffs",
+    "wedge_bracket",
     "exterior_d",
     "covariant_d_eps",
     "codifferential_eps",
     "covariant_grad_eps",
-    "grad_coeffs",
     "ball_rule",
     "domain_ball_rule",
     "weighted_r4_rule",
     "weight_fn",
     "integrate",
-    "point4",
+    "weighted_sum",
 ]
-
-# A point of R^4 is a length-4 float array; batches are (N, 4).
-Point4 = np.ndarray
-
-
-def point4(x0: float, x1: float, x2: float, x3: float) -> Point4:
-    return np.array([x0, x1, x2, x3], dtype=float)
 
 
 def _as_batch(X) -> np.ndarray:
@@ -110,7 +105,7 @@ ANTISYM_TABLE = {k: _build_antisym_table(k) for k in range(4)}
 
 
 class FormValue:
-    """A single k-form value: one AlgElement per increasing multi-index."""
+    """A single k-form value: algebra coefficients (3, C_k) per multi-index."""
 
     def __init__(self, degree: int, coeffs):
         if degree not in range(5):
@@ -126,12 +121,6 @@ class FormValue:
     @staticmethod
     def zero(degree: int) -> "FormValue":
         return FormValue(degree, np.zeros((3, N_COMP[degree])))
-
-    def component(self, idx) -> AlgElement:
-        """AlgElement at a component index or multi-index tuple."""
-        if isinstance(idx, tuple):
-            idx = COMP_INDEX[self.degree][idx]
-        return AlgElement.from_coeffs(self.coeffs[:, idx])
 
     def __add__(self, other):
         return FormValue(self.degree, self.coeffs + other.coeffs)
@@ -263,7 +252,16 @@ def _fd_derivative(fn, X, base_h: float = 1e-4):
 
 
 # ---------------------------------------------------------------------------
-# pointwise coefficient operations
+# array kernels: pointwise operations on sampled (val, jac) coefficient arrays
+#
+# A k-form sampled at N nodes is val (N,3,C_k) with jac (N,3,C_k,4); a
+# connection enters by its values Aval (N,3,4).  The FormField operators below
+# evaluate their channels with these same kernels.
+
+
+def cdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficient dot product density (N,): twice the trace pairing."""
+    return np.einsum("nac,nac->n", a, b, optimize=False)
 
 
 def bracket_wedge_coeffs(degree: int, a_vals: np.ndarray, w_vals: np.ndarray) -> np.ndarray:
@@ -282,7 +280,7 @@ def bracket_wedge_coeffs(degree: int, a_vals: np.ndarray, w_vals: np.ndarray) ->
     return out
 
 
-def _d_coeffs(degree: int, jac_vals: np.ndarray) -> np.ndarray:
+def d_coeffs(degree: int, jac_vals: np.ndarray) -> np.ndarray:
     """(dw)_K = sum_j (-1)^j d_{K_j} w_{K minus K_j}; jac_vals (N,3,C,4)."""
     N = jac_vals.shape[0]
     out = np.zeros((N, 3, N_COMP[degree + 1]))
@@ -290,6 +288,46 @@ def _d_coeffs(degree: int, jac_vals: np.ndarray) -> np.ndarray:
         for sign, nu, src in entries:
             out[:, :, tgt] += sign * jac_vals[:, :, src, nu]
     return out
+
+
+def cov_d_coeffs(k: int, Aval, val, jac, eps: float) -> np.ndarray:
+    """d_A^eps w = dw + eps [A ^ w] of a k-form: (N,3,C_{k+1})."""
+    return d_coeffs(k, jac) + eps * bracket_wedge_coeffs(k, Aval, val)
+
+
+def codiff_coeffs(k: int, Aval, val, jac, eps: float) -> np.ndarray:
+    """delta_A^eps w = -* d_A^eps * w of a k-form (k >= 1): (N,3,C_{k-1}).
+
+    The formal adjoint of d_A^eps on flat R^4; the star acts on the
+    component axis of both the values and the jacobian.
+    """
+    sval = star_coeffs(k, val)
+    sjac = star_coeffs(k, jac.swapaxes(2, 3)).swapaxes(2, 3)
+    return -star_coeffs(5 - k, cov_d_coeffs(4 - k, Aval, sval, sjac, eps))
+
+
+def curvature_coeffs(val, jac, eps: float) -> np.ndarray:
+    """F = dA + (eps/2)[A ^ A] of a connection given as arrays: (N,3,6)."""
+    return d_coeffs(1, jac) + 0.5 * eps * bracket_wedge_coeffs(1, val, val)
+
+
+def cov_grad_coeffs(Aval, val, jac, eps: float) -> np.ndarray:
+    """grad_A^eps a of a 1-form: out[n,a,mu,nu] = d_nu a_mu + eps [A_nu, a_mu].
+
+    The cross product is written out component by component in a node-last
+    layout, so every product runs over all nodes in one pass.
+    """
+    At = np.ascontiguousarray((eps * Aval).transpose(1, 2, 0))[:, None]  # [b,.,nu,n]
+    vt = np.ascontiguousarray(val.transpose(1, 2, 0))[:, :, None]        # [c,mu,.,n]
+    br = np.empty((3, 4, 4, Aval.shape[0]))
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(At[b], vt[c], out=br[a])
+        br[a] -= At[c] * vt[b]
+    return np.add(jac, br.transpose(3, 0, 1, 2), out=np.empty_like(jac))
+
+
+# ---------------------------------------------------------------------------
+# FormField operators: the kernels above applied to evaluated channels
 
 
 def wedge_bracket(alpha: FormField, beta: FormField) -> FormField:
@@ -308,11 +346,9 @@ def wedge_bracket(alpha: FormField, beta: FormField) -> FormField:
         def jac(X):
             av, bv = alpha.value(X), beta.value(X)
             aj, bj = alpha.jac(X), beta.jac(X)
-            out = np.empty((X.shape[0], 3, 6, 4))
-            for nu in range(4):
-                out[..., nu] = (bracket_wedge_coeffs(1, aj[..., nu], bv)
-                                + bracket_wedge_coeffs(1, av, bj[..., nu]))
-            return out
+            return np.stack([bracket_wedge_coeffs(1, aj[..., nu], bv)
+                             + bracket_wedge_coeffs(1, av, bj[..., nu])
+                             for nu in range(4)], axis=-1)
 
     return FormField(2, value, jac, domain=alpha.domain,
                      name=f"[{alpha.name}^{beta.name}]")
@@ -325,14 +361,11 @@ def exterior_d(omega: FormField) -> FormField:
     k = omega.degree
 
     def value(X):
-        return _d_coeffs(k, omega.jac(X))
+        return d_coeffs(k, omega.jac(X))
 
     def jac(X):
         H = omega.hess(X)  # (N,3,C,4,4)
-        out = np.empty((X.shape[0], 3, N_COMP[k + 1], 4))
-        for nu in range(4):
-            out[..., nu] = _d_coeffs(k, H[..., nu])
-        return out
+        return np.stack([d_coeffs(k, H[..., nu]) for nu in range(4)], axis=-1)
 
     return FormField(k + 1, value, jac, domain=omega.domain, name=f"d({omega.name})")
 
@@ -341,21 +374,20 @@ def covariant_d_eps(A: FormField, omega: FormField, eps: float) -> FormField:
     """d_A^eps w = dw + eps [A ^ w]."""
     if A.degree != 1:
         raise ValueError("connection must be a 1-form")
+    if omega.degree >= 4:
+        raise ValueError("d of a 4-form on R^4 is zero-dimensional; not supported")
     k = omega.degree
-    d = exterior_d(omega)
 
     def value(X):
-        return d.value(X) + eps * bracket_wedge_coeffs(k, A.value(X), omega.value(X))
+        return cov_d_coeffs(k, A.value(X), omega.value(X), omega.jac(X), eps)
 
     def jac(X):
-        dj = d.jac(X)
+        # d_nu (d_A w) = d_A (d_nu w) + eps [d_nu A ^ w]
         Av, Aj = A.value(X), A.jac(X)
-        wv, wj = omega.value(X), omega.jac(X)
-        out = dj.copy()
-        for nu in range(4):
-            out[..., nu] += eps * (bracket_wedge_coeffs(k, Aj[..., nu], wv)
-                                   + bracket_wedge_coeffs(k, Av, wj[..., nu]))
-        return out
+        wv, wj, wh = omega.value(X), omega.jac(X), omega.hess(X)
+        return np.stack([cov_d_coeffs(k, Av, wj[..., nu], wh[..., nu], eps)
+                         + eps * bracket_wedge_coeffs(k, Aj[..., nu], wv)
+                         for nu in range(4)], axis=-1)
 
     return FormField(k + 1, value, jac, domain=omega.domain,
                      name=f"d_A({omega.name})")
@@ -366,29 +398,11 @@ def codifferential_eps(A: FormField, omega: FormField, eps: float) -> FormField:
     if omega.degree < 1:
         raise ValueError("codifferential needs degree >= 1")
     k = omega.degree
-    star_jac = None
-    if omega.has_analytic_jac:
-        def star_jac(X):
-            J = omega.jac(X)  # (N,3,C,4); star acts on the component axis
-            return star_coeffs(k, J.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
-    star_w = FormField(4 - k, lambda X: star_coeffs(k, omega.value(X)),
-                       star_jac, domain=omega.domain, name=f"*{omega.name}")
-    dsw = covariant_d_eps(A, star_w, eps)
 
     def value(X):
-        return -star_coeffs(5 - k, dsw.value(X))
+        return codiff_coeffs(k, A.value(X), omega.value(X), omega.jac(X), eps)
 
     return FormField(k - 1, value, domain=omega.domain, name=f"delta_A({omega.name})")
-
-
-def grad_coeffs(a_vals: np.ndarray, alpha_vals: np.ndarray,
-                alpha_jac: np.ndarray, eps: float) -> np.ndarray:
-    """Full covariant derivative of a 1-form: out[n,:,mu,nu] = d_nu a_mu + eps[A_nu, a_mu]."""
-    out = np.array(alpha_jac, copy=True)  # (N,3,4,4): [..., mu, nu]
-    for nu in range(4):
-        out[:, :, :, nu] += eps * np.cross(
-            a_vals[:, :, nu][:, :, None], alpha_vals, axis=1)
-    return out
 
 
 def covariant_grad_eps(A: FormField, alpha: FormField, eps: float) -> Callable:
@@ -398,7 +412,7 @@ def covariant_grad_eps(A: FormField, alpha: FormField, eps: float) -> Callable:
 
     def evaluate(X):
         X = _as_batch(X)
-        return grad_coeffs(A.value(X), alpha.value(X), alpha.jac(X), eps)
+        return cov_grad_coeffs(A.value(X), alpha.value(X), alpha.jac(X), eps)
 
     return evaluate
 
@@ -439,10 +453,6 @@ class QuadratureRule:
             self.r = np.linalg.norm(self.nodes - self.center, axis=1)
         if self.mask_inner is None:
             self.mask_inner = self.r < self.lam / 4.0
-
-    @property
-    def scales(self):
-        return [self.lam / 4, self.lam / 2, self.lam, 2 * self.lam]
 
     def __len__(self):
         return self.nodes.shape[0]
@@ -666,7 +676,6 @@ def weighted_r4_rule(p, lam: float, tol: float = 1e-4,
     nodes = np.concatenate(all_nodes)
     w = np.concatenate(all_w)
     meta = dict(inner.meta)
-    meta["interior_end"] = int(sizes[1])
     # slices of shells [2,4], [4,8], tail (for tail-convergence reporting)
     meta["ext_panels"] = [(int(sizes[2]), int(sizes[3])),
                           (int(sizes[3]), int(sizes[4])),
@@ -717,4 +726,12 @@ def integrate(rule: QuadratureRule, density) -> float:
         i = int(np.argmin(np.isfinite(vals)))
         raise NumericalError(
             f"non-finite density value at node {i}: x={rule.nodes[i]!r}")
-    return float(np.sum(rule.weights * vals))
+    return weighted_sum(rule, vals)
+
+
+def weighted_sum(rule: QuadratureRule, vals: np.ndarray) -> float:
+    """sum_i w_i vals_i over the rule's nodes; a non-finite sum raises."""
+    v = float(np.sum(rule.weights * vals))
+    if not math.isfinite(v):
+        raise NumericalError("non-finite integral")
+    return v

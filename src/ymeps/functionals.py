@@ -13,14 +13,12 @@ the sweep, a non-increasing sequence, or a null value within precision).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
 
 from .basis import (
-    GramBasis,
     InnerContext,
     NodeField,
     ball_context,
@@ -32,11 +30,14 @@ from .basis import (
 )
 from .forms import (
     FormField,
-    NumericalError,
-    _d_coeffs,
     ball_rule,
     bracket_wedge_coeffs,
+    cdot,
+    codiff_coeffs,
+    cov_d_coeffs,
+    curvature_coeffs,
     star_coeffs,
+    weighted_sum,
 )
 from .instanton import (
     DIRECTIONS,
@@ -103,41 +104,6 @@ def fit_slope(pairs) -> SlopeFit:
 
 
 # ---------------------------------------------------------------------------
-# densities
-
-
-def _cdot(a, b):
-    """Coefficient dot product density (N,): twice the trace pairing."""
-    return np.einsum("nac,nac->n", a, b, optimize=False)
-
-
-def _wsum(rule, dens) -> float:
-    v = float(np.sum(rule.weights * dens))
-    if not math.isfinite(v):
-        raise NumericalError("non-finite integral")
-    return v
-
-
-def _curv(nf: NodeField, eps: float) -> np.ndarray:
-    """F = dA + (eps/2)[A ^ A] from sampled value/jacobian arrays, (N,3,6)."""
-    return (_d_coeffs(1, nf.jac)
-            + 0.5 * eps * bracket_wedge_coeffs(1, nf.val, nf.val))
-
-
-def _cov_d(Aval, nf: NodeField, eps: float) -> np.ndarray:
-    """d_A^eps applied to a 1-form given as arrays: (N,3,6)."""
-    return _d_coeffs(1, nf.jac) + eps * bracket_wedge_coeffs(1, Aval, nf.val)
-
-
-def _codiff(Aval, nf: NodeField, eps: float) -> np.ndarray:
-    """delta_A^eps = -*d_A^eps* on a 1-form, as 0-form coefficients (N,3,1)."""
-    s = star_coeffs(1, nf.val)
-    sj = star_coeffs(1, nf.jac.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
-    d = _d_coeffs(3, sj) + eps * bracket_wedge_coeffs(3, Aval, s)
-    return -star_coeffs(4, d)
-
-
-# ---------------------------------------------------------------------------
 # functionals
 
 
@@ -171,8 +137,8 @@ def ym_eps(A, eps: float, domain: str = "r4", rule=None, tol: float = 1e-4) -> f
     else:
         ctx = _r4_context(A, eps, rule=rule, tol=tol)
     nf = _field_nf(A, ctx)
-    F = _curv(nf, eps)
-    return _wsum(ctx.rule, 0.5 * _cdot(F, F))
+    F = curvature_coeffs(nf.val, nf.jac, eps)
+    return weighted_sum(ctx.rule, 0.5 * cdot(F, F))
 
 
 def charge(Atilde, eps: float, rule=None, tol: float = 1e-4) -> float:
@@ -183,13 +149,10 @@ def charge(Atilde, eps: float, rule=None, tol: float = 1e-4) -> float:
     """
     ctx = _r4_context(Atilde, eps, rule=rule, tol=tol)
     nf = _field_nf(Atilde, ctx)
-    F = _curv(nf, eps)
-    # <F ^ F>_tr volume density in coefficient dots:
-    # components ordered (01,02,03,12,13,23)
-    dens = (np.einsum("na,na->n", F[:, :, 0], F[:, :, 5])
-            - np.einsum("na,na->n", F[:, :, 1], F[:, :, 4])
-            + np.einsum("na,na->n", F[:, :, 2], F[:, :, 3]))
-    return eps ** 2 / (8.0 * np.pi ** 2) * _wsum(ctx.rule, dens)
+    F = curvature_coeffs(nf.val, nf.jac, eps)
+    # F ^ F = <F, *F> vol, and the trace pairing is half the coefficient dot
+    dens = 0.5 * cdot(F, star_coeffs(2, F))
+    return eps ** 2 / (8.0 * np.pi ** 2) * weighted_sum(ctx.rule, dens)
 
 
 def grad_pairing(A, a, eps: float, domain: str = "r4", rule=None,
@@ -201,9 +164,9 @@ def grad_pairing(A, a, eps: float, domain: str = "r4", rule=None,
         ctx = _r4_context(A, eps, rule=rule, tol=tol)
     nfA = _field_nf(A, ctx)
     nfa = ctx.arrays(a)
-    F = _curv(nfA, eps)
-    da = _cov_d(nfA.val, nfa, eps)
-    return _wsum(ctx.rule, _cdot(F, da))
+    F = curvature_coeffs(nfA.val, nfA.jac, eps)
+    da = cov_d_coeffs(1, nfA.val, nfa.val, nfa.jac, eps)
+    return weighted_sum(ctx.rule, cdot(F, da))
 
 
 def hessian_form(A, a, b, eps: float, rule=None, tol: float = 1e-4) -> float:
@@ -214,11 +177,11 @@ def hessian_form(A, a, b, eps: float, rule=None, tol: float = 1e-4) -> float:
     ctx = ball_context(A, eps, rule=rule, tol=tol)
     nfA = _field_nf(A, ctx)
     nfa, nfb = ctx.arrays(a), ctx.arrays(b)
-    F = _curv(nfA, eps)
-    da = _cov_d(nfA.val, nfa, eps)
-    db = _cov_d(nfA.val, nfb, eps)
+    F = curvature_coeffs(nfA.val, nfA.jac, eps)
+    da = cov_d_coeffs(1, nfA.val, nfa.val, nfa.jac, eps)
+    db = cov_d_coeffs(1, nfA.val, nfb.val, nfb.jac, eps)
     ab = bracket_wedge_coeffs(1, nfa.val, nfb.val)
-    return _wsum(ctx.rule, _cdot(da, db) + eps * _cdot(F, ab))
+    return weighted_sum(ctx.rule, cdot(da, db) + eps * cdot(F, ab))
 
 
 # ---------------------------------------------------------------------------
@@ -467,45 +430,46 @@ def _hessian_difference_metrics(q, bg, pi2, basis, ctx, seed, n_test):
     A_nf = ctx.arrays(A)
     At_nf = ctx.arrays(At)
     b_nf = ctx.arrays(difference_b(q, bg, pi2))
-    FA = _curv(A_nf, eps)
-    FAt = _curv(At_nf, eps)
-    dAb = _cov_d(A_nf.val, b_nf, eps)
+    Aval, Atval = A_nf.val, At_nf.val
+    FA = curvature_coeffs(Aval, A_nf.jac, eps)
+    FAt = curvature_coeffs(Atval, At_nf.jac, eps)
+    dAb = cov_d_coeffs(1, Aval, b_nf.val, b_nf.jac, eps)
     bb = bracket_wedge_coeffs(1, b_nf.val, b_nf.val)
     betas = test_field_family(q, ctx, n_test, seed)
     out = {}
     five_term_resid = 0.0
     for tag, idx in (("i1", 1), ("i5", 5)):
-        a_nf = basis.node_field(idx)
-        dAa = _cov_d(A_nf.val, a_nf, eps)
-        dAta = _cov_d(At_nf.val, a_nf, eps)
-        delAa = _codiff(A_nf.val, a_nf, eps)
-        delAta = _codiff(At_nf.val, a_nf, eps)
-        ba = bracket_wedge_coeffs(1, b_nf.val, a_nf.val)
+        a = basis.node_field(idx)
+        dAa = cov_d_coeffs(1, Aval, a.val, a.jac, eps)
+        dAta = cov_d_coeffs(1, Atval, a.val, a.jac, eps)
+        delAa = codiff_coeffs(1, Aval, a.val, a.jac, eps)
+        delAta = codiff_coeffs(1, Atval, a.val, a.jac, eps)
+        ba = bracket_wedge_coeffs(1, b_nf.val, a.val)
         sup_h, sup_c = 0.0, 0.0
         for beta in betas:
-            dAbeta = _cov_d(A_nf.val, beta, eps)
-            dAtbeta = _cov_d(At_nf.val, beta, eps)
-            abeta = bracket_wedge_coeffs(1, a_nf.val, beta.val)
-            HA = _wsum(rule, _cdot(dAa, dAbeta) + eps * _cdot(FA, abeta))
-            HAt = _wsum(rule, _cdot(dAta, dAtbeta) + eps * _cdot(FAt, abeta))
+            dAbeta = cov_d_coeffs(1, Aval, beta.val, beta.jac, eps)
+            dAtbeta = cov_d_coeffs(1, Atval, beta.val, beta.jac, eps)
+            abeta = bracket_wedge_coeffs(1, a.val, beta.val)
+            HA = weighted_sum(rule, cdot(dAa, dAbeta) + eps * cdot(FA, abeta))
+            HAt = weighted_sum(rule, cdot(dAta, dAtbeta) + eps * cdot(FAt, abeta))
             direct = HAt - HA
             sup_h = max(sup_h, abs(direct))
             # expansion of the difference in powers of the gap b
             bbeta = bracket_wedge_coeffs(1, b_nf.val, beta.val)
-            t1 = eps * _wsum(rule, _cdot(dAa, bbeta))
-            t2 = eps * _wsum(rule, _cdot(ba, dAbeta))
-            t3 = eps ** 2 * _wsum(rule, _cdot(ba, bbeta))
-            t4 = eps * _wsum(rule, _cdot(dAb, abeta))
-            t5 = 0.5 * eps ** 2 * _wsum(rule, _cdot(bb, abeta))
+            t1 = eps * weighted_sum(rule, cdot(dAa, bbeta))
+            t2 = eps * weighted_sum(rule, cdot(ba, dAbeta))
+            t3 = eps ** 2 * weighted_sum(rule, cdot(ba, bbeta))
+            t4 = eps * weighted_sum(rule, cdot(dAb, abeta))
+            t5 = 0.5 * eps ** 2 * weighted_sum(rule, cdot(bb, abeta))
             expansion = t1 + t2 + t3 + t4 + t5
             scale = max(abs(HA), abs(HAt), 1.0)
             five_term_resid = max(five_term_resid,
                                   abs(direct - expansion) / scale)
             # second family: the codifferential pairing
-            delAbeta = _codiff(A_nf.val, beta, eps)
-            delAtbeta = _codiff(At_nf.val, beta, eps)
-            cA = _wsum(rule, _cdot(delAa, delAbeta))
-            cAt = _wsum(rule, _cdot(delAta, delAtbeta))
+            delAbeta = codiff_coeffs(1, Aval, beta.val, beta.jac, eps)
+            delAtbeta = codiff_coeffs(1, Atval, beta.val, beta.jac, eps)
+            cA = weighted_sum(rule, cdot(delAa, delAbeta))
+            cAt = weighted_sum(rule, cdot(delAta, delAtbeta))
             sup_c = max(sup_c, abs(cAt - cA))
         out[f"hess_dual_{tag}"] = sup_h
         out[f"codiff_dual_{tag}"] = sup_c

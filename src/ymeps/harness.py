@@ -483,7 +483,7 @@ def _add_common(p: argparse.ArgumentParser):
                    help="comma-separated eps sweep (2^-k shorthand allowed)")
     p.add_argument("--ratio-D", type=float, metavar="D",
                    help="lam^2 / eps ratio (default 1.0)")
-    p.add_argument("--tol", type=float, help="quadrature tolerance (default 1e-4)")
+    p.add_argument("--tol", type=float, help="quadrature self-check tolerance (default 1e-4)")
     p.add_argument("--seed", type=int, help="seed for the sampled test fields")
     p.add_argument("--out", metavar="DIR", help="output directory (default .)")
     p.add_argument("--eps", type=float,

@@ -30,17 +30,15 @@ from typing import Optional
 import numpy as np
 
 from .forms import FormField
-from .liealg import GroupElement, adjoint_matrix, so3_generator
+from .liealg import SO3_GENERATORS, GroupElement, adjoint_matrix, qmul, so3_generator
 
 __all__ = [
     "ETA",
     "ETABAR",
     "ParamQ",
     "ParamError",
-    "CutoffSpec",
     "BackgroundConnection",
     "ChartedField",
-    "ChartedConnection",
     "Term",
     "DIRECTIONS",
     "i1_form",
@@ -53,9 +51,7 @@ __all__ = [
     "derivative_fields",
     "dA_dparam",
     "datilde_dparam",
-    "ddiff_dparam",
     "d2A_dp1p1",
-    "d2Atilde_dp1p1",
     "transition_quaternion",
     "sample_charted",
 ]
@@ -66,15 +62,12 @@ __all__ = [
 # symbolic expansion of Im[(x-p) dxbar] and Im[lam^2 (xbar-pbar) dx / s].
 
 def _build_eta(bar: bool) -> np.ndarray:
-    eps3 = {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0,
-            (0, 2, 1): -1.0, (2, 1, 0): -1.0, (1, 0, 2): -1.0}
     T = np.zeros((3, 4, 4))
+    # spatial block: the epsilon tensor eps_{abc}; (L_a)_{cb} = eps_{abc}
+    T[:, 1:, 1:] = SO3_GENERATORS.transpose(0, 2, 1)
     for a in range(3):
         T[a, 0, a + 1] = -1.0 if bar else 1.0
         T[a, a + 1, 0] = 1.0 if bar else -1.0
-        for (i, b, c), v in eps3.items():
-            if i == a:
-                T[a, b + 1, c + 1] = v
     return T
 
 ETA = _build_eta(False)
@@ -183,19 +176,6 @@ def _profile_w(w, order=0):
     else:
         raise ValueError("order must be 0..4")
     return np.where(mid, out, 0.0)
-
-
-@dataclass(frozen=True)
-class CutoffSpec:
-    """The transition profile: C^3, monotone, 1 on [0,1], 0 on [2,inf)."""
-
-    degree: int = 7
-
-    def value(self, t):
-        return beta_profile(t, 0)
-
-    def derivative(self, t, order):
-        return beta_profile(t, order)
 
 
 def cutoff(lam: float, p, scale: float, x, order: int = 0):
@@ -625,38 +605,11 @@ def combo_field(fields, coeffs, name="") -> ChartedField:
     return ChartedField(f0.p, f0.lam, inner, outer, name=name)
 
 
-@dataclass
-class ChartedConnection(ChartedField):
-    """A two-chart connection with its parameter and transition data."""
-
-    q: ParamQ = None
-    bg: BackgroundConnection = None
-    pi2: str = "model"
-
-    def transition(self, X) -> np.ndarray:
-        """g * g12(x) * g^{-1} as unit quaternions, g12 = (x-p)/|x-p|."""
-        return transition_quaternion(self.q.p, self.q.g, X)
-
-
 def transition_quaternion(p, g, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    Y = X - np.asarray(p, dtype=float)
-    r = np.linalg.norm(Y, axis=1, keepdims=True)
-    g12 = Y / r
-    # quaternion product g * g12 * g^{-1}, vectorized
-    def qmul(a, b):
-        a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-        b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-        return np.stack([
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        ], axis=-1)
-    gq = g.quaternion()[None, :]
-    ginv = g.inverse().quaternion()[None, :]
-    return qmul(qmul(np.broadcast_to(gq, g12.shape), g12),
-                np.broadcast_to(ginv, g12.shape))
+    """g * g12(x) * g^{-1} as unit quaternions (N,4), g12 = (x-p)/|x-p|."""
+    Y = np.asarray(X, dtype=float) - np.asarray(p, dtype=float)
+    g12 = Y / np.linalg.norm(Y, axis=1, keepdims=True)
+    return qmul(qmul(g.quaternion(), g12), g.inverse().quaternion())
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +677,7 @@ def _outer_terms_glued(q: ParamQ, bg: BackgroundConnection, pi2: str) -> list:
 
 
 def glued_connection(q: ParamQ, bg: BackgroundConnection = None,
-                     pi2: str = "model") -> ChartedConnection:
+                     pi2: str = "model") -> ChartedField:
     """The glued family member A(q): background + cutoff instanton of scale lam.
 
     Outer chart: (1-beta_lam) bg + (1/eps) beta_{lam/4} g I2 g^{-1}
@@ -732,18 +685,15 @@ def glued_connection(q: ParamQ, bg: BackgroundConnection = None,
     inner chart: (1/eps) g I1 g^{-1}.
     """
     bg = BackgroundConnection() if bg is None else bg
-    return ChartedConnection(q.p, q.lam, _inner_terms(q),
-                             _outer_terms_glued(q, bg, pi2),
-                             name="A", q=q, bg=bg, pi2=pi2)
+    return ChartedField(q.p, q.lam, _inner_terms(q),
+                        _outer_terms_glued(q, bg, pi2), name="A")
 
 
-def extended_connection(q: ParamQ) -> ChartedConnection:
+def extended_connection(q: ParamQ) -> ChartedField:
     """The extension: pure (1/eps)-scaled instanton in both charts, on all of R^4."""
     R = adjoint_matrix(q.g)
     outer = [Term(1.0 / q.eps, lie=_i2_atom(q), mat=R, conjugated=True)]
-    return ChartedConnection(q.p, q.lam, _inner_terms(q), outer,
-                             name="Atilde", q=q, bg=BackgroundConnection.zero(),
-                             pi2="full")
+    return ChartedField(q.p, q.lam, _inner_terms(q), outer, name="Atilde")
 
 
 def difference_b(q: ParamQ, bg: BackgroundConnection = None,
@@ -807,15 +757,6 @@ def datilde_dparam(q: ParamQ, direction: str) -> ChartedField:
     return derivative_fields(extended_connection(q), (direction,), "dAt")[0]
 
 
-def ddiff_dparam(q: ParamQ, direction: str, bg: BackgroundConnection = None,
-                 pi2: str = "model") -> ChartedField:
-    """Analytic parameter derivative of b = extension - glued (exact difference)."""
-    b = difference_b(q, bg, pi2)
-    return ChartedField(q.p, q.lam, [],
-                        _apply_direction(b.outer_terms, direction),
-                        name=f"db/d{direction}")
-
-
 def d2A_dp1p1(q: ParamQ, bg: BackgroundConnection = None,
               pi2: str = "model") -> ChartedField:
     """Second p1-derivative of the glued family (exact term-level differentiation)."""
@@ -825,11 +766,3 @@ def d2A_dp1p1(q: ParamQ, bg: BackgroundConnection = None,
                         d_dp(d_dp(A.inner_terms, 0), 0),
                         d_dp(d_dp(A.outer_terms, 0), 0),
                         name="d2A/dp1^2")
-
-
-def d2Atilde_dp1p1(q: ParamQ) -> ChartedField:
-    At = extended_connection(q)
-    return ChartedField(q.p, q.lam,
-                        d_dp(d_dp(At.inner_terms, 0), 0),
-                        d_dp(d_dp(At.outer_terms, 0), 0),
-                        name="d2At/dp1^2")

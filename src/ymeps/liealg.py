@@ -23,6 +23,7 @@ import numpy as np
 __all__ = [
     "AlgElement",
     "GroupElement",
+    "qmul",
     "So3Direction",
     "bracket",
     "eps_bracket",
@@ -35,16 +36,16 @@ __all__ = [
 ]
 
 
-def _qmul(a, b):
-    """Hamilton product of quaternions given as length-4 sequences."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (
+def qmul(a, b) -> np.ndarray:
+    """Hamilton product of quaternions on the last axis; (4,) and (N,4) broadcast."""
+    a0, a1, a2, a3 = (a[..., i] for i in range(4))
+    b0, b1, b2, b3 = (b[..., i] for i in range(4))
+    return np.stack([
         a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
         a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
         a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
         a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-    )
+    ], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ class GroupElement:
         return np.array([self.q0, self.q1, self.q2, self.q3])
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(*_qmul(self.quaternion(), other.quaternion()))
+        return GroupElement(*qmul(self.quaternion(), other.quaternion()))
 
     def inverse(self) -> "GroupElement":
         return GroupElement(self.q0, -self.q1, -self.q2, -self.q3)
@@ -136,7 +137,7 @@ def bracket(X: AlgElement, Y: AlgElement) -> AlgElement:
     """
     qx = X.quaternion()
     qy = Y.quaternion()
-    comm = np.array(_qmul(qx, qy)) - np.array(_qmul(qy, qx))
+    comm = qmul(qx, qy) - qmul(qy, qx)
     # imaginary part, rescaled back to e-coefficients (factor 2)
     return AlgElement(2.0 * comm[1], 2.0 * comm[2], 2.0 * comm[3])
 
@@ -166,7 +167,7 @@ def exp_map(X: AlgElement) -> GroupElement:
 def adjoint(g: GroupElement, X: AlgElement) -> AlgElement:
     """Adjoint action g X g^{-1}; norm preserving, independent of the sign of g."""
     q = g.quaternion()
-    res = _qmul(_qmul(q, X.quaternion()), g.inverse().quaternion())
+    res = qmul(qmul(q, X.quaternion()), g.inverse().quaternion())
     return AlgElement(2.0 * res[1], 2.0 * res[2], 2.0 * res[3])
 
 

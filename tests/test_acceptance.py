@@ -13,17 +13,17 @@ import pytest
 from ymeps.basis import ball_context
 from ymeps.forms import (
     N_COMP,
+    cdot,
     codifferential_eps,
     covariant_d_eps,
+    curvature_coeffs,
     domain_ball_rule,
     exterior_d,
     star_coeffs,
     wedge_bracket,
+    weighted_sum,
 )
 from ymeps.functionals import (
-    _cdot,
-    _curv,
-    _wsum,
     bump_one_form,
     charge,
     compute_point_metrics,
@@ -234,10 +234,10 @@ def test_criterion_10_structural_suite(tmp_path):
                                                power=5),
                             0.41)
     Xn = rule.nodes
-    lhs = _wsum(rule, _cdot(covariant_d_eps(Aff, alpha, 0.41).value(Xn),
-                            beta2.value(Xn)))
-    rhs = _wsum(rule, _cdot(alpha.value(Xn),
-                            codifferential_eps(Aff, beta2, 0.41).value(Xn)))
+    lhs = weighted_sum(rule, cdot(covariant_d_eps(Aff, alpha, 0.41).value(Xn),
+                                  beta2.value(Xn)))
+    rhs = weighted_sum(rule, cdot(alpha.value(Xn),
+                                  codifferential_eps(Aff, beta2, 0.41).value(Xn)))
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     assert rel <= 1e-3
     notes.append(f"adjointness rel = {rel:.1e}")
@@ -251,8 +251,9 @@ def test_criterion_10_structural_suite(tmp_path):
     nfA, nfa = ctx.arrays(A), ctx.arrays(a)
 
     def E(t):
-        Ft = _curv(nfA + t * nfa, q.eps)
-        return _wsum(brule, 0.5 * _cdot(Ft, Ft))
+        nf = nfA + t * nfa
+        Ft = curvature_coeffs(nf.val, nf.jac, q.eps)
+        return weighted_sum(brule, 0.5 * cdot(Ft, Ft))
 
     from ymeps.functionals import grad_pairing
     got = grad_pairing(A, a, q.eps, domain="ball", rule=brule)

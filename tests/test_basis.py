@@ -190,7 +190,6 @@ def test_gram_schmidt_ball_orthonormal():
     assert basis.gram_residual() <= 1e-8
     assert np.allclose(basis.coeff, np.tril(basis.coeff))
     assert np.all(np.diag(basis.coeff) > 0)
-    assert basis.q_vectors is basis.coeff
 
 
 def test_gram_schmidt_ball_synthetic_orthonormal_inputs():

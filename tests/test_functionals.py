@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 
 from ymeps.basis import ball_context
-from ymeps.forms import FormField, codifferential_eps, covariant_d_eps, domain_ball_rule
+from ymeps.forms import (
+    COMP_INDEX,
+    MULTI_INDEX,
+    FormField,
+    cdot,
+    codiff_coeffs,
+    codifferential_eps,
+    covariant_d_eps,
+    curvature_coeffs,
+    domain_ball_rule,
+    weighted_sum,
+)
 from ymeps.functionals import (
     EstimateReport,
     QuantityRow,
-    _cdot,
-    _codiff,
-    _curv,
     _row_band,
-    _wsum,
     bump_one_form,
     charge,
     compute_point_metrics,
@@ -112,8 +119,9 @@ def _energy_curve(A, a, eps, rule):
     nfa = ctx.arrays(a)
 
     def E(t):
-        F = _curv(nfA + t * nfa, eps)
-        return _wsum(rule, 0.5 * _cdot(F, F))
+        nf = nfA + t * nfa
+        F = curvature_coeffs(nf.val, nf.jac, eps)
+        return weighted_sum(rule, 0.5 * cdot(F, F))
 
     return E
 
@@ -188,22 +196,38 @@ def test_hessian_matches_second_difference():
 
 
 # ---------------------------------------------------------------------------
-# codifferential arrays vs the standalone form operator
+# the codifferential kernel vs the coordinate formula
 
 
-def test_codiff_arrays_match_form_operator():
-    rng = np.random.default_rng(RNG_SEED + 3)
-    Aff = bump_one_form([0.1, 0.0, -0.1, 0.2], 0.5, rng.standard_normal((3, 4)))
-    alpha = bump_one_form([-0.05, 0.1, 0.0, 0.0], 0.45,
-                          rng.standard_normal((3, 4)))
+def _codiff_oracle(k, Aval, val, jac, eps):
+    """(delta_A w)_J = -sum_{j not in J} (d_j w_{jJ} + eps [A_j, w_{jJ}])."""
+    out = np.zeros(val.shape[:2] + (len(MULTI_INDEX[k - 1]),))
+    for J, t in COMP_INDEX[k - 1].items():
+        for j in set(range(4)) - set(J):
+            I = tuple(sorted((j,) + J))
+            # sign of sorting (j, J) into I: one swap per index of J below j
+            sign = (-1.0) ** sum(i < j for i in J)
+            s = COMP_INDEX[k][I]
+            out[:, :, t] -= sign * (jac[:, :, s, j] + eps * np.cross(
+                Aval[:, :, j], val[:, :, s], axis=1))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_codiff_kernel_matches_coordinate_formula(k):
+    # an off-centre connection bump and random k-form arrays on nodes where
+    # the bump is nonzero: delta_A = -* d_A * equals minus the covariant
+    # divergence in every degree
+    rng = np.random.default_rng(RNG_SEED + 3 + k)
+    A = bump_one_form([0.2, -0.1, 0.15, 0.05], 0.6, rng.standard_normal((3, 4)))
+    X = np.array([0.2, -0.1, 0.15, 0.05]) + 0.3 * rng.uniform(-1, 1, (9, 4))
+    C = len(MULTI_INDEX[k])
+    val = rng.standard_normal((9, 3, C))
+    jac = rng.standard_normal((9, 3, C, 4))
     eps = 0.37
-    rule = domain_ball_rule(np.zeros(4), 0.25)
-    ctx = ball_context(Aff, eps, rule=rule)
-    nfA = ctx.arrays(Aff)
-    nfa = ctx.arrays(alpha)
-    got = _codiff(nfA.val, nfa, eps)
-    want = codifferential_eps(Aff, alpha, eps).value(rule.nodes)
-    assert np.allclose(got, want, atol=1e-11 * max(1.0, np.abs(want).max()))
+    got = codiff_coeffs(k, A.value(X), val, jac, eps)
+    want = _codiff_oracle(k, A.value(X), val, jac, eps)
+    assert np.allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_codifferential_adjoint_to_covariant_d():
@@ -231,8 +255,8 @@ def test_codifferential_adjoint_to_covariant_d():
     X = rule.nodes
     dphi = covariant_d_eps(Aff, phi, eps).value(X)
     delta = codifferential_eps(Aff, alpha, eps).value(X)
-    lhs = _wsum(rule, _cdot(dphi, alpha.value(X)))
-    rhs = _wsum(rule, _cdot(phi.value(X), delta))
+    lhs = weighted_sum(rule, cdot(dphi, alpha.value(X)))
+    rhs = weighted_sum(rule, cdot(phi.value(X), delta))
     # equality holds after integration by parts, so the gap is pure quadrature
     # error (the bump support kink sits inside panels); well under 10x the
     # rule's tolerance

@@ -1,6 +1,10 @@
 """Command-line driver: config validation, exit codes, and report files."""
 
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,3 +242,19 @@ def test_verify_lemma_58_cli(tmp_path, capsys):
     assert body[0] == CSV_HEADER
     data = np.array([ln.split(",")[2] for ln in body[1:]], dtype=float)
     assert data.max() == 0.0625
+
+
+def test_layer_tracer_runs_charge(tmp_path):
+    # perfbench/tracer.py wraps entry points by the names other modules look
+    # them up under; a rename that drops one makes it exit non-zero here
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(out),
+         "--", "charge", "--eps", "0.0625"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(out.read_text())
+    assert trace["exit_code"] == 0 and trace["spans"]
