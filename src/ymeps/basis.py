@@ -130,20 +130,27 @@ class InnerContext:
         return cov_grad_coeffs(self.Aval, nf.val, nf.jac, self.eps)
 
     # -- pairing --------------------------------------------------------
-    def density(self, fa: NodeField, fb: NodeField) -> np.ndarray:
-        ga = self.grad_of(fa)
-        gb = ga if fb is fa else self.grad_of(fb)
+    def _pair_density(self, fa, ga, fb, gb) -> np.ndarray:
         d = np.einsum("namu,namu->n", ga, gb, optimize=False)
         l2 = np.einsum("nam,nam->n", fa.val, fb.val, optimize=False)
         if self.weighted:
             return d + self.wvals * l2
         return d + l2
 
-    def inner_nf(self, fa: NodeField, fb: NodeField, warn: bool = True) -> float:
-        dens = self.density(fa, fb)
+    def _integral(self, dens: np.ndarray) -> float:
         value = float(np.sum(self.rule.weights * dens))
         if not np.isfinite(value):
             raise NumericalError("non-finite inner product")
+        return value
+
+    def density(self, fa: NodeField, fb: NodeField) -> np.ndarray:
+        ga = self.grad_of(fa)
+        gb = ga if fb is fa else self.grad_of(fb)
+        return self._pair_density(fa, ga, fb, gb)
+
+    def inner_nf(self, fa: NodeField, fb: NodeField, warn: bool = True) -> float:
+        dens = self.density(fa, fb)
+        value = self._integral(dens)
         if self.weighted and warn:
             rep = tail_report(self.rule, dens)
             if not rep["tail_converged"]:
@@ -151,6 +158,18 @@ class InnerContext:
                     f"exterior shells do not decay (ratio {rep['shell_ratio']:.3g});"
                     " reported value is the truncated integral", TailWarning)
         return value
+
+    def inner_with(self, fa: NodeField):
+        """fb -> (fa, fb) with fa's gradient computed once, for many fb.
+
+        Each value equals inner_nf(fa, fb, warn=False) bit for bit.
+        """
+        ga = self.grad_of(fa)
+
+        def inner(fb: NodeField) -> float:
+            return self._integral(self._pair_density(fa, ga, fb, self.grad_of(fb)))
+
+        return inner
 
     def inner(self, a, b, warn: bool = True) -> float:
         return self.inner_nf(self.arrays(a), self.arrays(b), warn=warn)
@@ -364,10 +383,11 @@ def project_perp(v, basis: GramBasis, A=None, eps=None,
     if rule is not None and rule is not ctx.rule:
         raise ValueError("projection must use the basis' shared rule")
     nv = ctx.arrays(v)
+    inner_v = ctx.inner_with(nv)
     out = nv
     for i in range(1, len(basis.coeff) + 1):
         ai = basis.node_field(i)
-        out = out - ctx.inner_nf(nv, ai, warn=False) * ai
+        out = out - inner_v(ai) * ai
     return out
 
 

@@ -100,6 +100,24 @@ def _build_antisym_table(k):
 ANTISYM_TABLE = {k: _build_antisym_table(k) for k in range(4)}
 
 
+def _build_codiff_table(k):
+    """For degree k -> k-1: entries per target J: (sign, j, src), j not in J.
+
+    sign is minus the sign of sorting (j, J) into the source multi-index, so
+    (delta w)_J = sum sign * (d_j w_src + eps [A_j, w_src]).
+    """
+    table = []
+    for J in MULTI_INDEX[k - 1]:
+        entries = []
+        for j in sorted(set(range(4)) - set(J)):
+            src = tuple(sorted((j,) + J))
+            entries.append((-(-1) ** sum(i < j for i in J), j, COMP_INDEX[k][src]))
+        table.append(entries)
+    return table
+
+CODIFF_TABLE = {k: _build_codiff_table(k) for k in range(1, 5)}
+
+
 # ---------------------------------------------------------------------------
 # value & field types
 
@@ -264,30 +282,60 @@ def cdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("nac,nac->n", a, b, optimize=False)
 
 
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def _bracket_contract(table, a_vals: np.ndarray, w_vals: np.ndarray) -> np.ndarray:
+    """out_T = sum sign * [a_nu, w_src] over each target's (sign, nu, src) entries.
+
+    The cross product is written out component by component in a node-last
+    layout, so every product runs over all nodes in one pass.  Swapping the
+    factors of a component negates it exactly, so each term rounds as
+    sign * np.cross(a_nu, w_src) does, and the result is bit-identical to
+    accumulating those cross products entry by entry.
+    """
+    N = a_vals.shape[0]
+    At = np.ascontiguousarray(a_vals.transpose(1, 2, 0))   # [b,nu,n]
+    wt = np.ascontiguousarray(w_vals.transpose(1, 2, 0))   # [c,src,n]
+    out = np.empty((3, len(table), N))
+    cr, tmp = np.empty(N), np.empty(N)
+    for tgt, entries in enumerate(table):
+        for a, b, c in _CYCLIC:
+            acc = out[a, tgt]
+            for j, (sign, nu, src) in enumerate(entries):
+                p, m = (b, c) if sign > 0 else (c, b)
+                dst = cr if j else acc
+                np.multiply(At[p, nu], wt[m, src], out=dst)
+                np.multiply(At[m, nu], wt[p, src], out=tmp)
+                dst -= tmp
+                if j:
+                    acc += cr
+    # C-contiguous, so the pairings downstream sum in a fixed order
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
+
+
 def bracket_wedge_coeffs(degree: int, a_vals: np.ndarray, w_vals: np.ndarray) -> np.ndarray:
     """[A ^ w] for a 1-form A and k-form w, on coefficient arrays.
 
     ([A^w])_K = sum_j (-1)^j [A_{K_j}, w_{K minus K_j}], algebra bracket = cross.
-    a_vals: (N,3,4); w_vals: (N,3,C_k) -> (N,3,C_{k+1}).
+    a_vals: (N,3,4); w_vals: (N,3,C_k) -> (N,3,C_{k+1}), C-contiguous.
     """
-    N = a_vals.shape[0]
-    out = np.zeros((N, 3, N_COMP[degree + 1]))
-    for tgt, entries in enumerate(ANTISYM_TABLE[degree]):
-        acc = np.zeros((N, 3))
+    return _bracket_contract(ANTISYM_TABLE[degree], a_vals, w_vals)
+
+
+def _d_contract(table, jac_vals: np.ndarray) -> np.ndarray:
+    """out_T = sum sign * d_nu w_src over each target's (sign, nu, src) entries."""
+    N = jac_vals.shape[0]
+    out = np.zeros((N, 3, len(table)))
+    for tgt, entries in enumerate(table):
         for sign, nu, src in entries:
-            acc += sign * np.cross(a_vals[:, :, nu], w_vals[:, :, src], axis=1)
-        out[:, :, tgt] = acc
+            out[:, :, tgt] += sign * jac_vals[:, :, src, nu]
     return out
 
 
 def d_coeffs(degree: int, jac_vals: np.ndarray) -> np.ndarray:
     """(dw)_K = sum_j (-1)^j d_{K_j} w_{K minus K_j}; jac_vals (N,3,C,4)."""
-    N = jac_vals.shape[0]
-    out = np.zeros((N, 3, N_COMP[degree + 1]))
-    for tgt, entries in enumerate(ANTISYM_TABLE[degree]):
-        for sign, nu, src in entries:
-            out[:, :, tgt] += sign * jac_vals[:, :, src, nu]
-    return out
+    return _d_contract(ANTISYM_TABLE[degree], jac_vals)
 
 
 def cov_d_coeffs(k: int, Aval, val, jac, eps: float) -> np.ndarray:
@@ -298,12 +346,12 @@ def cov_d_coeffs(k: int, Aval, val, jac, eps: float) -> np.ndarray:
 def codiff_coeffs(k: int, Aval, val, jac, eps: float) -> np.ndarray:
     """delta_A^eps w = -* d_A^eps * w of a k-form (k >= 1): (N,3,C_{k-1}).
 
-    The formal adjoint of d_A^eps on flat R^4; the star acts on the
-    component axis of both the values and the jacobian.
+    The formal adjoint of d_A^eps on flat R^4, evaluated as minus the
+    covariant divergence: (delta w)_J = -sum_{j not in J} (d_j w_{jJ}
+    + eps [A_j, w_{jJ}]), with w_{jJ} the component on dx_j ^ dx_J.
     """
-    sval = star_coeffs(k, val)
-    sjac = star_coeffs(k, jac.swapaxes(2, 3)).swapaxes(2, 3)
-    return -star_coeffs(5 - k, cov_d_coeffs(4 - k, Aval, sval, sjac, eps))
+    table = CODIFF_TABLE[k]
+    return _d_contract(table, jac) + eps * _bracket_contract(table, Aval, val)
 
 
 def curvature_coeffs(val, jac, eps: float) -> np.ndarray:
@@ -714,13 +762,12 @@ def integrate(rule: QuadratureRule, density) -> float:
     """Deterministic weighted sum of a scalar density over the rule's nodes.
 
     density: callable on (N,4) batches returning (N,), or per-point scalar.
+    The density is first called on the whole batch; only a result of another
+    shape makes it run point by point, and an exception it raises propagates.
     Non-finite values raise NumericalError naming the offending node.
     """
-    try:
-        vals = np.asarray(density(rule.nodes), dtype=float)
-        if vals.shape != (len(rule),):
-            raise TypeError
-    except TypeError:
+    vals = np.asarray(density(rule.nodes), dtype=float)
+    if vals.shape != (len(rule),):
         vals = np.array([float(density(x)) for x in rule.nodes])
     if not np.all(np.isfinite(vals)):
         i = int(np.argmin(np.isfinite(vals)))

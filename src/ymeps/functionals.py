@@ -14,6 +14,7 @@ the sweep, a non-increasing sequence, or a null value within precision).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -30,6 +31,7 @@ from .basis import (
 )
 from .forms import (
     FormField,
+    NumericalError,
     ball_rule,
     bracket_wedge_coeffs,
     cdot,
@@ -422,57 +424,105 @@ def compute_point_metrics(q: ParamQ, bg: BackgroundConnection = None,
     return out
 
 
+def _require_finite(*arrays):
+    """Raise NumericalError when any array holds a non-finite entry."""
+    if not all(np.all(np.isfinite(x)) for x in arrays):
+        raise NumericalError("non-finite integrand in the l37 pairings")
+
+
+def _on_support(beta: NodeField):
+    """(rows, val, jac) of a node field restricted to its nonzero rows."""
+    s = np.flatnonzero(np.any(beta.val != 0.0, axis=(1, 2))
+                       | np.any(beta.jac != 0.0, axis=(1, 2, 3)))
+    return s, beta.val[s], beta.jac[s]
+
+
+def _support_integral(w: np.ndarray, dens: np.ndarray) -> float:
+    """sum w_i dens_i over support rows; a non-finite sum raises."""
+    v = float(np.sum(w * dens))
+    if not np.isfinite(v):
+        raise NumericalError("non-finite integral")
+    return v
+
+
 def _hessian_difference_metrics(q, bg, pi2, basis, ctx, seed, n_test):
+    """Sampled dual norms of H_A - H_Atilde and delta_A - delta_Atilde.
+
+    Each probe beta is a bump that is exactly 0 in value and jacobian
+    outside its ball, so every integrand below vanishes there: the probe's
+    kernels and pairings run on its support rows only.  The probe arrays are
+    built once per beta and paired with both tags a_1 and a_5; the only
+    array depending on both is [a ^ beta].
+    """
     eps = q.eps
-    rule = ctx.rule
-    A = glued_connection(q, bg, pi2)
-    At = extended_connection(q)
-    A_nf = ctx.arrays(A)
-    At_nf = ctx.arrays(At)
-    b_nf = ctx.arrays(difference_b(q, bg, pi2))
-    Aval, Atval = A_nf.val, At_nf.val
-    FA = curvature_coeffs(Aval, A_nf.jac, eps)
-    FAt = curvature_coeffs(Atval, At_nf.jac, eps)
-    dAb = cov_d_coeffs(1, Aval, b_nf.val, b_nf.jac, eps)
-    bb = bracket_wedge_coeffs(1, b_nf.val, b_nf.val)
+    weights = ctx.rule.weights
+    # each probe keeps only its support rows; the full-rule arrays are
+    # released one by one as the restricted copies are made
     betas = test_field_family(q, ctx, n_test, seed)
-    out = {}
-    five_term_resid = 0.0
+    betas.reverse()
+    probes = []
+    while betas:
+        probes.append(_on_support(betas.pop()))
+    # only the connections' values and the arrays below are kept: their
+    # jacobians are released as soon as F and d_A b exist
+    nf = ctx.arrays(glued_connection(q, bg, pi2))
+    Aval, FA = nf.val, curvature_coeffs(nf.val, nf.jac, eps)
+    nf = ctx.arrays(extended_connection(q))
+    Atval, FAt = nf.val, curvature_coeffs(nf.val, nf.jac, eps)
+    nf = ctx.arrays(difference_b(q, bg, pi2))
+    bval, dAb = nf.val, cov_d_coeffs(1, Aval, nf.val, nf.jac, eps)
+    del nf
+    bb = bracket_wedge_coeffs(1, bval, bval)
+    tags = []
     for tag, idx in (("i1", 1), ("i5", 5)):
         a = basis.node_field(idx)
-        dAa = cov_d_coeffs(1, Aval, a.val, a.jac, eps)
-        dAta = cov_d_coeffs(1, Atval, a.val, a.jac, eps)
-        delAa = codiff_coeffs(1, Aval, a.val, a.jac, eps)
-        delAta = codiff_coeffs(1, Atval, a.val, a.jac, eps)
-        ba = bracket_wedge_coeffs(1, b_nf.val, a.val)
-        sup_h, sup_c = 0.0, 0.0
-        for beta in betas:
-            dAbeta = cov_d_coeffs(1, Aval, beta.val, beta.jac, eps)
-            dAtbeta = cov_d_coeffs(1, Atval, beta.val, beta.jac, eps)
-            abeta = bracket_wedge_coeffs(1, a.val, beta.val)
-            HA = weighted_sum(rule, cdot(dAa, dAbeta) + eps * cdot(FA, abeta))
-            HAt = weighted_sum(rule, cdot(dAta, dAtbeta) + eps * cdot(FAt, abeta))
+        tags.append((tag, a.val,
+                     cov_d_coeffs(1, Aval, a.val, a.jac, eps),
+                     cov_d_coeffs(1, Atval, a.val, a.jac, eps),
+                     codiff_coeffs(1, Aval, a.val, a.jac, eps),
+                     codiff_coeffs(1, Atval, a.val, a.jac, eps),
+                     bracket_wedge_coeffs(1, bval, a.val)))
+    del a
+    # outside a probe's support a non-finite entry would still poison the
+    # full-rule integrals, so it is reported here
+    _require_finite(FA, FAt, dAb, bb, *(x for t in tags for x in t[1:]))
+    sup_h = dict.fromkeys((t[0] for t in tags), 0.0)
+    sup_c = dict(sup_h)
+    five_term_resid = 0.0
+    for s, bv, bj in probes:
+        integral = partial(_support_integral, weights[s])
+        As, Ats, bs = Aval[s], Atval[s], bval[s]
+        FAs, FAts, dAbs, bbs = FA[s], FAt[s], dAb[s], bb[s]
+        dAbeta = cov_d_coeffs(1, As, bv, bj, eps)
+        dAtbeta = cov_d_coeffs(1, Ats, bv, bj, eps)
+        bbeta = bracket_wedge_coeffs(1, bs, bv)
+        delAbeta = codiff_coeffs(1, As, bv, bj, eps)
+        delAtbeta = codiff_coeffs(1, Ats, bv, bj, eps)
+        for tag, aval, dAa, dAta, delAa, delAta, ba in tags:
+            dAa, dAta, ba = dAa[s], dAta[s], ba[s]
+            abeta = bracket_wedge_coeffs(1, aval[s], bv)
+            HA = integral(cdot(dAa, dAbeta) + eps * cdot(FAs, abeta))
+            HAt = integral(cdot(dAta, dAtbeta) + eps * cdot(FAts, abeta))
             direct = HAt - HA
-            sup_h = max(sup_h, abs(direct))
+            sup_h[tag] = max(sup_h[tag], abs(direct))
             # expansion of the difference in powers of the gap b
-            bbeta = bracket_wedge_coeffs(1, b_nf.val, beta.val)
-            t1 = eps * weighted_sum(rule, cdot(dAa, bbeta))
-            t2 = eps * weighted_sum(rule, cdot(ba, dAbeta))
-            t3 = eps ** 2 * weighted_sum(rule, cdot(ba, bbeta))
-            t4 = eps * weighted_sum(rule, cdot(dAb, abeta))
-            t5 = 0.5 * eps ** 2 * weighted_sum(rule, cdot(bb, abeta))
+            t1 = eps * integral(cdot(dAa, bbeta))
+            t2 = eps * integral(cdot(ba, dAbeta))
+            t3 = eps ** 2 * integral(cdot(ba, bbeta))
+            t4 = eps * integral(cdot(dAbs, abeta))
+            t5 = 0.5 * eps ** 2 * integral(cdot(bbs, abeta))
             expansion = t1 + t2 + t3 + t4 + t5
             scale = max(abs(HA), abs(HAt), 1.0)
             five_term_resid = max(five_term_resid,
                                   abs(direct - expansion) / scale)
             # second family: the codifferential pairing
-            delAbeta = codiff_coeffs(1, Aval, beta.val, beta.jac, eps)
-            delAtbeta = codiff_coeffs(1, Atval, beta.val, beta.jac, eps)
-            cA = weighted_sum(rule, cdot(delAa, delAbeta))
-            cAt = weighted_sum(rule, cdot(delAta, delAtbeta))
-            sup_c = max(sup_c, abs(cAt - cA))
-        out[f"hess_dual_{tag}"] = sup_h
-        out[f"codiff_dual_{tag}"] = sup_c
+            cA = integral(cdot(delAa[s], delAbeta))
+            cAt = integral(cdot(delAta[s], delAtbeta))
+            sup_c[tag] = max(sup_c[tag], abs(cAt - cA))
+    out = {}
+    for tag in sup_h:
+        out[f"hess_dual_{tag}"] = sup_h[tag]
+        out[f"codiff_dual_{tag}"] = sup_c[tag]
     out["five_term_residual"] = five_term_resid
     return out
 
@@ -495,11 +545,9 @@ def _perp_derivative_metrics(q, bg, pi2, basis, ctx):
     out["l310_inner_norm"] = float(np.sqrt(max(inner2, 0.0)))
     out["l310_outer_norm"] = float(np.sqrt(max(total - inner2, 0.0)))
     out["l310_halving"] = diagd["halving_rel_change"]
-    ortho = 0.0
-    for i in range(1, 9):
-        ai = basis.node_field(i)
-        ortho = max(ortho, abs(ctx.inner_nf(fd_perp, ai, warn=False)))
-    out["l310_ortho_residual"] = ortho
+    inner_perp = ctx.inner_with(fd_perp)
+    out["l310_ortho_residual"] = max(abs(inner_perp(basis.node_field(i)))
+                                     for i in range(1, 9))
     return out
 
 

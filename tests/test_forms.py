@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ymeps.forms import (
+    ANTISYM_TABLE,
     COMP_INDEX,
     MULTI_INDEX,
     N_COMP,
@@ -156,6 +157,37 @@ def test_wedge_bracket_bilinear():
     lhs = wedge_bracket(a1 + 2.0 * a2, b).value(X)
     rhs = wedge_bracket(a1, b).value(X) + 2.0 * wedge_bracket(a2, b).value(X)
     assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+def _bracket_cross_oracle(degree, a_vals, w_vals):
+    """The per-component np.cross loop the kernel replaced."""
+    N = a_vals.shape[0]
+    out = np.zeros((N, 3, N_COMP[degree + 1]))
+    for tgt, entries in enumerate(ANTISYM_TABLE[degree]):
+        acc = np.zeros((N, 3))
+        for sign, nu, src in entries:
+            acc += sign * np.cross(a_vals[:, :, nu], w_vals[:, :, src], axis=1)
+        out[:, :, tgt] = acc
+    return out
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_bracket_kernel_matches_cross_oracle_exactly(degree):
+    rng = np.random.default_rng(40 + degree)
+    N = 257
+    a = rng.standard_normal((N, 3, 4))
+    w = rng.standard_normal((N, 3, N_COMP[degree]))
+    got = bracket_wedge_coeffs(degree, a, w)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, _bracket_cross_oracle(degree, a, w))
+    # strided inputs, as the FormField jacobian channels pass them
+    aj = rng.standard_normal((N, 3, 4, 4))
+    wj = rng.standard_normal((N, 3, N_COMP[degree], 4))
+    for nu in range(4):
+        got = bracket_wedge_coeffs(degree, aj[..., nu], wj[..., nu])
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, _bracket_cross_oracle(degree, aj[..., nu],
+                                                         wj[..., nu]))
 
 
 def test_wedge_bracket_degree_mismatch():

@@ -3,22 +3,27 @@
 import numpy as np
 import pytest
 
-from ymeps.basis import ball_context
+from ymeps.basis import ball_context, gram_schmidt_ball
 from ymeps.forms import (
     COMP_INDEX,
     MULTI_INDEX,
     FormField,
+    NumericalError,
+    bracket_wedge_coeffs,
     cdot,
     codiff_coeffs,
     codifferential_eps,
+    cov_d_coeffs,
     covariant_d_eps,
     curvature_coeffs,
     domain_ball_rule,
+    star_coeffs,
     weighted_sum,
 )
 from ymeps.functionals import (
     EstimateReport,
     QuantityRow,
+    _hessian_difference_metrics,
     _row_band,
     bump_one_form,
     charge,
@@ -32,7 +37,16 @@ from ymeps.functionals import (
     sweep_points,
     ym_eps,
 )
-from ymeps.instanton import ParamQ, extended_connection, glued_connection
+# aliased, so that pytest does not collect it as a test
+from ymeps.functionals import test_field_family as probe_family
+from ymeps.instanton import (
+    PI2_STRATEGIES,
+    BackgroundConnection,
+    ParamQ,
+    difference_b,
+    extended_connection,
+    glued_connection,
+)
 from ymeps.liealg import AlgElement, exp_map
 
 RNG_SEED = 77023
@@ -225,9 +239,15 @@ def test_codiff_kernel_matches_coordinate_formula(k):
     val = rng.standard_normal((9, 3, C))
     jac = rng.standard_normal((9, 3, C, 4))
     eps = 0.37
-    got = codiff_coeffs(k, A.value(X), val, jac, eps)
-    want = _codiff_oracle(k, A.value(X), val, jac, eps)
+    Aval = A.value(X)
+    got = codiff_coeffs(k, Aval, val, jac, eps)
+    want = _codiff_oracle(k, Aval, val, jac, eps)
     assert np.allclose(got, want, rtol=0, atol=1e-13)
+    # the definition -* d_A * w, through the star and covariant-d kernels
+    sval = star_coeffs(k, val)
+    sjac = star_coeffs(k, jac.swapaxes(2, 3)).swapaxes(2, 3)
+    composed = -star_coeffs(5 - k, cov_d_coeffs(4 - k, Aval, sval, sjac, eps))
+    assert np.allclose(got, composed, rtol=0, atol=1e-13)
 
 
 def test_codifferential_adjoint_to_covariant_d():
@@ -311,6 +331,95 @@ def test_five_term_expansion_single_point():
     assert m["hess_dual_i1"] > 0.0
     assert m["codiff_dual_i1"] > 0.0
     assert np.isfinite(m["hess_dual_i5"])
+
+
+def _per_tag_l37_oracle(q, bg, pi2, basis, ctx, seed, n_test):
+    """The l37 loop as first written: tags outside, full rule, probe arrays
+    recomputed per tag."""
+    eps, rule = q.eps, ctx.rule
+    A_nf = ctx.arrays(glued_connection(q, bg, pi2))
+    At_nf = ctx.arrays(extended_connection(q))
+    b_nf = ctx.arrays(difference_b(q, bg, pi2))
+    Aval, Atval = A_nf.val, At_nf.val
+    FA = curvature_coeffs(Aval, A_nf.jac, eps)
+    FAt = curvature_coeffs(Atval, At_nf.jac, eps)
+    dAb = cov_d_coeffs(1, Aval, b_nf.val, b_nf.jac, eps)
+    bb = bracket_wedge_coeffs(1, b_nf.val, b_nf.val)
+    betas = probe_family(q, ctx, n_test, seed)
+    out, resid = {}, 0.0
+    for tag, idx in (("i1", 1), ("i5", 5)):
+        a = basis.node_field(idx)
+        dAa = cov_d_coeffs(1, Aval, a.val, a.jac, eps)
+        dAta = cov_d_coeffs(1, Atval, a.val, a.jac, eps)
+        delAa = codiff_coeffs(1, Aval, a.val, a.jac, eps)
+        delAta = codiff_coeffs(1, Atval, a.val, a.jac, eps)
+        ba = bracket_wedge_coeffs(1, b_nf.val, a.val)
+        sup_h = sup_c = 0.0
+        for beta in betas:
+            dAbeta = cov_d_coeffs(1, Aval, beta.val, beta.jac, eps)
+            dAtbeta = cov_d_coeffs(1, Atval, beta.val, beta.jac, eps)
+            abeta = bracket_wedge_coeffs(1, a.val, beta.val)
+            HA = weighted_sum(rule, cdot(dAa, dAbeta) + eps * cdot(FA, abeta))
+            HAt = weighted_sum(rule, cdot(dAta, dAtbeta) + eps * cdot(FAt, abeta))
+            sup_h = max(sup_h, abs(HAt - HA))
+            bbeta = bracket_wedge_coeffs(1, b_nf.val, beta.val)
+            expansion = (eps * weighted_sum(rule, cdot(dAa, bbeta))
+                         + eps * weighted_sum(rule, cdot(ba, dAbeta))
+                         + eps ** 2 * weighted_sum(rule, cdot(ba, bbeta))
+                         + eps * weighted_sum(rule, cdot(dAb, abeta))
+                         + 0.5 * eps ** 2 * weighted_sum(rule, cdot(bb, abeta)))
+            resid = max(resid, abs(HAt - HA - expansion)
+                        / max(abs(HA), abs(HAt), 1.0))
+            delAbeta = codiff_coeffs(1, Aval, beta.val, beta.jac, eps)
+            delAtbeta = codiff_coeffs(1, Atval, beta.val, beta.jac, eps)
+            sup_c = max(sup_c, abs(weighted_sum(rule, cdot(delAta, delAtbeta))
+                                   - weighted_sum(rule, cdot(delAa, delAbeta))))
+        out[f"hess_dual_{tag}"] = sup_h
+        out[f"codiff_dual_{tag}"] = sup_c
+    out["five_term_residual"] = resid
+    return out
+
+
+@pytest.mark.parametrize("pi2", PI2_STRATEGIES)
+def test_l37_probe_loop_matches_per_tag_oracle(pi2):
+    # off-centre p and a non-identity g: the probes' supports are off the
+    # rule's centre and cut through both charts
+    q = _generic_q(2.0 ** -4)
+    bg = BackgroundConnection()
+    basis = gram_schmidt_ball(q, bg, pi2)
+    got = _hessian_difference_metrics(q, bg, pi2, basis, basis.ctx,
+                                      seed=RNG_SEED, n_test=4)
+    want = _per_tag_l37_oracle(q, bg, pi2, basis, basis.ctx,
+                               seed=RNG_SEED, n_test=4)
+    assert list(got) == list(want)
+    for key in want:
+        if key == "five_term_residual":
+            assert abs(got[key] - want[key]) <= 1e-15
+        else:
+            assert want[key] > 0.0
+            assert abs(got[key] - want[key]) <= 1e-10 * want[key], key
+
+
+def test_l37_probe_loop_reports_non_finite_connection(monkeypatch):
+    # a NaN at a node no probe covers still poisons the full-rule integrals,
+    # so the support-restricted loop must report it as well
+    q = ParamQ.default(2.0 ** -4)
+    basis = gram_schmidt_ball(q)
+    ctx = basis.ctx
+    far = int(np.argmax(np.linalg.norm(ctx.rule.nodes, axis=1)))
+    arrays = type(ctx).arrays
+
+    def poisoned(self, f, need_jac=True):
+        nf = arrays(self, f, need_jac)
+        if getattr(f, "name", "") == "b":
+            nf.val = nf.val.copy()
+            nf.val[far] = np.nan
+        return nf
+
+    monkeypatch.setattr(type(ctx), "arrays", poisoned)
+    with pytest.raises(NumericalError):
+        _hessian_difference_metrics(q, BackgroundConnection(), "model", basis,
+                                    ctx, seed=RNG_SEED, n_test=2)
 
 
 def test_perp_derivative_paths_single_point():

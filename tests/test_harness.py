@@ -258,3 +258,23 @@ def test_layer_tracer_runs_charge(tmp_path):
     assert proc.returncode == 0, proc.stderr
     trace = json.loads(out.read_text())
     assert trace["exit_code"] == 0 and trace["spans"]
+
+
+def test_layer_tracer_sees_the_probe_loop_kernels(tmp_path):
+    # the l37 probe loop must look its kernels up where the tracer patches
+    # them; otherwise the bracket metrics of a traced run read 0
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(out),
+         "--", "verify-lemma", "3.7", "--eps-list", "2^-4,2^-5,2^-6,2^-7",
+         "--n-test", "2", "--out", str(tmp_path / "results")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(out.read_text())
+    assert trace["exit_code"] == 0
+    brackets = sum(1 for span in trace["spans"]
+                   if span[0] == "forms.wedge_bracket")
+    assert brackets > 0

@@ -158,6 +158,23 @@ def test_integrate_scalar_callable_and_nonfinite():
         integrate(rule, bad)
 
 
+def test_integrate_propagates_type_error_from_batch_density():
+    # a density that fails on the (N,4) batch is a bug to report, not a
+    # per-point density to retry node by node
+    rule = ball_rule(np.zeros(4), 0.1, 0.5, tol=1e-4)
+    calls = []
+
+    def broken(X):
+        calls.append(X.shape)
+        if X.ndim == 2:
+            raise TypeError("unsupported operand in density")
+        return 1.0
+
+    with pytest.raises(TypeError, match="unsupported operand"):
+        integrate(rule, broken)
+    assert calls == [(len(rule), 4)]
+
+
 def test_unreachable_tolerance_raises():
     with pytest.raises(QuadratureError):
         ball_rule(np.zeros(4), 0.1, 1.0, tol=1e-16, n_ang=2, n_rad=2)
