@@ -13,6 +13,8 @@ round-off, independent of quadrature error.
 
 Fields enter either as FormField, as two-chart ChartedField (split at
 |x-p| = lam/4 by the rule's inner mask), or pre-evaluated as NodeField arrays.
+A basis is held as the eight raw fields sampled on its context's rule plus
+the coefficient matrix; its fields are combined from the samples on demand.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ from .forms import (
     tail_report,
     weight_fn,
     weighted_r4_rule,
+    weighted_sum,
 )
 from .instanton import (
     BackgroundConnection,
     ChartedField,
     ParamQ,
-    combo_field,
     derivative_fields,
     extended_connection,
     glued_connection,
@@ -71,19 +73,16 @@ class NodeField:
 
     rule: QuadratureRule
     val: np.ndarray            # (N,3,4)
-    jac: Optional[np.ndarray]  # (N,3,4,4) or None when not needed
+    jac: np.ndarray            # (N,3,4,4)
 
     def __add__(self, other):
-        j = None if self.jac is None or other.jac is None else self.jac + other.jac
-        return NodeField(self.rule, self.val + other.val, j)
+        return NodeField(self.rule, self.val + other.val, self.jac + other.jac)
 
     def __sub__(self, other):
-        j = None if self.jac is None or other.jac is None else self.jac - other.jac
-        return NodeField(self.rule, self.val - other.val, j)
+        return NodeField(self.rule, self.val - other.val, self.jac - other.jac)
 
     def __mul__(self, c):
-        return NodeField(self.rule, self.val * c,
-                         None if self.jac is None else self.jac * c)
+        return NodeField(self.rule, self.val * c, self.jac * c)
 
     __rmul__ = __mul__
 
@@ -96,24 +95,21 @@ class InnerContext:
     eps: float
     Aval: np.ndarray                 # (N,3,4) connection in the H^1 term
     weighted: bool = False
-    wvals: Optional[np.ndarray] = None
-    mask: Optional[np.ndarray] = None
+    wvals: Optional[np.ndarray] = field(init=False, default=None)
 
     def __post_init__(self):
-        if self.mask is None:
-            self.mask = self.rule.mask_inner
-        if self.weighted and self.wvals is None:
+        if self.weighted:
             self.wvals = weight_fn(self.rule.nodes)
 
     # -- evaluation -----------------------------------------------------
-    def arrays(self, f, need_jac=True):
+    def arrays(self, f):
         """Sample a field on the rule.
 
         A list of charted fields gives a list of node fields, sampled in one
         sample_charted pass that shares one atom memo per chart.
         """
         if isinstance(f, list):
-            pairs = sample_charted(f, self.rule.nodes, self.mask, need_jac)
+            pairs = sample_charted(f, self.rule.nodes, self.rule.mask_inner)
             return [NodeField(self.rule, val, jac) for val, jac in pairs]
         if isinstance(f, NodeField):
             if f.rule is not self.rule:
@@ -121,9 +117,9 @@ class InnerContext:
             return f
         X = self.rule.nodes
         if isinstance(f, ChartedField):
-            val, jac = sample_charted([f], X, self.mask, need_jac=need_jac)[0]
+            val, jac = sample_charted([f], X, self.rule.mask_inner)[0]
             return NodeField(self.rule, val, jac)
-        return NodeField(self.rule, f.value(X), f.jac(X) if need_jac else None)
+        return NodeField(self.rule, f.value(X), f.jac(X))
 
     def grad_of(self, nf: NodeField) -> np.ndarray:
         """Covariant gradient of a node field under this context's connection."""
@@ -137,12 +133,6 @@ class InnerContext:
             return d + self.wvals * l2
         return d + l2
 
-    def _integral(self, dens: np.ndarray) -> float:
-        value = float(np.sum(self.rule.weights * dens))
-        if not np.isfinite(value):
-            raise NumericalError("non-finite inner product")
-        return value
-
     def density(self, fa: NodeField, fb: NodeField) -> np.ndarray:
         ga = self.grad_of(fa)
         gb = ga if fb is fa else self.grad_of(fb)
@@ -150,7 +140,7 @@ class InnerContext:
 
     def inner_nf(self, fa: NodeField, fb: NodeField, warn: bool = True) -> float:
         dens = self.density(fa, fb)
-        value = self._integral(dens)
+        value = weighted_sum(self.rule.weights, dens)
         if self.weighted and warn:
             rep = tail_report(self.rule, dens)
             if not rep["tail_converged"]:
@@ -167,22 +157,20 @@ class InnerContext:
         ga = self.grad_of(fa)
 
         def inner(fb: NodeField) -> float:
-            return self._integral(self._pair_density(fa, ga, fb, self.grad_of(fb)))
+            return weighted_sum(self.rule.weights,
+                                self._pair_density(fa, ga, fb, self.grad_of(fb)))
 
         return inner
 
     def inner(self, a, b, warn: bool = True) -> float:
         return self.inner_nf(self.arrays(a), self.arrays(b), warn=warn)
 
-    def norm(self, a) -> float:
-        return float(np.sqrt(max(self.inner(self.arrays(a), self.arrays(a)), 0.0)))
 
-
-def _connection_samples(A, rule, mask) -> np.ndarray:
+def _connection_samples(A, rule) -> np.ndarray:
     if A is None:
         return np.zeros((rule.nodes.shape[0], 3, 4))
     if isinstance(A, ChartedField):
-        return A.value_split(rule.nodes, mask)
+        return A.value_split(rule.nodes, rule.mask_inner)
     return A.value(rule.nodes)
 
 
@@ -193,19 +181,15 @@ def ball_context(A, eps, rule=None, tol=1e-4) -> InnerContext:
             rule = domain_ball_rule(A.p, A.lam, tol=tol)
         else:
             rule = ball_rule(np.zeros(4), 0.25, R=1.0, tol=tol)
-    mask = rule.mask_inner
-    return InnerContext(rule, eps, _connection_samples(A, rule, mask), mask=mask)
+    return InnerContext(rule, eps, _connection_samples(A, rule))
 
 
-def weighted_context(A, eps, rule=None, tol=1e-4) -> InnerContext:
-    if rule is None:
-        if isinstance(A, ChartedField):
-            rule = weighted_r4_rule(A.p, A.lam, tol=tol)
-        else:
-            rule = weighted_r4_rule(np.zeros(4), 0.25, tol=tol)
-    mask = rule.mask_inner
-    return InnerContext(rule, eps, _connection_samples(A, rule, mask),
-                        weighted=True, mask=mask)
+def weighted_context(A, eps, tol=1e-4) -> InnerContext:
+    if isinstance(A, ChartedField):
+        rule = weighted_r4_rule(A.p, A.lam, tol=tol)
+    else:
+        rule = weighted_r4_rule(np.zeros(4), 0.25, tol=tol)
+    return InnerContext(rule, eps, _connection_samples(A, rule), weighted=True)
 
 
 def inner_ball(alpha, beta, A, eps, rule=None, tol=1e-4) -> float:
@@ -213,27 +197,27 @@ def inner_ball(alpha, beta, A, eps, rule=None, tol=1e-4) -> float:
     return ball_context(A, eps, rule=rule, tol=tol).inner(alpha, beta)
 
 
-def inner_weighted(alpha, beta, Atilde, eps, rule=None, tol=1e-4) -> float:
+def inner_weighted(alpha, beta, Atilde, eps, tol=1e-4) -> float:
     """(alpha, beta) over R^4 with the weighted L^2 term.
 
     The derivative term is unweighted; the L^2 term carries w.  When the
     exterior shells of the integrand fail to decay, the truncated value is
     still returned and a TailWarning is issued.
     """
-    return weighted_context(Atilde, eps, rule=rule, tol=tol).inner(alpha, beta)
+    return weighted_context(Atilde, eps, tol=tol).inner(alpha, beta)
 
 
 # ---------------------------------------------------------------------------
 # Gram-Schmidt
 
 
-def mgs_coefficients(G: np.ndarray, reorth: int = 1) -> np.ndarray:
+def mgs_coefficients(G: np.ndarray) -> np.ndarray:
     """Lower-triangular C with C G C^T = Id, via modified Gram-Schmidt.
 
     Row i of C expresses the i-th orthonormal element in the raw fields.  One
-    reorthogonalization pass (reorth=1) guards against the large norm spread
-    of the raw fields.  Raises NumericalError with the condition number when
-    the Gram matrix is numerically singular.
+    reorthogonalization pass guards against the large norm spread of the raw
+    fields.  Raises NumericalError with the condition number when the Gram
+    matrix is numerically singular.
     """
     G = np.asarray(G, dtype=float)
     n = G.shape[0]
@@ -243,7 +227,7 @@ def mgs_coefficients(G: np.ndarray, reorth: int = 1) -> np.ndarray:
     for i in range(n):
         u = np.zeros(n)
         u[i] = 1.0
-        for _ in range(1 + reorth):
+        for _ in range(2):
             for c in rows:
                 u = u - (u @ G @ c) * c
         nrm2 = float(u @ G @ u)
@@ -264,21 +248,18 @@ class GramBasis:
     Rows of ``coeff`` are the expansion coefficients in the raw-field order
     (p1..p4, xi1..xi3, lam); the same rows are the induced parameter-space
     vector fields q_i.  ``ctx`` holds the shared rule and connection samples
-    defining the inner product ("ball" or "weighted").
+    defining the inner product ("ball" or "weighted"); ``raw_nodefields`` are
+    the f_j sampled on that rule.
     """
 
     kind: str
     coeff: np.ndarray            # (8,8) lower triangular, positive diagonal
-    raw_fields: list             # the f_j as ChartedField
     ctx: InnerContext
     raw_gram: np.ndarray
-    raw_nodefields: list = field(default_factory=list, repr=False)
-
-    def field(self, i: int) -> ChartedField:
-        """The i-th orthonormal field (1-based) as a charted field."""
-        return combo_field(self.raw_fields, self.coeff[i - 1], name=f"a{i}")
+    raw_nodefields: list = field(repr=False)
 
     def node_field(self, i: int) -> NodeField:
+        """The i-th orthonormal field (1-based), combined from the samples."""
         return _combine(self.coeff[i - 1], self.raw_nodefields)
 
     def gram_residual(self) -> float:
@@ -316,72 +297,51 @@ def _raw_gram(ctx: InnerContext, nodefields) -> np.ndarray:
     return G
 
 
-def _basis_from_fields(kind, ctx, fields, nodefields=None) -> GramBasis:
-    """Orthonormalize fields; nodefields, when given, are their samples."""
-    nfs = [ctx.arrays(f) for f in fields] if nodefields is None else nodefields
-    G = _raw_gram(ctx, nfs)
-    C = mgs_coefficients(G)
-    return GramBasis(kind, C, list(fields), ctx, G, nfs)
-
-
-def _ball_fields(q: ParamQ, bg: BackgroundConnection, pi2: str,
-                 tol: float = 1e-4, rule: QuadratureRule = None):
-    """The ball context at q and the eight raw fields dA/dq_i, one A for all."""
-    A = glued_connection(q, bg, pi2)
-    return ball_context(A, q.eps, rule=rule, tol=tol), derivative_fields(A)
+def _basis_from_fields(kind, ctx, nodefields) -> GramBasis:
+    """Orthonormalize eight fields sampled on ctx's rule."""
+    G = _raw_gram(ctx, nodefields)
+    return GramBasis(kind, mgs_coefficients(G), ctx, G, nodefields)
 
 
 def gram_schmidt_ball(q: ParamQ, bg: BackgroundConnection = None,
                       pi2: str = "model", tol: float = 1e-4,
                       rule: QuadratureRule = None) -> GramBasis:
-    """Orthonormalize the eight parameter derivatives of the glued family."""
+    """Orthonormalize the eight parameter derivatives of the glued family.
+
+    The eight fields dA/dq_i are derived from one A and sampled in one pass.
+    """
     bg = BackgroundConnection() if bg is None else bg
-    ctx, raw = _ball_fields(q, bg, pi2, tol=tol, rule=rule)
-    return _basis_from_fields("ball", ctx, raw, ctx.arrays(raw))
+    A = glued_connection(q, bg, pi2)
+    ctx = ball_context(A, q.eps, rule=rule, tol=tol)
+    return _basis_from_fields("ball", ctx, ctx.arrays(derivative_fields(A)))
 
 
 def tilde_fields(ctx: InnerContext, q: ParamQ, coeff: np.ndarray):
-    """The extension's derivatives along the ball-basis vector fields q_i.
+    """The extension's derivatives sum_j c_ij dAt/dq_j along the ball-basis q_i.
 
-    Returns the charted combinations sum_j c_ij dAt/dq_j and their samples
-    on ctx.  The eight raw derivatives are sampled in one pass and combined
+    The eight raw derivatives are sampled on ctx in one pass and combined
     node-wise, instead of evaluating each combination's term list.
     """
-    raw = derivative_fields(extended_connection(q), name="dAt")
-    raw_nf = ctx.arrays(raw)
-    fields = [combo_field(raw, c, name=f"at{i+1}") for i, c in enumerate(coeff)]
-    return fields, [_combine(c, raw_nf) for c in coeff]
+    raw_nf = ctx.arrays(derivative_fields(extended_connection(q), name="dAt"))
+    return [_combine(c, raw_nf) for c in coeff]
 
 
-def gram_schmidt_weighted(q: ParamQ, ball_basis: GramBasis = None,
-                          bg: BackgroundConnection = None, pi2: str = "model",
-                          tol: float = 1e-4,
-                          rule: QuadratureRule = None) -> GramBasis:
+def gram_schmidt_weighted(q: ParamQ, ball_basis: GramBasis,
+                          tol: float = 1e-4) -> GramBasis:
     """Orthonormalize the extension's derivatives along the ball-basis q_i.
 
     Inputs are the fields obtained by applying the ball basis' parameter
     vector fields to the extension; the product is the weighted one with the
     extension itself in the derivative term.
     """
-    if ball_basis is None:
-        ball_basis = gram_schmidt_ball(q, bg, pi2, tol=tol)
-    ctx = weighted_context(extended_connection(q), q.eps, rule=rule, tol=tol)
-    fields, nfs = tilde_fields(ctx, q, ball_basis.coeff)
-    return _basis_from_fields("weighted", ctx, fields, nfs)
+    ctx = weighted_context(extended_connection(q), q.eps, tol=tol)
+    return _basis_from_fields("weighted", ctx,
+                              tilde_fields(ctx, q, ball_basis.coeff))
 
 
-def project_perp(v, basis: GramBasis, A=None, eps=None,
-                 rule: QuadratureRule = None) -> NodeField:
-    """v minus its orthogonal projection onto span{a_i}, on the shared rule.
-
-    A/eps/rule arguments are accepted for signature completeness; the pairing
-    is the one the basis was built with (they must agree when given).
-    """
+def project_perp(v, basis: GramBasis) -> NodeField:
+    """v minus its orthogonal projection onto span{a_i}, on the basis' rule."""
     ctx = basis.ctx
-    if eps is not None and eps != ctx.eps:
-        raise ValueError("eps disagrees with the basis inner product")
-    if rule is not None and rule is not ctx.rule:
-        raise ValueError("projection must use the basis' shared rule")
     nv = ctx.arrays(v)
     inner_v = ctx.inner_with(nv)
     out = nv
@@ -407,35 +367,30 @@ def _shift_along(q: ParamQ, vec: np.ndarray, t: float) -> ParamQ:
 def _basis_field_at(q: ParamQ, i: int, ctx: InnerContext,
                     bg: BackgroundConnection, pi2: str) -> NodeField:
     """a_i at a (possibly shifted) q, sampled on the base rule and base mask."""
-    shifted_ctx, raw = _ball_fields(q, bg, pi2, rule=ctx.rule)
-    nfs = shifted_ctx.arrays(raw)
-    C = mgs_coefficients(_raw_gram(shifted_ctx, nfs))
-    return _combine(C[i - 1], nfs)
+    return gram_schmidt_ball(q, bg, pi2, rule=ctx.rule).node_field(i)
 
 
-def basis_directional_derivative(q: ParamQ, i: int, j: int,
+_H_REL = 1e-3   # first FD step, relative to lam along a unit-length q_j
+
+
+def basis_directional_derivative(q: ParamQ, i: int, j: int, basis: GramBasis,
                                  bg: BackgroundConnection = None,
-                                 pi2: str = "model",
-                                 basis: GramBasis = None,
-                                 h_rel: float = 1e-3,
-                                 diagnostics: dict = None) -> NodeField:
+                                 pi2: str = "model") -> tuple[NodeField, float]:
     """Central-difference derivative of a_i along the vector field q_j.
 
     The whole basis is rebuilt at the flowed parameter points; every field is
     sampled on the base rule with the base chart mask, so differences are
     taken in a fixed chart and gauge.  Richardson extrapolation over steps
-    (h, h/2); ``diagnostics`` (optional dict) receives the step-halving
-    relative change and the step used.
+    (h, h/2).  Returns the derivative and the step-halving relative change
+    of the extrapolated value.
     """
     bg = BackgroundConnection() if bg is None else bg
-    if basis is None:
-        basis = gram_schmidt_ball(q, bg, pi2)
     ctx = basis.ctx
     vec = basis.coeff[j - 1]
     vnorm = float(np.linalg.norm(vec))
     if vnorm == 0.0:
         raise NumericalError("q_j vector vanishes; no flow direction")
-    t = h_rel * q.lam / vnorm
+    t = _H_REL * q.lam / vnorm
 
     def fd(step: float) -> NodeField:
         plus = _basis_field_at(_shift_along(q, vec, step), i, ctx, bg, pi2)
@@ -445,9 +400,6 @@ def basis_directional_derivative(q: ParamQ, i: int, j: int,
     d1 = fd(t)
     d2 = fd(t / 2.0)
     rich = d2 * (4.0 / 3.0) - d1 * (1.0 / 3.0)
-    if diagnostics is not None:
-        num = np.sqrt(max(ctx.inner_nf(rich - d2, rich - d2, warn=False), 0.0))
-        den = np.sqrt(max(ctx.inner_nf(rich, rich, warn=False), 1e-300))
-        diagnostics["step"] = t
-        diagnostics["halving_rel_change"] = float(num / den)
-    return rich
+    num = np.sqrt(max(ctx.inner_nf(rich - d2, rich - d2, warn=False), 0.0))
+    den = np.sqrt(max(ctx.inner_nf(rich, rich, warn=False), 1e-300))
+    return rich, float(num / den)

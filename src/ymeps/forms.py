@@ -23,12 +23,10 @@ import numpy as np
 __all__ = [
     "MULTI_INDEX",
     "COMP_INDEX",
-    "FormValue",
     "FormField",
     "QuadratureRule",
     "QuadratureError",
     "NumericalError",
-    "hodge_star",
     "cdot",
     "star_coeffs",
     "bracket_wedge_coeffs",
@@ -119,50 +117,18 @@ CODIFF_TABLE = {k: _build_codiff_table(k) for k in range(1, 5)}
 
 
 # ---------------------------------------------------------------------------
-# value & field types
-
-
-class FormValue:
-    """A single k-form value: algebra coefficients (3, C_k) per multi-index."""
-
-    def __init__(self, degree: int, coeffs):
-        if degree not in range(5):
-            raise ValueError(f"degree must be 0..4, got {degree}")
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (3, N_COMP[degree]):
-            raise ValueError(
-                f"degree-{degree} value needs shape (3, {N_COMP[degree]}), got {coeffs.shape}"
-            )
-        self.degree = degree
-        self.coeffs = coeffs
-
-    @staticmethod
-    def zero(degree: int) -> "FormValue":
-        return FormValue(degree, np.zeros((3, N_COMP[degree])))
-
-    def __add__(self, other):
-        return FormValue(self.degree, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return FormValue(self.degree, self.coeffs - other.coeffs)
-
-    def __mul__(self, c):
-        return FormValue(self.degree, self.coeffs * c)
-
-    __rmul__ = __mul__
+# Hodge star and the field type
 
 
 def star_coeffs(degree: int, vals: np.ndarray) -> np.ndarray:
-    """Hodge star on batched coefficient arrays (..., C_k) -> (..., C_{4-k})."""
+    """Hodge star on batched coefficient arrays (..., C_k) -> (..., C_{4-k}).
+
+    Orientation dx0^dx1^dx2^dx3 = vol, so ** = (-1)^{k(4-k)}.
+    """
     out = np.empty(vals.shape[:-1] + (N_COMP[4 - degree],), dtype=vals.dtype)
     for src, (sign, tgt) in enumerate(STAR_TABLE[degree]):
         out[..., tgt] = sign * vals[..., src]
     return out
-
-
-def hodge_star(v: FormValue) -> FormValue:
-    """Hodge star with orientation dx0^dx1^dx2^dx3 = vol; ** = (-1)^{k(4-k)}."""
-    return FormValue(4 - v.degree, star_coeffs(v.degree, v.coeffs))
 
 
 class FormField:
@@ -773,12 +739,12 @@ def integrate(rule: QuadratureRule, density) -> float:
         i = int(np.argmin(np.isfinite(vals)))
         raise NumericalError(
             f"non-finite density value at node {i}: x={rule.nodes[i]!r}")
-    return weighted_sum(rule, vals)
+    return weighted_sum(rule.weights, vals)
 
 
-def weighted_sum(rule: QuadratureRule, vals: np.ndarray) -> float:
-    """sum_i w_i vals_i over the rule's nodes; a non-finite sum raises."""
-    v = float(np.sum(rule.weights * vals))
+def weighted_sum(weights: np.ndarray, vals: np.ndarray) -> float:
+    """sum_i w_i vals_i, e.g. over a rule's nodes; a non-finite sum raises."""
+    v = float(np.sum(weights * vals))
     if not math.isfinite(v):
         raise NumericalError("non-finite integral")
     return v

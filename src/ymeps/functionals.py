@@ -115,8 +115,7 @@ def _r4_context(A, eps, rule=None, tol=1e-4) -> InnerContext:
             rule = ball_rule(A.p, A.lam, R=np.inf, tol=tol)
         else:
             rule = ball_rule(np.zeros(4), 0.25, R=np.inf, tol=tol)
-    return InnerContext(rule, eps, np.zeros((rule.nodes.shape[0], 3, 4)),
-                        mask=rule.mask_inner)
+    return InnerContext(rule, eps, np.zeros((rule.nodes.shape[0], 3, 4)))
 
 
 def _field_nf(A, ctx: InnerContext) -> NodeField:
@@ -140,7 +139,7 @@ def ym_eps(A, eps: float, domain: str = "r4", rule=None, tol: float = 1e-4) -> f
         ctx = _r4_context(A, eps, rule=rule, tol=tol)
     nf = _field_nf(A, ctx)
     F = curvature_coeffs(nf.val, nf.jac, eps)
-    return weighted_sum(ctx.rule, 0.5 * cdot(F, F))
+    return weighted_sum(ctx.rule.weights, 0.5 * cdot(F, F))
 
 
 def charge(Atilde, eps: float, rule=None, tol: float = 1e-4) -> float:
@@ -154,7 +153,7 @@ def charge(Atilde, eps: float, rule=None, tol: float = 1e-4) -> float:
     F = curvature_coeffs(nf.val, nf.jac, eps)
     # F ^ F = <F, *F> vol, and the trace pairing is half the coefficient dot
     dens = 0.5 * cdot(F, star_coeffs(2, F))
-    return eps ** 2 / (8.0 * np.pi ** 2) * weighted_sum(ctx.rule, dens)
+    return eps ** 2 / (8.0 * np.pi ** 2) * weighted_sum(ctx.rule.weights, dens)
 
 
 def grad_pairing(A, a, eps: float, domain: str = "r4", rule=None,
@@ -168,7 +167,7 @@ def grad_pairing(A, a, eps: float, domain: str = "r4", rule=None,
     nfa = ctx.arrays(a)
     F = curvature_coeffs(nfA.val, nfA.jac, eps)
     da = cov_d_coeffs(1, nfA.val, nfa.val, nfa.jac, eps)
-    return weighted_sum(ctx.rule, cdot(F, da))
+    return weighted_sum(ctx.rule.weights, cdot(F, da))
 
 
 def hessian_form(A, a, b, eps: float, rule=None, tol: float = 1e-4) -> float:
@@ -183,7 +182,7 @@ def hessian_form(A, a, b, eps: float, rule=None, tol: float = 1e-4) -> float:
     da = cov_d_coeffs(1, nfA.val, nfa.val, nfa.jac, eps)
     db = cov_d_coeffs(1, nfA.val, nfb.val, nfb.jac, eps)
     ab = bracket_wedge_coeffs(1, nfa.val, nfb.val)
-    return weighted_sum(ctx.rule, cdot(da, db) + eps * cdot(F, ab))
+    return weighted_sum(ctx.rule.weights, cdot(da, db) + eps * cdot(F, ab))
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +401,13 @@ def compute_point_metrics(q: ParamQ, bg: BackgroundConnection = None,
     out["ball_gram_residual"] = basis.gram_residual()
 
     if "weighted" in blocks:
-        wb = gram_schmidt_weighted(q, ball_basis=basis, bg=bg, pi2=pi2, tol=tol)
+        wb = gram_schmidt_weighted(q, basis, tol=tol)
         out["w_coeff"] = wb.coeff.copy()
         out["w_gram_residual"] = wb.gram_residual()
         del wb
 
     if "l36" in blocks:
-        _, tilde_nf = tilde_fields(ctx, q, basis.coeff)
+        tilde_nf = tilde_fields(ctx, q, basis.coeff)
         for i in range(8):
             dnf = basis.node_field(i + 1) - tilde_nf[i]
             out[f"basis_diff_{i+1}"] = float(
@@ -435,14 +434,6 @@ def _on_support(beta: NodeField):
     s = np.flatnonzero(np.any(beta.val != 0.0, axis=(1, 2))
                        | np.any(beta.jac != 0.0, axis=(1, 2, 3)))
     return s, beta.val[s], beta.jac[s]
-
-
-def _support_integral(w: np.ndarray, dens: np.ndarray) -> float:
-    """sum w_i dens_i over support rows; a non-finite sum raises."""
-    v = float(np.sum(w * dens))
-    if not np.isfinite(v):
-        raise NumericalError("non-finite integral")
-    return v
 
 
 def _hessian_difference_metrics(q, bg, pi2, basis, ctx, seed, n_test):
@@ -490,7 +481,7 @@ def _hessian_difference_metrics(q, bg, pi2, basis, ctx, seed, n_test):
     sup_c = dict(sup_h)
     five_term_resid = 0.0
     for s, bv, bj in probes:
-        integral = partial(_support_integral, weights[s])
+        integral = partial(weighted_sum, weights[s])
         As, Ats, bs = Aval[s], Atval[s], bval[s]
         FAs, FAts, dAbs, bbs = FA[s], FAt[s], dAb[s], bb[s]
         dAbeta = cov_d_coeffs(1, As, bv, bj, eps)
@@ -532,19 +523,18 @@ def _perp_derivative_metrics(q, bg, pi2, basis, ctx):
     a11 = float(basis.coeff[0, 0])
     d2 = ctx.arrays(d2A_dp1p1(q, bg, pi2))
     an_perp = project_perp(d2, basis) * a11 ** 2
-    diagd = {}
-    fd = basis_directional_derivative(q, 1, 1, bg=bg, pi2=pi2, basis=basis,
-                                      diagnostics=diagd)
+    fd, halving = basis_directional_derivative(q, 1, 1, basis, bg=bg, pi2=pi2)
     fd_perp = project_perp(fd, basis)
     dens = ctx.density(fd_perp, fd_perp)
-    total = max(float(np.sum(ctx.rule.weights * dens)), 0.0)
-    inner2 = float(np.sum((ctx.rule.weights * dens)[ctx.mask]))
+    weights, mask = ctx.rule.weights, ctx.rule.mask_inner
+    total = max(weighted_sum(weights, dens), 0.0)
+    inner2 = weighted_sum(weights[mask], dens[mask])
     out["l310_fd_norm"] = float(np.sqrt(total))
     out["l310_an_norm"] = float(np.sqrt(max(ctx.inner_nf(an_perp, an_perp,
                                                          warn=False), 0.0)))
     out["l310_inner_norm"] = float(np.sqrt(max(inner2, 0.0)))
     out["l310_outer_norm"] = float(np.sqrt(max(total - inner2, 0.0)))
-    out["l310_halving"] = diagd["halving_rel_change"]
+    out["l310_halving"] = halving
     inner_perp = ctx.inner_with(fd_perp)
     out["l310_ortho_residual"] = max(abs(inner_perp(basis.node_field(i)))
                                      for i in range(1, 9))

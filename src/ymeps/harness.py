@@ -54,6 +54,7 @@ class ConfigError(ValueError):
 
 DEFAULT_EPS_SWEEP = tuple(2.0 ** -k for k in range(4, 10))
 DEFAULT_EPS_SINGLE = 2.0 ** -6
+DEFAULT_TOL = 1e-4
 
 LEMMA_TAGS = ("5.7", "5.8", "5.9", "3.6", "3.7", "3.10")
 
@@ -82,7 +83,7 @@ class SweepConfig:
 
     eps_list: tuple = DEFAULT_EPS_SWEEP
     D: float = 1.0
-    tol: float = 1e-4
+    tol: float = DEFAULT_TOL
     seed: int = 0
     n_test: int = 32
     pi2: str = "model"
@@ -97,11 +98,12 @@ class SweepConfig:
             raise ConfigError("eps values must be positive")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigError("eps values must be strictly decreasing")
-        q = ParamQ.default(eps[0])
-        if not (q.D1 < self.D < q.D2):
-            raise ConfigError(f"ratio D = {self.D} outside ({q.D1}, {q.D2})")
-        if not (self.tol > 0):
-            raise ConfigError("tol must be positive")
+        # D's bounds are read off the class: building a point here would
+        # raise ParamError on an inadmissible eps, which points() reports
+        if not (ParamQ.D1 < self.D < ParamQ.D2):
+            raise ConfigError(
+                f"ratio D = {self.D} outside ({ParamQ.D1}, {ParamQ.D2})")
+        _check_tol(self.tol)
         if self.n_test < 1:
             raise ConfigError("n_test must be at least 1")
         if self.pi2 not in PI2_STRATEGIES:
@@ -113,6 +115,13 @@ class SweepConfig:
             return sweep_points(self.eps_list, D=self.D)
         except ParamError as exc:
             raise ConfigError(str(exc)) from exc
+
+
+def _check_tol(tol: float) -> float:
+    """The self-check tolerance, rejected unless positive (NaN included)."""
+    if not (tol > 0):
+        raise ConfigError(f"tol must be positive, got {tol}")
+    return tol
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +354,10 @@ def _print_report(rep: EstimateReport, out=sys.stdout):
 # commands
 
 
+def _single_tol(args) -> float:
+    return _check_tol(DEFAULT_TOL if args.tol is None else args.tol)
+
+
 def _single_q(args) -> ParamQ:
     eps = DEFAULT_EPS_SINGLE if args.eps is None else args.eps
     D = 1.0 if args.ratio_D is None else args.ratio_D
@@ -356,7 +369,7 @@ def _single_q(args) -> ParamQ:
 
 def _cmd_charge(args) -> int:
     q = _single_q(args)
-    tol = args.tol if args.tol is not None else 1e-4
+    tol = _single_tol(args)
     c = charge(extended_connection(q), q.eps, tol=tol)
     ok = abs(c - 1.0) <= 1e-2
     print(f"charge(eps={q.eps:g}) = {c:.6f}  target 1.0 +/- 0.01  "
@@ -366,7 +379,7 @@ def _cmd_charge(args) -> int:
 
 def _cmd_energy(args) -> int:
     q = _single_q(args)
-    tol = args.tol if args.tol is not None else 1e-4
+    tol = _single_tol(args)
     e = q.eps ** 2 * ym_eps(extended_connection(q), q.eps, domain="r4", tol=tol)
     target = 8.0 * np.pi ** 2
     ok = abs(e - target) <= 0.01 * target
@@ -377,10 +390,10 @@ def _cmd_energy(args) -> int:
 
 def _cmd_build_basis(args) -> int:
     q = _single_q(args)
-    tol = args.tol if args.tol is not None else 1e-4
+    tol = _single_tol(args)
     out_dir = args.out if args.out is not None else "."
     ball = gram_schmidt_ball(q, tol=tol)
-    weighted = gram_schmidt_weighted(q, ball_basis=ball, tol=tol)
+    weighted = gram_schmidt_weighted(q, ball, tol=tol)
     rb, rw = ball.gram_residual(), weighted.gram_residual()
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"basis_eps_{q.eps:g}.csv")

@@ -412,10 +412,6 @@ def terms_hess(terms, X):
     return out
 
 
-def scale_terms(terms, c):
-    return [dataclasses.replace(t, coef=t.coef * c) for t in terms]
-
-
 def d_dp(terms, i):
     """d/dp_i of a term list (0-based coordinate index i)."""
     out = []
@@ -591,18 +587,6 @@ def sample_charted(fields, X, mask_inner, need_jac=True):
             if need_jac:
                 jac[sel] = terms_jac(terms, Xs, memo=memo)
     return list(zip(vals, jacs))
-
-
-def combo_field(fields, coeffs, name="") -> ChartedField:
-    """Linear combination of charted fields sharing (p, lam)."""
-    inner, outer = [], []
-    for f, c in zip(fields, coeffs):
-        if c == 0.0:
-            continue
-        inner.extend(scale_terms(f.inner_terms, c))
-        outer.extend(scale_terms(f.outer_terms, c))
-    f0 = fields[0]
-    return ChartedField(f0.p, f0.lam, inner, outer, name=name)
 
 
 def transition_quaternion(p, g, X) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""su(2)/SU(2) kernel: quaternion algebra, eps-deformed bracket, exp, adjoint.
+"""su(2)/SU(2) kernel: quaternion algebra, bracket, exp, adjoint, so(3).
 
 Conventions used throughout the package:
 
@@ -24,13 +24,10 @@ __all__ = [
     "AlgElement",
     "GroupElement",
     "qmul",
-    "So3Direction",
     "bracket",
-    "eps_bracket",
     "exp_map",
     "adjoint",
     "adjoint_matrix",
-    "so3_to_su2",
     "so3_generator",
     "SO3_GENERATORS",
 ]
@@ -55,11 +52,6 @@ class AlgElement:
     x1: float
     x2: float
     x3: float
-
-    @staticmethod
-    def from_coeffs(c) -> "AlgElement":
-        c = np.asarray(c, dtype=float)
-        return AlgElement(float(c[0]), float(c[1]), float(c[2]))
 
     def coeffs(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3], dtype=float)
@@ -89,7 +81,6 @@ class AlgElement:
         return self * (-1.0)
 
 
-ZERO = AlgElement(0.0, 0.0, 0.0)
 E1 = AlgElement(1.0, 0.0, 0.0)
 E2 = AlgElement(0.0, 1.0, 0.0)
 E3 = AlgElement(0.0, 0.0, 1.0)
@@ -142,13 +133,6 @@ def bracket(X: AlgElement, Y: AlgElement) -> AlgElement:
     return AlgElement(2.0 * comm[1], 2.0 * comm[2], 2.0 * comm[3])
 
 
-def eps_bracket(X: AlgElement, Y: AlgElement, eps: float) -> AlgElement:
-    """Deformed bracket eps*[X, Y]; eps must be positive."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    return bracket(X, Y) * eps
-
-
 def exp_map(X: AlgElement) -> GroupElement:
     """Group exponential: exp of the quaternion image of X.
 
@@ -190,32 +174,3 @@ def so3_generator(i: int) -> np.ndarray:
     if i not in (1, 2, 3):
         raise ValueError(f"so(3) direction index must be 1, 2 or 3, got {i}")
     return SO3_GENERATORS[i - 1].copy()
-
-
-def so3_to_su2(i: int) -> AlgElement:
-    """Identify the so(3) generator L_i with e_i (a Lie-algebra isomorphism)."""
-    if i == 1:
-        return E1
-    if i == 2:
-        return E2
-    if i == 3:
-        return E3
-    raise ValueError(f"so(3) direction index must be 1, 2 or 3, got {i}")
-
-
-@dataclass(frozen=True)
-class So3Direction:
-    """A right-translated rotation direction: generator index and base point g."""
-
-    index: int
-    g: GroupElement
-
-    def __post_init__(self):
-        if self.index not in (1, 2, 3):
-            raise ValueError(f"so(3) direction index must be 1, 2 or 3, got {self.index}")
-
-    def generator_matrix(self) -> np.ndarray:
-        return so3_generator(self.index)
-
-    def algebra_element(self) -> AlgElement:
-        return so3_to_su2(self.index)

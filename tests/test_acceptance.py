@@ -234,9 +234,9 @@ def test_criterion_10_structural_suite(tmp_path):
                                                power=5),
                             0.41)
     Xn = rule.nodes
-    lhs = weighted_sum(rule, cdot(covariant_d_eps(Aff, alpha, 0.41).value(Xn),
+    lhs = weighted_sum(rule.weights, cdot(covariant_d_eps(Aff, alpha, 0.41).value(Xn),
                                   beta2.value(Xn)))
-    rhs = weighted_sum(rule, cdot(alpha.value(Xn),
+    rhs = weighted_sum(rule.weights, cdot(alpha.value(Xn),
                                   codifferential_eps(Aff, beta2, 0.41).value(Xn)))
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     assert rel <= 1e-3
@@ -253,7 +253,7 @@ def test_criterion_10_structural_suite(tmp_path):
     def E(t):
         nf = nfA + t * nfa
         Ft = curvature_coeffs(nf.val, nf.jac, q.eps)
-        return weighted_sum(brule, 0.5 * cdot(Ft, Ft))
+        return weighted_sum(brule.weights, 0.5 * cdot(Ft, Ft))
 
     from ymeps.functionals import grad_pairing
     got = grad_pairing(A, a, q.eps, domain="ball", rule=brule)

@@ -10,9 +10,16 @@ from ymeps.forms import (
     domain_ball_rule,
     weighted_r4_rule,
 )
-from ymeps.instanton import ParamQ, extended_connection, glued_connection
+from ymeps.instanton import (
+    BackgroundConnection,
+    ParamQ,
+    extended_connection,
+    glued_connection,
+)
+from ymeps.liealg import AlgElement, exp_map
 from ymeps.basis import (
     GramBasis,
+    _basis_field_at,
     TailWarning,
     ball_context,
     basis_directional_derivative,
@@ -202,7 +209,7 @@ def test_gram_schmidt_ball_synthetic_orthonormal_inputs():
         M = np.zeros((3, 4))
         M[a, mu] = np.sqrt(2.0 / np.pi ** 2)  # unit H^1 norm: constants
         fields.append(const_field(M))
-    basis = _basis_from_fields("ball", ctx, fields)
+    basis = _basis_from_fields("ball", ctx, [ctx.arrays(f) for f in fields])
     assert np.allclose(basis.coeff, np.eye(8), atol=1e-6)
 
 
@@ -247,7 +254,7 @@ def test_project_perp_annihilates_basis_and_obeys_bessel():
     q, basis = _ball_basis()
     ctx = basis.ctx
     # v = a_3 projects to ~0
-    res = project_perp(basis.field(3), basis)
+    res = project_perp(basis.node_field(3), basis)
     n3 = np.sqrt(max(ctx.inner_nf(res, res, warn=False), 0.0))
     assert n3 <= 1e-8
     # random v: residual orthogonal to every basis field, norm non-increasing
@@ -277,8 +284,21 @@ def test_project_perp_fixed_point_for_orthogonal_input():
 def test_basis_directional_derivative_step_halving():
     q = ParamQ.default(2.0 ** -5)
     basis = gram_schmidt_ball(q)
-    diag = {}
-    d = basis_directional_derivative(q, 1, 1, basis=basis, diagnostics=diag)
-    assert diag["halving_rel_change"] < 0.01
+    d, halving = basis_directional_derivative(q, 1, 1, basis)
+    assert halving < 0.01
     ctx = basis.ctx
     assert np.isfinite(ctx.inner_nf(d, d, warn=False))
+
+
+def test_fd_rebuild_at_the_base_point_is_the_basis_field():
+    # the FD rebuild is the ordinary build on the base rule, so at the
+    # unshifted q it reproduces the basis' own fields bit for bit
+    q = ParamQ.default(2.0 ** -4, p=[0.05, -0.03, 0.02, 0.01],
+                       g=exp_map(AlgElement(0.3, -0.2, 0.5)))
+    bg = BackgroundConnection()
+    basis = gram_schmidt_ball(q, bg, "model")
+    for i in (1, 5, 8):
+        got = _basis_field_at(q, i, basis.ctx, bg, "model")
+        want = basis.node_field(i)
+        assert np.array_equal(got.val, want.val)
+        assert np.array_equal(got.jac, want.jac)

@@ -191,6 +191,37 @@ def test_inadmissible_single_eps_exits_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_inadmissible_first_sweep_point_exits_2(how, tmp_path, capsys):
+    # eps = 0.5 gives lam = sqrt(0.5) > lam0: reported as a config error
+    # naming the bound, not as a traceback
+    eps = "0.5,0.25,0.125,0.0625"
+    if how == "flag":
+        argv = ["verify-scaling", "--eps-list", eps]
+    else:
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(f"[sweep]\neps_list = {eps}\n")
+        argv = ["verify-scaling", "--config", str(cfg)]
+    rc = run_command(argv + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error" in err and "lam0" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+@pytest.mark.parametrize("command", ["charge", "energy", "build-basis",
+                                     "verify-scaling", "all"])
+def test_non_positive_tol_exits_2_before_any_rule(command, value, tmp_path,
+                                                  monkeypatch, capsys):
+    def no_rule(self):
+        raise AssertionError("a quadrature rule was built")
+
+    monkeypatch.setattr("ymeps.forms.QuadratureRule.__post_init__", no_rule)
+    rc = run_command([command, "--tol", value, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "tol must be positive" in capsys.readouterr().err
+
+
 def test_help_exits_0(capsys):
     assert run_command(["--help"]) == 0
     assert "verify-lemma" in capsys.readouterr().out

@@ -8,7 +8,7 @@ under test).
 import numpy as np
 import pytest
 
-from ymeps.forms import exterior_d, hodge_star, star_coeffs, wedge_bracket
+from ymeps.forms import exterior_d, star_coeffs, wedge_bracket
 from ymeps.instanton import (
     DIRECTIONS,
     ETA,

@@ -1,4 +1,4 @@
-"""Kernel algebra tests: brackets, exponential, adjoint, so(3) identification."""
+"""Kernel algebra tests: brackets, exponential, adjoint, so(3) generators."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,11 @@ from ymeps.liealg import (
     E3,
     AlgElement,
     GroupElement,
-    So3Direction,
     adjoint,
     adjoint_matrix,
     bracket,
-    eps_bracket,
     exp_map,
     so3_generator,
-    so3_to_su2,
 )
 
 
@@ -61,22 +58,6 @@ def test_jacobi_identity():
             + bracket(Z, bracket(X, Y))
         )
         assert total.norm() <= 1e-12
-
-
-def test_eps_bracket():
-    assert np.allclose(eps_bracket(E1, E2, 0.5).coeffs(), 0.5 * E3.coeffs())
-    assert eps_bracket(E1, E1, 0.25).norm() == 0.0
-    assert np.allclose(eps_bracket(E2, E1, 1.0).coeffs(), -E3.coeffs())
-    rng = np.random.default_rng(3)
-    X, Y = rand_alg(rng), rand_alg(rng)
-    eps = 0.037
-    assert np.allclose(
-        eps_bracket(X, Y, eps).coeffs(), eps * bracket(X, Y).coeffs(), atol=0
-    )
-    with pytest.raises(ValueError):
-        eps_bracket(E1, E2, 0.0)
-    with pytest.raises(ValueError):
-        eps_bracket(E1, E2, -1.0)
 
 
 def test_exp_map_closed_form():
@@ -138,16 +119,6 @@ def test_adjoint_matrix_is_rotation():
         assert abs(np.linalg.det(R) - 1.0) < 1e-12
 
 
-def test_so3_to_su2():
-    assert np.allclose(so3_to_su2(1).coeffs(), E1.coeffs())
-    got = bracket(so3_to_su2(1), so3_to_su2(2))
-    assert np.allclose(got.coeffs(), so3_to_su2(3).coeffs())
-    with pytest.raises(ValueError):
-        so3_to_su2(4)
-    with pytest.raises(ValueError):
-        so3_to_su2(0)
-
-
 def test_so3_generators_structure_constants():
     L1, L2, L3 = so3_generator(1), so3_generator(2), so3_generator(3)
     assert np.allclose(L1 @ L2 - L2 @ L1, L3)
@@ -158,14 +129,6 @@ def test_so3_generators_structure_constants():
     Y = rand_alg(rng)
     for i, E in ((1, E1), (2, E2), (3, E3)):
         assert np.allclose(so3_generator(i) @ Y.coeffs(), bracket(E, Y).coeffs())
-
-
-def test_so3_direction():
-    d = So3Direction(2, GroupElement.identity())
-    assert np.allclose(d.algebra_element().coeffs(), E2.coeffs())
-    assert np.allclose(d.generator_matrix(), so3_generator(2))
-    with pytest.raises(ValueError):
-        So3Direction(5, GroupElement.identity())
 
 
 def test_adjoint_exp_is_axis_rotation():
