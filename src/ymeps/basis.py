@@ -20,7 +20,7 @@ the coefficient matrix; its fields are combined from the samples on demand.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -360,8 +360,7 @@ def _shift_along(q: ParamQ, vec: np.ndarray, t: float) -> ParamQ:
     dp = t * vec[0:4]
     xi = t * vec[4:7]
     g = q.g * exp_map(AlgElement(*xi))
-    return ParamQ(p=q.p + dp, g=g, lam=q.lam + t * vec[7], eps=q.eps,
-                  d0=q.d0, lam0=q.lam0, D1=q.D1, D2=q.D2)
+    return replace(q, p=q.p + dp, g=g, lam=q.lam + t * vec[7])
 
 
 def _basis_field_at(q: ParamQ, i: int, ctx: InnerContext,

@@ -30,13 +30,13 @@ from .basis import (
     tilde_fields,
 )
 from .forms import (
-    FormField,
     NumericalError,
     ball_rule,
     bracket_wedge_coeffs,
     cdot,
     codiff_coeffs,
     cov_d_coeffs,
+    cov_grad_coeffs,
     curvature_coeffs,
     star_coeffs,
     weighted_sum,
@@ -61,7 +61,6 @@ __all__ = [
     "charge",
     "grad_pairing",
     "hessian_form",
-    "bump_one_form",
     "sweep_points",
     "compute_point_metrics",
     "lemma57_report",
@@ -189,31 +188,27 @@ def hessian_form(A, a, b, eps: float, rule=None, tol: float = 1e-4) -> float:
 # test fields
 
 
-def bump_one_form(center, scale, coeff_mat, power: int = 3) -> FormField:
-    """Compactly supported 1-form (1-|y|^2/s^2)^power * coeff, analytic jac.
-
-    power controls the smoothness at the support boundary (C^{power-1}).
-    """
-    c = np.asarray(center, dtype=float)
-    C = np.asarray(coeff_mat, dtype=float)
-
-    def value(X):
-        u = 1.0 - np.sum((X - c) ** 2, axis=1) / scale ** 2
-        prof = np.where(u > 0, u ** power, 0.0)
-        return C[None, :, :] * prof[:, None, None]
-
-    def jac(X):
-        Y = X - c
-        u = 1.0 - np.sum(Y * Y, axis=1) / scale ** 2
-        dprof = np.where(u > 0, power * u ** (power - 1), 0.0) * (-2.0 / scale ** 2)
-        return C[None, :, :, None] * (dprof[:, None] * Y)[:, None, None, :]
-
-    return FormField(1, value, jac, domain="ball", name="bump")
+def _bump_arrays(X, center, scale, coeff):
+    """Value and jacobian of the bump coeff * (1 - |x-c|^2/s^2)^3 at nodes X
+    inside its ball; outside it both vanish (the profile is C^2 there)."""
+    Y = X - center
+    u = 1.0 - np.sum(Y * Y, axis=1) / scale ** 2
+    val = coeff[None, :, :] * (u ** 3)[:, None, None]
+    dprof = 3 * u ** 2 * (-2.0 / scale ** 2)
+    jac = coeff[None, :, :, None] * (dprof[:, None] * Y)[:, None, None, :]
+    return val, jac
 
 
 def test_field_family(q: ParamQ, ctx: InnerContext, n: int, seed: int):
-    """n seeded bump fields at scales {lam/4, lam, 1}, unit norm in ctx."""
+    """n seeded bump probes at scales {lam/4, lam, 1}, unit norm in ctx.
+
+    Each probe is returned as a spec (rows, center, scale, coeff): rows are
+    the nodes of ctx.rule inside the probe's ball, and _bump_arrays on them
+    gives its value and jacobian; both are 0 on every other node.  The
+    covariant H^1 norm (ctx unweighted) is summed over those rows only.
+    """
     rng = np.random.default_rng(seed)
+    X, w = ctx.rule.nodes, ctx.rule.weights
     scales = [q.lam / 4.0, q.lam, 1.0]
     out = []
     k = 0
@@ -228,11 +223,17 @@ def test_field_family(q: ParamQ, ctx: InnerContext, n: int, seed: int):
             d /= np.linalg.norm(d)
             center = q.p + rng.uniform(0.0, 2.0 * q.lam) * d
         C = rng.standard_normal((3, 4))
-        nf = ctx.arrays(bump_one_form(center, sc, C))
-        nrm2 = ctx.inner_nf(nf, nf, warn=False)
+        rows = np.flatnonzero(1.0 - np.sum((X - center) ** 2, axis=1)
+                              / sc ** 2 > 0)
+        val, jac = _bump_arrays(X[rows], center, sc, C)
+        grad = cov_grad_coeffs(ctx.Aval[rows], val, jac, ctx.eps)
+        # the unweighted density of InnerContext.density, on the ball's rows
+        dens = (np.einsum("namu,namu->n", grad, grad, optimize=False)
+                + np.einsum("nam,nam->n", val, val, optimize=False))
+        nrm2 = weighted_sum(w[rows], dens)
         if nrm2 <= 1e-20:
             continue
-        out.append(nf * (1.0 / np.sqrt(nrm2)))
+        out.append((rows, center, sc, C / np.sqrt(nrm2)))
     return out
 
 
@@ -429,31 +430,18 @@ def _require_finite(*arrays):
         raise NumericalError("non-finite integrand in the l37 pairings")
 
 
-def _on_support(beta: NodeField):
-    """(rows, val, jac) of a node field restricted to its nonzero rows."""
-    s = np.flatnonzero(np.any(beta.val != 0.0, axis=(1, 2))
-                       | np.any(beta.jac != 0.0, axis=(1, 2, 3)))
-    return s, beta.val[s], beta.jac[s]
-
-
 def _hessian_difference_metrics(q, bg, pi2, basis, ctx, seed, n_test):
     """Sampled dual norms of H_A - H_Atilde and delta_A - delta_Atilde.
 
     Each probe beta is a bump that is exactly 0 in value and jacobian
     outside its ball, so every integrand below vanishes there: the probe's
     kernels and pairings run on its support rows only.  The probe arrays are
-    built once per beta and paired with both tags a_1 and a_5; the only
-    array depending on both is [a ^ beta].
+    built from its spec once per beta, one probe at a time, and paired with
+    both tags a_1 and a_5; the only array depending on both is [a ^ beta].
     """
     eps = q.eps
-    weights = ctx.rule.weights
-    # each probe keeps only its support rows; the full-rule arrays are
-    # released one by one as the restricted copies are made
-    betas = test_field_family(q, ctx, n_test, seed)
-    betas.reverse()
-    probes = []
-    while betas:
-        probes.append(_on_support(betas.pop()))
+    nodes, weights = ctx.rule.nodes, ctx.rule.weights
+    probes = test_field_family(q, ctx, n_test, seed)
     # only the connections' values and the arrays below are kept: their
     # jacobians are released as soon as F and d_A b exist
     nf = ctx.arrays(glued_connection(q, bg, pi2))
@@ -480,7 +468,8 @@ def _hessian_difference_metrics(q, bg, pi2, basis, ctx, seed, n_test):
     sup_h = dict.fromkeys((t[0] for t in tags), 0.0)
     sup_c = dict(sup_h)
     five_term_resid = 0.0
-    for s, bv, bj in probes:
+    for s, center, scale, coeff in probes:
+        bv, bj = _bump_arrays(nodes[s], center, scale, coeff)
         integral = partial(weighted_sum, weights[s])
         As, Ats, bs = Aval[s], Atval[s], bval[s]
         FAs, FAts, dAbs, bbs = FA[s], FAt[s], dAb[s], bb[s]

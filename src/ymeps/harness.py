@@ -104,6 +104,8 @@ class SweepConfig:
             raise ConfigError(
                 f"ratio D = {self.D} outside ({ParamQ.D1}, {ParamQ.D2})")
         _check_tol(self.tol)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.n_test < 1:
             raise ConfigError("n_test must be at least 1")
         if self.pi2 not in PI2_STRATEGIES:
@@ -118,9 +120,10 @@ class SweepConfig:
 
 
 def _check_tol(tol: float) -> float:
-    """The self-check tolerance, rejected unless positive (NaN included)."""
-    if not (tol > 0):
-        raise ConfigError(f"tol must be positive, got {tol}")
+    """The self-check tolerance, rejected unless positive and finite (so
+    neither NaN nor inf can switch the self-check off)."""
+    if not (0 < tol < np.inf):
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
     return tol
 
 

@@ -495,11 +495,6 @@ class ParamQ:
         g = GroupElement.identity() if g is None else g
         return ParamQ(p=p, g=g, lam=float(np.sqrt(D * eps)), eps=float(eps))
 
-    def shifted(self, dp=None, dlam=0.0) -> "ParamQ":
-        p = self.p + (0 if dp is None else np.asarray(dp))
-        return ParamQ(p=p, g=self.g, lam=self.lam + dlam, eps=self.eps,
-                      d0=self.d0, lam0=self.lam0, D1=self.D1, D2=self.D2)
-
 
 # default background coefficient pattern: fixed, asymmetric, order-one C^1 norm
 DEFAULT_BG_CMAT = np.array([

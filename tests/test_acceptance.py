@@ -24,7 +24,6 @@ from ymeps.forms import (
     weighted_sum,
 )
 from ymeps.functionals import (
-    bump_one_form,
     charge,
     compute_point_metrics,
     lemma36_report,
@@ -44,6 +43,7 @@ from ymeps.instanton import (
     i1_form,
 )
 from ymeps.liealg import AlgElement, exp_map
+from oracle import bump_one_form
 
 ACC_EPS = tuple(2.0 ** -k for k in range(4, 10))
 ALL_BLOCKS = frozenset({"basis", "weighted", "l36", "l37", "l310"})

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from ymeps.basis import ball_context, gram_schmidt_ball
+from ymeps.basis import InnerContext, ball_context, gram_schmidt_ball
 from ymeps.forms import (
     COMP_INDEX,
     MULTI_INDEX,
     FormField,
     NumericalError,
+    QuadratureRule,
     bracket_wedge_coeffs,
     cdot,
     codiff_coeffs,
@@ -23,9 +24,9 @@ from ymeps.forms import (
 from ymeps.functionals import (
     EstimateReport,
     QuantityRow,
+    _bump_arrays,
     _hessian_difference_metrics,
     _row_band,
-    bump_one_form,
     charge,
     compute_point_metrics,
     fit_slope,
@@ -48,6 +49,7 @@ from ymeps.instanton import (
     glued_connection,
 )
 from ymeps.liealg import AlgElement, exp_map
+from oracle import bump_one_form, full_rule_probe_draws, full_rule_probes
 
 RNG_SEED = 77023
 
@@ -345,7 +347,7 @@ def _per_tag_l37_oracle(q, bg, pi2, basis, ctx, seed, n_test):
     FAt = curvature_coeffs(Atval, At_nf.jac, eps)
     dAb = cov_d_coeffs(1, Aval, b_nf.val, b_nf.jac, eps)
     bb = bracket_wedge_coeffs(1, b_nf.val, b_nf.val)
-    betas = probe_family(q, ctx, n_test, seed)
+    betas = full_rule_probes(q, ctx, n_test, seed)
     out, resid = {}, 0.0
     for tag, idx in (("i1", 1), ("i5", 5)):
         a = basis.node_field(idx)
@@ -398,6 +400,37 @@ def test_l37_probe_loop_matches_per_tag_oracle(pi2):
         else:
             assert want[key] > 0.0
             assert abs(got[key] - want[key]) <= 1e-10 * want[key], key
+
+
+@pytest.mark.parametrize("stride", [1, 997])
+@pytest.mark.parametrize("pi2", ["model", "full"])
+def test_probe_specs_match_full_rule_probes(pi2, stride):
+    # the specs against the bumps sampled on the full rule and normalised
+    # there, drawn from the same RNG sequence; on a rule thinned to every
+    # 997th node some candidates cover no node and are rejected
+    q = _generic_q(2.0 ** -4)
+    ctx = ball_context(glued_connection(q, BackgroundConnection(), pi2), q.eps)
+    r = ctx.rule
+    rule = QuadratureRule(r.nodes[::stride], r.weights[::stride], r.center,
+                          r.lam, r.tol, r.region)
+    ctx = InnerContext(rule, q.eps, ctx.Aval[::stride])
+    n = 8
+    specs = probe_family(q, ctx, n, RNG_SEED)
+    draws = full_rule_probe_draws(q, ctx, n, RNG_SEED)
+    assert (len(draws) > n) == (stride > 1)
+    accepted = [(c, sc, beta) for c, sc, beta in draws if beta is not None]
+    assert len(specs) == len(accepted) == n
+    for (rows, center, scale, coeff), (c, sc, beta) in zip(specs, accepted):
+        assert np.array_equal(center, c) and scale == sc
+        on = (np.any(beta.val != 0.0, axis=(1, 2))
+              | np.any(beta.jac != 0.0, axis=(1, 2, 3)))
+        assert np.array_equal(rows, np.flatnonzero(on))
+        off = np.ones(len(rule), dtype=bool)
+        off[rows] = False
+        assert not beta.val[off].any() and not beta.jac[off].any()
+        val, jac = _bump_arrays(rule.nodes[rows], center, scale, coeff)
+        np.testing.assert_allclose(val, beta.val[rows], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(jac, beta.jac[rows], rtol=1e-12, atol=0)
 
 
 def test_l37_probe_loop_reports_non_finite_connection(monkeypatch):

@@ -208,7 +208,7 @@ def test_inadmissible_first_sweep_point_exits_2(how, tmp_path, capsys):
     assert "config error" in err and "lam0" in err
 
 
-@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
 @pytest.mark.parametrize("command", ["charge", "energy", "build-basis",
                                      "verify-scaling", "all"])
 def test_non_positive_tol_exits_2_before_any_rule(command, value, tmp_path,
@@ -220,6 +220,20 @@ def test_non_positive_tol_exits_2_before_any_rule(command, value, tmp_path,
     rc = run_command([command, "--tol", value, "--out", str(tmp_path)])
     assert rc == 2
     assert "tol must be positive" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_2_before_any_rule(tmp_path, monkeypatch,
+                                               capsys):
+    def no_rule(self):
+        raise AssertionError("a quadrature rule was built")
+
+    monkeypatch.setattr("ymeps.forms.QuadratureRule.__post_init__", no_rule)
+    rc = run_command(["verify-lemma", "3.7", "--eps-list",
+                      "2^-4,2^-5,2^-6,2^-7", "--seed", "-1", "--n-test", "1",
+                      "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed must be non-negative, got -1" in err
 
 
 def test_help_exits_0(capsys):

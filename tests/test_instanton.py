@@ -5,6 +5,8 @@ quaternion arithmetic (no eta tensors, no shared code paths with the module
 under test).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -412,14 +414,14 @@ def _param_shift(q, direction, t):
     if direction.startswith("p"):
         dp = np.zeros(4)
         dp[int(direction[1]) - 1] = t
-        return q.shifted(dp=dp)
+        return dataclasses.replace(q, p=q.p + dp)
     if direction.startswith("xi"):
         i = int(direction[2])
         coeffs = [0.0, 0.0, 0.0]
         coeffs[i - 1] = t
         return ParamQ(p=q.p, g=q.g * exp_map(AlgElement(*coeffs)), lam=q.lam,
                       eps=q.eps)
-    return q.shifted(dlam=t)
+    return dataclasses.replace(q, lam=q.lam + t)
 
 
 @pytest.mark.parametrize("direction", DIRECTIONS)
@@ -477,7 +479,8 @@ def test_d2A_dp1p1_matches_fd():
 
     def val(s):
         dp = np.array([s, 0.0, 0.0, 0.0])
-        return terms_value(glued_connection(q.shifted(dp=dp)).outer_terms, pts)
+        qs = dataclasses.replace(q, p=q.p + dp)
+        return terms_value(glued_connection(qs).outer_terms, pts)
 
     fd = (val(h) - 2 * val(0.0) + val(-h)) / h ** 2
     got = terms_value(d2.outer_terms, pts)
