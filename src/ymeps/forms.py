@@ -1,10 +1,9 @@
 """Exterior calculus for su(2)-valued forms on flat R^4, plus quadrature.
 
-Array conventions (vectorized evaluators):
-  * points           X        -> (N, 4) float64
-  * k-form values    value(X) -> (N, 3, C)        C = C(4,k), increasing multi-index order
-  * first derivs     jac(X)   -> (N, 3, C, 4)     last axis = d/dx_nu
-  * second derivs    hess(X)  -> (N, 3, C, 4, 4)
+Array conventions (fields sampled on a rule's N nodes):
+  * points           X    -> (N, 4) float64
+  * k-form values    val  -> (N, 3, C)        C = C(4,k), increasing multi-index order
+  * first derivs     jac  -> (N, 3, C, 4)     last axis = d/dx_nu
 
 The algebra axis (length 3) carries coefficients on the basis (e1,e2,e3) of
 su(2); the pointwise bracket in that basis is the cross product.  Orientation
@@ -16,14 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "MULTI_INDEX",
     "COMP_INDEX",
-    "FormField",
     "QuadratureRule",
     "QuadratureError",
     "NumericalError",
@@ -35,11 +32,6 @@ __all__ = [
     "codiff_coeffs",
     "curvature_coeffs",
     "cov_grad_coeffs",
-    "wedge_bracket",
-    "exterior_d",
-    "covariant_d_eps",
-    "codifferential_eps",
-    "covariant_grad_eps",
     "ball_rule",
     "domain_ball_rule",
     "weighted_r4_rule",
@@ -47,13 +39,6 @@ __all__ = [
     "integrate",
     "weighted_sum",
 ]
-
-
-def _as_batch(X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        return X[None, :]
-    return X
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +102,7 @@ CODIFF_TABLE = {k: _build_codiff_table(k) for k in range(1, 5)}
 
 
 # ---------------------------------------------------------------------------
-# Hodge star and the field type
+# Hodge star
 
 
 def star_coeffs(degree: int, vals: np.ndarray) -> np.ndarray:
@@ -131,116 +116,11 @@ def star_coeffs(degree: int, vals: np.ndarray) -> np.ndarray:
     return out
 
 
-class FormField:
-    """A k-form field: vectorized evaluator with optional analytic derivatives.
-
-    value_fn(X: (N,4)) -> (N,3,C); jac_fn -> (N,3,C,4); hess_fn -> (N,3,C,4,4).
-    Missing derivative channels fall back to Richardson-extrapolated central
-    differences (base step 1e-4 * local scale).
-    """
-
-    def __init__(self, degree: int, value_fn, jac_fn=None, hess_fn=None,
-                 domain: str = "r4", name: str = ""):
-        if degree not in range(5):
-            raise ValueError(f"degree must be 0..4, got {degree}")
-        self.degree = degree
-        self._value = value_fn
-        self._jac = jac_fn
-        self._hess = hess_fn
-        self.domain = domain
-        self.name = name
-
-    # -- evaluation ---------------------------------------------------------
-    def value(self, X) -> np.ndarray:
-        return self._value(_as_batch(X))
-
-    def jac(self, X) -> np.ndarray:
-        X = _as_batch(X)
-        if self._jac is not None:
-            return self._jac(X)
-        return _fd_derivative(self._value, X)
-
-    def hess(self, X) -> np.ndarray:
-        X = _as_batch(X)
-        if self._hess is not None:
-            return self._hess(X)
-        if self._jac is not None:
-            return _fd_derivative(self._jac, X)
-        return _fd_derivative(lambda Y: _fd_derivative(self._value, Y), X)
-
-    @property
-    def has_analytic_jac(self) -> bool:
-        return self._jac is not None
-
-    # -- arithmetic ---------------------------------------------------------
-    def __add__(self, other: "FormField") -> "FormField":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in field sum")
-        jac = None
-        if self._jac is not None and other._jac is not None:
-            jac = lambda X: self._jac(X) + other._jac(X)
-        hess = None
-        if self._hess is not None and other._hess is not None:
-            hess = lambda X: self._hess(X) + other._hess(X)
-        return FormField(self.degree, lambda X: self._value(X) + other._value(X),
-                         jac, hess, self.domain, f"({self.name}+{other.name})")
-
-    def __mul__(self, c: float) -> "FormField":
-        jac = None if self._jac is None else (lambda X: self._jac(X) * c)
-        hess = None if self._hess is None else (lambda X: self._hess(X) * c)
-        return FormField(self.degree, lambda X: self._value(X) * c, jac, hess,
-                         self.domain, f"{c}*{self.name}")
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self + other * (-1.0)
-
-    @staticmethod
-    def zero(degree: int, domain: str = "r4") -> "FormField":
-        z = lambda X: np.zeros((X.shape[0], 3, N_COMP[degree]))
-        zj = lambda X: np.zeros((X.shape[0], 3, N_COMP[degree], 4))
-        zh = lambda X: np.zeros((X.shape[0], 3, N_COMP[degree], 4, 4))
-        return FormField(degree, z, zj, zh, domain, "0")
-
-    @staticmethod
-    def constant(degree: int, coeffs, domain: str = "r4") -> "FormField":
-        coeffs = np.asarray(coeffs, dtype=float)
-        v = lambda X: np.broadcast_to(coeffs, (X.shape[0],) + coeffs.shape).copy()
-        zj = lambda X: np.zeros((X.shape[0], 3, N_COMP[degree], 4))
-        zh = lambda X: np.zeros((X.shape[0], 3, N_COMP[degree], 4, 4))
-        return FormField(degree, v, zj, zh, domain, "const")
-
-
-def _fd_derivative(fn, X, base_h: float = 1e-4):
-    """Central-difference derivative with one Richardson level, per axis.
-
-    fn maps (N,4) -> array with leading axis N; result appends a length-4 axis.
-    Step = base_h * max(1, |x|) per node (local scale).
-    """
-    X = _as_batch(X)
-    scale = np.maximum(1.0, np.linalg.norm(X, axis=1))
-    probe = fn(X)
-    out = np.zeros(probe.shape + (4,))
-    for nu in range(4):
-        h = base_h * scale
-        e = np.zeros_like(X)
-        e[:, nu] = h
-        hshape = (slice(None),) + (None,) * (probe.ndim - 1)
-        d1 = (fn(X + e) - fn(X - e)) / (2 * h[hshape])
-        e2 = np.zeros_like(X)
-        e2[:, nu] = h / 2
-        d2 = (fn(X + e2) - fn(X - e2)) / (h[hshape])
-        out[..., nu] = (4 * d2 - d1) / 3.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # array kernels: pointwise operations on sampled (val, jac) coefficient arrays
 #
 # A k-form sampled at N nodes is val (N,3,C_k) with jac (N,3,C_k,4); a
-# connection enters by its values Aval (N,3,4).  The FormField operators below
-# evaluate their channels with these same kernels.
+# connection enters by its values Aval (N,3,4).
 
 
 def cdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -338,97 +218,6 @@ def cov_grad_coeffs(Aval, val, jac, eps: float) -> np.ndarray:
         np.multiply(At[b], vt[c], out=br[a])
         br[a] -= At[c] * vt[b]
     return np.add(jac, br.transpose(3, 0, 1, 2), out=np.empty_like(jac))
-
-
-# ---------------------------------------------------------------------------
-# FormField operators: the kernels above applied to evaluated channels
-
-
-def wedge_bracket(alpha: FormField, beta: FormField) -> FormField:
-    """[alpha ^ beta] for two 1-forms: ([a^b])_{mu nu} = [a_mu,b_nu] - [a_nu,b_mu].
-
-    Symmetric in (alpha, beta) because the algebra bracket is antisymmetric.
-    """
-    if alpha.degree != 1 or beta.degree != 1:
-        raise ValueError("wedge_bracket needs two 1-forms")
-
-    def value(X):
-        return bracket_wedge_coeffs(1, alpha.value(X), beta.value(X))
-
-    jac = None
-    if alpha.has_analytic_jac and beta.has_analytic_jac:
-        def jac(X):
-            av, bv = alpha.value(X), beta.value(X)
-            aj, bj = alpha.jac(X), beta.jac(X)
-            return np.stack([bracket_wedge_coeffs(1, aj[..., nu], bv)
-                             + bracket_wedge_coeffs(1, av, bj[..., nu])
-                             for nu in range(4)], axis=-1)
-
-    return FormField(2, value, jac, domain=alpha.domain,
-                     name=f"[{alpha.name}^{beta.name}]")
-
-
-def exterior_d(omega: FormField) -> FormField:
-    """Exterior derivative; analytic when omega has a jac channel, else FD."""
-    if omega.degree >= 4:
-        raise ValueError("d of a 4-form on R^4 is zero-dimensional; not supported")
-    k = omega.degree
-
-    def value(X):
-        return d_coeffs(k, omega.jac(X))
-
-    def jac(X):
-        H = omega.hess(X)  # (N,3,C,4,4)
-        return np.stack([d_coeffs(k, H[..., nu]) for nu in range(4)], axis=-1)
-
-    return FormField(k + 1, value, jac, domain=omega.domain, name=f"d({omega.name})")
-
-
-def covariant_d_eps(A: FormField, omega: FormField, eps: float) -> FormField:
-    """d_A^eps w = dw + eps [A ^ w]."""
-    if A.degree != 1:
-        raise ValueError("connection must be a 1-form")
-    if omega.degree >= 4:
-        raise ValueError("d of a 4-form on R^4 is zero-dimensional; not supported")
-    k = omega.degree
-
-    def value(X):
-        return cov_d_coeffs(k, A.value(X), omega.value(X), omega.jac(X), eps)
-
-    def jac(X):
-        # d_nu (d_A w) = d_A (d_nu w) + eps [d_nu A ^ w]
-        Av, Aj = A.value(X), A.jac(X)
-        wv, wj, wh = omega.value(X), omega.jac(X), omega.hess(X)
-        return np.stack([cov_d_coeffs(k, Av, wj[..., nu], wh[..., nu], eps)
-                         + eps * bracket_wedge_coeffs(k, Aj[..., nu], wv)
-                         for nu in range(4)], axis=-1)
-
-    return FormField(k + 1, value, jac, domain=omega.domain,
-                     name=f"d_A({omega.name})")
-
-
-def codifferential_eps(A: FormField, omega: FormField, eps: float) -> FormField:
-    """Formal adjoint of d_A^eps on flat R^4: -* d_A^eps * (all degrees k>=1)."""
-    if omega.degree < 1:
-        raise ValueError("codifferential needs degree >= 1")
-    k = omega.degree
-
-    def value(X):
-        return codiff_coeffs(k, A.value(X), omega.value(X), omega.jac(X), eps)
-
-    return FormField(k - 1, value, domain=omega.domain, name=f"delta_A({omega.name})")
-
-
-def covariant_grad_eps(A: FormField, alpha: FormField, eps: float) -> Callable:
-    """Return evaluator X -> (N,3,4,4) of all 16 components of grad_A^eps alpha."""
-    if A.degree != 1 or alpha.degree != 1:
-        raise ValueError("covariant_grad_eps expects 1-forms")
-
-    def evaluate(X):
-        X = _as_batch(X)
-        return cov_grad_coeffs(A.value(X), alpha.value(X), alpha.jac(X), eps)
-
-    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +436,7 @@ def domain_ball_rule(p, lam: float, tol: float = 1e-4,
 
 def weight_fn(X: np.ndarray) -> np.ndarray:
     """The weighted-product weight: 1 on the closed unit ball, 1/(1+|x|^2)^2 outside."""
-    X = _as_batch(X)
-    s = np.sum(X ** 2, axis=1)
+    s = np.sum(np.asarray(X, dtype=float) ** 2, axis=-1)
     return np.where(s <= 1.0, 1.0, 1.0 / (1.0 + s) ** 2)
 
 
@@ -727,14 +515,14 @@ def tail_report(rule: QuadratureRule, vals: np.ndarray) -> dict:
 def integrate(rule: QuadratureRule, density) -> float:
     """Deterministic weighted sum of a scalar density over the rule's nodes.
 
-    density: callable on (N,4) batches returning (N,), or per-point scalar.
-    The density is first called on the whole batch; only a result of another
-    shape makes it run point by point, and an exception it raises propagates.
-    Non-finite values raise NumericalError naming the offending node.
+    density: callable on the (N,4) batch of nodes returning (N,) values; a
+    result of another shape raises ValueError.  Non-finite values raise
+    NumericalError naming the offending node.
     """
     vals = np.asarray(density(rule.nodes), dtype=float)
     if vals.shape != (len(rule),):
-        vals = np.array([float(density(x)) for x in rule.nodes])
+        raise ValueError(f"density returned shape {vals.shape}, "
+                         f"expected ({len(rule)},)")
     if not np.all(np.isfinite(vals)):
         i = int(np.argmin(np.isfinite(vals)))
         raise NumericalError(

@@ -21,7 +21,6 @@ import numpy as np
 
 from .basis import (
     InnerContext,
-    NodeField,
     ball_context,
     basis_directional_derivative,
     gram_schmidt_ball,
@@ -108,62 +107,47 @@ def fit_slope(pairs) -> SlopeFit:
 # functionals
 
 
-def _r4_context(A, eps, rule=None, tol=1e-4) -> InnerContext:
+def _r4_context(A: ChartedField, eps, rule=None, tol=1e-4) -> InnerContext:
+    """Context on the R^4 rule polar around A's center (or a given rule); the
+    functionals below pair no gradients, so it holds no connection samples."""
     if rule is None:
-        if isinstance(A, ChartedField):
-            rule = ball_rule(A.p, A.lam, R=np.inf, tol=tol)
-        else:
-            rule = ball_rule(np.zeros(4), 0.25, R=np.inf, tol=tol)
+        rule = ball_rule(A.p, A.lam, R=np.inf, tol=tol)
     return InnerContext(rule, eps, np.zeros((rule.nodes.shape[0], 3, 4)))
 
 
-def _field_nf(A, ctx: InnerContext) -> NodeField:
-    if A is None:
-        N = ctx.rule.nodes.shape[0]
-        return NodeField(ctx.rule, np.zeros((N, 3, 4)), np.zeros((N, 3, 4, 4)))
-    return ctx.arrays(A)
-
-
-def ym_eps(A, eps: float, domain: str = "r4", rule=None, tol: float = 1e-4) -> float:
+def ym_eps(A: ChartedField, eps: float, rule=None, tol: float = 1e-4) -> float:
     """The deformed energy: integral of |dA + (eps/2)[A^A]|^2 (trace pairing).
 
-    domain "r4" integrates over all of R^4 (graded radial rule with an
-    inversion tail); "ball" over the unit ball with the two-chart split.
+    Integrates over all of R^4 (graded radial rule with an inversion tail)
+    unless a rule is given.
     """
-    if domain not in ("r4", "ball"):
-        raise ValueError("domain must be 'r4' or 'ball'")
-    if domain == "ball" and rule is None:
-        ctx = ball_context(A, eps, tol=tol)
-    else:
-        ctx = _r4_context(A, eps, rule=rule, tol=tol)
-    nf = _field_nf(A, ctx)
+    nf = _r4_context(A, eps, rule=rule, tol=tol).arrays(A)
     F = curvature_coeffs(nf.val, nf.jac, eps)
-    return weighted_sum(ctx.rule.weights, 0.5 * cdot(F, F))
+    return weighted_sum(nf.rule.weights, 0.5 * cdot(F, F))
 
 
-def charge(Atilde, eps: float, rule=None, tol: float = 1e-4) -> float:
+def charge(Atilde: ChartedField, eps: float, rule=None, tol: float = 1e-4) -> float:
     """Normalized topological charge of the curvature over R^4.
 
     charge = (eps^2 / 8 pi^2) * int <F ^ F> with the trace pairing; the sign
     convention makes the extended family carry charge +1.
     """
-    ctx = _r4_context(Atilde, eps, rule=rule, tol=tol)
-    nf = _field_nf(Atilde, ctx)
+    nf = _r4_context(Atilde, eps, rule=rule, tol=tol).arrays(Atilde)
     F = curvature_coeffs(nf.val, nf.jac, eps)
     # F ^ F = <F, *F> vol, and the trace pairing is half the coefficient dot
     dens = 0.5 * cdot(F, star_coeffs(2, F))
-    return eps ** 2 / (8.0 * np.pi ** 2) * weighted_sum(ctx.rule.weights, dens)
+    return eps ** 2 / (8.0 * np.pi ** 2) * weighted_sum(nf.rule.weights, dens)
 
 
-def grad_pairing(A, a, eps: float, domain: str = "r4", rule=None,
+def grad_pairing(A: ChartedField, a, eps: float, rule=None,
                  tol: float = 1e-4) -> float:
-    """First variation of the energy at A in direction a: 2 int <F, d_A a>."""
-    if domain == "ball" and rule is None:
-        ctx = ball_context(A, eps, tol=tol)
-    else:
-        ctx = _r4_context(A, eps, rule=rule, tol=tol)
-    nfA = _field_nf(A, ctx)
-    nfa = ctx.arrays(a)
+    """First variation of the energy at A in direction a: 2 int <F, d_A a>.
+
+    a is a charted field or a NodeField on the rule; the rule defaults to
+    the R^4 rule of ym_eps.
+    """
+    ctx = _r4_context(A, eps, rule=rule, tol=tol)
+    nfA, nfa = ctx.arrays(A), ctx.arrays(a)
     F = curvature_coeffs(nfA.val, nfA.jac, eps)
     da = cov_d_coeffs(1, nfA.val, nfa.val, nfa.jac, eps)
     return weighted_sum(ctx.rule.weights, cdot(F, da))
@@ -175,8 +159,7 @@ def hessian_form(A, a, b, eps: float, rule=None, tol: float = 1e-4) -> float:
         H(a,b) = 2 int <d_A^eps a, d_A^eps b> + 2 int <F_A^eps, eps [a ^ b]>.
     """
     ctx = ball_context(A, eps, rule=rule, tol=tol)
-    nfA = _field_nf(A, ctx)
-    nfa, nfb = ctx.arrays(a), ctx.arrays(b)
+    nfA, nfa, nfb = ctx.arrays(A), ctx.arrays(a), ctx.arrays(b)
     F = curvature_coeffs(nfA.val, nfA.jac, eps)
     da = cov_d_coeffs(1, nfA.val, nfa.val, nfa.jac, eps)
     db = cov_d_coeffs(1, nfA.val, nfb.val, nfb.jac, eps)
@@ -412,7 +395,7 @@ def compute_point_metrics(q: ParamQ, bg: BackgroundConnection = None,
         for i in range(8):
             dnf = basis.node_field(i + 1) - tilde_nf[i]
             out[f"basis_diff_{i+1}"] = float(
-                np.sqrt(max(ctx.inner_nf(dnf, dnf, warn=False), 0.0)))
+                np.sqrt(max(ctx.inner_nf(dnf, dnf), 0.0)))
 
     if "l37" in blocks:
         out.update(_hessian_difference_metrics(q, bg, pi2, basis, ctx,
@@ -519,8 +502,8 @@ def _perp_derivative_metrics(q, bg, pi2, basis, ctx):
     total = max(weighted_sum(weights, dens), 0.0)
     inner2 = weighted_sum(weights[mask], dens[mask])
     out["l310_fd_norm"] = float(np.sqrt(total))
-    out["l310_an_norm"] = float(np.sqrt(max(ctx.inner_nf(an_perp, an_perp,
-                                                         warn=False), 0.0)))
+    out["l310_an_norm"] = float(np.sqrt(max(ctx.inner_nf(an_perp, an_perp),
+                                            0.0)))
     out["l310_inner_norm"] = float(np.sqrt(max(inner2, 0.0)))
     out["l310_outer_norm"] = float(np.sqrt(max(total - inner2, 0.0)))
     out["l310_halving"] = halving

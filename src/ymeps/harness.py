@@ -357,23 +357,23 @@ def _print_report(rep: EstimateReport, out=sys.stdout):
 # commands
 
 
-def _single_tol(args) -> float:
-    return _check_tol(DEFAULT_TOL if args.tol is None else args.tol)
+def _single_point(args):
+    """The point of a single-eps command and the config its options give.
 
-
-def _single_q(args) -> ParamQ:
+    The config is merged from --config and the flags as for the sweeps; its
+    D, tol and out_dir apply, and --eps picks the point.
+    """
+    cfg = _merge_config(args)
     eps = DEFAULT_EPS_SINGLE if args.eps is None else args.eps
-    D = 1.0 if args.ratio_D is None else args.ratio_D
     try:
-        return ParamQ.default(eps, D=D)
+        return ParamQ.default(eps, D=cfg.D), cfg
     except ParamError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _cmd_charge(args) -> int:
-    q = _single_q(args)
-    tol = _single_tol(args)
-    c = charge(extended_connection(q), q.eps, tol=tol)
+    q, cfg = _single_point(args)
+    c = charge(extended_connection(q), q.eps, tol=cfg.tol)
     ok = abs(c - 1.0) <= 1e-2
     print(f"charge(eps={q.eps:g}) = {c:.6f}  target 1.0 +/- 0.01  "
           f"-> {'pass' if ok else 'fail'}")
@@ -381,9 +381,8 @@ def _cmd_charge(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    q = _single_q(args)
-    tol = _single_tol(args)
-    e = q.eps ** 2 * ym_eps(extended_connection(q), q.eps, domain="r4", tol=tol)
+    q, cfg = _single_point(args)
+    e = q.eps ** 2 * ym_eps(extended_connection(q), q.eps, tol=cfg.tol)
     target = 8.0 * np.pi ** 2
     ok = abs(e - target) <= 0.01 * target
     print(f"eps^2 * energy(eps={q.eps:g}) = {e:.6f}  target 8*pi^2 = "
@@ -392,14 +391,12 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_build_basis(args) -> int:
-    q = _single_q(args)
-    tol = _single_tol(args)
-    out_dir = args.out if args.out is not None else "."
-    ball = gram_schmidt_ball(q, tol=tol)
-    weighted = gram_schmidt_weighted(q, ball, tol=tol)
+    q, cfg = _single_point(args)
+    ball = gram_schmidt_ball(q, tol=cfg.tol)
+    weighted = gram_schmidt_weighted(q, ball, tol=cfg.tol)
     rb, rw = ball.gram_residual(), weighted.gram_residual()
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"basis_eps_{q.eps:g}.csv")
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    path = os.path.join(cfg.out_dir, f"basis_eps_{q.eps:g}.csv")
     lines = ["record,i,j,value"]
     for i in range(8):
         lines.append(f"raw_norm,{i+1},{i+1},"
@@ -461,11 +458,10 @@ def _cmd_all(args) -> int:
 
 
 def _cmd_dump_field(args) -> int:
-    q = _single_q(args)
+    q, cfg = _single_point(args)
     field = {"A": lambda: glued_connection(q),
              "Atilde": lambda: extended_connection(q),
              "b": lambda: difference_b(q)}[args.field]()
-    out_dir = args.out if args.out is not None else "."
     n = 41
     span = np.linspace(-0.5, 0.5, n)
     G0, G1 = np.meshgrid(span, span, indexing="ij")
@@ -475,8 +471,8 @@ def _cmd_dump_field(args) -> int:
     X[:, 2], X[:, 3] = q.p[2], q.p[3]
     mask = np.linalg.norm(X - q.p, axis=1) < field.chart_radius()
     vals = field.value_split(X, mask)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"field_{args.field}_eps_{q.eps:g}.csv")
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    path = os.path.join(cfg.out_dir, f"field_{args.field}_eps_{q.eps:g}.csv")
     lines = ["x0,x1,x2,x3,component-index,e1,e2,e3"]
     for r in range(n * n):
         coords = [_fmt(X[r, k]) for k in range(4)]

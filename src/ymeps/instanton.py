@@ -29,8 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .forms import FormField
-from .liealg import SO3_GENERATORS, GroupElement, adjoint_matrix, qmul, so3_generator
+from .liealg import SO3_GENERATORS, GroupElement, adjoint_matrix, so3_generator
 
 __all__ = [
     "ETA",
@@ -41,18 +40,12 @@ __all__ = [
     "ChartedField",
     "Term",
     "DIRECTIONS",
-    "i1_form",
-    "i2_form",
-    "cutoff",
     "beta_profile",
     "glued_connection",
     "extended_connection",
     "difference_b",
     "derivative_fields",
-    "dA_dparam",
-    "datilde_dparam",
     "d2A_dp1p1",
-    "transition_quaternion",
     "sample_charted",
 ]
 
@@ -176,20 +169,6 @@ def _profile_w(w, order=0):
     else:
         raise ValueError("order must be 0..4")
     return np.where(mid, out, 0.0)
-
-
-def cutoff(lam: float, p, scale: float, x, order: int = 0):
-    """beta(|x-p|/scale) (scale is lam or lam/4); radial t-derivative of given order.
-
-    order=k returns d^k/dt^k beta evaluated at t = |x-p|/scale; spatial and
-    parameter derivatives used in the fields go through the atom channels.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    t = np.linalg.norm(X - np.asarray(p, dtype=float), axis=1) / scale
-    out = beta_profile(t, order)
-    return float(out[0]) if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -400,18 +379,6 @@ def terms_jac(terms, X, memo=None):
     return out
 
 
-def terms_hess(terms, X):
-    X = np.asarray(X, dtype=float)
-    out = np.empty((X.shape[0], 3, 4, 4, 4))
-    memo = {}
-    for nu in range(4):
-        for rho in range(nu, 4):
-            v = _terms_sum(memo, terms, X, (nu, rho))
-            out[..., nu, rho] = v
-            out[..., rho, nu] = v
-    return out
-
-
 def d_dp(terms, i):
     """d/dp_i of a term list (0-based coordinate index i)."""
     out = []
@@ -522,17 +489,6 @@ class BackgroundConnection:
     def atom(self) -> BgAtom:
         return BgAtom(self.Cmat, self.amplitude)
 
-    def form_field(self) -> FormField:
-        a = self.atom()
-        terms = [Term(1.0, lie=a, x_based=True)]
-        return terms_form_field(terms, domain="ball", name="bg")
-
-
-def terms_form_field(terms, domain="r4", name="") -> FormField:
-    return FormField(1, lambda X: terms_value(terms, X),
-                     lambda X: terms_jac(terms, X),
-                     lambda X: terms_hess(terms, X), domain=domain, name=name)
-
 
 @dataclass
 class ChartedField:
@@ -546,12 +502,6 @@ class ChartedField:
 
     def chart_radius(self) -> float:
         return self.lam / 4.0
-
-    def inner_field(self) -> FormField:
-        return terms_form_field(self.inner_terms, domain="ball", name=self.name + ":in")
-
-    def outer_field(self) -> FormField:
-        return terms_form_field(self.outer_terms, domain="r4", name=self.name + ":out")
 
     def value_split(self, X, mask_inner):
         """Chart-consistent value on a batch with a given inner-chart mask."""
@@ -584,13 +534,6 @@ def sample_charted(fields, X, mask_inner, need_jac=True):
     return list(zip(vals, jacs))
 
 
-def transition_quaternion(p, g, X) -> np.ndarray:
-    """g * g12(x) * g^{-1} as unit quaternions (N,4), g12 = (x-p)/|x-p|."""
-    Y = np.asarray(X, dtype=float) - np.asarray(p, dtype=float)
-    g12 = Y / np.linalg.norm(Y, axis=1, keepdims=True)
-    return qmul(qmul(g.quaternion(), g12), g.inverse().quaternion())
-
-
 # ---------------------------------------------------------------------------
 # the family
 
@@ -615,18 +558,6 @@ def _i1_atom(q: ParamQ):
 
 def _i2_atom(q: ParamQ):
     return LinRadAtom(2 * ETABAR, rad_i2, q.p, q.lam)
-
-
-def i1_form(lam: float, p) -> FormField:
-    """Inner-chart instanton 1-form: coefficients 2(eta y)/(lam^2+|y|^2)."""
-    atom = LinRadAtom(2 * ETA, rad_i1, np.asarray(p, float), lam)
-    return terms_form_field([Term(1.0, lie=atom)], domain="ball", name="I1")
-
-
-def i2_form(lam: float, p) -> FormField:
-    """Outer-chart instanton 1-form: coefficients 2(etabar y)(1/s - 1/(lam^2+s))."""
-    atom = LinRadAtom(2 * ETABAR, rad_i2, np.asarray(p, float), lam)
-    return terms_form_field([Term(1.0, lie=atom)], domain="punctured", name="I2")
 
 
 def _inner_terms(q: ParamQ) -> list:
@@ -722,18 +653,6 @@ def derivative_fields(A: ChartedField, directions=DIRECTIONS,
                          _apply_direction(A.outer_terms, d),
                          name=f"{name}/d{d}")
             for d in directions]
-
-
-def dA_dparam(q: ParamQ, direction: str, bg: BackgroundConnection = None,
-              pi2: str = "model") -> ChartedField:
-    """Analytic parameter derivative of the glued family, chart-wise."""
-    bg = BackgroundConnection() if bg is None else bg
-    return derivative_fields(glued_connection(q, bg, pi2), (direction,))[0]
-
-
-def datilde_dparam(q: ParamQ, direction: str) -> ChartedField:
-    """Analytic parameter derivative of the extension."""
-    return derivative_fields(extended_connection(q), (direction,), "dAt")[0]
 
 
 def d2A_dp1p1(q: ParamQ, bg: BackgroundConnection = None,

@@ -1,15 +1,15 @@
-"""su(2)/SU(2) kernel: quaternion algebra, bracket, exp, adjoint, so(3).
+"""su(2)/SU(2) kernel: quaternion algebra, exp, adjoint, so(3).
 
 Conventions used throughout the package:
 
 * su(2) elements are stored by coefficients (x1, x2, x3) on the basis
   e_i = u_i / 2, where (u_1, u_2, u_3) are the imaginary quaternion units.
   Then [e1, e2] = e3 cyclically, i.e. the bracket in coefficients is the
-  ordinary cross product.
+  ordinary cross product (forms.bracket_wedge_coeffs).
 * The inner product on the algebra is the plain coefficient dot,
-  <X, Y> = x1 y1 + x2 y2 + x3 y3.  The trace pairing of the defining 2x2
-  representation is -tr(XY) = <X, Y> / 2; energy-like functionals apply that
-  factor explicitly (see functionals.pair_density).
+  <X, Y> = x1 y1 + x2 y2 + x3 y3 (forms.cdot).  The trace pairing of the
+  defining 2x2 representation is -tr(XY) = <X, Y> / 2; the energy and charge
+  in functionals apply that factor explicitly.
 * SO(3) points are stored as SU(2) representatives (unit quaternions); g and
   -g are never distinguished except through the adjoint action.
 """
@@ -24,7 +24,6 @@ __all__ = [
     "AlgElement",
     "GroupElement",
     "qmul",
-    "bracket",
     "exp_map",
     "adjoint",
     "adjoint_matrix",
@@ -59,26 +58,6 @@ class AlgElement:
     def quaternion(self) -> np.ndarray:
         """Image as a pure-imaginary quaternion (components halve: e_i = u_i/2)."""
         return np.array([0.0, self.x1 / 2.0, self.x2 / 2.0, self.x3 / 2.0])
-
-    def inner(self, other: "AlgElement") -> float:
-        return float(self.coeffs() @ other.coeffs())
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.inner(self)))
-
-    def __add__(self, other):
-        return AlgElement(self.x1 + other.x1, self.x2 + other.x2, self.x3 + other.x3)
-
-    def __sub__(self, other):
-        return AlgElement(self.x1 - other.x1, self.x2 - other.x2, self.x3 - other.x3)
-
-    def __mul__(self, c):
-        return AlgElement(self.x1 * c, self.x2 * c, self.x3 * c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
 
 
 E1 = AlgElement(1.0, 0.0, 0.0)
@@ -118,19 +97,6 @@ class GroupElement:
 
     def __repr__(self):
         return f"GroupElement({self.q0:.6g}, {self.q1:.6g}, {self.q2:.6g}, {self.q3:.6g})"
-
-
-def bracket(X: AlgElement, Y: AlgElement) -> AlgElement:
-    """Ordinary Lie bracket [X, Y], computed as the quaternion commutator.
-
-    In e-basis coefficients this equals the cross product (the tests check
-    both routes agree); the commutator route is kept as the definition.
-    """
-    qx = X.quaternion()
-    qy = Y.quaternion()
-    comm = qmul(qx, qy) - qmul(qy, qx)
-    # imaginary part, rescaled back to e-coefficients (factor 2)
-    return AlgElement(2.0 * comm[1], 2.0 * comm[2], 2.0 * comm[3])
 
 
 def exp_map(X: AlgElement) -> GroupElement:

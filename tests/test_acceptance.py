@@ -14,18 +14,15 @@ from ymeps.basis import ball_context
 from ymeps.forms import (
     N_COMP,
     cdot,
-    codifferential_eps,
-    covariant_d_eps,
     curvature_coeffs,
     domain_ball_rule,
-    exterior_d,
     star_coeffs,
-    wedge_bracket,
     weighted_sum,
 )
 from ymeps.functionals import (
     charge,
     compute_point_metrics,
+    grad_pairing,
     lemma36_report,
     lemma37_report,
     lemma57_report,
@@ -36,14 +33,19 @@ from ymeps.functionals import (
     ym_eps,
 )
 from ymeps.harness import emit_outputs, report_csv
-from ymeps.instanton import (
-    ParamQ,
-    extended_connection,
-    glued_connection,
-    i1_form,
-)
+from ymeps.instanton import ParamQ, extended_connection, glued_connection
 from ymeps.liealg import AlgElement, exp_map
-from oracle import bump_one_form
+from oracle import (
+    bump_one_form,
+    codifferential_eps,
+    covariant_d_eps,
+    exterior_d,
+    i1_form,
+    inner_field,
+    outer_field,
+    sample_form,
+    wedge_bracket,
+)
 
 ACC_EPS = tuple(2.0 ** -k for k in range(4, 10))
 ALL_BLOCKS = frozenset({"basis", "weighted", "l36", "l37", "l310"})
@@ -85,7 +87,7 @@ def test_criterion_01_charge_is_plus_one():
 def test_criterion_02_normalized_energy():
     t0 = time.monotonic()
     q = ParamQ.default(2.0 ** -6)
-    e = q.eps ** 2 * ym_eps(extended_connection(q), q.eps, domain="r4")
+    e = q.eps ** 2 * ym_eps(extended_connection(q), q.eps)
     dt = time.monotonic() - t0
     target = 8.0 * np.pi ** 2
     ok = abs(e - target) <= 0.01 * target and dt < 60.0
@@ -212,7 +214,7 @@ def test_criterion_10_structural_suite(tmp_path):
 
     # differential Bianchi identity for the extension's curvature
     At = extended_connection(q)
-    for ff in (At.inner_field(), At.outer_field()):
+    for ff in (inner_field(At), outer_field(At)):
         F = exterior_d(ff) + 0.5 * q.eps * wedge_bracket(ff, ff)
         dF = covariant_d_eps(ff, F, q.eps).value(X)
         s = (np.abs(exterior_d(F).value(X)).max()
@@ -247,16 +249,15 @@ def test_criterion_10_structural_suite(tmp_path):
     a = bump_one_form(q.p + np.array([0.25, 0.0, -0.1, 0.0]), 0.2,
                       rng.standard_normal((3, 4)))
     brule = domain_ball_rule(q.p, q.lam)
-    ctx = ball_context(A, q.eps, rule=brule)
-    nfA, nfa = ctx.arrays(A), ctx.arrays(a)
+    nfA = ball_context(A, q.eps, rule=brule).arrays(A)
+    nfa = sample_form(a, brule)
 
     def E(t):
         nf = nfA + t * nfa
         Ft = curvature_coeffs(nf.val, nf.jac, q.eps)
         return weighted_sum(brule.weights, 0.5 * cdot(Ft, Ft))
 
-    from ymeps.functionals import grad_pairing
-    got = grad_pairing(A, a, q.eps, domain="ball", rule=brule)
+    got = grad_pairing(A, nfa, q.eps, rule=brule)
     h = 1e-3
     fd = (E(h) - E(-h)) / (2.0 * h)
     assert abs(got - fd) <= 1e-3 * max(abs(got), abs(fd))
@@ -272,8 +273,8 @@ def test_criterion_10_structural_suite(tmp_path):
         r = frac * q.lam / 4.0
         Xo = q.p + r * np.array([[1.0, 0, 0, 0], [0, 0.6, 0.8, 0],
                                  [0.5, 0.5, 0.5, 0.5]])
-        inner_d = curv_density(A.inner_field(), Xo)
-        outer_d = curv_density(A.outer_field(), Xo)
+        inner_d = curv_density(inner_field(A), Xo)
+        outer_d = curv_density(outer_field(A), Xo)
         assert np.allclose(inner_d, outer_d, rtol=1e-8)
     notes.append("chart overlap ok")
 

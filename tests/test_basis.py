@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from ymeps.forms import (
-    FormField,
     NumericalError,
     ball_rule,
     domain_ball_rule,
+    tail_report,
     weighted_r4_rule,
 )
 from ymeps.instanton import (
@@ -20,42 +20,27 @@ from ymeps.liealg import AlgElement, exp_map
 from ymeps.basis import (
     GramBasis,
     _basis_field_at,
-    TailWarning,
     ball_context,
     basis_directional_derivative,
     gram_schmidt_ball,
     gram_schmidt_weighted,
-    inner_ball,
-    inner_weighted,
     mgs_coefficients,
     project_perp,
     weighted_context,
 )
+from oracle import bump_one_form, constant_form, flat_context, sample_form
 
 RNG_SEED = 515151
 
 
-def const_field(coeffs):
-    return FormField.constant(1, np.asarray(coeffs, dtype=float))
+def _flat_ball(eps):
+    """Zero-connection context on the unit-ball rule polar around 0."""
+    return flat_context(ball_rule(np.zeros(4), 0.25, R=1.0), eps)
 
 
-def bump_field(center, scale, coeff_mat, rng=None):
-    """Compactly supported smooth 1-form with analytic jacobian."""
-    c = np.asarray(center, dtype=float)
-    C = np.asarray(coeff_mat, dtype=float)  # (3,4)
-
-    def value(X):
-        u = 1.0 - np.sum((X - c) ** 2, axis=1) / scale ** 2
-        prof = np.where(u > 0, u ** 3, 0.0)
-        return C[None, :, :] * prof[:, None, None]
-
-    def jac(X):
-        Y = X - c
-        u = 1.0 - np.sum(Y * Y, axis=1) / scale ** 2
-        dprof = np.where(u > 0, 3 * u ** 2, 0.0) * (-2.0 / scale ** 2)
-        return C[None, :, :, None] * (dprof[:, None] * Y)[:, None, None, :]
-
-    return FormField(1, value, jac, domain="ball", name="bump")
+def _inner(ctx, a, b):
+    """(a, b) in ctx for FormFields, sampled on its rule."""
+    return ctx.inner_nf(sample_form(a, ctx.rule), sample_form(b, ctx.rule))
 
 
 # ---------------------------------------------------------------------------
@@ -63,91 +48,89 @@ def bump_field(center, scale, coeff_mat, rng=None):
 
 
 def test_inner_ball_zero_and_symmetry():
-    a = const_field(np.zeros((3, 4)))
+    a = constant_form(1, np.zeros((3, 4)))
     M = np.zeros((3, 4))
     M[0, 0] = 1.0
-    b = const_field(M)
-    assert inner_ball(a, b, None, eps=0.1) == 0.0
+    b = constant_form(1, M)
+    assert _inner(_flat_ball(0.1), a, b) == 0.0
     rng = np.random.default_rng(RNG_SEED)
-    f1 = bump_field(np.zeros(4), 0.8, rng.standard_normal((3, 4)))
-    f2 = bump_field(0.2 * np.ones(4), 0.5, rng.standard_normal((3, 4)))
-    ctx = ball_context(None, eps=0.25)
-    assert abs(ctx.inner(f1, f2) - ctx.inner(f2, f1)) <= 1e-12
+    f1 = bump_one_form(np.zeros(4), 0.8, rng.standard_normal((3, 4)))
+    f2 = bump_one_form(0.2 * np.ones(4), 0.5, rng.standard_normal((3, 4)))
+    ctx = _flat_ball(0.25)
+    assert abs(_inner(ctx, f1, f2) - _inner(ctx, f2, f1)) <= 1e-12
 
 
 def test_inner_ball_constant_field_volume():
     # A=0: derivative term vanishes, (alpha, alpha) = vol(B^4) = pi^2/2
     M = np.zeros((3, 4))
     M[0, 0] = 1.0
-    alpha = const_field(M)
-    got = inner_ball(alpha, alpha, None, eps=0.3)
+    alpha = constant_form(1, M)
+    got = _inner(_flat_ball(0.3), alpha, alpha)
     assert got == pytest.approx(np.pi ** 2 / 2, rel=1e-8)
 
 
 def test_inner_ball_positive_definite():
     rng = np.random.default_rng(RNG_SEED + 1)
-    ctx = ball_context(None, eps=0.5)
+    ctx = _flat_ball(0.5)
     for _ in range(3):
-        f = bump_field(np.zeros(4), 0.7, rng.standard_normal((3, 4)))
-        assert ctx.inner(f, f) > 0.0
+        f = bump_one_form(np.zeros(4), 0.7, rng.standard_normal((3, 4)))
+        assert _inner(ctx, f, f) > 0.0
 
 
 def test_inner_weighted_matches_ball_for_supported_fields():
     # fields supported in B^4: w=1 there and the exterior contributes nothing
     rng = np.random.default_rng(RNG_SEED + 2)
     C1, C2 = rng.standard_normal((2, 3, 4))
-    f1 = bump_field(np.zeros(4), 0.9, C1)
-    f2 = bump_field(np.array([0.1, 0.0, -0.1, 0.0]), 0.6, C2)
+    f1 = bump_one_form(np.zeros(4), 0.9, C1)
+    f2 = bump_one_form(np.array([0.1, 0.0, -0.1, 0.0]), 0.6, C2)
     q = ParamQ.default(2.0 ** -6)
     A = glued_connection(q)
-    vb = inner_ball(f1, f2, A, q.eps)
-    vw = inner_weighted(f1, f2, A, q.eps)
+    vb = _inner(ball_context(A, q.eps), f1, f2)
+    vw = _inner(weighted_context(A, q.eps), f1, f2)
     assert vw == pytest.approx(vb, rel=5e-7)
 
 
 def test_gradient_cache_is_not_served_to_a_later_context():
-    # sample on a context that is dropped at once, then pair the same node
-    # field under A and under Atilde on one rule: each short-lived context may
-    # reuse a freed one's address, and each must compute its own gradient
+    # sample on a rule, then pair the same node field under A and under
+    # Atilde: each short-lived context may reuse a freed one's address, and
+    # each must compute its own gradient
     q = ParamQ.default(2.0 ** -5)
     A, At = glued_connection(q), extended_connection(q)
     rule = domain_ball_rule(q.p, q.lam)
-    f = bump_field(q.p, 0.6, np.eye(3, 4))
+    f = bump_one_form(q.p, 0.6, np.eye(3, 4))
 
     def fresh(conn):
-        nf = ball_context(conn, q.eps, rule=rule).arrays(f)
-        return inner_ball(nf, nf, conn, q.eps, rule=rule)
+        nf = sample_form(f, rule)
+        return ball_context(conn, q.eps, rule=rule).inner_nf(nf, nf)
 
     want_A, want_At = fresh(A), fresh(At)
     assert abs(want_At - want_A) > 1e-6 * abs(want_A)
-    nf = ball_context(A, q.eps, rule=rule).arrays(f)
+    nf = sample_form(f, rule)
     for _ in range(3):
-        assert inner_ball(nf, nf, A, q.eps, rule=rule) == want_A
-        assert inner_ball(nf, nf, At, q.eps, rule=rule) == want_At
+        assert ball_context(A, q.eps, rule=rule).inner_nf(nf, nf) == want_A
+        assert ball_context(At, q.eps, rule=rule).inner_nf(nf, nf) == want_At
 
 
 def test_inner_weighted_constant_field_reports_tail():
     # |alpha|^2 = 1 everywhere: the weighted mass integral has no decay, the
-    # truncated value is returned with a warning, and it matches the same
+    # tail report flags it, and the truncated value matches the same
     # truncation computed from the rule's own radial data
     M = np.zeros((3, 4))
     M[1, 2] = 1.0
-    alpha = const_field(M)
-    ctx = weighted_context(None, eps=0.3)
-    with pytest.warns(TailWarning):
-        got = ctx.inner(alpha, alpha)
+    ctx = flat_context(weighted_r4_rule(np.zeros(4), 0.25), 0.3, weighted=True)
+    nf = sample_form(constant_form(1, M), ctx.rule)
+    assert not tail_report(ctx.rule, ctx.density(nf, nf))["tail_converged"]
+    got = ctx.inner_nf(nf, nf)
     oracle = float(np.sum(ctx.rule.weights * ctx.wvals))  # 1-d radial mass
     assert got == pytest.approx(oracle, rel=1e-12)
     assert np.isfinite(got)
 
 
-def test_inner_weighted_no_warning_for_decaying_field():
-    import warnings as _w
+def test_inner_weighted_tail_converges_for_decaying_field():
     q = ParamQ.default(2.0 ** -5)
-    f = bump_field(q.p, 0.5, np.eye(3, 4))
-    with _w.catch_warnings():
-        _w.simplefilter("error", TailWarning)
-        inner_weighted(f, f, glued_connection(q), q.eps)
+    ctx = weighted_context(glued_connection(q), q.eps)
+    nf = sample_form(bump_one_form(q.p, 0.5, np.eye(3, 4)), ctx.rule)
+    assert tail_report(ctx.rule, ctx.density(nf, nf))["tail_converged"]
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +185,14 @@ def test_gram_schmidt_ball_orthonormal():
 def test_gram_schmidt_ball_synthetic_orthonormal_inputs():
     # feeding eight orthonormal fields returns identity coefficients
     from ymeps.basis import _basis_from_fields
-    ctx = ball_context(None, eps=0.1)
+    ctx = _flat_ball(0.1)
     slots = [(a, mu) for a in range(3) for mu in range(4)][:8]
     fields = []
     for a, mu in slots:
         M = np.zeros((3, 4))
         M[a, mu] = np.sqrt(2.0 / np.pi ** 2)  # unit H^1 norm: constants
-        fields.append(const_field(M))
-    basis = _basis_from_fields("ball", ctx, [ctx.arrays(f) for f in fields])
+        fields.append(sample_form(constant_form(1, M), ctx.rule))
+    basis = _basis_from_fields("ball", ctx, fields)
     assert np.allclose(basis.coeff, np.eye(8), atol=1e-6)
 
 
@@ -233,9 +216,9 @@ def test_reconstruction_from_coefficients():
             nf = basis.node_field(k + 1) * Cinv[j, k]
             recon = nf if recon is None else recon + nf
         diff = recon - basis.raw_nodefields[j]
-        rel = np.sqrt(ctx.inner_nf(diff, diff, warn=False)
+        rel = np.sqrt(ctx.inner_nf(diff, diff)
                       / ctx.inner_nf(basis.raw_nodefields[j],
-                                     basis.raw_nodefields[j], warn=False))
+                                     basis.raw_nodefields[j]))
         assert rel <= 1e-8
 
 
@@ -255,30 +238,30 @@ def test_project_perp_annihilates_basis_and_obeys_bessel():
     ctx = basis.ctx
     # v = a_3 projects to ~0
     res = project_perp(basis.node_field(3), basis)
-    n3 = np.sqrt(max(ctx.inner_nf(res, res, warn=False), 0.0))
+    n3 = np.sqrt(max(ctx.inner_nf(res, res), 0.0))
     assert n3 <= 1e-8
     # random v: residual orthogonal to every basis field, norm non-increasing
     rng = np.random.default_rng(RNG_SEED + 4)
-    v = bump_field(q.p + 0.05, 2 * q.lam, rng.standard_normal((3, 4)))
-    nv = ctx.arrays(v)
-    res = project_perp(v, basis)
-    norm_v = np.sqrt(ctx.inner_nf(nv, nv, warn=False))
-    norm_r = np.sqrt(max(ctx.inner_nf(res, res, warn=False), 0.0))
+    v = bump_one_form(q.p + 0.05, 2 * q.lam, rng.standard_normal((3, 4)))
+    nv = sample_form(v, ctx.rule)
+    res = project_perp(nv, basis)
+    norm_v = np.sqrt(ctx.inner_nf(nv, nv))
+    norm_r = np.sqrt(max(ctx.inner_nf(res, res), 0.0))
     assert norm_r <= norm_v * (1 + 1e-12)
     for i in range(1, 9):
         ai = basis.node_field(i)
-        assert abs(ctx.inner_nf(res, ai, warn=False)) <= 1e-8 * max(1.0, norm_v)
+        assert abs(ctx.inner_nf(res, ai)) <= 1e-8 * max(1.0, norm_v)
 
 
 def test_project_perp_fixed_point_for_orthogonal_input():
     q, basis = _ball_basis()
     ctx = basis.ctx
     rng = np.random.default_rng(RNG_SEED + 5)
-    v = bump_field(q.p - 0.03, 1.5 * q.lam, rng.standard_normal((3, 4)))
-    first = project_perp(v, basis)
+    v = bump_one_form(q.p - 0.03, 1.5 * q.lam, rng.standard_normal((3, 4)))
+    first = project_perp(sample_form(v, ctx.rule), basis)
     second = project_perp(first, basis)
     diff = second - first
-    assert np.sqrt(max(ctx.inner_nf(diff, diff, warn=False), 0.0)) <= 1e-8
+    assert np.sqrt(max(ctx.inner_nf(diff, diff), 0.0)) <= 1e-8
 
 
 def test_basis_directional_derivative_step_halving():
@@ -287,7 +270,7 @@ def test_basis_directional_derivative_step_halving():
     d, halving = basis_directional_derivative(q, 1, 1, basis)
     assert halving < 0.01
     ctx = basis.ctx
-    assert np.isfinite(ctx.inner_nf(d, d, warn=False))
+    assert np.isfinite(ctx.inner_nf(d, d))
 
 
 def test_fd_rebuild_at_the_base_point_is_the_basis_field():

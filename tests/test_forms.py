@@ -11,14 +11,17 @@ from ymeps.forms import (
     COMP_INDEX,
     MULTI_INDEX,
     N_COMP,
-    FormField,
-    NumericalError,
     bracket_wedge_coeffs,
+    star_coeffs,
+)
+from oracle import (
+    FormField,
+    bump_one_form,
     codifferential_eps,
+    constant_form,
     covariant_d_eps,
     covariant_grad_eps,
     exterior_d,
-    star_coeffs,
     wedge_bracket,
 )
 
@@ -41,35 +44,6 @@ def star_oracle(k, coeffs):
                     sign = -sign
         out[:, COMP_INDEX[4 - k][Ic]] += sign * coeffs[:, i]
     return out
-
-
-def bump_scalar(X, c, s):
-    """(1 - |x-c|^2/s^2)^3 on its support, with derivative helper."""
-    u = 1.0 - np.sum((X - c) ** 2, axis=1) / s ** 2
-    return np.where(u > 0, u ** 3, 0.0)
-
-
-def bump_scalar_grad(X, c, s):
-    u = 1.0 - np.sum((X - c) ** 2, axis=1) / s ** 2
-    du = np.where(u > 0, 3 * u ** 2, 0.0)
-    return du[:, None] * (-2.0 / s ** 2) * (X - c)
-
-
-def bump_form(degree, c, s, amp):
-    """Compactly supported polynomial k-form with analytic jacobian.
-
-    amp: (3, C) constant coefficient pattern times the scalar bump.
-    """
-    amp = np.asarray(amp, dtype=float)
-
-    def value(X):
-        return amp[None] * bump_scalar(X, c, s)[:, None, None]
-
-    def jac(X):
-        g = bump_scalar_grad(X, c, s)  # (N,4)
-        return amp[None, :, :, None] * g[:, None, None, :]
-
-    return FormField(degree, value, jac, domain="ball", name="bump")
 
 
 # ---------------------------------------------------------------------------
@@ -110,18 +84,14 @@ def test_star_against_bruteforce_oracle():
 # wedge bracket
 
 
-def _const_one_form(coeffs):
-    return FormField.constant(1, coeffs)
-
-
 def test_wedge_bracket_examples():
     e1dx0 = np.zeros((3, 4)); e1dx0[0, 0] = 1.0
-    a = _const_one_form(e1dx0)
+    a = constant_form(1, e1dx0)
     z = wedge_bracket(a, a).value(np.zeros((1, 4)))
     assert np.allclose(z, 0.0)
 
     e2dx1 = np.zeros((3, 4)); e2dx1[1, 1] = 1.0
-    b = _const_one_form(e2dx1)
+    b = constant_form(1, e2dx1)
     v = wedge_bracket(a, b).value(np.zeros((1, 4)))[0]
     want = np.zeros((3, 6))
     want[2, COMP_INDEX[2][(0, 1)]] = 1.0  # [e1,e2] = e3 on dx0^dx1
@@ -133,7 +103,7 @@ def test_wedge_bracket_oracle_and_symmetry():
     rng = np.random.default_rng(3)
     ac = rng.standard_normal((3, 4))
     bc = rng.standard_normal((3, 4))
-    a, b = _const_one_form(ac), _const_one_form(bc)
+    a, b = constant_form(1, ac), constant_form(1, bc)
     got = wedge_bracket(a, b).value(np.zeros((1, 4)))[0]
     want = np.zeros((3, 6))
     for (mu, nu), idx in COMP_INDEX[2].items():
@@ -147,9 +117,9 @@ def test_wedge_bracket_oracle_and_symmetry():
 def test_wedge_bracket_bilinear():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((5, 4))
-    a1 = bump_form(1, np.zeros(4), 2.0, rng.standard_normal((3, 4)))
-    a2 = bump_form(1, np.zeros(4), 3.0, rng.standard_normal((3, 4)))
-    b = bump_form(1, np.zeros(4), 2.5, rng.standard_normal((3, 4)))
+    a1 = bump_one_form(np.zeros(4), 2.0, rng.standard_normal((3, 4)))
+    a2 = bump_one_form(np.zeros(4), 3.0, rng.standard_normal((3, 4)))
+    b = bump_one_form(np.zeros(4), 2.5, rng.standard_normal((3, 4)))
     lhs = wedge_bracket(a1 + 2.0 * a2, b).value(X)
     rhs = wedge_bracket(a1, b).value(X) + 2.0 * wedge_bracket(a2, b).value(X)
     assert np.allclose(lhs, rhs, atol=1e-12)
@@ -187,8 +157,8 @@ def test_bracket_kernel_matches_cross_oracle_exactly(degree):
 
 
 def test_wedge_bracket_degree_mismatch():
-    a = _const_one_form(np.zeros((3, 4)))
-    b = FormField.constant(2, np.zeros((3, 6)))
+    a = constant_form(1, np.zeros((3, 4)))
+    b = constant_form(2, np.zeros((3, 6)))
     with pytest.raises(ValueError):
         wedge_bracket(a, b)
 
@@ -198,7 +168,7 @@ def test_wedge_bracket_degree_mismatch():
 
 
 def test_d_constant_is_zero():
-    w = FormField.constant(0, np.ones((3, 1)))
+    w = constant_form(0, np.ones((3, 1)))
     assert np.allclose(exterior_d(w).value(np.ones((3, 4))), 0.0)
 
 
@@ -270,11 +240,11 @@ def test_fd_jac_matches_analytic():
 def test_covariant_d_reduces_and_is_linear_in_eps():
     rng = np.random.default_rng(8)
     w = _poly_one_form(rng)
-    A0 = FormField.zero(1)
+    A0 = constant_form(1, np.zeros((3, 4)))
     X = rng.standard_normal((6, 4))
     assert np.allclose(covariant_d_eps(A0, w, 0.3).value(X),
                        exterior_d(w).value(X), atol=1e-13)
-    A = bump_form(1, np.zeros(4), 2.0, rng.standard_normal((3, 4)))
+    A = bump_one_form(np.zeros(4), 2.0, rng.standard_normal((3, 4)))
     d0 = exterior_d(w).value(X)
     d1 = covariant_d_eps(A, w, 1.0).value(X)
     d_half = covariant_d_eps(A, w, 0.5).value(X)
@@ -282,8 +252,8 @@ def test_covariant_d_reduces_and_is_linear_in_eps():
 
 
 def test_codifferential_examples():
-    A0 = FormField.zero(1)
-    const = FormField.constant(1, np.ones((3, 4)))
+    A0 = constant_form(1, np.zeros((3, 4)))
+    const = constant_form(1, np.ones((3, 4)))
     v = codifferential_eps(A0, const, 0.5).value(np.ones((2, 4)))
     assert np.allclose(v, 0.0, atol=1e-9)
 
@@ -306,15 +276,15 @@ def test_codifferential_examples():
 
 def test_covariant_grad():
     rng = np.random.default_rng(9)
-    A0 = FormField.zero(1)
-    const = FormField.constant(1, rng.standard_normal((3, 4)))
+    A0 = constant_form(1, np.zeros((3, 4)))
+    const = constant_form(1, rng.standard_normal((3, 4)))
     g = covariant_grad_eps(A0, const, 0.7)(rng.standard_normal((4, 4)))
     assert np.allclose(g, 0.0)
 
     # constant-gauge covariance of the pointwise norm
     from ymeps.liealg import GroupElement, adjoint_matrix
 
-    A = bump_form(1, np.zeros(4), 2.0, rng.standard_normal((3, 4)))
+    A = bump_one_form(np.zeros(4), 2.0, rng.standard_normal((3, 4)))
     alpha = _poly_one_form(rng)
     X = 0.4 * rng.standard_normal((6, 4))
     R = adjoint_matrix(GroupElement(*rng.standard_normal(4)))
@@ -333,7 +303,7 @@ def test_covariant_grad():
 
 def test_covariant_grad_matches_fd():
     rng = np.random.default_rng(10)
-    A = bump_form(1, np.zeros(4), 2.0, rng.standard_normal((3, 4)))
+    A = bump_one_form(np.zeros(4), 2.0, rng.standard_normal((3, 4)))
     alpha_a = _poly_one_form(rng)
     eps = 0.3
     X = 0.3 * rng.standard_normal((5, 4))

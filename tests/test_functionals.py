@@ -7,15 +7,12 @@ from ymeps.basis import InnerContext, ball_context, gram_schmidt_ball
 from ymeps.forms import (
     COMP_INDEX,
     MULTI_INDEX,
-    FormField,
     NumericalError,
     QuadratureRule,
     bracket_wedge_coeffs,
     cdot,
     codiff_coeffs,
-    codifferential_eps,
     cov_d_coeffs,
-    covariant_d_eps,
     curvature_coeffs,
     domain_ball_rule,
     star_coeffs,
@@ -43,13 +40,21 @@ from ymeps.functionals import test_field_family as probe_family
 from ymeps.instanton import (
     PI2_STRATEGIES,
     BackgroundConnection,
+    ChartedField,
     ParamQ,
     difference_b,
     extended_connection,
     glued_connection,
 )
 from ymeps.liealg import AlgElement, exp_map
-from oracle import bump_one_form, full_rule_probe_draws, full_rule_probes
+from oracle import (
+    bump_one_form,
+    codifferential_eps,
+    covariant_d_eps,
+    full_rule_probe_draws,
+    full_rule_probes,
+    sample_form,
+)
 
 RNG_SEED = 77023
 
@@ -87,20 +92,25 @@ def test_fit_slope_validation():
 
 def test_energy_extension_closed_form():
     q = _generic_q()
-    val = q.eps ** 2 * ym_eps(extended_connection(q), q.eps, domain="r4")
+    val = q.eps ** 2 * ym_eps(extended_connection(q), q.eps)
     assert abs(val - 8.0 * np.pi ** 2) < 1e-3 * 8.0 * np.pi ** 2
 
 
+def _flat():
+    """The zero connection: a charted field with empty term lists."""
+    return ChartedField(np.zeros(4), 0.25, [], [])
+
+
 def test_energy_flat_is_zero():
-    assert ym_eps(None, 2.0 ** -6, domain="r4") == 0.0
+    assert ym_eps(_flat(), 2.0 ** -6) == 0.0
 
 
 def test_energy_constant_group_invariance():
     q1 = ParamQ.default(2.0 ** -5, p=[0.05, 0.0, -0.1, 0.02])
     q2 = ParamQ(p=q1.p, g=exp_map(AlgElement(-0.7, 0.25, 1.1)), lam=q1.lam,
                 eps=q1.eps)
-    e1 = ym_eps(extended_connection(q1), q1.eps, domain="r4")
-    e2 = ym_eps(extended_connection(q2), q2.eps, domain="r4")
+    e1 = ym_eps(extended_connection(q1), q1.eps)
+    e2 = ym_eps(extended_connection(q2), q2.eps)
     assert abs(e1 - e2) < 1e-10 * abs(e1)
 
 
@@ -110,7 +120,7 @@ def test_charge_extension_is_plus_one():
 
 
 def test_charge_flat_is_zero():
-    assert charge(None, 2.0 ** -6) == 0.0
+    assert charge(_flat(), 2.0 ** -6) == 0.0
 
 
 def test_charge_negated_group_element():
@@ -130,9 +140,8 @@ def test_charge_negated_group_element():
 
 def _energy_curve(A, a, eps, rule):
     """E(t) = ym(A + t a) evaluated through shared sampled arrays."""
-    ctx = ball_context(A, eps, rule=rule)
-    nfA = ctx.arrays(A)
-    nfa = ctx.arrays(a)
+    nfA = ball_context(A, eps, rule=rule).arrays(A)
+    nfa = sample_form(a, rule)
 
     def E(t):
         nf = nfA + t * nfa
@@ -150,7 +159,7 @@ def test_grad_pairing_matches_fd():
                        [0.0, 0.3, -0.5, 0.0],
                        [0.2, 0.0, 0.0, -0.3]])
     rule = domain_ball_rule(q.p, q.lam)
-    got = grad_pairing(A, a, q.eps, domain="ball", rule=rule)
+    got = grad_pairing(A, sample_form(a, rule), q.eps, rule=rule)
     E = _energy_curve(A, a, q.eps, rule)
     h = 1e-3
 
@@ -165,16 +174,15 @@ def test_grad_pairing_linear():
     q = _generic_q(2.0 ** -4)
     A = glued_connection(q)
     rule = domain_ball_rule(q.p, q.lam)
-    ctx = ball_context(A, q.eps, rule=rule)
     rng = np.random.default_rng(RNG_SEED)
-    nfa = ctx.arrays(bump_one_form([0.2, 0.1, 0.0, -0.1], 0.3,
-                                   rng.standard_normal((3, 4))))
-    nfb = ctx.arrays(bump_one_form([-0.1, 0.0, 0.2, 0.1], 0.4,
-                                   rng.standard_normal((3, 4))))
+    nfa = sample_form(bump_one_form([0.2, 0.1, 0.0, -0.1], 0.3,
+                                    rng.standard_normal((3, 4))), rule)
+    nfb = sample_form(bump_one_form([-0.1, 0.0, 0.2, 0.1], 0.4,
+                                    rng.standard_normal((3, 4))), rule)
     combo = nfa * 2.0 + nfb * 3.0
-    lhs = grad_pairing(A, combo, q.eps, domain="ball", rule=rule)
-    rhs = (2.0 * grad_pairing(A, nfa, q.eps, domain="ball", rule=rule)
-           + 3.0 * grad_pairing(A, nfb, q.eps, domain="ball", rule=rule))
+    lhs = grad_pairing(A, combo, q.eps, rule=rule)
+    rhs = (2.0 * grad_pairing(A, nfa, q.eps, rule=rule)
+           + 3.0 * grad_pairing(A, nfb, q.eps, rule=rule))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -185,6 +193,7 @@ def test_hessian_symmetric():
     a = bump_one_form([0.15, -0.05, 0.0, 0.1], 0.3, rng.standard_normal((3, 4)))
     b = bump_one_form([-0.2, 0.0, 0.1, 0.0], 0.35, rng.standard_normal((3, 4)))
     rule = domain_ball_rule(q.p, q.lam)
+    a, b = sample_form(a, rule), sample_form(b, rule)
     hab = hessian_form(A, a, b, q.eps, rule=rule)
     hba = hessian_form(A, b, a, q.eps, rule=rule)
     assert hab == pytest.approx(hba, rel=1e-10)
@@ -197,7 +206,8 @@ def test_hessian_matches_second_difference():
     a = bump_one_form(q.p + np.array([0.2, 0.05, 0.0, -0.1]), 0.25,
                       rng.standard_normal((3, 4)))
     rule = domain_ball_rule(q.p, q.lam)
-    got = hessian_form(A, a, a, q.eps, rule=rule)
+    nfa = sample_form(a, rule)
+    got = hessian_form(A, nfa, nfa, q.eps, rule=rule)
     E = _energy_curve(A, a, q.eps, rule)
     E0 = E(0.0)
     h = 2e-3
@@ -259,19 +269,7 @@ def test_codifferential_adjoint_to_covariant_d():
     alpha = bump_one_form([0.1, 0.0, 0.05, 0.0], 0.4,
                           rng.standard_normal((3, 4)))
     coef0 = rng.standard_normal(3)
-
-    def phi_value(X):
-        u = 1.0 - np.sum((X - 0.05) ** 2, axis=1) / 0.45 ** 2
-        prof = np.where(u > 0, u ** 3, 0.0)
-        return coef0[None, :, None] * prof[:, None, None]
-
-    def phi_jac(X):
-        Y = X - 0.05
-        u = 1.0 - np.sum(Y * Y, axis=1) / 0.45 ** 2
-        dp = np.where(u > 0, 3 * u ** 2, 0.0) * (-2.0 / 0.45 ** 2)
-        return coef0[None, :, None, None] * (dp[:, None] * Y)[:, None, None, :]
-
-    phi = FormField(0, phi_value, phi_jac, domain="ball", name="phi")
+    phi = bump_one_form(np.full(4, 0.05), 0.45, coef0[:, None], degree=0)
     eps = 0.59
     rule = domain_ball_rule(np.zeros(4), 0.25)
     X = rule.nodes

@@ -236,6 +236,39 @@ def test_negative_seed_exits_2_before_any_rule(tmp_path, monkeypatch,
     assert "config error" in err and "seed must be non-negative, got -1" in err
 
 
+@pytest.mark.parametrize("text", [None, "[bogus]\nx = 1\n", "no header\n"])
+@pytest.mark.parametrize("command", ["charge", "energy", "build-basis",
+                                     "dump-field"])
+def test_single_point_bad_config_exits_2(command, text, tmp_path, capsys):
+    # a missing file, an unknown section and a file without a section header
+    path = tmp_path / "run.ini"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    rc = run_command([command, "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_single_point_commands_read_config(tmp_path, capsys):
+    tight = tmp_path / "tight.ini"
+    tight.write_text("[sweep]\ntol = 1e-15\n", encoding="utf-8")
+    assert run_command(["charge", "--config", str(tight)]) == 3
+    # an explicit flag overrides the file
+    assert run_command(["charge", "--config", str(tight), "--tol", "1e-4"]) == 0
+    cfg_dir, flag_dir = tmp_path / "from_config", tmp_path / "from_flag"
+    out = tmp_path / "out.ini"
+    out.write_text(f"[output]\ndir = {cfg_dir}\n", encoding="utf-8")
+    for command in ("build-basis", "dump-field"):
+        assert run_command([command, "--config", str(out),
+                            "--eps", "0.0625"]) == 0
+    assert sorted(p.name for p in cfg_dir.iterdir()) == [
+        "basis_eps_0.0625.csv", "field_A_eps_0.0625.csv"]
+    assert run_command(["dump-field", "--config", str(out), "--eps", "0.0625",
+                        "--out", str(flag_dir)]) == 0
+    assert [p.name for p in flag_dir.iterdir()] == ["field_A_eps_0.0625.csv"]
+
+
 def test_help_exits_0(capsys):
     assert run_command(["--help"]) == 0
     assert "verify-lemma" in capsys.readouterr().out

@@ -144,10 +144,10 @@ def test_integrate_linear_deterministic():
 
 
 def test_integrate_scalar_callable_and_nonfinite():
+    # a density is called once on the node batch; a scalar is rejected
     rule = ball_rule(np.zeros(4), 0.1, 0.5, tol=1e-4)
-    v1 = integrate(rule, lambda X: np.ones(X.shape[0]))
-    v2 = integrate(rule, lambda x: 1.0)  # per-point scalar path
-    assert abs(v1 - v2) < 1e-12
+    with pytest.raises(ValueError, match="shape"):
+        integrate(rule, lambda x: 1.0)
 
     def bad(X):
         out = np.ones(X.shape[0])
