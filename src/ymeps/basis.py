@@ -86,12 +86,16 @@ class InnerContext:
     rule: QuadratureRule
     eps: float
     Aval: np.ndarray                 # (N,3,4) connection in the H^1 term
-    weighted: bool = False
     wvals: Optional[np.ndarray] = field(init=False, default=None)
 
     def __post_init__(self):
         if self.weighted:
             self.wvals = weight_fn(self.rule.nodes)
+
+    @property
+    def weighted(self) -> bool:
+        """The weighted R^4 product, decided by the rule's region."""
+        return self.rule.region == "weighted-r4"
 
     # -- evaluation -----------------------------------------------------
     def arrays(self, f):
@@ -155,8 +159,7 @@ def ball_context(A: ChartedField, eps, rule=None, tol=1e-4) -> InnerContext:
 def weighted_context(A: ChartedField, eps, tol=1e-4) -> InnerContext:
     """Context for the weighted R^4 product with connection A."""
     rule = weighted_r4_rule(A.p, A.lam, tol=tol)
-    return InnerContext(rule, eps, A.value_split(rule.nodes, rule.mask_inner),
-                        weighted=True)
+    return InnerContext(rule, eps, A.value_split(rule.nodes, rule.mask_inner))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +277,7 @@ def tilde_fields(ctx: InnerContext, q: ParamQ, coeff: np.ndarray):
     The eight raw derivatives are sampled on ctx in one pass and combined
     node-wise, instead of evaluating each combination's term list.
     """
-    raw_nf = ctx.arrays(derivative_fields(extended_connection(q), name="dAt"))
+    raw_nf = ctx.arrays(derivative_fields(extended_connection(q)))
     return [_combine(c, raw_nf) for c in coeff]
 
 

@@ -13,7 +13,7 @@ is fixed by dx0^dx1^dx2^dx3 = vol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -237,18 +237,16 @@ class QuadratureRule:
     """Weighted nodes for a polar rule centered at `center`.
 
     weights include the r^3 polar Jacobian: integrate(f) = sum w_i f(node_i).
-    mask_inner marks nodes with |x - center| < lam/4 (the inner chart).
+    r holds |node - center|; mask_inner marks r < lam/4 (the inner chart).
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     center: np.ndarray
     lam: float
-    tol: float
     region: str
     r: np.ndarray = None
     mask_inner: np.ndarray = None
-    meta: dict = field(default_factory=dict)
     self_check_error: float = 0.0
 
     def __post_init__(self):
@@ -287,14 +285,14 @@ def s3_nodes(n: int):
     return dirs, w
 
 
-def _radial_breaks(lam: float, R: float, extra=()):
+def _radial_breaks(lam: float, R: float):
     """Graded radial panel edges from 0 to R resolving the cutoff scales."""
     pts = [0.0, lam / 8, lam / 4, lam / 2, lam, 2 * lam]
     r = 4 * lam
     while r < R:
         pts.append(r)
         r *= 2
-    pts.extend(b for b in extra if 0 < b < R)
+    pts.extend(b for b in (0.5, 1.0) if 0 < b < R)
     pts.append(R)
     pts = sorted(set(b for b in pts if b <= R + 1e-15))
     # drop panels thinner than 1e-12 (duplicate breaks)
@@ -305,88 +303,23 @@ def _radial_breaks(lam: float, R: float, extra=()):
     return out
 
 
-def _panel_nodes(breaks, order):
-    """Gauss-Legendre nodes/weights on each panel; weights carry r^3."""
+def _gauss_panel(a, b, order: int):
+    """Gauss-Legendre radii on [a, b] with weights carrying r^3; an edge given
+    per direction, shape (M,), gives (order, M) arrays."""
     xg, wg = np.polynomial.legendre.leggauss(order)
-    rs, ws = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        mid, half = (a + b) / 2, (b - a) / 2
-        r = mid + half * xg
-        rs.append(r)
-        ws.append(half * wg * r ** 3)
-    return np.concatenate(rs), np.concatenate(ws)
+    if np.ndim(a) or np.ndim(b):
+        xg, wg = xg[:, None], wg[:, None]
+    mid, half = (a + b) / 2, (b - a) / 2
+    r = mid + half * xg
+    return r, half * wg * r ** 3
 
 
 def _tail_nodes(R0: float, order: int):
     """Inversion tail for [R0, inf): r = 1/t, r^3 dr = t^-5 dt on (0, 1/R0]."""
     xg, wg = np.polynomial.legendre.leggauss(order)
-    a, b = 0.0, 1.0 / R0
-    mid, half = (a + b) / 2, (b - a) / 2
-    t = mid + half * xg
+    half = 0.5 / R0               # t runs over (0, 1/R0]: its midpoint is half
+    t = half + half * xg
     return 1.0 / t, half * wg * t ** -5.0
-
-
-def _assemble(center, lam, dirs, wdirs, r, wr, region, tol, meta):
-    nodes = center[None, :] + r[:, None, None] * dirs[None, :, :]
-    nodes = nodes.reshape(-1, 4)
-    w = (wr[:, None] * wdirs[None, :]).reshape(-1)
-    return QuadratureRule(nodes, w, center, lam, tol, region, meta=meta)
-
-
-_CHECK_CACHE: dict = {}
-
-
-def _self_check(rule: QuadratureRule, builder, tol: float, key):
-    """Compare one refinement doubling on the canonical peaked density."""
-    if key in _CHECK_CACHE:
-        err = _CHECK_CACHE[key]
-    else:
-        lam, p = rule.lam, rule.center
-
-        def peaked(X):
-            s = np.sum((X - p) ** 2, axis=1)
-            return 48 * lam ** 4 / (lam ** 2 + s) ** 4
-
-        base = integrate(rule, peaked)
-        fine = integrate(builder(), peaked)
-        err = abs(base - fine) / max(abs(fine), 1e-300)
-        _CHECK_CACHE[key] = err
-    rule.self_check_error = err
-    if err > tol:
-        raise QuadratureError(
-            f"rule self-check failed: refinement changes integral by {err:.3e} > tol {tol:.1e}"
-        )
-
-
-def ball_rule(p, lam: float, R: float, tol: float = 1e-4,
-              n_ang: int = 6, n_rad: int = 10, _check: bool = True) -> QuadratureRule:
-    """Polar rule on the ball B_R(p) (R = inf gives all of R^4 with a tail).
-
-    Graded radial panels through {lam/8, lam/4, lam/2, lam, 2lam, geometric, 1/2, 1}
-    x product S^3 angular rule.  One refinement doubling must move the canonical
-    peaked integrand by less than tol, else QuadratureError.
-    """
-    p = np.asarray(p, dtype=float)
-    if not (lam > 0):
-        raise ValueError("lam must be positive")
-    if not (R > 0):
-        raise ValueError("R must be positive")
-    dirs, wdirs = s3_nodes(n_ang)
-    infinite = math.isinf(R)
-    R0 = max(8.0, 64.0 * lam) if infinite else R
-    breaks = _radial_breaks(lam, R0, extra=(0.5, 1.0))
-    r, wr = _panel_nodes(breaks, n_rad)
-    if infinite:
-        rt, wt = _tail_nodes(R0, n_rad)
-        r, wr = np.concatenate([r, rt]), np.concatenate([wr, wt])
-    region = "r4" if infinite else "ball"
-    meta = {"breaks": breaks, "n_ang": n_ang, "n_rad": n_rad, "R": R}
-    rule = _assemble(p, lam, dirs, wdirs, r, wr, region, tol, meta)
-    if _check:
-        key = ("ball", tuple(np.round(p, 12)), round(lam, 14), R, n_ang, n_rad)
-        _self_check(rule, lambda: ball_rule(p, lam, R, tol, n_ang + 2, 2 * n_rad,
-                                            _check=False), tol, key)
-    return rule
 
 
 def _boundary_along(p, dirs):
@@ -395,43 +328,99 @@ def _boundary_along(p, dirs):
     return -pd + np.sqrt(np.maximum(1 - p @ p + pd ** 2, 0.0))
 
 
-def domain_ball_rule(p, lam: float, tol: float = 1e-4,
-                     n_ang: int = 6, n_rad: int = 10, _check: bool = True) -> QuadratureRule:
+def _radial_pieces(p, lam: float, region: str, R, dirs, n_rad: int):
+    """The radial pieces (r, w_r) of a polar rule around p, listed outward:
+    (K,) when every direction shares the radii, (K, M) when they run per direction.
+
+    "ball": B_R(p), or for R None the unit ball B^4, whose last panel ends on
+    the unit sphere per direction unless p = 0; "r4": R^4, with an inversion
+    tail beyond max(8, 64 lam); "weighted-r4": the B^4 pieces, then [|x| = 1, 2],
+    [2, 4], [4, 8] and the inversion tail beyond 8.
+    """
+    def panels(R0):
+        edges = _radial_breaks(lam, R0)
+        return [_gauss_panel(a, b, n_rad) for a, b in zip(edges[:-1], edges[1:])]
+
+    if region == "r4":
+        R0 = max(8.0, 64.0 * lam)
+        return panels(R0) + [_tail_nodes(R0, n_rad)]
+    if R is not None:
+        return panels(R)
+    Rb = _boundary_along(p, dirs)
+    if not p.any():
+        pieces = panels(1.0)
+    else:
+        r_last = float(Rb.min()) * 0.999
+        pieces = panels(r_last) + [_gauss_panel(r_last, Rb, n_rad)]
+    if region == "weighted-r4":
+        pieces += [_gauss_panel(Rb, 2.0, n_rad), _gauss_panel(2.0, 4.0, n_rad),
+                   _gauss_panel(4.0, 8.0, n_rad), _tail_nodes(8.0, n_rad)]
+    return pieces
+
+
+_CHECK_CACHE: dict = {}
+
+
+def _polar_rule(p, lam: float, region: str, R=None, tol: float = None,
+                n_ang: int = 6, n_rad: int = 10) -> QuadratureRule:
+    """Nodes p + r u and weights w_r w_u over the S^3 rule u and the radial
+    pieces, radius-major within each piece; R None is the unit ball (|p| <= 0.4).
+
+    With a tol, one refinement doubling (n_ang + 2, 2 n_rad) must move the
+    integral of the canonical peaked density by at most tol, else
+    QuadratureError.  A weighted-r4 rule checks only its unit-ball part, the
+    B^4 rule of the same p and lam, and reports that part's error.
+    """
+    p = np.asarray(p, dtype=float)
+    if R is None:
+        if np.linalg.norm(p) > 0.4:
+            raise ValueError("domain_ball_rule expects |p| <= 0.4")
+        p = np.zeros(4) if np.linalg.norm(p) < 1e-14 else p
+    dirs, wdirs = s3_nodes(n_ang)
+    # every piece broadcast to (K, M), stacked outward
+    r, wr = (np.concatenate([np.broadcast_to(x.reshape(len(x), -1), (len(x), len(dirs)))
+                             for x in xs])
+             for xs in zip(*_radial_pieces(p, lam, region, R, dirs, n_rad)))
+    rule = QuadratureRule((p + r[..., None] * dirs).reshape(-1, 4),
+                          (wr * wdirs).reshape(-1), p, lam, region)
+    if tol is None:
+        return rule
+    checked = "ball" if region == "weighted-r4" else region
+    key = (checked, tuple(np.round(p, 12)), round(lam, 14), R)
+    if key not in _CHECK_CACHE:
+        def peaked(X):
+            return 48 * lam ** 4 / (lam ** 2 + np.sum((X - p) ** 2, axis=1)) ** 4
+        base = rule if checked == region else _polar_rule(p, lam, checked, R)
+        fine = _polar_rule(p, lam, checked, R, None, n_ang + 2, 2 * n_rad)
+        a, b = integrate(base, peaked), integrate(fine, peaked)
+        _CHECK_CACHE[key] = abs(a - b) / max(abs(b), 1e-300)
+    rule.self_check_error = err = _CHECK_CACHE[key]
+    if err > tol:
+        raise QuadratureError(f"rule self-check failed: refinement changes "
+                              f"integral by {err:.3e} > tol {tol:.1e}")
+    return rule
+
+
+def ball_rule(p, lam: float, R: float, tol: float = 1e-4) -> QuadratureRule:
+    """Polar rule on the ball B_R(p) (R = inf gives all of R^4 with a tail).
+
+    Graded radial panels through {lam/8, lam/4, lam/2, lam, 2lam, geometric, 1/2, 1}
+    x product S^3 angular rule, self-checked to tol.
+    """
+    if not (lam > 0):
+        raise ValueError("lam must be positive")
+    if not (R > 0):
+        raise ValueError("R must be positive")
+    return _polar_rule(p, lam, "r4" if math.isinf(R) else "ball", R, tol)
+
+
+def domain_ball_rule(p, lam: float, tol: float = 1e-4) -> QuadratureRule:
     """Rule over the unit ball B^4 (centered at the origin), polar around p.
 
     For p = 0 this is ball_rule(0, lam, 1).  For small |p| != 0 the final panel
     runs, per direction, to the boundary distance along that direction.
     """
-    p = np.asarray(p, dtype=float)
-    if np.linalg.norm(p) < 1e-14:
-        return ball_rule(np.zeros(4), lam, 1.0, tol, n_ang, n_rad, _check=_check)
-    if np.linalg.norm(p) > 0.4:
-        raise ValueError("domain_ball_rule expects |p| <= 0.4")
-    dirs, wdirs = s3_nodes(n_ang)
-    Rb = _boundary_along(p, dirs)  # (M,)
-    r_last = float(Rb.min()) * 0.999
-    breaks = _radial_breaks(lam, r_last, extra=(0.5,))
-    r_in, wr_in = _panel_nodes(breaks, n_rad)
-    # shared interior panels x all directions
-    nodes_in = p[None, :] + r_in[:, None, None] * dirs[None, :, :]
-    w_in = wr_in[:, None] * wdirs[None, :]
-    # per-direction boundary panel [r_last, Rb(dir)]
-    xg, wg = np.polynomial.legendre.leggauss(n_rad)
-    mid = (r_last + Rb) / 2
-    half = (Rb - r_last) / 2
-    r_out = mid[None, :] + half[None, :] * xg[:, None]          # (n_rad, M)
-    wr_out = half[None, :] * wg[:, None] * r_out ** 3
-    nodes_out = p[None, None, :] + r_out[..., None] * dirs[None, :, :]
-    w_out = wr_out * wdirs[None, :]
-    nodes = np.concatenate([nodes_in.reshape(-1, 4), nodes_out.reshape(-1, 4)])
-    w = np.concatenate([w_in.reshape(-1), w_out.reshape(-1)])
-    meta = {"breaks": breaks, "n_ang": n_ang, "n_rad": n_rad, "R": "unit-ball"}
-    rule = QuadratureRule(nodes, w, p, lam, tol, "ball", meta=meta)
-    if _check:
-        key = ("dball", tuple(np.round(p, 12)), round(lam, 14), n_ang, n_rad)
-        _self_check(rule, lambda: domain_ball_rule(p, lam, tol, n_ang + 2, 2 * n_rad,
-                                                   _check=False), tol, key)
-    return rule
+    return _polar_rule(p, lam, "ball", None, tol)
 
 
 def weight_fn(X: np.ndarray) -> np.ndarray:
@@ -440,68 +429,31 @@ def weight_fn(X: np.ndarray) -> np.ndarray:
     return np.where(s <= 1.0, 1.0, 1.0 / (1.0 + s) ** 2)
 
 
-def weighted_r4_rule(p, lam: float, tol: float = 1e-4,
-                     n_ang: int = 6, n_rad: int = 10, _check: bool = True) -> QuadratureRule:
+def weighted_r4_rule(p, lam: float, tol: float = 1e-4) -> QuadratureRule:
     """Rule for integrals over R^4 split at the unit sphere (weight jump there).
 
-    Interior nodes coincide with domain_ball_rule's; exterior panels are
-    geometric to R_far = 8 with an inversion tail.  meta['ext_panels'] holds
-    node slices of the last two geometric shells and the tail so callers can
-    report non-convergent tails.
+    Its first nodes are domain_ball_rule's; exterior panels are geometric to
+    R_far = 8 with an inversion tail.  Only the unit-ball part is
+    self-checked, and its error is the one reported.
     """
-    p = np.asarray(p, dtype=float)
-    inner = domain_ball_rule(p, lam, tol, n_ang, n_rad, _check=_check)
-    dirs, wdirs = s3_nodes(n_ang)
-    Rb = _boundary_along(p, dirs)
-    xg, wg = np.polynomial.legendre.leggauss(n_rad)
-    # per-direction first exterior panel [Rb, 2], then [2,4], [4,8], tail
-    panels = []
-    mid = (Rb + 2.0) / 2
-    half = (2.0 - Rb) / 2
-    r0 = mid[None, :] + half[None, :] * xg[:, None]
-    w0 = half[None, :] * wg[:, None] * r0 ** 3 * wdirs[None, :]
-    nodes0 = p[None, None, :] + r0[..., None] * dirs[None, :, :]
-    panels.append((nodes0.reshape(-1, 4), w0.reshape(-1)))
-    for a, b in ((2.0, 4.0), (4.0, 8.0)):
-        r, wr = _panel_nodes([a, b], n_rad)
-        nodes = p[None, :] + r[:, None, None] * dirs[None, :, :]
-        w = wr[:, None] * wdirs[None, :]
-        panels.append((nodes.reshape(-1, 4), w.reshape(-1)))
-    rt, wt = _tail_nodes(8.0, n_rad)
-    nodes_t = p[None, :] + rt[:, None, None] * dirs[None, :, :]
-    w_t = wt[:, None] * wdirs[None, :]
-    panels.append((nodes_t.reshape(-1, 4), w_t.reshape(-1)))
-
-    all_nodes = [inner.nodes] + [n for n, _ in panels]
-    all_w = [inner.weights] + [w for _, w in panels]
-    sizes = np.cumsum([0] + [n.shape[0] for n in all_nodes])
-    nodes = np.concatenate(all_nodes)
-    w = np.concatenate(all_w)
-    meta = dict(inner.meta)
-    # slices of shells [2,4], [4,8], tail (for tail-convergence reporting)
-    meta["ext_panels"] = [(int(sizes[2]), int(sizes[3])),
-                          (int(sizes[3]), int(sizes[4])),
-                          (int(sizes[4]), int(sizes[5]))]
-    rule = QuadratureRule(nodes, w, p, lam, tol, "weighted-r4", meta=meta)
-    rule.self_check_error = inner.self_check_error
-    return rule
+    return _polar_rule(p, lam, "weighted-r4", None, tol)
 
 
 def tail_report(rule: QuadratureRule, vals: np.ndarray) -> dict:
     """Convergence report for the exterior tail of a weighted-r4 rule.
 
     vals: density values on rule.nodes.  Compares contributions of the two
-    outermost geometric shells; a density decaying like r^{-4} or slower (so
-    the R^4 integral diverges) keeps the shell ratio near 1, while anything
-    integrable decays the shells geometrically.
+    outermost geometric shells, |x-p| in [2,4) and [4,8); a density decaying
+    like r^{-4} or slower (so the R^4 integral diverges) keeps the shell ratio
+    near 1, while anything integrable decays the shells geometrically.  The
+    tail beyond 8 is reported as well.
     """
-    if "ext_panels" not in rule.meta:
+    if rule.region != "weighted-r4":
         raise ValueError("tail_report needs a weighted-r4 rule")
-    (a0, a1), (b0, b1), (t0, t1) = rule.meta["ext_panels"]
     w = rule.weights
-    c1 = float(np.sum(w[a0:a1] * vals[a0:a1]))
-    c2 = float(np.sum(w[b0:b1] * vals[b0:b1]))
-    c3 = float(np.sum(w[t0:t1] * vals[t0:t1]))
+    c1, c2, c3 = (float(np.sum(w[m] * vals[m])) for m in
+                  ((rule.r >= 2) & (rule.r < 4), (rule.r >= 4) & (rule.r < 8),
+                   rule.r >= 8))
     scale = abs(float(np.sum(w * vals))) + 1e-300
     converged = abs(c2) <= 0.75 * abs(c1) + 1e-13 * scale
     return {

@@ -248,9 +248,6 @@ class EstimateReport:
     def passed(self) -> bool:
         return all(r.verdict in ("pass", "exact") for r in self.rows)
 
-    def failures(self):
-        return [r for r in self.rows if r.verdict not in ("pass", "exact")]
-
 
 _RESIDUAL_MAX = 0.1
 

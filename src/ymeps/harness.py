@@ -392,7 +392,7 @@ def _cmd_energy(args) -> int:
 
 def _cmd_build_basis(args) -> int:
     q, cfg = _single_point(args)
-    ball = gram_schmidt_ball(q, tol=cfg.tol)
+    ball = gram_schmidt_ball(q, pi2=cfg.pi2, tol=cfg.tol)
     weighted = gram_schmidt_weighted(q, ball, tol=cfg.tol)
     rb, rw = ball.gram_residual(), weighted.gram_residual()
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -459,9 +459,9 @@ def _cmd_all(args) -> int:
 
 def _cmd_dump_field(args) -> int:
     q, cfg = _single_point(args)
-    field = {"A": lambda: glued_connection(q),
+    field = {"A": lambda: glued_connection(q, pi2=cfg.pi2),
              "Atilde": lambda: extended_connection(q),
-             "b": lambda: difference_b(q)}[args.field]()
+             "b": lambda: difference_b(q, pi2=cfg.pi2)}[args.field]()
     n = 41
     span = np.linspace(-0.5, 0.5, n)
     G0, G1 = np.meshgrid(span, span, indexing="ij")

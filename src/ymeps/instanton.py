@@ -482,10 +482,6 @@ class BackgroundConnection:
         C = DEFAULT_BG_CMAT if self.Cmat is None else np.asarray(self.Cmat, float)
         object.__setattr__(self, "Cmat", C)
 
-    @staticmethod
-    def zero() -> "BackgroundConnection":
-        return BackgroundConnection(Cmat=np.zeros((3, 4)), amplitude=0.0)
-
     def atom(self) -> BgAtom:
         return BgAtom(self.Cmat, self.amplitude)
 
@@ -498,7 +494,6 @@ class ChartedField:
     lam: float
     inner_terms: list
     outer_terms: list
-    name: str = ""
 
     def chart_radius(self) -> float:
         return self.lam / 4.0
@@ -565,45 +560,24 @@ def _inner_terms(q: ParamQ) -> list:
     return [Term(1.0 / q.eps, lie=_i1_atom(q), mat=R, conjugated=True)]
 
 
-def _outer_terms_glued(q: ParamQ, bg: BackgroundConnection, pi2: str) -> list:
-    R = adjoint_matrix(q.g)
-    beta_lam = BetaAtom(1.0, q.p, q.lam)
-    beta_q = BetaAtom(4.0, q.p, q.lam)
-    bga = bg.atom()
-    terms = [
-        Term(1.0, lie=bga, x_based=True),
-        Term(-1.0, lie=bga, x_based=True, beta=beta_lam),
-    ]
-    if pi2 == "zero":
-        terms.append(Term(1.0 / q.eps, lie=_i2_atom(q), mat=R, conjugated=True,
-                          beta=beta_q))
-    else:
-        terms.append(Term(1.0 / q.eps, lie=_i2_atom(q), mat=R, conjugated=True))
-        for c, atom in _strategy_h_atoms(q, pi2):
-            terms.append(Term(-c / q.eps, lie=atom, mat=R, conjugated=True))
-            terms.append(Term(c / q.eps, lie=atom, mat=R, conjugated=True,
-                              beta=beta_q))
-    return terms
-
-
 def glued_connection(q: ParamQ, bg: BackgroundConnection = None,
                      pi2: str = "model") -> ChartedField:
-    """The glued family member A(q): background + cutoff instanton of scale lam.
+    """The glued family member A(q) = Atilde(q) - b(q).
 
     Outer chart: (1-beta_lam) bg + (1/eps) beta_{lam/4} g I2 g^{-1}
-                 + (1/eps)(1 - beta_{lam/4}) g PI2 g^{-1}   (expanded per strategy);
-    inner chart: (1/eps) g I1 g^{-1}.
+                 + (1/eps)(1 - beta_{lam/4}) g PI2 g^{-1};
+    inner chart: (1/eps) g I1 g^{-1}, the extension's, as b vanishes there.
     """
-    bg = BackgroundConnection() if bg is None else bg
-    return ChartedField(q.p, q.lam, _inner_terms(q),
-                        _outer_terms_glued(q, bg, pi2), name="A")
+    At, b = extended_connection(q), difference_b(q, bg, pi2)
+    minus_b = [dataclasses.replace(t, coef=-t.coef) for t in b.outer_terms]
+    return ChartedField(q.p, q.lam, At.inner_terms, At.outer_terms + minus_b)
 
 
 def extended_connection(q: ParamQ) -> ChartedField:
     """The extension: pure (1/eps)-scaled instanton in both charts, on all of R^4."""
     R = adjoint_matrix(q.g)
     outer = [Term(1.0 / q.eps, lie=_i2_atom(q), mat=R, conjugated=True)]
-    return ChartedField(q.p, q.lam, _inner_terms(q), outer, name="Atilde")
+    return ChartedField(q.p, q.lam, _inner_terms(q), outer)
 
 
 def difference_b(q: ParamQ, bg: BackgroundConnection = None,
@@ -625,7 +599,7 @@ def difference_b(q: ParamQ, bg: BackgroundConnection = None,
     for c, atom in _strategy_h_atoms(q, pi2):
         outer.append(Term(c / q.eps, lie=atom, mat=R, conjugated=True))
         outer.append(Term(-c / q.eps, lie=atom, mat=R, conjugated=True, beta=beta_q))
-    return ChartedField(q.p, q.lam, [], outer, name="b")
+    return ChartedField(q.p, q.lam, [], outer)
 
 
 DIRECTIONS = ("p1", "p2", "p3", "p4", "xi1", "xi2", "xi3", "lam")
@@ -641,8 +615,7 @@ def _apply_direction(terms, direction: str):
     raise ValueError(f"unknown direction {direction!r}; use one of {DIRECTIONS}")
 
 
-def derivative_fields(A: ChartedField, directions=DIRECTIONS,
-                      name: str = "dA") -> list:
+def derivative_fields(A: ChartedField, directions=DIRECTIONS) -> list:
     """Parameter derivatives of one family member, one field per direction.
 
     Every field is derived from A's own term lists, so all of them hold A's
@@ -650,8 +623,7 @@ def derivative_fields(A: ChartedField, directions=DIRECTIONS,
     """
     return [ChartedField(A.p, A.lam,
                          _apply_direction(A.inner_terms, d),
-                         _apply_direction(A.outer_terms, d),
-                         name=f"{name}/d{d}")
+                         _apply_direction(A.outer_terms, d))
             for d in directions]
 
 
@@ -662,5 +634,4 @@ def d2A_dp1p1(q: ParamQ, bg: BackgroundConnection = None,
     A = glued_connection(q, bg, pi2)
     return ChartedField(q.p, q.lam,
                         d_dp(d_dp(A.inner_terms, 0), 0),
-                        d_dp(d_dp(A.outer_terms, 0), 0),
-                        name="d2A/dp1^2")
+                        d_dp(d_dp(A.outer_terms, 0), 0))

@@ -337,9 +337,9 @@ def bracket(X: AlgElement, Y: AlgElement) -> AlgElement:
 # FormFields in the library's pairings
 
 
-def flat_context(rule, eps: float, weighted: bool = False) -> InnerContext:
+def flat_context(rule, eps: float) -> InnerContext:
     """An InnerContext on rule with the zero connection."""
-    return InnerContext(rule, eps, np.zeros((len(rule), 3, 4)), weighted=weighted)
+    return InnerContext(rule, eps, np.zeros((len(rule), 3, 4)))
 
 
 def sample_form(f: FormField, rule) -> NodeField:

@@ -16,7 +16,7 @@ from ymeps.instanton import (
     extended_connection,
     glued_connection,
 )
-from ymeps.liealg import AlgElement, exp_map
+from ymeps.liealg import AlgElement, GroupElement, exp_map
 from ymeps.basis import (
     GramBasis,
     _basis_field_at,
@@ -117,7 +117,7 @@ def test_inner_weighted_constant_field_reports_tail():
     # truncation computed from the rule's own radial data
     M = np.zeros((3, 4))
     M[1, 2] = 1.0
-    ctx = flat_context(weighted_r4_rule(np.zeros(4), 0.25), 0.3, weighted=True)
+    ctx = flat_context(weighted_r4_rule(np.zeros(4), 0.25), 0.3)
     nf = sample_form(constant_form(1, M), ctx.rule)
     assert not tail_report(ctx.rule, ctx.density(nf, nf))["tail_converged"]
     got = ctx.inner_nf(nf, nf)
@@ -198,7 +198,8 @@ def test_gram_schmidt_ball_synthetic_orthonormal_inputs():
 
 def test_gram_schmidt_ball_minus_g_invariant():
     q, basis = _ball_basis()
-    qm = ParamQ(p=q.p, g=-q.g, lam=q.lam, eps=q.eps)
+    minus_g = GroupElement(-q.g.q0, -q.g.q1, -q.g.q2, -q.g.q3)
+    qm = ParamQ(p=q.p, g=minus_g, lam=q.lam, eps=q.eps)
     basism = gram_schmidt_ball(qm)
     assert np.allclose(basis.coeff, basism.coeff, atol=1e-8)
 

@@ -410,7 +410,7 @@ def test_probe_specs_match_full_rule_probes(pi2, stride):
     ctx = ball_context(glued_connection(q, BackgroundConnection(), pi2), q.eps)
     r = ctx.rule
     rule = QuadratureRule(r.nodes[::stride], r.weights[::stride], r.center,
-                          r.lam, r.tol, r.region)
+                          r.lam, r.region)
     ctx = InnerContext(rule, q.eps, ctx.Aval[::stride])
     n = 8
     specs = probe_family(q, ctx, n, RNG_SEED)
@@ -442,7 +442,7 @@ def test_l37_probe_loop_reports_non_finite_connection(monkeypatch):
 
     def poisoned(self, f):
         nf = arrays(self, f)
-        if getattr(f, "name", "") == "b":
+        if getattr(f, "inner_terms", None) == []:   # b vanishes there
             nf.val = nf.val.copy()
             nf.val[far] = np.nan
         return nf
@@ -497,7 +497,8 @@ def test_report_verdict_logic():
                         "fail", "")]
     rep = EstimateReport("5.7", rows)
     assert not rep.passed()
-    assert [r.quantity for r in rep.failures()] == ["y"]
+    assert [r.quantity for r in rep.rows
+            if r.verdict not in ("pass", "exact")] == ["y"]
     assert EstimateReport("5.7", rows[:1]).passed()
 
 

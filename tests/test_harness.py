@@ -11,6 +11,7 @@ import pytest
 
 import ymeps.functionals as functionals
 from ymeps.functionals import EstimateReport, QuantityRow
+from ymeps.instanton import ParamQ, difference_b
 from ymeps.harness import (
     CSV_HEADER,
     ConfigError,
@@ -305,6 +306,31 @@ def test_dump_field_writes_grid(tmp_path, capsys):
     # each grid point contributes one row per dx^mu component
     first = lines[1].split(",")
     assert len(first) == 8 and first[4] == "0"
+
+
+def _dumped_values(path):
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    return rows[:, :4].reshape(-1, 4, 4)[:, 0], rows[:, 5:].reshape(-1, 4, 3)
+
+
+def test_dump_field_and_build_basis_follow_pi2(tmp_path, capsys):
+    q = ParamQ.default(2.0 ** -4)
+    got = {}
+    for pi2 in ("model", "full"):
+        assert run_command(["dump-field", "--field", "b", "--eps", "0.0625",
+                            "--pi2", pi2, "--out", str(tmp_path / pi2)]) == 0
+        X, got[pi2] = _dumped_values(tmp_path / pi2 / "field_b_eps_0.0625.csv")
+    mask = np.linalg.norm(X - q.p, axis=1) < q.lam / 4
+    want = difference_b(q, pi2="full").value_split(X, mask).transpose(0, 2, 1)
+    assert np.allclose(got["full"], want, rtol=1e-11, atol=1e-13)
+    assert not np.allclose(got["full"], got["model"], rtol=1e-6, atol=1e-6)
+    # the basis is built on the chosen strategy as well
+    for pi2 in ("model", "zero"):
+        assert run_command(["build-basis", "--eps", "0.0625", "--pi2", pi2,
+                            "--out", str(tmp_path / pi2)]) == 0
+    model, zero = ((tmp_path / d / "basis_eps_0.0625.csv").read_text()
+                   for d in ("model", "zero"))
+    assert model != zero
 
 
 def test_verify_lemma_58_cli(tmp_path, capsys):

@@ -313,7 +313,8 @@ def _generic_q(eps=2.0 ** -6):
 
 def test_plus_minus_g_give_same_connection():
     q = _generic_q()
-    qm = ParamQ(p=q.p, g=-q.g, lam=q.lam, eps=q.eps)
+    minus_g = GroupElement(-q.g.q0, -q.g.q1, -q.g.q2, -q.g.q3)
+    qm = ParamQ(p=q.p, g=minus_g, lam=q.lam, eps=q.eps)
     X = np.array([[0.3, 0.1, -0.2, 0.05], [0.12, -0.02, 0.03, 0.01]])
     A, Am = glued_connection(q), glued_connection(qm)
     assert np.allclose(terms_value(A.outer_terms, X), terms_value(Am.outer_terms, X))
@@ -326,7 +327,8 @@ def test_plus_minus_g_give_same_connection():
 
 def test_far_field_vanishes_for_plain_strategy():
     q = ParamQ.default(2.0 ** -6)
-    A = glued_connection(q, bg=BackgroundConnection.zero(), pi2="zero")
+    bg = BackgroundConnection(Cmat=np.zeros((3, 4)), amplitude=0.0)
+    A = glued_connection(q, bg=bg, pi2="zero")
     X = np.array([[2 * q.lam, 0, 0, 0], [0.5, 0.3, 0, 0], [0, 0, 0.9, 0]])
     assert np.allclose(terms_value(A.outer_terms, X), 0.0, atol=1e-15)
 

@@ -102,7 +102,8 @@ def test_adjoint_identity_and_isometry():
 def test_adjoint_sign_quotient():
     rng = np.random.default_rng(19)
     g, X = rand_group(rng), rand_alg(rng)
-    assert np.allclose(adjoint(g, X).coeffs(), adjoint(-g, X).coeffs(), atol=1e-14)
+    minus_g = GroupElement(-g.q0, -g.q1, -g.q2, -g.q3)
+    assert np.allclose(adjoint(g, X).coeffs(), adjoint(minus_g, X).coeffs(), atol=1e-14)
 
 
 def test_adjoint_quarter_turn():

@@ -107,14 +107,15 @@ def test_weighted_rule_regions_and_weight():
     rule = weighted_r4_rule(np.zeros(4), lam, tol=1e-4)
     # exterior shell [2,4] of the weight function: closed form of
     # 2 pi^2 * int r^3/(1+r^2)^2 dr = pi^2 [ln(1+r^2) + 1/(1+r^2)]
-    (a0, a1), (b0, b1), _ = rule.meta["ext_panels"]
+    s24 = (rule.r >= 2) & (rule.r < 4)
+    s48 = (rule.r >= 4) & (rule.r < 8)
 
     def F(r):
         return math.pi ** 2 * (math.log(1 + r ** 2) + 1 / (1 + r ** 2))
 
     vals = weight_fn(rule.nodes)
-    got_24 = float(np.sum(rule.weights[a0:a1] * vals[a0:a1]))
-    got_48 = float(np.sum(rule.weights[b0:b1] * vals[b0:b1]))
+    got_24 = float(np.sum(rule.weights[s24] * vals[s24]))
+    got_48 = float(np.sum(rule.weights[s48] * vals[s48]))
     assert abs(got_24 - (F(4) - F(2))) < 1e-8
     assert abs(got_48 - (F(8) - F(4))) < 1e-8
     # weight jump at |x| = 1: value 1 inside, 1/4 just outside
@@ -176,8 +177,28 @@ def test_integrate_propagates_type_error_from_batch_density():
 
 
 def test_unreachable_tolerance_raises():
+    # the default-order self-check error here is about 1.6e-14
     with pytest.raises(QuadratureError):
-        ball_rule(np.zeros(4), 0.1, 1.0, tol=1e-16, n_ang=2, n_rad=2)
+        ball_rule(np.zeros(4), 0.1, 1.0, tol=1e-16)
+
+
+def test_centred_domain_rule_is_the_unit_ball_rule():
+    for lam in (0.1, 0.25):
+        dom, ball = domain_ball_rule(np.zeros(4), lam), ball_rule(np.zeros(4), lam, 1.0)
+        assert np.array_equal(dom.nodes, ball.nodes)
+        assert np.array_equal(dom.weights, ball.weights)
+
+
+@pytest.mark.parametrize("p", [np.zeros(4), np.array([0.2, -0.15, 0.1, 0.05])])
+def test_weighted_rule_starts_with_the_domain_rule(p):
+    # the weighted rule's unit-ball part is the domain rule, node for node
+    dom, wr = domain_ball_rule(p, 0.1), weighted_r4_rule(p, 0.1)
+    n = len(dom)
+    assert len(wr) > n
+    assert np.array_equal(wr.nodes[:n], dom.nodes)
+    assert np.array_equal(wr.weights[:n], dom.weights)
+    assert wr.self_check_error == dom.self_check_error
+    assert np.all(np.linalg.norm(wr.nodes[n:], axis=1) > 1.0 - 1e-12)
 
 
 def test_zero_integrand():
