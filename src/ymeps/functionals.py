@@ -45,10 +45,10 @@ from .instanton import (
     BackgroundConnection,
     ChartedField,
     ParamQ,
+    _glue,
     d2A_dp1p1,
     difference_b,
     extended_connection,
-    glued_connection,
 )
 
 __all__ = [
@@ -422,15 +422,15 @@ def _hessian_difference_metrics(q, bg, pi2, basis, ctx, seed, n_test):
     eps = q.eps
     nodes, weights = ctx.rule.nodes, ctx.rule.weights
     probes = test_field_family(q, ctx, n_test, seed)
-    # only the connections' values and the arrays below are kept: their
-    # jacobians are released as soon as F and d_A b exist
-    nf = ctx.arrays(glued_connection(q, bg, pi2))
-    Aval, FA = nf.val, curvature_coeffs(nf.val, nf.jac, eps)
-    nf = ctx.arrays(extended_connection(q))
-    Atval, FAt = nf.val, curvature_coeffs(nf.val, nf.jac, eps)
-    nf = ctx.arrays(difference_b(q, bg, pi2))
-    bval, dAb = nf.val, cov_d_coeffs(1, Aval, nf.val, nf.jac, eps)
-    del nf
+    # A = Atilde - b holds Atilde's and b's atom objects, so one pass samples
+    # all three with each atom channel evaluated once; only the values and
+    # the arrays below are kept, the jacobians go once F and d_A b exist
+    At, b = extended_connection(q), difference_b(q, bg, pi2)
+    nfA, nfAt, nfb = ctx.arrays([_glue(At, b), At, b])
+    Aval, FA = nfA.val, curvature_coeffs(nfA.val, nfA.jac, eps)
+    Atval, FAt = nfAt.val, curvature_coeffs(nfAt.val, nfAt.jac, eps)
+    bval, dAb = nfb.val, cov_d_coeffs(1, Aval, nfb.val, nfb.jac, eps)
+    del nfA, nfAt, nfb
     bb = bracket_wedge_coeffs(1, bval, bval)
     tags = []
     for tag, idx in (("i1", 1), ("i5", 5)):

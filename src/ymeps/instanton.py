@@ -17,6 +17,14 @@ differences between the glued and extended families — are exact closed forms,
 never numerical differences.  The su(2) coefficients are on e_i = u_i/2; the
 eta/etabar tables and all radial laws were frozen from a symbolic quaternion
 expansion (see the coefficient-table tests).
+
+Sampling works on scalar coefficient channels.  Every atom channel is a sum
+of a few scalar profiles times constant algebra tensors: an atom's eval
+returns the coefficients K (N,k) of its tensor (k,3,4), so the value is
+sum_e K[:, e] tensor[e]; a cutoff factor is one scalar (N,).  Terms and
+their Leibniz products are summed on those coefficients, and a term list is
+expanded into its (N,3,4) block by one GEMM over the groups of terms that
+share (algebra matrix, atom tensor).
 """
 
 from __future__ import annotations
@@ -71,8 +79,14 @@ ETABAR = _build_eta(True)
 # radial profiles f(s, lam) with s- and lam-derivative channels
 
 
+def _check_dlam(dlam):
+    if dlam > 1:
+        raise ValueError("lam-derivatives implemented to order 1")
+
+
 def rad_i1(s, lam, ds=0, dlam=0):
     """f = 1/(lam^2+s); returns d^ds/ds^ds d^dlam/dlam^dlam f."""
+    _check_dlam(dlam)
     q = lam * lam + s
     k = ds
     if dlam == 0:
@@ -83,6 +97,7 @@ def rad_i1(s, lam, ds=0, dlam=0):
 
 def rad_i2(s, lam, ds=0, dlam=0):
     """f = lam^2/(s(lam^2+s)) = 1/s - 1/(lam^2+s) (partial fractions)."""
+    _check_dlam(dlam)
     q = lam * lam + s
     k = ds
     if dlam == 0:
@@ -108,6 +123,7 @@ def _rho(s, k):
 
 def rad_model_h(s, lam, ds=0, dlam=0):
     """f = lam^2 rho(s) for the model correction h."""
+    _check_dlam(dlam)
     if dlam == 0:
         return lam * lam * _rho(s, ds)
     return 2.0 * lam * _rho(s, ds)
@@ -141,34 +157,33 @@ def beta_profile(t, order=0):
 
 
 def _profile_w(w, order=0):
-    """Derivatives of P(w) := beta(sqrt(w)) with respect to w."""
-    w = np.asarray(w, dtype=float)
-    t = np.sqrt(np.maximum(w, 0.0))
-    if order == 0:
-        return beta_profile(t, 0)
-    # all higher derivatives are supported on the transition band 1 < t < 2;
-    # divide only there so tiny t never produces 0/0
-    mid = (t > 1.0) & (t < 2.0)
-    ts = np.where(mid, t, 1.5)
-    b1 = beta_profile(ts, 1)
-    if order == 1:
-        out = b1 / (2 * ts)
-    elif order == 2:
-        b2 = beta_profile(ts, 2)
-        out = b2 / (4 * ts ** 2) - b1 / (4 * ts ** 3)
-    elif order == 3:
-        b2 = beta_profile(ts, 2)
-        b3 = beta_profile(ts, 3)
-        out = b3 / (8 * ts ** 3) - 3 * b2 / (8 * ts ** 4) + 3 * b1 / (8 * ts ** 5)
-    elif order == 4:
-        b2 = beta_profile(ts, 2)
-        b3 = beta_profile(ts, 3)
-        b4 = beta_profile(ts, 4)
-        out = (b4 / (16 * ts ** 4) - 6 * b3 / (16 * ts ** 5)
-               + 15 * b2 / (16 * ts ** 6) - 15 * b1 / (16 * ts ** 7))
-    else:
+    """Derivatives of P(w) := beta(sqrt(w)) with respect to w.
+
+    Off the transition band 1 < w < 4, P is exactly 1 (w <= 1) or 0 and its
+    derivatives are 0, so the chain rule runs on the band's entries only.
+    """
+    if order not in range(5):
         raise ValueError("order must be 0..4")
-    return np.where(mid, out, 0.0)
+    w = np.asarray(w, dtype=float)
+    out = np.zeros(w.shape)
+    if order == 0:
+        out[w <= 1.0] = 1.0
+    band = (w > 1.0) & (w < 4.0)
+    t = np.sqrt(w[band])          # t >= 1 on the band: no division by 0
+    b = [beta_profile(t, k) for k in range(order + 1)]
+    if order == 0:
+        out[band] = b[0]
+    elif order == 1:
+        out[band] = b[1] / (2 * t)
+    elif order == 2:
+        out[band] = b[2] / (4 * t ** 2) - b[1] / (4 * t ** 3)
+    elif order == 3:
+        out[band] = (b[3] / (8 * t ** 3) - 3 * b[2] / (8 * t ** 4)
+                     + 3 * b[1] / (8 * t ** 5))
+    else:
+        out[band] = (b[4] / (16 * t ** 4) - 6 * b[3] / (16 * t ** 5)
+                     + 15 * b[2] / (16 * t ** 6) - 15 * b[1] / (16 * t ** 7))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +212,15 @@ def _scalar_radial_derivs(Y, f, ydirs):
 class LinRadAtom:
     """(M y) * f(s, lam): linear map times radial profile, bound to (p, lam).
 
-    M: (3,4,4) including any constant coefficient factors.  eval returns
-    (N,3,4) arrays of the mixed partial d_y^{ydirs} d_lam^{dlam}.
+    M: (3,4,4) including any constant coefficient factors.  The value is
+    sum_e M[:, :, e] y_e f(s), so every channel is linear in the tensor
+    M[:, :, e]: eval returns the coefficients K (N,4) of the mixed partial
+    d_y^{ydirs} d_lam^{dlam}, K_e = d^{ydirs}(y_e f), to be expanded with
+    tensor = M moved to (e, a, u) order.
     """
 
     def __init__(self, M, radial, p, lam):
-        self.M = np.asarray(M, dtype=float)
+        self.tensor = np.asarray(M, dtype=float).transpose(2, 0, 1)
         self.radial = radial
         self.p = np.asarray(p, dtype=float)
         self.lam = float(lam)
@@ -214,21 +232,18 @@ class LinRadAtom:
         if k > 3:
             raise ValueError("atom derivatives implemented to order 3")
         f = [self.radial(s, self.lam, ds=j, dlam=dlam) for j in range(k + 1)]
-        M = self.M
-        # (M y) as one GEMM: (N,4) @ (4,12), rows ordered (a, u)
-        My = (Y @ M.reshape(12, 4).T).reshape(-1, 3, 4)
-        # My is linear in y, so each derivative falls on f except at most one
-        out = None
+        # y_e is linear, so each derivative falls on f except at most one
+        K = Y * _scalar_radial_derivs(Y, f, ydirs)[:, None]
         for i, e in enumerate(ydirs):
-            rest = ydirs[:i] + ydirs[i + 1:]
-            v = M[None, :, :, e] * _scalar_radial_derivs(Y, f, rest)[:, None, None]
-            out = v if out is None else out + v
-        v = My * _scalar_radial_derivs(Y, f, ydirs)[:, None, None]
-        return v if out is None else out + v
+            K[:, e] += _scalar_radial_derivs(Y, f, ydirs[:i] + ydirs[i + 1:])
+        return K
 
 
 class BetaAtom:
-    """Cutoff factor beta(c |x-p| / lam) = P(w), w = c^2 s / lam^2."""
+    """Cutoff factor beta(c |x-p| / lam) = P(w), w = c^2 s / lam^2.
+
+    A scalar factor: eval returns the (N,) channel d_y^{ydirs} d_lam^{dlam}.
+    """
 
     def __init__(self, c, p, lam):
         self.c = float(c)
@@ -236,6 +251,7 @@ class BetaAtom:
         self.lam = float(lam)
 
     def eval(self, X, ydirs=(), dlam=0):
+        _check_dlam(dlam)
         Y = X - self.p
         s = np.sum(Y * Y, axis=1)
         a = self.c ** 2 / self.lam ** 2
@@ -253,10 +269,14 @@ class BetaAtom:
 
 
 class BgAtom:
-    """Background 1-form Cmat * chi(|x|^2), chi = (1-sigma)^3 on the unit ball."""
+    """Background 1-form Cmat * chi(|x|^2), chi = (1-sigma)^3 on the unit ball.
+
+    eval returns the coefficient (N,1) of tensor = amplitude * Cmat[None];
+    it does not depend on lam, so every lam-channel is 0.
+    """
 
     def __init__(self, Cmat, amplitude=1.0):
-        self.C = np.asarray(Cmat, dtype=float) * amplitude
+        self.tensor = np.asarray(Cmat, dtype=float)[None] * amplitude
 
     @staticmethod
     def _chi(sig, k):
@@ -274,11 +294,10 @@ class BgAtom:
 
     def eval(self, X, ydirs=(), dlam=0):
         if dlam > 0:
-            return np.zeros((X.shape[0], 3, 4))
+            return np.zeros((X.shape[0], 1))
         sig = np.sum(X * X, axis=1)
         f = [self._chi(sig, j) for j in range(4)]
-        scal = _scalar_radial_derivs(X, f, ydirs)
-        return self.C[None, :, :] * scal[:, None, None]
+        return _scalar_radial_derivs(X, f, ydirs)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +331,10 @@ def _atom_eval(memo, atom, X, ydirs, dlam):
 
 
 def _term_value(memo, t: Term, X, extra_ydirs=()):
-    """coef * beta * atom of a term with extra spatial derivatives.
+    """coef * beta * atom coefficients of a term with extra spatial derivatives.
 
-    The Leibniz expansion is summed here; the algebra matrix t.mat is left
-    for the caller, which applies it once per group of terms sharing it.
+    The Leibniz expansion is summed here on the atom's (N,k) coefficients;
+    the atom tensor and the algebra matrix t.mat are left for _terms_sum.
     """
     n_extra = len(extra_ydirs)
     out = None
@@ -330,7 +349,7 @@ def _term_value(memo, t: Term, X, extra_ydirs=()):
             v = _atom_eval(memo, t.lie, X, t.lie_ydirs + lie_dirs, t.lie_dlam)
             if t.beta is not None:
                 b = _atom_eval(memo, t.beta, X, t.beta_ydirs + beta_dirs, t.beta_dlam)
-                v = v * (t.coef * b)[:, None, None]
+                v = v * (t.coef * b)[:, None]
             else:
                 v = t.coef * v
             out = v if out is None else out + v
@@ -338,24 +357,28 @@ def _term_value(memo, t: Term, X, extra_ydirs=()):
 
 
 def _terms_sum(memo, terms, X, extra_ydirs=()):
-    """Sum of the terms' values, each distinct matrix applied once.
+    """Sum of the terms' values, (N,3,4), expanded by one GEMM.
 
-    Terms whose matrices are equal (the conjugation R, or R L_i after a
-    rotation derivative) are summed first; the sum is then mapped by one
-    (3,3) @ (N,3,4) matmul.
+    Terms sharing (algebra matrix, atom tensor) — the conjugation R, or R L_i
+    after a rotation derivative — are summed on their coefficients first.
+    The group sums are then concatenated into K (N,sum k) and expanded with
+    the stacked tensors mat @ tensor (sum k, 12).
     """
-    groups = {}                       # matrix bytes -> [mat, partial sum]
+    groups = {}       # (matrix bytes, tensor bytes) -> [mat, tensor, sum]
     for t in terms:
         v = _term_value(memo, t, X, extra_ydirs)
-        key = None if t.mat is None else t.mat.tobytes()
+        B = t.lie.tensor
+        key = (None if t.mat is None else t.mat.tobytes(), B.tobytes())
         if key in groups:
-            groups[key][1] += v
+            groups[key][2] += v
         else:
-            groups[key] = [t.mat, v]
-    out = np.zeros((X.shape[0], 3, 4))
-    for mat, v in groups.values():
-        out += v if mat is None else np.matmul(mat, v)
-    return out
+            groups[key] = [t.mat, B, v]
+    if not groups:
+        return np.zeros((X.shape[0], 3, 4))
+    K = np.concatenate([v for _, _, v in groups.values()], axis=1)
+    T = np.concatenate([(B if mat is None else np.matmul(mat, B)).reshape(-1, 12)
+                        for mat, B, _ in groups.values()])
+    return (K @ T).reshape(-1, 3, 4)
 
 
 def terms_value(terms, X, memo=None):
@@ -568,9 +591,13 @@ def glued_connection(q: ParamQ, bg: BackgroundConnection = None,
                  + (1/eps)(1 - beta_{lam/4}) g PI2 g^{-1};
     inner chart: (1/eps) g I1 g^{-1}, the extension's, as b vanishes there.
     """
-    At, b = extended_connection(q), difference_b(q, bg, pi2)
+    return _glue(extended_connection(q), difference_b(q, bg, pi2))
+
+
+def _glue(At: ChartedField, b: ChartedField) -> ChartedField:
+    """At - b on the term lists; the result holds At's and b's atom objects."""
     minus_b = [dataclasses.replace(t, coef=-t.coef) for t in b.outer_terms]
-    return ChartedField(q.p, q.lam, At.inner_terms, At.outer_terms + minus_b)
+    return ChartedField(At.p, At.lam, At.inner_terms, At.outer_terms + minus_b)
 
 
 def extended_connection(q: ParamQ) -> ChartedField:

@@ -12,6 +12,7 @@ import pytest
 
 from ymeps.forms import star_coeffs
 from ymeps.instanton import (
+    DEFAULT_BG_CMAT,
     DIRECTIONS,
     ETA,
     ETABAR,
@@ -23,12 +24,19 @@ from ymeps.instanton import (
     ParamError,
     ParamQ,
     Term,
+    _glue,
+    _profile_w,
     beta_profile,
     d2A_dp1p1,
+    d_dlam,
+    d_dxi,
     derivative_fields,
     difference_b,
     extended_connection,
     glued_connection,
+    rad_i1,
+    rad_i2,
+    rad_model_h,
     sample_charted,
     terms_jac,
     terms_value,
@@ -283,6 +291,186 @@ def test_beta_atom_lambda_channel():
     upj = BetaAtom(4.0, p, lam + h).eval(X, ydirs=(1,))
     dnj = BetaAtom(4.0, p, lam - h).eval(X, ydirs=(1,))
     assert np.allclose(got, (upj - dnj) / (2 * h), rtol=1e-5)
+
+
+def _profile_w_full(w, order):
+    """The chain rule for P(w) = beta(sqrt w), evaluated on the whole array."""
+    t = np.sqrt(np.maximum(w, 0.0))
+    if order == 0:
+        return beta_profile(t, 0)
+    mid = (t > 1.0) & (t < 2.0)
+    ts = np.where(mid, t, 1.5)
+    b1, b2, b3, b4 = (beta_profile(ts, k) for k in (1, 2, 3, 4))
+    out = {
+        1: b1 / (2 * ts),
+        2: b2 / (4 * ts ** 2) - b1 / (4 * ts ** 3),
+        3: b3 / (8 * ts ** 3) - 3 * b2 / (8 * ts ** 4) + 3 * b1 / (8 * ts ** 5),
+        4: (b4 / (16 * ts ** 4) - 6 * b3 / (16 * ts ** 5)
+            + 15 * b2 / (16 * ts ** 6) - 15 * b1 / (16 * ts ** 7)),
+    }[order]
+    return np.where(mid, out, 0.0)
+
+
+def test_profile_w_on_band_matches_full_chain_rule():
+    rng = np.random.default_rng(RNG_SEED + 8)
+    joints = [1.0, 4.0, np.nextafter(1.0, 2.0), np.nextafter(4.0, 0.0)]
+    w = np.concatenate([rng.uniform(0.0, 6.0, 400), joints, [0.0, 0.5, 5.0]])
+    for order in range(5):
+        got, want = _profile_w(w, order), _profile_w_full(w, order)
+        assert np.array_equal(got, want), order
+        # the band is open: at w = 1 and w = 4 only the plateau values remain
+        assert got[400] == (1.0 if order == 0 else 0.0)
+        assert got[401] == 0.0
+
+
+def test_lam_channels_above_first_order_raise():
+    # d^2/dlam^2 is not implemented: asking for it must not return d/dlam
+    X = np.array([[0.05, 0.02, -0.01, 0.03]])
+    for radial in (rad_i1, rad_i2, rad_model_h):
+        with pytest.raises(ValueError):
+            radial(0.01, 0.2, 0, 2)
+    with pytest.raises(ValueError):
+        BetaAtom(4.0, np.zeros(4), 0.2).eval(X, dlam=2)
+    A = glued_connection(_generic_q())
+    with pytest.raises(ValueError):
+        terms_value(d_dlam(d_dlam(A.outer_terms)), X)
+    # the background does not depend on lam, so these channels are exactly 0
+    assert np.all(BgAtom(np.ones((3, 4))).eval(X, dlam=2) == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# atom coefficient channels
+
+CHANNEL_YDIRS = ((), (0,), (3,), (1, 1), (0, 2), (2, 2, 2), (0, 1, 3), (1, 1, 2))
+ATOM_P = np.array([0.1, -0.08, 0.05, 0.12])
+
+
+def _expanded(atom, X, ydirs=(), dlam=0):
+    """An atom channel as a value: its coefficients times its tensor."""
+    K = atom.eval(X, ydirs, dlam)
+    if isinstance(atom, BetaAtom):       # a scalar factor, no tensor
+        assert K.shape == (len(X),)
+        return K
+    assert K.shape == (len(X), len(atom.tensor))
+    return np.einsum("ne,eau->nau", K, atom.tensor)
+
+
+def _lin_closed_form(M, f):
+    def value(X, lam):
+        Y = X - ATOM_P
+        s = np.sum(Y * Y, axis=1)
+        return np.einsum("aue,ne->nau", M, Y) * f(s, lam)[:, None, None]
+    return value
+
+
+def _atom_cases():
+    """(name, atom factory in lam, closed-form value(X, lam), radii |x - p|)."""
+    lin = [("i1", 2 * ETA, rad_i1, lambda s, lam: 1.0 / (lam ** 2 + s),
+            (0.2, 0.7, 1.5)),
+           ("i2", 2 * ETABAR, rad_i2,
+            lambda s, lam: lam ** 2 / (s * (lam ** 2 + s)), (0.5, 1.0, 2.0)),
+           ("h", 2 * ETABAR, rad_model_h,
+            lambda s, lam: lam ** 2 * (1.0 - 4.0 * s) ** 3, (0.3, 1.0, 1.6))]
+    for name, M, radial, f, radii in lin:
+        yield (name, lambda lam, M=M, radial=radial: LinRadAtom(M, radial, ATOM_P, lam),
+               _lin_closed_form(M, f), radii)
+    for c, radii in ((1.0, (1.15, 1.5, 1.85)), (4.0, (0.29, 0.37, 0.46))):
+        yield (f"beta{c:g}", lambda lam, c=c: BetaAtom(c, ATOM_P, lam),
+               lambda X, lam, c=c: beta_profile(
+                   c * np.linalg.norm(X - ATOM_P, axis=1) / lam),
+               radii)
+    C = DEFAULT_BG_CMAT
+    yield ("bg", lambda lam: BgAtom(C, 0.5),
+           lambda X, lam: 0.5 * C[None] * ((1.0 - np.sum(X * X, axis=1)) ** 3)[:, None, None],
+           (0.2, 0.5, 0.7))
+
+
+def _richardson(fn, h):
+    d1 = (fn(h) - fn(-h)) / (2 * h)
+    d2 = (fn(h / 2) - fn(-h / 2)) / h
+    return (4 * d2 - d1) / 3
+
+
+@pytest.mark.parametrize("case", list(_atom_cases()), ids=lambda c: c[0])
+def test_atom_coefficients_expand_to_closed_form_channels(case):
+    # order 0 against the closed form; each further y- or lam-derivative
+    # against a finite difference of the channel one order below
+    name, make, closed, radii = case
+    lam = 0.2
+    rng = np.random.default_rng(RNG_SEED + 9)
+    e = rng.standard_normal((len(radii), 4))
+    e /= np.linalg.norm(e, axis=1, keepdims=True)
+    X = ATOM_P + (lam * np.asarray(radii))[:, None] * e
+    atom = make(lam)
+    got = _expanded(atom, X)
+    assert np.allclose(got, closed(X, lam), rtol=1e-13, atol=0.0)
+    h = 1e-4 * lam
+    for ydirs in CHANNEL_YDIRS:
+        for dlam in (0, 1):
+            got = _expanded(atom, X, ydirs, dlam)
+            if dlam:
+                fd = _richardson(lambda t: _expanded(make(lam + t), X, ydirs), h)
+            elif ydirs:
+                step = np.eye(4)[ydirs[-1]]
+                fd = _richardson(
+                    lambda t: _expanded(atom, X + t * step, ydirs[:-1]), h)
+            else:
+                continue
+            scale = max(np.max(np.abs(got)), np.max(np.abs(fd)))
+            if name == "bg" and dlam:
+                assert scale == 0.0
+                continue
+            assert scale > 0.0, (name, ydirs, dlam)
+            assert np.allclose(got, fd, rtol=0.0, atol=1e-7 * scale), (name, ydirs, dlam)
+
+
+def _term_by_term(terms, X, nu=None):
+    """Reference sum: each term expanded to (N,3,4) and mapped on its own.
+
+    nu None gives the value, a coordinate index nu its x_nu-derivative.
+    """
+    out = np.zeros((len(X), 3, 4))
+    for t in terms:
+        def lie(extra):
+            return _expanded(t.lie, X, t.lie_ydirs + extra, t.lie_dlam)
+
+        def beta(extra):
+            if t.beta is None:
+                return 0.0 if extra else 1.0
+            return t.beta.eval(X, t.beta_ydirs + extra, t.beta_dlam)[:, None, None]
+
+        if nu is None:
+            v = beta(()) * lie(())
+        else:
+            v = beta((nu,)) * lie(()) + beta(()) * lie((nu,))
+        if t.mat is not None:
+            v = np.einsum("ab,nbu->nau", t.mat, v)
+        out += t.coef * v
+    return out
+
+
+def test_grouped_expansion_with_rotation_and_background_groups():
+    # one term list holding the bg group (no matrix) and, under each of the
+    # matrices R, R L_1, R L_3, a 2 eta group (I1) and a 2 etabar group (the
+    # I2 and model-h atoms share that tensor)
+    q = _generic_q()
+    A = glued_connection(q)
+    both = A.outer_terms + A.inner_terms
+    terms = both + d_dxi(both, 1) + d_dxi(both, 3)
+    keys = {(None if t.mat is None else t.mat.tobytes(), t.lie.tensor.tobytes())
+            for t in terms}
+    assert len(keys) == 7
+    e = np.array([0.3, -0.6, 0.2, 0.7])
+    e /= np.linalg.norm(e)
+    X = q.p + np.array([0.3, 0.6, 1.5, 3.0, 0.45 / q.lam])[:, None] * q.lam * e
+    want = _term_by_term(terms, X)
+    assert np.allclose(terms_value(terms, X), want, rtol=0.0,
+                       atol=1e-13 * np.max(np.abs(want)))
+    J = terms_jac(terms, X)
+    for nu in range(4):
+        want = _term_by_term(terms, X, nu)
+        assert np.allclose(J[..., nu], want, rtol=0.0,
+                           atol=1e-13 * np.max(np.abs(want)))
 
 
 # ---------------------------------------------------------------------------
@@ -591,3 +779,15 @@ def test_one_pass_evaluates_each_atom_channel_once(monkeypatch):
     for d in DIRECTIONS:
         sample_charted(derivative_fields(glued_connection(q), (d,)), X, mask)
     assert per_field < len(seen)
+    # A = Atilde - b holds Atilde's and b's atoms: one pass samples all three
+    seen.clear()
+    At, b = extended_connection(q), difference_b(q)
+    joint = sample_charted([_glue(At, b), At, b], X, mask)
+    assert len(seen) == len(set(seen))
+    per_field = len(seen)
+    seen.clear()
+    apart = [sample_charted([f], X, mask)[0]
+             for f in (glued_connection(q), extended_connection(q), difference_b(q))]
+    assert per_field < len(seen)
+    for (val, jac), (val1, jac1) in zip(joint, apart):
+        assert np.array_equal(val, val1) and np.array_equal(jac, jac1)
