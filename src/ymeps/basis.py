@@ -36,7 +36,6 @@ from .forms import (
     weighted_sum,
 )
 from .instanton import (
-    BackgroundConnection,
     ChartedField,
     ParamQ,
     derivative_fields,
@@ -203,11 +202,10 @@ class GramBasis:
     Rows of ``coeff`` are the expansion coefficients in the raw-field order
     (p1..p4, xi1..xi3, lam); the same rows are the induced parameter-space
     vector fields q_i.  ``ctx`` holds the shared rule and connection samples
-    defining the inner product ("ball" or "weighted"); ``raw_nodefields`` are
-    the f_j sampled on that rule.
+    defining the inner product (ball or weighted); ``raw_nodefields`` are the
+    f_j sampled on that rule.
     """
 
-    kind: str
     coeff: np.ndarray            # (8,8) lower triangular, positive diagonal
     ctx: InnerContext
     raw_gram: np.ndarray
@@ -252,23 +250,21 @@ def _raw_gram(ctx: InnerContext, nodefields) -> np.ndarray:
     return G
 
 
-def _basis_from_fields(kind, ctx, nodefields) -> GramBasis:
+def _basis_from_fields(ctx, nodefields) -> GramBasis:
     """Orthonormalize eight fields sampled on ctx's rule."""
     G = _raw_gram(ctx, nodefields)
-    return GramBasis(kind, mgs_coefficients(G), ctx, G, nodefields)
+    return GramBasis(mgs_coefficients(G), ctx, G, nodefields)
 
 
-def gram_schmidt_ball(q: ParamQ, bg: BackgroundConnection = None,
-                      pi2: str = "model", tol: float = 1e-4,
+def gram_schmidt_ball(q: ParamQ, pi2: str = "model", tol: float = 1e-4,
                       rule: QuadratureRule = None) -> GramBasis:
     """Orthonormalize the eight parameter derivatives of the glued family.
 
     The eight fields dA/dq_i are derived from one A and sampled in one pass.
     """
-    bg = BackgroundConnection() if bg is None else bg
-    A = glued_connection(q, bg, pi2)
+    A = glued_connection(q, pi2=pi2)
     ctx = ball_context(A, q.eps, rule=rule, tol=tol)
-    return _basis_from_fields("ball", ctx, ctx.arrays(derivative_fields(A)))
+    return _basis_from_fields(ctx, ctx.arrays(derivative_fields(A)))
 
 
 def tilde_fields(ctx: InnerContext, q: ParamQ, coeff: np.ndarray):
@@ -290,8 +286,7 @@ def gram_schmidt_weighted(q: ParamQ, ball_basis: GramBasis,
     extension itself in the derivative term.
     """
     ctx = weighted_context(extended_connection(q), q.eps, tol=tol)
-    return _basis_from_fields("weighted", ctx,
-                              tilde_fields(ctx, q, ball_basis.coeff))
+    return _basis_from_fields(ctx, tilde_fields(ctx, q, ball_basis.coeff))
 
 
 def project_perp(v, basis: GramBasis) -> NodeField:
@@ -318,17 +313,15 @@ def _shift_along(q: ParamQ, vec: np.ndarray, t: float) -> ParamQ:
     return replace(q, p=q.p + dp, g=g, lam=q.lam + t * vec[7])
 
 
-def _basis_field_at(q: ParamQ, i: int, ctx: InnerContext,
-                    bg: BackgroundConnection, pi2: str) -> NodeField:
+def _basis_field_at(q: ParamQ, i: int, ctx: InnerContext, pi2: str) -> NodeField:
     """a_i at a (possibly shifted) q, sampled on the base rule and base mask."""
-    return gram_schmidt_ball(q, bg, pi2, rule=ctx.rule).node_field(i)
+    return gram_schmidt_ball(q, pi2, rule=ctx.rule).node_field(i)
 
 
 _H_REL = 1e-3   # first FD step, relative to lam along a unit-length q_j
 
 
 def basis_directional_derivative(q: ParamQ, i: int, j: int, basis: GramBasis,
-                                 bg: BackgroundConnection = None,
                                  pi2: str = "model") -> tuple[NodeField, float]:
     """Central-difference derivative of a_i along the vector field q_j.
 
@@ -338,7 +331,6 @@ def basis_directional_derivative(q: ParamQ, i: int, j: int, basis: GramBasis,
     (h, h/2).  Returns the derivative and the step-halving relative change
     of the extrapolated value.
     """
-    bg = BackgroundConnection() if bg is None else bg
     ctx = basis.ctx
     vec = basis.coeff[j - 1]
     vnorm = float(np.linalg.norm(vec))
@@ -347,8 +339,8 @@ def basis_directional_derivative(q: ParamQ, i: int, j: int, basis: GramBasis,
     t = _H_REL * q.lam / vnorm
 
     def fd(step: float) -> NodeField:
-        plus = _basis_field_at(_shift_along(q, vec, step), i, ctx, bg, pi2)
-        minus = _basis_field_at(_shift_along(q, vec, -step), i, ctx, bg, pi2)
+        plus = _basis_field_at(_shift_along(q, vec, step), i, ctx, pi2)
+        minus = _basis_field_at(_shift_along(q, vec, -step), i, ctx, pi2)
         return (plus - minus) * (1.0 / (2.0 * step))
 
     d1 = fd(t)

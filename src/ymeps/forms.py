@@ -214,7 +214,7 @@ def cov_grad_coeffs(Aval, val, jac, eps: float) -> np.ndarray:
     At = np.ascontiguousarray((eps * Aval).transpose(1, 2, 0))[:, None]  # [b,.,nu,n]
     vt = np.ascontiguousarray(val.transpose(1, 2, 0))[:, :, None]        # [c,mu,.,n]
     br = np.empty((3, 4, 4, Aval.shape[0]))
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    for a, b, c in _CYCLIC:
         np.multiply(At[b], vt[c], out=br[a])
         br[a] -= At[c] * vt[b]
     return np.add(jac, br.transpose(3, 0, 1, 2), out=np.empty_like(jac))

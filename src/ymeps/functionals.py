@@ -13,7 +13,7 @@ the sweep, a non-increasing sequence, or a null value within precision).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -42,13 +42,12 @@ from .forms import (
 )
 from .instanton import (
     DIRECTIONS,
-    BackgroundConnection,
     ChartedField,
     ParamQ,
-    _glue,
     d2A_dp1p1,
     difference_b,
     extended_connection,
+    glue,
 )
 
 __all__ = [
@@ -243,7 +242,6 @@ class QuantityRow:
 class EstimateReport:
     lemma: str
     rows: list
-    meta: dict = dc_field(default_factory=dict)
 
     def passed(self) -> bool:
         return all(r.verdict in ("pass", "exact") for r in self.rows)
@@ -358,8 +356,7 @@ def sweep_points(eps_list, D=1.0, p=None, g=None):
     return [ParamQ.default(e, D=D, p=p, g=g) for e in eps_list]
 
 
-def compute_point_metrics(q: ParamQ, bg: BackgroundConnection = None,
-                          pi2: str = "model", tol: float = 1e-4,
+def compute_point_metrics(q: ParamQ, pi2: str = "model", tol: float = 1e-4,
                           seed: int = 0, n_test: int = 32,
                           blocks=frozenset({"basis"})) -> dict:
     """All scalar diagnostics of one sweep point needed by the reports.
@@ -367,9 +364,8 @@ def compute_point_metrics(q: ParamQ, bg: BackgroundConnection = None,
     blocks selects the expensive parts: "basis" (always computed),
     "weighted", "l36", "l37", "l310".
     """
-    bg = BackgroundConnection() if bg is None else bg
     out = {"eps": q.eps, "lam": q.lam}
-    basis = gram_schmidt_ball(q, bg, pi2, tol=tol)
+    basis = gram_schmidt_ball(q, pi2, tol=tol)
     ctx = basis.ctx
     G = basis.raw_gram
     diag = np.sqrt(np.diag(G))
@@ -395,11 +391,11 @@ def compute_point_metrics(q: ParamQ, bg: BackgroundConnection = None,
                 np.sqrt(max(ctx.inner_nf(dnf, dnf), 0.0)))
 
     if "l37" in blocks:
-        out.update(_hessian_difference_metrics(q, bg, pi2, basis, ctx,
+        out.update(_hessian_difference_metrics(q, pi2, basis, ctx,
                                                seed=seed, n_test=n_test))
 
     if "l310" in blocks:
-        out.update(_perp_derivative_metrics(q, bg, pi2, basis, ctx))
+        out.update(_perp_derivative_metrics(q, pi2, basis, ctx))
 
     return out
 
@@ -410,7 +406,7 @@ def _require_finite(*arrays):
         raise NumericalError("non-finite integrand in the l37 pairings")
 
 
-def _hessian_difference_metrics(q, bg, pi2, basis, ctx, seed, n_test):
+def _hessian_difference_metrics(q, pi2, basis, ctx, seed, n_test):
     """Sampled dual norms of H_A - H_Atilde and delta_A - delta_Atilde.
 
     Each probe beta is a bump that is exactly 0 in value and jacobian
@@ -425,8 +421,8 @@ def _hessian_difference_metrics(q, bg, pi2, basis, ctx, seed, n_test):
     # A = Atilde - b holds Atilde's and b's atom objects, so one pass samples
     # all three with each atom channel evaluated once; only the values and
     # the arrays below are kept, the jacobians go once F and d_A b exist
-    At, b = extended_connection(q), difference_b(q, bg, pi2)
-    nfA, nfAt, nfb = ctx.arrays([_glue(At, b), At, b])
+    At, b = extended_connection(q), difference_b(q, pi2=pi2)
+    nfA, nfAt, nfb = ctx.arrays([glue(At, b), At, b])
     Aval, FA = nfA.val, curvature_coeffs(nfA.val, nfA.jac, eps)
     Atval, FAt = nfAt.val, curvature_coeffs(nfAt.val, nfAt.jac, eps)
     bval, dAb = nfb.val, cov_d_coeffs(1, Aval, nfb.val, nfb.jac, eps)
@@ -487,12 +483,12 @@ def _hessian_difference_metrics(q, bg, pi2, basis, ctx, seed, n_test):
     return out
 
 
-def _perp_derivative_metrics(q, bg, pi2, basis, ctx):
+def _perp_derivative_metrics(q, pi2, basis, ctx):
     out = {}
     a11 = float(basis.coeff[0, 0])
-    d2 = ctx.arrays(d2A_dp1p1(q, bg, pi2))
+    d2 = ctx.arrays(d2A_dp1p1(q, pi2))
     an_perp = project_perp(d2, basis) * a11 ** 2
-    fd, halving = basis_directional_derivative(q, 1, 1, basis, bg=bg, pi2=pi2)
+    fd, halving = basis_directional_derivative(q, 1, 1, basis, pi2=pi2)
     fd_perp = project_perp(fd, basis)
     dens = ctx.density(fd_perp, fd_perp)
     weights, mask = ctx.rule.weights, ctx.rule.mask_inner
@@ -576,7 +572,7 @@ def lemma36_report(points) -> EstimateReport:
     return EstimateReport("3.6", rows)
 
 
-def lemma37_report(points, n_test: int = 32) -> EstimateReport:
+def lemma37_report(points) -> EstimateReport:
     """Sampled dual norms of the Hessian and codifferential differences."""
     eps = _col(points, "eps")
     rows = []
@@ -587,7 +583,7 @@ def lemma37_report(points, n_test: int = 32) -> EstimateReport:
                                  _col(points, f"codiff_dual_{tag}"), 1.5))
     rows.append(_row_threshold("five_term_residual", eps,
                                _col(points, "five_term_residual"), 1e-8))
-    return EstimateReport("3.7", rows, meta={"n_test": n_test})
+    return EstimateReport("3.7", rows)
 
 
 def lemma310_report(points) -> EstimateReport:

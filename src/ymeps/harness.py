@@ -428,8 +428,7 @@ def _run_lemmas(tags, cfg: SweepConfig, stem: str) -> int:
             n_test=cfg.n_test, blocks=blocks))
     reports = []
     for t in tags:
-        rep = (_LEMMA_BUILDERS[t](metrics, n_test=cfg.n_test)
-               if t == "3.7" else _LEMMA_BUILDERS[t](metrics))
+        rep = _LEMMA_BUILDERS[t](metrics)
         reports.append(rep)
         print(f"check {t}: {'pass' if rep.passed() else 'FAIL'}")
         _print_report(rep)

@@ -8,8 +8,8 @@ where the atoms are closed-form radial profiles times linear maps:
 
     I1 : 2 (eta ybar-map y) / (lam^2 + s)            s = |x-p|^2, y = x-p
     I2 : 2 (etabar y) (1/s - 1/(lam^2+s))
-    H  : 2 (etabar y) lam^2 rho(s)                   model correction profile
-    bg : Cmat * chi(|x|^2)                           background 1-form
+    H  : 2 (etabar y) lam^2 (1 - 4s)^3_+             model correction profile
+    bg : Cmat (1 - |x|^2)^3_+                        background 1-form
 
 Parameter derivatives (d/dp_i, d/dlam, rotation directions xi_i) act on term
 lists symbolically, so the derivative fields of the family — including the
@@ -33,7 +33,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = [
     "Term",
     "DIRECTIONS",
     "beta_profile",
+    "glue",
     "glued_connection",
     "extended_connection",
     "difference_b",
@@ -106,27 +107,24 @@ def rad_i2(s, lam, ds=0, dlam=0):
     return (-1.0) ** k * math.factorial(k + 1) * 2 * lam * q ** (-(k + 2))
 
 
-def _rho(s, k):
-    """rho = (1-4s)^3 on s < 1/4, else 0; k-th s-derivative (C^2 at the edge)."""
-    u = 1.0 - 4.0 * s
-    pos = u > 0
-    if k == 0:
-        return np.where(pos, u ** 3, 0.0)
-    if k == 1:
-        return np.where(pos, -12.0 * u ** 2, 0.0)
-    if k == 2:
-        return np.where(pos, 96.0 * u, 0.0)
-    if k == 3:
-        return np.where(pos, -384.0, 0.0)
-    return np.zeros_like(s)
+def _cubic(s, r2, k):
+    """d^k/ds^k (1 - s/r2)^3 on s < r2, else 0 (C^2 at the edge).
+
+    r2 is a power of 2 (1/4 for h, 1 for the background), so s/r2 and the
+    coefficient (-1/r2)^k 3!/(3-k)! are exact.
+    """
+    if k > 3:
+        return np.zeros_like(s)
+    u = 1.0 - s / r2
+    return np.where(u > 0, (-1.0 / r2) ** k * (1, 3, 6, 6)[k] * u ** (3 - k), 0.0)
 
 
 def rad_model_h(s, lam, ds=0, dlam=0):
-    """f = lam^2 rho(s) for the model correction h."""
+    """f = lam^2 (1 - 4s)^3 on s < 1/4, the model correction h."""
     _check_dlam(dlam)
     if dlam == 0:
-        return lam * lam * _rho(s, ds)
-    return 2.0 * lam * _rho(s, ds)
+        return lam * lam * _cubic(s, 0.25, ds)
+    return 2.0 * lam * _cubic(s, 0.25, ds)
 
 
 # ---------------------------------------------------------------------------
@@ -156,33 +154,32 @@ def beta_profile(t, order=0):
     return np.where(mid, -d, 0.0)
 
 
-def _profile_w(w, order=0):
-    """Derivatives of P(w) := beta(sqrt(w)) with respect to w.
+def _profile_w(w, order):
+    """Derivatives 0..order of P(w) := beta(sqrt(w)) with respect to w.
 
     Off the transition band 1 < w < 4, P is exactly 1 (w <= 1) or 0 and its
     derivatives are 0, so the chain rule runs on the band's entries only.
+    Returns the list [P, P', ..., P^(order)].
     """
     if order not in range(5):
         raise ValueError("order must be 0..4")
     w = np.asarray(w, dtype=float)
-    out = np.zeros(w.shape)
-    if order == 0:
-        out[w <= 1.0] = 1.0
+    out = [np.zeros(w.shape) for _ in range(order + 1)]
+    out[0][w <= 1.0] = 1.0
     band = (w > 1.0) & (w < 4.0)
     t = np.sqrt(w[band])          # t >= 1 on the band: no division by 0
     b = [beta_profile(t, k) for k in range(order + 1)]
-    if order == 0:
-        out[band] = b[0]
-    elif order == 1:
-        out[band] = b[1] / (2 * t)
-    elif order == 2:
-        out[band] = b[2] / (4 * t ** 2) - b[1] / (4 * t ** 3)
-    elif order == 3:
-        out[band] = (b[3] / (8 * t ** 3) - 3 * b[2] / (8 * t ** 4)
-                     + 3 * b[1] / (8 * t ** 5))
-    else:
-        out[band] = (b[4] / (16 * t ** 4) - 6 * b[3] / (16 * t ** 5)
-                     + 15 * b[2] / (16 * t ** 6) - 15 * b[1] / (16 * t ** 7))
+    out[0][band] = b[0]
+    if order >= 1:
+        out[1][band] = b[1] / (2 * t)
+    if order >= 2:
+        out[2][band] = b[2] / (4 * t ** 2) - b[1] / (4 * t ** 3)
+    if order >= 3:
+        out[3][band] = (b[3] / (8 * t ** 3) - 3 * b[2] / (8 * t ** 4)
+                        + 3 * b[1] / (8 * t ** 5))
+    if order >= 4:
+        out[4][band] = (b[4] / (16 * t ** 4) - 6 * b[3] / (16 * t ** 5)
+                        + 15 * b[2] / (16 * t ** 6) - 15 * b[1] / (16 * t ** 7))
     return out
 
 
@@ -257,7 +254,7 @@ class BetaAtom:
         a = self.c ** 2 / self.lam ** 2
         w = a * s
         k_needed = len(ydirs) + 1
-        P = [_profile_w(w, j) for j in range(k_needed + 1)]
+        P = _profile_w(w, k_needed)
         if dlam == 0:
             f = [a ** j * P[j] for j in range(k_needed)]
         else:
@@ -269,34 +266,20 @@ class BetaAtom:
 
 
 class BgAtom:
-    """Background 1-form Cmat * chi(|x|^2), chi = (1-sigma)^3 on the unit ball.
+    """Background 1-form Cmat (1 - |x|^2)^3 on the unit ball, 0 outside.
 
-    eval returns the coefficient (N,1) of tensor = amplitude * Cmat[None];
-    it does not depend on lam, so every lam-channel is 0.
+    eval returns the coefficient (N,1) of tensor = Cmat[None]; it does not
+    depend on lam, so every lam-channel is 0.
     """
 
-    def __init__(self, Cmat, amplitude=1.0):
-        self.tensor = np.asarray(Cmat, dtype=float)[None] * amplitude
-
-    @staticmethod
-    def _chi(sig, k):
-        u = 1.0 - sig
-        pos = u > 0
-        if k == 0:
-            return np.where(pos, u ** 3, 0.0)
-        if k == 1:
-            return np.where(pos, -3.0 * u ** 2, 0.0)
-        if k == 2:
-            return np.where(pos, 6.0 * u, 0.0)
-        if k == 3:
-            return np.where(pos, -6.0, 0.0)
-        return np.zeros_like(sig)
+    def __init__(self, Cmat):
+        self.tensor = np.asarray(Cmat, dtype=float)[None]
 
     def eval(self, X, ydirs=(), dlam=0):
         if dlam > 0:
             return np.zeros((X.shape[0], 1))
         sig = np.sum(X * X, axis=1)
-        f = [self._chi(sig, j) for j in range(4)]
+        f = [_cubic(sig, 1.0, j) for j in range(4)]
         return _scalar_radial_derivs(X, f, ydirs)[:, None]
 
 
@@ -306,7 +289,11 @@ class BgAtom:
 
 @dataclass(frozen=True)
 class Term:
-    """coef * beta-factor * (mat @ atom), with symbolic derivative bookkeeping."""
+    """coef * beta-factor * (mat @ atom), with symbolic derivative bookkeeping.
+
+    mat is the conjugation by g (None: the term does not rotate with g), and
+    a BgAtom lie is the background, which does not move with p or lam.
+    """
 
     coef: float
     lie: object
@@ -316,8 +303,6 @@ class Term:
     beta_ydirs: tuple = ()
     beta_dlam: int = 0
     mat: Optional[np.ndarray] = None
-    conjugated: bool = False
-    x_based: bool = False
 
 
 def _atom_eval(memo, atom, X, ydirs, dlam):
@@ -406,7 +391,7 @@ def d_dp(terms, i):
     """d/dp_i of a term list (0-based coordinate index i)."""
     out = []
     for t in terms:
-        if not t.x_based:
+        if not isinstance(t.lie, BgAtom):
             out.append(dataclasses.replace(
                 t, coef=-t.coef, lie_ydirs=t.lie_ydirs + (i,)))
         if t.beta is not None:
@@ -418,7 +403,7 @@ def d_dp(terms, i):
 def d_dlam(terms):
     out = []
     for t in terms:
-        if not t.x_based:
+        if not isinstance(t.lie, BgAtom):
             out.append(dataclasses.replace(t, lie_dlam=t.lie_dlam + 1))
         if t.beta is not None:
             out.append(dataclasses.replace(t, beta_dlam=t.beta_dlam + 1))
@@ -432,13 +417,8 @@ def d_dxi(terms, i):
     a generator on the right; unconjugated factors do not move.
     """
     L = so3_generator(i)
-    out = []
-    for t in terms:
-        if not t.conjugated:
-            continue
-        mat = L if t.mat is None else t.mat @ L
-        out.append(dataclasses.replace(t, mat=mat))
-    return out
+    return [dataclasses.replace(t, mat=t.mat @ L)
+            for t in terms if t.mat is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -451,23 +431,24 @@ class ParamError(ValueError):
 
 @dataclass(frozen=True)
 class ParamQ:
-    """Gluing parameter q = (p, [g], lam) with its eps and admissibility bounds."""
+    """Gluing parameter q = (p, [g], lam) with its eps and admissibility bounds.
+
+    The bounds satisfy 0 < 2 lam0 < d0.
+    """
 
     p: np.ndarray
     g: GroupElement
     lam: float
     eps: float
-    d0: float = 0.6
-    lam0: float = 0.26
-    D1: float = 0.5
-    D2: float = 2.0
+    d0: ClassVar[float] = 0.6
+    lam0: ClassVar[float] = 0.26
+    D1: ClassVar[float] = 0.5
+    D2: ClassVar[float] = 2.0
 
     def __post_init__(self):
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
         if self.p.shape != (4,):
             raise ParamError("p must be a point of R^4")
-        if not (0 < 2 * self.lam0 < self.d0):
-            raise ParamError("need 0 < 2*lam0 < d0")
         if np.linalg.norm(self.p) >= 1.0 - self.d0:
             raise ParamError(f"|p| = {np.linalg.norm(self.p):.4f} not < 1 - d0 = {1-self.d0}")
         if not (0 < self.lam < self.lam0):
@@ -506,7 +487,7 @@ class BackgroundConnection:
         object.__setattr__(self, "Cmat", C)
 
     def atom(self) -> BgAtom:
-        return BgAtom(self.Cmat, self.amplitude)
+        return BgAtom(self.Cmat * self.amplitude)
 
 
 @dataclass
@@ -556,31 +537,13 @@ def sample_charted(fields, X, mask_inner, need_jac=True):
 # the family
 
 
-PI2_STRATEGIES = ("zero", "model", "full")
-
-
-def _strategy_h_atoms(q: ParamQ, pi2: str):
-    """Term templates (no beta, unconjugated) for h := I2 - PI2 per strategy."""
-    if pi2 not in PI2_STRATEGIES:
-        raise ValueError(f"unknown pi2 strategy {pi2!r}; use one of {PI2_STRATEGIES}")
-    if pi2 == "zero":      # PI2 = 0, h = I2
-        return [(1.0, LinRadAtom(2 * ETABAR, rad_i2, q.p, q.lam))]
-    if pi2 == "model":     # PI2 = I2 - lam^2 Theta, h = lam^2 Theta
-        return [(1.0, LinRadAtom(2 * ETABAR, rad_model_h, q.p, q.lam))]
-    return []              # "full": PI2 = I2, h = 0
-
-
-def _i1_atom(q: ParamQ):
-    return LinRadAtom(2 * ETA, rad_i1, q.p, q.lam)
-
-
-def _i2_atom(q: ParamQ):
-    return LinRadAtom(2 * ETABAR, rad_i2, q.p, q.lam)
-
-
-def _inner_terms(q: ParamQ) -> list:
-    R = adjoint_matrix(q.g)
-    return [Term(1.0 / q.eps, lie=_i1_atom(q), mat=R, conjugated=True)]
+# h := I2 - PI2 per strategy, as the radial law of 2 (etabar y) f(s, lam)
+_H_RADIAL = {
+    "zero": rad_i2,          # PI2 = 0, h = I2
+    "model": rad_model_h,    # PI2 = I2 - lam^2 Theta, h = lam^2 Theta
+    "full": None,            # PI2 = I2, h = 0
+}
+PI2_STRATEGIES = tuple(_H_RADIAL)
 
 
 def glued_connection(q: ParamQ, bg: BackgroundConnection = None,
@@ -591,10 +554,10 @@ def glued_connection(q: ParamQ, bg: BackgroundConnection = None,
                  + (1/eps)(1 - beta_{lam/4}) g PI2 g^{-1};
     inner chart: (1/eps) g I1 g^{-1}, the extension's, as b vanishes there.
     """
-    return _glue(extended_connection(q), difference_b(q, bg, pi2))
+    return glue(extended_connection(q), difference_b(q, bg, pi2))
 
 
-def _glue(At: ChartedField, b: ChartedField) -> ChartedField:
+def glue(At: ChartedField, b: ChartedField) -> ChartedField:
     """At - b on the term lists; the result holds At's and b's atom objects."""
     minus_b = [dataclasses.replace(t, coef=-t.coef) for t in b.outer_terms]
     return ChartedField(At.p, At.lam, At.inner_terms, At.outer_terms + minus_b)
@@ -603,8 +566,10 @@ def _glue(At: ChartedField, b: ChartedField) -> ChartedField:
 def extended_connection(q: ParamQ) -> ChartedField:
     """The extension: pure (1/eps)-scaled instanton in both charts, on all of R^4."""
     R = adjoint_matrix(q.g)
-    outer = [Term(1.0 / q.eps, lie=_i2_atom(q), mat=R, conjugated=True)]
-    return ChartedField(q.p, q.lam, _inner_terms(q), outer)
+    inner = [Term(1.0 / q.eps, lie=LinRadAtom(2 * ETA, rad_i1, q.p, q.lam), mat=R)]
+    outer = [Term(1.0 / q.eps, lie=LinRadAtom(2 * ETABAR, rad_i2, q.p, q.lam),
+                  mat=R)]
+    return ChartedField(q.p, q.lam, inner, outer)
 
 
 def difference_b(q: ParamQ, bg: BackgroundConnection = None,
@@ -614,18 +579,17 @@ def difference_b(q: ParamQ, bg: BackgroundConnection = None,
     Derived directly from the definitions:
         b = (beta_lam - 1) bg + (1/eps)(1 - beta_{lam/4}) g h g^{-1},  h = I2 - PI2.
     """
-    bg = BackgroundConnection() if bg is None else bg
-    R = adjoint_matrix(q.g)
-    beta_lam = BetaAtom(1.0, q.p, q.lam)
-    beta_q = BetaAtom(4.0, q.p, q.lam)
-    bga = bg.atom()
-    outer = [
-        Term(-1.0, lie=bga, x_based=True),
-        Term(1.0, lie=bga, x_based=True, beta=beta_lam),
-    ]
-    for c, atom in _strategy_h_atoms(q, pi2):
-        outer.append(Term(c / q.eps, lie=atom, mat=R, conjugated=True))
-        outer.append(Term(-c / q.eps, lie=atom, mat=R, conjugated=True, beta=beta_q))
+    if pi2 not in _H_RADIAL:
+        raise ValueError(f"unknown pi2 strategy {pi2!r}; use one of {PI2_STRATEGIES}")
+    bga = (BackgroundConnection() if bg is None else bg).atom()
+    outer = [Term(-1.0, lie=bga),
+             Term(1.0, lie=bga, beta=BetaAtom(1.0, q.p, q.lam))]
+    radial = _H_RADIAL[pi2]
+    if radial is not None:
+        R = adjoint_matrix(q.g)
+        h = LinRadAtom(2 * ETABAR, radial, q.p, q.lam)
+        outer.append(Term(1.0 / q.eps, lie=h, mat=R))
+        outer.append(Term(-1.0 / q.eps, lie=h, mat=R, beta=BetaAtom(4.0, q.p, q.lam)))
     return ChartedField(q.p, q.lam, [], outer)
 
 
@@ -654,11 +618,9 @@ def derivative_fields(A: ChartedField, directions=DIRECTIONS) -> list:
             for d in directions]
 
 
-def d2A_dp1p1(q: ParamQ, bg: BackgroundConnection = None,
-              pi2: str = "model") -> ChartedField:
+def d2A_dp1p1(q: ParamQ, pi2: str = "model") -> ChartedField:
     """Second p1-derivative of the glued family (exact term-level differentiation)."""
-    bg = BackgroundConnection() if bg is None else bg
-    A = glued_connection(q, bg, pi2)
+    A = glued_connection(q, pi2=pi2)
     return ChartedField(q.p, q.lam,
                         d_dp(d_dp(A.inner_terms, 0), 0),
                         d_dp(d_dp(A.outer_terms, 0), 0))

@@ -163,7 +163,7 @@ def test_criterion_07_basis_gap_ratios(sweep):
 
 
 def test_criterion_08_hessian_dual_norms(sweep):
-    rep = lemma37_report(sweep["points"], n_test=N_TEST)
+    rep = lemma37_report(sweep["points"])
     rows = [_row(rep, n) for n in ("hess_dual_i1", "hess_dual_i5",
                                    "codiff_dual_i1", "codiff_dual_i5")]
     ft = _row(rep, "five_term_residual")

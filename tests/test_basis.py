@@ -11,7 +11,6 @@ from ymeps.forms import (
     weighted_r4_rule,
 )
 from ymeps.instanton import (
-    BackgroundConnection,
     ParamQ,
     extended_connection,
     glued_connection,
@@ -192,7 +191,7 @@ def test_gram_schmidt_ball_synthetic_orthonormal_inputs():
         M = np.zeros((3, 4))
         M[a, mu] = np.sqrt(2.0 / np.pi ** 2)  # unit H^1 norm: constants
         fields.append(sample_form(constant_form(1, M), ctx.rule))
-    basis = _basis_from_fields("ball", ctx, fields)
+    basis = _basis_from_fields(ctx, fields)
     assert np.allclose(basis.coeff, np.eye(8), atol=1e-6)
 
 
@@ -279,10 +278,9 @@ def test_fd_rebuild_at_the_base_point_is_the_basis_field():
     # unshifted q it reproduces the basis' own fields bit for bit
     q = ParamQ.default(2.0 ** -4, p=[0.05, -0.03, 0.02, 0.01],
                        g=exp_map(AlgElement(0.3, -0.2, 0.5)))
-    bg = BackgroundConnection()
-    basis = gram_schmidt_ball(q, bg, "model")
+    basis = gram_schmidt_ball(q, "model")
     for i in (1, 5, 8):
-        got = _basis_field_at(q, i, basis.ctx, bg, "model")
+        got = _basis_field_at(q, i, basis.ctx, "model")
         want = basis.node_field(i)
         assert np.array_equal(got.val, want.val)
         assert np.array_equal(got.jac, want.jac)

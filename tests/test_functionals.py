@@ -39,7 +39,6 @@ from ymeps.functionals import (
 from ymeps.functionals import test_field_family as probe_family
 from ymeps.instanton import (
     PI2_STRATEGIES,
-    BackgroundConnection,
     ChartedField,
     ParamQ,
     difference_b,
@@ -333,13 +332,13 @@ def test_five_term_expansion_single_point():
     assert np.isfinite(m["hess_dual_i5"])
 
 
-def _per_tag_l37_oracle(q, bg, pi2, basis, ctx, seed, n_test):
+def _per_tag_l37_oracle(q, pi2, basis, ctx, seed, n_test):
     """The l37 loop as first written: tags outside, full rule, probe arrays
     recomputed per tag."""
     eps, w = q.eps, ctx.rule.weights
-    A_nf = ctx.arrays(glued_connection(q, bg, pi2))
+    A_nf = ctx.arrays(glued_connection(q, pi2=pi2))
     At_nf = ctx.arrays(extended_connection(q))
-    b_nf = ctx.arrays(difference_b(q, bg, pi2))
+    b_nf = ctx.arrays(difference_b(q, pi2=pi2))
     Aval, Atval = A_nf.val, At_nf.val
     FA = curvature_coeffs(Aval, A_nf.jac, eps)
     FAt = curvature_coeffs(Atval, At_nf.jac, eps)
@@ -385,11 +384,10 @@ def test_l37_probe_loop_matches_per_tag_oracle(pi2):
     # off-centre p and a non-identity g: the probes' supports are off the
     # rule's centre and cut through both charts
     q = _generic_q(2.0 ** -4)
-    bg = BackgroundConnection()
-    basis = gram_schmidt_ball(q, bg, pi2)
-    got = _hessian_difference_metrics(q, bg, pi2, basis, basis.ctx,
+    basis = gram_schmidt_ball(q, pi2)
+    got = _hessian_difference_metrics(q, pi2, basis, basis.ctx,
                                       seed=RNG_SEED, n_test=4)
-    want = _per_tag_l37_oracle(q, bg, pi2, basis, basis.ctx,
+    want = _per_tag_l37_oracle(q, pi2, basis, basis.ctx,
                                seed=RNG_SEED, n_test=4)
     assert list(got) == list(want)
     for key in want:
@@ -407,7 +405,7 @@ def test_probe_specs_match_full_rule_probes(pi2, stride):
     # there, drawn from the same RNG sequence; on a rule thinned to every
     # 997th node some candidates cover no node and are rejected
     q = _generic_q(2.0 ** -4)
-    ctx = ball_context(glued_connection(q, BackgroundConnection(), pi2), q.eps)
+    ctx = ball_context(glued_connection(q, pi2=pi2), q.eps)
     r = ctx.rule
     rule = QuadratureRule(r.nodes[::stride], r.weights[::stride], r.center,
                           r.lam, r.region)
@@ -451,8 +449,8 @@ def test_l37_probe_loop_reports_non_finite_connection(monkeypatch):
 
     monkeypatch.setattr(type(ctx), "arrays", poisoned)
     with pytest.raises(NumericalError):
-        _hessian_difference_metrics(q, BackgroundConnection(), "model", basis,
-                                    ctx, seed=RNG_SEED, n_test=2)
+        _hessian_difference_metrics(q, "model", basis, ctx, seed=RNG_SEED,
+                                    n_test=2)
 
 
 def test_perp_derivative_paths_single_point():

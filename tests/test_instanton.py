@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ymeps import instanton
 from ymeps.forms import star_coeffs
 from ymeps.instanton import (
     DEFAULT_BG_CMAT,
@@ -24,7 +25,6 @@ from ymeps.instanton import (
     ParamError,
     ParamQ,
     Term,
-    _glue,
     _profile_w,
     beta_profile,
     d2A_dp1p1,
@@ -33,6 +33,7 @@ from ymeps.instanton import (
     derivative_fields,
     difference_b,
     extended_connection,
+    glue,
     glued_connection,
     rad_i1,
     rad_i2,
@@ -315,8 +316,10 @@ def test_profile_w_on_band_matches_full_chain_rule():
     rng = np.random.default_rng(RNG_SEED + 8)
     joints = [1.0, 4.0, np.nextafter(1.0, 2.0), np.nextafter(4.0, 0.0)]
     w = np.concatenate([rng.uniform(0.0, 6.0, 400), joints, [0.0, 0.5, 5.0]])
-    for order in range(5):
-        got, want = _profile_w(w, order), _profile_w_full(w, order)
+    orders = _profile_w(w, 4)
+    assert len(orders) == 5
+    for order, got in enumerate(orders):
+        want = _profile_w_full(w, order)
         assert np.array_equal(got, want), order
         # the band is open: at w = 1 and w = 4 only the plateau values remain
         assert got[400] == (1.0 if order == 0 else 0.0)
@@ -380,9 +383,28 @@ def _atom_cases():
                    c * np.linalg.norm(X - ATOM_P, axis=1) / lam),
                radii)
     C = DEFAULT_BG_CMAT
-    yield ("bg", lambda lam: BgAtom(C, 0.5),
+    yield ("bg", lambda lam: BgAtom(C * 0.5),
            lambda X, lam: 0.5 * C[None] * ((1.0 - np.sum(X * X, axis=1)) ** 3)[:, None, None],
            (0.2, 0.5, 0.7))
+
+
+@pytest.mark.parametrize("dlam", [0, 1])
+def test_beta_atom_evaluates_each_profile_order_once(monkeypatch, dlam):
+    # one _profile_w pass gives the orders 0..len(ydirs)+1 a channel needs,
+    # with one beta_profile call per order
+    calls = []
+
+    def counted(t, order=0):
+        calls.append(order)
+        return beta_profile(t, order)
+    monkeypatch.setattr(instanton, "beta_profile", counted)
+    lam = 0.2
+    atom = BetaAtom(4.0, ATOM_P, lam)
+    X = ATOM_P + (lam * np.array([0.29, 0.37, 0.46]))[:, None] * np.eye(4)[:3]
+    for ydirs in CHANNEL_YDIRS:
+        calls.clear()
+        atom.eval(X, ydirs, dlam)
+        assert 0 < len(calls) <= len(ydirs) + 2, (ydirs, calls)
 
 
 def _richardson(fn, h):
@@ -782,7 +804,7 @@ def test_one_pass_evaluates_each_atom_channel_once(monkeypatch):
     # A = Atilde - b holds Atilde's and b's atoms: one pass samples all three
     seen.clear()
     At, b = extended_connection(q), difference_b(q)
-    joint = sample_charted([_glue(At, b), At, b], X, mask)
+    joint = sample_charted([glue(At, b), At, b], X, mask)
     assert len(seen) == len(set(seen))
     per_field = len(seen)
     seen.clear()
