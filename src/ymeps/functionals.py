@@ -29,13 +29,15 @@ from .basis import (
     tilde_fields,
 )
 from .forms import (
+    ANTISYM_TABLE,
+    CODIFF_TABLE,
     NumericalError,
+    _bracket_contract,
     ball_rule,
     bracket_wedge_coeffs,
     cdot,
     codiff_coeffs,
     cov_d_coeffs,
-    cov_grad_coeffs,
     curvature_coeffs,
     star_coeffs,
     weighted_sum,
@@ -170,27 +172,34 @@ def hessian_form(A, a, b, eps: float, rule=None, tol: float = 1e-4) -> float:
 # test fields
 
 
-def _bump_arrays(X, center, scale, coeff):
-    """Value and jacobian of the bump coeff * (1 - |x-c|^2/s^2)^3 at nodes X
-    inside its ball; outside it both vanish (the profile is C^2 there)."""
+def _bump_channels(X, center, scale):
+    """The five scalar channels (phi, d_0 phi, ..., d_3 phi) of the bump
+    phi = (1 - |x-c|^2/s^2)^3 at nodes X inside its ball, as (5, len(X));
+    outside the ball all five vanish (the profile is C^2 there)."""
     Y = X - center
     u = 1.0 - np.sum(Y * Y, axis=1) / scale ** 2
-    val = coeff[None, :, :] * (u ** 3)[:, None, None]
-    dprof = 3 * u ** 2 * (-2.0 / scale ** 2)
-    jac = coeff[None, :, :, None] * (dprof[:, None] * Y)[:, None, None, :]
-    return val, jac
+    out = np.empty((5, len(X)))
+    out[0] = u ** 3
+    np.multiply(-6.0 / scale ** 2 * u ** 2, Y.T, out=out[1:])
+    return out
 
 
 def test_field_family(q: ParamQ, ctx: InnerContext, n: int, seed: int):
     """n seeded bump probes at scales {lam/4, lam, 1}, unit norm in ctx.
 
-    Each probe is returned as a spec (rows, center, scale, coeff): rows are
-    the nodes of ctx.rule inside the probe's ball, and _bump_arrays on them
-    gives its value and jacobian; both are 0 on every other node.  The
-    covariant H^1 norm (ctx unweighted) is summed over those rows only.
+    Each probe C * phi is returned as a spec (rows, center, scale, coeff):
+    rows are the nodes of ctx.rule inside the bump's ball, and _bump_channels
+    on them gives phi and its gradient; both are 0 on every other node.  The
+    covariant H^1 norm (ctx unweighted) is summed over those rows only, in
+    closed form: with grad_A beta = C (x) grad phi + eps phi [A, C] and
+    <C_mu, [A_nu, C_mu]> = 0, its density is
+    |C|^2 (|grad phi|^2 + phi^2) + eps^2 phi^2 (|A|^2 |C|^2 - tr(C^T A A^T C)).
     """
     rng = np.random.default_rng(seed)
     X, w = ctx.rule.nodes, ctx.rule.weights
+    AAt = np.einsum("nam,nbm->nab", ctx.Aval, ctx.Aval,
+                    optimize=False).reshape(-1, 9)
+    A2 = AAt[:, 0] + AAt[:, 4] + AAt[:, 8]
     scales = [q.lam / 4.0, q.lam, 1.0]
     out = []
     k = 0
@@ -207,11 +216,11 @@ def test_field_family(q: ParamQ, ctx: InnerContext, n: int, seed: int):
         C = rng.standard_normal((3, 4))
         rows = np.flatnonzero(1.0 - np.sum((X - center) ** 2, axis=1)
                               / sc ** 2 > 0)
-        val, jac = _bump_arrays(X[rows], center, sc, C)
-        grad = cov_grad_coeffs(ctx.Aval[rows], val, jac, ctx.eps)
-        # the unweighted density of InnerContext.density, on the ball's rows
-        dens = (np.einsum("namu,namu->n", grad, grad, optimize=False)
-                + np.einsum("nam,nam->n", val, val, optimize=False))
+        phi = _bump_channels(X[rows], center, sc)
+        C2 = float(np.sum(C * C))
+        bracket2 = A2[rows] * C2 - AAt[rows] @ (C @ C.T).reshape(9)
+        dens = (C2 * np.einsum("cn,cn->n", phi, phi, optimize=False)
+                + ctx.eps ** 2 * phi[0] ** 2 * bracket2)
         nrm2 = weighted_sum(w[rows], dens)
         if nrm2 <= 1e-20:
             continue
@@ -400,85 +409,119 @@ def compute_point_metrics(q: ParamQ, pi2: str = "model", tol: float = 1e-4,
     return out
 
 
-def _require_finite(*arrays):
-    """Raise NumericalError when any array holds a non-finite entry."""
-    if not all(np.all(np.isfinite(x)) for x in arrays):
-        raise NumericalError("non-finite integrand in the l37 pairings")
+def _dphi_map() -> np.ndarray:
+    """The constant (240, 60) map from the d phi rows of a probe's pairing
+    with a representer to the 12-vectors of its five functionals.
+
+    Row (mu, c) takes d_mu phi times column c of the representer's d phi
+    block.  That block holds three 2-forms X, paired with d beta, then two
+    0-forms y, paired with delta beta; with d_nu beta_src = C_src d_nu phi,
+    each (sign, nu, src) entry of ANTISYM_TABLE[1] (resp. CODIFF_TABLE[1])
+    puts sign * X_T (resp. sign * y) on C_src d_nu phi.
+    """
+    S = np.zeros((4, 60, 5, 3, 4))
+    col = 0
+    for f, table in enumerate([ANTISYM_TABLE[1]] * 3 + [CODIFF_TABLE[1]] * 2):
+        for a in range(3):
+            for entries in table:
+                for sign, nu, src in entries:
+                    S[nu, col, f, a, src] = sign
+                col += 1
+    return S.reshape(240, 60)
+
+
+_DPHI_MAP = _dphi_map()
+
+
+def _probe_pairings(R, wphi, coeff) -> np.ndarray:
+    """The five pairings (HA, HAt, expansion, cA, cAt) of the probe
+    coeff * phi with a representer R, given the weighted channels w * phi on
+    the same rows: sum_{a,nu} C_{a nu} L_{a nu}, with
+    L = sum w (V phi + P^mu d_mu phi) read off one GEMM (w phi) @ R."""
+    G = wphi @ R
+    L = G[0, :60] + G[1:, 60:].reshape(240) @ _DPHI_MAP
+    return L.reshape(5, 12) @ coeff.reshape(12)
 
 
 def _hessian_difference_metrics(q, pi2, basis, ctx, seed, n_test):
     """Sampled dual norms of H_A - H_Atilde and delta_A - delta_Atilde.
 
-    Each probe beta is a bump that is exactly 0 in value and jacobian
-    outside its ball, so every integrand below vanishes there: the probe's
-    kernels and pairings run on its support rows only.  The probe arrays are
-    built from its spec once per beta, one probe at a time, and paired with
-    both tags a_1 and a_5; the only array depending on both is [a ^ beta].
+    A probe beta = C phi (a bump phi, a constant 3x4 C) enters every pairing
+    only through its five channels (phi, grad phi), which vanish outside its
+    ball.  So each tag a_i gets one representer R (N, 120) holding, per
+    node, the probe-independent coefficients of HA, HAt, the five-term
+    expansion t1 + ... + t5, cA and cAt: first their phi-coefficients V
+    (5,3,4), then the d phi block of _dphi_map (the 2-forms d_A a, d_At a,
+    eps [b ^ a] paired with d beta, the 0-forms delta_A a, delta_At a paired
+    with delta beta).  The bracket parts are pointwise adjoints:
+    <X, [Y ^ beta]> = <_bracket_contract(CODIFF_TABLE[2], Y, X), beta> for a
+    2-form X, and the bracket of delta_A beta pairs with a 0-form y as
+    <eps [A ^ y], beta>.  Every probe is paired with one tag's R before the
+    next tag's is built into the same memory.
     """
     eps = q.eps
     nodes, weights = ctx.rule.nodes, ctx.rule.weights
     probes = test_field_family(q, ctx, n_test, seed)
     # A = Atilde - b holds Atilde's and b's atom objects, so one pass samples
     # all three with each atom channel evaluated once; only the values and
-    # the arrays below are kept, the jacobians go once F and d_A b exist
+    # the arrays below are kept, the jacobians go once F and Fb exist
     At, b = extended_connection(q), difference_b(q, pi2=pi2)
     nfA, nfAt, nfb = ctx.arrays([glue(At, b), At, b])
     Aval, FA = nfA.val, curvature_coeffs(nfA.val, nfA.jac, eps)
     Atval, FAt = nfAt.val, curvature_coeffs(nfAt.val, nfAt.jac, eps)
-    bval, dAb = nfb.val, cov_d_coeffs(1, Aval, nfb.val, nfb.jac, eps)
+    bval = nfb.val
+    # t4 + t5 = eps <Fb, [a ^ beta]>
+    Fb = (cov_d_coeffs(1, Aval, bval, nfb.jac, eps)
+          + 0.5 * eps * bracket_wedge_coeffs(1, bval, bval))
     del nfA, nfAt, nfb
-    bb = bracket_wedge_coeffs(1, bval, bval)
-    tags = []
+    adj = partial(_bracket_contract, CODIFF_TABLE[2])
+    N = len(weights)
+    R = np.empty((N, 120))
+    V = R[:, :60].reshape(N, 5, 3, 4)
+    X = R[:, 60:114].reshape(N, 3, 3, 6)
+    y = R[:, 114:].reshape(N, 2, 3, 1)
+    wphi = np.zeros((5, N))
+    out, five_term_resid = {}, 0.0
     for tag, idx in (("i1", 1), ("i5", 5)):
         a = basis.node_field(idx)
-        tags.append((tag, a.val,
-                     cov_d_coeffs(1, Aval, a.val, a.jac, eps),
-                     cov_d_coeffs(1, Atval, a.val, a.jac, eps),
-                     codiff_coeffs(1, Aval, a.val, a.jac, eps),
-                     codiff_coeffs(1, Atval, a.val, a.jac, eps),
-                     bracket_wedge_coeffs(1, bval, a.val)))
-    del a
-    # outside a probe's support a non-finite entry would still poison the
-    # full-rule integrals, so it is reported here
-    _require_finite(FA, FAt, dAb, bb, *(x for t in tags for x in t[1:]))
-    sup_h = dict.fromkeys((t[0] for t in tags), 0.0)
-    sup_c = dict(sup_h)
-    five_term_resid = 0.0
-    for s, center, scale, coeff in probes:
-        bv, bj = _bump_arrays(nodes[s], center, scale, coeff)
-        integral = partial(weighted_sum, weights[s])
-        As, Ats, bs = Aval[s], Atval[s], bval[s]
-        FAs, FAts, dAbs, bbs = FA[s], FAt[s], dAb[s], bb[s]
-        dAbeta = cov_d_coeffs(1, As, bv, bj, eps)
-        dAtbeta = cov_d_coeffs(1, Ats, bv, bj, eps)
-        bbeta = bracket_wedge_coeffs(1, bs, bv)
-        delAbeta = codiff_coeffs(1, As, bv, bj, eps)
-        delAtbeta = codiff_coeffs(1, Ats, bv, bj, eps)
-        for tag, aval, dAa, dAta, delAa, delAta, ba in tags:
-            dAa, dAta, ba = dAa[s], dAta[s], ba[s]
-            abeta = bracket_wedge_coeffs(1, aval[s], bv)
-            HA = integral(cdot(dAa, dAbeta) + eps * cdot(FAs, abeta))
-            HAt = integral(cdot(dAta, dAtbeta) + eps * cdot(FAts, abeta))
+        X[:, 0] = cov_d_coeffs(1, Aval, a.val, a.jac, eps)
+        X[:, 1] = cov_d_coeffs(1, Atval, a.val, a.jac, eps)
+        X[:, 2] = eps * bracket_wedge_coeffs(1, bval, a.val)
+        y[:, 0] = codiff_coeffs(1, Aval, a.val, a.jac, eps)
+        y[:, 1] = codiff_coeffs(1, Atval, a.val, a.jac, eps)
+        # HA: <d_A a, eps [A ^ beta]> + eps <F_A, [a ^ beta]>, HAt alike
+        V[:, 0] = eps * (adj(Aval, X[:, 0]) + adj(a.val, FA))
+        V[:, 1] = eps * (adj(Atval, X[:, 1]) + adj(a.val, FAt))
+        # t1 + t3 = eps <d_A a + eps [b ^ a], [b ^ beta]>, t2's bracket
+        # eps <eps [b ^ a], [A ^ beta]>, then t4 + t5
+        V[:, 2] = eps * (adj(bval, X[:, 0] + X[:, 2]) + adj(Aval, X[:, 2])
+                         + adj(a.val, Fb))
+        V[:, 3] = eps * bracket_wedge_coeffs(0, Aval, y[:, 0])
+        V[:, 4] = eps * bracket_wedge_coeffs(0, Atval, y[:, 1])
+        del a
+        # outside a probe's support a non-finite entry would still poison
+        # the full-rule integrals, so the whole representer is checked
+        if not np.all(np.isfinite(R)):
+            raise NumericalError("non-finite integrand in the l37 pairings")
+        sup_h = sup_c = 0.0
+        for s, center, scale, coeff in probes:
+            ws = _bump_channels(nodes[s], center, scale) * weights[s]
+            if 2 * len(s) > N:
+                # a large support pairs with all of R through zero-padded
+                # channels, which copies no rows of R
+                wphi[:, s] = ws
+                pairs = _probe_pairings(R, wphi, coeff)
+                wphi[:, s] = 0.0
+            else:
+                pairs = _probe_pairings(R[s], ws, coeff)
+            HA, HAt, expansion, cA, cAt = pairs
             direct = HAt - HA
-            sup_h[tag] = max(sup_h[tag], abs(direct))
-            # expansion of the difference in powers of the gap b
-            t1 = eps * integral(cdot(dAa, bbeta))
-            t2 = eps * integral(cdot(ba, dAbeta))
-            t3 = eps ** 2 * integral(cdot(ba, bbeta))
-            t4 = eps * integral(cdot(dAbs, abeta))
-            t5 = 0.5 * eps ** 2 * integral(cdot(bbs, abeta))
-            expansion = t1 + t2 + t3 + t4 + t5
-            scale = max(abs(HA), abs(HAt), 1.0)
-            five_term_resid = max(five_term_resid,
-                                  abs(direct - expansion) / scale)
-            # second family: the codifferential pairing
-            cA = integral(cdot(delAa[s], delAbeta))
-            cAt = integral(cdot(delAta[s], delAtbeta))
-            sup_c[tag] = max(sup_c[tag], abs(cAt - cA))
-    out = {}
-    for tag in sup_h:
-        out[f"hess_dual_{tag}"] = sup_h[tag]
-        out[f"codiff_dual_{tag}"] = sup_c[tag]
+            sup_h = max(sup_h, abs(direct))
+            five_term_resid = max(five_term_resid, abs(direct - expansion)
+                                  / max(abs(HA), abs(HAt), 1.0))
+            sup_c = max(sup_c, abs(cAt - cA))
+        out[f"hess_dual_{tag}"] = sup_h
+        out[f"codiff_dual_{tag}"] = sup_c
     out["five_term_residual"] = five_term_resid
     return out
 

@@ -188,7 +188,7 @@ def _profile_w(w, order):
 
 
 def _scalar_radial_derivs(Y, f, ydirs):
-    """d^{|ydirs|}/dy... of f(s), s = |Y|^2, given f = [f0, f1, f2, f3(, f4)]."""
+    """d^{|ydirs|}/dy... of f(s), s = |Y|^2, given f = [f0, ..., f_k], k = |ydirs|."""
     k = len(ydirs)
     if k == 0:
         return f[0]
@@ -253,15 +253,15 @@ class BetaAtom:
         s = np.sum(Y * Y, axis=1)
         a = self.c ** 2 / self.lam ** 2
         w = a * s
-        k_needed = len(ydirs) + 1
-        P = _profile_w(w, k_needed)
+        k = len(ydirs)
+        # the lam-channel reads one order more than the y-derivatives need
+        P = _profile_w(w, k + dlam)
         if dlam == 0:
-            f = [a ** j * P[j] for j in range(k_needed)]
+            f = [a ** j * P[j] for j in range(k + 1)]
         else:
             # d/dlam [a^j P^(j)(w)] = -(2/lam) a^j (j P^(j) + w P^(j+1))
             f = [-(2.0 / self.lam) * a ** j * (j * P[j] + w * P[j + 1])
-                 for j in range(k_needed)]
-        f = f + [np.zeros_like(s)] * (4 - len(f))
+                 for j in range(k + 1)]
         return _scalar_radial_derivs(Y, f, ydirs)
 
 
@@ -279,7 +279,7 @@ class BgAtom:
         if dlam > 0:
             return np.zeros((X.shape[0], 1))
         sig = np.sum(X * X, axis=1)
-        f = [_cubic(sig, 1.0, j) for j in range(4)]
+        f = [_cubic(sig, 1.0, j) for j in range(len(ydirs) + 1)]
         return _scalar_radial_derivs(X, f, ydirs)[:, None]
 
 

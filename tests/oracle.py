@@ -165,6 +165,13 @@ def bump_one_form(center, scale, coeff, degree: int = 1,
     return FormField(degree, value, jac)
 
 
+def bump_arrays(X, center, scale, coeff):
+    """Value and jacobian of the 1-form bump coeff * (1 - |x-c|^2/s^2)^3 at
+    nodes X (0 outside its ball)."""
+    f = bump_one_form(center, scale, coeff)
+    return f.value(X), f.jac(X)
+
+
 # ---------------------------------------------------------------------------
 # operators: the array kernels applied to evaluated channels
 

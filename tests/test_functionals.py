@@ -1,19 +1,25 @@
 """Energy/charge/pairing functionals against closed forms and finite differences."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ymeps.basis import InnerContext, ball_context, gram_schmidt_ball
 from ymeps.forms import (
+    CODIFF_TABLE,
     COMP_INDEX,
     MULTI_INDEX,
     NumericalError,
     QuadratureRule,
+    _bracket_contract,
     bracket_wedge_coeffs,
     cdot,
     codiff_coeffs,
     cov_d_coeffs,
+    cov_grad_coeffs,
     curvature_coeffs,
+    d_coeffs,
     domain_ball_rule,
     star_coeffs,
     weighted_sum,
@@ -21,8 +27,9 @@ from ymeps.forms import (
 from ymeps.functionals import (
     EstimateReport,
     QuantityRow,
-    _bump_arrays,
+    _bump_channels,
     _hessian_difference_metrics,
+    _probe_pairings,
     _row_band,
     charge,
     compute_point_metrics,
@@ -47,6 +54,7 @@ from ymeps.instanton import (
 )
 from ymeps.liealg import AlgElement, exp_map
 from oracle import (
+    bump_arrays,
     bump_one_form,
     codifferential_eps,
     covariant_d_eps,
@@ -424,9 +432,99 @@ def test_probe_specs_match_full_rule_probes(pi2, stride):
         off = np.ones(len(rule), dtype=bool)
         off[rows] = False
         assert not beta.val[off].any() and not beta.jac[off].any()
-        val, jac = _bump_arrays(rule.nodes[rows], center, scale, coeff)
+        # the probe coeff * phi from its channels (phi, grad phi) on the rows
+        phi = _bump_channels(rule.nodes[rows], center, scale)
+        val = coeff[None] * phi[0][:, None, None]
+        jac = coeff[None, :, :, None] * phi[1:].T[:, None, None, :]
         np.testing.assert_allclose(val, beta.val[rows], rtol=1e-12, atol=0)
         np.testing.assert_allclose(jac, beta.jac[rows], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("pi2", PI2_STRATEGIES)
+def test_probe_norm_closed_form_matches_covariant_gradient_density(pi2):
+    # each spec is normalised with the closed-form density; the covariant
+    # gradient of its arrays must give it unit H^1 norm on its rows
+    q = _generic_q(2.0 ** -4)
+    ctx = ball_context(glued_connection(q, pi2=pi2), q.eps)
+    w = ctx.rule.weights
+    for rows, center, scale, coeff in probe_family(q, ctx, 9, RNG_SEED):
+        val, jac = bump_arrays(ctx.rule.nodes[rows], center, scale, coeff)
+        grad = cov_grad_coeffs(ctx.Aval[rows], val, jac, q.eps)
+        dens = (np.einsum("namu,namu->n", grad, grad)
+                + np.einsum("nam,nam->n", val, val))
+        assert abs(weighted_sum(w[rows], dens) - 1.0) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the l37 representers: every pairing through the channels (phi, grad phi)
+
+
+def _random_probe(rng, n):
+    """Channels (5, n), a coefficient C (3,4), and beta = C phi's arrays."""
+    phi = rng.standard_normal((5, n))
+    C = rng.standard_normal((3, 4))
+    val = C[None] * phi[0][:, None, None]
+    jac = C[None, :, :, None] * phi[1:].T[:, None, None, :]
+    return phi, C, val, jac
+
+
+def _node_pairings(R, phi, C):
+    """_probe_pairings of every node on its own, unit weight: (n, 5)."""
+    return np.array([_probe_pairings(R[i:i + 1], phi[:, i:i + 1], C)
+                     for i in range(len(R))])
+
+
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_representer_two_form_slot_pairs_with_d_beta(slot):
+    # <X, d(C phi)> node by node, with X in one 2-form slot of the d phi block
+    rng = np.random.default_rng(RNG_SEED + slot)
+    n = 40
+    X = rng.standard_normal((n, 3, 6))
+    phi, C, _, jac = _random_probe(rng, n)
+    R = np.zeros((n, 120))
+    R[:, 60 + 18 * slot:78 + 18 * slot] = X.reshape(n, 18)
+    want = cdot(X, d_coeffs(1, jac))
+    got = _node_pairings(R, phi, C)
+    tol = 1e-13 * np.max(np.abs(want))
+    np.testing.assert_allclose(got[:, slot], want, rtol=0, atol=tol)
+    assert not np.delete(got, slot, axis=1).any()
+
+
+def test_wedge_adjoint_pairs_with_bracket():
+    # <X, [Y ^ C phi]> = <_bracket_contract(CODIFF_TABLE[2], Y, X), C phi>
+    rng = np.random.default_rng(RNG_SEED)
+    n = 40
+    X, Y = rng.standard_normal((n, 3, 6)), rng.standard_normal((n, 3, 4))
+    phi, C, val, _ = _random_probe(rng, n)
+    want = cdot(X, bracket_wedge_coeffs(1, Y, val))
+    adj = _bracket_contract(CODIFF_TABLE[2], Y, X)
+    got = cdot(adj, val)
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-13 * np.max(np.abs(want)))
+    # through a phi slot of the representer, the same pairing
+    R = np.zeros((n, 120))
+    R[:, :12] = adj.reshape(n, 12)
+    np.testing.assert_allclose(_node_pairings(R, phi, C)[:, 0], want, rtol=0,
+                               atol=1e-13 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("slot", [3, 4])
+def test_representer_zero_form_slot_pairs_with_delta_beta(slot):
+    # <y, delta_A (C phi)>: y in a 0-form slot of the d phi block, and
+    # eps [A ^ y] in the same functional's phi slot
+    rng = np.random.default_rng(RNG_SEED + slot)
+    n, eps = 40, 0.3
+    y, A = rng.standard_normal((n, 3, 1)), rng.standard_normal((n, 3, 4))
+    phi, C, val, jac = _random_probe(rng, n)
+    R = np.zeros((n, 120))
+    R[:, 12 * slot:12 * slot + 12] = (
+        eps * bracket_wedge_coeffs(0, A, y)).reshape(n, 12)
+    R[:, 114 + 3 * (slot - 3):117 + 3 * (slot - 3)] = y.reshape(n, 3)
+    want = cdot(y, codiff_coeffs(1, A, val, jac, eps))
+    got = _node_pairings(R, phi, C)
+    tol = 1e-13 * np.max(np.abs(want))
+    np.testing.assert_allclose(got[:, slot], want, rtol=0, atol=tol)
+    assert not np.delete(got, slot, axis=1).any()
 
 
 def test_l37_probe_loop_reports_non_finite_connection(monkeypatch):
@@ -451,6 +549,26 @@ def test_l37_probe_loop_reports_non_finite_connection(monkeypatch):
     with pytest.raises(NumericalError):
         _hessian_difference_metrics(q, "model", basis, ctx, seed=RNG_SEED,
                                     n_test=2)
+
+
+def test_l37_probe_loop_reports_non_finite_basis_field():
+    # a NaN in the raw field f_5 at a node no probe covers reaches a_5 only
+    # (the coefficients are lower triangular), so the i1 tag pairs cleanly
+    # and the i5 representer, checked whole, must report it
+    q = ParamQ.default(2.0 ** -4)
+    basis = gram_schmidt_ball(q)
+    far = int(np.argmax(np.linalg.norm(basis.ctx.rule.nodes, axis=1)))
+    probes = probe_family(q, basis.ctx, 2, RNG_SEED)
+    assert not any(far in rows for rows, *_ in probes)
+    raw = list(basis.raw_nodefields)
+    f5 = raw[4]
+    raw[4] = type(f5)(f5.rule, f5.val.copy(), f5.jac)
+    raw[4].val[far] = np.nan
+    poisoned = dataclasses.replace(basis, raw_nodefields=raw)
+    assert np.isfinite(poisoned.node_field(1).val).all()
+    with pytest.raises(NumericalError):
+        _hessian_difference_metrics(q, "model", poisoned, basis.ctx,
+                                    seed=RNG_SEED, n_test=2)
 
 
 def test_perp_derivative_paths_single_point():

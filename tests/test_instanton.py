@@ -390,8 +390,8 @@ def _atom_cases():
 
 @pytest.mark.parametrize("dlam", [0, 1])
 def test_beta_atom_evaluates_each_profile_order_once(monkeypatch, dlam):
-    # one _profile_w pass gives the orders 0..len(ydirs)+1 a channel needs,
-    # with one beta_profile call per order
+    # one _profile_w pass gives the orders 0..len(ydirs)+dlam a channel
+    # reads, with one beta_profile call per order
     calls = []
 
     def counted(t, order=0):
@@ -404,7 +404,24 @@ def test_beta_atom_evaluates_each_profile_order_once(monkeypatch, dlam):
     for ydirs in CHANNEL_YDIRS:
         calls.clear()
         atom.eval(X, ydirs, dlam)
-        assert 0 < len(calls) <= len(ydirs) + 2, (ydirs, calls)
+        assert calls == list(range(len(ydirs) + dlam + 1)), (ydirs, calls)
+
+
+def test_bg_atom_evaluates_only_the_cubic_orders_it_reads(monkeypatch):
+    # a channel with k y-derivatives reads the cutoff law's orders 0..k
+    calls = []
+    cubic = instanton._cubic
+
+    def counted(s, r2, k):
+        calls.append(k)
+        return cubic(s, r2, k)
+    monkeypatch.setattr(instanton, "_cubic", counted)
+    atom = BgAtom(DEFAULT_BG_CMAT)
+    X = np.array([[0.1, 0.2, -0.3, 0.05], [0.4, -0.1, 0.2, 0.3]])
+    for ydirs in CHANNEL_YDIRS:
+        calls.clear()
+        atom.eval(X, ydirs)
+        assert calls == list(range(len(ydirs) + 1)), (ydirs, calls)
 
 
 def _richardson(fn, h):
