@@ -27,7 +27,10 @@ __all__ = [
     "cdot",
     "star_coeffs",
     "bracket_wedge_coeffs",
+    "bracket_wedge_adjoint",
     "d_coeffs",
+    "d_signs",
+    "codiff_signs",
     "cov_d_coeffs",
     "codiff_coeffs",
     "curvature_coeffs",
@@ -169,6 +172,15 @@ def bracket_wedge_coeffs(degree: int, a_vals: np.ndarray, w_vals: np.ndarray) ->
     return _bracket_contract(ANTISYM_TABLE[degree], a_vals, w_vals)
 
 
+def bracket_wedge_adjoint(degree: int, a_vals: np.ndarray, x_vals: np.ndarray) -> np.ndarray:
+    """The pointwise adjoint of w -> [A ^ w] on k-forms, k = degree.
+
+    <x, [A ^ w]> = <bracket_wedge_adjoint(k, A, x), w> node by node, for a
+    (k+1)-form x: a_vals (N,3,4); x_vals (N,3,C_{k+1}) -> (N,3,C_k).
+    """
+    return _bracket_contract(CODIFF_TABLE[degree + 1], a_vals, x_vals)
+
+
 def _d_contract(table, jac_vals: np.ndarray) -> np.ndarray:
     """out_T = sum sign * d_nu w_src over each target's (sign, nu, src) entries."""
     N = jac_vals.shape[0]
@@ -196,8 +208,27 @@ def codiff_coeffs(k: int, Aval, val, jac, eps: float) -> np.ndarray:
     covariant divergence: (delta w)_J = -sum_{j not in J} (d_j w_{jJ}
     + eps [A_j, w_{jJ}]), with w_{jJ} the component on dx_j ^ dx_J.
     """
-    table = CODIFF_TABLE[k]
-    return _d_contract(table, jac) + eps * _bracket_contract(table, Aval, val)
+    return (_d_contract(CODIFF_TABLE[k], jac)
+            + eps * bracket_wedge_adjoint(k - 1, Aval, val))
+
+
+def _sign_array(table, n_src: int) -> np.ndarray:
+    S = np.zeros((len(table), 4, n_src))
+    for tgt, entries in enumerate(table):
+        for sign, nu, src in entries:
+            S[tgt, nu, src] = sign
+    return S
+
+
+def d_signs(degree: int) -> np.ndarray:
+    """d on k-forms as signs S (C_{k+1}, 4, C_k): (dw)_T = sum S[T,nu,src] d_nu w_src."""
+    return _sign_array(ANTISYM_TABLE[degree], N_COMP[degree])
+
+
+def codiff_signs(degree: int) -> np.ndarray:
+    """The derivative part of delta on k-forms as signs S (C_{k-1}, 4, C_k):
+    (delta w)_J = sum S[J,nu,src] d_nu w_src + bracket terms."""
+    return _sign_array(CODIFF_TABLE[degree], N_COMP[degree])
 
 
 def curvature_coeffs(val, jac, eps: float) -> np.ndarray:

@@ -29,16 +29,16 @@ from .basis import (
     tilde_fields,
 )
 from .forms import (
-    ANTISYM_TABLE,
-    CODIFF_TABLE,
     NumericalError,
-    _bracket_contract,
     ball_rule,
+    bracket_wedge_adjoint,
     bracket_wedge_coeffs,
     cdot,
     codiff_coeffs,
+    codiff_signs,
     cov_d_coeffs,
     curvature_coeffs,
+    d_signs,
     star_coeffs,
     weighted_sum,
 )
@@ -416,16 +416,15 @@ def _dphi_map() -> np.ndarray:
     Row (mu, c) takes d_mu phi times column c of the representer's d phi
     block.  That block holds three 2-forms X, paired with d beta, then two
     0-forms y, paired with delta beta; with d_nu beta_src = C_src d_nu phi,
-    each (sign, nu, src) entry of ANTISYM_TABLE[1] (resp. CODIFF_TABLE[1])
-    puts sign * X_T (resp. sign * y) on C_src d_nu phi.
+    each sign S[T, nu, src] of d (resp. delta) on 1-forms puts S X_T
+    (resp. S y) on C_src d_nu phi.
     """
     S = np.zeros((4, 60, 5, 3, 4))
     col = 0
-    for f, table in enumerate([ANTISYM_TABLE[1]] * 3 + [CODIFF_TABLE[1]] * 2):
+    for f, signs in enumerate([d_signs(1)] * 3 + [codiff_signs(1)] * 2):
         for a in range(3):
-            for entries in table:
-                for sign, nu, src in entries:
-                    S[nu, col, f, a, src] = sign
+            for S_T in signs:
+                S[:, col, f, a] = S_T
                 col += 1
     return S.reshape(240, 60)
 
@@ -454,8 +453,8 @@ def _hessian_difference_metrics(q, pi2, basis, ctx, seed, n_test):
     (5,3,4), then the d phi block of _dphi_map (the 2-forms d_A a, d_At a,
     eps [b ^ a] paired with d beta, the 0-forms delta_A a, delta_At a paired
     with delta beta).  The bracket parts are pointwise adjoints:
-    <X, [Y ^ beta]> = <_bracket_contract(CODIFF_TABLE[2], Y, X), beta> for a
-    2-form X, and the bracket of delta_A beta pairs with a 0-form y as
+    <X, [Y ^ beta]> = <bracket_wedge_adjoint(1, Y, X), beta> for a 2-form X,
+    and the bracket of delta_A beta pairs with a 0-form y as
     <eps [A ^ y], beta>.  Every probe is paired with one tag's R before the
     next tag's is built into the same memory.
     """
@@ -474,7 +473,7 @@ def _hessian_difference_metrics(q, pi2, basis, ctx, seed, n_test):
     Fb = (cov_d_coeffs(1, Aval, bval, nfb.jac, eps)
           + 0.5 * eps * bracket_wedge_coeffs(1, bval, bval))
     del nfA, nfAt, nfb
-    adj = partial(_bracket_contract, CODIFF_TABLE[2])
+    adj = partial(bracket_wedge_adjoint, 1)
     N = len(weights)
     R = np.empty((N, 120))
     V = R[:, :60].reshape(N, 5, 3, 4)
@@ -505,16 +504,10 @@ def _hessian_difference_metrics(q, pi2, basis, ctx, seed, n_test):
             raise NumericalError("non-finite integrand in the l37 pairings")
         sup_h = sup_c = 0.0
         for s, center, scale, coeff in probes:
-            ws = _bump_channels(nodes[s], center, scale) * weights[s]
-            if 2 * len(s) > N:
-                # a large support pairs with all of R through zero-padded
-                # channels, which copies no rows of R
-                wphi[:, s] = ws
-                pairs = _probe_pairings(R, wphi, coeff)
-                wphi[:, s] = 0.0
-            else:
-                pairs = _probe_pairings(R[s], ws, coeff)
-            HA, HAt, expansion, cA, cAt = pairs
+            # zero-padded channels pair with all of R, copying no rows of it
+            wphi[:, s] = _bump_channels(nodes[s], center, scale) * weights[s]
+            HA, HAt, expansion, cA, cAt = _probe_pairings(R, wphi, coeff)
+            wphi[:, s] = 0.0
             direct = HAt - HA
             sup_h = max(sup_h, abs(direct))
             five_term_resid = max(five_term_resid, abs(direct - expansion)

@@ -11,7 +11,13 @@ from ymeps.forms import (
     COMP_INDEX,
     MULTI_INDEX,
     N_COMP,
+    bracket_wedge_adjoint,
     bracket_wedge_coeffs,
+    cdot,
+    codiff_coeffs,
+    codiff_signs,
+    d_coeffs,
+    d_signs,
     star_coeffs,
 )
 from oracle import (
@@ -154,6 +160,35 @@ def test_bracket_kernel_matches_cross_oracle_exactly(degree):
         assert got.flags.c_contiguous
         assert np.array_equal(got, _bracket_cross_oracle(degree, aj[..., nu],
                                                          wj[..., nu]))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_bracket_wedge_adjoint_is_pointwise_adjoint(degree):
+    rng = np.random.default_rng(50 + degree)
+    N = 64
+    a = rng.standard_normal((N, 3, 4))
+    w = rng.standard_normal((N, 3, N_COMP[degree]))
+    x = rng.standard_normal((N, 3, N_COMP[degree + 1]))
+    want = cdot(x, bracket_wedge_coeffs(degree, a, w))
+    got = cdot(bracket_wedge_adjoint(degree, a, x), w)
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-13 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_sign_maps_reproduce_d_and_delta(degree):
+    rng = np.random.default_rng(60 + degree)
+    N = 16
+    jac = rng.standard_normal((N, 3, N_COMP[degree], 4))
+    dw = np.einsum("tms,nasm->nat", d_signs(degree), jac)
+    np.testing.assert_allclose(dw, d_coeffs(degree, jac), rtol=0, atol=1e-14)
+    if degree:
+        zero = np.zeros((N, 3, 4))
+        val = rng.standard_normal((N, 3, N_COMP[degree]))
+        delta = np.einsum("tms,nasm->nat", codiff_signs(degree), jac)
+        np.testing.assert_allclose(delta, codiff_coeffs(degree, zero, val,
+                                                        jac, 1.0),
+                                   rtol=0, atol=1e-14)
 
 
 def test_wedge_bracket_degree_mismatch():

@@ -7,12 +7,11 @@ import pytest
 
 from ymeps.basis import InnerContext, ball_context, gram_schmidt_ball
 from ymeps.forms import (
-    CODIFF_TABLE,
     COMP_INDEX,
     MULTI_INDEX,
     NumericalError,
     QuadratureRule,
-    _bracket_contract,
+    bracket_wedge_adjoint,
     bracket_wedge_coeffs,
     cdot,
     codiff_coeffs,
@@ -491,13 +490,13 @@ def test_representer_two_form_slot_pairs_with_d_beta(slot):
 
 
 def test_wedge_adjoint_pairs_with_bracket():
-    # <X, [Y ^ C phi]> = <_bracket_contract(CODIFF_TABLE[2], Y, X), C phi>
+    # <X, [Y ^ C phi]> = <bracket_wedge_adjoint(1, Y, X), C phi>
     rng = np.random.default_rng(RNG_SEED)
     n = 40
     X, Y = rng.standard_normal((n, 3, 6)), rng.standard_normal((n, 3, 4))
     phi, C, val, _ = _random_probe(rng, n)
     want = cdot(X, bracket_wedge_coeffs(1, Y, val))
-    adj = _bracket_contract(CODIFF_TABLE[2], Y, X)
+    adj = bracket_wedge_adjoint(1, Y, X)
     got = cdot(adj, val)
     np.testing.assert_allclose(got, want, rtol=0,
                                atol=1e-13 * np.max(np.abs(want)))
