@@ -39,6 +39,7 @@ from .forms import (
     cov_d_coeffs,
     curvature_coeffs,
     d_signs,
+    sq_norms,
     star_coeffs,
     weighted_sum,
 )
@@ -177,7 +178,7 @@ def _bump_channels(X, center, scale):
     phi = (1 - |x-c|^2/s^2)^3 at nodes X inside its ball, as (5, len(X));
     outside the ball all five vanish (the profile is C^2 there)."""
     Y = X - center
-    u = 1.0 - np.sum(Y * Y, axis=1) / scale ** 2
+    u = 1.0 - sq_norms(Y) / scale ** 2
     out = np.empty((5, len(X)))
     out[0] = u ** 3
     np.multiply(-6.0 / scale ** 2 * u ** 2, Y.T, out=out[1:])
@@ -214,8 +215,7 @@ def test_field_family(q: ParamQ, ctx: InnerContext, n: int, seed: int):
             d /= np.linalg.norm(d)
             center = q.p + rng.uniform(0.0, 2.0 * q.lam) * d
         C = rng.standard_normal((3, 4))
-        rows = np.flatnonzero(1.0 - np.sum((X - center) ** 2, axis=1)
-                              / sc ** 2 > 0)
+        rows = np.flatnonzero(1.0 - sq_norms(X - center) / sc ** 2 > 0)
         phi = _bump_channels(X[rows], center, sc)
         C2 = float(np.sum(C * C))
         bracket2 = A2[rows] * C2 - AAt[rows] @ (C @ C.T).reshape(9)

@@ -37,6 +37,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
+from .forms import sq_norms
 from .liealg import SO3_GENERATORS, GroupElement, adjoint_matrix, so3_generator
 
 __all__ = [
@@ -224,7 +225,7 @@ class LinRadAtom:
 
     def eval(self, X, ydirs=(), dlam=0):
         Y = X - self.p
-        s = np.sum(Y * Y, axis=1)
+        s = sq_norms(Y)
         k = len(ydirs)
         if k > 3:
             raise ValueError("atom derivatives implemented to order 3")
@@ -250,7 +251,7 @@ class BetaAtom:
     def eval(self, X, ydirs=(), dlam=0):
         _check_dlam(dlam)
         Y = X - self.p
-        s = np.sum(Y * Y, axis=1)
+        s = sq_norms(Y)
         a = self.c ** 2 / self.lam ** 2
         w = a * s
         k = len(ydirs)
@@ -278,7 +279,7 @@ class BgAtom:
     def eval(self, X, ydirs=(), dlam=0):
         if dlam > 0:
             return np.zeros((X.shape[0], 1))
-        sig = np.sum(X * X, axis=1)
+        sig = sq_norms(X)
         f = [_cubic(sig, 1.0, j) for j in range(len(ydirs) + 1)]
         return _scalar_radial_derivs(X, f, ydirs)[:, None]
 
@@ -377,11 +378,16 @@ def terms_value(terms, X, memo=None):
     return _terms_sum({} if memo is None else memo, terms, X)
 
 
-def terms_jac(terms, X, memo=None):
-    """Spatial jacobian of a term list at X, (N,3,4,4); memo as terms_value."""
+def terms_jac(terms, X, memo=None, out=None):
+    """Spatial jacobian of a term list at X, (N,3,4,4); memo as terms_value.
+
+    out (optional) is an (N,3,4,4) array, such as a view into a larger one,
+    that receives the jacobian and is returned.
+    """
     X = np.asarray(X, dtype=float)
     memo = {} if memo is None else memo
-    out = np.empty((X.shape[0], 3, 4, 4))
+    if out is None:
+        out = np.empty((X.shape[0], 3, 4, 4))
     for nu in range(4):
         out[..., nu] = _terms_sum(memo, terms, X, (nu,))
     return out
@@ -507,29 +513,48 @@ class ChartedField:
         return sample_charted([self], X, mask_inner, need_jac=False)[0][0]
 
 
+def _chart_rows(mask):
+    """The rows a chart mask selects: a slice when they are contiguous (the
+    inner chart of a polar rule, whose radii run outward), else their indices;
+    None when there are none."""
+    idx = np.flatnonzero(mask)
+    if len(idx) == 0:
+        return None
+    if idx[-1] - idx[0] + 1 == len(idx):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
 def sample_charted(fields, X, mask_inner, need_jac=True):
     """Values (and jacobians) of charted fields at X in one pass per chart.
 
     Each chart's nodes are cut out once and every field is evaluated there
     with one atom memo, so fields holding the same atom objects (the
     derivative_fields of one connection) evaluate each atom channel once.
-    The memo lives only for the pass.  Returns (val, jac) pairs, jac None
-    when need_jac is false.
+    The memo lives only for the pass.  The two charts partition the rows, and
+    each chart's results are written straight into its rows of the outputs,
+    a contiguous block's jacobian in place.  Returns (val, jac) pairs, jac
+    None when need_jac is false.
     """
     X = np.asarray(X, dtype=float)
     N = X.shape[0]
-    vals = [np.zeros((N, 3, 4)) for _ in fields]
-    jacs = [np.zeros((N, 3, 4, 4)) if need_jac else None for _ in fields]
+    vals = [np.empty((N, 3, 4)) for _ in fields]
+    jacs = [np.empty((N, 3, 4, 4)) if need_jac else None for _ in fields]
     for sel, chart in ((mask_inner, "inner_terms"), (~mask_inner, "outer_terms")):
-        if not np.any(sel):
+        rows = _chart_rows(sel)
+        if rows is None:
             continue
-        Xs = X[sel]
+        Xs = X[rows]
         memo = {}
         for f, val, jac in zip(fields, vals, jacs):
             terms = getattr(f, chart)
-            val[sel] = terms_value(terms, Xs, memo=memo)
-            if need_jac:
-                jac[sel] = terms_jac(terms, Xs, memo=memo)
+            val[rows] = terms_value(terms, Xs, memo=memo)
+            if not need_jac:
+                continue
+            if isinstance(rows, slice):
+                terms_jac(terms, Xs, memo=memo, out=jac[rows])
+            else:
+                jac[rows] = terms_jac(terms, Xs, memo=memo)
     return list(zip(vals, jacs))
 
 

@@ -7,7 +7,9 @@ fall back to finite differences), and its operators evaluate those channels
 with the same array kernels.  The helpers at the end turn FormFields into
 NodeFields on a rule, so they can enter the library's pairings, and build
 the suite-3.7 bump probes on the full rule, as an independent check of the
-support-only specs of functionals.test_field_family.
+support-only specs of functionals.test_field_family.  Last come the
+whole-rule routes the library replaced by streamed ones: the raw Gram by one
+GEMM and chart sampling scattered through boolean masks.
 """
 
 import numpy as np
@@ -387,3 +389,55 @@ def full_rule_probes(q, ctx, n: int, seed: int):
     """The n accepted probes of full_rule_probe_draws, as NodeFields."""
     return [p for _, _, p in full_rule_probe_draws(q, ctx, n, seed)
             if p is not None]
+
+
+# ---------------------------------------------------------------------------
+# whole-rule routes the library streams
+
+
+def _weighted_rows(ctx: InnerContext, nodefields) -> np.ndarray:
+    """M (n, 60N): row k holds field k's weighted gradient entries, then its
+    weighted value entries, so M @ M.T pairs every two fields in ctx."""
+    N = len(ctx.rule)
+    sw = np.sqrt(ctx.rule.weights)[:, None]
+    sl = sw * np.sqrt(ctx.wvals)[:, None] if ctx.weighted else sw
+    M = np.empty((len(nodefields), N * 60))
+    for row, nf in zip(M, nodefields):
+        np.multiply(ctx.grad_of(nf).reshape(N, 48), sw,
+                    out=row[:N * 48].reshape(N, 48))
+        np.multiply(nf.val.reshape(N, 12), sl, out=row[N * 48:].reshape(N, 12))
+    return M
+
+
+def one_gemm_gram(ctx: InnerContext, nodefields) -> np.ndarray:
+    """The raw Gram of node fields by one GEMM over the whole rule."""
+    M = _weighted_rows(ctx, nodefields)
+    return M @ M.T
+
+
+def long_double_gram(ctx: InnerContext, nodefields) -> np.ndarray:
+    """The raw Gram summed in long double over blocks of M's columns: its
+    round-off lies far below that of any float64 summation order."""
+    M = _weighted_rows(ctx, nodefields)
+    G = np.zeros((len(M), len(M)), np.longdouble)
+    for k in range(0, M.shape[1], 1 << 16):
+        B = M[:, k:k + (1 << 16)].astype(np.longdouble)
+        G += B @ B.T
+    return G
+
+
+def scatter_sample_charted(fields, X, mask_inner):
+    """(val, jac) of charted fields at X: each chart evaluated on X[mask]
+    with one atom memo and scattered into zero-filled arrays by the mask."""
+    N = X.shape[0]
+    out = [(np.zeros((N, 3, 4)), np.zeros((N, 3, 4, 4))) for _ in fields]
+    for sel, chart in ((mask_inner, "inner_terms"), (~mask_inner, "outer_terms")):
+        if not np.any(sel):
+            continue
+        Xs = X[sel]
+        memo = {}
+        for f, (val, jac) in zip(fields, out):
+            terms = getattr(f, chart)
+            val[sel] = terms_value(terms, Xs, memo=memo)
+            jac[sel] = terms_jac(terms, Xs, memo=memo)
+    return out

@@ -11,7 +11,9 @@ from ymeps.forms import (
     weighted_r4_rule,
 )
 from ymeps.instanton import (
+    PI2_STRATEGIES,
     ParamQ,
+    derivative_fields,
     extended_connection,
     glued_connection,
 )
@@ -19,6 +21,7 @@ from ymeps.liealg import AlgElement, GroupElement, exp_map
 from ymeps.basis import (
     GramBasis,
     _basis_field_at,
+    _raw_gram,
     ball_context,
     basis_directional_derivative,
     gram_schmidt_ball,
@@ -27,7 +30,14 @@ from ymeps.basis import (
     project_perp,
     weighted_context,
 )
-from oracle import bump_one_form, constant_form, flat_context, sample_form
+from oracle import (
+    bump_one_form,
+    constant_form,
+    flat_context,
+    long_double_gram,
+    one_gemm_gram,
+    sample_form,
+)
 
 RNG_SEED = 515151
 
@@ -167,6 +177,57 @@ def test_mgs_large_norm_spread():
     G = M @ M.T
     C = mgs_coefficients(G)
     assert np.max(np.abs(C @ G @ C.T - np.eye(8))) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the raw Gram, streamed over node chunks
+
+
+def _chunk_sizes(N):
+    """A chunk size that leaves a partial last chunk, and one >= N."""
+    assert N % 1000 != 0
+    return (1000, N)
+
+
+def _gram_cases():
+    """(ctx, fields) off-centre and at g != 1: the glued family's derivatives
+    on its ball context for every pi2, the extension's on its weighted one."""
+    q = ParamQ.default(2.0 ** -4, p=[0.1, -0.15, 0.05, 0.2],
+                       g=exp_map(AlgElement(-0.7, 1.1, 0.4)))
+    for pi2 in PI2_STRATEGIES:
+        A = glued_connection(q, pi2=pi2)
+        ctx = ball_context(A, q.eps)
+        yield pi2, ctx, ctx.arrays(derivative_fields(A))
+    At = extended_connection(q)
+    ctx = weighted_context(At, q.eps)
+    yield "weighted", ctx, ctx.arrays(derivative_fields(At))
+
+
+def test_streamed_gram_matches_one_gemm(monkeypatch):
+    for case, ctx, fields in _gram_cases():
+        ref = one_gemm_gram(ctx, fields)
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        # the one 60N-term GEMM carries round-off of its own (1.4e-14 of
+        # scale on the weighted rule), which the long-double sum exposes
+        ref_err = np.abs(ref - long_double_gram(ctx, fields)).astype(float)
+        for chunk in _chunk_sizes(len(ctx.rule)):
+            monkeypatch.setattr("ymeps.basis._GRAM_CHUNK", chunk)
+            G = _raw_gram(ctx, fields)
+            assert np.array_equal(G, G.T)
+            assert np.all(np.abs(G - ref) <= 1e-14 * scale + ref_err), (case, chunk)
+
+
+def test_streamed_gram_raises_on_nan_in_the_last_partial_chunk(monkeypatch):
+    ctx = _flat_ball(0.1)
+    N = len(ctx.rule)
+    chunk, _ = _chunk_sizes(N)
+    monkeypatch.setattr("ymeps.basis._GRAM_CHUNK", chunk)
+    fields = [sample_form(constant_form(1, np.eye(3, 4) * (k + 1)), ctx.rule)
+              for k in range(8)]
+    assert np.all(np.isfinite(_raw_gram(ctx, fields)))
+    fields[5].jac[N - 1 - (N % chunk) // 2, 2, 1, 3] = np.nan
+    with pytest.raises(NumericalError, match="non-finite Gram"):
+        _raw_gram(ctx, fields)
 
 
 def _ball_basis(eps=2.0 ** -5):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ymeps import instanton
-from ymeps.forms import star_coeffs
+from ymeps.forms import domain_ball_rule, star_coeffs
 from ymeps.instanton import (
     DEFAULT_BG_CMAT,
     DIRECTIONS,
@@ -48,6 +48,7 @@ from oracle import (
     exterior_d,
     i1_form,
     i2_form,
+    scatter_sample_charted,
     terms_form_field,
     terms_hess,
     transition_quaternion,
@@ -830,3 +831,33 @@ def test_one_pass_evaluates_each_atom_channel_once(monkeypatch):
     assert per_field < len(seen)
     for (val, jac), (val1, jac1) in zip(joint, apart):
         assert np.array_equal(val, val1) and np.array_equal(jac, jac1)
+
+
+def _chart_cases():
+    """(X, mask) pairs: a domain rule's prefix mask, an interleaved mask on
+    shuffled nodes, and all-inner and all-outer masks."""
+    q = ParamQ.default(2.0 ** -4, p=[0.12, -0.2, 0.07, 0.15],
+                       g=exp_map(AlgElement(0.9, -0.4, 1.3)))
+    rule = domain_ball_rule(q.p, q.lam)
+    X, mask = _pass_nodes(q)
+    perm = np.random.default_rng(RNG_SEED + 11).permutation(len(X))
+    X, mask = X[perm], mask[perm]
+    assert np.any(mask[:-1] < mask[1:]) and np.any(mask[:-1] > mask[1:])
+    return q, {"domain-rule": (rule.nodes, rule.mask_inner),
+               "interleaved": (X, mask),
+               "all-inner": (X, np.ones(len(X), bool)),
+               "all-outer": (X, np.zeros(len(X), bool))}
+
+
+@pytest.mark.parametrize("case", ["domain-rule", "interleaved", "all-inner",
+                                  "all-outer"])
+def test_chart_rows_written_in_place_match_the_scatter(case):
+    q, cases = _chart_cases()
+    X, mask = cases[case]
+    fields = derivative_fields(glued_connection(q))
+    got = sample_charted(fields, X, mask)
+    ref = scatter_sample_charted(fields, X, mask)
+    for (val, jac), (val0, jac0) in zip(got, ref):
+        assert np.array_equal(val, val0) and np.array_equal(jac, jac0)
+    ((val, jac),) = sample_charted(fields[:1], X, mask, need_jac=False)
+    assert jac is None and np.array_equal(val, ref[0][0])
