@@ -378,16 +378,11 @@ def terms_value(terms, X, memo=None):
     return _terms_sum({} if memo is None else memo, terms, X)
 
 
-def terms_jac(terms, X, memo=None, out=None):
-    """Spatial jacobian of a term list at X, (N,3,4,4); memo as terms_value.
-
-    out (optional) is an (N,3,4,4) array, such as a view into a larger one,
-    that receives the jacobian and is returned.
-    """
+def terms_jac(terms, X, memo=None):
+    """Spatial jacobian of a term list at X, (N,3,4,4); memo as terms_value."""
     X = np.asarray(X, dtype=float)
     memo = {} if memo is None else memo
-    if out is None:
-        out = np.empty((X.shape[0], 3, 4, 4))
+    out = np.empty((X.shape[0], 3, 4, 4))
     for nu in range(4):
         out[..., nu] = _terms_sum(memo, terms, X, (nu,))
     return out
@@ -513,48 +508,30 @@ class ChartedField:
         return sample_charted([self], X, mask_inner, need_jac=False)[0][0]
 
 
-def _chart_rows(mask):
-    """The rows a chart mask selects: a slice when they are contiguous (the
-    inner chart of a polar rule, whose radii run outward), else their indices;
-    None when there are none."""
-    idx = np.flatnonzero(mask)
-    if len(idx) == 0:
-        return None
-    if idx[-1] - idx[0] + 1 == len(idx):
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
-
-
 def sample_charted(fields, X, mask_inner, need_jac=True):
     """Values (and jacobians) of charted fields at X in one pass per chart.
 
     Each chart's nodes are cut out once and every field is evaluated there
     with one atom memo, so fields holding the same atom objects (the
     derivative_fields of one connection) evaluate each atom channel once.
-    The memo lives only for the pass.  The two charts partition the rows, and
-    each chart's results are written straight into its rows of the outputs,
-    a contiguous block's jacobian in place.  Returns (val, jac) pairs, jac
-    None when need_jac is false.
+    The memo lives only for the pass.  The two charts partition the rows, so
+    the outputs start empty and each chart fills its own rows.  Returns
+    (val, jac) pairs, jac None when need_jac is false.
     """
     X = np.asarray(X, dtype=float)
     N = X.shape[0]
     vals = [np.empty((N, 3, 4)) for _ in fields]
     jacs = [np.empty((N, 3, 4, 4)) if need_jac else None for _ in fields]
     for sel, chart in ((mask_inner, "inner_terms"), (~mask_inner, "outer_terms")):
-        rows = _chart_rows(sel)
-        if rows is None:
+        if not np.any(sel):
             continue
-        Xs = X[rows]
+        Xs = X[sel]
         memo = {}
         for f, val, jac in zip(fields, vals, jacs):
             terms = getattr(f, chart)
-            val[rows] = terms_value(terms, Xs, memo=memo)
-            if not need_jac:
-                continue
-            if isinstance(rows, slice):
-                terms_jac(terms, Xs, memo=memo, out=jac[rows])
-            else:
-                jac[rows] = terms_jac(terms, Xs, memo=memo)
+            val[sel] = terms_value(terms, Xs, memo=memo)
+            if need_jac:
+                jac[sel] = terms_jac(terms, Xs, memo=memo)
     return list(zip(vals, jacs))
 
 

@@ -8,8 +8,9 @@ with the same array kernels.  The helpers at the end turn FormFields into
 NodeFields on a rule, so they can enter the library's pairings, and build
 the suite-3.7 bump probes on the full rule, as an independent check of the
 support-only specs of functionals.test_field_family.  Last come the
-whole-rule routes the library replaced by streamed ones: the raw Gram by one
-GEMM and chart sampling scattered through boolean masks.
+whole-rule references for routes the library streams: the raw Gram summed in
+long double over the whole rule, and chart sampling scattered through boolean
+masks.
 """
 
 import numpy as np
@@ -395,9 +396,14 @@ def full_rule_probes(q, ctx, n: int, seed: int):
 # whole-rule routes the library streams
 
 
-def _weighted_rows(ctx: InnerContext, nodefields) -> np.ndarray:
-    """M (n, 60N): row k holds field k's weighted gradient entries, then its
-    weighted value entries, so M @ M.T pairs every two fields in ctx."""
+def long_double_gram(ctx: InnerContext, nodefields) -> np.ndarray:
+    """The raw Gram of node fields over the whole rule, summed in long double.
+
+    Row k of M holds field k's weighted gradient entries, then its weighted
+    value entries, so M @ M.T pairs every two fields in ctx; the products are
+    summed in long double over blocks of M's columns, whose round-off lies far
+    below that of any float64 summation order.
+    """
     N = len(ctx.rule)
     sw = np.sqrt(ctx.rule.weights)[:, None]
     sl = sw * np.sqrt(ctx.wvals)[:, None] if ctx.weighted else sw
@@ -406,19 +412,6 @@ def _weighted_rows(ctx: InnerContext, nodefields) -> np.ndarray:
         np.multiply(ctx.grad_of(nf).reshape(N, 48), sw,
                     out=row[:N * 48].reshape(N, 48))
         np.multiply(nf.val.reshape(N, 12), sl, out=row[N * 48:].reshape(N, 12))
-    return M
-
-
-def one_gemm_gram(ctx: InnerContext, nodefields) -> np.ndarray:
-    """The raw Gram of node fields by one GEMM over the whole rule."""
-    M = _weighted_rows(ctx, nodefields)
-    return M @ M.T
-
-
-def long_double_gram(ctx: InnerContext, nodefields) -> np.ndarray:
-    """The raw Gram summed in long double over blocks of M's columns: its
-    round-off lies far below that of any float64 summation order."""
-    M = _weighted_rows(ctx, nodefields)
     G = np.zeros((len(M), len(M)), np.longdouble)
     for k in range(0, M.shape[1], 1 << 16):
         B = M[:, k:k + (1 << 16)].astype(np.longdouble)

@@ -35,7 +35,6 @@ from oracle import (
     constant_form,
     flat_context,
     long_double_gram,
-    one_gemm_gram,
     sample_form,
 )
 
@@ -183,12 +182,6 @@ def test_mgs_large_norm_spread():
 # the raw Gram, streamed over node chunks
 
 
-def _chunk_sizes(N):
-    """A chunk size that leaves a partial last chunk, and one >= N."""
-    assert N % 1000 != 0
-    return (1000, N)
-
-
 def _gram_cases():
     """(ctx, fields) off-centre and at g != 1: the glued family's derivatives
     on its ball context for every pi2, the extension's on its weighted one."""
@@ -203,24 +196,34 @@ def _gram_cases():
     yield "weighted", ctx, ctx.arrays(derivative_fields(At))
 
 
-def test_streamed_gram_matches_one_gemm(monkeypatch):
+# a chunk size that leaves a partial last chunk on every rule of the tests
+_PARTIAL_CHUNK = 1000
+
+
+def test_streamed_gram_matches_long_double_sum(monkeypatch):
+    u = np.finfo(float).eps / 2
     for case, ctx, fields in _gram_cases():
-        ref = one_gemm_gram(ctx, fields)
-        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
-        # the one 60N-term GEMM carries round-off of its own (1.4e-14 of
-        # scale on the weighted rule), which the long-double sum exposes
-        ref_err = np.abs(ref - long_double_gram(ctx, fields)).astype(float)
-        for chunk in _chunk_sizes(len(ctx.rule)):
+        N = len(ctx.rule)
+        assert N % _PARTIAL_CHUNK != 0
+        ref = long_double_gram(ctx, fields)
+        d = np.diag(ref).astype(float)
+        scale = np.sqrt(np.outer(d, d))
+        # blocks of ~1,000 nodes keep every float64 partial sum short; one
+        # block of the whole rule sums 60N products per entry in one GEMM,
+        # held to the sqrt(60N)*u estimate of that sum's round-off
+        for chunk, tol in ((_PARTIAL_CHUNK, 1e-14), (N, np.sqrt(60 * N) * u)):
             monkeypatch.setattr("ymeps.basis._GRAM_CHUNK", chunk)
             G = _raw_gram(ctx, fields)
             assert np.array_equal(G, G.T)
-            assert np.all(np.abs(G - ref) <= 1e-14 * scale + ref_err), (case, chunk)
+            err = np.abs(G - ref).astype(float)
+            assert np.all(err <= tol * scale), (case, chunk)
 
 
 def test_streamed_gram_raises_on_nan_in_the_last_partial_chunk(monkeypatch):
     ctx = _flat_ball(0.1)
     N = len(ctx.rule)
-    chunk, _ = _chunk_sizes(N)
+    chunk = _PARTIAL_CHUNK
+    assert N % chunk != 0
     monkeypatch.setattr("ymeps.basis._GRAM_CHUNK", chunk)
     fields = [sample_form(constant_form(1, np.eye(3, 4) * (k + 1)), ctx.rule)
               for k in range(8)]

@@ -851,7 +851,7 @@ def _chart_cases():
 
 @pytest.mark.parametrize("case", ["domain-rule", "interleaved", "all-inner",
                                   "all-outer"])
-def test_chart_rows_written_in_place_match_the_scatter(case):
+def test_charts_written_into_their_rows_match_the_scatter(case):
     q, cases = _chart_cases()
     X, mask = cases[case]
     fields = derivative_fields(glued_connection(q))

@@ -207,17 +207,6 @@ def test_zero_integrand():
     assert integrate(rule, lambda X: np.zeros(X.shape[0])) == 0.0
 
 
-@pytest.mark.parametrize("p", [np.zeros(4), np.array([0.15, -0.1, 0.05, 0.2])])
-@pytest.mark.parametrize("build", [domain_ball_rule, weighted_r4_rule])
-def test_rules_put_the_inner_chart_first(build, p):
-    # radii run outward, so the inner chart is one leading block of rows:
-    # sample_charted then writes both charts through slices
-    rule = build(p, 0.25)
-    k = int(rule.mask_inner.sum())
-    assert 0 < k < len(rule)
-    assert rule.mask_inner[:k].all() and not rule.mask_inner[k:].any()
-
-
 def test_sq_norms_is_the_row_sum_bit_for_bit():
     rng = np.random.default_rng(77)
     Y = rng.standard_normal((5000, 4)) * rng.uniform(0.0, 1e3, (5000, 1))
