@@ -9,7 +9,9 @@ Two inner products appear:
 with the pointwise pairing the coefficient dot over the e_i basis.  All
 integrals are taken over one shared quadrature rule per parameter point, so
 orthonormality of a constructed basis is exact in the discrete product up to
-round-off, independent of quadrature error.
+round-off, independent of quadrature error.  One streamed Gram (_raw_gram)
+serves every pairing: the basis Grams, inner_nf, the projections and the
+norms of the checks are all entries of it.
 
 Fields enter as two-chart ChartedField term lists, split at |x-p| = lam/4
 by the rule's inner mask, and leave as NodeField arrays sampled on the rule;
@@ -33,7 +35,6 @@ from .forms import (
     domain_ball_rule,
     weight_fn,
     weighted_r4_rule,
-    weighted_sum,
 )
 from .instanton import (
     ChartedField,
@@ -113,38 +114,16 @@ class InnerContext:
                sample_charted(fields, self.rule.nodes, self.rule.mask_inner)]
         return nfs if isinstance(f, list) else nfs[0]
 
-    def grad_of(self, nf: NodeField) -> np.ndarray:
-        """Covariant gradient of a node field under this context's connection."""
-        return cov_grad_coeffs(self.Aval, nf.val, nf.jac, self.eps)
+    def grad_of(self, nf: NodeField, rows=slice(None)) -> np.ndarray:
+        """Covariant gradient of a node field under this context's connection,
+        on a slice of the rule's rows (all of them by default)."""
+        return cov_grad_coeffs(self.Aval[rows], nf.val[rows], nf.jac[rows],
+                               self.eps)
 
     # -- pairing --------------------------------------------------------
-    def _pair_density(self, fa, ga, fb, gb) -> np.ndarray:
-        d = np.einsum("namu,namu->n", ga, gb, optimize=False)
-        l2 = np.einsum("nam,nam->n", fa.val, fb.val, optimize=False)
-        if self.weighted:
-            return d + self.wvals * l2
-        return d + l2
-
-    def density(self, fa: NodeField, fb: NodeField) -> np.ndarray:
-        ga = self.grad_of(fa)
-        gb = ga if fb is fa else self.grad_of(fb)
-        return self._pair_density(fa, ga, fb, gb)
-
     def inner_nf(self, fa: NodeField, fb: NodeField) -> float:
-        return weighted_sum(self.rule.weights, self.density(fa, fb))
-
-    def inner_with(self, fa: NodeField):
-        """fb -> (fa, fb) with fa's gradient computed once, for many fb.
-
-        Each value equals inner_nf(fa, fb) bit for bit.
-        """
-        ga = self.grad_of(fa)
-
-        def inner(fb: NodeField) -> float:
-            return weighted_sum(self.rule.weights,
-                                self._pair_density(fa, ga, fb, self.grad_of(fb)))
-
-        return inner
+        """(fa, fb): the off-diagonal entry of the two fields' Gram."""
+        return float(_raw_gram(self, [fa, fb])[0, 1])
 
 
 def ball_context(A: ChartedField, eps, rule=None, tol=1e-4) -> InnerContext:
@@ -236,16 +215,18 @@ def _combine(coeffs, nodefields) -> NodeField:
 _GRAM_CHUNK = 1024
 
 
-def _raw_gram(ctx: InnerContext, nodefields) -> np.ndarray:
+def _raw_gram(ctx: InnerContext, nodefields, weights=None) -> np.ndarray:
     """All pairwise inner products, accumulated over blocks of nodes.
 
-    On each block, row k of M holds field k's weighted gradient entries,
-    then its weighted value entries, and G gains M @ M.T.  Gradients are
-    computed on the block only, so no full-rule gradient or weighted matrix
-    is held.
+    The one H^1 pairing: every inner product of the library is an entry of
+    such a Gram.  weights are the node weights of the sum, by default the
+    rule's (a chart mask times them restricts it to that chart).  On each
+    block, row k of M holds field k's weighted gradient entries, then its
+    weighted value entries, and G gains M @ M.T.  Gradients are computed on
+    the block only, so no full-rule gradient or weighted matrix is held.
     """
     N = len(ctx.rule)
-    sw = np.sqrt(ctx.rule.weights)[:, None]
+    sw = np.sqrt(ctx.rule.weights if weights is None else weights)[:, None]
     sl = sw * np.sqrt(ctx.wvals)[:, None] if ctx.weighted else sw
     n = len(nodefields)
     G = np.zeros((n, n))
@@ -255,9 +236,7 @@ def _raw_gram(ctx: InnerContext, nodefields) -> np.ndarray:
         m = b - a
         M = buf[:, :m * 60]
         for row, nf in zip(M, nodefields):
-            grad = cov_grad_coeffs(ctx.Aval[a:b], nf.val[a:b], nf.jac[a:b],
-                                   ctx.eps)
-            np.multiply(grad.reshape(m, 48), sw[a:b],
+            np.multiply(ctx.grad_of(nf, slice(a, b)).reshape(m, 48), sw[a:b],
                         out=row[:m * 48].reshape(m, 48))
             np.multiply(nf.val[a:b].reshape(m, 12), sl[a:b],
                         out=row[m * 48:].reshape(m, 12))
@@ -307,14 +286,16 @@ def gram_schmidt_weighted(q: ParamQ, ball_basis: GramBasis,
 
 
 def project_perp(v, basis: GramBasis) -> NodeField:
-    """v minus its orthogonal projection onto span{a_i}, on the basis' rule."""
-    ctx = basis.ctx
-    nv = ctx.arrays(v)
-    inner_v = ctx.inner_with(nv)
+    """v minus its orthogonal projection onto span{a_i}, on the basis' rule.
+
+    The pairings (v, a_i) are the first row of one Gram of [v, a_1..a_8].
+    """
+    nv = basis.ctx.arrays(v)
+    fields = [basis.node_field(i) for i in range(1, len(basis.coeff) + 1)]
+    row = _raw_gram(basis.ctx, [nv] + fields)[0, 1:]
     out = nv
-    for i in range(1, len(basis.coeff) + 1):
-        ai = basis.node_field(i)
-        out = out - inner_v(ai) * ai
+    for c, ai in zip(row, fields):
+        out = out - ai * float(c)
     return out
 
 
@@ -363,6 +344,6 @@ def basis_directional_derivative(q: ParamQ, i: int, j: int, basis: GramBasis,
     d1 = fd(t)
     d2 = fd(t / 2.0)
     rich = d2 * (4.0 / 3.0) - d1 * (1.0 / 3.0)
-    num = np.sqrt(max(ctx.inner_nf(rich - d2, rich - d2), 0.0))
-    den = np.sqrt(max(ctx.inner_nf(rich, rich), 1e-300))
-    return rich, float(num / den)
+    G = _raw_gram(ctx, [rich - d2, rich])
+    num = np.sqrt(max(G[0, 0], 0.0))
+    return rich, float(num / np.sqrt(max(G[1, 1], 1e-300)))

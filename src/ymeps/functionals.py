@@ -21,6 +21,7 @@ import numpy as np
 
 from .basis import (
     InnerContext,
+    _raw_gram,
     ball_context,
     basis_directional_derivative,
     gram_schmidt_ball,
@@ -393,11 +394,13 @@ def compute_point_metrics(q: ParamQ, pi2: str = "model", tol: float = 1e-4,
         del wb
 
     if "l36" in blocks:
-        tilde_nf = tilde_fields(ctx, q, basis.coeff)
+        # each a_i - atilde_i replaces atilde_i: no second list of eight fields
+        diffs = tilde_fields(ctx, q, basis.coeff)
+        for i, t in enumerate(diffs):
+            diffs[i] = basis.node_field(i + 1) - t
+        G = _raw_gram(ctx, diffs)
         for i in range(8):
-            dnf = basis.node_field(i + 1) - tilde_nf[i]
-            out[f"basis_diff_{i+1}"] = float(
-                np.sqrt(max(ctx.inner_nf(dnf, dnf), 0.0)))
+            out[f"basis_diff_{i+1}"] = float(np.sqrt(max(G[i, i], 0.0)))
 
     if "l37" in blocks:
         out.update(_hessian_difference_metrics(q, pi2, basis, ctx,
@@ -526,19 +529,17 @@ def _perp_derivative_metrics(q, pi2, basis, ctx):
     an_perp = project_perp(d2, basis) * a11 ** 2
     fd, halving = basis_directional_derivative(q, 1, 1, basis, pi2=pi2)
     fd_perp = project_perp(fd, basis)
-    dens = ctx.density(fd_perp, fd_perp)
-    weights, mask = ctx.rule.weights, ctx.rule.mask_inner
-    total = max(weighted_sum(weights, dens), 0.0)
-    inner2 = weighted_sum(weights[mask], dens[mask])
+    G = _raw_gram(ctx, [fd_perp, an_perp]
+                  + [basis.node_field(i) for i in range(1, 9)])
+    total = max(G[0, 0], 0.0)
+    inner2 = _raw_gram(ctx, [fd_perp],
+                       weights=ctx.rule.weights * ctx.rule.mask_inner)[0, 0]
     out["l310_fd_norm"] = float(np.sqrt(total))
-    out["l310_an_norm"] = float(np.sqrt(max(ctx.inner_nf(an_perp, an_perp),
-                                            0.0)))
+    out["l310_an_norm"] = float(np.sqrt(max(G[1, 1], 0.0)))
     out["l310_inner_norm"] = float(np.sqrt(max(inner2, 0.0)))
     out["l310_outer_norm"] = float(np.sqrt(max(total - inner2, 0.0)))
     out["l310_halving"] = halving
-    inner_perp = ctx.inner_with(fd_perp)
-    out["l310_ortho_residual"] = max(abs(inner_perp(basis.node_field(i)))
-                                     for i in range(1, 9))
+    out["l310_ortho_residual"] = float(np.max(np.abs(G[0, 2:])))
     return out
 
 

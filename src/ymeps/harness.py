@@ -371,6 +371,16 @@ def _single_point(args):
         raise ConfigError(str(exc)) from exc
 
 
+def _make_out_dir(path: str) -> None:
+    """Create the output directory, or raise ConfigError naming it, before
+    a writing command computes anything."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {path}: {exc}") from exc
+
+
 def _cmd_charge(args) -> int:
     q, cfg = _single_point(args)
     c = charge(extended_connection(q), q.eps, tol=cfg.tol)
@@ -392,10 +402,10 @@ def _cmd_energy(args) -> int:
 
 def _cmd_build_basis(args) -> int:
     q, cfg = _single_point(args)
+    _make_out_dir(cfg.out_dir)
     ball = gram_schmidt_ball(q, pi2=cfg.pi2, tol=cfg.tol)
     weighted = gram_schmidt_weighted(q, ball, tol=cfg.tol)
     rb, rw = ball.gram_residual(), weighted.gram_residual()
-    os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, f"basis_eps_{q.eps:g}.csv")
     lines = ["record,i,j,value"]
     for i in range(8):
@@ -418,6 +428,7 @@ def _cmd_build_basis(args) -> int:
 
 
 def _run_lemmas(tags, cfg: SweepConfig, stem: str) -> int:
+    _make_out_dir(cfg.out_dir)
     blocks = frozenset().union(*(_LEMMA_BLOCKS[t] for t in tags))
     metrics = []
     for k, q in enumerate(cfg.points()):
@@ -450,14 +461,16 @@ def _cmd_verify_scaling(args) -> int:
 
 
 def _cmd_all(args) -> int:
-    status = max(_cmd_charge(args), _cmd_energy(args))
     cfg = _merge_config(args)
+    _make_out_dir(cfg.out_dir)
+    status = max(_cmd_charge(args), _cmd_energy(args))
     rc = _run_lemmas(list(LEMMA_TAGS), cfg, "report_all")
     return max(status, rc)
 
 
 def _cmd_dump_field(args) -> int:
     q, cfg = _single_point(args)
+    _make_out_dir(cfg.out_dir)
     field = {"A": lambda: glued_connection(q, pi2=cfg.pi2),
              "Atilde": lambda: extended_connection(q),
              "b": lambda: difference_b(q, pi2=cfg.pi2)}[args.field]()
@@ -470,7 +483,6 @@ def _cmd_dump_field(args) -> int:
     X[:, 2], X[:, 3] = q.p[2], q.p[3]
     mask = np.linalg.norm(X - q.p, axis=1) < field.chart_radius()
     vals = field.value_split(X, mask)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, f"field_{args.field}_eps_{q.eps:g}.csv")
     lines = ["x0,x1,x2,x3,component-index,e1,e2,e3"]
     for r in range(n * n):

@@ -396,16 +396,18 @@ def full_rule_probes(q, ctx, n: int, seed: int):
 # whole-rule routes the library streams
 
 
-def long_double_gram(ctx: InnerContext, nodefields) -> np.ndarray:
+def long_double_gram(ctx: InnerContext, nodefields,
+                     weights=None) -> np.ndarray:
     """The raw Gram of node fields over the whole rule, summed in long double.
 
     Row k of M holds field k's weighted gradient entries, then its weighted
     value entries, so M @ M.T pairs every two fields in ctx; the products are
     summed in long double over blocks of M's columns, whose round-off lies far
-    below that of any float64 summation order.
+    below that of any float64 summation order.  weights replace the rule's
+    node weights, as in the library's Gram.
     """
     N = len(ctx.rule)
-    sw = np.sqrt(ctx.rule.weights)[:, None]
+    sw = np.sqrt(ctx.rule.weights if weights is None else weights)[:, None]
     sl = sw * np.sqrt(ctx.wvals)[:, None] if ctx.weighted else sw
     M = np.empty((len(nodefields), N * 60))
     for row, nf in zip(M, nodefields):

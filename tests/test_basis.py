@@ -51,6 +51,13 @@ def _inner(ctx, a, b):
     return ctx.inner_nf(sample_form(a, ctx.rule), sample_form(b, ctx.rule))
 
 
+def _weighted_density(ctx, nf):
+    """The per-node density of (nf, nf) in a weighted context."""
+    g = ctx.grad_of(nf)
+    return (np.einsum("namu,namu->n", g, g)
+            + ctx.wvals * np.einsum("nam,nam->n", nf.val, nf.val))
+
+
 # ---------------------------------------------------------------------------
 # inner products
 
@@ -127,7 +134,8 @@ def test_inner_weighted_constant_field_reports_tail():
     M[1, 2] = 1.0
     ctx = flat_context(weighted_r4_rule(np.zeros(4), 0.25), 0.3)
     nf = sample_form(constant_form(1, M), ctx.rule)
-    assert not tail_report(ctx.rule, ctx.density(nf, nf))["tail_converged"]
+    report = tail_report(ctx.rule, _weighted_density(ctx, nf))
+    assert not report["tail_converged"]
     got = ctx.inner_nf(nf, nf)
     oracle = float(np.sum(ctx.rule.weights * ctx.wvals))  # 1-d radial mass
     assert got == pytest.approx(oracle, rel=1e-12)
@@ -138,7 +146,7 @@ def test_inner_weighted_tail_converges_for_decaying_field():
     q = ParamQ.default(2.0 ** -5)
     ctx = weighted_context(glued_connection(q), q.eps)
     nf = sample_form(bump_one_form(q.p, 0.5, np.eye(3, 4)), ctx.rule)
-    assert tail_report(ctx.rule, ctx.density(nf, nf))["tail_converged"]
+    assert tail_report(ctx.rule, _weighted_density(ctx, nf))["tail_converged"]
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +191,22 @@ def test_mgs_large_norm_spread():
 
 
 def _gram_cases():
-    """(ctx, fields) off-centre and at g != 1: the glued family's derivatives
-    on its ball context for every pi2, the extension's on its weighted one."""
+    """(ctx, fields, weights) off-centre and at g != 1: the glued family's
+    derivatives on its ball context for every pi2, the extension's on its
+    weighted one, and the model ones again on the inner chart's nodes."""
     q = ParamQ.default(2.0 ** -4, p=[0.1, -0.15, 0.05, 0.2],
                        g=exp_map(AlgElement(-0.7, 1.1, 0.4)))
     for pi2 in PI2_STRATEGIES:
         A = glued_connection(q, pi2=pi2)
         ctx = ball_context(A, q.eps)
-        yield pi2, ctx, ctx.arrays(derivative_fields(A))
+        fields = ctx.arrays(derivative_fields(A))
+        yield pi2, ctx, fields, None
+        if pi2 == "model":
+            rule = ctx.rule
+            yield "inner-chart", ctx, fields, rule.weights * rule.mask_inner
     At = extended_connection(q)
     ctx = weighted_context(At, q.eps)
-    yield "weighted", ctx, ctx.arrays(derivative_fields(At))
+    yield "weighted", ctx, ctx.arrays(derivative_fields(At)), None
 
 
 # a chunk size that leaves a partial last chunk on every rule of the tests
@@ -202,10 +215,10 @@ _PARTIAL_CHUNK = 1000
 
 def test_streamed_gram_matches_long_double_sum(monkeypatch):
     u = np.finfo(float).eps / 2
-    for case, ctx, fields in _gram_cases():
+    for case, ctx, fields, weights in _gram_cases():
         N = len(ctx.rule)
         assert N % _PARTIAL_CHUNK != 0
-        ref = long_double_gram(ctx, fields)
+        ref = long_double_gram(ctx, fields, weights)
         d = np.diag(ref).astype(float)
         scale = np.sqrt(np.outer(d, d))
         # blocks of ~1,000 nodes keep every float64 partial sum short; one
@@ -213,7 +226,7 @@ def test_streamed_gram_matches_long_double_sum(monkeypatch):
         # held to the sqrt(60N)*u estimate of that sum's round-off
         for chunk, tol in ((_PARTIAL_CHUNK, 1e-14), (N, np.sqrt(60 * N) * u)):
             monkeypatch.setattr("ymeps.basis._GRAM_CHUNK", chunk)
-            G = _raw_gram(ctx, fields)
+            G = _raw_gram(ctx, fields, weights)
             assert np.array_equal(G, G.T)
             err = np.abs(G - ref).astype(float)
             assert np.all(err <= tol * scale), (case, chunk)
@@ -231,6 +244,26 @@ def test_streamed_gram_raises_on_nan_in_the_last_partial_chunk(monkeypatch):
     fields[5].jac[N - 1 - (N % chunk) // 2, 2, 1, 3] = np.nan
     with pytest.raises(NumericalError, match="non-finite Gram"):
         _raw_gram(ctx, fields)
+
+
+def test_gram_default_weights_are_the_rules():
+    _, ctx, fields, _ = next(_gram_cases())
+    assert np.array_equal(_raw_gram(ctx, fields, weights=ctx.rule.weights),
+                          _raw_gram(ctx, fields))
+
+
+def test_inner_nf_is_the_two_field_gram_entry():
+    _, ctx, fields, _ = next(_gram_cases())
+    fa, fb = fields[0], fields[6]
+    assert ctx.inner_nf(fa, fb) == _raw_gram(ctx, [fa, fb])[0, 1]
+
+
+def test_inner_nf_raises_on_a_nan_field():
+    ctx = _flat_ball(0.1)
+    nf = sample_form(constant_form(1, np.eye(3, 4)), ctx.rule)
+    nf.val[len(ctx.rule) // 2, 1, 2] = np.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        ctx.inner_nf(nf, nf)
 
 
 def _ball_basis(eps=2.0 ** -5):

@@ -270,6 +270,28 @@ def test_single_point_commands_read_config(tmp_path, capsys):
     assert [p.name for p in flag_dir.iterdir()] == ["field_A_eps_0.0625.csv"]
 
 
+@pytest.mark.parametrize("argv,sub", [
+    (["verify-lemma", "5.8", "--eps-list", "2^-4,2^-5,2^-6,2^-7"], "sub"),
+    (["build-basis", "--eps", "0.0625"], None),
+    (["dump-field", "--eps", "0.0625"], None),
+])
+def test_unusable_out_dir_exits_2_before_computing(argv, sub, tmp_path,
+                                                   monkeypatch, capsys):
+    # a regular file where the directory (or its parent) should be
+    def no_rule(self):
+        raise AssertionError("a quadrature rule was built")
+
+    monkeypatch.setattr("ymeps.forms.QuadratureRule.__post_init__", no_rule)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker / sub if sub else blocker
+    rc = run_command(argv + ["--out", str(out)])
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert "sweep point" not in cap.out
+    assert "config error" in cap.err and str(out) in cap.err
+
+
 def test_help_exits_0(capsys):
     assert run_command(["--help"]) == 0
     assert "verify-lemma" in capsys.readouterr().out
