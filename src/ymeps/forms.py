@@ -8,6 +8,13 @@ Array conventions (fields sampled on a rule's N nodes):
 The algebra axis (length 3) carries coefficients on the basis (e1,e2,e3) of
 su(2); the pointwise bracket in that basis is the cross product.  Orientation
 is fixed by dx0^dx1^dx2^dx3 = vol.
+
+The bracket and d kernels (_bracket_contract, _d_contract) compute node-last,
+on arrays whose last axis runs over the nodes (val (3, C, N), jac (3, C, 4,
+N)), so every product is one pass over contiguous rows.  The public functions
+take and return node-first arrays as above: each transposes its inputs to the
+node-last layout and its result back, and a caller that holds node-last
+operands (the suite-3.7 representers) calls the kernels directly.
 """
 
 from __future__ import annotations
@@ -135,18 +142,27 @@ def cdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-def _bracket_contract(table, a_vals: np.ndarray, w_vals: np.ndarray) -> np.ndarray:
+def _node_last(x: np.ndarray) -> np.ndarray:
+    """A node-first array (N, ...) as a C-contiguous node-last copy (..., N)."""
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
+
+
+def _node_first(x: np.ndarray) -> np.ndarray:
+    """A node-last array (..., N) as a C-contiguous node-first copy (N, ...)."""
+    return np.ascontiguousarray(np.moveaxis(x, -1, 0))
+
+
+def _bracket_contract(table, At: np.ndarray, wt: np.ndarray) -> np.ndarray:
     """out_T = sum sign * [a_nu, w_src] over each target's (sign, nu, src) entries.
 
-    The cross product is written out component by component in a node-last
-    layout, so every product runs over all nodes in one pass.  Swapping the
-    factors of a component negates it exactly, so each term rounds as
-    sign * np.cross(a_nu, w_src) does, and the result is bit-identical to
-    accumulating those cross products entry by entry.
+    Node-last: At (3,4,N), wt (3,C,N) -> out (3,T,N).  The cross product is
+    written out component by component, so every product runs over all
+    nodes in one pass.  Swapping the factors of a component negates it
+    exactly, so each term rounds as sign * np.cross(a_nu, w_src) does, and
+    the result is bit-identical to accumulating those cross products entry by
+    entry.
     """
-    N = a_vals.shape[0]
-    At = np.ascontiguousarray(a_vals.transpose(1, 2, 0))   # [b,nu,n]
-    wt = np.ascontiguousarray(w_vals.transpose(1, 2, 0))   # [c,src,n]
+    N = At.shape[-1]
     out = np.empty((3, len(table), N))
     cr, tmp = np.empty(N), np.empty(N)
     for tgt, entries in enumerate(table):
@@ -160,8 +176,30 @@ def _bracket_contract(table, a_vals: np.ndarray, w_vals: np.ndarray) -> np.ndarr
                 dst -= tmp
                 if j:
                     acc += cr
-    # C-contiguous, so the pairings downstream sum in a fixed order
-    return np.ascontiguousarray(out.transpose(2, 0, 1))
+    return out
+
+
+def _d_contract(table, jt: np.ndarray) -> np.ndarray:
+    """out_T = sum sign * d_nu w_src over each target's (sign, nu, src) entries.
+
+    Node-last: jt (3,C,4,N) -> (3,T,N); each term is one contiguous row pass.
+    """
+    out = np.empty((3, len(table), jt.shape[-1]))
+    for tgt, entries in enumerate(table):
+        acc = out[:, tgt]
+        for j, (sign, nu, src) in enumerate(entries):
+            if j == 0:
+                np.multiply(jt[:, src, nu], sign, out=acc)
+            elif sign > 0:
+                acc += jt[:, src, nu]
+            else:
+                acc -= jt[:, src, nu]
+    return out
+
+
+def _cov_d(table, At, vt, jt, eps: float) -> np.ndarray:
+    """d w + eps [A, w] through one table, node-last: (3,T,N)."""
+    return _d_contract(table, jt) + eps * _bracket_contract(table, At, vt)
 
 
 def bracket_wedge_coeffs(degree: int, a_vals: np.ndarray, w_vals: np.ndarray) -> np.ndarray:
@@ -170,7 +208,8 @@ def bracket_wedge_coeffs(degree: int, a_vals: np.ndarray, w_vals: np.ndarray) ->
     ([A^w])_K = sum_j (-1)^j [A_{K_j}, w_{K minus K_j}], algebra bracket = cross.
     a_vals: (N,3,4); w_vals: (N,3,C_k) -> (N,3,C_{k+1}), C-contiguous.
     """
-    return _bracket_contract(ANTISYM_TABLE[degree], a_vals, w_vals)
+    return _node_first(_bracket_contract(ANTISYM_TABLE[degree], _node_last(a_vals),
+                                         _node_last(w_vals)))
 
 
 def bracket_wedge_adjoint(degree: int, a_vals: np.ndarray, x_vals: np.ndarray) -> np.ndarray:
@@ -179,27 +218,19 @@ def bracket_wedge_adjoint(degree: int, a_vals: np.ndarray, x_vals: np.ndarray) -
     <x, [A ^ w]> = <bracket_wedge_adjoint(k, A, x), w> node by node, for a
     (k+1)-form x: a_vals (N,3,4); x_vals (N,3,C_{k+1}) -> (N,3,C_k).
     """
-    return _bracket_contract(CODIFF_TABLE[degree + 1], a_vals, x_vals)
-
-
-def _d_contract(table, jac_vals: np.ndarray) -> np.ndarray:
-    """out_T = sum sign * d_nu w_src over each target's (sign, nu, src) entries."""
-    N = jac_vals.shape[0]
-    out = np.zeros((N, 3, len(table)))
-    for tgt, entries in enumerate(table):
-        for sign, nu, src in entries:
-            out[:, :, tgt] += sign * jac_vals[:, :, src, nu]
-    return out
+    return _node_first(_bracket_contract(CODIFF_TABLE[degree + 1], _node_last(a_vals),
+                                         _node_last(x_vals)))
 
 
 def d_coeffs(degree: int, jac_vals: np.ndarray) -> np.ndarray:
     """(dw)_K = sum_j (-1)^j d_{K_j} w_{K minus K_j}; jac_vals (N,3,C,4)."""
-    return _d_contract(ANTISYM_TABLE[degree], jac_vals)
+    return _node_first(_d_contract(ANTISYM_TABLE[degree], _node_last(jac_vals)))
 
 
 def cov_d_coeffs(k: int, Aval, val, jac, eps: float) -> np.ndarray:
     """d_A^eps w = dw + eps [A ^ w] of a k-form: (N,3,C_{k+1})."""
-    return d_coeffs(k, jac) + eps * bracket_wedge_coeffs(k, Aval, val)
+    return _node_first(_cov_d(ANTISYM_TABLE[k], _node_last(Aval), _node_last(val),
+                              _node_last(jac), eps))
 
 
 def codiff_coeffs(k: int, Aval, val, jac, eps: float) -> np.ndarray:
@@ -209,8 +240,8 @@ def codiff_coeffs(k: int, Aval, val, jac, eps: float) -> np.ndarray:
     covariant divergence: (delta w)_J = -sum_{j not in J} (d_j w_{jJ}
     + eps [A_j, w_{jJ}]), with w_{jJ} the component on dx_j ^ dx_J.
     """
-    return (_d_contract(CODIFF_TABLE[k], jac)
-            + eps * bracket_wedge_adjoint(k - 1, Aval, val))
+    return _node_first(_cov_d(CODIFF_TABLE[k], _node_last(Aval), _node_last(val),
+                              _node_last(jac), eps))
 
 
 def _sign_array(table, n_src: int) -> np.ndarray:
@@ -232,9 +263,15 @@ def codiff_signs(degree: int) -> np.ndarray:
     return _sign_array(CODIFF_TABLE[degree], N_COMP[degree])
 
 
+def _curvature(At, jt, eps: float) -> np.ndarray:
+    """F = dA + (eps/2)[A ^ A], node-last: At (3,4,N), jt (3,4,4,N) -> (3,6,N)."""
+    return (_d_contract(ANTISYM_TABLE[1], jt)
+            + 0.5 * eps * _bracket_contract(ANTISYM_TABLE[1], At, At))
+
+
 def curvature_coeffs(val, jac, eps: float) -> np.ndarray:
     """F = dA + (eps/2)[A ^ A] of a connection given as arrays: (N,3,6)."""
-    return d_coeffs(1, jac) + 0.5 * eps * bracket_wedge_coeffs(1, val, val)
+    return _node_first(_curvature(_node_last(val), _node_last(jac), eps))
 
 
 def cov_grad_coeffs(Aval, val, jac, eps: float) -> np.ndarray:

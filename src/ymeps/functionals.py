@@ -14,7 +14,6 @@ the sweep, a non-increasing sequence, or a null value within precision).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -30,12 +29,17 @@ from .basis import (
     tilde_fields,
 )
 from .forms import (
+    ANTISYM_TABLE,
+    CODIFF_TABLE,
     NumericalError,
+    _bracket_contract,
+    _cov_d,
+    _curvature,
+    _d_contract,
+    _node_last,
     ball_rule,
-    bracket_wedge_adjoint,
     bracket_wedge_coeffs,
     cdot,
-    codiff_coeffs,
     codiff_signs,
     cov_d_coeffs,
     curvature_coeffs,
@@ -416,11 +420,11 @@ def _dphi_map() -> np.ndarray:
     """The constant (240, 60) map from the d phi rows of a probe's pairing
     with a representer to the 12-vectors of its five functionals.
 
-    Row (mu, c) takes d_mu phi times column c of the representer's d phi
-    block.  That block holds three 2-forms X, paired with d beta, then two
-    0-forms y, paired with delta beta; with d_nu beta_src = C_src d_nu phi,
-    each sign S[T, nu, src] of d (resp. delta) on 1-forms puts S X_T
-    (resp. S y) on C_src d_nu phi.
+    Row (mu, c) takes d_mu phi times entry c of the representer's d phi
+    block (row 60 + c of Rt).  That block holds three 2-forms X, paired with
+    d beta, then two 0-forms y, paired with delta beta; with d_nu beta_src =
+    C_src d_nu phi, each sign S[T, nu, src] of d (resp. delta) on 1-forms
+    puts S X_T (resp. S y) on C_src d_nu phi.
     """
     S = np.zeros((4, 60, 5, 3, 4))
     col = 0
@@ -435,14 +439,141 @@ def _dphi_map() -> np.ndarray:
 _DPHI_MAP = _dphi_map()
 
 
-def _probe_pairings(R, wphi, coeff) -> np.ndarray:
-    """The five pairings (HA, HAt, expansion, cA, cAt) of the probe
-    coeff * phi with a representer R, given the weighted channels w * phi on
-    the same rows: sum_{a,nu} C_{a nu} L_{a nu}, with
-    L = sum w (V phi + P^mu d_mu phi) read off one GEMM (w phi) @ R."""
-    G = wphi @ R
-    L = G[0, :60] + G[1:, 60:].reshape(240) @ _DPHI_MAP
-    return L.reshape(5, 12) @ coeff.reshape(12)
+def _probe_shapes(probes):
+    """The probes grouped by shape (center, scale), in order of first use, as
+    (rows, center, scale, indices of the probes of that shape)."""
+    shapes = {}
+    for k, (rows, center, scale, _) in enumerate(probes):
+        shapes.setdefault((center.tobytes(), scale),
+                          (rows, center, scale, []))[3].append(k)
+    return list(shapes.values())
+
+
+def _shape_functionals(W, Rt) -> np.ndarray:
+    """The (S, 5, 12) pairings of S shapes' unit coefficients with a
+    representer Rt (120, N), from their stacked weighted channels W (5S, N):
+    L = sum w (V phi + P^mu d_mu phi), read off one GEMM W @ Rt.T."""
+    G = (W @ Rt.T).reshape(-1, 5, 120)
+    L = G[:, 0, :60] + G[:, 1:, 60:].reshape(len(G), 240) @ _DPHI_MAP
+    return L.reshape(-1, 5, 12)
+
+
+def _pair_probes(Rt, probes, shapes, nodes, weights) -> np.ndarray:
+    """The five pairings (HA, HAt, expansion, cA, cAt) of every probe with
+    Rt, (n, 5).
+
+    Each shape's weighted channels w * (phi, grad phi), zero off its support,
+    take five rows of a block W; one GEMM pairs a group of len(Rt) // 5
+    shapes, so W never has more rows than Rt, and probe k is L[shape] @ C_k.
+    """
+    per = len(Rt) // 5
+    W = np.zeros((5 * min(per, len(shapes)), Rt.shape[1]))
+    out = np.empty((len(probes), 5))
+    for g in range(0, len(shapes), per):
+        group = shapes[g:g + per]
+        for j, (rows, center, scale, _) in enumerate(group):
+            W[5 * j:5 * j + 5, rows] = (_bump_channels(nodes[rows], center, scale)
+                                        * weights[rows])
+        L = _shape_functionals(W[:5 * len(group)], Rt)
+        for j, (rows, _, _, members) in enumerate(group):
+            W[5 * j:5 * j + 5, rows] = 0.0
+            for k in members:
+                out[k] = L[j] @ probes[k][3].reshape(12)
+    return out
+
+
+def _combine_node_last(coeffs, nodefields, val, jac, work):
+    """sum_j c_j f_j over node fields, written node-last into val (3,4,N)
+    and jac (3,4,4,N).
+
+    The sum runs node-first in the flat scratch work (at least 108N
+    entries), one coefficient at a time, zero coefficients skipped and the
+    terms summed in order, as GramBasis.node_field sums them; then one copy
+    transposes it, so the two agree bit for bit.
+    """
+    N = val.shape[-1]
+    acc = (work[:12 * N].reshape(N, 3, 4),
+           work[12 * N:60 * N].reshape(N, 3, 4, 4))
+    tmp = work[60 * N:108 * N]
+    first = True
+    for c, nf in zip(coeffs, nodefields):
+        if c == 0.0:
+            continue
+        for src, dst in zip((nf.val, nf.jac), acc):
+            if first:
+                np.multiply(src, c, out=dst)
+            else:
+                t = tmp[:dst.size].reshape(dst.shape)
+                np.multiply(src, c, out=t)
+                dst += t
+        first = False
+    np.copyto(val, np.moveaxis(acc[0], 0, -1))
+    np.copyto(jac, np.moveaxis(acc[1], 0, -1))
+
+
+_WEDGE0, _WEDGE1 = ANTISYM_TABLE[0], ANTISYM_TABLE[1]
+_ADJ0, _ADJ1 = CODIFF_TABLE[1], CODIFF_TABLE[2]   # adjoints of _WEDGE0, _WEDGE1
+
+
+def _tag_representers(q, pi2, basis, ctx):
+    """Yield (tag, Rt) for the basis fields a_1 (tag i1) and a_5 (i5).
+
+    Rt (120, N) holds, per node (its last axis), the probe-independent
+    coefficients of HA, HAt, the five-term expansion t1 + ... + t5, cA and
+    cAt: first their phi-coefficients V (5,3,4), then the d phi block of
+    _dphi_map (the 2-forms d_A a, d_At a, eps [b ^ a] paired with d beta,
+    the 0-forms delta_A a, delta_At a paired with delta beta).  The bracket
+    parts are pointwise adjoints: <X, [Y ^ beta]> = <adjoint(Y, X), beta> for
+    a 2-form X, and the bracket of delta_A beta pairs with a 0-form y as
+    <eps [A ^ y], beta>.  Everything is computed node-last with the forms
+    kernels, each operand transposed once per point; the second tag's Rt is
+    built into the first's memory.
+    """
+    eps, N = q.eps, len(ctx.rule)
+    # A = Atilde - b holds Atilde's and b's atom objects, so one pass samples
+    # all three with each atom channel evaluated once
+    At, b = extended_connection(q), difference_b(q, pi2=pi2)
+    nfA, nfAt, nfb = ctx.arrays([glue(At, b), At, b])
+    A_, At_, b_ = (_node_last(nf.val) for nf in (nfA, nfAt, nfb))
+    FA = _curvature(A_, _node_last(nfA.jac), eps)
+    FAt = _curvature(At_, _node_last(nfAt.jac), eps)
+    # t4 + t5 = eps <Fb, [a ^ beta]>, Fb = d_A b + (eps/2) [b ^ b]
+    Fb = (_cov_d(_WEDGE1, A_, b_, _node_last(nfb.jac), eps)
+          + 0.5 * eps * _bracket_contract(_WEDGE1, b_, b_))
+    del nfA, nfAt, nfb
+    Rt = np.empty((120, N))
+    V = Rt[:60].reshape(5, 3, 4, N)
+    X = Rt[60:114].reshape(3, 3, 6, N)
+    y = Rt[114:].reshape(2, 3, 1, N)
+    val, jac = np.empty((3, 4, N)), np.empty((3, 4, 4, N))
+    for tag, idx in (("i1", 1), ("i5", 5)):
+        # the previous tag is paired and every row of Rt is written below, so
+        # its memory serves as the combination's scratch
+        _combine_node_last(basis.coeff[idx - 1], basis.raw_nodefields,
+                           val, jac, Rt.reshape(-1))
+        # d a and delta a once, for both connections
+        da, dela = _d_contract(_WEDGE1, jac), _d_contract(_ADJ0, jac)
+        for k, Ct in ((0, A_), (1, At_)):
+            X[k] = da + eps * _bracket_contract(_WEDGE1, Ct, val)
+            y[k] = dela + eps * _bracket_contract(_ADJ0, Ct, val)
+        del da, dela
+        X[2] = eps * _bracket_contract(_WEDGE1, b_, val)
+        # HA: <d_A a, eps [A ^ beta]> + eps <F_A, [a ^ beta]>, HAt alike
+        for k, Ct, F in ((0, A_, FA), (1, At_, FAt)):
+            V[k] = eps * (_bracket_contract(_ADJ1, Ct, X[k])
+                          + _bracket_contract(_ADJ1, val, F))
+        # t1 + t3 = eps <d_A a + eps [b ^ a], [b ^ beta]>, t2's bracket
+        # eps <eps [b ^ a], [A ^ beta]>, then t4 + t5
+        V[2] = eps * (_bracket_contract(_ADJ1, b_, X[0] + X[2])
+                      + _bracket_contract(_ADJ1, A_, X[2])
+                      + _bracket_contract(_ADJ1, val, Fb))
+        for k, Ct in ((3, A_), (4, At_)):
+            V[k] = eps * _bracket_contract(_WEDGE0, Ct, y[k - 3])
+        # outside a probe's support a non-finite entry would still poison
+        # the full-rule integrals, so the whole representer is checked
+        if not np.all(np.isfinite(Rt)):
+            raise NumericalError("non-finite integrand in the l37 pairings")
+        yield tag, Rt
 
 
 def _hessian_difference_metrics(q, pi2, basis, ctx, seed, n_test):
@@ -450,74 +581,25 @@ def _hessian_difference_metrics(q, pi2, basis, ctx, seed, n_test):
 
     A probe beta = C phi (a bump phi, a constant 3x4 C) enters every pairing
     only through its five channels (phi, grad phi), which vanish outside its
-    ball.  So each tag a_i gets one representer R (N, 120) holding, per
-    node, the probe-independent coefficients of HA, HAt, the five-term
-    expansion t1 + ... + t5, cA and cAt: first their phi-coefficients V
-    (5,3,4), then the d phi block of _dphi_map (the 2-forms d_A a, d_At a,
-    eps [b ^ a] paired with d beta, the 0-forms delta_A a, delta_At a paired
-    with delta beta).  The bracket parts are pointwise adjoints:
-    <X, [Y ^ beta]> = <bracket_wedge_adjoint(1, Y, X), beta> for a 2-form X,
-    and the bracket of delta_A beta pairs with a 0-form y as
-    <eps [A ^ y], beta>.  Every probe is paired with one tag's R before the
-    next tag's is built into the same memory.
+    ball.  So each tag's representer Rt (_tag_representers) pairs with every
+    probe linearly in C: one GEMM per group of shapes (center, scale) gives
+    each shape's pairings L (5, 12) with the unit coefficients, and each
+    probe is L @ C.  Every probe is paired with one tag's Rt before the next
+    tag's is built into the same memory.
     """
-    eps = q.eps
     nodes, weights = ctx.rule.nodes, ctx.rule.weights
     probes = test_field_family(q, ctx, n_test, seed)
-    # A = Atilde - b holds Atilde's and b's atom objects, so one pass samples
-    # all three with each atom channel evaluated once; only the values and
-    # the arrays below are kept, the jacobians go once F and Fb exist
-    At, b = extended_connection(q), difference_b(q, pi2=pi2)
-    nfA, nfAt, nfb = ctx.arrays([glue(At, b), At, b])
-    Aval, FA = nfA.val, curvature_coeffs(nfA.val, nfA.jac, eps)
-    Atval, FAt = nfAt.val, curvature_coeffs(nfAt.val, nfAt.jac, eps)
-    bval = nfb.val
-    # t4 + t5 = eps <Fb, [a ^ beta]>
-    Fb = (cov_d_coeffs(1, Aval, bval, nfb.jac, eps)
-          + 0.5 * eps * bracket_wedge_coeffs(1, bval, bval))
-    del nfA, nfAt, nfb
-    adj = partial(bracket_wedge_adjoint, 1)
-    N = len(weights)
-    R = np.empty((N, 120))
-    V = R[:, :60].reshape(N, 5, 3, 4)
-    X = R[:, 60:114].reshape(N, 3, 3, 6)
-    y = R[:, 114:].reshape(N, 2, 3, 1)
-    wphi = np.zeros((5, N))
+    shapes = _probe_shapes(probes)
     out, five_term_resid = {}, 0.0
-    for tag, idx in (("i1", 1), ("i5", 5)):
-        a = basis.node_field(idx)
-        X[:, 0] = cov_d_coeffs(1, Aval, a.val, a.jac, eps)
-        X[:, 1] = cov_d_coeffs(1, Atval, a.val, a.jac, eps)
-        X[:, 2] = eps * bracket_wedge_coeffs(1, bval, a.val)
-        y[:, 0] = codiff_coeffs(1, Aval, a.val, a.jac, eps)
-        y[:, 1] = codiff_coeffs(1, Atval, a.val, a.jac, eps)
-        # HA: <d_A a, eps [A ^ beta]> + eps <F_A, [a ^ beta]>, HAt alike
-        V[:, 0] = eps * (adj(Aval, X[:, 0]) + adj(a.val, FA))
-        V[:, 1] = eps * (adj(Atval, X[:, 1]) + adj(a.val, FAt))
-        # t1 + t3 = eps <d_A a + eps [b ^ a], [b ^ beta]>, t2's bracket
-        # eps <eps [b ^ a], [A ^ beta]>, then t4 + t5
-        V[:, 2] = eps * (adj(bval, X[:, 0] + X[:, 2]) + adj(Aval, X[:, 2])
-                         + adj(a.val, Fb))
-        V[:, 3] = eps * bracket_wedge_coeffs(0, Aval, y[:, 0])
-        V[:, 4] = eps * bracket_wedge_coeffs(0, Atval, y[:, 1])
-        del a
-        # outside a probe's support a non-finite entry would still poison
-        # the full-rule integrals, so the whole representer is checked
-        if not np.all(np.isfinite(R)):
-            raise NumericalError("non-finite integrand in the l37 pairings")
-        sup_h = sup_c = 0.0
-        for s, center, scale, coeff in probes:
-            # zero-padded channels pair with all of R, copying no rows of it
-            wphi[:, s] = _bump_channels(nodes[s], center, scale) * weights[s]
-            HA, HAt, expansion, cA, cAt = _probe_pairings(R, wphi, coeff)
-            wphi[:, s] = 0.0
-            direct = HAt - HA
-            sup_h = max(sup_h, abs(direct))
-            five_term_resid = max(five_term_resid, abs(direct - expansion)
-                                  / max(abs(HA), abs(HAt), 1.0))
-            sup_c = max(sup_c, abs(cAt - cA))
-        out[f"hess_dual_{tag}"] = sup_h
-        out[f"codiff_dual_{tag}"] = sup_c
+    for tag, Rt in _tag_representers(q, pi2, basis, ctx):
+        HA, HAt, expansion, cA, cAt = _pair_probes(Rt, probes, shapes,
+                                                   nodes, weights).T
+        direct = HAt - HA
+        five_term_resid = max(five_term_resid, np.max(
+            np.abs(direct - expansion)
+            / np.maximum(np.maximum(np.abs(HA), np.abs(HAt)), 1.0)))
+        out[f"hess_dual_{tag}"] = np.max(np.abs(direct))
+        out[f"codiff_dual_{tag}"] = np.max(np.abs(cAt - cA))
     out["five_term_residual"] = five_term_resid
     return out
 

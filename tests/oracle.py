@@ -9,13 +9,20 @@ NodeFields on a rule, so they can enter the library's pairings, and build
 the suite-3.7 bump probes on the full rule, as an independent check of the
 support-only specs of functionals.test_field_family.  Last come the
 whole-rule references for routes the library streams: the raw Gram summed in
-long double over the whole rule, and chart sampling scattered through boolean
-masks.
+long double over the whole rule, chart sampling scattered through boolean
+masks, and the suite-3.7 probes paired one at a time with the whole
+representer.
 """
 
 import numpy as np
 
 from ymeps.basis import InnerContext, NodeField
+from ymeps.functionals import (
+    _DPHI_MAP,
+    _bump_channels,
+    _tag_representers,
+    test_field_family,
+)
 from ymeps.forms import (
     N_COMP,
     bracket_wedge_coeffs,
@@ -435,4 +442,38 @@ def scatter_sample_charted(fields, X, mask_inner):
             terms = getattr(f, chart)
             val[sel] = terms_value(terms, Xs, memo=memo)
             jac[sel] = terms_jac(terms, Xs, memo=memo)
+    return out
+
+
+def probe_pairings(R, wphi, coeff) -> np.ndarray:
+    """The five pairings (HA, HAt, expansion, cA, cAt) of the probe
+    coeff * phi with a node-first representer R (N, 120), given the weighted
+    channels w * phi on the same rows: sum_{a,nu} C_{a nu} L_{a nu}, with
+    L = sum w (V phi + P^mu d_mu phi) read off one GEMM (w phi) @ R."""
+    G = wphi @ R
+    L = G[0, :60] + G[1:, 60:].reshape(240) @ _DPHI_MAP
+    return L.reshape(5, 12) @ coeff.reshape(12)
+
+
+def per_probe_l37(q, pi2, basis, ctx, seed: int, n_test: int) -> dict:
+    """The l37 metrics with every probe paired on its own: its weighted
+    channels, zero-padded to the whole rule, times the whole representer
+    (one (5, N) @ (N, 120) product per probe and tag)."""
+    nodes, weights = ctx.rule.nodes, ctx.rule.weights
+    probes = test_field_family(q, ctx, n_test, seed)
+    wphi = np.zeros((5, len(nodes)))
+    out, resid = {}, 0.0
+    for tag, Rt in _tag_representers(q, pi2, basis, ctx):
+        sup_h = sup_c = 0.0
+        for s, center, scale, coeff in probes:
+            wphi[:, s] = _bump_channels(nodes[s], center, scale) * weights[s]
+            HA, HAt, expansion, cA, cAt = probe_pairings(Rt.T, wphi, coeff)
+            wphi[:, s] = 0.0
+            sup_h = max(sup_h, abs(HAt - HA))
+            resid = max(resid, abs(HAt - HA - expansion)
+                        / max(abs(HA), abs(HAt), 1.0))
+            sup_c = max(sup_c, abs(cAt - cA))
+        out[f"hess_dual_{tag}"] = sup_h
+        out[f"codiff_dual_{tag}"] = sup_c
+    out["five_term_residual"] = resid
     return out

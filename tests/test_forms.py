@@ -8,14 +8,21 @@ import pytest
 
 from ymeps.forms import (
     ANTISYM_TABLE,
+    CODIFF_TABLE,
     COMP_INDEX,
     MULTI_INDEX,
     N_COMP,
+    _bracket_contract,
+    _cov_d,
+    _curvature,
+    _d_contract,
     bracket_wedge_adjoint,
     bracket_wedge_coeffs,
     cdot,
     codiff_coeffs,
     codiff_signs,
+    cov_d_coeffs,
+    curvature_coeffs,
     d_coeffs,
     d_signs,
     star_coeffs,
@@ -189,6 +196,60 @@ def test_sign_maps_reproduce_d_and_delta(degree):
         np.testing.assert_allclose(delta, codiff_coeffs(degree, zero, val,
                                                         jac, 1.0),
                                    rtol=0, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# node-first public kernels over the node-last cores
+
+N_ODD = 1031   # prime, so no multiple of any block size
+
+
+def _nl(x):
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
+
+
+def _d_node_first_oracle(table, jac):
+    """The node-first strided accumulation d_coeffs ran before the cores."""
+    out = np.zeros((jac.shape[0], 3, len(table)))
+    for tgt, entries in enumerate(table):
+        for sign, nu, src in entries:
+            out[:, :, tgt] += sign * jac[:, :, src, nu]
+    return out
+
+
+def _assert_core(public, core):
+    assert public.flags.c_contiguous
+    assert np.array_equal(public, np.moveaxis(core, -1, 0))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_node_first_kernels_equal_node_last_cores(k):
+    rng = np.random.default_rng(70 + k)
+    a = rng.standard_normal((N_ODD, 3, 4))
+    w = rng.standard_normal((N_ODD, 3, N_COMP[k]))
+    x = rng.standard_normal((N_ODD, 3, N_COMP[k + 1]))
+    jac = rng.standard_normal((N_ODD, 3, N_COMP[k], 4))
+    _assert_core(bracket_wedge_coeffs(k, a, w),
+                 _bracket_contract(ANTISYM_TABLE[k], _nl(a), _nl(w)))
+    _assert_core(bracket_wedge_adjoint(k, a, x),
+                 _bracket_contract(CODIFF_TABLE[k + 1], _nl(a), _nl(x)))
+    _assert_core(d_coeffs(k, jac), _d_contract(ANTISYM_TABLE[k], _nl(jac)))
+    assert np.array_equal(d_coeffs(k, jac),
+                          _d_node_first_oracle(ANTISYM_TABLE[k], jac))
+    _assert_core(cov_d_coeffs(k, a, w, jac, 0.3),
+                 _cov_d(ANTISYM_TABLE[k], _nl(a), _nl(w), _nl(jac), 0.3))
+    # codifferential of the (k+1)-forms
+    jx = rng.standard_normal((N_ODD, 3, N_COMP[k + 1], 4))
+    _assert_core(codiff_coeffs(k + 1, a, x, jx, 0.3),
+                 _cov_d(CODIFF_TABLE[k + 1], _nl(a), _nl(x), _nl(jx), 0.3))
+
+
+def test_curvature_equals_node_last_core():
+    rng = np.random.default_rng(75)
+    a = rng.standard_normal((N_ODD, 3, 4))
+    jac = rng.standard_normal((N_ODD, 3, 4, 4))
+    _assert_core(curvature_coeffs(a, jac, 0.3),
+                 _curvature(_nl(a), _nl(jac), 0.3))
 
 
 def test_wedge_bracket_degree_mismatch():

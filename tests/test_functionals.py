@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ymeps.basis import InnerContext, ball_context, gram_schmidt_ball
+from ymeps.basis import InnerContext, NodeField, ball_context, gram_schmidt_ball
 from ymeps.forms import (
     COMP_INDEX,
     MULTI_INDEX,
@@ -27,9 +27,11 @@ from ymeps.functionals import (
     EstimateReport,
     QuantityRow,
     _bump_channels,
+    _combine_node_last,
     _hessian_difference_metrics,
-    _probe_pairings,
+    _probe_shapes,
     _row_band,
+    _shape_functionals,
     charge,
     compute_point_metrics,
     fit_slope,
@@ -59,6 +61,7 @@ from oracle import (
     covariant_d_eps,
     full_rule_probe_draws,
     full_rule_probes,
+    per_probe_l37,
     sample_form,
 )
 
@@ -405,6 +408,108 @@ def test_l37_probe_loop_matches_per_tag_oracle(pi2):
             assert abs(got[key] - want[key]) <= 1e-10 * want[key], key
 
 
+def _assert_l37_close(got, want):
+    assert list(got) == list(want)
+    for key in want:
+        if key == "five_term_residual":
+            assert abs(got[key] - want[key]) <= 1e-15
+        else:
+            assert want[key] > 0.0
+            assert abs(got[key] - want[key]) <= 1e-12 * want[key], key
+
+
+def _count_shape_gemms(monkeypatch) -> list:
+    """The number of shapes of each _shape_functionals call (one GEMM each)."""
+    import ymeps.functionals as functionals_mod
+
+    calls = []
+    fn = functionals_mod._shape_functionals
+
+    def counted(W, Rt):
+        calls.append(len(W) // 5)
+        return fn(W, Rt)
+
+    monkeypatch.setattr(functionals_mod, "_shape_functionals", counted)
+    return calls
+
+
+@pytest.mark.parametrize("pi2", ["model", "full"])
+def test_l37_shape_groups_match_per_probe_oracle(pi2, monkeypatch):
+    # the 0.95-scale probes all sit at centre 0, so they share one shape and
+    # one L; each tag pairs all its shapes in one GEMM
+    q = _generic_q(2.0 ** -4)
+    basis = gram_schmidt_ball(q, pi2)
+    shapes = _probe_shapes(probe_family(q, basis.ctx, 8, RNG_SEED))
+    assert any(len(members) > 1 for *_, members in shapes)
+    assert sorted(k for *_, members in shapes for k in members) == list(range(8))
+    gemms = _count_shape_gemms(monkeypatch)
+    got = _hessian_difference_metrics(q, pi2, basis, basis.ctx,
+                                      seed=RNG_SEED, n_test=8)
+    assert gemms == [len(shapes)] * 2
+    _assert_l37_close(got, per_probe_l37(q, pi2, basis, basis.ctx,
+                                         seed=RNG_SEED, n_test=8))
+
+
+def test_l37_shape_groups_cross_the_group_boundary(monkeypatch):
+    # more shapes than 120 // 5: the first group fills W with as many rows
+    # as the representer has, and the rest take a second GEMM
+    q = _generic_q(2.0 ** -4)
+    r = domain_ball_rule(q.p, q.lam)
+    rule = QuadratureRule(r.nodes[::7], r.weights[::7], r.center, r.lam,
+                          r.region)
+    basis = gram_schmidt_ball(q, "model", rule=rule)
+    n, per = 40, 120 // 5
+    shapes = _probe_shapes(probe_family(q, basis.ctx, n, RNG_SEED))
+    assert per < len(shapes) <= 2 * per
+    gemms = _count_shape_gemms(monkeypatch)
+    got = _hessian_difference_metrics(q, "model", basis, basis.ctx,
+                                      seed=RNG_SEED, n_test=n)
+    assert gemms == [per, len(shapes) - per] * 2
+    _assert_l37_close(got, per_probe_l37(q, "model", basis, basis.ctx,
+                                         seed=RNG_SEED, n_test=n))
+
+
+def test_node_last_combination_matches_node_field():
+    q = _generic_q(2.0 ** -4)
+    basis = gram_schmidt_ball(q)
+    N = len(basis.ctx.rule)
+    val, jac = np.empty((3, 4, N)), np.empty((3, 4, 4, N))
+    work = np.empty(108 * N)
+    for i in range(1, 9):
+        _combine_node_last(basis.coeff[i - 1], basis.raw_nodefields,
+                           val, jac, work)
+        a = basis.node_field(i)
+        assert np.array_equal(val, np.moveaxis(a.val, 0, -1))
+        assert np.array_equal(jac, np.moveaxis(a.jac, 0, -1))
+
+
+def test_l37_transposes_operands_once_and_no_node_field_arithmetic(monkeypatch):
+    # the tag fields are combined from the raw samples in the representer's
+    # memory, so no NodeField sum or product is formed; A, Atilde, b and
+    # their jacobians are copied node-last once per point, not once per tag
+    import ymeps.functionals as functionals_mod
+
+    def forbidden(*args):
+        raise AssertionError("NodeField arithmetic reached from l37")
+
+    for op in ("__add__", "__sub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(NodeField, op, forbidden)
+    copies = []
+    node_last = functionals_mod._node_last
+
+    def counted(x):
+        copies.append(x.shape)
+        return node_last(x)
+
+    monkeypatch.setattr(functionals_mod, "_node_last", counted)
+    q = ParamQ.default(2.0 ** -4)
+    basis = gram_schmidt_ball(q)
+    _hessian_difference_metrics(q, "model", basis, basis.ctx, seed=RNG_SEED,
+                                n_test=4)
+    N = len(basis.ctx.rule)
+    assert sorted(copies) == [(N, 3, 4)] * 3 + [(N, 3, 4, 4)] * 3
+
+
 @pytest.mark.parametrize("stride", [1, 997])
 @pytest.mark.parametrize("pi2", ["model", "full"])
 def test_probe_specs_match_full_rule_probes(pi2, stride):
@@ -467,10 +572,19 @@ def _random_probe(rng, n):
     return phi, C, val, jac
 
 
-def _node_pairings(R, phi, C):
-    """_probe_pairings of every node on its own, unit weight: (n, 5)."""
-    return np.array([_probe_pairings(R[i:i + 1], phi[:, i:i + 1], C)
-                     for i in range(len(R))])
+def _node_pairings(Rt, phi, C):
+    """The pairings of every node on its own, unit weight, (n, 5): each node
+    is one shape of a block-diagonal W, paired by _shape_functionals."""
+    n = Rt.shape[1]
+    W = np.zeros((5 * n, n))
+    for i in range(n):
+        W[5 * i:5 * i + 5, i] = phi[:, i]
+    return _shape_functionals(W, Rt) @ C.reshape(12)
+
+
+def _rows(x):
+    """A node-first (n, ...) array as representer rows (size / n, n)."""
+    return np.moveaxis(x, 0, -1).reshape(-1, len(x))
 
 
 @pytest.mark.parametrize("slot", [0, 1, 2])
@@ -480,8 +594,8 @@ def test_representer_two_form_slot_pairs_with_d_beta(slot):
     n = 40
     X = rng.standard_normal((n, 3, 6))
     phi, C, _, jac = _random_probe(rng, n)
-    R = np.zeros((n, 120))
-    R[:, 60 + 18 * slot:78 + 18 * slot] = X.reshape(n, 18)
+    R = np.zeros((120, n))
+    R[60 + 18 * slot:78 + 18 * slot] = _rows(X)
     want = cdot(X, d_coeffs(1, jac))
     got = _node_pairings(R, phi, C)
     tol = 1e-13 * np.max(np.abs(want))
@@ -501,8 +615,8 @@ def test_wedge_adjoint_pairs_with_bracket():
     np.testing.assert_allclose(got, want, rtol=0,
                                atol=1e-13 * np.max(np.abs(want)))
     # through a phi slot of the representer, the same pairing
-    R = np.zeros((n, 120))
-    R[:, :12] = adj.reshape(n, 12)
+    R = np.zeros((120, n))
+    R[:12] = _rows(adj)
     np.testing.assert_allclose(_node_pairings(R, phi, C)[:, 0], want, rtol=0,
                                atol=1e-13 * np.max(np.abs(want)))
 
@@ -515,10 +629,9 @@ def test_representer_zero_form_slot_pairs_with_delta_beta(slot):
     n, eps = 40, 0.3
     y, A = rng.standard_normal((n, 3, 1)), rng.standard_normal((n, 3, 4))
     phi, C, val, jac = _random_probe(rng, n)
-    R = np.zeros((n, 120))
-    R[:, 12 * slot:12 * slot + 12] = (
-        eps * bracket_wedge_coeffs(0, A, y)).reshape(n, 12)
-    R[:, 114 + 3 * (slot - 3):117 + 3 * (slot - 3)] = y.reshape(n, 3)
+    R = np.zeros((120, n))
+    R[12 * slot:12 * slot + 12] = _rows(eps * bracket_wedge_coeffs(0, A, y))
+    R[114 + 3 * (slot - 3):117 + 3 * (slot - 3)] = _rows(y)
     want = cdot(y, codiff_coeffs(1, A, val, jac, eps))
     got = _node_pairings(R, phi, C)
     tol = 1e-13 * np.max(np.abs(want))
