@@ -190,23 +190,40 @@ class GramBasis:
     raw_gram: np.ndarray
     raw_nodefields: list = field(repr=False)
 
-    def node_field(self, i: int) -> NodeField:
-        """The i-th orthonormal field (1-based), combined from the samples."""
-        return _combine(self.coeff[i - 1], self.raw_nodefields)
+    def node_field(self, i: int, val=None, jac=None, tmp=None) -> NodeField:
+        """The i-th orthonormal field (1-based), combined from the samples,
+        into val and jac with the scratch tmp if given (see _combine)."""
+        return _combine(self.coeff[i - 1], self.raw_nodefields, val, jac, tmp)
 
     def gram_residual(self) -> float:
         got = self.coeff @ self.raw_gram @ self.coeff.T
         return float(np.max(np.abs(got - np.eye(len(self.coeff)))))
 
 
-def _combine(coeffs, nodefields) -> NodeField:
-    """sum_j c_j f_j over node fields, skipping zero coefficients."""
-    out = None
+def _combine(coeffs, nodefields, val=None, jac=None, tmp=None) -> NodeField:
+    """sum_j c_j f_j over node fields, skipping zero coefficients.
+
+    The sum runs in place, one coefficient at a time and in order: into val
+    (N,3,4) and jac (N,3,4,4), each term formed in the flat scratch tmp (at
+    least 48N entries).  Those not given are allocated.
+    """
+    ref = nodefields[0]
+    val = np.empty_like(ref.val) if val is None else val
+    jac = np.empty_like(ref.jac) if jac is None else jac
+    tmp = np.empty(ref.jac.size) if tmp is None else tmp
+    first = True
     for cj, nf in zip(coeffs, nodefields):
         if cj == 0.0:
             continue
-        out = nf * cj if out is None else out + nf * cj
-    return out
+        for src, dst in ((nf.val, val), (nf.jac, jac)):
+            if first:
+                np.multiply(src, cj, out=dst)
+            else:
+                term = tmp[:dst.size].reshape(dst.shape)
+                np.multiply(src, cj, out=term)
+                dst += term
+        first = False
+    return NodeField(ref.rule, val, jac)
 
 
 # nodes per block of the streamed Gram, whose weighted rows then take 3.75 MiB:

@@ -9,12 +9,13 @@ The algebra axis (length 3) carries coefficients on the basis (e1,e2,e3) of
 su(2); the pointwise bracket in that basis is the cross product.  Orientation
 is fixed by dx0^dx1^dx2^dx3 = vol.
 
-The bracket and d kernels (_bracket_contract, _d_contract) compute node-last,
-on arrays whose last axis runs over the nodes (val (3, C, N), jac (3, C, 4,
-N)), so every product is one pass over contiguous rows.  The public functions
-take and return node-first arrays as above: each transposes its inputs to the
-node-last layout and its result back, and a caller that holds node-last
-operands (the suite-3.7 representers) calls the kernels directly.
+The bracket and d kernels compute node-last, on arrays whose last axis runs
+over the nodes (val (3, C, N), jac (3, C, 4, N)), so every product is one
+pass over contiguous rows.  The *_nl functions (bracket_wedge_nl, its
+adjoint, d_nl, delta_nl, curvature_nl) take and return node-last arrays,
+and to_node_last makes them from node-first ones.  The other public kernels
+take and return node-first arrays as above: each transposes its inputs to
+the node-last layout and its result back.
 """
 
 from __future__ import annotations
@@ -35,7 +36,13 @@ __all__ = [
     "star_coeffs",
     "bracket_wedge_coeffs",
     "bracket_wedge_adjoint",
+    "bracket_wedge_nl",
+    "bracket_wedge_adjoint_nl",
+    "to_node_last",
     "d_coeffs",
+    "d_nl",
+    "delta_nl",
+    "curvature_nl",
     "d_signs",
     "codiff_signs",
     "cov_d_coeffs",
@@ -142,7 +149,7 @@ def cdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-def _node_last(x: np.ndarray) -> np.ndarray:
+def to_node_last(x: np.ndarray) -> np.ndarray:
     """A node-first array (N, ...) as a C-contiguous node-last copy (..., N)."""
     return np.ascontiguousarray(np.moveaxis(x, 0, -1))
 
@@ -197,9 +204,38 @@ def _d_contract(table, jt: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cov_d(table, At, vt, jt, eps: float) -> np.ndarray:
-    """d w + eps [A, w] through one table, node-last: (3,T,N)."""
-    return _d_contract(table, jt) + eps * _bracket_contract(table, At, vt)
+# node-last kernels: A (3,4,N), a k-form (3,C_k,N), its jacobian (3,C_k,4,N)
+
+
+def bracket_wedge_nl(degree: int, At: np.ndarray, wt: np.ndarray) -> np.ndarray:
+    """[A ^ w] of a k-form w, k = degree, node-last: (3,C_{k+1},N)."""
+    return _bracket_contract(ANTISYM_TABLE[degree], At, wt)
+
+
+def bracket_wedge_adjoint_nl(degree: int, At: np.ndarray, xt: np.ndarray) -> np.ndarray:
+    """The pointwise adjoint of w -> [A ^ w] on k-forms, k = degree, applied
+    to a (k+1)-form x, node-last: (3,C_k,N)."""
+    return _bracket_contract(CODIFF_TABLE[degree + 1], At, xt)
+
+
+def d_nl(degree: int, jt: np.ndarray) -> np.ndarray:
+    """dw of a k-form from its jacobian, node-last: (3,C_{k+1},N)."""
+    return _d_contract(ANTISYM_TABLE[degree], jt)
+
+
+def delta_nl(degree: int, jt: np.ndarray) -> np.ndarray:
+    """The derivative part of delta_A^eps w on k-forms (k >= 1), node-last:
+    (3,C_{k-1},N).  The whole of it adds eps * bracket_wedge_adjoint_nl(k-1,
+    A, w)."""
+    return _d_contract(CODIFF_TABLE[degree], jt)
+
+
+def curvature_nl(At: np.ndarray, jt: np.ndarray, eps: float) -> np.ndarray:
+    """F = dA + (eps/2)[A ^ A] of a connection, node-last: (3,6,N)."""
+    return d_nl(1, jt) + 0.5 * eps * bracket_wedge_nl(1, At, At)
+
+
+# node-first kernels: transpose in, call the node-last ones, transpose out
 
 
 def bracket_wedge_coeffs(degree: int, a_vals: np.ndarray, w_vals: np.ndarray) -> np.ndarray:
@@ -208,8 +244,8 @@ def bracket_wedge_coeffs(degree: int, a_vals: np.ndarray, w_vals: np.ndarray) ->
     ([A^w])_K = sum_j (-1)^j [A_{K_j}, w_{K minus K_j}], algebra bracket = cross.
     a_vals: (N,3,4); w_vals: (N,3,C_k) -> (N,3,C_{k+1}), C-contiguous.
     """
-    return _node_first(_bracket_contract(ANTISYM_TABLE[degree], _node_last(a_vals),
-                                         _node_last(w_vals)))
+    return _node_first(bracket_wedge_nl(degree, to_node_last(a_vals),
+                                        to_node_last(w_vals)))
 
 
 def bracket_wedge_adjoint(degree: int, a_vals: np.ndarray, x_vals: np.ndarray) -> np.ndarray:
@@ -218,19 +254,18 @@ def bracket_wedge_adjoint(degree: int, a_vals: np.ndarray, x_vals: np.ndarray) -
     <x, [A ^ w]> = <bracket_wedge_adjoint(k, A, x), w> node by node, for a
     (k+1)-form x: a_vals (N,3,4); x_vals (N,3,C_{k+1}) -> (N,3,C_k).
     """
-    return _node_first(_bracket_contract(CODIFF_TABLE[degree + 1], _node_last(a_vals),
-                                         _node_last(x_vals)))
+    return _node_first(bracket_wedge_adjoint_nl(degree, to_node_last(a_vals),
+                                                to_node_last(x_vals)))
 
 
 def d_coeffs(degree: int, jac_vals: np.ndarray) -> np.ndarray:
     """(dw)_K = sum_j (-1)^j d_{K_j} w_{K minus K_j}; jac_vals (N,3,C,4)."""
-    return _node_first(_d_contract(ANTISYM_TABLE[degree], _node_last(jac_vals)))
+    return _node_first(d_nl(degree, to_node_last(jac_vals)))
 
 
 def cov_d_coeffs(k: int, Aval, val, jac, eps: float) -> np.ndarray:
     """d_A^eps w = dw + eps [A ^ w] of a k-form: (N,3,C_{k+1})."""
-    return _node_first(_cov_d(ANTISYM_TABLE[k], _node_last(Aval), _node_last(val),
-                              _node_last(jac), eps))
+    return d_coeffs(k, jac) + eps * bracket_wedge_coeffs(k, Aval, val)
 
 
 def codiff_coeffs(k: int, Aval, val, jac, eps: float) -> np.ndarray:
@@ -240,8 +275,13 @@ def codiff_coeffs(k: int, Aval, val, jac, eps: float) -> np.ndarray:
     covariant divergence: (delta w)_J = -sum_{j not in J} (d_j w_{jJ}
     + eps [A_j, w_{jJ}]), with w_{jJ} the component on dx_j ^ dx_J.
     """
-    return _node_first(_cov_d(CODIFF_TABLE[k], _node_last(Aval), _node_last(val),
-                              _node_last(jac), eps))
+    return (_node_first(delta_nl(k, to_node_last(jac)))
+            + eps * bracket_wedge_adjoint(k - 1, Aval, val))
+
+
+def curvature_coeffs(val, jac, eps: float) -> np.ndarray:
+    """F = dA + (eps/2)[A ^ A] of a connection given as arrays: (N,3,6)."""
+    return d_coeffs(1, jac) + 0.5 * eps * bracket_wedge_coeffs(1, val, val)
 
 
 def _sign_array(table, n_src: int) -> np.ndarray:
@@ -261,17 +301,6 @@ def codiff_signs(degree: int) -> np.ndarray:
     """The derivative part of delta on k-forms as signs S (C_{k-1}, 4, C_k):
     (delta w)_J = sum S[J,nu,src] d_nu w_src + bracket terms."""
     return _sign_array(CODIFF_TABLE[degree], N_COMP[degree])
-
-
-def _curvature(At, jt, eps: float) -> np.ndarray:
-    """F = dA + (eps/2)[A ^ A], node-last: At (3,4,N), jt (3,4,4,N) -> (3,6,N)."""
-    return (_d_contract(ANTISYM_TABLE[1], jt)
-            + 0.5 * eps * _bracket_contract(ANTISYM_TABLE[1], At, At))
-
-
-def curvature_coeffs(val, jac, eps: float) -> np.ndarray:
-    """F = dA + (eps/2)[A ^ A] of a connection given as arrays: (N,3,6)."""
-    return _node_first(_curvature(_node_last(val), _node_last(jac), eps))
 
 
 def cov_grad_coeffs(Aval, val, jac, eps: float) -> np.ndarray:

@@ -29,23 +29,22 @@ from .basis import (
     tilde_fields,
 )
 from .forms import (
-    ANTISYM_TABLE,
-    CODIFF_TABLE,
     NumericalError,
-    _bracket_contract,
-    _cov_d,
-    _curvature,
-    _d_contract,
-    _node_last,
     ball_rule,
+    bracket_wedge_adjoint_nl,
     bracket_wedge_coeffs,
+    bracket_wedge_nl,
     cdot,
     codiff_signs,
     cov_d_coeffs,
     curvature_coeffs,
+    curvature_nl,
+    d_nl,
     d_signs,
+    delta_nl,
     sq_norms,
     star_coeffs,
+    to_node_last,
     weighted_sum,
 )
 from .instanton import (
@@ -482,41 +481,8 @@ def _pair_probes(Rt, probes, shapes, nodes, weights) -> np.ndarray:
     return out
 
 
-def _combine_node_last(coeffs, nodefields, val, jac, work):
-    """sum_j c_j f_j over node fields, written node-last into val (3,4,N)
-    and jac (3,4,4,N).
-
-    The sum runs node-first in the flat scratch work (at least 108N
-    entries), one coefficient at a time, zero coefficients skipped and the
-    terms summed in order, as GramBasis.node_field sums them; then one copy
-    transposes it, so the two agree bit for bit.
-    """
-    N = val.shape[-1]
-    acc = (work[:12 * N].reshape(N, 3, 4),
-           work[12 * N:60 * N].reshape(N, 3, 4, 4))
-    tmp = work[60 * N:108 * N]
-    first = True
-    for c, nf in zip(coeffs, nodefields):
-        if c == 0.0:
-            continue
-        for src, dst in zip((nf.val, nf.jac), acc):
-            if first:
-                np.multiply(src, c, out=dst)
-            else:
-                t = tmp[:dst.size].reshape(dst.shape)
-                np.multiply(src, c, out=t)
-                dst += t
-        first = False
-    np.copyto(val, np.moveaxis(acc[0], 0, -1))
-    np.copyto(jac, np.moveaxis(acc[1], 0, -1))
-
-
-_WEDGE0, _WEDGE1 = ANTISYM_TABLE[0], ANTISYM_TABLE[1]
-_ADJ0, _ADJ1 = CODIFF_TABLE[1], CODIFF_TABLE[2]   # adjoints of _WEDGE0, _WEDGE1
-
-
-def _tag_representers(q, pi2, basis, ctx):
-    """Yield (tag, Rt) for the basis fields a_1 (tag i1) and a_5 (i5).
+def _tag_representers(q, pi2, basis, ctx, pair) -> dict:
+    """{tag: pair(Rt)} for the basis fields a_1 (tag i1) and a_5 (i5).
 
     Rt (120, N) holds, per node (its last axis), the probe-independent
     coefficients of HA, HAt, the five-term expansion t1 + ... + t5, cA and
@@ -526,54 +492,61 @@ def _tag_representers(q, pi2, basis, ctx):
     parts are pointwise adjoints: <X, [Y ^ beta]> = <adjoint(Y, X), beta> for
     a 2-form X, and the bracket of delta_A beta pairs with a 0-form y as
     <eps [A ^ y], beta>.  Everything is computed node-last with the forms
-    kernels, each operand transposed once per point; the second tag's Rt is
-    built into the first's memory.
+    kernels, each operand transposed once per point.  Both tags are built in
+    one buffer, so pair must not keep the Rt it is given.
     """
     eps, N = q.eps, len(ctx.rule)
     # A = Atilde - b holds Atilde's and b's atom objects, so one pass samples
     # all three with each atom channel evaluated once
     At, b = extended_connection(q), difference_b(q, pi2=pi2)
     nfA, nfAt, nfb = ctx.arrays([glue(At, b), At, b])
-    A_, At_, b_ = (_node_last(nf.val) for nf in (nfA, nfAt, nfb))
-    FA = _curvature(A_, _node_last(nfA.jac), eps)
-    FAt = _curvature(At_, _node_last(nfAt.jac), eps)
+    A_, At_, b_ = (to_node_last(nf.val) for nf in (nfA, nfAt, nfb))
+    FA = curvature_nl(A_, to_node_last(nfA.jac), eps)
+    FAt = curvature_nl(At_, to_node_last(nfAt.jac), eps)
     # t4 + t5 = eps <Fb, [a ^ beta]>, Fb = d_A b + (eps/2) [b ^ b]
-    Fb = (_cov_d(_WEDGE1, A_, b_, _node_last(nfb.jac), eps)
-          + 0.5 * eps * _bracket_contract(_WEDGE1, b_, b_))
+    Fb = (d_nl(1, to_node_last(nfb.jac)) + eps * bracket_wedge_nl(1, A_, b_)
+          + 0.5 * eps * bracket_wedge_nl(1, b_, b_))
     del nfA, nfAt, nfb
     Rt = np.empty((120, N))
     V = Rt[:60].reshape(5, 3, 4, N)
     X = Rt[60:114].reshape(3, 3, 6, N)
     y = Rt[114:].reshape(2, 3, 1, N)
+    work = Rt.reshape(-1)
     val, jac = np.empty((3, 4, N)), np.empty((3, 4, 4, N))
+    out = {}
     for tag, idx in (("i1", 1), ("i5", 5)):
         # the previous tag is paired and every row of Rt is written below, so
-        # its memory serves as the combination's scratch
-        _combine_node_last(basis.coeff[idx - 1], basis.raw_nodefields,
-                           val, jac, Rt.reshape(-1))
+        # its memory holds the node-first combination and its scratch
+        a = basis.node_field(idx, work[:12 * N].reshape(N, 3, 4),
+                             work[12 * N:60 * N].reshape(N, 3, 4, 4),
+                             work[60 * N:108 * N])
+        np.copyto(val, np.moveaxis(a.val, 0, -1))
+        np.copyto(jac, np.moveaxis(a.jac, 0, -1))
+        del a
         # d a and delta a once, for both connections
-        da, dela = _d_contract(_WEDGE1, jac), _d_contract(_ADJ0, jac)
+        da, dela = d_nl(1, jac), delta_nl(1, jac)
         for k, Ct in ((0, A_), (1, At_)):
-            X[k] = da + eps * _bracket_contract(_WEDGE1, Ct, val)
-            y[k] = dela + eps * _bracket_contract(_ADJ0, Ct, val)
+            X[k] = da + eps * bracket_wedge_nl(1, Ct, val)
+            y[k] = dela + eps * bracket_wedge_adjoint_nl(0, Ct, val)
         del da, dela
-        X[2] = eps * _bracket_contract(_WEDGE1, b_, val)
+        X[2] = eps * bracket_wedge_nl(1, b_, val)
         # HA: <d_A a, eps [A ^ beta]> + eps <F_A, [a ^ beta]>, HAt alike
         for k, Ct, F in ((0, A_, FA), (1, At_, FAt)):
-            V[k] = eps * (_bracket_contract(_ADJ1, Ct, X[k])
-                          + _bracket_contract(_ADJ1, val, F))
+            V[k] = eps * (bracket_wedge_adjoint_nl(1, Ct, X[k])
+                          + bracket_wedge_adjoint_nl(1, val, F))
         # t1 + t3 = eps <d_A a + eps [b ^ a], [b ^ beta]>, t2's bracket
         # eps <eps [b ^ a], [A ^ beta]>, then t4 + t5
-        V[2] = eps * (_bracket_contract(_ADJ1, b_, X[0] + X[2])
-                      + _bracket_contract(_ADJ1, A_, X[2])
-                      + _bracket_contract(_ADJ1, val, Fb))
+        V[2] = eps * (bracket_wedge_adjoint_nl(1, b_, X[0] + X[2])
+                      + bracket_wedge_adjoint_nl(1, A_, X[2])
+                      + bracket_wedge_adjoint_nl(1, val, Fb))
         for k, Ct in ((3, A_), (4, At_)):
-            V[k] = eps * _bracket_contract(_WEDGE0, Ct, y[k - 3])
+            V[k] = eps * bracket_wedge_nl(0, Ct, y[k - 3])
         # outside a probe's support a non-finite entry would still poison
         # the full-rule integrals, so the whole representer is checked
         if not np.all(np.isfinite(Rt)):
             raise NumericalError("non-finite integrand in the l37 pairings")
-        yield tag, Rt
+        out[tag] = pair(Rt)
+    return out
 
 
 def _hessian_difference_metrics(q, pi2, basis, ctx, seed, n_test):
@@ -584,16 +557,17 @@ def _hessian_difference_metrics(q, pi2, basis, ctx, seed, n_test):
     ball.  So each tag's representer Rt (_tag_representers) pairs with every
     probe linearly in C: one GEMM per group of shapes (center, scale) gives
     each shape's pairings L (5, 12) with the unit coefficients, and each
-    probe is L @ C.  Every probe is paired with one tag's Rt before the next
-    tag's is built into the same memory.
+    probe is L @ C.
     """
     nodes, weights = ctx.rule.nodes, ctx.rule.weights
     probes = test_field_family(q, ctx, n_test, seed)
     shapes = _probe_shapes(probes)
+    pairings = _tag_representers(
+        q, pi2, basis, ctx,
+        lambda Rt: _pair_probes(Rt, probes, shapes, nodes, weights))
     out, five_term_resid = {}, 0.0
-    for tag, Rt in _tag_representers(q, pi2, basis, ctx):
-        HA, HAt, expansion, cA, cAt = _pair_probes(Rt, probes, shapes,
-                                                   nodes, weights).T
+    for tag, P in pairings.items():
+        HA, HAt, expansion, cA, cAt = P.T
         direct = HAt - HA
         five_term_resid = max(five_term_resid, np.max(
             np.abs(direct - expansion)

@@ -462,13 +462,19 @@ def per_probe_l37(q, pi2, basis, ctx, seed: int, n_test: int) -> dict:
     nodes, weights = ctx.rule.nodes, ctx.rule.weights
     probes = test_field_family(q, ctx, n_test, seed)
     wphi = np.zeros((5, len(nodes)))
-    out, resid = {}, 0.0
-    for tag, Rt in _tag_representers(q, pi2, basis, ctx):
-        sup_h = sup_c = 0.0
+
+    def pair(Rt):
+        rows = []
         for s, center, scale, coeff in probes:
             wphi[:, s] = _bump_channels(nodes[s], center, scale) * weights[s]
-            HA, HAt, expansion, cA, cAt = probe_pairings(Rt.T, wphi, coeff)
+            rows.append(probe_pairings(Rt.T, wphi, coeff))
             wphi[:, s] = 0.0
+        return rows
+
+    out, resid = {}, 0.0
+    for tag, rows in _tag_representers(q, pi2, basis, ctx, pair).items():
+        sup_h = sup_c = 0.0
+        for HA, HAt, expansion, cA, cAt in rows:
             sup_h = max(sup_h, abs(HAt - HA))
             resid = max(resid, abs(HAt - HA - expansion)
                         / max(abs(HA), abs(HAt), 1.0))

@@ -12,19 +12,20 @@ from ymeps.forms import (
     COMP_INDEX,
     MULTI_INDEX,
     N_COMP,
-    _bracket_contract,
-    _cov_d,
-    _curvature,
-    _d_contract,
     bracket_wedge_adjoint,
+    bracket_wedge_adjoint_nl,
     bracket_wedge_coeffs,
+    bracket_wedge_nl,
     cdot,
     codiff_coeffs,
     codiff_signs,
     cov_d_coeffs,
     curvature_coeffs,
+    curvature_nl,
     d_coeffs,
+    d_nl,
     d_signs,
+    delta_nl,
     star_coeffs,
 )
 from oracle import (
@@ -199,17 +200,14 @@ def test_sign_maps_reproduce_d_and_delta(degree):
 
 
 # ---------------------------------------------------------------------------
-# node-first public kernels over the node-last cores
+# node-first public kernels over the node-last ones
 
 N_ODD = 1031   # prime, so no multiple of any block size
 
 
-def _nl(x):
-    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
-
-
 def _d_node_first_oracle(table, jac):
-    """The node-first strided accumulation d_coeffs ran before the cores."""
+    """The node-first strided accumulation d_coeffs ran before the node-last
+    kernels."""
     out = np.zeros((jac.shape[0], 3, len(table)))
     for tgt, entries in enumerate(table):
         for sign, nu, src in entries:
@@ -229,27 +227,31 @@ def test_node_first_kernels_equal_node_last_cores(k):
     w = rng.standard_normal((N_ODD, 3, N_COMP[k]))
     x = rng.standard_normal((N_ODD, 3, N_COMP[k + 1]))
     jac = rng.standard_normal((N_ODD, 3, N_COMP[k], 4))
-    _assert_core(bracket_wedge_coeffs(k, a, w),
-                 _bracket_contract(ANTISYM_TABLE[k], _nl(a), _nl(w)))
+    at, wt, xt, jt = (np.moveaxis(v, 0, -1).copy() for v in (a, w, x, jac))
+    _assert_core(bracket_wedge_coeffs(k, a, w), bracket_wedge_nl(k, at, wt))
     _assert_core(bracket_wedge_adjoint(k, a, x),
-                 _bracket_contract(CODIFF_TABLE[k + 1], _nl(a), _nl(x)))
-    _assert_core(d_coeffs(k, jac), _d_contract(ANTISYM_TABLE[k], _nl(jac)))
+                 bracket_wedge_adjoint_nl(k, at, xt))
+    _assert_core(d_coeffs(k, jac), d_nl(k, jt))
     assert np.array_equal(d_coeffs(k, jac),
                           _d_node_first_oracle(ANTISYM_TABLE[k], jac))
     _assert_core(cov_d_coeffs(k, a, w, jac, 0.3),
-                 _cov_d(ANTISYM_TABLE[k], _nl(a), _nl(w), _nl(jac), 0.3))
+                 d_nl(k, jt) + 0.3 * bracket_wedge_nl(k, at, wt))
     # codifferential of the (k+1)-forms
     jx = rng.standard_normal((N_ODD, 3, N_COMP[k + 1], 4))
+    jxt = np.moveaxis(jx, 0, -1).copy()
+    assert np.array_equal(
+        np.moveaxis(delta_nl(k + 1, jxt), -1, 0),
+        _d_node_first_oracle(CODIFF_TABLE[k + 1], jx))
     _assert_core(codiff_coeffs(k + 1, a, x, jx, 0.3),
-                 _cov_d(CODIFF_TABLE[k + 1], _nl(a), _nl(x), _nl(jx), 0.3))
+                 delta_nl(k + 1, jxt) + 0.3 * bracket_wedge_adjoint_nl(k, at, xt))
 
 
 def test_curvature_equals_node_last_core():
     rng = np.random.default_rng(75)
     a = rng.standard_normal((N_ODD, 3, 4))
     jac = rng.standard_normal((N_ODD, 3, 4, 4))
-    _assert_core(curvature_coeffs(a, jac, 0.3),
-                 _curvature(_nl(a), _nl(jac), 0.3))
+    at, jt = (np.moveaxis(v, 0, -1).copy() for v in (a, jac))
+    _assert_core(curvature_coeffs(a, jac, 0.3), curvature_nl(at, jt, 0.3))
 
 
 def test_wedge_bracket_degree_mismatch():

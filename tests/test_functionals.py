@@ -27,7 +27,6 @@ from ymeps.functionals import (
     EstimateReport,
     QuantityRow,
     _bump_channels,
-    _combine_node_last,
     _hessian_difference_metrics,
     _probe_shapes,
     _row_band,
@@ -469,20 +468,6 @@ def test_l37_shape_groups_cross_the_group_boundary(monkeypatch):
                                          seed=RNG_SEED, n_test=n))
 
 
-def test_node_last_combination_matches_node_field():
-    q = _generic_q(2.0 ** -4)
-    basis = gram_schmidt_ball(q)
-    N = len(basis.ctx.rule)
-    val, jac = np.empty((3, 4, N)), np.empty((3, 4, 4, N))
-    work = np.empty(108 * N)
-    for i in range(1, 9):
-        _combine_node_last(basis.coeff[i - 1], basis.raw_nodefields,
-                           val, jac, work)
-        a = basis.node_field(i)
-        assert np.array_equal(val, np.moveaxis(a.val, 0, -1))
-        assert np.array_equal(jac, np.moveaxis(a.jac, 0, -1))
-
-
 def test_l37_transposes_operands_once_and_no_node_field_arithmetic(monkeypatch):
     # the tag fields are combined from the raw samples in the representer's
     # memory, so no NodeField sum or product is formed; A, Atilde, b and
@@ -495,13 +480,13 @@ def test_l37_transposes_operands_once_and_no_node_field_arithmetic(monkeypatch):
     for op in ("__add__", "__sub__", "__mul__", "__rmul__"):
         monkeypatch.setattr(NodeField, op, forbidden)
     copies = []
-    node_last = functionals_mod._node_last
+    node_last = functionals_mod.to_node_last
 
     def counted(x):
         copies.append(x.shape)
         return node_last(x)
 
-    monkeypatch.setattr(functionals_mod, "_node_last", counted)
+    monkeypatch.setattr(functionals_mod, "to_node_last", counted)
     q = ParamQ.default(2.0 ** -4)
     basis = gram_schmidt_ball(q)
     _hessian_difference_metrics(q, "model", basis, basis.ctx, seed=RNG_SEED,

@@ -386,12 +386,9 @@ def test_layer_tracer_runs_charge(tmp_path):
     assert trace["exit_code"] == 0 and trace["spans"]
 
 
-def test_layer_tracer_runs_l37_on_the_node_last_kernels(tmp_path):
-    # the l37 representers call the node-last forms kernels directly, past
-    # the node-first bracket_wedge_coeffs that the tracer wraps, so their
-    # time is point self time; the traced suite-3.7 run must still find
-    # every lookup the tracer expects (bracket_wedge_coeffs and star_coeffs
-    # in functionals among them)
+def test_layer_tracer_runs_l37(tmp_path):
+    # the traced suite-3.7 run must find every lookup the tracer expects
+    # (bracket_wedge_coeffs and star_coeffs in functionals among them)
     root = Path(__file__).resolve().parent.parent
     out = tmp_path / "trace.json"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -406,4 +403,3 @@ def test_layer_tracer_runs_l37_on_the_node_last_kernels(tmp_path):
     assert trace["exit_code"] == 0
     names = [span[0] for span in trace["spans"]]
     assert names.count("functionals.point") == 4
-    assert "forms.wedge_bracket" not in names
