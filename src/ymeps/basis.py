@@ -15,9 +15,11 @@ norms of the checks are all entries of it.
 
 Fields enter as two-chart ChartedField term lists, split at |x-p| = lam/4
 by the rule's inner mask, and leave as NodeField arrays sampled on the rule;
-a NodeField passes through unchanged.  A basis is held as the eight raw
-fields sampled on its context's rule plus the coefficient matrix; its fields
-are combined from the samples on demand.
+a NodeField passes through unchanged.  A ball basis is held as the eight raw
+fields sampled on its context's rule plus the coefficient matrix C.  Every
+pairing with the combinations a_i = sum_j c_ij f_j is read through C off the
+raw fields' Gram, so no list of combined fields is built; one a_i is
+combined from the samples only where its values are needed.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ __all__ = [
     "mgs_coefficients",
     "gram_schmidt_ball",
     "gram_schmidt_weighted",
-    "tilde_fields",
     "project_perp",
     "basis_directional_derivative",
 ]
@@ -176,19 +177,21 @@ def mgs_coefficients(G: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GramBasis:
-    """An orthonormal basis a_i = sum_j c_ij f_j of the eight raw fields.
+    """An orthonormal basis a_i = sum_j c_ij f_j of eight raw fields.
 
     Rows of ``coeff`` are the expansion coefficients in the raw-field order
     (p1..p4, xi1..xi3, lam); the same rows are the induced parameter-space
     vector fields q_i.  ``ctx`` holds the shared rule and connection samples
-    defining the inner product (ball or weighted); ``raw_nodefields`` are the
-    f_j sampled on that rule.
+    defining the inner product (ball or weighted), and ``raw_gram`` is the
+    f_j's Gram in it.  A ball basis keeps the f_j sampled on that rule as
+    ``raw_nodefields``; a weighted basis, read only through its
+    coefficients, holds no samples.
     """
 
     coeff: np.ndarray            # (8,8) lower triangular, positive diagonal
     ctx: InnerContext
     raw_gram: np.ndarray
-    raw_nodefields: list = field(repr=False)
+    raw_nodefields: Optional[list] = field(default=None, repr=False)
 
     def node_field(self, i: int, val=None, jac=None, tmp=None) -> NodeField:
         """The i-th orthonormal field (1-based), combined from the samples,
@@ -263,9 +266,9 @@ def _raw_gram(ctx: InnerContext, nodefields, weights=None) -> np.ndarray:
     return G
 
 
-def _basis_from_fields(ctx, nodefields) -> GramBasis:
-    """Orthonormalize eight fields sampled on ctx's rule."""
-    G = _raw_gram(ctx, nodefields)
+def _basis_from_fields(ctx, G, nodefields=None) -> GramBasis:
+    """Orthonormalize the fields whose Gram in ctx is G; nodefields are their
+    samples on ctx's rule, when the basis keeps them."""
     return GramBasis(mgs_coefficients(G), ctx, G, nodefields)
 
 
@@ -277,43 +280,37 @@ def gram_schmidt_ball(q: ParamQ, pi2: str = "model", tol: float = 1e-4,
     """
     A = glued_connection(q, pi2=pi2)
     ctx = ball_context(A, q.eps, rule=rule, tol=tol)
-    return _basis_from_fields(ctx, ctx.arrays(derivative_fields(A)))
-
-
-def tilde_fields(ctx: InnerContext, q: ParamQ, coeff: np.ndarray):
-    """The extension's derivatives sum_j c_ij dAt/dq_j along the ball-basis q_i.
-
-    The eight raw derivatives are sampled on ctx in one pass and combined
-    node-wise, instead of evaluating each combination's term list.
-    """
-    raw_nf = ctx.arrays(derivative_fields(extended_connection(q)))
-    return [_combine(c, raw_nf) for c in coeff]
+    nfs = ctx.arrays(derivative_fields(A))
+    return _basis_from_fields(ctx, _raw_gram(ctx, nfs), nfs)
 
 
 def gram_schmidt_weighted(q: ParamQ, ball_basis: GramBasis,
                           tol: float = 1e-4) -> GramBasis:
     """Orthonormalize the extension's derivatives along the ball-basis q_i.
 
-    Inputs are the fields obtained by applying the ball basis' parameter
-    vector fields to the extension; the product is the weighted one with the
-    extension itself in the derivative term.
+    Inputs are the fields sum_j c_ij dAt/dq_j obtained by applying the ball
+    basis' parameter vector fields (rows of C) to the extension; the product
+    is the weighted one with the extension itself in the derivative term.
+    Their Gram is C Gt C^T from the raw derivatives' Gram Gt; no field is kept.
     """
-    ctx = weighted_context(extended_connection(q), q.eps, tol=tol)
-    return _basis_from_fields(ctx, tilde_fields(ctx, q, ball_basis.coeff))
+    At = extended_connection(q)
+    ctx = weighted_context(At, q.eps, tol=tol)
+    C = ball_basis.coeff
+    return _basis_from_fields(
+        ctx, C @ _raw_gram(ctx, ctx.arrays(derivative_fields(At))) @ C.T)
 
 
 def project_perp(v, basis: GramBasis) -> NodeField:
     """v minus its orthogonal projection onto span{a_i}, on the basis' rule.
 
-    The pairings (v, a_i) are the first row of one Gram of [v, a_1..a_8].
+    With g the pairings (v, f_j), one Gram row of [v, f_1..f_8], the
+    pairings (v, a_i) are C g and the projection is sum_j k_j f_j with
+    k = C^T C g: one combination of v and the raw fields.
     """
-    nv = basis.ctx.arrays(v)
-    fields = [basis.node_field(i) for i in range(1, len(basis.coeff) + 1)]
-    row = _raw_gram(basis.ctx, [nv] + fields)[0, 1:]
-    out = nv
-    for c, ai in zip(row, fields):
-        out = out - ai * float(c)
-    return out
+    fields = [basis.ctx.arrays(v)] + basis.raw_nodefields
+    g = _raw_gram(basis.ctx, fields)[0, 1:]
+    C = basis.coeff
+    return _combine(np.concatenate(([1.0], -(C.T @ (C @ g)))), fields)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .basis import (
     gram_schmidt_ball,
     gram_schmidt_weighted,
     project_perp,
-    tilde_fields,
 )
 from .forms import (
     NumericalError,
@@ -52,6 +51,7 @@ from .instanton import (
     ChartedField,
     ParamQ,
     d2A_dp1p1,
+    derivative_fields,
     difference_b,
     extended_connection,
     glue,
@@ -397,13 +397,13 @@ def compute_point_metrics(q: ParamQ, pi2: str = "model", tol: float = 1e-4,
         del wb
 
     if "l36" in blocks:
-        # each a_i - atilde_i replaces atilde_i: no second list of eight fields
-        diffs = tilde_fields(ctx, q, basis.coeff)
-        for i, t in enumerate(diffs):
-            diffs[i] = basis.node_field(i + 1) - t
-        G = _raw_gram(ctx, diffs)
+        # A = Atilde - b on the term lists, so a_i - atilde_i is
+        # -sum_j c_ij db/dq_j and its squared norm is (C G_b C^T)_ii
+        db = ctx.arrays(derivative_fields(difference_b(q, pi2=pi2)))
+        gaps = np.diag(basis.coeff @ _raw_gram(ctx, db) @ basis.coeff.T)
+        del db
         for i in range(8):
-            out[f"basis_diff_{i+1}"] = float(np.sqrt(max(G[i, i], 0.0)))
+            out[f"basis_diff_{i+1}"] = float(np.sqrt(max(gaps[i], 0.0)))
 
     if "l37" in blocks:
         out.update(_hessian_difference_metrics(q, pi2, basis, ctx,
@@ -581,21 +581,20 @@ def _hessian_difference_metrics(q, pi2, basis, ctx, seed, n_test):
 def _perp_derivative_metrics(q, pi2, basis, ctx):
     out = {}
     a11 = float(basis.coeff[0, 0])
-    d2 = ctx.arrays(d2A_dp1p1(q, pi2))
-    an_perp = project_perp(d2, basis) * a11 ** 2
+    an_perp = project_perp(ctx.arrays(d2A_dp1p1(q, pi2)), basis)
     fd, halving = basis_directional_derivative(q, 1, 1, basis, pi2=pi2)
     fd_perp = project_perp(fd, basis)
-    G = _raw_gram(ctx, [fd_perp, an_perp]
-                  + [basis.node_field(i) for i in range(1, 9)])
+    # (fd_perp, a_i) = C (fd_perp, f_j), read off the raw fields' pairings
+    G = _raw_gram(ctx, [fd_perp, an_perp] + basis.raw_nodefields)
     total = max(G[0, 0], 0.0)
     inner2 = _raw_gram(ctx, [fd_perp],
                        weights=ctx.rule.weights * ctx.rule.mask_inner)[0, 0]
     out["l310_fd_norm"] = float(np.sqrt(total))
-    out["l310_an_norm"] = float(np.sqrt(max(G[1, 1], 0.0)))
+    out["l310_an_norm"] = a11 ** 2 * float(np.sqrt(max(G[1, 1], 0.0)))
     out["l310_inner_norm"] = float(np.sqrt(max(inner2, 0.0)))
     out["l310_outer_norm"] = float(np.sqrt(max(total - inner2, 0.0)))
     out["l310_halving"] = halving
-    out["l310_ortho_residual"] = float(np.max(np.abs(G[0, 2:])))
+    out["l310_ortho_residual"] = float(np.max(np.abs(basis.coeff @ G[0, 2:])))
     return out
 
 

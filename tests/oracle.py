@@ -11,12 +11,20 @@ support-only specs of functionals.test_field_family.  Last come the
 whole-rule references for routes the library streams: the raw Gram summed in
 long double over the whole rule, chart sampling scattered through boolean
 masks, and the suite-3.7 probes paired one at a time with the whole
-representer.
+representer.  The last section pairs basis combinations the explicit way,
+combining the eight fields node by node before any pairing, against the
+library's reading of those pairings through the coefficient matrix.
 """
 
 import numpy as np
 
-from ymeps.basis import InnerContext, NodeField
+from ymeps.basis import (
+    InnerContext,
+    NodeField,
+    _raw_gram,
+    mgs_coefficients,
+    weighted_context,
+)
 from ymeps.functionals import (
     _DPHI_MAP,
     _bump_channels,
@@ -38,6 +46,8 @@ from ymeps.instanton import (
     Term,
     _terms_sum,
     beta_profile,
+    derivative_fields,
+    extended_connection,
     rad_i1,
     rad_i2,
     terms_jac,
@@ -483,3 +493,51 @@ def per_probe_l37(q, pi2, basis, ctx, seed: int, n_test: int) -> dict:
         out[f"codiff_dual_{tag}"] = sup_c
     out["five_term_residual"] = resid
     return out
+
+
+# ---------------------------------------------------------------------------
+# basis combinations formed node by node
+
+
+def combined_fields(coeff, nodefields) -> list:
+    """The fields sum_j c_ij f_j, one per row of coeff, summed node-wise."""
+    vals = np.stack([nf.val for nf in nodefields])
+    jacs = np.stack([nf.jac for nf in nodefields])
+    return [NodeField(nodefields[0].rule, np.tensordot(c, vals, 1),
+                      np.tensordot(c, jacs, 1)) for c in coeff]
+
+
+def extension_combinations(ctx, q, coeff) -> list:
+    """The extension's derivatives sum_j c_ij dAt/dq_j along the rows of
+    coeff, sampled on ctx's rule and combined there."""
+    return combined_fields(
+        coeff, ctx.arrays(derivative_fields(extended_connection(q))))
+
+
+def weighted_coeff_by_combination(q, ball_basis) -> np.ndarray:
+    """The weighted basis' coefficients: MGS on the Gram of the eight
+    combined extension derivatives, paired on the weighted rule."""
+    ctx = weighted_context(extended_connection(q), q.eps)
+    return mgs_coefficients(
+        _raw_gram(ctx, extension_combinations(ctx, q, ball_basis.coeff)))
+
+
+def basis_gaps_by_combination(q, basis) -> np.ndarray:
+    """The suite-3.6 norms ||a_i - sum_j c_ij dAt/dq_j|| in the ball product,
+    each difference formed node by node from the basis field a_i."""
+    ctx = basis.ctx
+    diffs = []
+    for i, t in enumerate(extension_combinations(ctx, q, basis.coeff)):
+        a = basis.node_field(i + 1)
+        diffs.append(NodeField(ctx.rule, a.val - t.val, a.jac - t.jac))
+    return np.sqrt(np.diag(_raw_gram(ctx, diffs)))
+
+
+def project_perp_by_combination(v: NodeField, basis) -> NodeField:
+    """v minus sum_i (v, a_i) a_i, with the eight basis fields combined
+    first and the pairings read off one Gram of [v, a_1..a_8]."""
+    fields = combined_fields(basis.coeff, basis.raw_nodefields)
+    row = _raw_gram(basis.ctx, [v] + fields)[0, 1:]
+    return NodeField(v.rule,
+                     v.val - sum(c * a.val for c, a in zip(row, fields)),
+                     v.jac - sum(c * a.jac for c, a in zip(row, fields)))

@@ -288,7 +288,7 @@ def test_gram_schmidt_ball_synthetic_orthonormal_inputs():
         M = np.zeros((3, 4))
         M[a, mu] = np.sqrt(2.0 / np.pi ** 2)  # unit H^1 norm: constants
         fields.append(sample_form(constant_form(1, M), ctx.rule))
-    basis = _basis_from_fields(ctx, fields)
+    basis = _basis_from_fields(ctx, _raw_gram(ctx, fields), fields)
     assert np.allclose(basis.coeff, np.eye(8), atol=1e-6)
 
 

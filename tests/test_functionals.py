@@ -5,7 +5,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ymeps.basis import InnerContext, NodeField, ball_context, gram_schmidt_ball
+from ymeps.basis import (
+    GramBasis,
+    InnerContext,
+    NodeField,
+    ball_context,
+    gram_schmidt_ball,
+    gram_schmidt_weighted,
+    project_perp,
+)
 from ymeps.forms import (
     COMP_INDEX,
     MULTI_INDEX,
@@ -48,12 +56,16 @@ from ymeps.instanton import (
     PI2_STRATEGIES,
     ChartedField,
     ParamQ,
+    d2A_dp1p1,
+    derivative_fields,
     difference_b,
     extended_connection,
     glued_connection,
+    sample_charted,
 )
 from ymeps.liealg import AlgElement, exp_map
 from oracle import (
+    basis_gaps_by_combination,
     bump_arrays,
     bump_one_form,
     codifferential_eps,
@@ -61,7 +73,9 @@ from oracle import (
     full_rule_probe_draws,
     full_rule_probes,
     per_probe_l37,
+    project_perp_by_combination,
     sample_form,
+    weighted_coeff_by_combination,
 )
 
 RNG_SEED = 77023
@@ -329,6 +343,94 @@ def test_basis_gap_report(small_sweep_metrics):
     rep = lemma36_report(small_sweep_metrics)
     for row in rep.rows:
         assert row.verdict == "pass", (row.quantity, row.note, row.values)
+
+
+# ---------------------------------------------------------------------------
+# pairings of basis combinations, read through the coefficient matrix
+
+
+@pytest.fixture(scope="module", params=PI2_STRATEGIES)
+def generic_basis(request):
+    q = _generic_q(2.0 ** -4)
+    return q, request.param, gram_schmidt_ball(q, request.param)
+
+
+def test_glued_derivatives_are_extension_minus_b_derivatives(generic_basis):
+    # the identity suite 3.6 rests on: dA/dq_j = dAt/dq_j - db/dq_j, sampled,
+    # in values and jacobians; b has no inner-chart terms, so on the inner
+    # chart dA/dq_j is dAt/dq_j itself
+    q, pi2, basis = generic_basis
+    rule = basis.ctx.rule
+    assert rule.mask_inner.any() and not rule.mask_inner.all()
+    fields = [derivative_fields(F) for F in
+              (glued_connection(q, pi2=pi2), extended_connection(q),
+               difference_b(q, pi2=pi2))]
+    sampled = sample_charted(sum(fields, []), rule.nodes, rule.mask_inner)
+    for j in range(8):
+        (vA, jA), (vt, jt), (vb, jb) = sampled[j::8]
+        for got, t, b in ((vA, vt, vb), (jA, jt, jb)):
+            scale = np.max(np.abs(t)) + np.max(np.abs(b))
+            assert np.max(np.abs(got - (t - b))) <= 1e-14 * scale, (pi2, j)
+        assert not vb[rule.mask_inner].any() and not jb[rule.mask_inner].any()
+
+
+def test_weighted_basis_matches_the_combined_fields_gram(generic_basis):
+    q, _, basis = generic_basis
+    wb = gram_schmidt_weighted(q, basis)
+    assert wb.raw_nodefields is None
+    want = weighted_coeff_by_combination(q, basis)
+    assert np.max(np.abs(wb.coeff - want)) <= 1e-12
+
+
+def test_basis_gaps_match_the_combined_differences(generic_basis):
+    q, pi2, basis = generic_basis
+    m = compute_point_metrics(q, pi2, blocks=frozenset({"l36"}))
+    got = [m[f"basis_diff_{i}"] for i in range(1, 9)]
+    np.testing.assert_allclose(got, basis_gaps_by_combination(q, basis),
+                               rtol=1e-10, atol=0)
+
+
+def test_project_perp_matches_the_eight_field_projection(generic_basis):
+    q, pi2, basis = generic_basis
+    ctx = basis.ctx
+    rng = np.random.default_rng(RNG_SEED)
+    bump = bump_one_form(q.p + 0.05, 2 * q.lam, rng.standard_normal((3, 4)))
+    for v in (sample_form(bump, ctx.rule), ctx.arrays(d2A_dp1p1(q, pi2))):
+        got = project_perp(v, basis)
+        want = project_perp_by_combination(v, basis)
+        diff = NodeField(ctx.rule, got.val - want.val, got.jac - want.jac)
+        assert (np.sqrt(ctx.inner_nf(diff, diff))
+                <= 1e-10 * np.sqrt(ctx.inner_nf(v, v)))
+
+
+def test_weighted_and_l36_combine_no_field_and_a_projection_one(monkeypatch):
+    # pairings with basis combinations are read through the coefficients:
+    # the weighted and l36 blocks combine no field, and a projection makes
+    # one combination of v and the raw fields
+    import ymeps.basis as basis_mod
+
+    calls = []
+    combine, node_field = basis_mod._combine, GramBasis.node_field
+
+    def counted_combine(*args, **kwargs):
+        calls.append("_combine")
+        return combine(*args, **kwargs)
+
+    def counted_node_field(*args, **kwargs):
+        calls.append("node_field")
+        return node_field(*args, **kwargs)
+
+    monkeypatch.setattr(basis_mod, "_combine", counted_combine)
+    monkeypatch.setattr(GramBasis, "node_field", counted_node_field)
+    q = ParamQ.default(2.0 ** -4)
+    m = compute_point_metrics(q, blocks=frozenset({"weighted", "l36"}))
+    assert "w_coeff" in m and "basis_diff_8" in m
+    assert calls == []
+    basis = gram_schmidt_ball(q)
+    v = basis.ctx.arrays(d2A_dp1p1(q, "model"))
+    for k in (1, 2):
+        project_perp(v, basis)
+        assert calls == ["_combine"] * k
 
 
 def test_five_term_expansion_single_point():
