@@ -14,12 +14,13 @@ serves every pairing: the basis Grams, inner_nf, the projections and the
 norms of the checks are all entries of it.
 
 Fields enter as two-chart ChartedField term lists, split at |x-p| = lam/4
-by the rule's inner mask, and leave as NodeField arrays sampled on the rule;
-a NodeField passes through unchanged.  A ball basis is held as the eight raw
-fields sampled on its context's rule plus the coefficient matrix C.  Every
-pairing with the combinations a_i = sum_j c_ij f_j is read through C off the
-raw fields' Gram, so no list of combined fields is built; one a_i is
-combined from the samples only where its values are needed.
+by the rule's inner mask, and leave as NodeField arrays sampled on the rule,
+node-last as in forms; a NodeField passes through unchanged.  A ball basis
+is held as the eight raw fields sampled on its context's rule plus the
+coefficient matrix C.  Every pairing with the combinations
+a_i = sum_j c_ij f_j is read through C off the raw fields' Gram, so no list
+of combined fields is built; one a_i is combined from the samples only where
+its values are needed.
 """
 
 from __future__ import annotations
@@ -62,11 +63,12 @@ __all__ = [
 
 @dataclass
 class NodeField:
-    """A field sampled on a quadrature rule: values and spatial jacobian."""
+    """A field sampled on a quadrature rule: values and spatial jacobian,
+    node-last."""
 
     rule: QuadratureRule
-    val: np.ndarray            # (N,3,4)
-    jac: np.ndarray            # (N,3,4,4)
+    val: np.ndarray            # (3,4,N)
+    jac: np.ndarray            # (3,4,4,N)
 
     def __add__(self, other):
         return NodeField(self.rule, self.val + other.val, self.jac + other.jac)
@@ -86,7 +88,7 @@ class InnerContext:
 
     rule: QuadratureRule
     eps: float
-    Aval: np.ndarray                 # (N,3,4) connection in the H^1 term
+    Aval: np.ndarray                 # (3,4,N) connection in the H^1 term
     wvals: Optional[np.ndarray] = field(init=False, default=None)
 
     def __post_init__(self):
@@ -115,11 +117,12 @@ class InnerContext:
                sample_charted(fields, self.rule.nodes, self.rule.mask_inner)]
         return nfs if isinstance(f, list) else nfs[0]
 
-    def grad_of(self, nf: NodeField, rows=slice(None)) -> np.ndarray:
-        """Covariant gradient of a node field under this context's connection,
-        on a slice of the rule's rows (all of them by default)."""
-        return cov_grad_coeffs(self.Aval[rows], nf.val[rows], nf.jac[rows],
-                               self.eps)
+    def grad_of(self, nf: NodeField, cols=slice(None), out=None) -> np.ndarray:
+        """Covariant gradient (3,4,4,n) of a node field under this context's
+        connection, on a slice of the rule's nodes (all of them by default),
+        written into out when given."""
+        return cov_grad_coeffs(self.Aval[..., cols], nf.val[..., cols],
+                               nf.jac[..., cols], self.eps, out)
 
     # -- pairing --------------------------------------------------------
     def inner_nf(self, fa: NodeField, fb: NodeField) -> float:
@@ -207,7 +210,7 @@ def _combine(coeffs, nodefields, val=None, jac=None, tmp=None) -> NodeField:
     """sum_j c_j f_j over node fields, skipping zero coefficients.
 
     The sum runs in place, one coefficient at a time and in order: into val
-    (N,3,4) and jac (N,3,4,4), each term formed in the flat scratch tmp (at
+    (3,4,N) and jac (3,4,4,N), each term formed in the flat scratch tmp (at
     least 48N entries).  Those not given are allocated.
     """
     ref = nodefields[0]
@@ -241,13 +244,14 @@ def _raw_gram(ctx: InnerContext, nodefields, weights=None) -> np.ndarray:
     The one H^1 pairing: every inner product of the library is an entry of
     such a Gram.  weights are the node weights of the sum, by default the
     rule's (a chart mask times them restricts it to that chart).  On each
-    block, row k of M holds field k's weighted gradient entries, then its
-    weighted value entries, and G gains M @ M.T.  Gradients are computed on
-    the block only, so no full-rule gradient or weighted matrix is held.
+    block of nodes, row k of M holds field k's weighted gradient entries
+    (48, m), then its weighted value entries (12, m), and G gains M @ M.T.
+    Gradients are computed on the block only, straight into M, so no
+    full-rule gradient or weighted matrix is held.
     """
     N = len(ctx.rule)
-    sw = np.sqrt(ctx.rule.weights if weights is None else weights)[:, None]
-    sl = sw * np.sqrt(ctx.wvals)[:, None] if ctx.weighted else sw
+    sw = np.sqrt(ctx.rule.weights if weights is None else weights)
+    sl = sw * np.sqrt(ctx.wvals) if ctx.weighted else sw
     n = len(nodefields)
     G = np.zeros((n, n))
     buf = np.empty((n, min(_GRAM_CHUNK, N) * 60))
@@ -256,10 +260,11 @@ def _raw_gram(ctx: InnerContext, nodefields, weights=None) -> np.ndarray:
         m = b - a
         M = buf[:, :m * 60]
         for row, nf in zip(M, nodefields):
-            np.multiply(ctx.grad_of(nf, slice(a, b)).reshape(m, 48), sw[a:b],
-                        out=row[:m * 48].reshape(m, 48))
-            np.multiply(nf.val[a:b].reshape(m, 12), sl[a:b],
-                        out=row[m * 48:].reshape(m, 12))
+            grad = row[:m * 48].reshape(48, m)
+            ctx.grad_of(nf, slice(a, b), grad.reshape(3, 4, 4, m))
+            grad *= sw[a:b]
+            np.multiply(nf.val[..., a:b].reshape(12, m), sl[a:b],
+                        out=row[m * 48:].reshape(12, m))
         G += M @ M.T
     if not np.all(np.isfinite(G)):
         raise NumericalError("non-finite Gram matrix")

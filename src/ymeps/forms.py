@@ -2,20 +2,15 @@
 
 Array conventions (fields sampled on a rule's N nodes):
   * points           X    -> (N, 4) float64
-  * k-form values    val  -> (N, 3, C)        C = C(4,k), increasing multi-index order
-  * first derivs     jac  -> (N, 3, C, 4)     last axis = d/dx_nu
+  * k-form values    val  -> (3, C, N)        C = C(4,k), increasing multi-index order
+  * first derivs     jac  -> (3, C, 4, N)     axis 2 = d/dx_nu
 
-The algebra axis (length 3) carries coefficients on the basis (e1,e2,e3) of
-su(2); the pointwise bracket in that basis is the cross product.  Orientation
-is fixed by dx0^dx1^dx2^dx3 = vol.
-
-The bracket and d kernels compute node-last, on arrays whose last axis runs
-over the nodes (val (3, C, N), jac (3, C, 4, N)), so every product is one
-pass over contiguous rows.  The *_nl functions (bracket_wedge_nl, its
-adjoint, d_nl, delta_nl, curvature_nl) take and return node-last arrays,
-and to_node_last makes them from node-first ones.  The other public kernels
-take and return node-first arrays as above: each transposes its inputs to
-the node-last layout and its result back.
+Every sampled array is node-last: its last axis runs over the nodes, so each
+kernel below works in passes over contiguous rows of length N.  The algebra
+axis (first, length 3) carries coefficients on the basis (e1,e2,e3) of
+su(2); the pointwise bracket in that basis is the cross product.  The
+component axis (second) carries the multi-index.  Orientation is fixed by
+dx0^dx1^dx2^dx3 = vol.
 """
 
 from __future__ import annotations
@@ -36,13 +31,7 @@ __all__ = [
     "star_coeffs",
     "bracket_wedge_coeffs",
     "bracket_wedge_adjoint",
-    "bracket_wedge_nl",
-    "bracket_wedge_adjoint_nl",
-    "to_node_last",
     "d_coeffs",
-    "d_nl",
-    "delta_nl",
-    "curvature_nl",
     "d_signs",
     "codiff_signs",
     "cov_d_coeffs",
@@ -124,52 +113,44 @@ CODIFF_TABLE = {k: _build_codiff_table(k) for k in range(1, 5)}
 
 
 def star_coeffs(degree: int, vals: np.ndarray) -> np.ndarray:
-    """Hodge star on batched coefficient arrays (..., C_k) -> (..., C_{4-k}).
+    """Hodge star on the component axis: (3, C_k, ...) -> (3, C_{4-k}, ...).
 
     Orientation dx0^dx1^dx2^dx3 = vol, so ** = (-1)^{k(4-k)}.
     """
-    out = np.empty(vals.shape[:-1] + (N_COMP[4 - degree],), dtype=vals.dtype)
+    out = np.empty((vals.shape[0], N_COMP[4 - degree]) + vals.shape[2:],
+                   dtype=vals.dtype)
     for src, (sign, tgt) in enumerate(STAR_TABLE[degree]):
-        out[..., tgt] = sign * vals[..., src]
+        out[:, tgt] = sign * vals[:, src]
     return out
 
 
 # ---------------------------------------------------------------------------
 # array kernels: pointwise operations on sampled (val, jac) coefficient arrays
 #
-# A k-form sampled at N nodes is val (N,3,C_k) with jac (N,3,C_k,4); a
-# connection enters by its values Aval (N,3,4).
+# A k-form sampled at N nodes is val (3,C_k,N) with jac (3,C_k,4,N); a
+# connection enters by its values Aval (3,4,N).  Each kernel accepts strided
+# views, such as a block of nodes [..., a:b], and returns a C-contiguous
+# array.
 
 
 def cdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Coefficient dot product density (N,): twice the trace pairing."""
-    return np.einsum("nac,nac->n", a, b, optimize=False)
+    return np.einsum("acn,acn->n", a, b, optimize=False)
 
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-def to_node_last(x: np.ndarray) -> np.ndarray:
-    """A node-first array (N, ...) as a C-contiguous node-last copy (..., N)."""
-    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
-
-
-def _node_first(x: np.ndarray) -> np.ndarray:
-    """A node-last array (..., N) as a C-contiguous node-first copy (N, ...)."""
-    return np.ascontiguousarray(np.moveaxis(x, -1, 0))
-
-
-def _bracket_contract(table, At: np.ndarray, wt: np.ndarray) -> np.ndarray:
+def _bracket_contract(table, A: np.ndarray, w: np.ndarray) -> np.ndarray:
     """out_T = sum sign * [a_nu, w_src] over each target's (sign, nu, src) entries.
 
-    Node-last: At (3,4,N), wt (3,C,N) -> out (3,T,N).  The cross product is
-    written out component by component, so every product runs over all
-    nodes in one pass.  Swapping the factors of a component negates it
-    exactly, so each term rounds as sign * np.cross(a_nu, w_src) does, and
-    the result is bit-identical to accumulating those cross products entry by
-    entry.
+    A (3,4,N), w (3,C,N) -> out (3,T,N).  The cross product is written out
+    component by component, so every product runs over all nodes in one
+    pass.  Swapping the factors of a component negates it exactly, so each
+    term rounds as sign * np.cross(a_nu, w_src) does, and the result is
+    bit-identical to accumulating those cross products entry by entry.
     """
-    N = At.shape[-1]
+    N = A.shape[-1]
     out = np.empty((3, len(table), N))
     cr, tmp = np.empty(N), np.empty(N)
     for tgt, entries in enumerate(table):
@@ -178,109 +159,72 @@ def _bracket_contract(table, At: np.ndarray, wt: np.ndarray) -> np.ndarray:
             for j, (sign, nu, src) in enumerate(entries):
                 p, m = (b, c) if sign > 0 else (c, b)
                 dst = cr if j else acc
-                np.multiply(At[p, nu], wt[m, src], out=dst)
-                np.multiply(At[m, nu], wt[p, src], out=tmp)
+                np.multiply(A[p, nu], w[m, src], out=dst)
+                np.multiply(A[m, nu], w[p, src], out=tmp)
                 dst -= tmp
                 if j:
                     acc += cr
     return out
 
 
-def _d_contract(table, jt: np.ndarray) -> np.ndarray:
+def _d_contract(table, jac: np.ndarray) -> np.ndarray:
     """out_T = sum sign * d_nu w_src over each target's (sign, nu, src) entries.
 
-    Node-last: jt (3,C,4,N) -> (3,T,N); each term is one contiguous row pass.
+    jac (3,C,4,N) -> (3,T,N); each term is one pass over contiguous rows.
     """
-    out = np.empty((3, len(table), jt.shape[-1]))
+    out = np.empty((3, len(table), jac.shape[-1]))
     for tgt, entries in enumerate(table):
         acc = out[:, tgt]
         for j, (sign, nu, src) in enumerate(entries):
             if j == 0:
-                np.multiply(jt[:, src, nu], sign, out=acc)
+                np.multiply(jac[:, src, nu], sign, out=acc)
             elif sign > 0:
-                acc += jt[:, src, nu]
+                acc += jac[:, src, nu]
             else:
-                acc -= jt[:, src, nu]
+                acc -= jac[:, src, nu]
     return out
 
 
-# node-last kernels: A (3,4,N), a k-form (3,C_k,N), its jacobian (3,C_k,4,N)
-
-
-def bracket_wedge_nl(degree: int, At: np.ndarray, wt: np.ndarray) -> np.ndarray:
-    """[A ^ w] of a k-form w, k = degree, node-last: (3,C_{k+1},N)."""
-    return _bracket_contract(ANTISYM_TABLE[degree], At, wt)
-
-
-def bracket_wedge_adjoint_nl(degree: int, At: np.ndarray, xt: np.ndarray) -> np.ndarray:
-    """The pointwise adjoint of w -> [A ^ w] on k-forms, k = degree, applied
-    to a (k+1)-form x, node-last: (3,C_k,N)."""
-    return _bracket_contract(CODIFF_TABLE[degree + 1], At, xt)
-
-
-def d_nl(degree: int, jt: np.ndarray) -> np.ndarray:
-    """dw of a k-form from its jacobian, node-last: (3,C_{k+1},N)."""
-    return _d_contract(ANTISYM_TABLE[degree], jt)
-
-
-def delta_nl(degree: int, jt: np.ndarray) -> np.ndarray:
-    """The derivative part of delta_A^eps w on k-forms (k >= 1), node-last:
-    (3,C_{k-1},N).  The whole of it adds eps * bracket_wedge_adjoint_nl(k-1,
-    A, w)."""
-    return _d_contract(CODIFF_TABLE[degree], jt)
-
-
-def curvature_nl(At: np.ndarray, jt: np.ndarray, eps: float) -> np.ndarray:
-    """F = dA + (eps/2)[A ^ A] of a connection, node-last: (3,6,N)."""
-    return d_nl(1, jt) + 0.5 * eps * bracket_wedge_nl(1, At, At)
-
-
-# node-first kernels: transpose in, call the node-last ones, transpose out
-
-
-def bracket_wedge_coeffs(degree: int, a_vals: np.ndarray, w_vals: np.ndarray) -> np.ndarray:
-    """[A ^ w] for a 1-form A and k-form w, on coefficient arrays.
+def bracket_wedge_coeffs(degree: int, Aval: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """[A ^ w] for a 1-form A and k-form w, k = degree: (3,C_{k+1},N).
 
     ([A^w])_K = sum_j (-1)^j [A_{K_j}, w_{K minus K_j}], algebra bracket = cross.
-    a_vals: (N,3,4); w_vals: (N,3,C_k) -> (N,3,C_{k+1}), C-contiguous.
     """
-    return _node_first(bracket_wedge_nl(degree, to_node_last(a_vals),
-                                        to_node_last(w_vals)))
+    return _bracket_contract(ANTISYM_TABLE[degree], Aval, w)
 
 
-def bracket_wedge_adjoint(degree: int, a_vals: np.ndarray, x_vals: np.ndarray) -> np.ndarray:
+def bracket_wedge_adjoint(degree: int, Aval: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The pointwise adjoint of w -> [A ^ w] on k-forms, k = degree.
 
     <x, [A ^ w]> = <bracket_wedge_adjoint(k, A, x), w> node by node, for a
-    (k+1)-form x: a_vals (N,3,4); x_vals (N,3,C_{k+1}) -> (N,3,C_k).
+    (k+1)-form x (3,C_{k+1},N) -> (3,C_k,N).
     """
-    return _node_first(bracket_wedge_adjoint_nl(degree, to_node_last(a_vals),
-                                                to_node_last(x_vals)))
+    return _bracket_contract(CODIFF_TABLE[degree + 1], Aval, x)
 
 
-def d_coeffs(degree: int, jac_vals: np.ndarray) -> np.ndarray:
-    """(dw)_K = sum_j (-1)^j d_{K_j} w_{K minus K_j}; jac_vals (N,3,C,4)."""
-    return _node_first(d_nl(degree, to_node_last(jac_vals)))
+def d_coeffs(degree: int, jac: np.ndarray) -> np.ndarray:
+    """(dw)_K = sum_j (-1)^j d_{K_j} w_{K minus K_j} of a k-form: (3,C_{k+1},N)."""
+    return _d_contract(ANTISYM_TABLE[degree], jac)
 
 
 def cov_d_coeffs(k: int, Aval, val, jac, eps: float) -> np.ndarray:
-    """d_A^eps w = dw + eps [A ^ w] of a k-form: (N,3,C_{k+1})."""
+    """d_A^eps w = dw + eps [A ^ w] of a k-form: (3,C_{k+1},N)."""
     return d_coeffs(k, jac) + eps * bracket_wedge_coeffs(k, Aval, val)
 
 
 def codiff_coeffs(k: int, Aval, val, jac, eps: float) -> np.ndarray:
-    """delta_A^eps w = -* d_A^eps * w of a k-form (k >= 1): (N,3,C_{k-1}).
+    """delta_A^eps w = -* d_A^eps * w of a k-form (k >= 1): (3,C_{k-1},N).
 
     The formal adjoint of d_A^eps on flat R^4, evaluated as minus the
     covariant divergence: (delta w)_J = -sum_{j not in J} (d_j w_{jJ}
     + eps [A_j, w_{jJ}]), with w_{jJ} the component on dx_j ^ dx_J.
     """
-    return (_node_first(delta_nl(k, to_node_last(jac)))
+    return (_d_contract(CODIFF_TABLE[k], jac)
             + eps * bracket_wedge_adjoint(k - 1, Aval, val))
 
 
 def curvature_coeffs(val, jac, eps: float) -> np.ndarray:
-    """F = dA + (eps/2)[A ^ A] of a connection given as arrays: (N,3,6)."""
+    """F = dA + (eps/2)[A ^ A] of a connection given as arrays: (3,6,N)."""
     return d_coeffs(1, jac) + 0.5 * eps * bracket_wedge_coeffs(1, val, val)
 
 
@@ -303,19 +247,20 @@ def codiff_signs(degree: int) -> np.ndarray:
     return _sign_array(CODIFF_TABLE[degree], N_COMP[degree])
 
 
-def cov_grad_coeffs(Aval, val, jac, eps: float) -> np.ndarray:
-    """grad_A^eps a of a 1-form: out[n,a,mu,nu] = d_nu a_mu + eps [A_nu, a_mu].
+def cov_grad_coeffs(Aval, val, jac, eps: float, out=None) -> np.ndarray:
+    """grad_A^eps a of a 1-form: out[a,mu,nu,n] = d_nu a_mu + eps [A_nu, a_mu].
 
-    The cross product is written out component by component in a node-last
-    layout, so every product runs over all nodes in one pass.
+    (3,4,4,N), written into out when given.  The cross product is written
+    out component by component, so every product runs over all nodes in
+    one pass.
     """
-    At = np.ascontiguousarray((eps * Aval).transpose(1, 2, 0))[:, None]  # [b,.,nu,n]
-    vt = np.ascontiguousarray(val.transpose(1, 2, 0))[:, :, None]        # [c,mu,.,n]
-    br = np.empty((3, 4, 4, Aval.shape[0]))
+    At = eps * Aval                                    # [b,nu,n]
+    out = np.empty(jac.shape) if out is None else out
     for a, b, c in _CYCLIC:
-        np.multiply(At[b], vt[c], out=br[a])
-        br[a] -= At[c] * vt[b]
-    return np.add(jac, br.transpose(3, 0, 1, 2), out=np.empty_like(jac))
+        np.multiply(At[b], val[c][:, None], out=out[a])    # [mu,nu,n]
+        out[a] -= At[c] * val[b][:, None]
+    out += jac
+    return out
 
 
 def sq_norms(Y: np.ndarray) -> np.ndarray:

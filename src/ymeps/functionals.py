@@ -30,20 +30,16 @@ from .basis import (
 from .forms import (
     NumericalError,
     ball_rule,
-    bracket_wedge_adjoint_nl,
+    bracket_wedge_adjoint,
     bracket_wedge_coeffs,
-    bracket_wedge_nl,
     cdot,
+    codiff_coeffs,
     codiff_signs,
     cov_d_coeffs,
     curvature_coeffs,
-    curvature_nl,
-    d_nl,
     d_signs,
-    delta_nl,
     sq_norms,
     star_coeffs,
-    to_node_last,
     weighted_sum,
 )
 from .instanton import (
@@ -118,7 +114,7 @@ def _r4_context(A: ChartedField, eps, rule=None, tol=1e-4) -> InnerContext:
     functionals below pair no gradients, so it holds no connection samples."""
     if rule is None:
         rule = ball_rule(A.p, A.lam, R=np.inf, tol=tol)
-    return InnerContext(rule, eps, np.zeros((rule.nodes.shape[0], 3, 4)))
+    return InnerContext(rule, eps, np.zeros((3, 4, rule.nodes.shape[0])))
 
 
 def ym_eps(A: ChartedField, eps: float, rule=None, tol: float = 1e-4) -> float:
@@ -202,9 +198,9 @@ def test_field_family(q: ParamQ, ctx: InnerContext, n: int, seed: int):
     """
     rng = np.random.default_rng(seed)
     X, w = ctx.rule.nodes, ctx.rule.weights
-    AAt = np.einsum("nam,nbm->nab", ctx.Aval, ctx.Aval,
-                    optimize=False).reshape(-1, 9)
-    A2 = AAt[:, 0] + AAt[:, 4] + AAt[:, 8]
+    AAt = np.einsum("amn,bmn->abn", ctx.Aval, ctx.Aval,
+                    optimize=False).reshape(9, -1)
+    A2 = AAt[0] + AAt[4] + AAt[8]
     scales = [q.lam / 4.0, q.lam, 1.0]
     out = []
     k = 0
@@ -222,7 +218,7 @@ def test_field_family(q: ParamQ, ctx: InnerContext, n: int, seed: int):
         rows = np.flatnonzero(1.0 - sq_norms(X - center) / sc ** 2 > 0)
         phi = _bump_channels(X[rows], center, sc)
         C2 = float(np.sum(C * C))
-        bracket2 = A2[rows] * C2 - AAt[rows] @ (C @ C.T).reshape(9)
+        bracket2 = A2[rows] * C2 - (C @ C.T).reshape(9) @ AAt[:, rows]
         dens = (C2 * np.einsum("cn,cn->n", phi, phi, optimize=False)
                 + ctx.eps ** 2 * phi[0] ** 2 * bracket2)
         nrm2 = weighted_sum(w[rows], dens)
@@ -491,56 +487,50 @@ def _tag_representers(q, pi2, basis, ctx, pair) -> dict:
     the 0-forms delta_A a, delta_At a paired with delta beta).  The bracket
     parts are pointwise adjoints: <X, [Y ^ beta]> = <adjoint(Y, X), beta> for
     a 2-form X, and the bracket of delta_A beta pairs with a 0-form y as
-    <eps [A ^ y], beta>.  Everything is computed node-last with the forms
-    kernels, each operand transposed once per point.  Both tags are built in
-    one buffer, so pair must not keep the Rt it is given.
+    <eps [A ^ y], beta>.  Everything is computed on the samples as they
+    come, node-last, with the forms kernels.  Both tags are built in one
+    buffer, so pair must not keep the Rt it is given.
     """
     eps, N = q.eps, len(ctx.rule)
     # A = Atilde - b holds Atilde's and b's atom objects, so one pass samples
     # all three with each atom channel evaluated once
     At, b = extended_connection(q), difference_b(q, pi2=pi2)
     nfA, nfAt, nfb = ctx.arrays([glue(At, b), At, b])
-    A_, At_, b_ = (to_node_last(nf.val) for nf in (nfA, nfAt, nfb))
-    FA = curvature_nl(A_, to_node_last(nfA.jac), eps)
-    FAt = curvature_nl(At_, to_node_last(nfAt.jac), eps)
+    A_, At_, b_ = nfA.val, nfAt.val, nfb.val
+    FA = curvature_coeffs(A_, nfA.jac, eps)
+    FAt = curvature_coeffs(At_, nfAt.jac, eps)
     # t4 + t5 = eps <Fb, [a ^ beta]>, Fb = d_A b + (eps/2) [b ^ b]
-    Fb = (d_nl(1, to_node_last(nfb.jac)) + eps * bracket_wedge_nl(1, A_, b_)
-          + 0.5 * eps * bracket_wedge_nl(1, b_, b_))
+    Fb = (cov_d_coeffs(1, A_, b_, nfb.jac, eps)
+          + 0.5 * eps * bracket_wedge_coeffs(1, b_, b_))
     del nfA, nfAt, nfb
     Rt = np.empty((120, N))
     V = Rt[:60].reshape(5, 3, 4, N)
     X = Rt[60:114].reshape(3, 3, 6, N)
     y = Rt[114:].reshape(2, 3, 1, N)
     work = Rt.reshape(-1)
-    val, jac = np.empty((3, 4, N)), np.empty((3, 4, 4, N))
+    val = np.empty((3, 4, N))
     out = {}
     for tag, idx in (("i1", 1), ("i5", 5)):
-        # the previous tag is paired and every row of Rt is written below, so
-        # its memory holds the node-first combination and its scratch
-        a = basis.node_field(idx, work[:12 * N].reshape(N, 3, 4),
-                             work[12 * N:60 * N].reshape(N, 3, 4, 4),
-                             work[60 * N:108 * N])
-        np.copyto(val, np.moveaxis(a.val, 0, -1))
-        np.copyto(jac, np.moveaxis(a.jac, 0, -1))
-        del a
-        # d a and delta a once, for both connections
-        da, dela = d_nl(1, jac), delta_nl(1, jac)
+        # the previous tag is paired, and V is written only after the last
+        # read of the jacobian, so V's rows hold it and X's rows the scratch
+        jac = basis.node_field(idx, val, work[:48 * N].reshape(3, 4, 4, N),
+                               work[60 * N:108 * N]).jac
         for k, Ct in ((0, A_), (1, At_)):
-            X[k] = da + eps * bracket_wedge_nl(1, Ct, val)
-            y[k] = dela + eps * bracket_wedge_adjoint_nl(0, Ct, val)
-        del da, dela
-        X[2] = eps * bracket_wedge_nl(1, b_, val)
+            X[k] = cov_d_coeffs(1, Ct, val, jac, eps)
+            y[k] = codiff_coeffs(1, Ct, val, jac, eps)
+        del jac
+        X[2] = eps * bracket_wedge_coeffs(1, b_, val)
         # HA: <d_A a, eps [A ^ beta]> + eps <F_A, [a ^ beta]>, HAt alike
         for k, Ct, F in ((0, A_, FA), (1, At_, FAt)):
-            V[k] = eps * (bracket_wedge_adjoint_nl(1, Ct, X[k])
-                          + bracket_wedge_adjoint_nl(1, val, F))
+            V[k] = eps * (bracket_wedge_adjoint(1, Ct, X[k])
+                          + bracket_wedge_adjoint(1, val, F))
         # t1 + t3 = eps <d_A a + eps [b ^ a], [b ^ beta]>, t2's bracket
         # eps <eps [b ^ a], [A ^ beta]>, then t4 + t5
-        V[2] = eps * (bracket_wedge_adjoint_nl(1, b_, X[0] + X[2])
-                      + bracket_wedge_adjoint_nl(1, A_, X[2])
-                      + bracket_wedge_adjoint_nl(1, val, Fb))
+        V[2] = eps * (bracket_wedge_adjoint(1, b_, X[0] + X[2])
+                      + bracket_wedge_adjoint(1, A_, X[2])
+                      + bracket_wedge_adjoint(1, val, Fb))
         for k, Ct in ((3, A_), (4, At_)):
-            V[k] = eps * bracket_wedge_nl(0, Ct, y[k - 3])
+            V[k] = eps * bracket_wedge_coeffs(0, Ct, y[k - 3])
         # outside a probe's support a non-finite entry would still poison
         # the full-rule integrals, so the whole representer is checked
         if not np.all(np.isfinite(Rt)):

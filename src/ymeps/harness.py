@@ -488,7 +488,7 @@ def _cmd_dump_field(args) -> int:
     for r in range(n * n):
         coords = [_fmt(X[r, k]) for k in range(4)]
         for mu in range(4):
-            row = coords + [str(mu)] + [_fmt(vals[r, a, mu]) for a in range(3)]
+            row = coords + [str(mu)] + [_fmt(vals[a, mu, r]) for a in range(3)]
             lines.append(",".join(row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -23,8 +23,8 @@ of a few scalar profiles times constant algebra tensors: an atom's eval
 returns the coefficients K (N,k) of its tensor (k,3,4), so the value is
 sum_e K[:, e] tensor[e]; a cutoff factor is one scalar (N,).  Terms and
 their Leibniz products are summed on those coefficients, and a term list is
-expanded into its (N,3,4) block by one GEMM over the groups of terms that
-share (algebra matrix, atom tensor).
+expanded into its node-last (3,4,N) block (the layout of forms) by one GEMM
+over the groups of terms that share (algebra matrix, atom tensor).
 """
 
 from __future__ import annotations
@@ -343,12 +343,12 @@ def _term_value(memo, t: Term, X, extra_ydirs=()):
 
 
 def _terms_sum(memo, terms, X, extra_ydirs=()):
-    """Sum of the terms' values, (N,3,4), expanded by one GEMM.
+    """Sum of the terms' values, node-last (3,4,N), expanded by one GEMM.
 
     Terms sharing (algebra matrix, atom tensor) — the conjugation R, or R L_i
     after a rotation derivative — are summed on their coefficients first.
     The group sums are then concatenated into K (N,sum k) and expanded with
-    the stacked tensors mat @ tensor (sum k, 12).
+    the stacked tensors mat @ tensor (sum k, 12) as T^T @ K^T.
     """
     groups = {}       # (matrix bytes, tensor bytes) -> [mat, tensor, sum]
     for t in terms:
@@ -360,15 +360,15 @@ def _terms_sum(memo, terms, X, extra_ydirs=()):
         else:
             groups[key] = [t.mat, B, v]
     if not groups:
-        return np.zeros((X.shape[0], 3, 4))
+        return np.zeros((3, 4, X.shape[0]))
     K = np.concatenate([v for _, _, v in groups.values()], axis=1)
     T = np.concatenate([(B if mat is None else np.matmul(mat, B)).reshape(-1, 12)
                         for mat, B, _ in groups.values()])
-    return (K @ T).reshape(-1, 3, 4)
+    return (T.T @ K.T).reshape(3, 4, -1)
 
 
 def terms_value(terms, X, memo=None):
-    """Value of a term list at X, (N,3,4).
+    """Value of a term list at X, (3,4,N).
 
     memo (optional) is an atom-evaluation cache shared by calls at the same
     X; term lists holding the same atom objects then evaluate each atom
@@ -379,12 +379,12 @@ def terms_value(terms, X, memo=None):
 
 
 def terms_jac(terms, X, memo=None):
-    """Spatial jacobian of a term list at X, (N,3,4,4); memo as terms_value."""
+    """Spatial jacobian of a term list at X, (3,4,4,N); memo as terms_value."""
     X = np.asarray(X, dtype=float)
     memo = {} if memo is None else memo
-    out = np.empty((X.shape[0], 3, 4, 4))
+    out = np.empty((3, 4, 4, X.shape[0]))
     for nu in range(4):
-        out[..., nu] = _terms_sum(memo, terms, X, (nu,))
+        out[:, :, nu] = _terms_sum(memo, terms, X, (nu,))
     return out
 
 
@@ -508,20 +508,30 @@ class ChartedField:
         return sample_charted([self], X, mask_inner, need_jac=False)[0][0]
 
 
+def _scatter(dst, sel, src):
+    """dst[..., sel] = src for a node mask sel, one contiguous row of dst at
+    a time: for a node-last dst, row-wise mask writes take about half the
+    time of one masked write through the whole array."""
+    for row, part in zip(dst.reshape(-1, dst.shape[-1]),
+                         src.reshape(-1, src.shape[-1])):
+        row[sel] = part
+
+
 def sample_charted(fields, X, mask_inner, need_jac=True):
-    """Values (and jacobians) of charted fields at X in one pass per chart.
+    """Node-last values (3,4,N) (and jacobians (3,4,4,N)) of charted fields
+    at X, in one pass per chart.
 
     Each chart's nodes are cut out once and every field is evaluated there
     with one atom memo, so fields holding the same atom objects (the
     derivative_fields of one connection) evaluate each atom channel once.
-    The memo lives only for the pass.  The two charts partition the rows, so
-    the outputs start empty and each chart fills its own rows.  Returns
-    (val, jac) pairs, jac None when need_jac is false.
+    The memo lives only for the pass.  The two charts partition the nodes,
+    so the outputs start empty and each chart fills its own columns.
+    Returns (val, jac) pairs, jac None when need_jac is false.
     """
     X = np.asarray(X, dtype=float)
     N = X.shape[0]
-    vals = [np.empty((N, 3, 4)) for _ in fields]
-    jacs = [np.empty((N, 3, 4, 4)) if need_jac else None for _ in fields]
+    vals = [np.empty((3, 4, N)) for _ in fields]
+    jacs = [np.empty((3, 4, 4, N)) if need_jac else None for _ in fields]
     for sel, chart in ((mask_inner, "inner_terms"), (~mask_inner, "outer_terms")):
         if not np.any(sel):
             continue
@@ -529,9 +539,9 @@ def sample_charted(fields, X, mask_inner, need_jac=True):
         memo = {}
         for f, val, jac in zip(fields, vals, jacs):
             terms = getattr(f, chart)
-            val[sel] = terms_value(terms, Xs, memo=memo)
+            _scatter(val, sel, terms_value(terms, Xs, memo=memo))
             if need_jac:
-                jac[sel] = terms_jac(terms, Xs, memo=memo)
+                _scatter(jac, sel, terms_jac(terms, Xs, memo=memo))
     return list(zip(vals, jacs))
 
 

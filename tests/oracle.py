@@ -3,11 +3,13 @@
 The library samples closed-form ChartedField term lists into NodeField
 arrays.  The oracle here is the lazy route: a FormField is a vectorized
 evaluator with optional analytic jacobian and hessian channels (missing ones
-fall back to finite differences), and its operators evaluate those channels
-with the same array kernels.  The helpers at the end turn FormFields into
-NodeFields on a rule, so they can enter the library's pairings, and build
-the suite-3.7 bump probes on the full rule, as an independent check of the
-support-only specs of functionals.test_field_family.  Last come the
+fall back to finite differences).  Its channels are node-first, (N, 3, C),
+and its operators evaluate them with the library's node-last array kernels
+through the node-first adapters below.  The helpers at the end turn
+FormFields into (node-last) NodeFields on a rule, so they can enter the
+library's pairings, and build the suite-3.7 bump probes on the full rule,
+as an independent check of the support-only specs of
+functionals.test_field_family.  Last come the
 whole-rule references for routes the library streams: the raw Gram summed in
 long double over the whole rule, chart sampling scattered through boolean
 masks, and the suite-3.7 probes paired one at a time with the whole
@@ -61,6 +63,54 @@ def _as_batch(X) -> np.ndarray:
     if X.ndim == 1:
         return X[None, :]
     return X
+
+
+# ---------------------------------------------------------------------------
+# node-first adapters of the node-last kernels
+
+
+def node_last(x) -> np.ndarray:
+    """A node-first array (N, ...) as a C-contiguous node-last copy (..., N)."""
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
+
+
+def node_first(x) -> np.ndarray:
+    """A node-last array (..., N) as a C-contiguous node-first copy (N, ...)."""
+    return np.ascontiguousarray(np.moveaxis(x, -1, 0))
+
+
+def bracket_nf(degree, a_vals, w_vals):
+    """bracket_wedge_coeffs on node-first arrays: (N,3,4), (N,3,C_k)."""
+    return node_first(bracket_wedge_coeffs(degree, node_last(a_vals),
+                                           node_last(w_vals)))
+
+
+def d_nf(degree, jac):
+    """d_coeffs on a node-first jacobian (N,3,C,4)."""
+    return node_first(d_coeffs(degree, node_last(jac)))
+
+
+def cov_d_nf(k, Aval, val, jac, eps):
+    """cov_d_coeffs on node-first arrays."""
+    return node_first(cov_d_coeffs(k, node_last(Aval), node_last(val),
+                                   node_last(jac), eps))
+
+
+def codiff_nf(k, Aval, val, jac, eps):
+    """codiff_coeffs on node-first arrays."""
+    return node_first(codiff_coeffs(k, node_last(Aval), node_last(val),
+                                    node_last(jac), eps))
+
+
+def cov_grad_nf(Aval, val, jac, eps):
+    """cov_grad_coeffs on node-first arrays: (N,3,4,4)."""
+    return node_first(cov_grad_coeffs(node_last(Aval), node_last(val),
+                                      node_last(jac), eps))
+
+
+def cdot_nf(a, b):
+    """The coefficient dot density (N,) of node-first arrays."""
+    return np.einsum("nac,nac->n", a, b, optimize=False)
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +236,10 @@ def bump_one_form(center, scale, coeff, degree: int = 1,
 
 
 def bump_arrays(X, center, scale, coeff):
-    """Value and jacobian of the 1-form bump coeff * (1 - |x-c|^2/s^2)^3 at
-    nodes X (0 outside its ball)."""
+    """Node-last value and jacobian of the 1-form bump
+    coeff * (1 - |x-c|^2/s^2)^3 at nodes X (0 outside its ball)."""
     f = bump_one_form(center, scale, coeff)
-    return f.value(X), f.jac(X)
+    return node_last(f.value(X)), node_last(f.jac(X))
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +255,15 @@ def wedge_bracket(alpha: FormField, beta: FormField) -> FormField:
         raise ValueError("wedge_bracket needs two 1-forms")
 
     def value(X):
-        return bracket_wedge_coeffs(1, alpha.value(X), beta.value(X))
+        return bracket_nf(1, alpha.value(X), beta.value(X))
 
     jac = None
     if alpha.has_analytic_jac and beta.has_analytic_jac:
         def jac(X):
             av, bv = alpha.value(X), beta.value(X)
             aj, bj = alpha.jac(X), beta.jac(X)
-            return np.stack([bracket_wedge_coeffs(1, aj[..., nu], bv)
-                             + bracket_wedge_coeffs(1, av, bj[..., nu])
+            return np.stack([bracket_nf(1, aj[..., nu], bv)
+                             + bracket_nf(1, av, bj[..., nu])
                              for nu in range(4)], axis=-1)
 
     return FormField(2, value, jac)
@@ -226,11 +276,11 @@ def exterior_d(omega: FormField) -> FormField:
     k = omega.degree
 
     def value(X):
-        return d_coeffs(k, omega.jac(X))
+        return d_nf(k, omega.jac(X))
 
     def jac(X):
         H = omega.hess(X)  # (N,3,C,4,4)
-        return np.stack([d_coeffs(k, H[..., nu]) for nu in range(4)], axis=-1)
+        return np.stack([d_nf(k, H[..., nu]) for nu in range(4)], axis=-1)
 
     return FormField(k + 1, value, jac)
 
@@ -244,14 +294,14 @@ def covariant_d_eps(A: FormField, omega: FormField, eps: float) -> FormField:
     k = omega.degree
 
     def value(X):
-        return cov_d_coeffs(k, A.value(X), omega.value(X), omega.jac(X), eps)
+        return cov_d_nf(k, A.value(X), omega.value(X), omega.jac(X), eps)
 
     def jac(X):
         # d_nu (d_A w) = d_A (d_nu w) + eps [d_nu A ^ w]
         Av, Aj = A.value(X), A.jac(X)
         wv, wj, wh = omega.value(X), omega.jac(X), omega.hess(X)
-        return np.stack([cov_d_coeffs(k, Av, wj[..., nu], wh[..., nu], eps)
-                         + eps * bracket_wedge_coeffs(k, Aj[..., nu], wv)
+        return np.stack([cov_d_nf(k, Av, wj[..., nu], wh[..., nu], eps)
+                         + eps * bracket_nf(k, Aj[..., nu], wv)
                          for nu in range(4)], axis=-1)
 
     return FormField(k + 1, value, jac)
@@ -264,7 +314,7 @@ def codifferential_eps(A: FormField, omega: FormField, eps: float) -> FormField:
     k = omega.degree
 
     def value(X):
-        return codiff_coeffs(k, A.value(X), omega.value(X), omega.jac(X), eps)
+        return codiff_nf(k, A.value(X), omega.value(X), omega.jac(X), eps)
 
     return FormField(k - 1, value)
 
@@ -276,7 +326,7 @@ def covariant_grad_eps(A: FormField, alpha: FormField, eps: float):
 
     def evaluate(X):
         X = _as_batch(X)
-        return cov_grad_coeffs(A.value(X), alpha.value(X), alpha.jac(X), eps)
+        return cov_grad_nf(A.value(X), alpha.value(X), alpha.jac(X), eps)
 
     return evaluate
 
@@ -286,21 +336,21 @@ def covariant_grad_eps(A: FormField, alpha: FormField, eps: float):
 
 
 def terms_hess(terms, X):
-    """Spatial hessian of a term list at X, (N,3,4,4,4)."""
+    """Spatial hessian of a term list at X, node-first (N,3,4,4,4)."""
     X = np.asarray(X, dtype=float)
     out = np.empty((X.shape[0], 3, 4, 4, 4))
     memo = {}
     for nu in range(4):
         for rho in range(nu, 4):
-            v = _terms_sum(memo, terms, X, (nu, rho))
+            v = node_first(_terms_sum(memo, terms, X, (nu, rho)))
             out[..., nu, rho] = v
             out[..., rho, nu] = v
     return out
 
 
 def terms_form_field(terms) -> FormField:
-    return FormField(1, lambda X: terms_value(terms, X),
-                     lambda X: terms_jac(terms, X),
+    return FormField(1, lambda X: node_first(terms_value(terms, X)),
+                     lambda X: node_first(terms_jac(terms, X)),
                      lambda X: terms_hess(terms, X))
 
 
@@ -366,12 +416,13 @@ def bracket(X: AlgElement, Y: AlgElement) -> AlgElement:
 
 def flat_context(rule, eps: float) -> InnerContext:
     """An InnerContext on rule with the zero connection."""
-    return InnerContext(rule, eps, np.zeros((len(rule), 3, 4)))
+    return InnerContext(rule, eps, np.zeros((3, 4, len(rule))))
 
 
 def sample_form(f: FormField, rule) -> NodeField:
-    """f's value and jacobian channels on the rule's nodes."""
-    return NodeField(rule, f.value(rule.nodes), f.jac(rule.nodes))
+    """f's value and jacobian channels on the rule's nodes, node-last."""
+    return NodeField(rule, node_last(f.value(rule.nodes)),
+                     node_last(f.jac(rule.nodes)))
 
 
 def full_rule_probe_draws(q, ctx, n: int, seed: int):
@@ -424,13 +475,13 @@ def long_double_gram(ctx: InnerContext, nodefields,
     node weights, as in the library's Gram.
     """
     N = len(ctx.rule)
-    sw = np.sqrt(ctx.rule.weights if weights is None else weights)[:, None]
-    sl = sw * np.sqrt(ctx.wvals)[:, None] if ctx.weighted else sw
+    sw = np.sqrt(ctx.rule.weights if weights is None else weights)
+    sl = sw * np.sqrt(ctx.wvals) if ctx.weighted else sw
     M = np.empty((len(nodefields), N * 60))
     for row, nf in zip(M, nodefields):
-        np.multiply(ctx.grad_of(nf).reshape(N, 48), sw,
-                    out=row[:N * 48].reshape(N, 48))
-        np.multiply(nf.val.reshape(N, 12), sl, out=row[N * 48:].reshape(N, 12))
+        np.multiply(ctx.grad_of(nf).reshape(48, N), sw,
+                    out=row[:N * 48].reshape(48, N))
+        np.multiply(nf.val.reshape(12, N), sl, out=row[N * 48:].reshape(12, N))
     G = np.zeros((len(M), len(M)), np.longdouble)
     for k in range(0, M.shape[1], 1 << 16):
         B = M[:, k:k + (1 << 16)].astype(np.longdouble)
@@ -439,10 +490,11 @@ def long_double_gram(ctx: InnerContext, nodefields,
 
 
 def scatter_sample_charted(fields, X, mask_inner):
-    """(val, jac) of charted fields at X: each chart evaluated on X[mask]
-    with one atom memo and scattered into zero-filled arrays by the mask."""
+    """Node-last (val, jac) of charted fields at X: each chart evaluated on
+    X[mask] with one atom memo and scattered into zero-filled arrays through
+    the mask on the node axis."""
     N = X.shape[0]
-    out = [(np.zeros((N, 3, 4)), np.zeros((N, 3, 4, 4))) for _ in fields]
+    out = [(np.zeros((3, 4, N)), np.zeros((3, 4, 4, N))) for _ in fields]
     for sel, chart in ((mask_inner, "inner_terms"), (~mask_inner, "outer_terms")):
         if not np.any(sel):
             continue
@@ -450,8 +502,8 @@ def scatter_sample_charted(fields, X, mask_inner):
         memo = {}
         for f, (val, jac) in zip(fields, out):
             terms = getattr(f, chart)
-            val[sel] = terms_value(terms, Xs, memo=memo)
-            jac[sel] = terms_jac(terms, Xs, memo=memo)
+            val[..., sel] = terms_value(terms, Xs, memo=memo)
+            jac[..., sel] = terms_jac(terms, Xs, memo=memo)
     return out
 
 

@@ -37,6 +37,7 @@ from ymeps.instanton import ParamQ, extended_connection, glued_connection
 from ymeps.liealg import AlgElement, exp_map
 from oracle import (
     bump_one_form,
+    cdot_nf,
     codifferential_eps,
     covariant_d_eps,
     exterior_d,
@@ -196,7 +197,7 @@ def test_criterion_10_structural_suite(tmp_path):
     # double star is the exact sign (-1)^{k(4-k)}
     rng = np.random.default_rng(SEED)
     for k in range(5):
-        arr = rng.standard_normal((7, 3, N_COMP[k]))
+        arr = rng.standard_normal((3, N_COMP[k], 7))
         sign = (-1.0) ** (k * (4 - k))
         assert np.array_equal(star_coeffs(4 - k, star_coeffs(k, arr)),
                               sign * arr)
@@ -236,10 +237,10 @@ def test_criterion_10_structural_suite(tmp_path):
                                                power=5),
                             0.41)
     Xn = rule.nodes
-    lhs = weighted_sum(rule.weights, cdot(covariant_d_eps(Aff, alpha, 0.41).value(Xn),
-                                  beta2.value(Xn)))
-    rhs = weighted_sum(rule.weights, cdot(alpha.value(Xn),
-                                  codifferential_eps(Aff, beta2, 0.41).value(Xn)))
+    lhs = weighted_sum(rule.weights, cdot_nf(covariant_d_eps(Aff, alpha, 0.41).value(Xn),
+                                     beta2.value(Xn)))
+    rhs = weighted_sum(rule.weights, cdot_nf(alpha.value(Xn),
+                                     codifferential_eps(Aff, beta2, 0.41).value(Xn)))
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     assert rel <= 1e-3
     notes.append(f"adjointness rel = {rel:.1e}")

@@ -54,8 +54,8 @@ def _inner(ctx, a, b):
 def _weighted_density(ctx, nf):
     """The per-node density of (nf, nf) in a weighted context."""
     g = ctx.grad_of(nf)
-    return (np.einsum("namu,namu->n", g, g)
-            + ctx.wvals * np.einsum("nam,nam->n", nf.val, nf.val))
+    return (np.einsum("amun,amun->n", g, g)
+            + ctx.wvals * np.einsum("amn,amn->n", nf.val, nf.val))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,7 @@ def test_streamed_gram_raises_on_nan_in_the_last_partial_chunk(monkeypatch):
     fields = [sample_form(constant_form(1, np.eye(3, 4) * (k + 1)), ctx.rule)
               for k in range(8)]
     assert np.all(np.isfinite(_raw_gram(ctx, fields)))
-    fields[5].jac[N - 1 - (N % chunk) // 2, 2, 1, 3] = np.nan
+    fields[5].jac[2, 1, 3, N - 1 - (N % chunk) // 2] = np.nan
     with pytest.raises(NumericalError, match="non-finite Gram"):
         _raw_gram(ctx, fields)
 
@@ -261,7 +261,7 @@ def test_inner_nf_is_the_two_field_gram_entry():
 def test_inner_nf_raises_on_a_nan_field():
     ctx = _flat_ball(0.1)
     nf = sample_form(constant_form(1, np.eye(3, 4)), ctx.rule)
-    nf.val[len(ctx.rule) // 2, 1, 2] = np.nan
+    nf.val[1, 2, len(ctx.rule) // 2] = np.nan
     with pytest.raises(NumericalError, match="non-finite"):
         ctx.inner_nf(nf, nf)
 

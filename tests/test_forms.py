@@ -13,19 +13,14 @@ from ymeps.forms import (
     MULTI_INDEX,
     N_COMP,
     bracket_wedge_adjoint,
-    bracket_wedge_adjoint_nl,
     bracket_wedge_coeffs,
-    bracket_wedge_nl,
     cdot,
     codiff_coeffs,
     codiff_signs,
     cov_d_coeffs,
     curvature_coeffs,
-    curvature_nl,
     d_coeffs,
-    d_nl,
     d_signs,
-    delta_nl,
     star_coeffs,
 )
 from oracle import (
@@ -36,6 +31,7 @@ from oracle import (
     covariant_d_eps,
     covariant_grad_eps,
     exterior_d,
+    node_first,
     wedge_bracket,
 )
 
@@ -90,7 +86,7 @@ def test_star_against_bruteforce_oracle():
     rng = np.random.default_rng(2)
     for k in range(5):
         c = rng.standard_normal((3, N_COMP[k]))
-        got = star_coeffs(k, c[None])[0]
+        got = star_coeffs(k, c[..., None])[..., 0]
         assert np.allclose(got, star_oracle(k, c), atol=1e-14)
 
 
@@ -139,70 +135,22 @@ def test_wedge_bracket_bilinear():
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-def _bracket_cross_oracle(degree, a_vals, w_vals):
-    """The per-component np.cross loop the kernel replaced."""
+# The independent references below are node-first, on (N, 3, ...) arrays;
+# the kernels are node-last, so each comparison moves the node axis.
+
+N_ODD = 1031   # prime, so no multiple of any block size
+
+
+def _bracket_cross_oracle(table, a_vals, w_vals):
+    """The per-component np.cross loop the kernel replaced, node-first."""
     N = a_vals.shape[0]
-    out = np.zeros((N, 3, N_COMP[degree + 1]))
-    for tgt, entries in enumerate(ANTISYM_TABLE[degree]):
+    out = np.zeros((N, 3, len(table)))
+    for tgt, entries in enumerate(table):
         acc = np.zeros((N, 3))
         for sign, nu, src in entries:
             acc += sign * np.cross(a_vals[:, :, nu], w_vals[:, :, src], axis=1)
         out[:, :, tgt] = acc
     return out
-
-
-@pytest.mark.parametrize("degree", [0, 1, 2, 3])
-def test_bracket_kernel_matches_cross_oracle_exactly(degree):
-    rng = np.random.default_rng(40 + degree)
-    N = 257
-    a = rng.standard_normal((N, 3, 4))
-    w = rng.standard_normal((N, 3, N_COMP[degree]))
-    got = bracket_wedge_coeffs(degree, a, w)
-    assert got.flags.c_contiguous
-    assert np.array_equal(got, _bracket_cross_oracle(degree, a, w))
-    # strided inputs, as the FormField jacobian channels pass them
-    aj = rng.standard_normal((N, 3, 4, 4))
-    wj = rng.standard_normal((N, 3, N_COMP[degree], 4))
-    for nu in range(4):
-        got = bracket_wedge_coeffs(degree, aj[..., nu], wj[..., nu])
-        assert got.flags.c_contiguous
-        assert np.array_equal(got, _bracket_cross_oracle(degree, aj[..., nu],
-                                                         wj[..., nu]))
-
-
-@pytest.mark.parametrize("degree", [0, 1, 2, 3])
-def test_bracket_wedge_adjoint_is_pointwise_adjoint(degree):
-    rng = np.random.default_rng(50 + degree)
-    N = 64
-    a = rng.standard_normal((N, 3, 4))
-    w = rng.standard_normal((N, 3, N_COMP[degree]))
-    x = rng.standard_normal((N, 3, N_COMP[degree + 1]))
-    want = cdot(x, bracket_wedge_coeffs(degree, a, w))
-    got = cdot(bracket_wedge_adjoint(degree, a, x), w)
-    np.testing.assert_allclose(got, want, rtol=0,
-                               atol=1e-13 * np.max(np.abs(want)))
-
-
-@pytest.mark.parametrize("degree", [0, 1, 2, 3])
-def test_sign_maps_reproduce_d_and_delta(degree):
-    rng = np.random.default_rng(60 + degree)
-    N = 16
-    jac = rng.standard_normal((N, 3, N_COMP[degree], 4))
-    dw = np.einsum("tms,nasm->nat", d_signs(degree), jac)
-    np.testing.assert_allclose(dw, d_coeffs(degree, jac), rtol=0, atol=1e-14)
-    if degree:
-        zero = np.zeros((N, 3, 4))
-        val = rng.standard_normal((N, 3, N_COMP[degree]))
-        delta = np.einsum("tms,nasm->nat", codiff_signs(degree), jac)
-        np.testing.assert_allclose(delta, codiff_coeffs(degree, zero, val,
-                                                        jac, 1.0),
-                                   rtol=0, atol=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# node-first public kernels over the node-last ones
-
-N_ODD = 1031   # prime, so no multiple of any block size
 
 
 def _d_node_first_oracle(table, jac):
@@ -215,43 +163,84 @@ def _d_node_first_oracle(table, jac):
     return out
 
 
-def _assert_core(public, core):
-    assert public.flags.c_contiguous
-    assert np.array_equal(public, np.moveaxis(core, -1, 0))
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_bracket_kernel_matches_cross_oracle_exactly(degree):
+    rng = np.random.default_rng(40 + degree)
+    N = 257
+    a = rng.standard_normal((3, 4, N))
+    w = rng.standard_normal((3, N_COMP[degree], N))
+    got = bracket_wedge_coeffs(degree, a, w)
+    assert got.flags.c_contiguous
+    assert np.array_equal(node_first(got), _bracket_cross_oracle(
+        ANTISYM_TABLE[degree], node_first(a), node_first(w)))
+    # strided inputs: the jacobian channels and a block of nodes
+    aj = rng.standard_normal((3, 4, 4, N))
+    wj = rng.standard_normal((3, N_COMP[degree], 4, N))
+    for nu in range(4):
+        a_nu, w_nu = aj[:, :, nu, 5:200], wj[:, :, nu, 5:200]
+        got = bracket_wedge_coeffs(degree, a_nu, w_nu)
+        assert got.flags.c_contiguous
+        assert np.array_equal(node_first(got), _bracket_cross_oracle(
+            ANTISYM_TABLE[degree], node_first(a_nu), node_first(w_nu)))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_bracket_wedge_adjoint_is_pointwise_adjoint(degree):
+    rng = np.random.default_rng(50 + degree)
+    N = 64
+    a = rng.standard_normal((3, 4, N))
+    w = rng.standard_normal((3, N_COMP[degree], N))
+    x = rng.standard_normal((3, N_COMP[degree + 1], N))
+    want = cdot(x, bracket_wedge_coeffs(degree, a, w))
+    got = cdot(bracket_wedge_adjoint(degree, a, x), w)
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-13 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_sign_maps_reproduce_d_and_delta(degree):
+    rng = np.random.default_rng(60 + degree)
+    N = 16
+    jac = rng.standard_normal((3, N_COMP[degree], 4, N))
+    dw = np.einsum("tms,asmn->atn", d_signs(degree), jac)
+    np.testing.assert_allclose(dw, d_coeffs(degree, jac), rtol=0, atol=1e-14)
+    if degree:
+        zero = np.zeros((3, 4, N))
+        val = rng.standard_normal((3, N_COMP[degree], N))
+        delta = np.einsum("tms,asmn->atn", codiff_signs(degree), jac)
+        np.testing.assert_allclose(delta, codiff_coeffs(degree, zero, val,
+                                                        jac, 1.0),
+                                   rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_node_first_kernels_equal_node_last_cores(k):
+def test_kernels_match_node_first_oracles(k):
+    # d, delta and the bracket contractions bit for bit against the
+    # node-first references, and the covariant operators as their sums
     rng = np.random.default_rng(70 + k)
-    a = rng.standard_normal((N_ODD, 3, 4))
-    w = rng.standard_normal((N_ODD, 3, N_COMP[k]))
-    x = rng.standard_normal((N_ODD, 3, N_COMP[k + 1]))
-    jac = rng.standard_normal((N_ODD, 3, N_COMP[k], 4))
-    at, wt, xt, jt = (np.moveaxis(v, 0, -1).copy() for v in (a, w, x, jac))
-    _assert_core(bracket_wedge_coeffs(k, a, w), bracket_wedge_nl(k, at, wt))
-    _assert_core(bracket_wedge_adjoint(k, a, x),
-                 bracket_wedge_adjoint_nl(k, at, xt))
-    _assert_core(d_coeffs(k, jac), d_nl(k, jt))
-    assert np.array_equal(d_coeffs(k, jac),
-                          _d_node_first_oracle(ANTISYM_TABLE[k], jac))
-    _assert_core(cov_d_coeffs(k, a, w, jac, 0.3),
-                 d_nl(k, jt) + 0.3 * bracket_wedge_nl(k, at, wt))
-    # codifferential of the (k+1)-forms
-    jx = rng.standard_normal((N_ODD, 3, N_COMP[k + 1], 4))
-    jxt = np.moveaxis(jx, 0, -1).copy()
-    assert np.array_equal(
-        np.moveaxis(delta_nl(k + 1, jxt), -1, 0),
-        _d_node_first_oracle(CODIFF_TABLE[k + 1], jx))
-    _assert_core(codiff_coeffs(k + 1, a, x, jx, 0.3),
-                 delta_nl(k + 1, jxt) + 0.3 * bracket_wedge_adjoint_nl(k, at, xt))
-
-
-def test_curvature_equals_node_last_core():
-    rng = np.random.default_rng(75)
-    a = rng.standard_normal((N_ODD, 3, 4))
-    jac = rng.standard_normal((N_ODD, 3, 4, 4))
-    at, jt = (np.moveaxis(v, 0, -1).copy() for v in (a, jac))
-    _assert_core(curvature_coeffs(a, jac, 0.3), curvature_nl(at, jt, 0.3))
+    a = rng.standard_normal((3, 4, N_ODD))
+    w = rng.standard_normal((3, N_COMP[k], N_ODD))
+    x = rng.standard_normal((3, N_COMP[k + 1], N_ODD))
+    jac = rng.standard_normal((3, N_COMP[k], 4, N_ODD))
+    jx = rng.standard_normal((3, N_COMP[k + 1], 4, N_ODD))
+    d_ref = _d_node_first_oracle(ANTISYM_TABLE[k], node_first(jac))
+    br_ref = _bracket_cross_oracle(ANTISYM_TABLE[k], node_first(a), node_first(w))
+    adj_ref = _bracket_cross_oracle(CODIFF_TABLE[k + 1], node_first(a), node_first(x))
+    delta_ref = _d_node_first_oracle(CODIFF_TABLE[k + 1], node_first(jx))
+    assert np.array_equal(node_first(d_coeffs(k, jac)), d_ref)
+    assert np.array_equal(node_first(bracket_wedge_adjoint(k, a, x)), adj_ref)
+    assert np.array_equal(node_first(cov_d_coeffs(k, a, w, jac, 0.3)),
+                          d_ref + 0.3 * br_ref)
+    # the codifferential of the (k+1)-forms, without and with a connection
+    assert np.array_equal(node_first(codiff_coeffs(k + 1, np.zeros_like(a), x, jx,
+                                            0.3)), delta_ref)
+    assert np.array_equal(node_first(codiff_coeffs(k + 1, a, x, jx, 0.3)),
+                          delta_ref + 0.3 * adj_ref)
+    if k == 1:
+        assert np.array_equal(
+            node_first(curvature_coeffs(a, jac, 0.3)),
+            d_ref + 0.5 * 0.3 * _bracket_cross_oracle(ANTISYM_TABLE[1],
+                                                      node_first(a), node_first(a)))
 
 
 def test_wedge_bracket_degree_mismatch():

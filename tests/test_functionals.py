@@ -68,10 +68,13 @@ from oracle import (
     basis_gaps_by_combination,
     bump_arrays,
     bump_one_form,
+    cdot_nf,
     codifferential_eps,
     covariant_d_eps,
     full_rule_probe_draws,
     full_rule_probes,
+    node_first,
+    node_last,
     per_probe_l37,
     project_perp_by_combination,
     sample_form,
@@ -248,7 +251,8 @@ def test_hessian_matches_second_difference():
 
 
 def _codiff_oracle(k, Aval, val, jac, eps):
-    """(delta_A w)_J = -sum_{j not in J} (d_j w_{jJ} + eps [A_j, w_{jJ}])."""
+    """(delta_A w)_J = -sum_{j not in J} (d_j w_{jJ} + eps [A_j, w_{jJ}]),
+    on node-first arrays."""
     out = np.zeros(val.shape[:2] + (len(MULTI_INDEX[k - 1]),))
     for J, t in COMP_INDEX[k - 1].items():
         for j in set(range(4)) - set(J):
@@ -270,16 +274,17 @@ def test_codiff_kernel_matches_coordinate_formula(k):
     A = bump_one_form([0.2, -0.1, 0.15, 0.05], 0.6, rng.standard_normal((3, 4)))
     X = np.array([0.2, -0.1, 0.15, 0.05]) + 0.3 * rng.uniform(-1, 1, (9, 4))
     C = len(MULTI_INDEX[k])
-    val = rng.standard_normal((9, 3, C))
-    jac = rng.standard_normal((9, 3, C, 4))
+    val = rng.standard_normal((3, C, 9))
+    jac = rng.standard_normal((3, C, 4, 9))
     eps = 0.37
-    Aval = A.value(X)
+    Aval = node_last(A.value(X))
     got = codiff_coeffs(k, Aval, val, jac, eps)
-    want = _codiff_oracle(k, Aval, val, jac, eps)
-    assert np.allclose(got, want, rtol=0, atol=1e-13)
-    # the definition -* d_A * w, through the star and covariant-d kernels
-    sval = star_coeffs(k, val)
-    sjac = star_coeffs(k, jac.swapaxes(2, 3)).swapaxes(2, 3)
+    want = _codiff_oracle(k, node_first(Aval), node_first(val),
+                          node_first(jac), eps)
+    assert np.allclose(node_first(got), want, rtol=0, atol=1e-13)
+    # the definition -* d_A * w, through the star and covariant-d kernels;
+    # the star acts on the component axis of values and jacobians alike
+    sval, sjac = star_coeffs(k, val), star_coeffs(k, jac)
     composed = -star_coeffs(5 - k, cov_d_coeffs(4 - k, Aval, sval, sjac, eps))
     assert np.allclose(got, composed, rtol=0, atol=1e-13)
 
@@ -297,8 +302,8 @@ def test_codifferential_adjoint_to_covariant_d():
     X = rule.nodes
     dphi = covariant_d_eps(Aff, phi, eps).value(X)
     delta = codifferential_eps(Aff, alpha, eps).value(X)
-    lhs = weighted_sum(rule.weights, cdot(dphi, alpha.value(X)))
-    rhs = weighted_sum(rule.weights, cdot(phi.value(X), delta))
+    lhs = weighted_sum(rule.weights, cdot_nf(dphi, alpha.value(X)))
+    rhs = weighted_sum(rule.weights, cdot_nf(phi.value(X), delta))
     # equality holds after integration by parts, so the gap is pure quadrature
     # error (the bump support kink sits inside panels); well under 10x the
     # rule's tolerance
@@ -371,7 +376,8 @@ def test_glued_derivatives_are_extension_minus_b_derivatives(generic_basis):
         for got, t, b in ((vA, vt, vb), (jA, jt, jb)):
             scale = np.max(np.abs(t)) + np.max(np.abs(b))
             assert np.max(np.abs(got - (t - b))) <= 1e-14 * scale, (pi2, j)
-        assert not vb[rule.mask_inner].any() and not jb[rule.mask_inner].any()
+        assert (not vb[..., rule.mask_inner].any()
+                and not jb[..., rule.mask_inner].any())
 
 
 def test_weighted_basis_matches_the_combined_fields_gram(generic_basis):
@@ -570,31 +576,62 @@ def test_l37_shape_groups_cross_the_group_boundary(monkeypatch):
                                          seed=RNG_SEED, n_test=n))
 
 
-def test_l37_transposes_operands_once_and_no_node_field_arithmetic(monkeypatch):
-    # the tag fields are combined from the raw samples in the representer's
-    # memory, so no NodeField sum or product is formed; A, Atilde, b and
-    # their jacobians are copied node-last once per point, not once per tag
+def _same(got, want) -> bool:
+    """The two sequences hold the very same objects, in order."""
+    return len(got) == len(want) and all(x is y for x, y in zip(got, want))
+
+
+def test_l37_makes_no_layout_copy_and_no_node_field_arithmetic(monkeypatch):
+    # the kernels read the samples as sampling returns them: A, Atilde, b
+    # and their jacobians enter the kernels themselves, and each tag field
+    # is combined in place into the arrays the covariant kernels read.  No
+    # transpose or contiguous copy runs, and no NodeField sum or product is
+    # formed
     import ymeps.functionals as functionals_mod
 
-    def forbidden(*args):
-        raise AssertionError("NodeField arithmetic reached from l37")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("layout copy or NodeField arithmetic in l37")
 
     for op in ("__add__", "__sub__", "__mul__", "__rmul__"):
         monkeypatch.setattr(NodeField, op, forbidden)
-    copies = []
-    node_last = functionals_mod.to_node_last
-
-    def counted(x):
-        copies.append(x.shape)
-        return node_last(x)
-
-    monkeypatch.setattr(functionals_mod, "to_node_last", counted)
     q = ParamQ.default(2.0 ** -4)
     basis = gram_schmidt_ball(q)
+    sampled, combined, calls = [], [], {"curvature_coeffs": [],
+                                        "cov_d_coeffs": []}
+    arrays, node_field = InnerContext.arrays, GramBasis.node_field
+
+    def recorded_arrays(self, f):
+        out = arrays(self, f)
+        sampled.extend(out)
+        return out
+
+    def recorded_node_field(self, *args):
+        combined.append(node_field(self, *args))
+        return combined[-1]
+
+    monkeypatch.setattr(InnerContext, "arrays", recorded_arrays)
+    monkeypatch.setattr(GramBasis, "node_field", recorded_node_field)
+    for name, log in calls.items():
+        def spy(*args, _fn=getattr(functionals_mod, name), _log=log):
+            _log.append(args)
+            return _fn(*args)
+        monkeypatch.setattr(functionals_mod, name, spy)
+    for name in ("moveaxis", "ascontiguousarray", "copyto", "transpose",
+                 "swapaxes"):
+        monkeypatch.setattr(np, name, forbidden)
     _hessian_difference_metrics(q, "model", basis, basis.ctx, seed=RNG_SEED,
                                 n_test=4)
-    N = len(basis.ctx.rule)
-    assert sorted(copies) == [(N, 3, 4)] * 3 + [(N, 3, 4, 4)] * 3
+    nfA, nfAt, nfb = sampled
+    a1, a5 = combined
+    curv = calls["curvature_coeffs"]
+    assert len(curv) == 2
+    assert _same(curv[0][:2], (nfA.val, nfA.jac))
+    assert _same(curv[1][:2], (nfAt.val, nfAt.jac))
+    fb, *per_tag = calls["cov_d_coeffs"]
+    assert _same(fb[1:4], (nfA.val, nfb.val, nfb.jac))
+    want = [(C, a.val, a.jac) for a in (a1, a5) for C in (nfA.val, nfAt.val)]
+    assert len(per_tag) == len(want)
+    assert all(_same(args[1:4], w) for args, w in zip(per_tag, want))
 
 
 @pytest.mark.parametrize("stride", [1, 997])
@@ -608,7 +645,7 @@ def test_probe_specs_match_full_rule_probes(pi2, stride):
     r = ctx.rule
     rule = QuadratureRule(r.nodes[::stride], r.weights[::stride], r.center,
                           r.lam, r.region)
-    ctx = InnerContext(rule, q.eps, ctx.Aval[::stride])
+    ctx = InnerContext(rule, q.eps, ctx.Aval[..., ::stride])
     n = 8
     specs = probe_family(q, ctx, n, RNG_SEED)
     draws = full_rule_probe_draws(q, ctx, n, RNG_SEED)
@@ -617,18 +654,20 @@ def test_probe_specs_match_full_rule_probes(pi2, stride):
     assert len(specs) == len(accepted) == n
     for (rows, center, scale, coeff), (c, sc, beta) in zip(specs, accepted):
         assert np.array_equal(center, c) and scale == sc
-        on = (np.any(beta.val != 0.0, axis=(1, 2))
-              | np.any(beta.jac != 0.0, axis=(1, 2, 3)))
+        on = (np.any(beta.val != 0.0, axis=(0, 1))
+              | np.any(beta.jac != 0.0, axis=(0, 1, 2)))
         assert np.array_equal(rows, np.flatnonzero(on))
         off = np.ones(len(rule), dtype=bool)
         off[rows] = False
-        assert not beta.val[off].any() and not beta.jac[off].any()
+        assert not beta.val[..., off].any() and not beta.jac[..., off].any()
         # the probe coeff * phi from its channels (phi, grad phi) on the rows
         phi = _bump_channels(rule.nodes[rows], center, scale)
-        val = coeff[None] * phi[0][:, None, None]
-        jac = coeff[None, :, :, None] * phi[1:].T[:, None, None, :]
-        np.testing.assert_allclose(val, beta.val[rows], rtol=1e-12, atol=0)
-        np.testing.assert_allclose(jac, beta.jac[rows], rtol=1e-12, atol=0)
+        val = coeff[:, :, None] * phi[0]
+        jac = coeff[:, :, None, None] * phi[1:]
+        np.testing.assert_allclose(val, beta.val[..., rows], rtol=1e-12,
+                                   atol=0)
+        np.testing.assert_allclose(jac, beta.jac[..., rows], rtol=1e-12,
+                                   atol=0)
 
 
 @pytest.mark.parametrize("pi2", PI2_STRATEGIES)
@@ -640,9 +679,9 @@ def test_probe_norm_closed_form_matches_covariant_gradient_density(pi2):
     w = ctx.rule.weights
     for rows, center, scale, coeff in probe_family(q, ctx, 9, RNG_SEED):
         val, jac = bump_arrays(ctx.rule.nodes[rows], center, scale, coeff)
-        grad = cov_grad_coeffs(ctx.Aval[rows], val, jac, q.eps)
-        dens = (np.einsum("namu,namu->n", grad, grad)
-                + np.einsum("nam,nam->n", val, val))
+        grad = cov_grad_coeffs(ctx.Aval[..., rows], val, jac, q.eps)
+        dens = (np.einsum("amun,amun->n", grad, grad)
+                + np.einsum("amn,amn->n", val, val))
         assert abs(weighted_sum(w[rows], dens) - 1.0) <= 1e-13
 
 
@@ -654,8 +693,8 @@ def _random_probe(rng, n):
     """Channels (5, n), a coefficient C (3,4), and beta = C phi's arrays."""
     phi = rng.standard_normal((5, n))
     C = rng.standard_normal((3, 4))
-    val = C[None] * phi[0][:, None, None]
-    jac = C[None, :, :, None] * phi[1:].T[:, None, None, :]
+    val = C[:, :, None] * phi[0]
+    jac = C[:, :, None, None] * phi[1:]
     return phi, C, val, jac
 
 
@@ -669,20 +708,15 @@ def _node_pairings(Rt, phi, C):
     return _shape_functionals(W, Rt) @ C.reshape(12)
 
 
-def _rows(x):
-    """A node-first (n, ...) array as representer rows (size / n, n)."""
-    return np.moveaxis(x, 0, -1).reshape(-1, len(x))
-
-
 @pytest.mark.parametrize("slot", [0, 1, 2])
 def test_representer_two_form_slot_pairs_with_d_beta(slot):
     # <X, d(C phi)> node by node, with X in one 2-form slot of the d phi block
     rng = np.random.default_rng(RNG_SEED + slot)
     n = 40
-    X = rng.standard_normal((n, 3, 6))
+    X = rng.standard_normal((3, 6, n))
     phi, C, _, jac = _random_probe(rng, n)
     R = np.zeros((120, n))
-    R[60 + 18 * slot:78 + 18 * slot] = _rows(X)
+    R[60 + 18 * slot:78 + 18 * slot] = X.reshape(18, n)
     want = cdot(X, d_coeffs(1, jac))
     got = _node_pairings(R, phi, C)
     tol = 1e-13 * np.max(np.abs(want))
@@ -694,7 +728,7 @@ def test_wedge_adjoint_pairs_with_bracket():
     # <X, [Y ^ C phi]> = <bracket_wedge_adjoint(1, Y, X), C phi>
     rng = np.random.default_rng(RNG_SEED)
     n = 40
-    X, Y = rng.standard_normal((n, 3, 6)), rng.standard_normal((n, 3, 4))
+    X, Y = rng.standard_normal((3, 6, n)), rng.standard_normal((3, 4, n))
     phi, C, val, _ = _random_probe(rng, n)
     want = cdot(X, bracket_wedge_coeffs(1, Y, val))
     adj = bracket_wedge_adjoint(1, Y, X)
@@ -703,7 +737,7 @@ def test_wedge_adjoint_pairs_with_bracket():
                                atol=1e-13 * np.max(np.abs(want)))
     # through a phi slot of the representer, the same pairing
     R = np.zeros((120, n))
-    R[:12] = _rows(adj)
+    R[:12] = adj.reshape(12, n)
     np.testing.assert_allclose(_node_pairings(R, phi, C)[:, 0], want, rtol=0,
                                atol=1e-13 * np.max(np.abs(want)))
 
@@ -714,11 +748,12 @@ def test_representer_zero_form_slot_pairs_with_delta_beta(slot):
     # eps [A ^ y] in the same functional's phi slot
     rng = np.random.default_rng(RNG_SEED + slot)
     n, eps = 40, 0.3
-    y, A = rng.standard_normal((n, 3, 1)), rng.standard_normal((n, 3, 4))
+    y, A = rng.standard_normal((3, 1, n)), rng.standard_normal((3, 4, n))
     phi, C, val, jac = _random_probe(rng, n)
     R = np.zeros((120, n))
-    R[12 * slot:12 * slot + 12] = _rows(eps * bracket_wedge_coeffs(0, A, y))
-    R[114 + 3 * (slot - 3):117 + 3 * (slot - 3)] = _rows(y)
+    R[12 * slot:12 * slot + 12] = (eps * bracket_wedge_coeffs(0, A, y)
+                                   ).reshape(12, n)
+    R[114 + 3 * (slot - 3):117 + 3 * (slot - 3)] = y.reshape(3, n)
     want = cdot(y, codiff_coeffs(1, A, val, jac, eps))
     got = _node_pairings(R, phi, C)
     tol = 1e-13 * np.max(np.abs(want))
@@ -741,7 +776,7 @@ def test_l37_probe_loop_reports_non_finite_connection(monkeypatch):
         for g, nf in (zip(f, out) if isinstance(f, list) else [(f, out)]):
             if getattr(g, "inner_terms", None) == []:   # b vanishes there
                 nf.val = nf.val.copy()
-                nf.val[far] = np.nan
+                nf.val[..., far] = np.nan
         return out
 
     monkeypatch.setattr(type(ctx), "arrays", poisoned)
@@ -762,7 +797,7 @@ def test_l37_probe_loop_reports_non_finite_basis_field():
     raw = list(basis.raw_nodefields)
     f5 = raw[4]
     raw[4] = type(f5)(f5.rule, f5.val.copy(), f5.jac)
-    raw[4].val[far] = np.nan
+    raw[4].val[..., far] = np.nan
     poisoned = dataclasses.replace(basis, raw_nodefields=raw)
     assert np.isfinite(poisoned.node_field(1).val).all()
     with pytest.raises(NumericalError):

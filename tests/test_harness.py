@@ -11,7 +11,13 @@ import pytest
 
 import ymeps.functionals as functionals
 from ymeps.functionals import EstimateReport, QuantityRow
-from ymeps.instanton import ParamQ, difference_b
+from ymeps.instanton import (
+    ParamQ,
+    difference_b,
+    extended_connection,
+    glued_connection,
+    terms_value,
+)
 from ymeps.harness import (
     CSV_HEADER,
     ConfigError,
@@ -330,6 +336,34 @@ def test_dump_field_writes_grid(tmp_path, capsys):
     assert len(first) == 8 and first[4] == "0"
 
 
+@pytest.mark.parametrize("name", ["A", "Atilde", "b"])
+def test_dump_field_rows_are_the_pointwise_term_values(name, tmp_path, capsys):
+    # row 4 r + mu holds grid point r and the dx^mu coefficients on e1..e3,
+    # each point evaluated on its own from the term list of its chart
+    make = {"A": glued_connection, "Atilde": extended_connection,
+            "b": difference_b}[name]
+    assert run_command(["dump-field", "--field", name, "--eps", "0.0625",
+                        "--out", str(tmp_path)]) == 0
+    q = ParamQ.default(2.0 ** -4)
+    field = make(q)
+    rows = np.loadtxt(tmp_path / f"field_{name}_eps_0.0625.csv",
+                      delimiter=",", skiprows=1)
+    span = np.linspace(-0.5, 0.5, 41)
+    grid = np.zeros((41 * 41, 4))
+    grid[:, :2] = np.stack(np.meshgrid(span, span, indexing="ij"),
+                           axis=-1).reshape(-1, 2)
+    assert np.array_equal(rows[:, 4], np.tile(np.arange(4.0), 41 * 41))
+    assert np.allclose(rows[:, :4], np.repeat(grid, 4, axis=0), rtol=0,
+                       atol=1e-12)
+    inner = np.linalg.norm(grid, axis=1) < q.lam / 4
+    assert inner.any() and not inner.all()
+    want = np.stack([
+        terms_value(field.inner_terms if i else field.outer_terms,
+                    x[None])[..., 0].T
+        for x, i in zip(grid, inner)]).reshape(-1, 3)
+    assert np.allclose(rows[:, 5:], want, rtol=1e-11, atol=1e-13)
+
+
 def _dumped_values(path):
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     return rows[:, :4].reshape(-1, 4, 4)[:, 0], rows[:, 5:].reshape(-1, 4, 3)
@@ -343,7 +377,7 @@ def test_dump_field_and_build_basis_follow_pi2(tmp_path, capsys):
                             "--pi2", pi2, "--out", str(tmp_path / pi2)]) == 0
         X, got[pi2] = _dumped_values(tmp_path / pi2 / "field_b_eps_0.0625.csv")
     mask = np.linalg.norm(X - q.p, axis=1) < q.lam / 4
-    want = difference_b(q, pi2="full").value_split(X, mask).transpose(0, 2, 1)
+    want = difference_b(q, pi2="full").value_split(X, mask).transpose(2, 1, 0)
     assert np.allclose(got["full"], want, rtol=1e-11, atol=1e-13)
     assert not np.allclose(got["full"], got["model"], rtol=1e-6, atol=1e-6)
     # the basis is built on the chosen strategy as well
@@ -403,3 +437,5 @@ def test_layer_tracer_runs_l37(tmp_path):
     assert trace["exit_code"] == 0
     names = [span[0] for span in trace["spans"]]
     assert names.count("functionals.point") == 4
+    # every bracket of the l37 representers goes through the wrapped name
+    assert "forms.wedge_bracket" in names

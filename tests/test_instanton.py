@@ -48,6 +48,8 @@ from oracle import (
     exterior_d,
     i1_form,
     i2_form,
+    node_first,
+    node_last,
     scatter_sample_charted,
     terms_form_field,
     terms_hess,
@@ -198,7 +200,7 @@ def test_curvature_closed_form_and_self_duality():
     s = np.sum(X * X, axis=1)
     density = np.sum(Fc ** 2, axis=(1, 2))
     assert np.allclose(density, 96 * lam ** 4 / (lam ** 2 + s) ** 4, rtol=1e-9)
-    assert np.allclose(star_coeffs(2, Fc), Fc, atol=1e-10)
+    assert np.allclose(star_coeffs(2, node_last(Fc)), node_last(Fc), atol=1e-10)
 
 
 def test_scaled_connection_curvature():
@@ -504,9 +506,9 @@ def test_grouped_expansion_with_rotation_and_background_groups():
     e /= np.linalg.norm(e)
     X = q.p + np.array([0.3, 0.6, 1.5, 3.0, 0.45 / q.lam])[:, None] * q.lam * e
     want = _term_by_term(terms, X)
-    assert np.allclose(terms_value(terms, X), want, rtol=0.0,
+    assert np.allclose(node_first(terms_value(terms, X)), want, rtol=0.0,
                        atol=1e-13 * np.max(np.abs(want)))
-    J = terms_jac(terms, X)
+    J = node_first(terms_jac(terms, X))
     for nu in range(4):
         want = _term_by_term(terms, X, nu)
         assert np.allclose(J[..., nu], want, rtol=0.0,
@@ -590,8 +592,8 @@ def test_transition_relates_charts_pointwise():
     q = _generic_q()
     A = glued_connection(q)
     x = q.p + np.array([0.3, 0.5, -0.1, 0.4]) * (q.lam / 8)
-    vi = terms_value(A.inner_terms, x[None])[0]   # e-coeffs (3,4)
-    vo = terms_value(A.outer_terms, x[None])[0]
+    vi = terms_value(A.inner_terms, x[None])[..., 0]   # e-coeffs (3,4)
+    vo = terms_value(A.outer_terms, x[None])[..., 0]
     T = transition_quaternion(q.p, q.g, x[None])[0]
     h = 1e-7
     for nu in range(4):
@@ -629,12 +631,12 @@ def test_analytic_jacobian_and_hessian_match_fd():
     e = np.array([0.4, -0.3, 0.7, 0.2])
     e /= np.linalg.norm(e)
     X = q.p + np.array([r * e for r in radii])
-    J = terms_jac(A.outer_terms, X)
-    Jfd = _fd_jac(lambda Y: terms_value(A.outer_terms, Y), X)
+    J = node_first(terms_jac(A.outer_terms, X))
+    Jfd = _fd_jac(lambda Y: node_first(terms_value(A.outer_terms, Y)), X)
     scale = np.max(np.abs(J))
     assert np.allclose(J, Jfd, atol=1e-6 * scale)
     H = terms_hess(A.outer_terms, X)
-    Hfd = _fd_jac(lambda Y: terms_jac(A.outer_terms, Y), X)
+    Hfd = _fd_jac(lambda Y: node_first(terms_jac(A.outer_terms, Y)), X)
     assert np.allclose(H, Hfd, atol=1e-5 * np.max(np.abs(H)))
 
 
@@ -794,8 +796,8 @@ def test_one_pass_matches_per_field_evaluation(pi2):
     for d, (val, jac) in zip(DIRECTIONS, got):
         (ref,) = derivative_fields(glued_connection(q, pi2=pi2), (d,))
         for sel, terms in ((mask, ref.inner_terms), (~mask, ref.outer_terms)):
-            for one, per_field in ((val[sel], terms_value(terms, X[sel])),
-                                   (jac[sel], terms_jac(terms, X[sel]))):
+            for one, per_field in ((val[..., sel], terms_value(terms, X[sel])),
+                                   (jac[..., sel], terms_jac(terms, X[sel]))):
                 scale = np.max(np.abs(per_field))
                 assert scale > 0.0
                 assert np.max(np.abs(one - per_field)) <= 1e-13 * scale, d

@@ -45,3 +45,31 @@ def test_library_imports_are_all_used():
              for name in unused_imports(path.read_text(encoding="utf-8"))]
     assert sorted(set(found) - KEPT) == []
     assert KEPT <= set(found)
+
+
+# every sampled array is node-last from sampling on, so the library moves no
+# axis and makes no contiguous copy of one
+LAYOUT_COPIES = {"moveaxis", "ascontiguousarray"}
+
+
+def layout_copies(source: str) -> list:
+    """The numpy layout-copy functions a module calls, by line."""
+    return sorted((node.lineno, node.func.attr)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in LAYOUT_COPIES)
+
+
+def test_layout_copies_are_found():
+    src = ("import numpy as np\n"
+           "x = np.moveaxis(a, 0, -1)\n"
+           "y = np.ascontiguousarray(x.T)\n"
+           "z = a.reshape(3, -1)\n")
+    assert layout_copies(src) == [(2, "moveaxis"), (3, "ascontiguousarray")]
+
+
+def test_library_makes_no_layout_copy():
+    found = [(path.stem,) + hit for path in sorted(SRC.glob("*.py"))
+             for hit in layout_copies(path.read_text(encoding="utf-8"))]
+    assert found == []
