@@ -214,9 +214,10 @@ def test_sign_maps_reproduce_d_and_delta(degree):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_kernels_match_node_first_oracles(k):
-    # d, delta and the bracket contractions bit for bit against the
-    # node-first references, and the covariant operators as their sums
+def test_node_first_kernels_equal_node_last_cores(k):
+    # the node-first references for d, delta and the bracket contractions
+    # equal the node-last kernels bit for bit, and the covariant operators
+    # equal their sums
     rng = np.random.default_rng(70 + k)
     a = rng.standard_normal((3, 4, N_ODD))
     w = rng.standard_normal((3, N_COMP[k], N_ODD))
@@ -228,6 +229,7 @@ def test_kernels_match_node_first_oracles(k):
     adj_ref = _bracket_cross_oracle(CODIFF_TABLE[k + 1], node_first(a), node_first(x))
     delta_ref = _d_node_first_oracle(CODIFF_TABLE[k + 1], node_first(jx))
     assert np.array_equal(node_first(d_coeffs(k, jac)), d_ref)
+    assert np.array_equal(node_first(bracket_wedge_coeffs(k, a, w)), br_ref)
     assert np.array_equal(node_first(bracket_wedge_adjoint(k, a, x)), adj_ref)
     assert np.array_equal(node_first(cov_d_coeffs(k, a, w, jac, 0.3)),
                           d_ref + 0.3 * br_ref)
@@ -236,11 +238,17 @@ def test_kernels_match_node_first_oracles(k):
                                             0.3)), delta_ref)
     assert np.array_equal(node_first(codiff_coeffs(k + 1, a, x, jx, 0.3)),
                           delta_ref + 0.3 * adj_ref)
-    if k == 1:
-        assert np.array_equal(
-            node_first(curvature_coeffs(a, jac, 0.3)),
-            d_ref + 0.5 * 0.3 * _bracket_cross_oracle(ANTISYM_TABLE[1],
-                                                      node_first(a), node_first(a)))
+
+
+def test_curvature_equals_node_last_core():
+    # F = dA + (eps/2)[A ^ A] from the node-first d and cross references
+    rng = np.random.default_rng(75)
+    a = rng.standard_normal((3, 4, N_ODD))
+    jac = rng.standard_normal((3, 4, 4, N_ODD))
+    a_nf = node_first(a)
+    want = (_d_node_first_oracle(ANTISYM_TABLE[1], node_first(jac))
+            + 0.5 * 0.3 * _bracket_cross_oracle(ANTISYM_TABLE[1], a_nf, a_nf))
+    assert np.array_equal(node_first(curvature_coeffs(a, jac, 0.3)), want)
 
 
 def test_wedge_bracket_degree_mismatch():
