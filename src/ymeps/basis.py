@@ -114,7 +114,7 @@ class InnerContext:
             return f
         fields = f if isinstance(f, list) else [f]
         nfs = [NodeField(self.rule, val, jac) for val, jac in
-               sample_charted(fields, self.rule.nodes, self.rule.mask_inner)]
+               sample_charted(fields, self.rule.nodes, self.rule.n_inner)]
         return nfs if isinstance(f, list) else nfs[0]
 
     def grad_of(self, nf: NodeField, cols=slice(None), out=None) -> np.ndarray:
@@ -135,13 +135,13 @@ def ball_context(A: ChartedField, eps, rule=None, tol=1e-4) -> InnerContext:
     polar around A's center unless a rule is given."""
     if rule is None:
         rule = domain_ball_rule(A.p, A.lam, tol=tol)
-    return InnerContext(rule, eps, A.value_split(rule.nodes, rule.mask_inner))
+    return InnerContext(rule, eps, A.value_split(rule.nodes, rule.n_inner))
 
 
 def weighted_context(A: ChartedField, eps, tol=1e-4) -> InnerContext:
     """Context for the weighted R^4 product with connection A."""
     rule = weighted_r4_rule(A.p, A.lam, tol=tol)
-    return InnerContext(rule, eps, A.value_split(rule.nodes, rule.mask_inner))
+    return InnerContext(rule, eps, A.value_split(rule.nodes, rule.n_inner))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ dx0^dx1^dx2^dx3 = vol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -294,6 +294,9 @@ class QuadratureRule:
 
     weights include the r^3 polar Jacobian: integrate(f) = sum w_i f(node_i).
     r holds |node - center|; mask_inner marks r < lam/4 (the inner chart).
+    The inner chart is the node range [:n_inner]: a polar rule lists its
+    radii outward and lam/4 is a panel edge, so a node order with an inner
+    node after an outer one raises ValueError.
     """
 
     nodes: np.ndarray
@@ -304,12 +307,16 @@ class QuadratureRule:
     r: np.ndarray = None
     mask_inner: np.ndarray = None
     self_check_error: float = 0.0
+    n_inner: int = field(init=False)
 
     def __post_init__(self):
         if self.r is None:
             self.r = np.linalg.norm(self.nodes - self.center, axis=1)
         if self.mask_inner is None:
             self.mask_inner = self.r < self.lam / 4.0
+        self.n_inner = int(np.count_nonzero(self.mask_inner))
+        if not self.mask_inner[:self.n_inner].all():
+            raise ValueError("a rule lists its inner-chart nodes first")
 
     def __len__(self):
         return self.nodes.shape[0]

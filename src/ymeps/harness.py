@@ -41,6 +41,7 @@ from .instanton import (
     difference_b,
     extended_connection,
     glued_connection,
+    inner_first,
 )
 from .basis import gram_schmidt_ball, gram_schmidt_weighted
 
@@ -481,14 +482,17 @@ def _cmd_dump_field(args) -> int:
     X[:, 0] = q.p[0] + G0.ravel()
     X[:, 1] = q.p[1] + G1.ravel()
     X[:, 2], X[:, 3] = q.p[2], q.p[3]
-    mask = np.linalg.norm(X - q.p, axis=1) < field.chart_radius()
-    vals = field.value_split(X, mask)
+    order, n_inner = inner_first(np.linalg.norm(X - q.p, axis=1)
+                                 < field.chart_radius())
+    vals = field.value_split(X[order], n_inner)
+    col = np.argsort(order)           # grid point r sits in column col[r]
     path = os.path.join(cfg.out_dir, f"field_{args.field}_eps_{q.eps:g}.csv")
     lines = ["x0,x1,x2,x3,component-index,e1,e2,e3"]
     for r in range(n * n):
         coords = [_fmt(X[r, k]) for k in range(4)]
         for mu in range(4):
-            row = coords + [str(mu)] + [_fmt(vals[a, mu, r]) for a in range(3)]
+            row = coords + [str(mu)] + [_fmt(vals[a, mu, col[r]])
+                                        for a in range(3)]
             lines.append(",".join(row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -56,6 +56,7 @@ __all__ = [
     "difference_b",
     "derivative_fields",
     "d2A_dp1p1",
+    "inner_first",
     "sample_charted",
 ]
 
@@ -155,37 +156,88 @@ def beta_profile(t, order=0):
     return np.where(mid, -d, 0.0)
 
 
-def _profile_w(w, order):
-    """Derivatives 0..order of P(w) := beta(sqrt(w)) with respect to w.
+# the band value of P^(k), k = 0..4, by the chain rule from the t-derivatives
+# b[0..k] of beta at t = sqrt(w)
+_CHAIN = (
+    lambda b, t: b[0],
+    lambda b, t: b[1] / (2 * t),
+    lambda b, t: b[2] / (4 * t ** 2) - b[1] / (4 * t ** 3),
+    lambda b, t: (b[3] / (8 * t ** 3) - 3 * b[2] / (8 * t ** 4)
+                  + 3 * b[1] / (8 * t ** 5)),
+    lambda b, t: (b[4] / (16 * t ** 4) - 6 * b[3] / (16 * t ** 5)
+                  + 15 * b[2] / (16 * t ** 6) - 15 * b[1] / (16 * t ** 7)),
+)
+
+
+class _ProfileW:
+    """Derivatives of P(w) := beta(sqrt(w)) with respect to w on one batch w.
 
     Off the transition band 1 < w < 4, P is exactly 1 (w <= 1) or 0 and its
     derivatives are 0, so the chain rule runs on the band's entries only.
-    Returns the list [P, P', ..., P^(order)].
+    The list P = [P, P', ...] grows an order at a time: upto(order) adds the
+    orders it lacks, each with one beta_profile call, and returns P.
     """
-    if order not in range(5):
-        raise ValueError("order must be 0..4")
-    w = np.asarray(w, dtype=float)
-    out = [np.zeros(w.shape) for _ in range(order + 1)]
-    out[0][w <= 1.0] = 1.0
-    band = (w > 1.0) & (w < 4.0)
-    t = np.sqrt(w[band])          # t >= 1 on the band: no division by 0
-    b = [beta_profile(t, k) for k in range(order + 1)]
-    out[0][band] = b[0]
-    if order >= 1:
-        out[1][band] = b[1] / (2 * t)
-    if order >= 2:
-        out[2][band] = b[2] / (4 * t ** 2) - b[1] / (4 * t ** 3)
-    if order >= 3:
-        out[3][band] = (b[3] / (8 * t ** 3) - 3 * b[2] / (8 * t ** 4)
-                        + 3 * b[1] / (8 * t ** 5))
-    if order >= 4:
-        out[4][band] = (b[4] / (16 * t ** 4) - 6 * b[3] / (16 * t ** 5)
-                        + 15 * b[2] / (16 * t ** 6) - 15 * b[1] / (16 * t ** 7))
-    return out
+
+    def __init__(self, w):
+        self.w = np.asarray(w, dtype=float)
+        self.band = (self.w > 1.0) & (self.w < 4.0)
+        self.t = np.sqrt(self.w[self.band])   # t >= 1 on the band: no division by 0
+        self.b = []
+        self.P = []
+
+    def upto(self, order):
+        if order not in range(5):
+            raise ValueError("order must be 0..4")
+        for k in range(len(self.P), order + 1):
+            self.b.append(beta_profile(self.t, k))
+            out = np.zeros(self.w.shape)
+            if k == 0:
+                out[self.w <= 1.0] = 1.0
+            out[self.band] = _CHAIN[k](self.b, self.t)
+            self.P.append(out)
+        return self.P
 
 
 # ---------------------------------------------------------------------------
-# atoms
+# atoms and their evaluation memo
+#
+# A memo is a dict of evaluations on one node batch X: atom channels keyed
+# (atom, ydirs, dlam), the geometry (Y, |Y|^2) of each centre, each radial
+# law channel and each BetaAtom's profile.  It remembers the X it was first
+# filled on under _NODES and refuses other nodes.
+
+_NODES = "nodes"
+
+
+def _memo_for(memo, X):
+    """memo bound to the batch X: a new one for None, else the caller's,
+    which must have been filled on the same nodes."""
+    if memo is None:
+        return {_NODES: X}
+    filled = memo.setdefault(_NODES, X)
+    if filled is not X and not (filled.shape == X.shape
+                                and np.array_equal(filled, X)):
+        raise ValueError("memo was filled on other nodes")
+    return memo
+
+
+def _cached(memo, key, make):
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
+
+
+def _geometry(memo, X, p):
+    """(Y, |Y|^2) for Y = X - p, or Y = X for p None (the origin)."""
+    def make():
+        Y = X if p is None else X - p
+        return Y, sq_norms(Y)
+    return _cached(memo, ("geometry", None if p is None else p.tobytes()), make)
+
+
+def _radial(memo, law, centre, s, *args):
+    """law(s, *args) on the batch, once per (law, centre, args)."""
+    return _cached(memo, ("radial", law, centre) + args, lambda: law(s, *args))
 
 
 def _scalar_radial_derivs(Y, f, ydirs):
@@ -223,13 +275,15 @@ class LinRadAtom:
         self.p = np.asarray(p, dtype=float)
         self.lam = float(lam)
 
-    def eval(self, X, ydirs=(), dlam=0):
-        Y = X - self.p
-        s = sq_norms(Y)
+    def eval(self, X, ydirs=(), dlam=0, memo=None):
         k = len(ydirs)
         if k > 3:
             raise ValueError("atom derivatives implemented to order 3")
-        f = [self.radial(s, self.lam, ds=j, dlam=dlam) for j in range(k + 1)]
+        memo = _memo_for(memo, X)
+        Y, s = _geometry(memo, X, self.p)
+        centre = self.p.tobytes()
+        f = [_radial(memo, self.radial, centre, s, self.lam, j, dlam)
+             for j in range(k + 1)]
         # y_e is linear, so each derivative falls on f except at most one
         K = Y * _scalar_radial_derivs(Y, f, ydirs)[:, None]
         for i, e in enumerate(ydirs):
@@ -248,15 +302,16 @@ class BetaAtom:
         self.p = np.asarray(p, dtype=float)
         self.lam = float(lam)
 
-    def eval(self, X, ydirs=(), dlam=0):
+    def eval(self, X, ydirs=(), dlam=0, memo=None):
         _check_dlam(dlam)
-        Y = X - self.p
-        s = sq_norms(Y)
+        memo = _memo_for(memo, X)
+        Y, s = _geometry(memo, X, self.p)
         a = self.c ** 2 / self.lam ** 2
-        w = a * s
+        profile = _cached(memo, ("profile", self), lambda: _ProfileW(a * s))
+        w = profile.w
         k = len(ydirs)
         # the lam-channel reads one order more than the y-derivatives need
-        P = _profile_w(w, k + dlam)
+        P = profile.upto(k + dlam)
         if dlam == 0:
             f = [a ** j * P[j] for j in range(k + 1)]
         else:
@@ -276,11 +331,13 @@ class BgAtom:
     def __init__(self, Cmat):
         self.tensor = np.asarray(Cmat, dtype=float)[None]
 
-    def eval(self, X, ydirs=(), dlam=0):
+    def eval(self, X, ydirs=(), dlam=0, memo=None):
         if dlam > 0:
             return np.zeros((X.shape[0], 1))
-        sig = sq_norms(X)
-        f = [_cubic(sig, 1.0, j) for j in range(len(ydirs) + 1)]
+        memo = _memo_for(memo, X)
+        _, sig = _geometry(memo, X, None)
+        f = [_radial(memo, _cubic, None, sig, 1.0, j)
+             for j in range(len(ydirs) + 1)]
         return _scalar_radial_derivs(X, f, ydirs)[:, None]
 
 
@@ -312,7 +369,7 @@ def _atom_eval(memo, atom, X, ydirs, dlam):
     ydirs = tuple(sorted(ydirs))
     key = (atom, ydirs, dlam)
     if key not in memo:
-        memo[key] = atom.eval(X, ydirs, dlam)
+        memo[key] = atom.eval(X, ydirs, dlam, memo)
     return memo[key]
 
 
@@ -342,14 +399,16 @@ def _term_value(memo, t: Term, X, extra_ydirs=()):
     return out
 
 
-def _terms_sum(memo, terms, X, extra_ydirs=()):
-    """Sum of the terms' values, node-last (3,4,N), expanded by one GEMM.
+def _terms_sum(memo, terms, X, extra_ydirs, out):
+    """Sum of the terms' values written into out, node-last (3,4,N), by one GEMM.
 
     Terms sharing (algebra matrix, atom tensor) — the conjugation R, or R L_i
     after a rotation derivative — are summed on their coefficients first.
     The group sums are then concatenated into K (N,sum k) and expanded with
-    the stacked tensors mat @ tensor (sum k, 12) as T^T @ K^T.
+    the stacked tensors mat @ tensor (sum k, 12) as T^T @ K^T, straight into
+    out's (12,N) rows; reshape(copy=False) raises rather than write a copy.
     """
+    rows = np.reshape(out, (12, -1), copy=False)
     groups = {}       # (matrix bytes, tensor bytes) -> [mat, tensor, sum]
     for t in terms:
         v = _term_value(memo, t, X, extra_ydirs)
@@ -360,31 +419,38 @@ def _terms_sum(memo, terms, X, extra_ydirs=()):
         else:
             groups[key] = [t.mat, B, v]
     if not groups:
-        return np.zeros((3, 4, X.shape[0]))
+        rows[...] = 0.0
+        return
     K = np.concatenate([v for _, _, v in groups.values()], axis=1)
     T = np.concatenate([(B if mat is None else np.matmul(mat, B)).reshape(-1, 12)
                         for mat, B, _ in groups.values()])
-    return (T.T @ K.T).reshape(3, 4, -1)
+    np.matmul(T.T, K.T, out=rows)
 
 
-def terms_value(terms, X, memo=None):
-    """Value of a term list at X, (3,4,N).
+def terms_value(terms, X, memo=None, out=None):
+    """Value of a term list at X, (3,4,N), written into out when given.
 
-    memo (optional) is an atom-evaluation cache shared by calls at the same
-    X; term lists holding the same atom objects then evaluate each atom
-    channel once.
+    memo (optional) caches evaluations on X across calls: atom channels, the
+    geometry of each atom centre and each radial law channel.  Term lists
+    holding the same atom objects then evaluate each of them once.  A memo
+    remembers the X it was first filled on and raises ValueError with other
+    nodes.  out may be a node range val[..., a:b] of a (3,4,M) array.
     """
     X = np.asarray(X, dtype=float)
-    return _terms_sum({} if memo is None else memo, terms, X)
+    memo = _memo_for(memo, X)
+    out = np.empty((3, 4, X.shape[0])) if out is None else out
+    _terms_sum(memo, terms, X, (), out)
+    return out
 
 
-def terms_jac(terms, X, memo=None):
-    """Spatial jacobian of a term list at X, (3,4,4,N); memo as terms_value."""
+def terms_jac(terms, X, memo=None, out=None):
+    """Spatial jacobian of a term list at X, (3,4,4,N); memo and out as in
+    terms_value (out may be jac[..., a:b] of a (3,4,4,M) array)."""
     X = np.asarray(X, dtype=float)
-    memo = {} if memo is None else memo
-    out = np.empty((3, 4, 4, X.shape[0]))
+    memo = _memo_for(memo, X)
+    out = np.empty((3, 4, 4, X.shape[0])) if out is None else out
     for nu in range(4):
-        out[:, :, nu] = _terms_sum(memo, terms, X, (nu,))
+        _terms_sum(memo, terms, X, (nu,), out[:, :, nu])
     return out
 
 
@@ -503,45 +569,48 @@ class ChartedField:
     def chart_radius(self) -> float:
         return self.lam / 4.0
 
-    def value_split(self, X, mask_inner):
-        """Chart-consistent value on a batch with a given inner-chart mask."""
-        return sample_charted([self], X, mask_inner, need_jac=False)[0][0]
+    def value_split(self, X, n_inner):
+        """Chart-consistent value on a batch whose first n_inner nodes are
+        the inner chart's."""
+        return sample_charted([self], X, n_inner, need_jac=False)[0][0]
 
 
-def _scatter(dst, sel, src):
-    """dst[..., sel] = src for a node mask sel, one contiguous row of dst at
-    a time: for a node-last dst, row-wise mask writes take about half the
-    time of one masked write through the whole array."""
-    for row, part in zip(dst.reshape(-1, dst.shape[-1]),
-                         src.reshape(-1, src.shape[-1])):
-        row[sel] = part
+def inner_first(mask_inner):
+    """A stable node order listing the inner chart first, and the inner
+    count: sample_charted(fields, X[order], n_inner) samples the charts that
+    mask_inner marks on X, in the order of X within each chart."""
+    return np.argsort(~mask_inner, kind="stable"), int(np.count_nonzero(mask_inner))
 
 
-def sample_charted(fields, X, mask_inner, need_jac=True):
+def sample_charted(fields, X, n_inner, need_jac=True):
     """Node-last values (3,4,N) (and jacobians (3,4,4,N)) of charted fields
     at X, in one pass per chart.
 
-    Each chart's nodes are cut out once and every field is evaluated there
-    with one atom memo, so fields holding the same atom objects (the
-    derivative_fields of one connection) evaluate each atom channel once.
-    The memo lives only for the pass.  The two charts partition the nodes,
-    so the outputs start empty and each chart fills its own columns.
+    The charts are node ranges: X[:n_inner] is the inner chart and the rest
+    the outer one (a QuadratureRule's n_inner; inner_first orders any other
+    batch).  Every field is evaluated on each chart's view of X with one
+    memo, so fields holding the same atom objects (the derivative_fields of
+    one connection) evaluate each atom channel, centre geometry and radial
+    law once, and each GEMM writes into its chart's node range of the
+    outputs.  The memo lives only for the pass.
     Returns (val, jac) pairs, jac None when need_jac is false.
     """
     X = np.asarray(X, dtype=float)
     N = X.shape[0]
+    if not 0 <= n_inner <= N:
+        raise ValueError(f"n_inner = {n_inner} outside 0..{N}")
     vals = [np.empty((3, 4, N)) for _ in fields]
     jacs = [np.empty((3, 4, 4, N)) if need_jac else None for _ in fields]
-    for sel, chart in ((mask_inner, "inner_terms"), (~mask_inner, "outer_terms")):
-        if not np.any(sel):
+    for a, b, chart in ((0, n_inner, "inner_terms"), (n_inner, N, "outer_terms")):
+        if a == b:
             continue
-        Xs = X[sel]
+        Xs = X[a:b]
         memo = {}
         for f, val, jac in zip(fields, vals, jacs):
             terms = getattr(f, chart)
-            _scatter(val, sel, terms_value(terms, Xs, memo=memo))
+            terms_value(terms, Xs, memo, val[..., a:b])
             if need_jac:
-                _scatter(jac, sel, terms_jac(terms, Xs, memo=memo))
+                terms_jac(terms, Xs, memo, jac[..., a:b])
     return list(zip(vals, jacs))
 
 

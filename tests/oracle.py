@@ -342,9 +342,9 @@ def terms_hess(terms, X):
     memo = {}
     for nu in range(4):
         for rho in range(nu, 4):
-            v = node_first(_terms_sum(memo, terms, X, (nu, rho)))
-            out[..., nu, rho] = v
-            out[..., rho, nu] = v
+            v = np.empty((3, 4, X.shape[0]))
+            _terms_sum(memo, terms, X, (nu, rho), v)
+            out[..., nu, rho] = out[..., rho, nu] = node_first(v)
     return out
 
 

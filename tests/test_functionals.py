@@ -370,7 +370,7 @@ def test_glued_derivatives_are_extension_minus_b_derivatives(generic_basis):
     fields = [derivative_fields(F) for F in
               (glued_connection(q, pi2=pi2), extended_connection(q),
                difference_b(q, pi2=pi2))]
-    sampled = sample_charted(sum(fields, []), rule.nodes, rule.mask_inner)
+    sampled = sample_charted(sum(fields, []), rule.nodes, rule.n_inner)
     for j in range(8):
         (vA, jA), (vt, jt), (vb, jb) = sampled[j::8]
         for got, t, b in ((vA, vt, vb), (jA, jt, jb)):

@@ -25,7 +25,7 @@ from ymeps.instanton import (
     ParamError,
     ParamQ,
     Term,
-    _profile_w,
+    _ProfileW,
     beta_profile,
     d2A_dp1p1,
     d_dlam,
@@ -35,6 +35,7 @@ from ymeps.instanton import (
     extended_connection,
     glue,
     glued_connection,
+    inner_first,
     rad_i1,
     rad_i2,
     rad_model_h,
@@ -319,8 +320,13 @@ def test_profile_w_on_band_matches_full_chain_rule():
     rng = np.random.default_rng(RNG_SEED + 8)
     joints = [1.0, 4.0, np.nextafter(1.0, 2.0), np.nextafter(4.0, 0.0)]
     w = np.concatenate([rng.uniform(0.0, 6.0, 400), joints, [0.0, 0.5, 5.0]])
-    orders = _profile_w(w, 4)
+    orders = _ProfileW(w).upto(4)
     assert len(orders) == 5
+    # grown an order at a time, the list is the one computed at once
+    grown = _ProfileW(w)
+    for order in range(5):
+        grown.upto(order)
+    assert all(np.array_equal(a, b) for a, b in zip(grown.P, orders))
     for order, got in enumerate(orders):
         want = _profile_w_full(w, order)
         assert np.array_equal(got, want), order
@@ -751,8 +757,9 @@ def test_difference_vanishes_in_inner_region_and_is_order_eps():
         e = rng.standard_normal((4, 4))
         e /= np.linalg.norm(e, axis=1, keepdims=True)
         Xin = q.p + 0.2 * q.lam * e
-        # charted evaluation: mask selects the inner chart where b has no terms
-        assert np.allclose(b.value_split(Xin, np.ones(4, dtype=bool)), 0.0)
+        # charted evaluation: all four nodes in the inner chart, where b has
+        # no terms
+        assert np.allclose(b.value_split(Xin, 4), 0.0)
         rr = np.linspace(q.lam / 4, 1.5, 300)
         X = q.p + rr[:, None] * e[0][None, :]
         sups.append(eps * np.max(np.abs(terms_value(b.outer_terms, X))))
@@ -774,7 +781,8 @@ def test_direction_name_validation():
 
 
 def _pass_nodes(q, n=240):
-    """Nodes in both charts around an off-center p; mask = inner chart."""
+    """Nodes in both charts around an off-center p, listed outward; mask =
+    inner chart, a node prefix."""
     rng = np.random.default_rng(RNG_SEED + 7)
     dirs = rng.standard_normal((n, 4))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -792,7 +800,7 @@ def test_one_pass_matches_per_field_evaluation(pi2):
     X, mask = _pass_nodes(q)
     assert 0 < mask.sum() < len(mask)
     fields = derivative_fields(glued_connection(q, pi2=pi2))
-    got = sample_charted(fields, X, mask)
+    got = sample_charted(fields, X, mask.sum())
     for d, (val, jac) in zip(DIRECTIONS, got):
         (ref,) = derivative_fields(glued_connection(q, pi2=pi2), (d,))
         for sel, terms in ((mask, ref.inner_terms), (~mask, ref.outer_terms)):
@@ -810,29 +818,110 @@ def test_one_pass_evaluates_each_atom_channel_once(monkeypatch):
     for cls in (LinRadAtom, BetaAtom, BgAtom):
         orig = cls.eval
 
-        def counted(self, Y, ydirs=(), dlam=0, _orig=orig):
+        def counted(self, Y, ydirs=(), dlam=0, memo=None, _orig=orig):
             seen.append((id(self), tuple(ydirs), dlam, len(Y)))
-            return _orig(self, Y, ydirs, dlam)
+            return _orig(self, Y, ydirs, dlam, memo)
         monkeypatch.setattr(cls, "eval", counted)
-    sample_charted(derivative_fields(glued_connection(q)), X, mask)
+    n_inner = mask.sum()
+    sample_charted(derivative_fields(glued_connection(q)), X, n_inner)
     assert len(seen) == len(set(seen))
     per_field = len(seen)
     seen.clear()
     for d in DIRECTIONS:
-        sample_charted(derivative_fields(glued_connection(q), (d,)), X, mask)
+        sample_charted(derivative_fields(glued_connection(q), (d,)), X, n_inner)
     assert per_field < len(seen)
     # A = Atilde - b holds Atilde's and b's atoms: one pass samples all three
     seen.clear()
     At, b = extended_connection(q), difference_b(q)
-    joint = sample_charted([glue(At, b), At, b], X, mask)
+    joint = sample_charted([glue(At, b), At, b], X, n_inner)
     assert len(seen) == len(set(seen))
     per_field = len(seen)
     seen.clear()
-    apart = [sample_charted([f], X, mask)[0]
+    apart = [sample_charted([f], X, n_inner)[0]
              for f in (glued_connection(q), extended_connection(q), difference_b(q))]
     assert per_field < len(seen)
     for (val, jac), (val1, jac1) in zip(joint, apart):
         assert np.array_equal(val, val1) and np.array_equal(jac, jac1)
+
+
+def test_one_pass_evaluates_each_law_profile_and_geometry_once(monkeypatch):
+    # one pass of the eight derivative fields evaluates, per chart, each
+    # centre's |Y|^2, each radial law channel (ds, dlam), each background
+    # cutoff order and each BetaAtom profile order once
+    q = ParamQ.default(2.0 ** -5, p=[0.1, 0.0, -0.1, 0.05])
+    X, mask = _pass_nodes(q)
+    fields = derivative_fields(glued_connection(q))
+    seen = []
+
+    def batch(a):
+        """The node batch an evaluation ran on (its chart and its atom)."""
+        return len(a), hash(a.tobytes())
+
+    def counting(fn, name, record=lambda *args: True):
+        def counted(x, *args, **kw):
+            if record(*args):
+                seen.append((name,) + args + tuple(sorted(kw.items())) + batch(x))
+            return fn(x, *args, **kw)
+        return counted
+    monkeypatch.setattr(instanton, "sq_norms",
+                        counting(instanton.sq_norms, "geometry"))
+    monkeypatch.setattr(instanton, "_cubic",
+                        counting(instanton._cubic, "background",
+                                 lambda r2, k: r2 == 1.0))
+    monkeypatch.setattr(instanton, "beta_profile",
+                        counting(instanton.beta_profile, "profile"))
+    atoms = {t.lie for f in fields for t in f.inner_terms + f.outer_terms
+             if isinstance(t.lie, LinRadAtom)}
+    laws = {a.radial: counting(a.radial, a.radial.__name__) for a in atoms}
+    for a in atoms:
+        monkeypatch.setattr(a, "radial", laws[a.radial])
+    sample_charted(fields, X, mask.sum())
+    assert len(seen) == len(set(seen))
+    kinds = [e[0] for e in seen]
+    # the inner chart has one centre, the outer one p and the origin
+    assert kinds.count("geometry") == 3
+    assert {"background", "profile", "rad_i1", "rad_i2", "rad_model_h"} <= set(kinds)
+    # each profile grew through its orders 0..k, one order at a time
+    orders = {}
+    for name, order, *b in seen:
+        if name == "profile":
+            orders.setdefault(tuple(b), []).append(order)
+    assert len(orders) == 2          # the two BetaAtoms, outer chart only
+    assert all(o == list(range(len(o))) for o in orders.values())
+
+
+def test_memo_refuses_other_nodes():
+    # a memo remembers the nodes it was filled on: those nodes (or an equal
+    # copy) read its channels, other nodes raise instead
+    q = ParamQ.default(2.0 ** -5, p=[0.1, 0.0, -0.1, 0.05])
+    X, _ = _pass_nodes(q, n=60)
+    terms = glued_connection(q).outer_terms
+    memo = {}
+    val = terms_value(terms, X, memo)
+    assert np.array_equal(terms_value(terms, X.copy(), memo), val)
+    assert np.array_equal(terms_jac(terms, X, memo), terms_jac(terms, X))
+    for other in (X[::-1], X[:30]):
+        with pytest.raises(ValueError):
+            terms_value(terms, other, memo)
+        with pytest.raises(ValueError):
+            terms_jac(terms, other, memo)
+
+
+def test_terms_write_into_a_node_range_of_out():
+    q = ParamQ.default(2.0 ** -5, p=[0.1, 0.0, -0.1, 0.05])
+    X, _ = _pass_nodes(q, n=60)
+    terms = glued_connection(q).outer_terms
+    val = np.zeros((3, 4, 70))
+    jac = np.zeros((3, 4, 4, 70))
+    assert terms_value(terms, X, out=val[..., 4:64]).base is val
+    assert terms_jac(terms, X, out=jac[..., 4:64]).base is jac
+    assert np.array_equal(val[..., 4:64], terms_value(terms, X))
+    assert np.array_equal(jac[..., 4:64], terms_jac(terms, X))
+    assert not val[..., :4].any() and not val[..., 64:].any()
+    assert not jac[..., :4].any() and not jac[..., 64:].any()
+    # an out whose rows cannot be one (12, N) view is refused, not copied
+    with pytest.raises(ValueError):
+        terms_value(terms, X, out=np.zeros((3, 5, 60))[:, :4])
 
 
 def _chart_cases():
@@ -854,12 +943,18 @@ def _chart_cases():
 @pytest.mark.parametrize("case", ["domain-rule", "interleaved", "all-inner",
                                   "all-outer"])
 def test_charts_written_into_their_rows_match_the_scatter(case):
+    # each chart is a node range of the inner-first order (dump-field's), and
+    # its columns read back through that order are the masked scatter's
     q, cases = _chart_cases()
     X, mask = cases[case]
+    order, n_inner = inner_first(mask)
+    col = np.argsort(order)
+    assert (case == "interleaved") != np.array_equal(order, np.arange(len(X)))
     fields = derivative_fields(glued_connection(q))
-    got = sample_charted(fields, X, mask)
+    got = sample_charted(fields, X[order], n_inner)
     ref = scatter_sample_charted(fields, X, mask)
     for (val, jac), (val0, jac0) in zip(got, ref):
-        assert np.array_equal(val, val0) and np.array_equal(jac, jac0)
-    ((val, jac),) = sample_charted(fields[:1], X, mask, need_jac=False)
-    assert jac is None and np.array_equal(val, ref[0][0])
+        assert (np.array_equal(val[..., col], val0)
+                and np.array_equal(jac[..., col], jac0))
+    ((val, jac),) = sample_charted(fields[:1], X[order], n_inner, need_jac=False)
+    assert jac is None and np.array_equal(val[..., col], ref[0][0])

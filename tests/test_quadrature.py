@@ -8,6 +8,7 @@ import pytest
 from ymeps.forms import (
     NumericalError,
     QuadratureError,
+    QuadratureRule,
     ball_rule,
     domain_ball_rule,
     integrate,
@@ -213,3 +214,27 @@ def test_sq_norms_is_the_row_sum_bit_for_bit():
     rule = weighted_r4_rule(np.array([0.1, 0.0, -0.2, 0.05]), 0.2)
     for Z in (Y, rule.nodes, rule.nodes - rule.center, Y[::3]):
         assert np.array_equal(sq_norms(Z), np.sum(Z * Z, axis=1))
+
+
+OFF_CENTRE_P = np.array([0.12, -0.2, 0.07, 0.15])
+
+
+@pytest.mark.parametrize("k", range(4, 10))
+def test_inner_chart_is_a_node_prefix(k):
+    # a polar rule lists its radii outward and lam/4 is a panel edge, so the
+    # inner chart r < lam/4 is the node range [:n_inner]
+    lam = 2.0 ** (-k / 2)
+    for p in (np.zeros(4), OFF_CENTRE_P):
+        for rule in (domain_ball_rule(p, lam, tol=None),
+                     weighted_r4_rule(p, lam, tol=None),
+                     ball_rule(p, lam, 1.0, tol=None),
+                     ball_rule(p, lam, math.inf, tol=None)):
+            n = len(rule)
+            assert 0 < rule.n_inner < n
+            assert np.array_equal(rule.mask_inner, np.arange(n) < rule.n_inner)
+
+
+def test_rule_listing_an_inner_node_late_raises():
+    r = domain_ball_rule(OFF_CENTRE_P, 0.25, tol=None)
+    with pytest.raises(ValueError, match="inner-chart nodes first"):
+        QuadratureRule(r.nodes[::-1], r.weights[::-1], r.center, r.lam, r.region)
