@@ -14,10 +14,13 @@ serves every pairing: the basis Grams, inner_nf, the projections and the
 norms of the checks are all entries of it.
 
 Fields enter as two-chart ChartedField term lists, split at |x-p| = lam/4
-by the rule's inner mask, and leave as NodeField arrays sampled on the rule,
-node-last as in forms; a NodeField passes through unchanged.  A ball basis
-is held as the eight raw fields sampled on its context's rule plus the
-coefficient matrix C.  Every pairing with the combinations
+by the rule's inner chart (its first n_inner nodes), and are sampled on the
+rule node-last as in forms; a NodeField passes through unchanged.  The Gram
+of charted fields samples them one block of nodes at a time and drops each
+block once paired, so a Gram read only for its entries never holds a
+full-rule sample.  A basis is the coefficient matrix C over its raw fields'
+Gram; a ball basis built with keep_samples also holds the raw fields
+sampled on its context's rule.  Every pairing with the combinations
 a_i = sum_j c_ij f_j is read through C off the raw fields' Gram, so no list
 of combined fields is built; one a_i is combined from the samples only where
 its values are needed.
@@ -40,6 +43,7 @@ from .forms import (
     weighted_r4_rule,
 )
 from .instanton import (
+    DIRECTIONS,
     ChartedField,
     ParamQ,
     derivative_fields,
@@ -117,12 +121,12 @@ class InnerContext:
                sample_charted(fields, self.rule.nodes, self.rule.n_inner)]
         return nfs if isinstance(f, list) else nfs[0]
 
-    def grad_of(self, nf: NodeField, cols=slice(None), out=None) -> np.ndarray:
-        """Covariant gradient (3,4,4,n) of a node field under this context's
-        connection, on a slice of the rule's nodes (all of them by default),
-        written into out when given."""
-        return cov_grad_coeffs(self.Aval[..., cols], nf.val[..., cols],
-                               nf.jac[..., cols], self.eps, out)
+    def grad_of(self, val, jac, cols=slice(None), out=None) -> np.ndarray:
+        """Covariant gradient (3,4,4,n) under this context's connection of a
+        field with values val (3,4,n) and jacobian jac (3,4,4,n) on a slice
+        of the rule's nodes (all of them by default), written into out when
+        given."""
+        return cov_grad_coeffs(self.Aval[..., cols], val, jac, self.eps, out)
 
     # -- pairing --------------------------------------------------------
     def inner_nf(self, fa: NodeField, fb: NodeField) -> float:
@@ -186,9 +190,10 @@ class GramBasis:
     (p1..p4, xi1..xi3, lam); the same rows are the induced parameter-space
     vector fields q_i.  ``ctx`` holds the shared rule and connection samples
     defining the inner product (ball or weighted), and ``raw_gram`` is the
-    f_j's Gram in it.  A ball basis keeps the f_j sampled on that rule as
-    ``raw_nodefields``; a weighted basis, read only through its
-    coefficients, holds no samples.
+    f_j's Gram in it.  A ball basis built with keep_samples holds the f_j
+    sampled on that rule as ``raw_nodefields``, which node_field and
+    project_perp read; any other basis is read only through its coefficients
+    and holds none (None).
     """
 
     coeff: np.ndarray            # (8,8) lower triangular, positive diagonal
@@ -199,7 +204,16 @@ class GramBasis:
     def node_field(self, i: int, val=None, jac=None, tmp=None) -> NodeField:
         """The i-th orthonormal field (1-based), combined from the samples,
         into val and jac with the scratch tmp if given (see _combine)."""
-        return _combine(self.coeff[i - 1], self.raw_nodefields, val, jac, tmp)
+        return _combine(self.coeff[i - 1], self.samples(), val, jac, tmp)
+
+    def samples(self) -> list:
+        """The raw fields sampled on ctx's rule; ValueError if not held."""
+        if self.raw_nodefields is None:
+            raise ValueError(
+                "this basis holds no samples of its raw fields: a weighted "
+                "basis never does, and a ball basis only when built with "
+                "gram_schmidt_ball(..., keep_samples=True)")
+        return self.raw_nodefields
 
     def gram_residual(self) -> float:
         got = self.coeff @ self.raw_gram @ self.coeff.T
@@ -236,36 +250,76 @@ def _combine(coeffs, nodefields, val=None, jac=None, tmp=None) -> NodeField:
 # at 2^-7 (one core of a 2-core Xeon, one BLAS thread) blocks of 256 to 4,096
 # nodes took the same time, and 16,384 took 40% longer
 _GRAM_CHUNK = 1024
+# nodes per sampling block of a charted-field Gram, a multiple of _GRAM_CHUNK
+# so that both kinds of input pair the same chunks (_sample_blocks).  The four
+# basis-only builds of verify-scaling (2^-4..2^-7, in process, one BLAS
+# thread, 2-core x86_64, medians of 8 alternating runs) took 1.42 s wall
+# (1.35 s user, 20k minor faults) with blocks of 1,024 nodes, 1.33 s (1.28 s,
+# 13k) with 2,048, 1.15 s (1.10 s, 18k) with 4,096 and 1.30 s (1.00 s user,
+# 0.30 s system, 96k faults) sampling the whole rule; each block's atom and
+# term passes cost Python time, and whole-rule samples cost page faults.
+# 8,192 faulted 24k times and peaked at 86 MiB RSS against 63 MiB here.
+_SAMPLE_BLOCK = 4 * _GRAM_CHUNK
 
 
-def _raw_gram(ctx: InnerContext, nodefields, weights=None) -> np.ndarray:
+def _sample_blocks(ctx: InnerContext, fields):
+    """(a, samples) per block of the rule's nodes a, a+1, ..., with samples
+    the fields' (val, jac) there.
+
+    Node fields are one block of the whole rule.  Charted fields are sampled
+    _SAMPLE_BLOCK nodes at a time, each block's inner chart being its part of
+    the rule's first n_inner nodes, into buffers allocated once and
+    overwritten by the next block.
+    """
+    if all(isinstance(f, NodeField) for f in fields):
+        yield 0, [(nf.val, nf.jac) for nf in fields]
+        return
+    nodes, n_inner, N = ctx.rule.nodes, ctx.rule.n_inner, len(ctx.rule)
+    blk = min(_SAMPLE_BLOCK, N)
+    vals = np.empty((len(fields), 12 * blk))
+    jacs = np.empty((len(fields), 48 * blk))
+    for a in range(0, N, blk):
+        m = min(blk, N - a)
+        out = [(v[:12 * m].reshape(3, 4, m), j[:48 * m].reshape(3, 4, 4, m))
+               for v, j in zip(vals, jacs)]
+        yield a, sample_charted(fields, nodes[a:a + m],
+                                min(max(n_inner - a, 0), m), out=out)
+
+
+def _raw_gram(ctx: InnerContext, fields, weights=None) -> np.ndarray:
     """All pairwise inner products, accumulated over blocks of nodes.
 
     The one H^1 pairing: every inner product of the library is an entry of
-    such a Gram.  weights are the node weights of the sum, by default the
-    rule's (a chart mask times them restricts it to that chart).  On each
-    block of nodes, row k of M holds field k's weighted gradient entries
+    such a Gram.  fields are node fields sampled on ctx's rule, or charted
+    fields, which are sampled block by block (_sample_blocks) and give the
+    same Gram bit for bit without a full-rule sample ever being held.
+    weights are the node weights of the sum, by default the rule's (a chart
+    mask times them restricts it to that chart).  On each chunk of
+    _GRAM_CHUNK nodes, row k of M holds field k's weighted gradient entries
     (48, m), then its weighted value entries (12, m), and G gains M @ M.T.
-    Gradients are computed on the block only, straight into M, so no
+    Gradients are computed on the chunk only, straight into M, so no
     full-rule gradient or weighted matrix is held.
     """
     N = len(ctx.rule)
     sw = np.sqrt(ctx.rule.weights if weights is None else weights)
     sl = sw * np.sqrt(ctx.wvals) if ctx.weighted else sw
-    n = len(nodefields)
+    n = len(fields)
     G = np.zeros((n, n))
     buf = np.empty((n, min(_GRAM_CHUNK, N) * 60))
-    for a in range(0, N, _GRAM_CHUNK):
-        b = min(a + _GRAM_CHUNK, N)
-        m = b - a
-        M = buf[:, :m * 60]
-        for row, nf in zip(M, nodefields):
-            grad = row[:m * 48].reshape(48, m)
-            ctx.grad_of(nf, slice(a, b), grad.reshape(3, 4, 4, m))
-            grad *= sw[a:b]
-            np.multiply(nf.val[..., a:b].reshape(12, m), sl[a:b],
-                        out=row[m * 48:].reshape(12, m))
-        G += M @ M.T
+    for a, samples in _sample_blocks(ctx, fields):
+        size = samples[0][0].shape[-1]
+        for c in range(0, size, _GRAM_CHUNK):
+            d = min(c + _GRAM_CHUNK, size)
+            m, cols = d - c, slice(a + c, a + d)
+            M = buf[:, :m * 60]
+            for row, (val, jac) in zip(M, samples):
+                grad = row[:m * 48].reshape(48, m)
+                ctx.grad_of(val[..., c:d], jac[..., c:d], cols,
+                            grad.reshape(3, 4, 4, m))
+                grad *= sw[cols]
+                np.multiply(val[..., c:d].reshape(12, m), sl[cols],
+                            out=row[m * 48:].reshape(12, m))
+            G += M @ M.T
     if not np.all(np.isfinite(G)):
         raise NumericalError("non-finite Gram matrix")
     return G
@@ -278,15 +332,21 @@ def _basis_from_fields(ctx, G, nodefields=None) -> GramBasis:
 
 
 def gram_schmidt_ball(q: ParamQ, pi2: str = "model", tol: float = 1e-4,
-                      rule: QuadratureRule = None) -> GramBasis:
+                      rule: QuadratureRule = None,
+                      keep_samples: bool = False) -> GramBasis:
     """Orthonormalize the eight parameter derivatives of the glued family.
 
-    The eight fields dA/dq_i are derived from one A and sampled in one pass.
+    The eight fields dA/dq_i are derived from one A.  With keep_samples they
+    are sampled on the whole rule in one pass and kept for node_field and
+    project_perp; otherwise their Gram samples them block by block and the
+    basis holds none.
     """
     A = glued_connection(q, pi2=pi2)
     ctx = ball_context(A, q.eps, rule=rule, tol=tol)
-    nfs = ctx.arrays(derivative_fields(A))
-    return _basis_from_fields(ctx, _raw_gram(ctx, nfs), nfs)
+    fields = derivative_fields(A)
+    nfs = ctx.arrays(fields) if keep_samples else None
+    G = _raw_gram(ctx, fields if nfs is None else nfs)
+    return _basis_from_fields(ctx, G, nfs)
 
 
 def gram_schmidt_weighted(q: ParamQ, ball_basis: GramBasis,
@@ -296,13 +356,14 @@ def gram_schmidt_weighted(q: ParamQ, ball_basis: GramBasis,
     Inputs are the fields sum_j c_ij dAt/dq_j obtained by applying the ball
     basis' parameter vector fields (rows of C) to the extension; the product
     is the weighted one with the extension itself in the derivative term.
-    Their Gram is C Gt C^T from the raw derivatives' Gram Gt; no field is kept.
+    Their Gram is C Gt C^T from the raw derivatives' Gram Gt, sampled block
+    by block; no field is kept.
     """
     At = extended_connection(q)
     ctx = weighted_context(At, q.eps, tol=tol)
     C = ball_basis.coeff
     return _basis_from_fields(
-        ctx, C @ _raw_gram(ctx, ctx.arrays(derivative_fields(At))) @ C.T)
+        ctx, C @ _raw_gram(ctx, derivative_fields(At)) @ C.T)
 
 
 def project_perp(v, basis: GramBasis) -> NodeField:
@@ -310,9 +371,10 @@ def project_perp(v, basis: GramBasis) -> NodeField:
 
     With g the pairings (v, f_j), one Gram row of [v, f_1..f_8], the
     pairings (v, a_i) are C g and the projection is sum_j k_j f_j with
-    k = C^T C g: one combination of v and the raw fields.
+    k = C^T C g: one combination of v and the raw fields, so the basis must
+    hold their samples (GramBasis.samples).
     """
-    fields = [basis.ctx.arrays(v)] + basis.raw_nodefields
+    fields = [basis.ctx.arrays(v)] + basis.samples()
     g = _raw_gram(basis.ctx, fields)[0, 1:]
     C = basis.coeff
     return _combine(np.concatenate(([1.0], -(C.T @ (C @ g)))), fields)
@@ -331,8 +393,15 @@ def _shift_along(q: ParamQ, vec: np.ndarray, t: float) -> ParamQ:
 
 
 def _basis_field_at(q: ParamQ, i: int, ctx: InnerContext, pi2: str) -> NodeField:
-    """a_i at a (possibly shifted) q, sampled on the base rule and base mask."""
-    return gram_schmidt_ball(q, pi2, rule=ctx.rule).node_field(i)
+    """a_i at a (possibly shifted) q, sampled on the base rule and base mask.
+
+    C is lower triangular, so a_i = sum_{j<=i} c_ij f_j: only f_1..f_i are
+    sampled and orthonormalized.
+    """
+    A = glued_connection(q, pi2=pi2)
+    sub = ball_context(A, q.eps, rule=ctx.rule)
+    nfs = sub.arrays(derivative_fields(A, DIRECTIONS[:i]))
+    return _basis_from_fields(sub, _raw_gram(sub, nfs), nfs).node_field(i)
 
 
 _H_REL = 1e-3   # first FD step, relative to lam along a unit-length q_j
@@ -342,11 +411,11 @@ def basis_directional_derivative(q: ParamQ, i: int, j: int, basis: GramBasis,
                                  pi2: str = "model") -> tuple[NodeField, float]:
     """Central-difference derivative of a_i along the vector field q_j.
 
-    The whole basis is rebuilt at the flowed parameter points; every field is
-    sampled on the base rule with the base chart mask, so differences are
-    taken in a fixed chart and gauge.  Richardson extrapolation over steps
-    (h, h/2).  Returns the derivative and the step-halving relative change
-    of the extrapolated value.
+    a_i is rebuilt from the leading i raw fields at the flowed parameter
+    points; every field is sampled on the base rule with the base chart
+    mask, so differences are taken in a fixed chart and gauge.  Richardson
+    extrapolation over steps (h, h/2).  Returns the derivative and the
+    step-halving relative change of the extrapolated value.
     """
     ctx = basis.ctx
     vec = basis.coeff[j - 1]

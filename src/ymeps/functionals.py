@@ -371,10 +371,12 @@ def compute_point_metrics(q: ParamQ, pi2: str = "model", tol: float = 1e-4,
     """All scalar diagnostics of one sweep point needed by the reports.
 
     blocks selects the expensive parts: "basis" (always computed),
-    "weighted", "l36", "l37", "l310".
+    "weighted", "l36", "l37", "l310".  The ball basis keeps its raw fields'
+    samples only for the blocks that read them, l37 and l310.
     """
     out = {"eps": q.eps, "lam": q.lam}
-    basis = gram_schmidt_ball(q, pi2, tol=tol)
+    basis = gram_schmidt_ball(q, pi2, tol=tol,
+                              keep_samples=bool(blocks & {"l37", "l310"}))
     ctx = basis.ctx
     G = basis.raw_gram
     diag = np.sqrt(np.diag(G))
@@ -395,9 +397,8 @@ def compute_point_metrics(q: ParamQ, pi2: str = "model", tol: float = 1e-4,
     if "l36" in blocks:
         # A = Atilde - b on the term lists, so a_i - atilde_i is
         # -sum_j c_ij db/dq_j and its squared norm is (C G_b C^T)_ii
-        db = ctx.arrays(derivative_fields(difference_b(q, pi2=pi2)))
+        db = derivative_fields(difference_b(q, pi2=pi2))
         gaps = np.diag(basis.coeff @ _raw_gram(ctx, db) @ basis.coeff.T)
-        del db
         for i in range(8):
             out[f"basis_diff_{i+1}"] = float(np.sqrt(max(gaps[i], 0.0)))
 
@@ -575,7 +576,7 @@ def _perp_derivative_metrics(q, pi2, basis, ctx):
     fd, halving = basis_directional_derivative(q, 1, 1, basis, pi2=pi2)
     fd_perp = project_perp(fd, basis)
     # (fd_perp, a_i) = C (fd_perp, f_j), read off the raw fields' pairings
-    G = _raw_gram(ctx, [fd_perp, an_perp] + basis.raw_nodefields)
+    G = _raw_gram(ctx, [fd_perp, an_perp] + basis.samples())
     total = max(G[0, 0], 0.0)
     inner2 = _raw_gram(ctx, [fd_perp],
                        weights=ctx.rule.weights * ctx.rule.mask_inner)[0, 0]

@@ -373,14 +373,16 @@ def _atom_eval(memo, atom, X, ydirs, dlam):
     return memo[key]
 
 
-def _term_value(memo, t: Term, X, extra_ydirs=()):
-    """coef * beta * atom coefficients of a term with extra spatial derivatives.
+def _term_value(memo, t: Term, X, extra_ydirs, out):
+    """coef * beta * atom coefficients of a term with extra spatial
+    derivatives, written into out (k,N): the atom's (N,k) coefficients
+    transposed.
 
-    The Leibniz expansion is summed here on the atom's (N,k) coefficients;
-    the atom tensor and the algebra matrix t.mat are left for _terms_sum.
+    The Leibniz expansion is summed here, in place in out; the atom tensor
+    and the algebra matrix t.mat are left for _terms_sum.
     """
     n_extra = len(extra_ydirs)
-    out = None
+    first = True
     # distribute extra derivatives between the beta factor and the atom
     idx = range(n_extra)
     for r in range(n_extra + 1):
@@ -392,39 +394,55 @@ def _term_value(memo, t: Term, X, extra_ydirs=()):
             v = _atom_eval(memo, t.lie, X, t.lie_ydirs + lie_dirs, t.lie_dlam)
             if t.beta is not None:
                 b = _atom_eval(memo, t.beta, X, t.beta_ydirs + beta_dirs, t.beta_dlam)
-                v = v * (t.coef * b)[:, None]
+                factor = t.coef * b
             else:
-                v = t.coef * v
-            out = v if out is None else out + v
-    return out
+                factor = t.coef
+            if first:
+                np.multiply(v.T, factor, out=out)
+                first = False
+            else:
+                out += v.T * factor
 
 
 def _terms_sum(memo, terms, X, extra_ydirs, out):
     """Sum of the terms' values written into out, node-last (3,4,N), by one GEMM.
 
     Terms sharing (algebra matrix, atom tensor) — the conjugation R, or R L_i
-    after a rotation derivative — are summed on their coefficients first.
-    The group sums are then concatenated into K (N,sum k) and expanded with
-    the stacked tensors mat @ tensor (sum k, 12) as T^T @ K^T, straight into
-    out's (12,N) rows; reshape(copy=False) raises rather than write a copy.
+    after a rotation derivative — are summed on their coefficients first:
+    each group owns a range of rows of K (sum k,N), its first term's sum is
+    written there and each later term's, formed in a scratch, added to it.
+    K is expanded with the stacked tensors mat @ tensor (sum k, 12) as
+    T^T @ K, straight into out's (12,N) rows; reshape(copy=False) raises
+    rather than write a copy.
     """
     rows = np.reshape(out, (12, -1), copy=False)
-    groups = {}       # (matrix bytes, tensor bytes) -> [mat, tensor, sum]
+    offsets = {}      # (matrix bytes, tensor bytes) -> first row in K
+    tensors, spans, width = [], [], 0
     for t in terms:
-        v = _term_value(memo, t, X, extra_ydirs)
         B = t.lie.tensor
         key = (None if t.mat is None else t.mat.tobytes(), B.tobytes())
-        if key in groups:
-            groups[key][2] += v
-        else:
-            groups[key] = [t.mat, B, v]
-    if not groups:
+        if key not in offsets:
+            offsets[key] = width
+            width += len(B)
+            tensors.append((B if t.mat is None else np.matmul(t.mat, B))
+                           .reshape(-1, 12))
+        spans.append(slice(offsets[key], offsets[key] + len(B)))
+    if not tensors:
         rows[...] = 0.0
         return
-    K = np.concatenate([v for _, _, v in groups.values()], axis=1)
-    T = np.concatenate([(B if mat is None else np.matmul(mat, B)).reshape(-1, 12)
-                        for mat, B, _ in groups.values()])
-    np.matmul(T.T, K.T, out=rows)
+    N = X.shape[0]
+    K = np.empty((width, N))
+    scratch = np.empty((max(len(T) for T in tensors), N))
+    written = set()
+    for t, span in zip(terms, spans):
+        if span.start in written:
+            tmp = scratch[:span.stop - span.start]
+            _term_value(memo, t, X, extra_ydirs, tmp)
+            K[span] += tmp
+        else:
+            _term_value(memo, t, X, extra_ydirs, K[span])
+            written.add(span.start)
+    np.matmul(np.concatenate(tensors).T, K, out=rows)
 
 
 def terms_value(terms, X, memo=None, out=None):
@@ -582,7 +600,7 @@ def inner_first(mask_inner):
     return np.argsort(~mask_inner, kind="stable"), int(np.count_nonzero(mask_inner))
 
 
-def sample_charted(fields, X, n_inner, need_jac=True):
+def sample_charted(fields, X, n_inner, need_jac=True, out=None):
     """Node-last values (3,4,N) (and jacobians (3,4,4,N)) of charted fields
     at X, in one pass per chart.
 
@@ -593,25 +611,32 @@ def sample_charted(fields, X, n_inner, need_jac=True):
     one connection) evaluate each atom channel, centre geometry and radial
     law once, and each GEMM writes into its chart's node range of the
     outputs.  The memo lives only for the pass.
-    Returns (val, jac) pairs, jac None when need_jac is false.
+    Returns (val, jac) pairs, jac None when need_jac is false.  out, a list
+    of such pairs, one per field, receives the samples in place of fresh
+    arrays (a block sampler reuses its buffers this way); each array must
+    be one whose (12, N) row view reshape gives without a copy.
     """
     X = np.asarray(X, dtype=float)
     N = X.shape[0]
     if not 0 <= n_inner <= N:
         raise ValueError(f"n_inner = {n_inner} outside 0..{N}")
-    vals = [np.empty((3, 4, N)) for _ in fields]
-    jacs = [np.empty((3, 4, 4, N)) if need_jac else None for _ in fields]
+    if out is None:
+        # all values, then all jacobians: allocated interleaved, they left
+        # verify-lemma 3.7 on 2^-4..2^-7 peaking at 313.5 MiB RSS, not 277.6
+        vals = [np.empty((3, 4, N)) for _ in fields]
+        jacs = [np.empty((3, 4, 4, N)) if need_jac else None for _ in fields]
+        out = list(zip(vals, jacs))
     for a, b, chart in ((0, n_inner, "inner_terms"), (n_inner, N, "outer_terms")):
         if a == b:
             continue
         Xs = X[a:b]
         memo = {}
-        for f, val, jac in zip(fields, vals, jacs):
+        for f, (val, jac) in zip(fields, out):
             terms = getattr(f, chart)
             terms_value(terms, Xs, memo, val[..., a:b])
             if need_jac:
                 terms_jac(terms, Xs, memo, jac[..., a:b])
-    return list(zip(vals, jacs))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -479,7 +479,7 @@ def long_double_gram(ctx: InnerContext, nodefields,
     sl = sw * np.sqrt(ctx.wvals) if ctx.weighted else sw
     M = np.empty((len(nodefields), N * 60))
     for row, nf in zip(M, nodefields):
-        np.multiply(ctx.grad_of(nf).reshape(48, N), sw,
+        np.multiply(ctx.grad_of(nf.val, nf.jac).reshape(48, N), sw,
                     out=row[:N * 48].reshape(48, N))
         np.multiply(nf.val.reshape(12, N), sl, out=row[N * 48:].reshape(12, N))
     G = np.zeros((len(M), len(M)), np.longdouble)

@@ -11,6 +11,7 @@ from ymeps.forms import (
     weighted_r4_rule,
 )
 from ymeps.instanton import (
+    DIRECTIONS,
     PI2_STRATEGIES,
     ParamQ,
     derivative_fields,
@@ -53,7 +54,7 @@ def _inner(ctx, a, b):
 
 def _weighted_density(ctx, nf):
     """The per-node density of (nf, nf) in a weighted context."""
-    g = ctx.grad_of(nf)
+    g = ctx.grad_of(nf.val, nf.jac)
     return (np.einsum("amun,amun->n", g, g)
             + ctx.wvals * np.einsum("amn,amn->n", nf.val, nf.val))
 
@@ -190,23 +191,26 @@ def test_mgs_large_norm_spread():
 # the raw Gram, streamed over node chunks
 
 
-def _gram_cases():
-    """(ctx, fields, weights) off-centre and at g != 1: the glued family's
-    derivatives on its ball context for every pi2, the extension's on its
-    weighted one, and the model ones again on the inner chart's nodes."""
+def _gram_cases(sampled=True):
+    """(case, ctx, fields, weights) off-centre and at g != 1: the glued
+    family's derivatives on its ball context for every pi2, the extension's
+    on its weighted one, and the model ones again on the inner chart's
+    nodes; the fields sampled on ctx's rule, or as term lists."""
     q = ParamQ.default(2.0 ** -4, p=[0.1, -0.15, 0.05, 0.2],
                        g=exp_map(AlgElement(-0.7, 1.1, 0.4)))
     for pi2 in PI2_STRATEGIES:
         A = glued_connection(q, pi2=pi2)
         ctx = ball_context(A, q.eps)
-        fields = ctx.arrays(derivative_fields(A))
+        fields = derivative_fields(A)
+        fields = ctx.arrays(fields) if sampled else fields
         yield pi2, ctx, fields, None
         if pi2 == "model":
             rule = ctx.rule
             yield "inner-chart", ctx, fields, rule.weights * rule.mask_inner
     At = extended_connection(q)
     ctx = weighted_context(At, q.eps)
-    yield "weighted", ctx, ctx.arrays(derivative_fields(At)), None
+    fields = derivative_fields(At)
+    yield "weighted", ctx, ctx.arrays(fields) if sampled else fields, None
 
 
 # a chunk size that leaves a partial last chunk on every rule of the tests
@@ -246,6 +250,27 @@ def test_streamed_gram_raises_on_nan_in_the_last_partial_chunk(monkeypatch):
         _raw_gram(ctx, fields)
 
 
+def test_charted_gram_equals_the_sampled_fields_gram(monkeypatch):
+    # sampling block by block gives the whole-rule samples' Gram bit for
+    # bit: with a block edge inside the inner chart and a block straddling
+    # its end, with the inner chart as the first block, and at the default
+    # sizes; the last block is partial in each
+    import ymeps.basis as basis_mod
+
+    for case, ctx, fields, weights in _gram_cases(sampled=False):
+        N, n_inner = len(ctx.rule), ctx.rule.n_inner
+        assert 0 < n_inner < N and n_inner % 3 == 0
+        nfs = ctx.arrays(fields)
+        for chunk, block in ((1000, 3000), (n_inner // 3, n_inner),
+                             (basis_mod._GRAM_CHUNK, basis_mod._SAMPLE_BLOCK)):
+            assert block % chunk == 0 and N % block != 0
+            monkeypatch.setattr(basis_mod, "_GRAM_CHUNK", chunk)
+            monkeypatch.setattr(basis_mod, "_SAMPLE_BLOCK", block)
+            want = _raw_gram(ctx, nfs, weights)
+            assert np.array_equal(_raw_gram(ctx, fields, weights), want), (
+                case, block)
+
+
 def test_gram_default_weights_are_the_rules():
     _, ctx, fields, _ = next(_gram_cases())
     assert np.array_equal(_raw_gram(ctx, fields, weights=ctx.rule.weights),
@@ -266,9 +291,9 @@ def test_inner_nf_raises_on_a_nan_field():
         ctx.inner_nf(nf, nf)
 
 
-def _ball_basis(eps=2.0 ** -5):
+def _ball_basis(eps=2.0 ** -5, keep_samples=False):
     q = ParamQ.default(eps)
-    return q, gram_schmidt_ball(q)
+    return q, gram_schmidt_ball(q, keep_samples=keep_samples)
 
 
 def test_gram_schmidt_ball_orthonormal():
@@ -302,7 +327,7 @@ def test_gram_schmidt_ball_minus_g_invariant():
 
 def test_reconstruction_from_coefficients():
     # inverting the triangular system reproduces the raw fields in norm
-    q, basis = _ball_basis()
+    q, basis = _ball_basis(keep_samples=True)
     ctx = basis.ctx
     Cinv = np.linalg.inv(basis.coeff)
     for j in (0, 4, 7):
@@ -319,6 +344,17 @@ def test_reconstruction_from_coefficients():
         assert rel <= 1e-8
 
 
+def test_basis_without_samples_says_so():
+    q, basis = _ball_basis(2.0 ** -4)
+    assert basis.raw_nodefields is None
+    weighted = gram_schmidt_weighted(q, basis)
+    v = basis.ctx.arrays(derivative_fields(glued_connection(q), ("p1",)))[0]
+    for call in (lambda: basis.node_field(1), lambda: weighted.node_field(1),
+                 lambda: project_perp(v, basis)):
+        with pytest.raises(ValueError, match="holds no samples.*keep_samples"):
+            call()
+
+
 def test_gram_schmidt_weighted_near_identity():
     q = ParamQ.default(2.0 ** -6)
     ball = gram_schmidt_ball(q)
@@ -331,7 +367,7 @@ def test_gram_schmidt_weighted_near_identity():
 
 
 def test_project_perp_annihilates_basis_and_obeys_bessel():
-    q, basis = _ball_basis()
+    q, basis = _ball_basis(keep_samples=True)
     ctx = basis.ctx
     # v = a_3 projects to ~0
     res = project_perp(basis.node_field(3), basis)
@@ -351,7 +387,7 @@ def test_project_perp_annihilates_basis_and_obeys_bessel():
 
 
 def test_project_perp_fixed_point_for_orthogonal_input():
-    q, basis = _ball_basis()
+    q, basis = _ball_basis(keep_samples=True)
     ctx = basis.ctx
     rng = np.random.default_rng(RNG_SEED + 5)
     v = bump_one_form(q.p - 0.03, 1.5 * q.lam, rng.standard_normal((3, 4)))
@@ -370,12 +406,30 @@ def test_basis_directional_derivative_step_halving():
     assert np.isfinite(ctx.inner_nf(d, d))
 
 
+def test_fd_rebuild_samples_only_the_leading_fields(monkeypatch):
+    # C is lower triangular, so a_i is rebuilt from f_1..f_i alone
+    import ymeps.basis as basis_mod
+
+    q = ParamQ.default(2.0 ** -4)
+    ctx = gram_schmidt_ball(q).ctx
+    seen = []
+
+    def recorded(A, directions):
+        seen.append(tuple(directions))
+        return derivative_fields(A, directions)
+
+    monkeypatch.setattr(basis_mod, "derivative_fields", recorded)
+    for i in (1, 5):
+        _basis_field_at(q, i, ctx, "model")
+    assert seen == [DIRECTIONS[:1], DIRECTIONS[:5]]
+
+
 def test_fd_rebuild_at_the_base_point_is_the_basis_field():
     # the FD rebuild is the ordinary build on the base rule, so at the
     # unshifted q it reproduces the basis' own fields bit for bit
     q = ParamQ.default(2.0 ** -4, p=[0.05, -0.03, 0.02, 0.01],
                        g=exp_map(AlgElement(0.3, -0.2, 0.5)))
-    basis = gram_schmidt_ball(q, "model")
+    basis = gram_schmidt_ball(q, "model", keep_samples=True)
     for i in (1, 5, 8):
         got = _basis_field_at(q, i, basis.ctx, "model")
         want = basis.node_field(i)

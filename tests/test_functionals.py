@@ -357,7 +357,8 @@ def test_basis_gap_report(small_sweep_metrics):
 @pytest.fixture(scope="module", params=PI2_STRATEGIES)
 def generic_basis(request):
     q = _generic_q(2.0 ** -4)
-    return q, request.param, gram_schmidt_ball(q, request.param)
+    return q, request.param, gram_schmidt_ball(q, request.param,
+                                               keep_samples=True)
 
 
 def test_glued_derivatives_are_extension_minus_b_derivatives(generic_basis):
@@ -432,11 +433,55 @@ def test_weighted_and_l36_combine_no_field_and_a_projection_one(monkeypatch):
     m = compute_point_metrics(q, blocks=frozenset({"weighted", "l36"}))
     assert "w_coeff" in m and "basis_diff_8" in m
     assert calls == []
-    basis = gram_schmidt_ball(q)
+    basis = gram_schmidt_ball(q, keep_samples=True)
     v = basis.ctx.arrays(d2A_dp1p1(q, "model"))
     for k in (1, 2):
         project_perp(v, basis)
         assert calls == ["_combine"] * k
+
+
+def test_basis_only_point_holds_no_samples(monkeypatch):
+    # the ball basis' eight raw fields sampled whole take 149 MB at 2^-7;
+    # a point that reads only their Gram samples them block by block
+    import tracemalloc
+
+    import ymeps.functionals as functionals_mod
+
+    built = []
+
+    def recorded(*args, **kwargs):
+        built.append(gram_schmidt_ball(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(functionals_mod, "gram_schmidt_ball", recorded)
+    tracemalloc.start()
+    try:
+        compute_point_metrics(ParamQ.default(2.0 ** -7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(built) == 1 and built[0].raw_nodefields is None
+    assert peak <= 64 * 2 ** 20, peak / 2 ** 20
+
+
+def test_point_keeps_basis_samples_only_for_the_blocks_reading_them(
+        monkeypatch):
+    import ymeps.functionals as functionals_mod
+
+    class Built(Exception):
+        pass
+
+    def recorded(*args, keep_samples=False, **kwargs):
+        raise Built(keep_samples)
+
+    monkeypatch.setattr(functionals_mod, "gram_schmidt_ball", recorded)
+    q = ParamQ.default(2.0 ** -4)
+    for blocks, keep in (({"basis"}, False), ({"weighted", "l36"}, False),
+                         ({"l37"}, True), ({"l310"}, True),
+                         ({"weighted", "l36", "l37", "l310"}, True)):
+        with pytest.raises(Built) as built:
+            compute_point_metrics(q, blocks=frozenset(blocks))
+        assert built.value.args == (keep,), blocks
 
 
 def test_five_term_expansion_single_point():
@@ -501,7 +546,7 @@ def test_l37_probe_loop_matches_per_tag_oracle(pi2):
     # off-centre p and a non-identity g: the probes' supports are off the
     # rule's centre and cut through both charts
     q = _generic_q(2.0 ** -4)
-    basis = gram_schmidt_ball(q, pi2)
+    basis = gram_schmidt_ball(q, pi2, keep_samples=True)
     got = _hessian_difference_metrics(q, pi2, basis, basis.ctx,
                                       seed=RNG_SEED, n_test=4)
     want = _per_tag_l37_oracle(q, pi2, basis, basis.ctx,
@@ -545,7 +590,7 @@ def test_l37_shape_groups_match_per_probe_oracle(pi2, monkeypatch):
     # the 0.95-scale probes all sit at centre 0, so they share one shape and
     # one L; each tag pairs all its shapes in one GEMM
     q = _generic_q(2.0 ** -4)
-    basis = gram_schmidt_ball(q, pi2)
+    basis = gram_schmidt_ball(q, pi2, keep_samples=True)
     shapes = _probe_shapes(probe_family(q, basis.ctx, 8, RNG_SEED))
     assert any(len(members) > 1 for *_, members in shapes)
     assert sorted(k for *_, members in shapes for k in members) == list(range(8))
@@ -564,7 +609,7 @@ def test_l37_shape_groups_cross_the_group_boundary(monkeypatch):
     r = domain_ball_rule(q.p, q.lam)
     rule = QuadratureRule(r.nodes[::7], r.weights[::7], r.center, r.lam,
                           r.region)
-    basis = gram_schmidt_ball(q, "model", rule=rule)
+    basis = gram_schmidt_ball(q, "model", rule=rule, keep_samples=True)
     n, per = 40, 120 // 5
     shapes = _probe_shapes(probe_family(q, basis.ctx, n, RNG_SEED))
     assert per < len(shapes) <= 2 * per
@@ -595,7 +640,7 @@ def test_l37_makes_no_layout_copy_and_no_node_field_arithmetic(monkeypatch):
     for op in ("__add__", "__sub__", "__mul__", "__rmul__"):
         monkeypatch.setattr(NodeField, op, forbidden)
     q = ParamQ.default(2.0 ** -4)
-    basis = gram_schmidt_ball(q)
+    basis = gram_schmidt_ball(q, keep_samples=True)
     sampled, combined, calls = [], [], {"curvature_coeffs": [],
                                         "cov_d_coeffs": []}
     arrays, node_field = InnerContext.arrays, GramBasis.node_field
@@ -765,7 +810,7 @@ def test_l37_probe_loop_reports_non_finite_connection(monkeypatch):
     # a NaN at a node no probe covers still poisons the full-rule integrals,
     # so the support-restricted loop must report it as well
     q = ParamQ.default(2.0 ** -4)
-    basis = gram_schmidt_ball(q)
+    basis = gram_schmidt_ball(q, keep_samples=True)
     ctx = basis.ctx
     far = int(np.argmax(np.linalg.norm(ctx.rule.nodes, axis=1)))
     arrays = type(ctx).arrays
@@ -790,7 +835,7 @@ def test_l37_probe_loop_reports_non_finite_basis_field():
     # (the coefficients are lower triangular), so the i1 tag pairs cleanly
     # and the i5 representer, checked whole, must report it
     q = ParamQ.default(2.0 ** -4)
-    basis = gram_schmidt_ball(q)
+    basis = gram_schmidt_ball(q, keep_samples=True)
     far = int(np.argmax(np.linalg.norm(basis.ctx.rule.nodes, axis=1)))
     probes = probe_family(q, basis.ctx, 2, RNG_SEED)
     assert not any(far in rows for rows, *_ in probes)
