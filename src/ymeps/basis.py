@@ -15,15 +15,14 @@ norms of the checks are all entries of it.
 
 Fields enter as two-chart ChartedField term lists, split at |x-p| = lam/4
 by the rule's inner chart (its first n_inner nodes), and are sampled on the
-rule node-last as in forms; a NodeField passes through unchanged.  The Gram
-of charted fields samples them one block of nodes at a time and drops each
-block once paired, so a Gram read only for its entries never holds a
-full-rule sample.  A basis is the coefficient matrix C over its raw fields'
-Gram; a ball basis built with keep_samples also holds the raw fields
-sampled on its context's rule.  Every pairing with the combinations
-a_i = sum_j c_ij f_j is read through C off the raw fields' Gram, so no list
-of combined fields is built; one a_i is combined from the samples only where
-its values are needed.
+rule node-last as in forms.  The Gram of charted fields samples them one
+block of nodes at a time and drops each block once paired, so a Gram read
+only for its entries never holds a full-rule sample.  A basis is the
+coefficient matrix C over its raw fields' Gram; a ball basis built with
+keep_samples also holds the raw fields sampled on its context's rule.
+Every pairing with the combinations a_i = sum_j c_ij f_j is read through C
+off the raw fields' Gram, so no list of combined fields is built; one a_i
+is combined from the samples only where its values are needed.
 """
 
 from __future__ import annotations
@@ -88,7 +87,8 @@ class NodeField:
 
 @dataclass
 class InnerContext:
-    """Shared quadrature rule, connection samples, and chart mask for one q."""
+    """The H^1 product at one q: its quadrature rule, whose node range
+    [:n_inner] is the inner chart, and the connection samples."""
 
     rule: QuadratureRule
     eps: float
@@ -105,21 +105,11 @@ class InnerContext:
         return self.rule.region == "weighted-r4"
 
     # -- evaluation -----------------------------------------------------
-    def arrays(self, f):
-        """Sample a charted field, or a list of them, on the rule.
-
-        A list gives a list of node fields, sampled in one sample_charted pass
-        that shares one atom memo per chart.  A NodeField on this rule is
-        returned as it is.
-        """
-        if isinstance(f, NodeField):
-            if f.rule is not self.rule:
-                raise ValueError("NodeField sampled on a different rule")
-            return f
-        fields = f if isinstance(f, list) else [f]
-        nfs = [NodeField(self.rule, val, jac) for val, jac in
-               sample_charted(fields, self.rule.nodes, self.rule.n_inner)]
-        return nfs if isinstance(f, list) else nfs[0]
+    def arrays(self, fields: list) -> list:
+        """Node fields of a list of charted fields sampled on the rule, in
+        one sample_charted pass that shares one atom memo per chart."""
+        return [NodeField(self.rule, val, jac) for val, jac in
+                sample_charted(fields, self.rule.nodes, self.rule.n_inner)]
 
     def grad_of(self, val, jac, cols=slice(None), out=None) -> np.ndarray:
         """Covariant gradient (3,4,4,n) under this context's connection of a
@@ -266,12 +256,14 @@ def _sample_blocks(ctx: InnerContext, fields):
     """(a, samples) per block of the rule's nodes a, a+1, ..., with samples
     the fields' (val, jac) there.
 
-    Node fields are one block of the whole rule.  Charted fields are sampled
-    _SAMPLE_BLOCK nodes at a time, each block's inner chart being its part of
-    the rule's first n_inner nodes, into buffers allocated once and
-    overwritten by the next block.
+    Node fields, which must be sampled on ctx's rule, are one block of the
+    whole rule.  Charted fields are sampled _SAMPLE_BLOCK nodes at a time,
+    each block's inner chart being its part of the rule's first n_inner
+    nodes, into buffers allocated once and overwritten by the next block.
     """
     if all(isinstance(f, NodeField) for f in fields):
+        if any(nf.rule is not ctx.rule for nf in fields):
+            raise ValueError("NodeField sampled on a different rule")
         yield 0, [(nf.val, nf.jac) for nf in fields]
         return
     nodes, n_inner, N = ctx.rule.nodes, ctx.rule.n_inner, len(ctx.rule)
@@ -293,8 +285,8 @@ def _raw_gram(ctx: InnerContext, fields, weights=None) -> np.ndarray:
     such a Gram.  fields are node fields sampled on ctx's rule, or charted
     fields, which are sampled block by block (_sample_blocks) and give the
     same Gram bit for bit without a full-rule sample ever being held.
-    weights are the node weights of the sum, by default the rule's (a chart
-    mask times them restricts it to that chart).  On each chunk of
+    weights are the node weights of the sum, by default the rule's (zeroed
+    past n_inner, they restrict it to the inner chart).  On each chunk of
     _GRAM_CHUNK nodes, row k of M holds field k's weighted gradient entries
     (48, m), then its weighted value entries (12, m), and G gains M @ M.T.
     Gradients are computed on the chunk only, straight into M, so no
@@ -366,18 +358,19 @@ def gram_schmidt_weighted(q: ParamQ, ball_basis: GramBasis,
         ctx, C @ _raw_gram(ctx, derivative_fields(At)) @ C.T)
 
 
-def project_perp(v, basis: GramBasis) -> NodeField:
-    """v minus its orthogonal projection onto span{a_i}, on the basis' rule.
+def project_perp(vs, basis: GramBasis) -> list:
+    """Each node field v of vs minus its orthogonal projection onto
+    span{a_i}, on the basis' rule.
 
-    With g the pairings (v, f_j), one Gram row of [v, f_1..f_8], the
-    pairings (v, a_i) are C g and the projection is sum_j k_j f_j with
-    k = C^T C g: one combination of v and the raw fields, so the basis must
-    hold their samples (GramBasis.samples).
+    One Gram of [v_1..v_k, f_1..f_8] gives every pairing (v, f_j): with g
+    v's row of them, the pairings (v, a_i) are C g and the projection is
+    sum_j k_j f_j with k = C^T C g, one combination of v and the raw fields
+    per v, so the basis must hold their samples (GramBasis.samples).
     """
-    fields = [basis.ctx.arrays(v)] + basis.samples()
-    g = _raw_gram(basis.ctx, fields)[0, 1:]
-    C = basis.coeff
-    return _combine(np.concatenate(([1.0], -(C.T @ (C @ g)))), fields)
+    raw, k, C = basis.samples(), len(vs), basis.coeff
+    G = _raw_gram(basis.ctx, list(vs) + raw)
+    return [_combine(np.concatenate(([1.0], -(C.T @ (C @ g)))), [v] + raw)
+            for v, g in zip(vs, G[:k, k:])]
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +386,7 @@ def _shift_along(q: ParamQ, vec: np.ndarray, t: float) -> ParamQ:
 
 
 def _basis_field_at(q: ParamQ, i: int, ctx: InnerContext, pi2: str) -> NodeField:
-    """a_i at a (possibly shifted) q, sampled on the base rule and base mask.
+    """a_i at a (possibly shifted) q, sampled on the base rule and its charts.
 
     C is lower triangular, so a_i = sum_{j<=i} c_ij f_j: only f_1..f_i are
     sampled and orthonormalized.
@@ -412,8 +405,8 @@ def basis_directional_derivative(q: ParamQ, i: int, j: int, basis: GramBasis,
     """Central-difference derivative of a_i along the vector field q_j.
 
     a_i is rebuilt from the leading i raw fields at the flowed parameter
-    points; every field is sampled on the base rule with the base chart
-    mask, so differences are taken in a fixed chart and gauge.  Richardson
+    points; every field is sampled on the base rule with its inner chart,
+    so differences are taken in a fixed chart and gauge.  Richardson
     extrapolation over steps (h, h/2).  Returns the derivative and the
     step-halving relative change of the extrapolated value.
     """

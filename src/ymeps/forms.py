@@ -293,10 +293,10 @@ class QuadratureRule:
     """Weighted nodes for a polar rule centered at `center`.
 
     weights include the r^3 polar Jacobian: integrate(f) = sum w_i f(node_i).
-    r holds |node - center|; mask_inner marks r < lam/4 (the inner chart).
-    The inner chart is the node range [:n_inner]: a polar rule lists its
-    radii outward and lam/4 is a panel edge, so a node order with an inner
-    node after an outer one raises ValueError.
+    r holds |node - center|.  The inner chart r < lam/4 is the node range
+    [:n_inner]: a polar rule lists its radii outward and lam/4 is a panel
+    edge, so a node order with an inner node after an outer one raises
+    ValueError.
     """
 
     nodes: np.ndarray
@@ -305,17 +305,15 @@ class QuadratureRule:
     lam: float
     region: str
     r: np.ndarray = None
-    mask_inner: np.ndarray = None
     self_check_error: float = 0.0
     n_inner: int = field(init=False)
 
     def __post_init__(self):
         if self.r is None:
             self.r = np.linalg.norm(self.nodes - self.center, axis=1)
-        if self.mask_inner is None:
-            self.mask_inner = self.r < self.lam / 4.0
-        self.n_inner = int(np.count_nonzero(self.mask_inner))
-        if not self.mask_inner[:self.n_inner].all():
+        inner = self.r < self.lam / 4.0
+        self.n_inner = int(np.count_nonzero(inner))
+        if not inner[:self.n_inner].all():
             raise ValueError("a rule lists its inner-chart nodes first")
 
     def __len__(self):

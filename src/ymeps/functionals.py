@@ -1,4 +1,4 @@
-"""Energy, charge, gradient/Hessian pairings, and the scaling-estimate reports.
+"""Energy, charge, the sweep-point metrics, and the scaling-estimate reports.
 
 Conventions: the invariant pairing of algebra-valued forms is the trace
 pairing, equal to half the coefficient dot product over the e_i basis; the
@@ -21,7 +21,6 @@ import numpy as np
 from .basis import (
     InnerContext,
     _raw_gram,
-    ball_context,
     basis_directional_derivative,
     gram_schmidt_ball,
     gram_schmidt_weighted,
@@ -51,6 +50,7 @@ from .instanton import (
     difference_b,
     extended_connection,
     glue,
+    sample_charted,
 )
 
 __all__ = [
@@ -60,8 +60,6 @@ __all__ = [
     "QuantityRow",
     "ym_eps",
     "charge",
-    "grad_pairing",
-    "hessian_form",
     "sweep_points",
     "compute_point_metrics",
     "lemma57_report",
@@ -109,12 +107,13 @@ def fit_slope(pairs) -> SlopeFit:
 # functionals
 
 
-def _r4_context(A: ChartedField, eps, rule=None, tol=1e-4) -> InnerContext:
-    """Context on the R^4 rule polar around A's center (or a given rule); the
-    functionals below pair no gradients, so it holds no connection samples."""
+def _r4_curvature(A: ChartedField, eps, rule, tol):
+    """The curvature (3,6,N) of A sampled on the R^4 rule polar around A's
+    center, or on a given rule, and that rule's weights."""
     if rule is None:
         rule = ball_rule(A.p, A.lam, R=np.inf, tol=tol)
-    return InnerContext(rule, eps, np.zeros((3, 4, rule.nodes.shape[0])))
+    ((val, jac),) = sample_charted([A], rule.nodes, rule.n_inner)
+    return curvature_coeffs(val, jac, eps), rule.weights
 
 
 def ym_eps(A: ChartedField, eps: float, rule=None, tol: float = 1e-4) -> float:
@@ -123,9 +122,8 @@ def ym_eps(A: ChartedField, eps: float, rule=None, tol: float = 1e-4) -> float:
     Integrates over all of R^4 (graded radial rule with an inversion tail)
     unless a rule is given.
     """
-    nf = _r4_context(A, eps, rule=rule, tol=tol).arrays(A)
-    F = curvature_coeffs(nf.val, nf.jac, eps)
-    return weighted_sum(nf.rule.weights, 0.5 * cdot(F, F))
+    F, w = _r4_curvature(A, eps, rule, tol)
+    return weighted_sum(w, 0.5 * cdot(F, F))
 
 
 def charge(Atilde: ChartedField, eps: float, rule=None, tol: float = 1e-4) -> float:
@@ -134,39 +132,10 @@ def charge(Atilde: ChartedField, eps: float, rule=None, tol: float = 1e-4) -> fl
     charge = (eps^2 / 8 pi^2) * int <F ^ F> with the trace pairing; the sign
     convention makes the extended family carry charge +1.
     """
-    nf = _r4_context(Atilde, eps, rule=rule, tol=tol).arrays(Atilde)
-    F = curvature_coeffs(nf.val, nf.jac, eps)
+    F, w = _r4_curvature(Atilde, eps, rule, tol)
     # F ^ F = <F, *F> vol, and the trace pairing is half the coefficient dot
     dens = 0.5 * cdot(F, star_coeffs(2, F))
-    return eps ** 2 / (8.0 * np.pi ** 2) * weighted_sum(nf.rule.weights, dens)
-
-
-def grad_pairing(A: ChartedField, a, eps: float, rule=None,
-                 tol: float = 1e-4) -> float:
-    """First variation of the energy at A in direction a: 2 int <F, d_A a>.
-
-    a is a charted field or a NodeField on the rule; the rule defaults to
-    the R^4 rule of ym_eps.
-    """
-    ctx = _r4_context(A, eps, rule=rule, tol=tol)
-    nfA, nfa = ctx.arrays(A), ctx.arrays(a)
-    F = curvature_coeffs(nfA.val, nfA.jac, eps)
-    da = cov_d_coeffs(1, nfA.val, nfa.val, nfa.jac, eps)
-    return weighted_sum(ctx.rule.weights, cdot(F, da))
-
-
-def hessian_form(A, a, b, eps: float, rule=None, tol: float = 1e-4) -> float:
-    """Second variation over the unit ball:
-
-        H(a,b) = 2 int <d_A^eps a, d_A^eps b> + 2 int <F_A^eps, eps [a ^ b]>.
-    """
-    ctx = ball_context(A, eps, rule=rule, tol=tol)
-    nfA, nfa, nfb = ctx.arrays(A), ctx.arrays(a), ctx.arrays(b)
-    F = curvature_coeffs(nfA.val, nfA.jac, eps)
-    da = cov_d_coeffs(1, nfA.val, nfa.val, nfa.jac, eps)
-    db = cov_d_coeffs(1, nfA.val, nfb.val, nfb.jac, eps)
-    ab = bracket_wedge_coeffs(1, nfa.val, nfb.val)
-    return weighted_sum(ctx.rule.weights, cdot(da, db) + eps * cdot(F, ab))
+    return eps ** 2 / (8.0 * np.pi ** 2) * weighted_sum(w, dens)
 
 
 # ---------------------------------------------------------------------------
@@ -572,14 +541,15 @@ def _hessian_difference_metrics(q, pi2, basis, ctx, seed, n_test):
 def _perp_derivative_metrics(q, pi2, basis, ctx):
     out = {}
     a11 = float(basis.coeff[0, 0])
-    an_perp = project_perp(ctx.arrays(d2A_dp1p1(q, pi2)), basis)
     fd, halving = basis_directional_derivative(q, 1, 1, basis, pi2=pi2)
-    fd_perp = project_perp(fd, basis)
+    fd_perp, an_perp = project_perp(
+        [fd, *ctx.arrays([d2A_dp1p1(q, pi2)])], basis)
     # (fd_perp, a_i) = C (fd_perp, f_j), read off the raw fields' pairings
     G = _raw_gram(ctx, [fd_perp, an_perp] + basis.samples())
     total = max(G[0, 0], 0.0)
-    inner2 = _raw_gram(ctx, [fd_perp],
-                       weights=ctx.rule.weights * ctx.rule.mask_inner)[0, 0]
+    inner_weights = ctx.rule.weights.copy()
+    inner_weights[ctx.rule.n_inner:] = 0.0
+    inner2 = _raw_gram(ctx, [fd_perp], weights=inner_weights)[0, 0]
     out["l310_fd_norm"] = float(np.sqrt(total))
     out["l310_an_norm"] = a11 ** 2 * float(np.sqrt(max(G[1, 1], 0.0)))
     out["l310_inner_norm"] = float(np.sqrt(max(inner2, 0.0)))

@@ -95,8 +95,8 @@ class SweepConfig:
         object.__setattr__(self, "eps_list", eps)
         if len(eps) < 4:
             raise ConfigError(f"sweep needs at least 4 eps values, got {len(eps)}")
-        if any(e <= 0 for e in eps):
-            raise ConfigError("eps values must be positive")
+        if not all(0 < e < np.inf for e in eps):
+            raise ConfigError(f"eps values must be positive and finite: {eps}")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigError("eps values must be strictly decreasing")
         # D's bounds are read off the class: building a point here would

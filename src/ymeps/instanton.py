@@ -531,6 +531,7 @@ class ParamQ:
     D2: ClassVar[float] = 2.0
 
     def __post_init__(self):
+        _check_eps(self.eps)
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
         if self.p.shape != (4,):
             raise ParamError("p must be a point of R^4")
@@ -538,8 +539,6 @@ class ParamQ:
             raise ParamError(f"|p| = {np.linalg.norm(self.p):.4f} not < 1 - d0 = {1-self.d0}")
         if not (0 < self.lam < self.lam0):
             raise ParamError(f"lam = {self.lam} not in (0, lam0 = {self.lam0})")
-        if not (self.eps > 0):
-            raise ParamError("eps must be positive")
         if not (self.D1 * self.eps < self.lam ** 2 < self.D2 * self.eps):
             raise ParamError(
                 f"lam^2 = {self.lam**2:.5g} not in (D1*eps, D2*eps) = "
@@ -547,9 +546,18 @@ class ParamQ:
 
     @staticmethod
     def default(eps: float, D: float = 1.0, p=None, g=None) -> "ParamQ":
+        eps = _check_eps(float(eps))
         p = np.zeros(4) if p is None else np.asarray(p, dtype=float)
         g = GroupElement.identity() if g is None else g
-        return ParamQ(p=p, g=g, lam=float(np.sqrt(D * eps)), eps=float(eps))
+        return ParamQ(p=p, g=g, lam=float(np.sqrt(D * eps)), eps=eps)
+
+
+def _check_eps(eps: float) -> float:
+    """eps, rejected by name unless positive and finite, before anything
+    (such as lam = sqrt(D eps)) is derived from it."""
+    if not (0 < eps < np.inf):
+        raise ParamError(f"eps must be positive and finite, got {eps}")
+    return eps
 
 
 # default background coefficient pattern: fixed, asymmetric, order-one C^1 norm

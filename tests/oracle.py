@@ -7,10 +7,10 @@ fall back to finite differences).  Its channels are node-first, (N, 3, C),
 and its operators evaluate them with the library's node-last array kernels
 through the node-first adapters below.  The helpers at the end turn
 FormFields into (node-last) NodeFields on a rule, so they can enter the
-library's pairings, and build the suite-3.7 bump probes on the full rule,
-as an independent check of the support-only specs of
-functionals.test_field_family.  Last come the
-whole-rule references for routes the library streams: the raw Gram summed in
+library's pairings, give the energy's first and second variations in a
+sampled direction (grad_pairing, hessian_form), and build the suite-3.7
+bump probes on the full rule, as an independent check of the support-only
+specs of functionals.test_field_family.  Last come the whole-rule references for routes the library streams: the raw Gram summed in
 long double over the whole rule, chart sampling scattered through boolean
 masks, and the suite-3.7 probes paired one at a time with the whole
 representer.  The last section pairs basis combinations the explicit way,
@@ -36,10 +36,13 @@ from ymeps.functionals import (
 from ymeps.forms import (
     N_COMP,
     bracket_wedge_coeffs,
+    cdot,
     codiff_coeffs,
     cov_d_coeffs,
     cov_grad_coeffs,
+    curvature_coeffs,
     d_coeffs,
+    weighted_sum,
 )
 from ymeps.instanton import (
     ETA,
@@ -52,6 +55,7 @@ from ymeps.instanton import (
     extended_connection,
     rad_i1,
     rad_i2,
+    sample_charted,
     terms_jac,
     terms_value,
 )
@@ -423,6 +427,29 @@ def sample_form(f: FormField, rule) -> NodeField:
     """f's value and jacobian channels on the rule's nodes, node-last."""
     return NodeField(rule, node_last(f.value(rule.nodes)),
                      node_last(f.jac(rule.nodes)))
+
+
+def grad_pairing(A, a: NodeField, eps: float, rule) -> float:
+    """First variation of the energy at the charted connection A in
+    direction a, a NodeField on rule: 2 int <F, d_A a> over the rule."""
+    ((Av, Aj),) = sample_charted([A], rule.nodes, rule.n_inner)
+    F = curvature_coeffs(Av, Aj, eps)
+    da = cov_d_coeffs(1, Av, a.val, a.jac, eps)
+    return weighted_sum(rule.weights, cdot(F, da))
+
+
+def hessian_form(A, a: NodeField, b: NodeField, eps: float, rule) -> float:
+    """Second variation of the energy at A over the rule, a and b NodeFields
+    on it:
+
+        H(a,b) = 2 int <d_A^eps a, d_A^eps b> + 2 int <F_A^eps, eps [a ^ b]>.
+    """
+    ((Av, Aj),) = sample_charted([A], rule.nodes, rule.n_inner)
+    F = curvature_coeffs(Av, Aj, eps)
+    da = cov_d_coeffs(1, Av, a.val, a.jac, eps)
+    db = cov_d_coeffs(1, Av, b.val, b.jac, eps)
+    ab = bracket_wedge_coeffs(1, a.val, b.val)
+    return weighted_sum(rule.weights, cdot(da, db) + eps * cdot(F, ab))
 
 
 def full_rule_probe_draws(q, ctx, n: int, seed: int):

@@ -22,7 +22,6 @@ from ymeps.forms import (
 from ymeps.functionals import (
     charge,
     compute_point_metrics,
-    grad_pairing,
     lemma36_report,
     lemma37_report,
     lemma57_report,
@@ -41,6 +40,7 @@ from oracle import (
     codifferential_eps,
     covariant_d_eps,
     exterior_d,
+    grad_pairing,
     i1_form,
     inner_field,
     outer_field,
@@ -250,7 +250,7 @@ def test_criterion_10_structural_suite(tmp_path):
     a = bump_one_form(q.p + np.array([0.25, 0.0, -0.1, 0.0]), 0.2,
                       rng.standard_normal((3, 4)))
     brule = domain_ball_rule(q.p, q.lam)
-    nfA = ball_context(A, q.eps, rule=brule).arrays(A)
+    (nfA,) = ball_context(A, q.eps, rule=brule).arrays([A])
     nfa = sample_form(a, brule)
 
     def E(t):

@@ -205,8 +205,9 @@ def _gram_cases(sampled=True):
         fields = ctx.arrays(fields) if sampled else fields
         yield pi2, ctx, fields, None
         if pi2 == "model":
-            rule = ctx.rule
-            yield "inner-chart", ctx, fields, rule.weights * rule.mask_inner
+            inner = ctx.rule.weights.copy()
+            inner[ctx.rule.n_inner:] = 0.0
+            yield "inner-chart", ctx, fields, inner
     At = extended_connection(q)
     ctx = weighted_context(At, q.eps)
     fields = derivative_fields(At)
@@ -283,6 +284,14 @@ def test_inner_nf_is_the_two_field_gram_entry():
     assert ctx.inner_nf(fa, fb) == _raw_gram(ctx, [fa, fb])[0, 1]
 
 
+def test_gram_rejects_node_fields_of_another_rule():
+    ctx = _flat_ball(0.1)
+    other = _flat_ball(0.1).rule     # the same nodes, another rule
+    nf = sample_form(constant_form(1, np.eye(3, 4)), other)
+    with pytest.raises(ValueError, match="different rule"):
+        _raw_gram(ctx, [nf])
+
+
 def test_inner_nf_raises_on_a_nan_field():
     ctx = _flat_ball(0.1)
     nf = sample_form(constant_form(1, np.eye(3, 4)), ctx.rule)
@@ -350,7 +359,7 @@ def test_basis_without_samples_says_so():
     weighted = gram_schmidt_weighted(q, basis)
     v = basis.ctx.arrays(derivative_fields(glued_connection(q), ("p1",)))[0]
     for call in (lambda: basis.node_field(1), lambda: weighted.node_field(1),
-                 lambda: project_perp(v, basis)):
+                 lambda: project_perp([v], basis)):
         with pytest.raises(ValueError, match="holds no samples.*keep_samples"):
             call()
 
@@ -370,14 +379,14 @@ def test_project_perp_annihilates_basis_and_obeys_bessel():
     q, basis = _ball_basis(keep_samples=True)
     ctx = basis.ctx
     # v = a_3 projects to ~0
-    res = project_perp(basis.node_field(3), basis)
+    (res,) = project_perp([basis.node_field(3)], basis)
     n3 = np.sqrt(max(ctx.inner_nf(res, res), 0.0))
     assert n3 <= 1e-8
     # random v: residual orthogonal to every basis field, norm non-increasing
     rng = np.random.default_rng(RNG_SEED + 4)
     v = bump_one_form(q.p + 0.05, 2 * q.lam, rng.standard_normal((3, 4)))
     nv = sample_form(v, ctx.rule)
-    res = project_perp(nv, basis)
+    (res,) = project_perp([nv], basis)
     norm_v = np.sqrt(ctx.inner_nf(nv, nv))
     norm_r = np.sqrt(max(ctx.inner_nf(res, res), 0.0))
     assert norm_r <= norm_v * (1 + 1e-12)
@@ -391,8 +400,8 @@ def test_project_perp_fixed_point_for_orthogonal_input():
     ctx = basis.ctx
     rng = np.random.default_rng(RNG_SEED + 5)
     v = bump_one_form(q.p - 0.03, 1.5 * q.lam, rng.standard_normal((3, 4)))
-    first = project_perp(sample_form(v, ctx.rule), basis)
-    second = project_perp(first, basis)
+    (first,) = project_perp([sample_form(v, ctx.rule)], basis)
+    (second,) = project_perp([first], basis)
     diff = second - first
     assert np.sqrt(max(ctx.inner_nf(diff, diff), 0.0)) <= 1e-8
 

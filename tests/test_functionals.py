@@ -36,14 +36,13 @@ from ymeps.functionals import (
     QuantityRow,
     _bump_channels,
     _hessian_difference_metrics,
+    _perp_derivative_metrics,
     _probe_shapes,
     _row_band,
     _shape_functionals,
     charge,
     compute_point_metrics,
     fit_slope,
-    grad_pairing,
-    hessian_form,
     lemma36_report,
     lemma57_report,
     lemma58_report,
@@ -73,6 +72,8 @@ from oracle import (
     covariant_d_eps,
     full_rule_probe_draws,
     full_rule_probes,
+    grad_pairing,
+    hessian_form,
     node_first,
     node_last,
     per_probe_l37,
@@ -165,7 +166,7 @@ def test_charge_negated_group_element():
 
 def _energy_curve(A, a, eps, rule):
     """E(t) = ym(A + t a) evaluated through shared sampled arrays."""
-    nfA = ball_context(A, eps, rule=rule).arrays(A)
+    (nfA,) = ball_context(A, eps, rule=rule).arrays([A])
     nfa = sample_form(a, rule)
 
     def E(t):
@@ -367,7 +368,7 @@ def test_glued_derivatives_are_extension_minus_b_derivatives(generic_basis):
     # chart dA/dq_j is dAt/dq_j itself
     q, pi2, basis = generic_basis
     rule = basis.ctx.rule
-    assert rule.mask_inner.any() and not rule.mask_inner.all()
+    assert 0 < rule.n_inner < len(rule)
     fields = [derivative_fields(F) for F in
               (glued_connection(q, pi2=pi2), extended_connection(q),
                difference_b(q, pi2=pi2))]
@@ -377,8 +378,8 @@ def test_glued_derivatives_are_extension_minus_b_derivatives(generic_basis):
         for got, t, b in ((vA, vt, vb), (jA, jt, jb)):
             scale = np.max(np.abs(t)) + np.max(np.abs(b))
             assert np.max(np.abs(got - (t - b))) <= 1e-14 * scale, (pi2, j)
-        assert (not vb[..., rule.mask_inner].any()
-                and not jb[..., rule.mask_inner].any())
+        assert (not vb[..., :rule.n_inner].any()
+                and not jb[..., :rule.n_inner].any())
 
 
 def test_weighted_basis_matches_the_combined_fields_gram(generic_basis):
@@ -398,16 +399,45 @@ def test_basis_gaps_match_the_combined_differences(generic_basis):
 
 
 def test_project_perp_matches_the_eight_field_projection(generic_basis):
+    # one Gram of [v_1, v_2, f_1..f_8] projects both fields as a Gram per
+    # field does, bit for bit, and as the combined basis fields do
     q, pi2, basis = generic_basis
     ctx = basis.ctx
     rng = np.random.default_rng(RNG_SEED)
     bump = bump_one_form(q.p + 0.05, 2 * q.lam, rng.standard_normal((3, 4)))
-    for v in (sample_form(bump, ctx.rule), ctx.arrays(d2A_dp1p1(q, pi2))):
-        got = project_perp(v, basis)
+    vs = [sample_form(bump, ctx.rule), *ctx.arrays([d2A_dp1p1(q, pi2)])]
+    for v, got in zip(vs, project_perp(vs, basis)):
+        (alone,) = project_perp([v], basis)
+        assert (np.array_equal(got.val, alone.val)
+                and np.array_equal(got.jac, alone.jac)), pi2
         want = project_perp_by_combination(v, basis)
         diff = NodeField(ctx.rule, got.val - want.val, got.jac - want.jac)
         assert (np.sqrt(ctx.inner_nf(diff, diff))
                 <= 1e-10 * np.sqrt(ctx.inner_nf(v, v)))
+
+
+def test_l310_point_pairs_the_raw_fields_in_two_grams(monkeypatch):
+    # the FD and the analytic derivative are projected from one Gram, and
+    # the norms read a second; no other Gram of the block holds the eight
+    # raw fields (the FD rebuilds pair fields sampled at shifted q)
+    import ymeps.basis as basis_mod
+    import ymeps.functionals as functionals_mod
+
+    q = ParamQ.default(2.0 ** -4)
+    basis = gram_schmidt_ball(q, keep_samples=True)
+    grams, gram = [], basis_mod._raw_gram
+
+    def recorded(ctx, fields, weights=None):
+        grams.append(list(fields))
+        return gram(ctx, fields, weights)
+
+    monkeypatch.setattr(basis_mod, "_raw_gram", recorded)
+    monkeypatch.setattr(functionals_mod, "_raw_gram", recorded)
+    _perp_derivative_metrics(q, "model", basis, basis.ctx)
+    raw = basis.samples()
+    holding = [fields for fields in grams
+               if all(any(f is r for f in fields) for r in raw)]
+    assert len(holding) == 2 and len(grams) > 2
 
 
 def test_weighted_and_l36_combine_no_field_and_a_projection_one(monkeypatch):
@@ -434,9 +464,9 @@ def test_weighted_and_l36_combine_no_field_and_a_projection_one(monkeypatch):
     assert "w_coeff" in m and "basis_diff_8" in m
     assert calls == []
     basis = gram_schmidt_ball(q, keep_samples=True)
-    v = basis.ctx.arrays(d2A_dp1p1(q, "model"))
+    (v,) = basis.ctx.arrays([d2A_dp1p1(q, "model")])
     for k in (1, 2):
-        project_perp(v, basis)
+        project_perp([v], basis)
         assert calls == ["_combine"] * k
 
 
@@ -498,9 +528,9 @@ def _per_tag_l37_oracle(q, pi2, basis, ctx, seed, n_test):
     """The l37 loop as first written: tags outside, full rule, probe arrays
     recomputed per tag."""
     eps, w = q.eps, ctx.rule.weights
-    A_nf = ctx.arrays(glued_connection(q, pi2=pi2))
-    At_nf = ctx.arrays(extended_connection(q))
-    b_nf = ctx.arrays(difference_b(q, pi2=pi2))
+    (A_nf,) = ctx.arrays([glued_connection(q, pi2=pi2)])
+    (At_nf,) = ctx.arrays([extended_connection(q)])
+    (b_nf,) = ctx.arrays([difference_b(q, pi2=pi2)])
     Aval, Atval = A_nf.val, At_nf.val
     FA = curvature_coeffs(Aval, A_nf.jac, eps)
     FAt = curvature_coeffs(Atval, At_nf.jac, eps)
@@ -818,7 +848,7 @@ def test_l37_probe_loop_reports_non_finite_connection(monkeypatch):
     def poisoned(self, f):
         out = arrays(self, f)
         # b is sampled in one pass with A and Atilde
-        for g, nf in (zip(f, out) if isinstance(f, list) else [(f, out)]):
+        for g, nf in zip(f, out):
             if getattr(g, "inner_terms", None) == []:   # b vanishes there
                 nf.val = nf.val.copy()
                 nf.val[..., far] = np.nan
@@ -884,7 +914,7 @@ def test_l310_point_looks_up_fd_rebuild_and_projection_by_module(monkeypatch):
     compute_point_metrics(ParamQ.default(2.0 ** -4), blocks=frozenset({"l310"}))
     # one derivative: steps h and h/2, each at q +/- step
     assert calls == {"_basis_field_at": 4, "basis_directional_derivative": 1,
-                     "project_perp": 2}
+                     "project_perp": 1}
 
 
 def test_report_verdict_logic():

@@ -193,6 +193,24 @@ def test_bad_sweep_flag_value_exits_2(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["charge", "--eps", "-1"],
+    ["charge", "--eps", "nan"],
+    ["charge", "--eps", "0"],
+    ["charge", "--eps", "inf"],
+    ["verify-scaling", "--eps-list", "2^-4,nan,2^-6,2^-7"],
+], ids=["minus-one", "nan", "zero", "inf", "nan-in-sweep"])
+def test_bad_eps_exits_2_naming_eps(argv, tmp_path, capsys):
+    # eps is checked before lam = sqrt(D eps) is derived from it, so no
+    # invalid-value warning is raised and the message names eps, not lam
+    rc = run_command(argv + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: eps" in err and "must be positive and finite" in err
+    assert "lam" not in err
+
+
 def test_inadmissible_single_eps_exits_2(capsys):
     # eps so large that lam = sqrt(eps) leaves the admissible box
     rc = run_command(["charge", "--eps", "0.25"])

@@ -542,6 +542,15 @@ def test_param_validation():
         ParamQ.default(2.0 ** -j)  # whole sweep range is admissible
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps", [-1.0, 0.0, np.nan, np.inf])
+def test_bad_eps_is_rejected_by_name(eps):
+    with pytest.raises(ParamError, match="eps must be positive and finite"):
+        ParamQ.default(eps)
+    with pytest.raises(ParamError, match="eps must be positive and finite"):
+        ParamQ(p=np.zeros(4), g=GroupElement.identity(), lam=0.1, eps=eps)
+
+
 def _generic_q(eps=2.0 ** -6):
     g = exp_map(AlgElement(0.3, -0.4, 0.2))
     return ParamQ.default(eps, p=np.array([0.1, -0.08, 0.05, 0.12]), g=g)
@@ -930,11 +939,12 @@ def _chart_cases():
     q = ParamQ.default(2.0 ** -4, p=[0.12, -0.2, 0.07, 0.15],
                        g=exp_map(AlgElement(0.9, -0.4, 1.3)))
     rule = domain_ball_rule(q.p, q.lam)
+    prefix = np.arange(len(rule)) < rule.n_inner
     X, mask = _pass_nodes(q)
     perm = np.random.default_rng(RNG_SEED + 11).permutation(len(X))
     X, mask = X[perm], mask[perm]
     assert np.any(mask[:-1] < mask[1:]) and np.any(mask[:-1] > mask[1:])
-    return q, {"domain-rule": (rule.nodes, rule.mask_inner),
+    return q, {"domain-rule": (rule.nodes, prefix),
                "interleaved": (X, mask),
                "all-inner": (X, np.ones(len(X), bool)),
                "all-outer": (X, np.zeros(len(X), bool))}

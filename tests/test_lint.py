@@ -73,3 +73,38 @@ def test_library_makes_no_layout_copy():
     found = [(path.stem,) + hit for path in sorted(SRC.glob("*.py"))
              for hit in layout_copies(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def unresolved_exports(source: str) -> list:
+    """Names a module's __all__ lists but its top level neither defines nor
+    imports."""
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = {getattr(t, "id", None) for t in targets}
+            bound |= names
+            if "__all__" in names:
+                exported = [c.value for c in ast.walk(node.value)
+                            if isinstance(c, ast.Constant)]
+    return sorted(set(exported) - bound)
+
+
+def test_unresolved_exports_are_found():
+    src = ("from .forms import a\nimport numpy as np\nB = 1\nC: int = 2\n"
+           "def f():\n    g = 3\n"
+           "class K:\n    pass\n"
+           "__all__ = ['a', 'np', 'B', 'C', 'f', 'K', 'g', 'gone']\n")
+    assert unresolved_exports(src) == ["g", "gone"]
+
+
+def test_library_exports_all_resolve():
+    found = [(path.stem, name) for path in sorted(SRC.glob("*.py"))
+             for name in unresolved_exports(path.read_text(encoding="utf-8"))]
+    assert found == []

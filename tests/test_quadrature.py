@@ -62,7 +62,7 @@ def test_inner_mask_volume():
     lam = 0.2
     p = np.array([0.05, 0.0, -0.02, 0.01])
     rule = ball_rule(p, lam, 1.0, tol=1e-4)
-    got = rule.weights[rule.mask_inner].sum()
+    got = rule.weights[:rule.n_inner].sum()
     assert abs(got - math.pi ** 2 * (lam / 4) ** 4 / 2) < 1e-12
 
 
@@ -231,7 +231,8 @@ def test_inner_chart_is_a_node_prefix(k):
                      ball_rule(p, lam, math.inf, tol=None)):
             n = len(rule)
             assert 0 < rule.n_inner < n
-            assert np.array_equal(rule.mask_inner, np.arange(n) < rule.n_inner)
+            assert np.array_equal(rule.r < rule.lam / 4.0,
+                                  np.arange(n) < rule.n_inner)
 
 
 def test_rule_listing_an_inner_node_late_raises():
