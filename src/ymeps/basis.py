@@ -17,12 +17,13 @@ Fields enter as two-chart ChartedField term lists, split at |x-p| = lam/4
 by the rule's inner chart (its first n_inner nodes), and are sampled on the
 rule node-last as in forms.  The Gram of charted fields samples them one
 block of nodes at a time and drops each block once paired, so a Gram read
-only for its entries never holds a full-rule sample.  A basis is the
-coefficient matrix C over its raw fields' Gram; a ball basis built with
-keep_samples also holds the raw fields sampled on its context's rule.
-Every pairing with the combinations a_i = sum_j c_ij f_j is read through C
-off the raw fields' Gram, so no list of combined fields is built; one a_i
-is combined from the samples only where its values are needed.
+only for its entries never holds a full-rule sample; suite 3.7 reads its
+basis fields off the same block sampler.  A basis is the coefficient matrix
+C over its raw fields' Gram; a ball basis built with keep_samples also
+holds the raw fields sampled on its context's rule, for suite 3.10.  Every
+pairing with the combinations a_i = sum_j c_ij f_j is read through C off
+the raw fields' Gram, so no list of combined fields is built; one a_i is
+combined from samples (_combine) only where its values are needed.
 """
 
 from __future__ import annotations
@@ -182,8 +183,9 @@ class GramBasis:
     defining the inner product (ball or weighted), and ``raw_gram`` is the
     f_j's Gram in it.  A ball basis built with keep_samples holds the f_j
     sampled on that rule as ``raw_nodefields``, which node_field and
-    project_perp read; any other basis is read only through its coefficients
-    and holds none (None).
+    project_perp read (suite 3.10); any other basis is read only through its
+    coefficients and holds none (None).  Suite 3.7 combines its fields from
+    fresh block samples and needs none.
     """
 
     coeff: np.ndarray            # (8,8) lower triangular, positive diagonal
@@ -191,10 +193,10 @@ class GramBasis:
     raw_gram: np.ndarray
     raw_nodefields: Optional[list] = field(default=None, repr=False)
 
-    def node_field(self, i: int, val=None, jac=None, tmp=None) -> NodeField:
-        """The i-th orthonormal field (1-based), combined from the samples,
-        into val and jac with the scratch tmp if given (see _combine)."""
-        return _combine(self.coeff[i - 1], self.samples(), val, jac, tmp)
+    def node_field(self, i: int) -> NodeField:
+        """The i-th orthonormal field (1-based), combined from the samples."""
+        return NodeField(self.ctx.rule, *_combine(
+            self.coeff[i - 1], [(nf.val, nf.jac) for nf in self.samples()]))
 
     def samples(self) -> list:
         """The raw fields sampled on ctx's rule; ValueError if not held."""
@@ -210,22 +212,20 @@ class GramBasis:
         return float(np.max(np.abs(got - np.eye(len(self.coeff)))))
 
 
-def _combine(coeffs, nodefields, val=None, jac=None, tmp=None) -> NodeField:
-    """sum_j c_j f_j over node fields, skipping zero coefficients.
+def _combine(coeffs, samples) -> tuple:
+    """sum_j c_j f_j over samples (val, jac) of fields on one set of nodes,
+    skipping zero coefficients, as a new (val, jac).
 
-    The sum runs in place, one coefficient at a time and in order: into val
-    (3,4,N) and jac (3,4,4,N), each term formed in the flat scratch tmp (at
-    least 48N entries).  Those not given are allocated.
+    The sum runs in place, one coefficient at a time and in order, each term
+    formed in one scratch.
     """
-    ref = nodefields[0]
-    val = np.empty_like(ref.val) if val is None else val
-    jac = np.empty_like(ref.jac) if jac is None else jac
-    tmp = np.empty(ref.jac.size) if tmp is None else tmp
+    val0, jac0 = samples[0]
+    val, jac, tmp = np.empty_like(val0), np.empty_like(jac0), np.empty(jac0.size)
     first = True
-    for cj, nf in zip(coeffs, nodefields):
+    for cj, (v, j) in zip(coeffs, samples):
         if cj == 0.0:
             continue
-        for src, dst in ((nf.val, val), (nf.jac, jac)):
+        for src, dst in ((v, val), (j, jac)):
             if first:
                 np.multiply(src, cj, out=dst)
             else:
@@ -233,7 +233,7 @@ def _combine(coeffs, nodefields, val=None, jac=None, tmp=None) -> NodeField:
                 np.multiply(src, cj, out=term)
                 dst += term
         first = False
-    return NodeField(ref.rule, val, jac)
+    return val, jac
 
 
 # nodes per block of the streamed Gram, whose weighted rows then take 3.75 MiB:
@@ -290,14 +290,17 @@ def _raw_gram(ctx: InnerContext, fields, weights=None) -> np.ndarray:
     _GRAM_CHUNK nodes, row k of M holds field k's weighted gradient entries
     (48, m), then its weighted value entries (12, m), and G gains M @ M.T.
     Gradients are computed on the chunk only, straight into M, so no
-    full-rule gradient or weighted matrix is held.
+    full-rule gradient or weighted matrix is held.  M has at least two rows,
+    a zero one below a single field: the BLAS product of one row with itself
+    sums in an order that depends on the thread count, that of two rows
+    does not.
     """
     N = len(ctx.rule)
     sw = np.sqrt(ctx.rule.weights if weights is None else weights)
     sl = sw * np.sqrt(ctx.wvals) if ctx.weighted else sw
     n = len(fields)
     G = np.zeros((n, n))
-    buf = np.empty((n, min(_GRAM_CHUNK, N) * 60))
+    buf = np.zeros((max(n, 2), min(_GRAM_CHUNK, N) * 60))
     for a, samples in _sample_blocks(ctx, fields):
         size = samples[0][0].shape[-1]
         for c in range(0, size, _GRAM_CHUNK):
@@ -311,7 +314,7 @@ def _raw_gram(ctx: InnerContext, fields, weights=None) -> np.ndarray:
                 grad *= sw[cols]
                 np.multiply(val[..., c:d].reshape(12, m), sl[cols],
                             out=row[m * 48:].reshape(12, m))
-            G += M @ M.T
+            G += (M @ M.T)[:n, :n]
     if not np.all(np.isfinite(G)):
         raise NumericalError("non-finite Gram matrix")
     return G
@@ -369,7 +372,10 @@ def project_perp(vs, basis: GramBasis) -> list:
     """
     raw, k, C = basis.samples(), len(vs), basis.coeff
     G = _raw_gram(basis.ctx, list(vs) + raw)
-    return [_combine(np.concatenate(([1.0], -(C.T @ (C @ g)))), [v] + raw)
+    pairs = [(nf.val, nf.jac) for nf in raw]
+    return [NodeField(basis.ctx.rule, *_combine(
+                np.concatenate(([1.0], -(C.T @ (C @ g)))),
+                [(v.val, v.jac)] + pairs))
             for v, g in zip(vs, G[:k, k:])]
 
 

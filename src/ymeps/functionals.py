@@ -20,7 +20,9 @@ import numpy as np
 
 from .basis import (
     InnerContext,
+    _combine,
     _raw_gram,
+    _sample_blocks,
     basis_directional_derivative,
     gram_schmidt_ball,
     gram_schmidt_weighted,
@@ -341,11 +343,12 @@ def compute_point_metrics(q: ParamQ, pi2: str = "model", tol: float = 1e-4,
 
     blocks selects the expensive parts: "basis" (always computed),
     "weighted", "l36", "l37", "l310".  The ball basis keeps its raw fields'
-    samples only for the blocks that read them, l37 and l310.
+    samples only for the block that reads them, l310; it runs before l37,
+    which samples block by block, and the samples are dropped after it so
+    that l37 never holds them.
     """
     out = {"eps": q.eps, "lam": q.lam}
-    basis = gram_schmidt_ball(q, pi2, tol=tol,
-                              keep_samples=bool(blocks & {"l37", "l310"}))
+    basis = gram_schmidt_ball(q, pi2, tol=tol, keep_samples="l310" in blocks)
     ctx = basis.ctx
     G = basis.raw_gram
     diag = np.sqrt(np.diag(G))
@@ -371,12 +374,13 @@ def compute_point_metrics(q: ParamQ, pi2: str = "model", tol: float = 1e-4,
         for i in range(8):
             out[f"basis_diff_{i+1}"] = float(np.sqrt(max(gaps[i], 0.0)))
 
+    if "l310" in blocks:
+        out.update(_perp_derivative_metrics(q, pi2, basis, ctx))
+        basis.raw_nodefields = None     # l310 was their last reader
+
     if "l37" in blocks:
         out.update(_hessian_difference_metrics(q, pi2, basis, ctx,
                                                seed=seed, n_test=n_test))
-
-    if "l310" in blocks:
-        out.update(_perp_derivative_metrics(q, pi2, basis, ctx))
 
     return out
 
@@ -447,60 +451,72 @@ def _pair_probes(Rt, probes, shapes, nodes, weights) -> np.ndarray:
     return out
 
 
-def _tag_representers(q, pi2, basis, ctx, pair) -> dict:
-    """{tag: pair(Rt)} for the basis fields a_1 (tag i1) and a_5 (i5).
+def _representers(q, pi2, basis, ctx) -> dict:
+    """{tag: Rt (120, N)} for the basis fields a_1 (tag i1) and a_5 (i5).
 
-    Rt (120, N) holds, per node (its last axis), the probe-independent
-    coefficients of HA, HAt, the five-term expansion t1 + ... + t5, cA and
-    cAt: first their phi-coefficients V (5,3,4), then the d phi block of
-    _dphi_map (the 2-forms d_A a, d_At a, eps [b ^ a] paired with d beta,
-    the 0-forms delta_A a, delta_At a paired with delta beta).  The bracket
-    parts are pointwise adjoints: <X, [Y ^ beta]> = <adjoint(Y, X), beta> for
-    a 2-form X, and the bracket of delta_A beta pairs with a 0-form y as
-    <eps [A ^ y], beta>.  Everything is computed on the samples as they
-    come, node-last, with the forms kernels.  Both tags are built in one
-    buffer, so pair must not keep the Rt it is given.
+    Rt holds, per node (its last axis), the probe-independent coefficients
+    of HA, HAt, the five-term expansion t1 + ... + t5, cA and cAt: first
+    their phi-coefficients V (5,3,4), then the d phi block of _dphi_map (the
+    2-forms d_A a, d_At a, eps [b ^ a] paired with d beta, the 0-forms
+    delta_A a, delta_At a paired with delta beta).  The bracket parts are
+    pointwise adjoints: <X, [Y ^ beta]> = <adjoint(Y, X), beta> for a 2-form
+    X, and the bracket of delta_A beta pairs with a 0-form y as
+    <eps [A ^ y], beta>.  Both are written one node block at a time from
+    fresh samples of A, Atilde, b and f_1..f_5 (_sample_blocks), a_1 and a_5
+    being combined there with the basis coefficients, so the basis needs no
+    samples and no full-rule sample is held.  Everything is computed on the
+    samples as they come, node-last, with the forms kernels.
     """
-    eps, N = q.eps, len(ctx.rule)
-    # A = Atilde - b holds Atilde's and b's atom objects, so one pass samples
-    # all three with each atom channel evaluated once
+    eps = q.eps
+    # A = Atilde - b holds Atilde's and b's atom objects, and so do the f_j
+    # derived from A, so one pass per block samples all eight fields with
+    # each atom channel evaluated once; C is lower triangular, so a_1 and
+    # a_5 need only f_1..f_5
     At, b = extended_connection(q), difference_b(q, pi2=pi2)
-    nfA, nfAt, nfb = ctx.arrays([glue(At, b), At, b])
-    A_, At_, b_ = nfA.val, nfAt.val, nfb.val
-    FA = curvature_coeffs(A_, nfA.jac, eps)
-    FAt = curvature_coeffs(At_, nfAt.jac, eps)
-    # t4 + t5 = eps <Fb, [a ^ beta]>, Fb = d_A b + (eps/2) [b ^ b]
-    Fb = (cov_d_coeffs(1, A_, b_, nfb.jac, eps)
-          + 0.5 * eps * bracket_wedge_coeffs(1, b_, b_))
-    del nfA, nfAt, nfb
-    Rt = np.empty((120, N))
-    V = Rt[:60].reshape(5, 3, 4, N)
-    X = Rt[60:114].reshape(3, 3, 6, N)
-    y = Rt[114:].reshape(2, 3, 1, N)
-    work = Rt.reshape(-1)
-    val = np.empty((3, 4, N))
+    A = glue(At, b)
+    fields = [A, At, b] + derivative_fields(A, DIRECTIONS[:5])
+    tags = {"i1": basis.coeff[0, :5], "i5": basis.coeff[4, :5]}
+    Rts = {tag: np.empty((120, len(ctx.rule))) for tag in tags}
+    for a, ((A_, jA), (At_, jAt), (b_, jb), *raw) in _sample_blocks(ctx,
+                                                                   fields):
+        m = A_.shape[-1]
+        FA = curvature_coeffs(A_, jA, eps)
+        FAt = curvature_coeffs(At_, jAt, eps)
+        # t4 + t5 = eps <Fb, [a ^ beta]>, Fb = d_A b + (eps/2) [b ^ b]
+        Fb = (cov_d_coeffs(1, A_, b_, jb, eps)
+              + 0.5 * eps * bracket_wedge_coeffs(1, b_, b_))
+        for tag, coeffs in tags.items():
+            val, jac = _combine(coeffs, raw)
+            # views of the block's columns; the kernels take strided views
+            # and work node by node, so the bits do not depend on the block
+            Rt = Rts[tag][:, a:a + m]
+            V = Rt[:60].reshape(5, 3, 4, m)
+            X = Rt[60:114].reshape(3, 3, 6, m)
+            y = Rt[114:].reshape(2, 3, 1, m)
+            for k, Ct in ((0, A_), (1, At_)):
+                X[k] = cov_d_coeffs(1, Ct, val, jac, eps)
+                y[k] = codiff_coeffs(1, Ct, val, jac, eps)
+            X[2] = eps * bracket_wedge_coeffs(1, b_, val)
+            # HA: <d_A a, eps [A ^ beta]> + eps <F_A, [a ^ beta]>, HAt alike
+            for k, Ct, F in ((0, A_, FA), (1, At_, FAt)):
+                V[k] = eps * (bracket_wedge_adjoint(1, Ct, X[k])
+                              + bracket_wedge_adjoint(1, val, F))
+            # t1 + t3 = eps <d_A a + eps [b ^ a], [b ^ beta]>, t2's bracket
+            # eps <eps [b ^ a], [A ^ beta]>, then t4 + t5
+            V[2] = eps * (bracket_wedge_adjoint(1, b_, X[0] + X[2])
+                          + bracket_wedge_adjoint(1, A_, X[2])
+                          + bracket_wedge_adjoint(1, val, Fb))
+            for k, Ct in ((3, A_), (4, At_)):
+                V[k] = eps * bracket_wedge_coeffs(0, Ct, y[k - 3])
+    return Rts
+
+
+def _tag_representers(q, pi2, basis, ctx, pair) -> dict:
+    """{tag: pair(Rt)} for the representers Rt of a_1 (tag i1) and a_5 (i5)
+    (_representers), each checked whole before it is paired; the block
+    samples they were built from are gone by then."""
     out = {}
-    for tag, idx in (("i1", 1), ("i5", 5)):
-        # the previous tag is paired, and V is written only after the last
-        # read of the jacobian, so V's rows hold it and X's rows the scratch
-        jac = basis.node_field(idx, val, work[:48 * N].reshape(3, 4, 4, N),
-                               work[60 * N:108 * N]).jac
-        for k, Ct in ((0, A_), (1, At_)):
-            X[k] = cov_d_coeffs(1, Ct, val, jac, eps)
-            y[k] = codiff_coeffs(1, Ct, val, jac, eps)
-        del jac
-        X[2] = eps * bracket_wedge_coeffs(1, b_, val)
-        # HA: <d_A a, eps [A ^ beta]> + eps <F_A, [a ^ beta]>, HAt alike
-        for k, Ct, F in ((0, A_, FA), (1, At_, FAt)):
-            V[k] = eps * (bracket_wedge_adjoint(1, Ct, X[k])
-                          + bracket_wedge_adjoint(1, val, F))
-        # t1 + t3 = eps <d_A a + eps [b ^ a], [b ^ beta]>, t2's bracket
-        # eps <eps [b ^ a], [A ^ beta]>, then t4 + t5
-        V[2] = eps * (bracket_wedge_adjoint(1, b_, X[0] + X[2])
-                      + bracket_wedge_adjoint(1, A_, X[2])
-                      + bracket_wedge_adjoint(1, val, Fb))
-        for k, Ct in ((3, A_), (4, At_)):
-            V[k] = eps * bracket_wedge_coeffs(0, Ct, y[k - 3])
+    for tag, Rt in _representers(q, pi2, basis, ctx).items():
         # outside a probe's support a non-finite entry would still poison
         # the full-rule integrals, so the whole representer is checked
         if not np.all(np.isfinite(Rt)):

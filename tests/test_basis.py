@@ -1,5 +1,10 @@
 """Tests for inner products, Gram-Schmidt bases, and projections."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -431,6 +436,35 @@ def test_fd_rebuild_samples_only_the_leading_fields(monkeypatch):
     for i in (1, 5):
         _basis_field_at(q, i, ctx, "model")
     assert seen == [DIRECTIONS[:1], DIRECTIONS[:5]]
+
+
+_GRAM_BITS = """
+from ymeps.basis import _raw_gram, ball_context
+from ymeps.instanton import ParamQ, derivative_fields, glued_connection
+q = ParamQ.default(2.0 ** -4)
+A = glued_connection(q)
+ctx = ball_context(A, q.eps)
+fields = derivative_fields(A)
+for n in (1, 8):
+    print(_raw_gram(ctx, fields[:n]).tobytes().hex())
+"""
+
+
+def test_raw_gram_bits_do_not_depend_on_the_blas_thread_count():
+    # one- and eight-field Grams, each computed at 1 and at 2 BLAS threads
+    # in its own process: a one-row product with itself would sum in an
+    # order that depends on the thread count
+    root = Path(__file__).resolve().parent.parent
+    bits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", _GRAM_BITS], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        bits.append(proc.stdout.split())
+    assert len(bits[0]) == 2
+    assert bits[0] == bits[1]
 
 
 def test_fd_rebuild_at_the_base_point_is_the_basis_field():

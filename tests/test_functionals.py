@@ -1,7 +1,5 @@
 """Energy/charge/pairing functionals against closed forms and finite differences."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -76,6 +74,7 @@ from oracle import (
     hessian_form,
     node_first,
     node_last,
+    combined_fields,
     per_probe_l37,
     project_perp_by_combination,
     sample_form,
@@ -507,11 +506,44 @@ def test_point_keeps_basis_samples_only_for_the_blocks_reading_them(
     monkeypatch.setattr(functionals_mod, "gram_schmidt_ball", recorded)
     q = ParamQ.default(2.0 ** -4)
     for blocks, keep in (({"basis"}, False), ({"weighted", "l36"}, False),
-                         ({"l37"}, True), ({"l310"}, True),
+                         ({"l37"}, False), ({"l310"}, True),
                          ({"weighted", "l36", "l37", "l310"}, True)):
         with pytest.raises(Built) as built:
             compute_point_metrics(q, blocks=frozenset(blocks))
         assert built.value.args == (keep,), blocks
+
+
+def test_l37_point_builds_its_representers_from_block_samples():
+    # at 2^-7 the eight raw fields sampled whole take 142 MiB and A, Atilde,
+    # b with their jacobians 56 MiB more; suite 3.7 samples them a block at
+    # a time, so the two representers (37 MiB each) and the probe block
+    # set its peak
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        m = compute_point_metrics(ParamQ.default(2.0 ** -7),
+                                  blocks=frozenset({"l37"}), n_test=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m["hess_dual_i5"] > 0.0
+    assert peak <= 128 * 2 ** 20, peak / 2 ** 20
+
+
+def test_l37_and_l310_together_equal_each_alone():
+    # l310 runs first and drops the basis samples before l37, which never
+    # reads them: the shared point's values are those of each block alone
+    q = _generic_q(2.0 ** -4)
+    both = compute_point_metrics(q, blocks=frozenset({"l37", "l310"}),
+                                 n_test=4, seed=RNG_SEED)
+    alone = {}
+    for block in ("l37", "l310"):
+        alone.update(compute_point_metrics(q, blocks=frozenset({block}),
+                                           n_test=4, seed=RNG_SEED))
+    assert sorted(both) == sorted(alone)
+    for key, want in alone.items():
+        assert np.asarray(both[key]).tobytes() == np.asarray(want).tobytes(), key
 
 
 def test_five_term_expansion_single_point():
@@ -526,7 +558,7 @@ def test_five_term_expansion_single_point():
 
 def _per_tag_l37_oracle(q, pi2, basis, ctx, seed, n_test):
     """The l37 loop as first written: tags outside, full rule, probe arrays
-    recomputed per tag."""
+    recomputed per tag, a_1 and a_5 combined from the whole-rule f_j."""
     eps, w = q.eps, ctx.rule.weights
     (A_nf,) = ctx.arrays([glued_connection(q, pi2=pi2)])
     (At_nf,) = ctx.arrays([extended_connection(q)])
@@ -537,9 +569,11 @@ def _per_tag_l37_oracle(q, pi2, basis, ctx, seed, n_test):
     dAb = cov_d_coeffs(1, Aval, b_nf.val, b_nf.jac, eps)
     bb = bracket_wedge_coeffs(1, b_nf.val, b_nf.val)
     betas = full_rule_probes(q, ctx, n_test, seed)
+    fields = combined_fields(
+        basis.coeff[[0, 4]],
+        ctx.arrays(derivative_fields(glued_connection(q, pi2=pi2))))
     out, resid = {}, 0.0
-    for tag, idx in (("i1", 1), ("i5", 5)):
-        a = basis.node_field(idx)
+    for tag, a in zip(("i1", "i5"), fields):
         dAa = cov_d_coeffs(1, Aval, a.val, a.jac, eps)
         dAta = cov_d_coeffs(1, Atval, a.val, a.jac, eps)
         delAa = codiff_coeffs(1, Aval, a.val, a.jac, eps)
@@ -574,9 +608,11 @@ def _per_tag_l37_oracle(q, pi2, basis, ctx, seed, n_test):
 @pytest.mark.parametrize("pi2", PI2_STRATEGIES)
 def test_l37_probe_loop_matches_per_tag_oracle(pi2):
     # off-centre p and a non-identity g: the probes' supports are off the
-    # rule's centre and cut through both charts
+    # rule's centre and cut through both charts.  The basis holds no
+    # samples: the loop combines a_1 and a_5 from its own
     q = _generic_q(2.0 ** -4)
-    basis = gram_schmidt_ball(q, pi2, keep_samples=True)
+    basis = gram_schmidt_ball(q, pi2)
+    assert basis.raw_nodefields is None
     got = _hessian_difference_metrics(q, pi2, basis, basis.ctx,
                                       seed=RNG_SEED, n_test=4)
     want = _per_tag_l37_oracle(q, pi2, basis, basis.ctx,
@@ -656,12 +692,30 @@ def _same(got, want) -> bool:
     return len(got) == len(want) and all(x is y for x, y in zip(got, want))
 
 
+def _record_l37_blocks(monkeypatch, poison=None) -> list:
+    """The samples of each node block the l37 representers read, in order;
+    poison(a, samples) may overwrite them before they are read."""
+    import ymeps.functionals as functionals_mod
+
+    blocks, sample_blocks = [], functionals_mod._sample_blocks
+
+    def recorded(ctx, fields):
+        for a, samples in sample_blocks(ctx, fields):
+            if poison is not None:
+                poison(a, samples)
+            blocks.append(samples)
+            yield a, samples
+
+    monkeypatch.setattr(functionals_mod, "_sample_blocks", recorded)
+    return blocks
+
+
 def test_l37_makes_no_layout_copy_and_no_node_field_arithmetic(monkeypatch):
-    # the kernels read the samples as sampling returns them: A, Atilde, b
-    # and their jacobians enter the kernels themselves, and each tag field
-    # is combined in place into the arrays the covariant kernels read.  No
-    # transpose or contiguous copy runs, and no NodeField sum or product is
-    # formed
+    # the kernels read the samples as sampling returns them: on each node
+    # block, A, Atilde, b and their jacobians enter the kernels themselves,
+    # and each tag field is combined from the block's f_j into the arrays
+    # the covariant kernels read.  No transpose or contiguous copy runs, and
+    # no NodeField sum or product is formed
     import ymeps.functionals as functionals_mod
 
     def forbidden(*args, **kwargs):
@@ -670,22 +724,16 @@ def test_l37_makes_no_layout_copy_and_no_node_field_arithmetic(monkeypatch):
     for op in ("__add__", "__sub__", "__mul__", "__rmul__"):
         monkeypatch.setattr(NodeField, op, forbidden)
     q = ParamQ.default(2.0 ** -4)
-    basis = gram_schmidt_ball(q, keep_samples=True)
-    sampled, combined, calls = [], [], {"curvature_coeffs": [],
-                                        "cov_d_coeffs": []}
-    arrays, node_field = InnerContext.arrays, GramBasis.node_field
+    basis = gram_schmidt_ball(q)
+    blocks = _record_l37_blocks(monkeypatch)
+    combined, calls = [], {"curvature_coeffs": [], "cov_d_coeffs": []}
+    combine = functionals_mod._combine
 
-    def recorded_arrays(self, f):
-        out = arrays(self, f)
-        sampled.extend(out)
-        return out
+    def recorded_combine(coeffs, samples):
+        combined.append((samples, combine(coeffs, samples)))
+        return combined[-1][1]
 
-    def recorded_node_field(self, *args):
-        combined.append(node_field(self, *args))
-        return combined[-1]
-
-    monkeypatch.setattr(InnerContext, "arrays", recorded_arrays)
-    monkeypatch.setattr(GramBasis, "node_field", recorded_node_field)
+    monkeypatch.setattr(functionals_mod, "_combine", recorded_combine)
     for name, log in calls.items():
         def spy(*args, _fn=getattr(functionals_mod, name), _log=log):
             _log.append(args)
@@ -696,17 +744,19 @@ def test_l37_makes_no_layout_copy_and_no_node_field_arithmetic(monkeypatch):
         monkeypatch.setattr(np, name, forbidden)
     _hessian_difference_metrics(q, "model", basis, basis.ctx, seed=RNG_SEED,
                                 n_test=4)
-    nfA, nfAt, nfb = sampled
-    a1, a5 = combined
-    curv = calls["curvature_coeffs"]
-    assert len(curv) == 2
-    assert _same(curv[0][:2], (nfA.val, nfA.jac))
-    assert _same(curv[1][:2], (nfAt.val, nfAt.jac))
-    fb, *per_tag = calls["cov_d_coeffs"]
-    assert _same(fb[1:4], (nfA.val, nfb.val, nfb.jac))
-    want = [(C, a.val, a.jac) for a in (a1, a5) for C in (nfA.val, nfAt.val)]
-    assert len(per_tag) == len(want)
-    assert all(_same(args[1:4], w) for args, w in zip(per_tag, want))
+    n = len(blocks)
+    assert n > 1
+    curv, cov = calls["curvature_coeffs"], calls["cov_d_coeffs"]
+    assert len(curv) == 2 * n and len(combined) == 2 * n and len(cov) == 5 * n
+    for k, (sA, sAt, sb, *raw) in enumerate(blocks):
+        assert _same(curv[2 * k][:2], sA)
+        assert _same(curv[2 * k + 1][:2], sAt)
+        fb, *per_tag = cov[5 * k:5 * k + 5]
+        assert _same(fb[1:4], (sA[0], *sb))
+        tag_fields = combined[2 * k:2 * k + 2]
+        assert all(_same(got, raw) for got, _ in tag_fields)
+        want = [(C, *a) for _, a in tag_fields for C in (sA[0], sAt[0])]
+        assert all(_same(args[1:4], w) for args, w in zip(per_tag, want))
 
 
 @pytest.mark.parametrize("stride", [1, 997])
@@ -836,48 +886,55 @@ def test_representer_zero_form_slot_pairs_with_delta_beta(slot):
     assert not np.delete(got, slot, axis=1).any()
 
 
+def _far_poison(ctx, index):
+    """A poison for _record_l37_blocks: a NaN in the value of the sampled
+    field at index (A, Atilde, b, f_1..f_5) at the rule's farthest node."""
+    far = int(np.argmax(np.linalg.norm(ctx.rule.nodes, axis=1)))
+
+    def poison(a, samples):
+        val = samples[index][0]
+        if a <= far < a + val.shape[-1]:
+            val[..., far - a] = np.nan
+
+    return far, poison
+
+
 def test_l37_probe_loop_reports_non_finite_connection(monkeypatch):
     # a NaN at a node no probe covers still poisons the full-rule integrals,
     # so the support-restricted loop must report it as well
     q = ParamQ.default(2.0 ** -4)
-    basis = gram_schmidt_ball(q, keep_samples=True)
+    basis = gram_schmidt_ball(q)
     ctx = basis.ctx
-    far = int(np.argmax(np.linalg.norm(ctx.rule.nodes, axis=1)))
-    arrays = type(ctx).arrays
-
-    def poisoned(self, f):
-        out = arrays(self, f)
-        # b is sampled in one pass with A and Atilde
-        for g, nf in zip(f, out):
-            if getattr(g, "inner_terms", None) == []:   # b vanishes there
-                nf.val = nf.val.copy()
-                nf.val[..., far] = np.nan
-        return out
-
-    monkeypatch.setattr(type(ctx), "arrays", poisoned)
+    _, poison = _far_poison(ctx, 2)      # b, sampled with A and Atilde
+    _record_l37_blocks(monkeypatch, poison)
     with pytest.raises(NumericalError):
         _hessian_difference_metrics(q, "model", basis, ctx, seed=RNG_SEED,
                                     n_test=2)
 
 
-def test_l37_probe_loop_reports_non_finite_basis_field():
+def test_l37_probe_loop_reports_non_finite_basis_field(monkeypatch):
     # a NaN in the raw field f_5 at a node no probe covers reaches a_5 only
     # (the coefficients are lower triangular), so the i1 tag pairs cleanly
     # and the i5 representer, checked whole, must report it
+    import ymeps.functionals as functionals_mod
+
     q = ParamQ.default(2.0 ** -4)
-    basis = gram_schmidt_ball(q, keep_samples=True)
-    far = int(np.argmax(np.linalg.norm(basis.ctx.rule.nodes, axis=1)))
+    basis = gram_schmidt_ball(q)
+    far, poison = _far_poison(basis.ctx, 7)
     probes = probe_family(q, basis.ctx, 2, RNG_SEED)
     assert not any(far in rows for rows, *_ in probes)
-    raw = list(basis.raw_nodefields)
-    f5 = raw[4]
-    raw[4] = type(f5)(f5.rule, f5.val.copy(), f5.jac)
-    raw[4].val[..., far] = np.nan
-    poisoned = dataclasses.replace(basis, raw_nodefields=raw)
-    assert np.isfinite(poisoned.node_field(1).val).all()
+    _record_l37_blocks(monkeypatch, poison)
+    paired, pair_probes = [], functionals_mod._pair_probes
+
+    def recorded(*args):
+        paired.append(pair_probes(*args))
+        return paired[-1]
+
+    monkeypatch.setattr(functionals_mod, "_pair_probes", recorded)
     with pytest.raises(NumericalError):
-        _hessian_difference_metrics(q, "model", poisoned, basis.ctx,
+        _hessian_difference_metrics(q, "model", basis, basis.ctx,
                                     seed=RNG_SEED, n_test=2)
+    assert len(paired) == 1 and np.isfinite(paired[0]).all()
 
 
 def test_perp_derivative_paths_single_point():
