@@ -130,7 +130,7 @@ def star_coeffs(degree: int, vals: np.ndarray) -> np.ndarray:
 # A k-form sampled at N nodes is val (3,C_k,N) with jac (3,C_k,4,N); a
 # connection enters by its values Aval (3,4,N).  Each kernel accepts strided
 # views, such as a block of nodes [..., a:b], and returns a C-contiguous
-# array.
+# array of its inputs' dtype.
 
 
 def cdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -151,8 +151,8 @@ def _bracket_contract(table, A: np.ndarray, w: np.ndarray) -> np.ndarray:
     bit-identical to accumulating those cross products entry by entry.
     """
     N = A.shape[-1]
-    out = np.empty((3, len(table), N))
-    cr, tmp = np.empty(N), np.empty(N)
+    out = np.empty((3, len(table), N), np.result_type(A, w))
+    cr, tmp = np.empty(N, out.dtype), np.empty(N, out.dtype)
     for tgt, entries in enumerate(table):
         for a, b, c in _CYCLIC:
             acc = out[a, tgt]
@@ -172,7 +172,7 @@ def _d_contract(table, jac: np.ndarray) -> np.ndarray:
 
     jac (3,C,4,N) -> (3,T,N); each term is one pass over contiguous rows.
     """
-    out = np.empty((3, len(table), jac.shape[-1]))
+    out = np.empty((3, len(table), jac.shape[-1]), jac.dtype)
     for tgt, entries in enumerate(table):
         acc = out[:, tgt]
         for j, (sign, nu, src) in enumerate(entries):

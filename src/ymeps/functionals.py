@@ -386,23 +386,23 @@ def compute_point_metrics(q: ParamQ, pi2: str = "model", tol: float = 1e-4,
 
 
 def _dphi_map() -> np.ndarray:
-    """The constant (240, 60) map from the d phi rows of a probe's pairing
-    with a representer to the 12-vectors of its five functionals.
+    """The constant (252, 72) map from the d phi rows of a probe's pairing
+    with a representer to the 12-vectors of its six functionals.
 
     Row (mu, c) takes d_mu phi times entry c of the representer's d phi
-    block (row 60 + c of Rt).  That block holds three 2-forms X, paired with
-    d beta, then two 0-forms y, paired with delta beta; with d_nu beta_src =
+    block (row 72 + c of Rt).  That block holds three 2-forms X, paired with
+    d beta, then three 0-forms y, paired with delta beta; with d_nu beta_src =
     C_src d_nu phi, each sign S[T, nu, src] of d (resp. delta) on 1-forms
     puts S X_T (resp. S y) on C_src d_nu phi.
     """
-    S = np.zeros((4, 60, 5, 3, 4))
+    S = np.zeros((4, 63, 6, 3, 4))
     col = 0
-    for f, signs in enumerate([d_signs(1)] * 3 + [codiff_signs(1)] * 2):
+    for f, signs in enumerate([d_signs(1)] * 3 + [codiff_signs(1)] * 3):
         for a in range(3):
             for S_T in signs:
                 S[:, col, f, a] = S_T
                 col += 1
-    return S.reshape(240, 60)
+    return S.reshape(252, 72)
 
 
 _DPHI_MAP = _dphi_map()
@@ -418,54 +418,41 @@ def _probe_shapes(probes):
     return list(shapes.values())
 
 
-def _shape_functionals(W, Rt) -> np.ndarray:
-    """The (S, 5, 12) pairings of S shapes' unit coefficients with a
-    representer Rt (120, N), from their stacked weighted channels W (5S, N):
-    L = sum w (V phi + P^mu d_mu phi), read off one GEMM W @ Rt.T."""
-    G = (W @ Rt.T).reshape(-1, 5, 120)
-    L = G[:, 0, :60] + G[:, 1:, 60:].reshape(len(G), 240) @ _DPHI_MAP
-    return L.reshape(-1, 5, 12)
+def _shape_functionals(G) -> np.ndarray:
+    """The (S, 6, 12) pairings of S shapes' unit coefficients with a
+    representer, from the product G (5S, 135) of their stacked weighted
+    channels W with it, W @ Rt.T summed over the nodes:
+    L = sum w (V phi + P^mu d_mu phi)."""
+    G = G.reshape(-1, 5, 135)
+    L = G[:, 0, :72] + G[:, 1:, 72:].reshape(len(G), 252) @ _DPHI_MAP
+    return L.reshape(-1, 6, 12)
 
 
-def _pair_probes(Rt, probes, shapes, nodes, weights) -> np.ndarray:
-    """The five pairings (HA, HAt, expansion, cA, cAt) of every probe with
-    Rt, (n, 5).
-
-    Each shape's weighted channels w * (phi, grad phi), zero off its support,
-    take five rows of a block W; one GEMM pairs a group of len(Rt) // 5
-    shapes, so W never has more rows than Rt, and probe k is L[shape] @ C_k.
-    """
-    per = len(Rt) // 5
-    W = np.zeros((5 * min(per, len(shapes)), Rt.shape[1]))
-    out = np.empty((len(probes), 5))
-    for g in range(0, len(shapes), per):
-        group = shapes[g:g + per]
-        for j, (rows, center, scale, _) in enumerate(group):
-            W[5 * j:5 * j + 5, rows] = (_bump_channels(nodes[rows], center, scale)
-                                        * weights[rows])
-        L = _shape_functionals(W[:5 * len(group)], Rt)
-        for j, (rows, _, _, members) in enumerate(group):
-            W[5 * j:5 * j + 5, rows] = 0.0
-            for k in members:
-                out[k] = L[j] @ probes[k][3].reshape(12)
-    return out
-
-
-def _representers(q, pi2, basis, ctx) -> dict:
-    """{tag: Rt (120, N)} for the basis fields a_1 (tag i1) and a_5 (i5).
+def _representers(q, pi2, basis, ctx):
+    """(a, {tag: Rt (135, m)}) per node block a, ..., a + m - 1 of ctx's
+    rule, for the basis fields a_1 (tag i1) and a_5 (i5).
 
     Rt holds, per node (its last axis), the probe-independent coefficients
-    of HA, HAt, the five-term expansion t1 + ... + t5, cA and cAt: first
-    their phi-coefficients V (5,3,4), then the d phi block of _dphi_map (the
-    2-forms d_A a, d_At a, eps [b ^ a] paired with d beta, the 0-forms
-    delta_A a, delta_At a paired with delta beta).  The bracket parts are
-    pointwise adjoints: <X, [Y ^ beta]> = <adjoint(Y, X), beta> for a 2-form
-    X, and the bracket of delta_A beta pairs with a 0-form y as
-    <eps [A ^ y], beta>.  Both are written one node block at a time from
-    fresh samples of A, Atilde, b and f_1..f_5 (_sample_blocks), a_1 and a_5
-    being combined there with the basis coefficients, so the basis needs no
-    samples and no full-rule sample is held.  Everything is computed on the
-    samples as they come, node-last, with the forms kernels.
+    of six functionals of a probe beta: HA, HAt, the five-term expansion
+    t1 + ... + t5 of HAt - HA, cA, cAt and the two-term expansion of
+    cAt - cA.  First come their phi-coefficients V (6,3,4), then the d phi
+    block of _dphi_map: the 2-forms d_A a, d_At a, eps [b ^ a] paired with
+    d beta, the 0-forms delta_A a, delta_At a and y_2 paired with delta beta.
+    The bracket parts are pointwise adjoints: <X, [Y ^ beta]> =
+    <adjoint(Y, X), beta> for a 2-form X, and the bracket of delta_A beta
+    pairs with a 0-form y as <eps [A ^ y], beta>.  The connection enters
+    delta only through that bracket, bilinearly, and At - A = b, so
+    delta_At a - delta_A a = y_2 = eps adjoint(b, a) node by node and
+    cAt - cA = <y_2, delta_At beta> + <delta_A a, eps adjoint(b, beta)>:
+    neither expansion is a difference of nearly equal pairings.
+
+    Each block is sampled fresh (_sample_blocks: A, Atilde, b and f_1..f_5,
+    a_1 and a_5 being combined there with the basis coefficients), so the
+    basis needs no samples and no full-rule sample is held.  The blocks are
+    written into two buffers allocated once and overwritten by the next
+    block, so a caller pairs each block before asking for the next.
+    Everything is computed on the samples as they come, node-last, with the
+    forms kernels, node by node, so no entry depends on the block size.
     """
     eps = q.eps
     # A = Atilde - b holds Atilde's and b's atom objects, and so do the f_j
@@ -476,7 +463,7 @@ def _representers(q, pi2, basis, ctx) -> dict:
     A = glue(At, b)
     fields = [A, At, b] + derivative_fields(A, DIRECTIONS[:5])
     tags = {"i1": basis.coeff[0, :5], "i5": basis.coeff[4, :5]}
-    Rts = {tag: np.empty((120, len(ctx.rule))) for tag in tags}
+    bufs = {}
     for a, ((A_, jA), (At_, jAt), (b_, jb), *raw) in _sample_blocks(ctx,
                                                                    fields):
         m = A_.shape[-1]
@@ -485,18 +472,20 @@ def _representers(q, pi2, basis, ctx) -> dict:
         # t4 + t5 = eps <Fb, [a ^ beta]>, Fb = d_A b + (eps/2) [b ^ b]
         Fb = (cov_d_coeffs(1, A_, b_, jb, eps)
               + 0.5 * eps * bracket_wedge_coeffs(1, b_, b_))
+        if not bufs:        # the first block is the largest
+            bufs = {tag: np.empty((135, m)) for tag in tags}
+        Rts = {tag: buf[:, :m] for tag, buf in bufs.items()}
         for tag, coeffs in tags.items():
             val, jac = _combine(coeffs, raw)
-            # views of the block's columns; the kernels take strided views
-            # and work node by node, so the bits do not depend on the block
-            Rt = Rts[tag][:, a:a + m]
-            V = Rt[:60].reshape(5, 3, 4, m)
-            X = Rt[60:114].reshape(3, 3, 6, m)
-            y = Rt[114:].reshape(2, 3, 1, m)
+            Rt = Rts[tag]
+            V = Rt[:72].reshape(6, 3, 4, m)
+            X = Rt[72:126].reshape(3, 3, 6, m)
+            y = Rt[126:].reshape(3, 3, 1, m)
             for k, Ct in ((0, A_), (1, At_)):
                 X[k] = cov_d_coeffs(1, Ct, val, jac, eps)
                 y[k] = codiff_coeffs(1, Ct, val, jac, eps)
             X[2] = eps * bracket_wedge_coeffs(1, b_, val)
+            y[2] = eps * bracket_wedge_adjoint(0, b_, val)
             # HA: <d_A a, eps [A ^ beta]> + eps <F_A, [a ^ beta]>, HAt alike
             for k, Ct, F in ((0, A_, FA), (1, At_, FAt)):
                 V[k] = eps * (bracket_wedge_adjoint(1, Ct, X[k])
@@ -508,21 +497,10 @@ def _representers(q, pi2, basis, ctx) -> dict:
                           + bracket_wedge_adjoint(1, val, Fb))
             for k, Ct in ((3, A_), (4, At_)):
                 V[k] = eps * bracket_wedge_coeffs(0, Ct, y[k - 3])
-    return Rts
-
-
-def _tag_representers(q, pi2, basis, ctx, pair) -> dict:
-    """{tag: pair(Rt)} for the representers Rt of a_1 (tag i1) and a_5 (i5)
-    (_representers), each checked whole before it is paired; the block
-    samples they were built from are gone by then."""
-    out = {}
-    for tag, Rt in _representers(q, pi2, basis, ctx).items():
-        # outside a probe's support a non-finite entry would still poison
-        # the full-rule integrals, so the whole representer is checked
-        if not np.all(np.isfinite(Rt)):
-            raise NumericalError("non-finite integrand in the l37 pairings")
-        out[tag] = pair(Rt)
-    return out
+            # the brackets of <y_2, delta_At beta> and <y_0, eps adj(b, beta)>
+            V[5] = eps * (bracket_wedge_coeffs(0, At_, y[2])
+                          + bracket_wedge_coeffs(0, b_, y[0]))
+        yield a, Rts
 
 
 def _hessian_difference_metrics(q, pi2, basis, ctx, seed, n_test):
@@ -530,26 +508,49 @@ def _hessian_difference_metrics(q, pi2, basis, ctx, seed, n_test):
 
     A probe beta = C phi (a bump phi, a constant 3x4 C) enters every pairing
     only through its five channels (phi, grad phi), which vanish outside its
-    ball.  So each tag's representer Rt (_tag_representers) pairs with every
-    probe linearly in C: one GEMM per group of shapes (center, scale) gives
-    each shape's pairings L (5, 12) with the unit coefficients, and each
-    probe is L @ C.
+    ball.  So each tag's representer (_representers) pairs with every probe
+    linearly in C.  On each node block, every shape's (center, scale)
+    weighted channels take five rows of one W, and each tag's block, checked
+    for non-finite entries on every node, adds W @ Rt.T to that tag's
+    (5S, 135) sum; after the last block each shape's pairings L (6, 12)
+    with the unit coefficients are read off the sum, and each probe is
+    L @ C.  Both dual norms are read from their expansions: hess_dual from
+    the five-term one, codiff_dual from the two-term one.  The direct
+    differences HAt - HA give five_term_residual.
     """
     nodes, weights = ctx.rule.nodes, ctx.rule.weights
     probes = test_field_family(q, ctx, n_test, seed)
     shapes = _probe_shapes(probes)
-    pairings = _tag_representers(
-        q, pi2, basis, ctx,
-        lambda Rt: _pair_probes(Rt, probes, shapes, nodes, weights))
+    W, G = None, {}
+    for a, Rts in _representers(q, pi2, basis, ctx):
+        m = next(iter(Rts.values())).shape[1]
+        if W is None:       # the first block is the largest
+            W = np.empty((5 * len(shapes), m))
+        Wb = W[:, :m]
+        Wb.fill(0.0)
+        for j, (rows, center, scale, _) in enumerate(shapes):
+            s = rows[slice(*np.searchsorted(rows, (a, a + m)))]
+            Wb[5 * j:5 * j + 5, s - a] = (_bump_channels(nodes[s], center, scale)
+                                          * weights[s])
+        for tag, Rt in Rts.items():
+            # outside a probe's support a non-finite entry would still poison
+            # the full-rule integrals, so every node is checked
+            if not np.all(np.isfinite(Rt)):
+                raise NumericalError(
+                    f"non-finite integrand in the l37 pairings ({tag})")
+            G[tag] = G.get(tag, 0.0) + Wb @ Rt.T
     out, five_term_resid = {}, 0.0
-    for tag, P in pairings.items():
-        HA, HAt, expansion, cA, cAt = P.T
-        direct = HAt - HA
+    for tag, Gt in G.items():
+        P = np.empty((len(probes), 6))
+        for (*_, members), L in zip(shapes, _shape_functionals(Gt)):
+            for k in members:
+                P[k] = L @ probes[k][3].reshape(12)
+        HA, HAt, expansion, _, _, codiff = P.T
         five_term_resid = max(five_term_resid, np.max(
-            np.abs(direct - expansion)
+            np.abs(HAt - HA - expansion)
             / np.maximum(np.maximum(np.abs(HA), np.abs(HAt)), 1.0)))
-        out[f"hess_dual_{tag}"] = np.max(np.abs(direct))
-        out[f"codiff_dual_{tag}"] = np.max(np.abs(cAt - cA))
+        out[f"hess_dual_{tag}"] = np.max(np.abs(expansion))
+        out[f"codiff_dual_{tag}"] = np.max(np.abs(codiff))
     out["five_term_residual"] = five_term_resid
     return out
 

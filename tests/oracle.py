@@ -10,12 +10,14 @@ FormFields into (node-last) NodeFields on a rule, so they can enter the
 library's pairings, give the energy's first and second variations in a
 sampled direction (grad_pairing, hessian_form), and build the suite-3.7
 bump probes on the full rule, as an independent check of the support-only
-specs of functionals.test_field_family.  Last come the whole-rule references for routes the library streams: the raw Gram summed in
-long double over the whole rule, chart sampling scattered through boolean
-masks, and the suite-3.7 probes paired one at a time with the whole
-representer.  The last section pairs basis combinations the explicit way,
-combining the eight fields node by node before any pairing, against the
-library's reading of those pairings through the coefficient matrix.
+specs of functionals.test_field_family.  Last come the whole-rule
+references for routes the library streams: the raw Gram summed in long
+double over the whole rule, chart sampling scattered through boolean masks,
+the suite-3.7 probes paired one at a time with the whole representer, and
+their direct differences in long double.  The last section pairs basis
+combinations the explicit way, combining the eight fields node by node
+before any pairing, against the library's reading of those pairings through
+the coefficient matrix.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ import numpy as np
 from ymeps.basis import (
     InnerContext,
     NodeField,
+    _combine,
     _raw_gram,
     mgs_coefficients,
     weighted_context,
@@ -30,7 +33,7 @@ from ymeps.basis import (
 from ymeps.functionals import (
     _DPHI_MAP,
     _bump_channels,
-    _tag_representers,
+    _representers,
     test_field_family,
 )
 from ymeps.forms import (
@@ -45,6 +48,7 @@ from ymeps.forms import (
     weighted_sum,
 )
 from ymeps.instanton import (
+    DIRECTIONS,
     ETA,
     ETABAR,
     LinRadAtom,
@@ -52,7 +56,9 @@ from ymeps.instanton import (
     _terms_sum,
     beta_profile,
     derivative_fields,
+    difference_b,
     extended_connection,
+    glue,
     rad_i1,
     rad_i2,
     sample_charted,
@@ -535,42 +541,90 @@ def scatter_sample_charted(fields, X, mask_inner):
 
 
 def probe_pairings(R, wphi, coeff) -> np.ndarray:
-    """The five pairings (HA, HAt, expansion, cA, cAt) of the probe
-    coeff * phi with a node-first representer R (N, 120), given the weighted
-    channels w * phi on the same rows: sum_{a,nu} C_{a nu} L_{a nu}, with
-    L = sum w (V phi + P^mu d_mu phi) read off one GEMM (w phi) @ R."""
+    """The six pairings (HA, HAt, five-term expansion, cA, cAt, two-term
+    expansion) of the probe coeff * phi with a node-first representer
+    R (N, 135), given the weighted channels w * phi on the same rows:
+    sum_{a,nu} C_{a nu} L_{a nu}, with L = sum w (V phi + P^mu d_mu phi)
+    read off one GEMM (w phi) @ R."""
     G = wphi @ R
-    L = G[0, :60] + G[1:, 60:].reshape(240) @ _DPHI_MAP
-    return L.reshape(5, 12) @ coeff.reshape(12)
+    L = G[0, :72] + G[1:, 72:].reshape(252) @ _DPHI_MAP
+    return L.reshape(6, 12) @ coeff.reshape(12)
+
+
+def whole_rule_representers(q, pi2, basis, ctx) -> dict:
+    """{tag: Rt (135, N)}: the library's representer blocks, copied out of
+    its buffers as they come and concatenated over the whole rule."""
+    blocks = {}
+    for _, Rts in _representers(q, pi2, basis, ctx):
+        for tag, Rt in Rts.items():
+            blocks.setdefault(tag, []).append(Rt.copy())
+    return {tag: np.concatenate(b, axis=1) for tag, b in blocks.items()}
 
 
 def per_probe_l37(q, pi2, basis, ctx, seed: int, n_test: int) -> dict:
     """The l37 metrics with every probe paired on its own: its weighted
     channels, zero-padded to the whole rule, times the whole representer
-    (one (5, N) @ (N, 120) product per probe and tag)."""
+    (one (5, N) @ (N, 135) product per probe and tag).  The dual norms are
+    read from the same expansion columns as the library's."""
     nodes, weights = ctx.rule.nodes, ctx.rule.weights
     probes = test_field_family(q, ctx, n_test, seed)
     wphi = np.zeros((5, len(nodes)))
-
-    def pair(Rt):
-        rows = []
+    out, resid = {}, 0.0
+    for tag, Rt in whole_rule_representers(q, pi2, basis, ctx).items():
+        sup_h = sup_c = 0.0
         for s, center, scale, coeff in probes:
             wphi[:, s] = _bump_channels(nodes[s], center, scale) * weights[s]
-            rows.append(probe_pairings(Rt.T, wphi, coeff))
+            HA, HAt, expansion, _, _, codiff = probe_pairings(Rt.T, wphi,
+                                                              coeff)
             wphi[:, s] = 0.0
-        return rows
-
-    out, resid = {}, 0.0
-    for tag, rows in _tag_representers(q, pi2, basis, ctx, pair).items():
-        sup_h = sup_c = 0.0
-        for HA, HAt, expansion, cA, cAt in rows:
-            sup_h = max(sup_h, abs(HAt - HA))
+            sup_h = max(sup_h, abs(expansion))
             resid = max(resid, abs(HAt - HA - expansion)
                         / max(abs(HA), abs(HAt), 1.0))
-            sup_c = max(sup_c, abs(cAt - cA))
+            sup_c = max(sup_c, abs(codiff))
         out[f"hess_dual_{tag}"] = sup_h
         out[f"codiff_dual_{tag}"] = sup_c
     out["five_term_residual"] = resid
+    return out
+
+
+def long_double_l37_differences(q, pi2, basis, ctx, probes) -> dict:
+    """{tag: (n, 2)} direct differences (HAt - HA, cAt - cA) of every probe,
+    each pairing formed and summed in long double over its support.
+
+    The samples of A, Atilde and a_1, a_5 (combined in float64, as the
+    library combines them), the probes' channels and the weights are the
+    library's float64 inputs; everything after them runs in long double
+    (64-bit mantissa where the platform has it), so each difference keeps
+    about 3 more digits than in float64."""
+    At, b = extended_connection(q), difference_b(q, pi2=pi2)
+    A = glue(At, b)
+    nfs = ctx.arrays([A, At] + derivative_fields(A, DIRECTIONS[:5]))
+    ld = np.longdouble
+    (Av, jA), (Atv, jAt) = [(nf.val.astype(ld), nf.jac.astype(ld))
+                            for nf in nfs[:2]]
+    raw = [(nf.val, nf.jac) for nf in nfs[2:]]
+    eps, w = ld(q.eps), ctx.rule.weights.astype(ld)
+    nodes = ctx.rule.nodes
+    out = {}
+    for tag, i in (("i1", 0), ("i5", 4)):
+        val, jac = (x.astype(ld) for x in _combine(basis.coeff[i, :5], raw))
+        diffs = []
+        for s, center, scale, coeff in probes:
+            phi = _bump_channels(nodes[s], center, scale).astype(ld)
+            C = coeff.astype(ld)
+            bv, bj = C[:, :, None] * phi[0], C[:, :, None, None] * phi[1:]
+            a, ja, ws = val[..., s], jac[..., s], w[s]
+            H, c = [], []
+            for Cv, jC in ((Av[..., s], jA[..., s]), (Atv[..., s], jAt[..., s])):
+                F = curvature_coeffs(Cv, jC, eps)
+                H.append(np.sum(ws * (
+                    cdot(cov_d_coeffs(1, Cv, a, ja, eps),
+                         cov_d_coeffs(1, Cv, bv, bj, eps))
+                    + eps * cdot(F, bracket_wedge_coeffs(1, a, bv)))))
+                c.append(np.sum(ws * cdot(codiff_coeffs(1, Cv, a, ja, eps),
+                                          codiff_coeffs(1, Cv, bv, bj, eps))))
+            diffs.append((H[1] - H[0], c[1] - c[0]))
+        out[tag] = np.array(diffs, dtype=ld)
     return out
 
 

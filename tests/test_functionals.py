@@ -1,5 +1,10 @@
 """Energy/charge/pairing functionals against closed forms and finite differences."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -72,13 +77,16 @@ from oracle import (
     full_rule_probes,
     grad_pairing,
     hessian_form,
+    long_double_l37_differences,
     node_first,
     node_last,
     combined_fields,
     per_probe_l37,
+    probe_pairings,
     project_perp_by_combination,
     sample_form,
     weighted_coeff_by_combination,
+    whole_rule_representers,
 )
 
 RNG_SEED = 77023
@@ -515,9 +523,9 @@ def test_point_keeps_basis_samples_only_for_the_blocks_reading_them(
 
 def test_l37_point_builds_its_representers_from_block_samples():
     # at 2^-7 the eight raw fields sampled whole take 142 MiB and A, Atilde,
-    # b with their jacobians 56 MiB more; suite 3.7 samples them a block at
-    # a time, so the two representers (37 MiB each) and the probe block
-    # set its peak
+    # b with their jacobians 56 MiB more, and two whole-rule representers
+    # would take 40 MiB each; suite 3.7 samples, builds and pairs them a
+    # block at a time, so the basis build sets the peak
     import tracemalloc
 
     tracemalloc.start()
@@ -528,7 +536,7 @@ def test_l37_point_builds_its_representers_from_block_samples():
     finally:
         tracemalloc.stop()
     assert m["hess_dual_i5"] > 0.0
-    assert peak <= 128 * 2 ** 20, peak / 2 ** 20
+    assert peak <= 64 * 2 ** 20, peak / 2 ** 20
 
 
 def test_l37_and_l310_together_equal_each_alone():
@@ -636,41 +644,54 @@ def _assert_l37_close(got, want):
             assert abs(got[key] - want[key]) <= 1e-12 * want[key], key
 
 
-def _count_shape_gemms(monkeypatch) -> list:
-    """The number of shapes of each _shape_functionals call (one GEMM each)."""
+def _count_shape_gemms(monkeypatch) -> tuple:
+    """The number of node blocks each tag's representer comes in, and the
+    number of shapes of each _shape_functionals call: one per tag, reading
+    the product of all shapes' channels with that tag's representer, summed
+    over the blocks."""
     import ymeps.functionals as functionals_mod
 
-    calls = []
-    fn = functionals_mod._shape_functionals
+    blocks, calls = [], []
+    representers, fn = (functionals_mod._representers,
+                        functionals_mod._shape_functionals)
 
-    def counted(W, Rt):
-        calls.append(len(W) // 5)
-        return fn(W, Rt)
+    def counted_blocks(*args):
+        for a, Rts in representers(*args):
+            blocks.append(sorted(Rts))
+            yield a, Rts
 
+    def counted(G):
+        assert G.shape[1] == 135
+        calls.append(len(G) // 5)
+        return fn(G)
+
+    monkeypatch.setattr(functionals_mod, "_representers", counted_blocks)
     monkeypatch.setattr(functionals_mod, "_shape_functionals", counted)
-    return calls
+    return blocks, calls
 
 
 @pytest.mark.parametrize("pi2", ["model", "full"])
 def test_l37_shape_groups_match_per_probe_oracle(pi2, monkeypatch):
     # the 0.95-scale probes all sit at centre 0, so they share one shape and
-    # one L; each tag pairs all its shapes in one GEMM
+    # one L; on each node block each tag pairs all its shapes in one product
     q = _generic_q(2.0 ** -4)
     basis = gram_schmidt_ball(q, pi2, keep_samples=True)
     shapes = _probe_shapes(probe_family(q, basis.ctx, 8, RNG_SEED))
     assert any(len(members) > 1 for *_, members in shapes)
     assert sorted(k for *_, members in shapes for k in members) == list(range(8))
-    gemms = _count_shape_gemms(monkeypatch)
+    blocks, gemms = _count_shape_gemms(monkeypatch)
     got = _hessian_difference_metrics(q, pi2, basis, basis.ctx,
                                       seed=RNG_SEED, n_test=8)
+    assert len(blocks) > 1 and blocks == [["i1", "i5"]] * len(blocks)
     assert gemms == [len(shapes)] * 2
     _assert_l37_close(got, per_probe_l37(q, pi2, basis, basis.ctx,
                                          seed=RNG_SEED, n_test=8))
 
 
 def test_l37_shape_groups_cross_the_group_boundary(monkeypatch):
-    # more shapes than 120 // 5: the first group fills W with as many rows
-    # as the representer has, and the rest take a second GEMM
+    # more shapes than 120 // 5, the most one product took while the whole
+    # representer was paired at once: all of them now pair in one product
+    # per node block and tag, on a rule of two blocks
     q = _generic_q(2.0 ** -4)
     r = domain_ball_rule(q.p, q.lam)
     rule = QuadratureRule(r.nodes[::7], r.weights[::7], r.center, r.lam,
@@ -679,12 +700,105 @@ def test_l37_shape_groups_cross_the_group_boundary(monkeypatch):
     n, per = 40, 120 // 5
     shapes = _probe_shapes(probe_family(q, basis.ctx, n, RNG_SEED))
     assert per < len(shapes) <= 2 * per
-    gemms = _count_shape_gemms(monkeypatch)
+    blocks, gemms = _count_shape_gemms(monkeypatch)
     got = _hessian_difference_metrics(q, "model", basis, basis.ctx,
                                       seed=RNG_SEED, n_test=n)
-    assert gemms == [per, len(shapes) - per] * 2
+    assert len(blocks) > 1
+    assert gemms == [len(shapes)] * 2
     _assert_l37_close(got, per_probe_l37(q, "model", basis, basis.ctx,
                                          seed=RNG_SEED, n_test=n))
+
+
+def test_l37_expansions_are_closer_to_long_double_than_direct_differences():
+    # off-centre, pi2 = full, at 2^-9, on every 7th node of the rule: for
+    # a_1, <delta_At a, delta_At beta> and <delta_A a, delta_A beta> agree to
+    # about 7 digits, so their float64 difference keeps about 9; both
+    # expansions, which cancel nothing, must land closer to the difference
+    # taken in long double than the float64 direct differences do
+    if np.finfo(np.longdouble).nmant <= np.finfo(float).nmant:
+        pytest.skip("long double carries no more digits than float64 here")
+    q = _generic_q(2.0 ** -9)
+    r = domain_ball_rule(q.p, q.lam)
+    rule = QuadratureRule(r.nodes[::7], r.weights[::7], r.center, r.lam,
+                          r.region)
+    basis = gram_schmidt_ball(q, "full", rule=rule)
+    ctx = basis.ctx
+    probes = probe_family(q, ctx, 8, RNG_SEED)
+    got = _hessian_difference_metrics(q, "full", basis, ctx, seed=RNG_SEED,
+                                      n_test=8)
+    exact = long_double_l37_differences(q, "full", basis, ctx, probes)
+    Rts = whole_rule_representers(q, "full", basis, ctx)
+    nodes, w = rule.nodes, rule.weights
+    wphi = np.zeros((5, len(rule)))
+    for tag, Rt in Rts.items():
+        P = []
+        for s, center, scale, coeff in probes:
+            wphi[:, s] = _bump_channels(nodes[s], center, scale) * w[s]
+            P.append(probe_pairings(Rt.T, wphi, coeff))
+            wphi[:, s] = 0.0
+        P = np.array(P)
+        for k, (name, direct, expansion) in enumerate((
+                ("hess_dual", P[:, 1] - P[:, 0], P[:, 2]),
+                ("codiff_dual", P[:, 4] - P[:, 3], P[:, 5]))):
+            want = exact[tag][:, k]
+            scale = np.max(np.abs(want))
+            err_direct = float(np.max(np.abs(direct - want)) / scale)
+            err_expansion = float(np.max(np.abs(expansion - want)) / scale)
+            assert err_expansion < err_direct, (
+                tag, name, err_expansion, err_direct)
+            sup = float(np.max(np.abs(want)))
+            err_reported = abs(got[f"{name}_{tag}"] - sup) / sup
+            assert err_reported < err_direct, (
+                tag, name, err_reported, err_direct)
+
+
+@pytest.mark.parametrize("k", [4, 7])
+@pytest.mark.parametrize("pi2", PI2_STRATEGIES)
+def test_l37_dual_norms_do_not_depend_on_the_block_size(pi2, k, monkeypatch):
+    # the representers are built node by node, but each block's pairing is
+    # one product summed over the blocks, so the block size only reorders
+    # the node sum; neither expansion cancels, so that stays round-off
+    import ymeps.basis as basis_mod
+
+    q = _generic_q(2.0 ** -k)
+    basis = gram_schmidt_ball(q, pi2)
+    got = []
+    for block in (1024, len(basis.ctx.rule)):
+        monkeypatch.setattr(basis_mod, "_SAMPLE_BLOCK", block)
+        got.append(_hessian_difference_metrics(q, pi2, basis, basis.ctx,
+                                               seed=RNG_SEED, n_test=8))
+    for key, want in got[1].items():
+        if key != "five_term_residual":
+            assert want > 0.0
+            assert abs(got[0][key] - want) <= 1e-14 * want, key
+
+
+_L37_BITS = """
+import numpy as np
+from ymeps.functionals import compute_point_metrics
+from ymeps.instanton import ParamQ
+m = compute_point_metrics(ParamQ.default(2.0 ** -4), blocks=frozenset({"l37"}),
+                          n_test=4)
+for key in sorted(m):
+    print(key, np.asarray(m[key]).tobytes().hex())
+"""
+
+
+def test_l37_point_bits_do_not_depend_on_the_blas_thread_count():
+    # each tag's pairing sums one small product per node block; the point's
+    # values must come out bit for bit the same at 1 and at 2 BLAS threads
+    root = Path(__file__).resolve().parent.parent
+    bits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", _L37_BITS], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        bits.append(dict(line.split() for line in proc.stdout.splitlines()))
+    assert {f"{name}_{tag}" for name in ("hess_dual", "codiff_dual")
+            for tag in ("i1", "i5")} < set(bits[0])
+    assert bits[0] == bits[1]
 
 
 def _same(got, want) -> bool:
@@ -715,7 +829,8 @@ def test_l37_makes_no_layout_copy_and_no_node_field_arithmetic(monkeypatch):
     # block, A, Atilde, b and their jacobians enter the kernels themselves,
     # and each tag field is combined from the block's f_j into the arrays
     # the covariant kernels read.  No transpose or contiguous copy runs, and
-    # no NodeField sum or product is formed
+    # no NodeField sum or product is formed.  Each block's representers are
+    # handed out before the next block is sampled, in the same two buffers
     import ymeps.functionals as functionals_mod
 
     def forbidden(*args, **kwargs):
@@ -739,13 +854,28 @@ def test_l37_makes_no_layout_copy_and_no_node_field_arithmetic(monkeypatch):
             _log.append(args)
             return _fn(*args)
         monkeypatch.setattr(functionals_mod, name, spy)
+    yielded, representers = [], functionals_mod._representers
+
+    def recorded(*args):
+        for a, Rts in representers(*args):
+            yielded.append((a, len(blocks), {
+                tag: (Rt.shape, Rt.__array_interface__["data"][0])
+                for tag, Rt in Rts.items()}))
+            yield a, Rts
+
+    monkeypatch.setattr(functionals_mod, "_representers", recorded)
     for name in ("moveaxis", "ascontiguousarray", "copyto", "transpose",
                  "swapaxes"):
         monkeypatch.setattr(np, name, forbidden)
     _hessian_difference_metrics(q, "model", basis, basis.ctx, seed=RNG_SEED,
                                 n_test=4)
     n = len(blocks)
-    assert n > 1
+    assert n > 1 and len(yielded) == n
+    for k, (a, sampled, Rts) in enumerate(yielded):
+        m = blocks[k][0][0].shape[-1]
+        assert sampled == k + 1 and list(Rts) == ["i1", "i5"]
+        for tag, (shape, data) in Rts.items():
+            assert shape == (135, m) and data == yielded[0][2][tag][1]
     curv, cov = calls["curvature_coeffs"], calls["cov_d_coeffs"]
     assert len(curv) == 2 * n and len(combined) == 2 * n and len(cov) == 5 * n
     for k, (sA, sAt, sb, *raw) in enumerate(blocks):
@@ -824,13 +954,14 @@ def _random_probe(rng, n):
 
 
 def _node_pairings(Rt, phi, C):
-    """The pairings of every node on its own, unit weight, (n, 5): each node
-    is one shape of a block-diagonal W, paired by _shape_functionals."""
+    """The pairings of every node on its own, unit weight, (n, 6): each node
+    is one shape of a block-diagonal W, read by _shape_functionals off the
+    product W @ Rt.T."""
     n = Rt.shape[1]
     W = np.zeros((5 * n, n))
     for i in range(n):
         W[5 * i:5 * i + 5, i] = phi[:, i]
-    return _shape_functionals(W, Rt) @ C.reshape(12)
+    return _shape_functionals(W @ Rt.T) @ C.reshape(12)
 
 
 @pytest.mark.parametrize("slot", [0, 1, 2])
@@ -840,8 +971,8 @@ def test_representer_two_form_slot_pairs_with_d_beta(slot):
     n = 40
     X = rng.standard_normal((3, 6, n))
     phi, C, _, jac = _random_probe(rng, n)
-    R = np.zeros((120, n))
-    R[60 + 18 * slot:78 + 18 * slot] = X.reshape(18, n)
+    R = np.zeros((135, n))
+    R[72 + 18 * slot:90 + 18 * slot] = X.reshape(18, n)
     want = cdot(X, d_coeffs(1, jac))
     got = _node_pairings(R, phi, C)
     tol = 1e-13 * np.max(np.abs(want))
@@ -861,13 +992,13 @@ def test_wedge_adjoint_pairs_with_bracket():
     np.testing.assert_allclose(got, want, rtol=0,
                                atol=1e-13 * np.max(np.abs(want)))
     # through a phi slot of the representer, the same pairing
-    R = np.zeros((120, n))
+    R = np.zeros((135, n))
     R[:12] = adj.reshape(12, n)
     np.testing.assert_allclose(_node_pairings(R, phi, C)[:, 0], want, rtol=0,
                                atol=1e-13 * np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("slot", [3, 4])
+@pytest.mark.parametrize("slot", [3, 4, 5])
 def test_representer_zero_form_slot_pairs_with_delta_beta(slot):
     # <y, delta_A (C phi)>: y in a 0-form slot of the d phi block, and
     # eps [A ^ y] in the same functional's phi slot
@@ -875,15 +1006,49 @@ def test_representer_zero_form_slot_pairs_with_delta_beta(slot):
     n, eps = 40, 0.3
     y, A = rng.standard_normal((3, 1, n)), rng.standard_normal((3, 4, n))
     phi, C, val, jac = _random_probe(rng, n)
-    R = np.zeros((120, n))
+    R = np.zeros((135, n))
     R[12 * slot:12 * slot + 12] = (eps * bracket_wedge_coeffs(0, A, y)
                                    ).reshape(12, n)
-    R[114 + 3 * (slot - 3):117 + 3 * (slot - 3)] = y.reshape(3, n)
+    R[126 + 3 * (slot - 3):129 + 3 * (slot - 3)] = y.reshape(3, n)
     want = cdot(y, codiff_coeffs(1, A, val, jac, eps))
     got = _node_pairings(R, phi, C)
     tol = 1e-13 * np.max(np.abs(want))
     np.testing.assert_allclose(got[:, slot], want, rtol=0, atol=tol)
     assert not np.delete(got, slot, axis=1).any()
+
+
+def test_representer_codiff_expansion_slots_pair_with_the_difference():
+    # the sixth functional: y_2 = eps adjoint(b, a) in its 0-form slot pairs
+    # with delta_At beta, eps [b ^ y_0] in its phi slot with
+    # <delta_A a, eps adjoint(b, beta)>, y_0 = delta_A a; with At = A + b the
+    # two sum to <delta_At a, delta_At beta> - <delta_A a, delta_A beta>
+    rng = np.random.default_rng(RNG_SEED)
+    n, eps = 40, 0.3
+    A, b = rng.standard_normal((3, 4, n)), rng.standard_normal((3, 4, n))
+    At = A + b
+    a_val = rng.standard_normal((3, 4, n))
+    a_jac = rng.standard_normal((3, 4, 4, n))
+    phi, C, val, jac = _random_probe(rng, n)
+    y0 = codiff_coeffs(1, A, a_val, a_jac, eps)
+    y2 = eps * bracket_wedge_adjoint(0, b, a_val)
+    R_delta, R_adj = np.zeros((135, n)), np.zeros((135, n))
+    R_delta[132:] = y2.reshape(3, n)
+    R_delta[60:72] = eps * bracket_wedge_coeffs(0, At, y2).reshape(12, n)
+    R_adj[60:72] = eps * bracket_wedge_coeffs(0, b, y0).reshape(12, n)
+    got_delta = _node_pairings(R_delta, phi, C)
+    got_adj = _node_pairings(R_adj, phi, C)
+    for got in (got_delta, got_adj):
+        assert not got[:, :5].any()
+    want_delta = cdot(y2, codiff_coeffs(1, At, val, jac, eps))
+    want_adj = cdot(y0, eps * bracket_wedge_adjoint(0, b, val))
+    for got, want in ((got_delta, want_delta), (got_adj, want_adj)):
+        np.testing.assert_allclose(got[:, 5], want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)))
+    direct = (cdot(codiff_coeffs(1, At, a_val, a_jac, eps),
+                   codiff_coeffs(1, At, val, jac, eps))
+              - cdot(y0, codiff_coeffs(1, A, val, jac, eps)))
+    np.testing.assert_allclose(got_delta[:, 5] + got_adj[:, 5], direct,
+                               rtol=0, atol=1e-12 * np.max(np.abs(direct)))
 
 
 def _far_poison(ctx, index):
@@ -914,8 +1079,9 @@ def test_l37_probe_loop_reports_non_finite_connection(monkeypatch):
 
 def test_l37_probe_loop_reports_non_finite_basis_field(monkeypatch):
     # a NaN in the raw field f_5 at a node no probe covers reaches a_5 only
-    # (the coefficients are lower triangular), so the i1 tag pairs cleanly
-    # and the i5 representer, checked whole, must report it
+    # (the coefficients are lower triangular), so on the poisoned block the
+    # i1 representer pairs cleanly and the i5 one, checked on every node,
+    # must report it; no later block is asked for
     import ymeps.functionals as functionals_mod
 
     q = ParamQ.default(2.0 ** -4)
@@ -924,17 +1090,23 @@ def test_l37_probe_loop_reports_non_finite_basis_field(monkeypatch):
     probes = probe_family(q, basis.ctx, 2, RNG_SEED)
     assert not any(far in rows for rows, *_ in probes)
     _record_l37_blocks(monkeypatch, poison)
-    paired, pair_probes = [], functionals_mod._pair_probes
+    yielded, representers = [], functionals_mod._representers
 
     def recorded(*args):
-        paired.append(pair_probes(*args))
-        return paired[-1]
+        for a, Rts in representers(*args):
+            yielded.append((a, Rts["i1"].shape[1],
+                            {tag: np.isfinite(Rt).all()
+                             for tag, Rt in Rts.items()}))
+            yield a, Rts
 
-    monkeypatch.setattr(functionals_mod, "_pair_probes", recorded)
-    with pytest.raises(NumericalError):
+    monkeypatch.setattr(functionals_mod, "_representers", recorded)
+    with pytest.raises(NumericalError, match=r"\(i5\)"):
         _hessian_difference_metrics(q, "model", basis, basis.ctx,
                                     seed=RNG_SEED, n_test=2)
-    assert len(paired) == 1 and np.isfinite(paired[0]).all()
+    a, m, finite = yielded[-1]
+    assert a <= far < a + m
+    assert list(finite.items()) == [("i1", True), ("i5", False)]
+    assert all(all(f.values()) for *_, f in yielded[:-1])
 
 
 def test_perp_derivative_paths_single_point():
