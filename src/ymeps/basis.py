@@ -148,13 +148,17 @@ def mgs_coefficients(G: np.ndarray) -> np.ndarray:
 
     Row i of C expresses the i-th orthonormal element in the raw fields.  One
     reorthogonalization pass guards against the large norm spread of the raw
-    fields.  Raises NumericalError with the condition number when the Gram
-    matrix is numerically singular.
+    fields.  A field of squared norm not positive and finite, or a step left
+    with at most 1e-10 of its field's squared norm (under six correct digits),
+    raises NumericalError; the latter names cond(D^-1 G D^-1), D = sqrt(diag G).
     """
     G = np.asarray(G, dtype=float)
     n = G.shape[0]
     if G.shape != (n, n):
         raise ValueError("Gram matrix must be square")
+    for i, g in enumerate(np.diag(G)):
+        if not 0.0 < g < np.inf:
+            raise NumericalError(f"raw field {i} has squared norm {g:g}")
     rows = []
     for i in range(n):
         u = np.zeros(n)
@@ -163,11 +167,12 @@ def mgs_coefficients(G: np.ndarray) -> np.ndarray:
             for c in rows:
                 u = u - (u @ G @ c) * c
         nrm2 = float(u @ G @ u)
-        if not np.isfinite(nrm2) or nrm2 <= 1e-24 * max(G[i, i], 1.0):
-            cond = float(np.linalg.cond(G))
+        if not np.isfinite(nrm2) or nrm2 <= 1e-10 * G[i, i]:
+            D = np.sqrt(np.diag(G))
+            cond = float(np.linalg.cond(G / np.outer(D, D)))
             raise NumericalError(
                 f"raw fields numerically dependent at step {i}"
-                f" (Gram condition number {cond:.3e})")
+                f" (unit-diagonal Gram condition number {cond:.1e})")
         rows.append(u / np.sqrt(nrm2))
     C = np.stack(rows)
     return np.tril(C)  # entries above the diagonal are exactly 0 by construction
@@ -184,8 +189,7 @@ class GramBasis:
     f_j's Gram in it.  A ball basis built with keep_samples holds the f_j
     sampled on that rule as ``raw_nodefields``, which node_field and
     project_perp read (suite 3.10); any other basis is read only through its
-    coefficients and holds none (None).  Suite 3.7 combines its fields from
-    fresh block samples and needs none.
+    coefficients and holds none (None).
     """
 
     coeff: np.ndarray            # (8,8) lower triangular, positive diagonal

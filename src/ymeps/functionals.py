@@ -386,23 +386,22 @@ def compute_point_metrics(q: ParamQ, pi2: str = "model", tol: float = 1e-4,
 
 
 def _dphi_map() -> np.ndarray:
-    """The constant (252, 72) map from the d phi rows of a probe's pairing
-    with a representer to the 12-vectors of its six functionals.
+    """The constant (228, 48) map from the d phi rows of a probe's pairing
+    with a representer to the 12-vectors of its four functionals.
 
-    Row (mu, c) takes d_mu phi times entry c of the representer's d phi
-    block (row 72 + c of Rt).  That block holds three 2-forms X, paired with
-    d beta, then three 0-forms y, paired with delta beta; with d_nu beta_src =
+    Row (mu, c) takes d_mu phi times entry c of the d phi block that follows
+    a representer's 48 phi rows: three 2-forms X, paired with d beta, then
+    the 0-form y, paired with delta beta (57 rows).  With d_nu beta_src =
     C_src d_nu phi, each sign S[T, nu, src] of d (resp. delta) on 1-forms
     puts S X_T (resp. S y) on C_src d_nu phi.
     """
-    S = np.zeros((4, 63, 6, 3, 4))
-    col = 0
-    for f, signs in enumerate([d_signs(1)] * 3 + [codiff_signs(1)] * 3):
-        for a in range(3):
-            for S_T in signs:
-                S[:, col, f, a] = S_T
-                col += 1
-    return S.reshape(252, 72)
+    signs = [d_signs(1)] * 3 + [codiff_signs(1)]
+    cols = [(f, a, S_T) for f, fs in enumerate(signs) for a in range(3)
+            for S_T in fs]
+    S = np.zeros((4, len(cols), len(signs), 3, 4))
+    for col, (f, a, S_T) in enumerate(cols):
+        S[:, col, f, a] = S_T
+    return S.reshape(4 * len(cols), -1)
 
 
 _DPHI_MAP = _dphi_map()
@@ -419,26 +418,27 @@ def _probe_shapes(probes):
 
 
 def _shape_functionals(G) -> np.ndarray:
-    """The (S, 6, 12) pairings of S shapes' unit coefficients with a
-    representer, from the product G (5S, 135) of their stacked weighted
+    """The (S, 4, 12) pairings of S shapes' unit coefficients with a
+    representer, from the product G (5S, rows) of their stacked weighted
     channels W with it, W @ Rt.T summed over the nodes:
     L = sum w (V phi + P^mu d_mu phi)."""
-    G = G.reshape(-1, 5, 135)
-    L = G[:, 0, :72] + G[:, 1:, 72:].reshape(len(G), 252) @ _DPHI_MAP
-    return L.reshape(-1, 6, 12)
+    n_phi = _DPHI_MAP.shape[1]
+    G = G.reshape(len(G) // 5, 5, -1)
+    L = G[:, 0, :n_phi] + G[:, 1:, n_phi:].reshape(len(G), -1) @ _DPHI_MAP
+    return L.reshape(len(G), -1, 12)
 
 
 def _representers(q, pi2, basis, ctx):
-    """(a, {tag: Rt (135, m)}) per node block a, ..., a + m - 1 of ctx's
+    """(a, {tag: Rt (rows, m)}) per node block a, ..., a + m - 1 of ctx's
     rule, for the basis fields a_1 (tag i1) and a_5 (i5).
 
     Rt holds, per node (its last axis), the probe-independent coefficients
-    of six functionals of a probe beta: HA, HAt, the five-term expansion
-    t1 + ... + t5 of HAt - HA, cA, cAt and the two-term expansion of
-    cAt - cA.  First come their phi-coefficients V (6,3,4), then the d phi
-    block of _dphi_map: the 2-forms d_A a, d_At a, eps [b ^ a] paired with
-    d beta, the 0-forms delta_A a, delta_At a and y_2 paired with delta beta.
-    The bracket parts are pointwise adjoints: <X, [Y ^ beta]> =
+    of four functionals of a probe beta: HA, HAt, the five-term expansion
+    t1 + ... + t5 of HAt - HA and the two-term expansion of cAt - cA, where
+    c = <delta a, delta beta>.  First come their phi-coefficients V (4,3,4),
+    then the d phi block of _dphi_map: the 2-forms d_A a, d_At a, eps [b ^ a]
+    paired with d beta, and the 0-form y_2 paired with delta beta.  The
+    bracket parts are pointwise adjoints: <X, [Y ^ beta]> =
     <adjoint(Y, X), beta> for a 2-form X, and the bracket of delta_A beta
     pairs with a 0-form y as <eps [A ^ y], beta>.  The connection enters
     delta only through that bracket, bilinearly, and At - A = b, so
@@ -447,12 +447,10 @@ def _representers(q, pi2, basis, ctx):
     neither expansion is a difference of nearly equal pairings.
 
     Each block is sampled fresh (_sample_blocks: A, Atilde, b and f_1..f_5,
-    a_1 and a_5 being combined there with the basis coefficients), so the
-    basis needs no samples and no full-rule sample is held.  The blocks are
-    written into two buffers allocated once and overwritten by the next
-    block, so a caller pairs each block before asking for the next.
-    Everything is computed on the samples as they come, node-last, with the
-    forms kernels, node by node, so no entry depends on the block size.
+    a_1 and a_5 being combined there), so the basis needs no samples and no
+    full-rule sample is held.  The blocks share two buffers, overwritten by
+    the next block, so a caller pairs each block before asking for the next.
+    Every entry is computed node by node, so none depends on the block size.
     """
     eps = q.eps
     # A = Atilde - b holds Atilde's and b's atom objects, and so do the f_j
@@ -463,6 +461,7 @@ def _representers(q, pi2, basis, ctx):
     A = glue(At, b)
     fields = [A, At, b] + derivative_fields(A, DIRECTIONS[:5])
     tags = {"i1": basis.coeff[0, :5], "i5": basis.coeff[4, :5]}
+    n_dphi, n_phi = _DPHI_MAP.shape
     bufs = {}
     for a, ((A_, jA), (At_, jAt), (b_, jb), *raw) in _sample_blocks(ctx,
                                                                    fields):
@@ -473,33 +472,30 @@ def _representers(q, pi2, basis, ctx):
         Fb = (cov_d_coeffs(1, A_, b_, jb, eps)
               + 0.5 * eps * bracket_wedge_coeffs(1, b_, b_))
         if not bufs:        # the first block is the largest
-            bufs = {tag: np.empty((135, m)) for tag in tags}
+            bufs = {tag: np.empty((n_phi + n_dphi // 4, m)) for tag in tags}
         Rts = {tag: buf[:, :m] for tag, buf in bufs.items()}
         for tag, coeffs in tags.items():
             val, jac = _combine(coeffs, raw)
             Rt = Rts[tag]
-            V = Rt[:72].reshape(6, 3, 4, m)
-            X = Rt[72:126].reshape(3, 3, 6, m)
-            y = Rt[126:].reshape(3, 3, 1, m)
-            for k, Ct in ((0, A_), (1, At_)):
-                X[k] = cov_d_coeffs(1, Ct, val, jac, eps)
-                y[k] = codiff_coeffs(1, Ct, val, jac, eps)
-            X[2] = eps * bracket_wedge_coeffs(1, b_, val)
-            y[2] = eps * bracket_wedge_adjoint(0, b_, val)
+            V = Rt[:n_phi].reshape(-1, 3, 4, m)
+            X = Rt[n_phi:-3].reshape(3, 3, 6, m)
+            y2 = Rt[-3:].reshape(3, 1, m)
             # HA: <d_A a, eps [A ^ beta]> + eps <F_A, [a ^ beta]>, HAt alike
             for k, Ct, F in ((0, A_, FA), (1, At_, FAt)):
+                X[k] = cov_d_coeffs(1, Ct, val, jac, eps)
                 V[k] = eps * (bracket_wedge_adjoint(1, Ct, X[k])
                               + bracket_wedge_adjoint(1, val, F))
+            X[2] = eps * bracket_wedge_coeffs(1, b_, val)
+            y2[...] = eps * bracket_wedge_adjoint(0, b_, val)
             # t1 + t3 = eps <d_A a + eps [b ^ a], [b ^ beta]>, t2's bracket
             # eps <eps [b ^ a], [A ^ beta]>, then t4 + t5
             V[2] = eps * (bracket_wedge_adjoint(1, b_, X[0] + X[2])
                           + bracket_wedge_adjoint(1, A_, X[2])
                           + bracket_wedge_adjoint(1, val, Fb))
-            for k, Ct in ((3, A_), (4, At_)):
-                V[k] = eps * bracket_wedge_coeffs(0, Ct, y[k - 3])
             # the brackets of <y_2, delta_At beta> and <y_0, eps adj(b, beta)>
-            V[5] = eps * (bracket_wedge_coeffs(0, At_, y[2])
-                          + bracket_wedge_coeffs(0, b_, y[0]))
+            y0 = codiff_coeffs(1, A_, val, jac, eps)        # delta_A a
+            V[3] = eps * (bracket_wedge_coeffs(0, At_, y2)
+                          + bracket_wedge_coeffs(0, b_, y0))
         yield a, Rts
 
 
@@ -512,11 +508,11 @@ def _hessian_difference_metrics(q, pi2, basis, ctx, seed, n_test):
     linearly in C.  On each node block, every shape's (center, scale)
     weighted channels take five rows of one W, and each tag's block, checked
     for non-finite entries on every node, adds W @ Rt.T to that tag's
-    (5S, 135) sum; after the last block each shape's pairings L (6, 12)
+    (5S, rows) sum; after the last block each shape's pairings L (4, 12)
     with the unit coefficients are read off the sum, and each probe is
     L @ C.  Both dual norms are read from their expansions: hess_dual from
     the five-term one, codiff_dual from the two-term one.  The direct
-    differences HAt - HA give five_term_residual.
+    difference HAt - HA gives five_term_residual.
     """
     nodes, weights = ctx.rule.nodes, ctx.rule.weights
     probes = test_field_family(q, ctx, n_test, seed)
@@ -541,11 +537,10 @@ def _hessian_difference_metrics(q, pi2, basis, ctx, seed, n_test):
             G[tag] = G.get(tag, 0.0) + Wb @ Rt.T
     out, five_term_resid = {}, 0.0
     for tag, Gt in G.items():
-        P = np.empty((len(probes), 6))
-        for (*_, members), L in zip(shapes, _shape_functionals(Gt)):
-            for k in members:
-                P[k] = L @ probes[k][3].reshape(12)
-        HA, HAt, expansion, _, _, codiff = P.T
+        # the probes in shape order: only maxima over them are reported
+        P = np.array([L @ probes[k][3].reshape(12) for (*_, members), L
+                      in zip(shapes, _shape_functionals(Gt)) for k in members])
+        HA, HAt, expansion, codiff = P.T
         five_term_resid = max(five_term_resid, np.max(
             np.abs(HAt - HA - expansion)
             / np.maximum(np.maximum(np.abs(HA), np.abs(HAt)), 1.0)))

@@ -541,18 +541,20 @@ def scatter_sample_charted(fields, X, mask_inner):
 
 
 def probe_pairings(R, wphi, coeff) -> np.ndarray:
-    """The six pairings (HA, HAt, five-term expansion, cA, cAt, two-term
-    expansion) of the probe coeff * phi with a node-first representer
-    R (N, 135), given the weighted channels w * phi on the same rows:
+    """The four pairings (HA, HAt, five-term expansion, two-term expansion)
+    of the probe coeff * phi with a node-first representer R (N, rows),
+    given the weighted channels w * phi on the same rows:
     sum_{a,nu} C_{a nu} L_{a nu}, with L = sum w (V phi + P^mu d_mu phi)
-    read off one GEMM (w phi) @ R."""
+    read off one GEMM (w phi) @ R; R's first _DPHI_MAP.shape[1] columns are
+    the phi ones."""
     G = wphi @ R
-    L = G[0, :72] + G[1:, 72:].reshape(252) @ _DPHI_MAP
-    return L.reshape(6, 12) @ coeff.reshape(12)
+    n_phi = _DPHI_MAP.shape[1]
+    L = G[0, :n_phi] + G[1:, n_phi:].reshape(-1) @ _DPHI_MAP
+    return L.reshape(-1, 12) @ coeff.reshape(12)
 
 
 def whole_rule_representers(q, pi2, basis, ctx) -> dict:
-    """{tag: Rt (135, N)}: the library's representer blocks, copied out of
+    """{tag: Rt (rows, N)}: the library's representer blocks, copied out of
     its buffers as they come and concatenated over the whole rule."""
     blocks = {}
     for _, Rts in _representers(q, pi2, basis, ctx):
@@ -564,7 +566,7 @@ def whole_rule_representers(q, pi2, basis, ctx) -> dict:
 def per_probe_l37(q, pi2, basis, ctx, seed: int, n_test: int) -> dict:
     """The l37 metrics with every probe paired on its own: its weighted
     channels, zero-padded to the whole rule, times the whole representer
-    (one (5, N) @ (N, 135) product per probe and tag).  The dual norms are
+    (one (5, N) @ (N, rows) product per probe and tag).  The dual norms are
     read from the same expansion columns as the library's."""
     nodes, weights = ctx.rule.nodes, ctx.rule.weights
     probes = test_field_family(q, ctx, n_test, seed)
@@ -574,8 +576,7 @@ def per_probe_l37(q, pi2, basis, ctx, seed: int, n_test: int) -> dict:
         sup_h = sup_c = 0.0
         for s, center, scale, coeff in probes:
             wphi[:, s] = _bump_channels(nodes[s], center, scale) * weights[s]
-            HA, HAt, expansion, _, _, codiff = probe_pairings(Rt.T, wphi,
-                                                              coeff)
+            HA, HAt, expansion, codiff = probe_pairings(Rt.T, wphi, coeff)
             wphi[:, s] = 0.0
             sup_h = max(sup_h, abs(expansion))
             resid = max(resid, abs(HAt - HA - expansion)
@@ -587,31 +588,31 @@ def per_probe_l37(q, pi2, basis, ctx, seed: int, n_test: int) -> dict:
     return out
 
 
-def long_double_l37_differences(q, pi2, basis, ctx, probes) -> dict:
+def long_double_l37_differences(q, pi2, basis, ctx, probes,
+                                dtype=np.longdouble) -> dict:
     """{tag: (n, 2)} direct differences (HAt - HA, cAt - cA) of every probe,
-    each pairing formed and summed in long double over its support.
+    each pairing formed and summed in dtype over its support.
 
     The samples of A, Atilde and a_1, a_5 (combined in float64, as the
     library combines them), the probes' channels and the weights are the
-    library's float64 inputs; everything after them runs in long double
-    (64-bit mantissa where the platform has it), so each difference keeps
+    library's float64 inputs; everything after them runs in dtype.  In long
+    double (64-bit mantissa where the platform has it) each difference keeps
     about 3 more digits than in float64."""
     At, b = extended_connection(q), difference_b(q, pi2=pi2)
     A = glue(At, b)
     nfs = ctx.arrays([A, At] + derivative_fields(A, DIRECTIONS[:5]))
-    ld = np.longdouble
-    (Av, jA), (Atv, jAt) = [(nf.val.astype(ld), nf.jac.astype(ld))
+    (Av, jA), (Atv, jAt) = [(nf.val.astype(dtype), nf.jac.astype(dtype))
                             for nf in nfs[:2]]
     raw = [(nf.val, nf.jac) for nf in nfs[2:]]
-    eps, w = ld(q.eps), ctx.rule.weights.astype(ld)
+    eps, w = dtype(q.eps), ctx.rule.weights.astype(dtype)
     nodes = ctx.rule.nodes
     out = {}
     for tag, i in (("i1", 0), ("i5", 4)):
-        val, jac = (x.astype(ld) for x in _combine(basis.coeff[i, :5], raw))
+        val, jac = (x.astype(dtype) for x in _combine(basis.coeff[i, :5], raw))
         diffs = []
         for s, center, scale, coeff in probes:
-            phi = _bump_channels(nodes[s], center, scale).astype(ld)
-            C = coeff.astype(ld)
+            phi = _bump_channels(nodes[s], center, scale).astype(dtype)
+            C = coeff.astype(dtype)
             bv, bj = C[:, :, None] * phi[0], C[:, :, None, None] * phi[1:]
             a, ja, ws = val[..., s], jac[..., s], w[s]
             H, c = [], []
@@ -624,7 +625,7 @@ def long_double_l37_differences(q, pi2, basis, ctx, probes) -> dict:
                 c.append(np.sum(ws * cdot(codiff_coeffs(1, Cv, a, ja, eps),
                                           codiff_coeffs(1, Cv, bv, bj, eps))))
             diffs.append((H[1] - H[0], c[1] - c[0]))
-        out[tag] = np.array(diffs, dtype=ld)
+        out[tag] = np.array(diffs, dtype=dtype)
     return out
 
 

@@ -1,6 +1,7 @@
 """Tests for inner products, Gram-Schmidt bases, and projections."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -178,6 +179,20 @@ def test_mgs_singular_raises_with_condition_number():
     G = np.array([[1.0, 1.0], [1.0, 1.0]])  # identical fields
     with pytest.raises(NumericalError, match="condition number"):
         mgs_coefficients(G)
+    # two fields at correlation 1 - 1e-13 leave a step of relative squared
+    # norm 2e-13: refused at every scale, naming the same condition number
+    # of the unit-diagonal Gram, (1 + c) / (1 - c) = 2e13
+    c = 1.0 - 1e-13
+    named = set()
+    for scale in (1e-20, 1.0, 1e20):
+        with pytest.raises(NumericalError, match="condition number") as err:
+            mgs_coefficients(scale * np.array([[1.0, c], [c, 1.0]]))
+        named.add(re.search(r"condition number (\S+)\)", str(err.value))[1])
+    assert named == {"2.0e+13"}
+    # a field of zero or non-finite squared norm is named
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(NumericalError, match="raw field 1 "):
+            mgs_coefficients(np.diag([1.0, bad, 1.0]))
 
 
 def test_mgs_large_norm_spread():
@@ -190,6 +205,11 @@ def test_mgs_large_norm_spread():
     G = M @ M.T
     C = mgs_coefficients(G)
     assert np.max(np.abs(C @ G @ C.T - np.eye(8))) < 1e-10
+    # two orthogonal fields of norms 1e-15 and 1: each step is measured
+    # against its own field's norm, not an absolute floor
+    G = np.diag([1e-30, 1.0])
+    C = mgs_coefficients(G)
+    assert np.max(np.abs(C @ G @ C.T - np.eye(2))) < 1e-15
 
 
 # ---------------------------------------------------------------------------

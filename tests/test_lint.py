@@ -1,7 +1,11 @@
 """Static checks over the library sources."""
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ymeps"
 
@@ -107,4 +111,53 @@ def test_unresolved_exports_are_found():
 def test_library_exports_all_resolve():
     found = [(path.stem, name) for path in sorted(SRC.glob("*.py"))
              for name in unresolved_exports(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+# a library import comes from the standard library, from ymeps itself, or
+# from a package pyproject.toml declares: a package that happens to be
+# installed but is not declared would otherwise be imported silently
+PYPROJECT = SRC.parent.parent / "pyproject.toml"
+
+
+def undeclared_imports(source: str, declared: set) -> list:
+    """The top-level packages a module imports, by line, that are neither
+    in the standard library, nor ymeps, nor declared."""
+    allowed = set(sys.stdlib_module_names) | {"ymeps"} | declared
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name.split(".")[0]) for name in names
+                  if name.split(".")[0] not in allowed]
+    return sorted(found)
+
+
+def declared_packages() -> set:
+    """The import names of pyproject.toml's dependencies."""
+    tomllib = pytest.importorskip("tomllib")
+    deps = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))
+    return {re.match(r"[A-Za-z0-9_.-]+", d)[0].lower().replace("-", "_")
+            for d in deps["project"]["dependencies"]}
+
+
+def test_undeclared_imports_are_found():
+    src = ("from __future__ import annotations\nimport os.path\n"
+           "import numpy as np\nimport scipy.linalg\n"
+           "from scipy import linalg\nfrom .forms import a\n"
+           "from ymeps.basis import b\n")
+    assert undeclared_imports(src, {"numpy"}) == [(4, "scipy"),
+                                                  (5, "scipy")]
+
+
+def test_library_imports_are_declared():
+    declared = declared_packages()
+    assert "numpy" in declared
+    found = [(path.stem,) + hit for path in sorted(SRC.glob("*.py"))
+             for hit in undeclared_imports(path.read_text(encoding="utf-8"),
+                                           declared)]
     assert found == []
