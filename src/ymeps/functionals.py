@@ -109,32 +109,30 @@ def fit_slope(pairs) -> SlopeFit:
 # functionals
 
 
-def _r4_curvature(A: ChartedField, eps, rule, tol):
+def _r4_curvature(A: ChartedField, eps, tol):
     """The curvature (3,6,N) of A sampled on the R^4 rule polar around A's
-    center, or on a given rule, and that rule's weights."""
-    if rule is None:
-        rule = ball_rule(A.p, A.lam, R=np.inf, tol=tol)
+    center, and that rule's weights."""
+    rule = ball_rule(A.p, A.lam, R=np.inf, tol=tol)
     ((val, jac),) = sample_charted([A], rule.nodes, rule.n_inner)
     return curvature_coeffs(val, jac, eps), rule.weights
 
 
-def ym_eps(A: ChartedField, eps: float, rule=None, tol: float = 1e-4) -> float:
+def ym_eps(A: ChartedField, eps: float, tol: float = 1e-4) -> float:
     """The deformed energy: integral of |dA + (eps/2)[A^A]|^2 (trace pairing).
 
-    Integrates over all of R^4 (graded radial rule with an inversion tail)
-    unless a rule is given.
+    Integrates over all of R^4 (graded radial rule with an inversion tail).
     """
-    F, w = _r4_curvature(A, eps, rule, tol)
+    F, w = _r4_curvature(A, eps, tol)
     return weighted_sum(w, 0.5 * cdot(F, F))
 
 
-def charge(Atilde: ChartedField, eps: float, rule=None, tol: float = 1e-4) -> float:
+def charge(Atilde: ChartedField, eps: float, tol: float = 1e-4) -> float:
     """Normalized topological charge of the curvature over R^4.
 
     charge = (eps^2 / 8 pi^2) * int <F ^ F> with the trace pairing; the sign
     convention makes the extended family carry charge +1.
     """
-    F, w = _r4_curvature(Atilde, eps, rule, tol)
+    F, w = _r4_curvature(Atilde, eps, tol)
     # F ^ F = <F, *F> vol, and the trace pairing is half the coefficient dot
     dens = 0.5 * cdot(F, star_coeffs(2, F))
     return eps ** 2 / (8.0 * np.pi ** 2) * weighted_sum(w, dens)
@@ -227,7 +225,16 @@ class EstimateReport:
         return all(r.verdict in ("pass", "exact") for r in self.rows)
 
 
+# the verdict bounds: a fit's RMS log residual, the least decay rate of a
+# slope-min row and the level below which all its values count as exact, a
+# bounded row's max/min ratio and its null level relative to its scales, and
+# a band row's allowed spread
 _RESIDUAL_MAX = 0.1
+_MIN_SLOPE = 0.8
+_EXACT_FLOOR = 1e-10
+_MAX_RATIO = 10.0
+_NULL_REL = 1e-8
+_BAND = 3.0
 
 
 def _row_slope_window(name, eps, vals, expo, window) -> QuantityRow:
@@ -238,8 +245,7 @@ def _row_slope_window(name, eps, vals, expo, window) -> QuantityRow:
                        f"window [{window[0]}, {window[1]}]")
 
 
-def _row_slope_min(name, eps, vals, expo, min_slope=0.8, floor=1e-10,
-                   noise=None) -> QuantityRow:
+def _row_slope_min(name, eps, vals, expo, noise=None) -> QuantityRow:
     """Decay-rate verdict; noise censors points below the measurement floor.
 
     A quantity that dives under the quadrature noise floor mid-sweep cannot
@@ -247,11 +253,11 @@ def _row_slope_min(name, eps, vals, expo, min_slope=0.8, floor=1e-10,
     prefix and the censored points are recorded in the note.
     """
     vals = [abs(v) for v in vals]
-    if max(vals) < floor:
+    if max(vals) < _EXACT_FLOOR:
         return QuantityRow(name, list(eps), vals, expo, "slope-min",
-                           None, None, "exact", f"all below {floor:g}")
+                           None, None, "exact", f"all below {_EXACT_FLOOR:g}")
     pairs = list(zip(eps, vals))
-    note = f"slope >= {min_slope}"
+    note = f"slope >= {_MIN_SLOPE}"
     if noise is not None:
         live = [(e, v) for e, v in pairs if v >= noise]
         censored = len(pairs) - len(live)
@@ -263,29 +269,28 @@ def _row_slope_min(name, eps, vals, expo, min_slope=0.8, floor=1e-10,
                                f"converged below the {noise:g} noise floor")
         pairs = live
     fit = fit_slope([(e, max(v, 1e-300)) for e, v in pairs])
-    ok = fit.slope >= min_slope and fit.residual < _RESIDUAL_MAX
+    ok = fit.slope >= _MIN_SLOPE and fit.residual < _RESIDUAL_MAX
     return QuantityRow(name, list(eps), vals, expo, "slope-min",
                        fit.slope, fit.residual, "pass" if ok else "fail",
                        note)
 
 
-def _row_bounded(name, eps, vals, expo, max_ratio=10.0, scales=None,
-                 null_rel=1e-8) -> QuantityRow:
+def _row_bounded(name, eps, vals, expo, scales=None) -> QuantityRow:
     """One-sided verdict: |value|/eps^expo bounded across the sweep.
 
-    Passes when the ratio's max/min <= max_ratio, or the ratio sequence is
+    Passes when the ratio's max/min <= _MAX_RATIO, or the ratio sequence is
     non-increasing (5% slack) as eps decreases, or the values are null
-    within precision relative to the provided scales.
+    within precision (_NULL_REL) relative to the provided scales.
     """
     eps = list(eps)
     vals = [abs(v) for v in vals]
     ratios = [v / e ** expo for v, e in zip(vals, eps)]
     note = f"ratio to eps^{expo:g}"
-    if scales is not None and all(v <= null_rel * s for v, s in zip(vals, scales)):
+    if scales is not None and all(v <= _NULL_REL * s for v, s in zip(vals, scales)):
         return QuantityRow(name, eps, vals, expo, "bounded", None, None,
                            "pass", note + "; null within precision")
     pos = [r for r in ratios if r > 0]
-    if pos and max(pos) / min(pos) <= max_ratio and len(pos) == len(ratios):
+    if pos and max(pos) / min(pos) <= _MAX_RATIO and len(pos) == len(ratios):
         verdict = "pass"
         note += f"; max/min = {max(pos)/min(pos):.3g}"
     elif all(ratios[k + 1] <= ratios[k] * 1.05 for k in range(len(ratios) - 1)):
@@ -299,15 +304,15 @@ def _row_bounded(name, eps, vals, expo, max_ratio=10.0, scales=None,
                        note)
 
 
-def _row_band(name, eps, vals, expo, band=3.0) -> QuantityRow:
+def _row_band(name, eps, vals, expo) -> QuantityRow:
     ratios = [v / e ** expo for v, e in zip(vals, eps)]
     lo, hi = min(ratios), max(ratios)
     # a ratio at or below 0 has no finite spread and fails the band
     spread = hi / lo if lo > 0 else float("inf")
     return QuantityRow(name, list(eps), list(vals), expo, "band", None, None,
-                       "pass" if spread <= band else "fail",
+                       "pass" if spread <= _BAND else "fail",
                        f"eps^{expo:g}-normalized spread "
-                       f"{spread:.3g} (allowed {band:g})")
+                       f"{spread:.3g} (allowed {_BAND:g})")
 
 
 def _row_threshold(name, eps, vals, thresh, note="") -> QuantityRow:
@@ -331,9 +336,9 @@ _PAIRS_57 = (
 )
 
 
-def sweep_points(eps_list, D=1.0, p=None, g=None):
+def sweep_points(eps_list, D=1.0):
     """ParamQ points for a sweep: lam = sqrt(D * eps)."""
-    return [ParamQ.default(e, D=D, p=p, g=g) for e in eps_list]
+    return [ParamQ.default(e, D=D) for e in eps_list]
 
 
 def compute_point_metrics(q: ParamQ, pi2: str = "model", tol: float = 1e-4,
@@ -347,7 +352,7 @@ def compute_point_metrics(q: ParamQ, pi2: str = "model", tol: float = 1e-4,
     which samples block by block, and the samples are dropped after it so
     that l37 never holds them.
     """
-    out = {"eps": q.eps, "lam": q.lam}
+    out = {"eps": q.eps}
     basis = gram_schmidt_ball(q, pi2, tol=tol, keep_samples="l310" in blocks)
     ctx = basis.ctx
     G = basis.raw_gram
@@ -656,7 +661,7 @@ def lemma310_report(points) -> EstimateReport:
     eps = _col(points, "eps")
     fd = _col(points, "l310_fd_norm")
     an = _col(points, "l310_an_norm")
-    rows = [_row_slope_min("fd_perp_norm", eps, fd, 1.0, min_slope=0.8)]
+    rows = [_row_slope_min("fd_perp_norm", eps, fd, 1.0)]
     agree = [abs(f - a) / max(a, 1e-300) for f, a in zip(fd, an)]
     rows.append(_row_threshold("path_agreement", eps, agree, 0.05,
                                note="relative gap analytic vs FD"))

@@ -205,9 +205,9 @@ def _merge_config(args) -> SweepConfig:
         kw["seed"] = args.seed
     if args.out is not None:
         kw["out_dir"] = args.out
-    if getattr(args, "n_test", None) is not None:
+    if args.n_test is not None:
         kw["n_test"] = args.n_test
-    if getattr(args, "pi2", None) is not None:
+    if args.pi2 is not None:
         kw["pi2"] = args.pi2
     return SweepConfig(**kw)
 
@@ -242,9 +242,9 @@ def report_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _svg_text(x, y, s, size=12, anchor="start", color="#222222"):
+def _svg_text(x, y, s, size=12, anchor="start"):
     return (f'<text x="{x:.1f}" y="{y:.1f}" font-family="monospace" '
-            f'font-size="{size}" text-anchor="{anchor}" fill="{color}">{s}</text>')
+            f'font-size="{size}" text-anchor="{anchor}" fill="#222222">{s}</text>')
 
 
 def report_svg(reports, title: str) -> str:
@@ -342,7 +342,7 @@ def emit_outputs(reports, out_dir: str, stem: str):
     return csv_path, svg_path
 
 
-def _print_report(rep: EstimateReport, out=sys.stdout):
+def _print_report(rep: EstimateReport):
     for row in rep.rows:
         bits = [f"[{rep.lemma}] {row.quantity}: {row.verdict}"]
         if row.slope is not None:
@@ -351,7 +351,7 @@ def _print_report(rep: EstimateReport, out=sys.stdout):
             bits.append(f"residual={row.residual:.3f}")
         if row.note:
             bits.append(row.note)
-        print("  " + "  ".join(bits), file=out)
+        print("  " + "  ".join(bits))
 
 
 # ---------------------------------------------------------------------------

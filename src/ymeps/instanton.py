@@ -9,7 +9,7 @@ where the atoms are closed-form radial profiles times linear maps:
     I1 : 2 (eta ybar-map y) / (lam^2 + s)            s = |x-p|^2, y = x-p
     I2 : 2 (etabar y) (1/s - 1/(lam^2+s))
     H  : 2 (etabar y) lam^2 (1 - 4s)^3_+             model correction profile
-    bg : Cmat (1 - |x|^2)^3_+                        background 1-form
+    bg : 0.5 DEFAULT_BG_CMAT (1 - |x|^2)^3_+         the fixed background
 
 Parameter derivatives (d/dp_i, d/dlam, rotation directions xi_i) act on term
 lists symbolically, so the derivative fields of the family — including the
@@ -45,7 +45,6 @@ __all__ = [
     "ETABAR",
     "ParamQ",
     "ParamError",
-    "BackgroundConnection",
     "ChartedField",
     "Term",
     "DIRECTIONS",
@@ -560,27 +559,13 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
-# default background coefficient pattern: fixed, asymmetric, order-one C^1 norm
+# the background A_0 = 0.5 DEFAULT_BG_CMAT (1-|x|^2)^3, a smooth compactly
+# supported stand-in: fixed, asymmetric, order-one C^1 norm
 DEFAULT_BG_CMAT = np.array([
     [0.6, 0.0, 0.3, 0.0],
     [0.0, 0.5, 0.0, 0.2],
     [0.1, 0.0, 0.4, 0.0],
 ])
-
-
-@dataclass(frozen=True)
-class BackgroundConnection:
-    """Smooth compactly supported stand-in background: Cmat * (1-|x|^2)^3."""
-
-    Cmat: np.ndarray = None
-    amplitude: float = 0.5
-
-    def __post_init__(self):
-        C = DEFAULT_BG_CMAT if self.Cmat is None else np.asarray(self.Cmat, float)
-        object.__setattr__(self, "Cmat", C)
-
-    def atom(self) -> BgAtom:
-        return BgAtom(self.Cmat * self.amplitude)
 
 
 @dataclass
@@ -660,15 +645,14 @@ _H_RADIAL = {
 PI2_STRATEGIES = tuple(_H_RADIAL)
 
 
-def glued_connection(q: ParamQ, bg: BackgroundConnection = None,
-                     pi2: str = "model") -> ChartedField:
+def glued_connection(q: ParamQ, pi2: str = "model") -> ChartedField:
     """The glued family member A(q) = Atilde(q) - b(q).
 
     Outer chart: (1-beta_lam) bg + (1/eps) beta_{lam/4} g I2 g^{-1}
                  + (1/eps)(1 - beta_{lam/4}) g PI2 g^{-1};
     inner chart: (1/eps) g I1 g^{-1}, the extension's, as b vanishes there.
     """
-    return glue(extended_connection(q), difference_b(q, bg, pi2))
+    return glue(extended_connection(q), difference_b(q, pi2))
 
 
 def glue(At: ChartedField, b: ChartedField) -> ChartedField:
@@ -686,8 +670,7 @@ def extended_connection(q: ParamQ) -> ChartedField:
     return ChartedField(q.p, q.lam, inner, outer)
 
 
-def difference_b(q: ParamQ, bg: BackgroundConnection = None,
-                 pi2: str = "model") -> ChartedField:
+def difference_b(q: ParamQ, pi2: str = "model") -> ChartedField:
     """b(q) = extension minus glued family member (identically 0 on the inner chart).
 
     Derived directly from the definitions:
@@ -695,7 +678,7 @@ def difference_b(q: ParamQ, bg: BackgroundConnection = None,
     """
     if pi2 not in _H_RADIAL:
         raise ValueError(f"unknown pi2 strategy {pi2!r}; use one of {PI2_STRATEGIES}")
-    bga = (BackgroundConnection() if bg is None else bg).atom()
+    bga = BgAtom(DEFAULT_BG_CMAT * 0.5)
     outer = [Term(-1.0, lie=bga),
              Term(1.0, lie=bga, beta=BetaAtom(1.0, q.p, q.lam))]
     radial = _H_RADIAL[pi2]
@@ -715,7 +698,7 @@ def _apply_direction(terms, direction: str):
         return d_dp(terms, int(direction[1]) - 1)
     if direction in ("xi1", "xi2", "xi3"):
         return d_dxi(terms, int(direction[2]))
-    if direction in ("lam", "lambda"):
+    if direction == "lam":
         return d_dlam(terms)
     raise ValueError(f"unknown direction {direction!r}; use one of {DIRECTIONS}")
 

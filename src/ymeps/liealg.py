@@ -92,9 +92,6 @@ class GroupElement:
     def inverse(self) -> "GroupElement":
         return GroupElement(self.q0, -self.q1, -self.q2, -self.q3)
 
-    def __repr__(self):
-        return f"GroupElement({self.q0:.6g}, {self.q1:.6g}, {self.q2:.6g}, {self.q3:.6g})"
-
 
 def exp_map(X: AlgElement) -> GroupElement:
     """Group exponential: exp of the quaternion image of X.

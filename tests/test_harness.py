@@ -415,6 +415,7 @@ def test_verify_lemma_58_cli(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "check 5.8: pass" in out
+    assert "[5.8] a11: pass" in out
     csv_file = tmp_path / "lemma_5_8.csv"
     svg_file = tmp_path / "lemma_5_8.svg"
     assert csv_file.exists() and svg_file.exists()

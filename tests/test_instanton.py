@@ -18,7 +18,6 @@ from ymeps.instanton import (
     ETA,
     ETABAR,
     PI2_STRATEGIES,
-    BackgroundConnection,
     BetaAtom,
     BgAtom,
     LinRadAtom,
@@ -571,11 +570,13 @@ def test_plus_minus_g_give_same_connection():
 
 
 def test_far_field_vanishes_for_plain_strategy():
+    # off the bump the instanton part vanishes and the fixed background
+    # 0.5 DEFAULT_BG_CMAT (1 - |x|^2)^3 is all that is left
     q = ParamQ.default(2.0 ** -6)
-    bg = BackgroundConnection(Cmat=np.zeros((3, 4)), amplitude=0.0)
-    A = glued_connection(q, bg=bg, pi2="zero")
+    A = glued_connection(q, pi2="zero")
     X = np.array([[2 * q.lam, 0, 0, 0], [0.5, 0.3, 0, 0], [0, 0, 0.9, 0]])
-    assert np.allclose(terms_value(A.outer_terms, X), 0.0, atol=1e-15)
+    bg = 0.5 * DEFAULT_BG_CMAT[..., None] * (1.0 - np.sum(X * X, axis=1)) ** 3
+    assert np.allclose(terms_value(A.outer_terms, X), bg, rtol=0.0, atol=1e-15)
 
 
 def test_inner_chart_shared_by_family_and_extension():

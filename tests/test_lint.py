@@ -161,3 +161,81 @@ def test_library_imports_are_declared():
              for hit in undeclared_imports(path.read_text(encoding="utf-8"),
                                            declared)]
     assert found == []
+
+
+# a defaulted parameter that no call sets is a constant under another name:
+# every defaulted parameter of a library function that is called by name
+# somewhere is passed by at least one call in src/, tests/ or perfbench/
+CALLERS = [SRC, SRC.parent.parent / "tests", SRC.parent.parent / "perfbench"]
+
+
+def _defaulted(func, method: bool) -> list:
+    """(position or None, name) of a def's parameters that take a default;
+    a method's first parameter is not counted in the positions."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    static = any(getattr(d, "id", None) == "staticmethod"
+                 for d in func.decorator_list)
+    skip = 1 if method and not static else 0
+    first = len(positional) - len(args.defaults)
+    out = [(i - skip, a.arg) for i, a in enumerate(positional) if i >= first]
+    return out + [(None, a.arg) for a, d in zip(args.kwonlyargs,
+                                                args.kw_defaults)
+                  if d is not None]
+
+
+def unset_parameters(library: dict, sources: list) -> list:
+    """(module, function, parameter) for each defaulted parameter of a
+    module-level function or method in library ({module: source}) that is
+    called by name in sources, where no such call passes it.  A call with
+    * or ** passes everything."""
+    calls = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            star = (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords))
+            calls.setdefault(name, []).append(
+                (star, len(node.args), {k.arg for k in node.keywords}))
+    found = []
+    for module, source in library.items():
+        defs = []
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((node, False))
+            elif isinstance(node, ast.ClassDef):
+                defs += [(f, True) for f in node.body
+                         if isinstance(f, ast.FunctionDef)]
+        for func, method in defs:
+            sites = calls.get(func.name, [])
+            found += [(module, func.name, name)
+                      for pos, name in _defaulted(func, method)
+                      if sites and not any(
+                          star or name in kws or (pos is not None
+                                                  and pos < n_args)
+                          for star, n_args, kws in sites)]
+    return sorted(found)
+
+
+def test_unset_parameters_are_found():
+    lib = ("def f(a, b=1, *, c=2, d=3):\n    pass\n"
+           "def never(x=0):\n    pass\n"
+           "class K:\n"
+           "    def m(self, u=0, v=1):\n        pass\n"
+           "    @staticmethod\n"
+           "    def s(u=0, v=1):\n        pass\n")
+    use = ("f(0, 1, c=5)\nK().m(2)\nK.s(3, 4)\n"
+           "args = {}\nf(0, **args)\n")
+    assert unset_parameters({"lib": lib}, [lib, use]) == [("lib", "m", "v")]
+    assert unset_parameters({"lib": lib}, [lib, "f(0, 1, c=5)\n"]) == [
+        ("lib", "f", "d")]
+
+
+def test_library_parameters_are_all_set():
+    library = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    sources = [path.read_text(encoding="utf-8") for folder in CALLERS
+               for path in sorted(folder.glob("*.py"))]
+    assert unset_parameters(library, sources) == []
