@@ -16,14 +16,15 @@ norms of the checks are all entries of it.
 Fields enter as two-chart ChartedField term lists, split at |x-p| = lam/4
 by the rule's inner chart (its first n_inner nodes), and are sampled on the
 rule node-last as in forms.  The Gram of charted fields samples them one
-block of nodes at a time and drops each block once paired, so a Gram read
-only for its entries never holds a full-rule sample; suite 3.7 reads its
-basis fields off the same block sampler.  A basis is the coefficient matrix
-C over its raw fields' Gram; a ball basis built with keep_samples also
-holds the raw fields sampled on its context's rule, for suite 3.10.  Every
-pairing with the combinations a_i = sum_j c_ij f_j is read through C off
-the raw fields' Gram, so no list of combined fields is built; one a_i is
-combined from samples (_combine) only where its values are needed.
+block of nodes at a time and drops each block once paired, so no full-rule
+sample of a field is ever held; suite 3.7 reads its basis fields off the
+same block sampler.  A basis is the coefficient matrix C over its raw
+fields' Gram.  Every pairing with the combinations a_i = sum_j c_ij f_j is
+read through C off the raw fields' Gram, so no list of combined fields is
+built.  Where a pairing needs a combination formed node by node (the FD
+differences of suite 3.10, whose cancellation a Gram quadratic form would
+square), the Gram takes it as a coefficient row over its fields and
+combines each sampled block (_combine).
 """
 
 from __future__ import annotations
@@ -73,17 +74,6 @@ class NodeField:
     rule: QuadratureRule
     val: np.ndarray            # (3,4,N)
     jac: np.ndarray            # (3,4,4,N)
-
-    def __add__(self, other):
-        return NodeField(self.rule, self.val + other.val, self.jac + other.jac)
-
-    def __sub__(self, other):
-        return NodeField(self.rule, self.val - other.val, self.jac - other.jac)
-
-    def __mul__(self, c):
-        return NodeField(self.rule, self.val * c, self.jac * c)
-
-    __rmul__ = __mul__
 
 
 @dataclass
@@ -139,6 +129,15 @@ def weighted_context(A: ChartedField, eps, tol=1e-4) -> InnerContext:
     return InnerContext(rule, eps, A.value_split(rule.nodes, rule.n_inner))
 
 
+def inner_chart_context(ctx: InnerContext) -> InnerContext:
+    """ctx restricted to its rule's inner chart, the node range [:n_inner]:
+    its Grams sample and sum those nodes only."""
+    r, n = ctx.rule, ctx.rule.n_inner
+    rule = QuadratureRule(r.nodes[:n], r.weights[:n], r.center, r.lam,
+                          r.region, r.r[:n], r.self_check_error)
+    return InnerContext(rule, ctx.eps, ctx.Aval[..., :n])
+
+
 # ---------------------------------------------------------------------------
 # Gram-Schmidt
 
@@ -186,30 +185,13 @@ class GramBasis:
     (p1..p4, xi1..xi3, lam); the same rows are the induced parameter-space
     vector fields q_i.  ``ctx`` holds the shared rule and connection samples
     defining the inner product (ball or weighted), and ``raw_gram`` is the
-    f_j's Gram in it.  A ball basis built with keep_samples holds the f_j
-    sampled on that rule as ``raw_nodefields``, which node_field and
-    project_perp read (suite 3.10); any other basis is read only through its
-    coefficients and holds none (None).
+    f_j's Gram in it.  The basis holds no samples of its fields: it is read
+    only through its coefficients.
     """
 
     coeff: np.ndarray            # (8,8) lower triangular, positive diagonal
     ctx: InnerContext
     raw_gram: np.ndarray
-    raw_nodefields: Optional[list] = field(default=None, repr=False)
-
-    def node_field(self, i: int) -> NodeField:
-        """The i-th orthonormal field (1-based), combined from the samples."""
-        return NodeField(self.ctx.rule, *_combine(
-            self.coeff[i - 1], [(nf.val, nf.jac) for nf in self.samples()]))
-
-    def samples(self) -> list:
-        """The raw fields sampled on ctx's rule; ValueError if not held."""
-        if self.raw_nodefields is None:
-            raise ValueError(
-                "this basis holds no samples of its raw fields: a weighted "
-                "basis never does, and a ball basis only when built with "
-                "gram_schmidt_ball(..., keep_samples=True)")
-        return self.raw_nodefields
 
     def gram_residual(self) -> float:
         got = self.coeff @ self.raw_gram @ self.coeff.T
@@ -218,11 +200,15 @@ class GramBasis:
 
 def _combine(coeffs, samples) -> tuple:
     """sum_j c_j f_j over samples (val, jac) of fields on one set of nodes,
-    skipping zero coefficients, as a new (val, jac).
+    skipping zero coefficients: for a single coefficient 1 its field's own
+    samples, else a new (val, jac).
 
     The sum runs in place, one coefficient at a time and in order, each term
     formed in one scratch.
     """
+    nz = np.flatnonzero(coeffs)
+    if len(nz) == 1 and coeffs[nz[0]] == 1.0:
+        return samples[nz[0]]
     val0, jac0 = samples[0]
     val, jac, tmp = np.empty_like(val0), np.empty_like(jac0), np.empty(jac0.size)
     first = True
@@ -282,30 +268,32 @@ def _sample_blocks(ctx: InnerContext, fields):
                                 min(max(n_inner - a, 0), m), out=out)
 
 
-def _raw_gram(ctx: InnerContext, fields, weights=None) -> np.ndarray:
+def _raw_gram(ctx: InnerContext, fields, rows=None) -> np.ndarray:
     """All pairwise inner products, accumulated over blocks of nodes.
 
     The one H^1 pairing: every inner product of the library is an entry of
     such a Gram.  fields are node fields sampled on ctx's rule, or charted
     fields, which are sampled block by block (_sample_blocks) and give the
-    same Gram bit for bit without a full-rule sample ever being held.
-    weights are the node weights of the sum, by default the rule's (zeroed
-    past n_inner, they restrict it to the inner chart).  On each chunk of
-    _GRAM_CHUNK nodes, row k of M holds field k's weighted gradient entries
-    (48, m), then its weighted value entries (12, m), and G gains M @ M.T.
-    Gradients are computed on the chunk only, straight into M, so no
-    full-rule gradient or weighted matrix is held.  M has at least two rows,
-    a zero one below a single field: the BLAS product of one row with itself
-    sums in an order that depends on the thread count, that of two rows
-    does not.
+    same Gram bit for bit without a full-rule sample ever being held.  With
+    rows, an (r, n) array of coefficients over the n fields, the Gram is
+    that of the r combinations sum_j rows_kj f_j, each formed node by node
+    on every block (_combine).  On each chunk of _GRAM_CHUNK nodes, row
+    k of M holds field k's weighted gradient entries (48, m), then its
+    weighted value entries (12, m), and G gains M @ M.T.  Gradients are
+    computed on the chunk only, straight into M, so no full-rule gradient
+    or weighted matrix is held.  M has at least two rows, a zero one below
+    a single field: the BLAS product of one row with itself sums in an
+    order that depends on the thread count, that of two rows does not.
     """
     N = len(ctx.rule)
-    sw = np.sqrt(ctx.rule.weights if weights is None else weights)
+    sw = np.sqrt(ctx.rule.weights)
     sl = sw * np.sqrt(ctx.wvals) if ctx.weighted else sw
-    n = len(fields)
+    n = len(fields) if rows is None else len(rows)
     G = np.zeros((n, n))
     buf = np.zeros((max(n, 2), min(_GRAM_CHUNK, N) * 60))
     for a, samples in _sample_blocks(ctx, fields):
+        if rows is not None:
+            samples = [_combine(row, samples) for row in rows]
         size = samples[0][0].shape[-1]
         for c in range(0, size, _GRAM_CHUNK):
             d = min(c + _GRAM_CHUNK, size)
@@ -324,31 +312,21 @@ def _raw_gram(ctx: InnerContext, fields, weights=None) -> np.ndarray:
     return G
 
 
-def _basis_from_fields(ctx, G, nodefields=None) -> GramBasis:
-    """Orthonormalize the fields whose Gram in ctx is G; nodefields are their
-    samples on ctx's rule, when the basis keeps them."""
-    return GramBasis(mgs_coefficients(G), ctx, G, nodefields)
+def _basis_from_fields(ctx, G) -> GramBasis:
+    """Orthonormalize the fields whose Gram in ctx is G."""
+    return GramBasis(mgs_coefficients(G), ctx, G)
 
 
 def gram_schmidt_ball(q: ParamQ, pi2: str = "model", tol: float = 1e-4,
-                      rule: QuadratureRule = None,
-                      keep_samples: bool = False) -> GramBasis:
+                      rule: QuadratureRule = None) -> GramBasis:
     """Orthonormalize the eight parameter derivatives of the glued family.
 
-    The eight fields dA/dq_i are derived from one A.  With keep_samples they
-    are sampled on the whole rule in one pass and kept for node_field and
-    project_perp; otherwise their Gram samples them block by block and the
-    basis holds none.
+    The eight fields dA/dq_i are derived from one A and paired block by
+    block; the basis holds no samples of them.
     """
     A = glued_connection(q, pi2=pi2)
     ctx = ball_context(A, q.eps, rule=rule, tol=tol)
-    fields = derivative_fields(A)
-    # kept for suite 3.10: sampling f_1..f_8 again there cost about 20% more
-    # CPU on the default sweep, and streaming 3.10 samples the shifted FD
-    # fields three times (ROADMAP item 2 has the prototypes' numbers)
-    nfs = ctx.arrays(fields) if keep_samples else None
-    G = _raw_gram(ctx, fields if nfs is None else nfs)
-    return _basis_from_fields(ctx, G, nfs)
+    return _basis_from_fields(ctx, _raw_gram(ctx, derivative_fields(A)))
 
 
 def gram_schmidt_weighted(q: ParamQ, ball_basis: GramBasis,
@@ -368,22 +346,19 @@ def gram_schmidt_weighted(q: ParamQ, ball_basis: GramBasis,
         ctx, C @ _raw_gram(ctx, derivative_fields(At)) @ C.T)
 
 
-def project_perp(vs, basis: GramBasis) -> list:
-    """Each node field v of vs minus its orthogonal projection onto
-    span{a_i}, on the basis' rule.
+def project_perp(G: np.ndarray, n: int, basis: GramBasis) -> np.ndarray:
+    """The rows M (n, n + 8) that take fields v_1..v_n to their parts
+    orthogonal to span{a_i}, as combinations of [v_1..v_n, f_1..f_8], G
+    being those fields' Gram in the basis' product.
 
-    One Gram of [v_1..v_k, f_1..f_8] gives every pairing (v, f_j): with g
-    v's row of them, the pairings (v, a_i) are C g and the projection is
-    sum_j k_j f_j with k = C^T C g, one combination of v and the raw fields
-    per v, so the basis must hold their samples (GramBasis.samples).
+    With g v's row of pairings (v, f_j), the pairings (v, a_i) are C g and
+    the projection is sum_j k_j f_j with k = C^T C g, so M = [I | -k^T]:
+    M G M^T is the Gram of the projected fields and C (M G)[:, n:] their
+    pairings with the a_i.
     """
-    raw, k, C = basis.samples(), len(vs), basis.coeff
-    G = _raw_gram(basis.ctx, list(vs) + raw)
-    pairs = [(nf.val, nf.jac) for nf in raw]
-    return [NodeField(basis.ctx.rule, *_combine(
-                np.concatenate(([1.0], -(C.T @ (C @ g)))),
-                [(v.val, v.jac)] + pairs))
-            for v, g in zip(vs, G[:k, k:])]
+    C = basis.coeff
+    # one k per v, so a v's row does not depend on the others'
+    return np.hstack((np.eye(n), [-(C.T @ (C @ g)) for g in G[:n, n:]]))
 
 
 # ---------------------------------------------------------------------------
@@ -398,30 +373,33 @@ def _shift_along(q: ParamQ, vec: np.ndarray, t: float) -> ParamQ:
     return replace(q, p=q.p + dp, g=g, lam=q.lam + t * vec[7])
 
 
-def _basis_field_at(q: ParamQ, i: int, ctx: InnerContext, pi2: str) -> NodeField:
-    """a_i at a (possibly shifted) q, sampled on the base rule and its charts.
+def _basis_field_at(q: ParamQ, i: int, ctx: InnerContext,
+                    pi2: str) -> tuple[list, np.ndarray]:
+    """a_i at a (possibly shifted) q on the base rule and its charts, as the
+    raw fields f_1..f_i there and row i of their C.
 
     C is lower triangular, so a_i = sum_{j<=i} c_ij f_j: only f_1..f_i are
-    sampled and orthonormalized.
+    paired and orthonormalized, in q's own product.
     """
     A = glued_connection(q, pi2=pi2)
     sub = ball_context(A, q.eps, rule=ctx.rule)
-    nfs = sub.arrays(derivative_fields(A, DIRECTIONS[:i]))
-    return _basis_from_fields(sub, _raw_gram(sub, nfs), nfs).node_field(i)
+    fields = derivative_fields(A, DIRECTIONS[:i])
+    return fields, _basis_from_fields(sub, _raw_gram(sub, fields)).coeff[i - 1]
 
 
 _H_REL = 1e-3   # first FD step, relative to lam along a unit-length q_j
 
 
 def basis_directional_derivative(q: ParamQ, i: int, j: int, basis: GramBasis,
-                                 pi2: str = "model") -> tuple[NodeField, float]:
+                                 pi2: str = "model") -> tuple[list, np.ndarray]:
     """Central-difference derivative of a_i along the vector field q_j.
 
-    a_i is rebuilt from the leading i raw fields at the flowed parameter
-    points; every field is sampled on the base rule with its inner chart,
-    so differences are taken in a fixed chart and gauge.  Richardson
-    extrapolation over steps (h, h/2).  Returns the derivative and the
-    step-halving relative change of the extrapolated value.
+    a_i is rebuilt from the leading i raw fields at q +/- h and q +/- h/2,
+    all sampled on the base rule with its inner chart, so differences are
+    taken in a fixed chart and gauge.  Returns those 4i fields and their
+    coefficient rows (2, 4i) of rich - d(h/2) and of the Richardson value
+    rich = (4 d(h/2) - d(h)) / 3, which a Gram of rows combines node by
+    node; the ratio of the two norms is the step-halving relative change.
     """
     ctx = basis.ctx
     vec = basis.coeff[j - 1]
@@ -429,15 +407,13 @@ def basis_directional_derivative(q: ParamQ, i: int, j: int, basis: GramBasis,
     if vnorm == 0.0:
         raise NumericalError("q_j vector vanishes; no flow direction")
     t = _H_REL * q.lam / vnorm
-
-    def fd(step: float) -> NodeField:
-        plus = _basis_field_at(_shift_along(q, vec, step), i, ctx, pi2)
-        minus = _basis_field_at(_shift_along(q, vec, -step), i, ctx, pi2)
-        return (plus - minus) * (1.0 / (2.0 * step))
-
-    d1 = fd(t)
-    d2 = fd(t / 2.0)
-    rich = d2 * (4.0 / 3.0) - d1 * (1.0 / 3.0)
-    G = _raw_gram(ctx, [rich - d2, rich])
-    num = np.sqrt(max(G[0, 0], 0.0))
-    return rich, float(num / np.sqrt(max(G[1, 1], 1e-300)))
+    fields, coeffs = [], []
+    for s in (t, -t, t / 2.0, -t / 2.0):
+        raw, c = _basis_field_at(_shift_along(q, vec, s), i, ctx, pi2)
+        fields += raw
+        coeffs.append(c / (2.0 * s))
+    d = np.zeros((2, 4 * i))    # rows d(h), d(h/2)
+    d[0, :2 * i] = np.concatenate(coeffs[:2])
+    d[1, 2 * i:] = np.concatenate(coeffs[2:])
+    rich = d[1] * (4.0 / 3.0) - d[0] * (1.0 / 3.0)
+    return fields, np.stack((rich - d[1], rich))

@@ -26,6 +26,7 @@ from .basis import (
     basis_directional_derivative,
     gram_schmidt_ball,
     gram_schmidt_weighted,
+    inner_chart_context,
     project_perp,
 )
 from .forms import (
@@ -47,11 +48,11 @@ from .instanton import (
     DIRECTIONS,
     ChartedField,
     ParamQ,
-    d2A_dp1p1,
     derivative_fields,
     difference_b,
     extended_connection,
     glue,
+    glued_connection,
     sample_charted,
 )
 
@@ -347,13 +348,11 @@ def compute_point_metrics(q: ParamQ, pi2: str = "model", tol: float = 1e-4,
     """All scalar diagnostics of one sweep point needed by the reports.
 
     blocks selects the expensive parts: "basis" (always computed),
-    "weighted", "l36", "l37", "l310".  The ball basis keeps its raw fields'
-    samples only for the block that reads them, l310; it runs before l37,
-    which samples block by block, and the samples are dropped after it so
-    that l37 never holds them.
+    "weighted", "l36", "l37", "l310".  Each block samples the fields it
+    pairs block by block, so no block holds a full-rule sample.
     """
     out = {"eps": q.eps}
-    basis = gram_schmidt_ball(q, pi2, tol=tol, keep_samples="l310" in blocks)
+    basis = gram_schmidt_ball(q, pi2, tol=tol)
     ctx = basis.ctx
     G = basis.raw_gram
     diag = np.sqrt(np.diag(G))
@@ -379,13 +378,12 @@ def compute_point_metrics(q: ParamQ, pi2: str = "model", tol: float = 1e-4,
         for i in range(8):
             out[f"basis_diff_{i+1}"] = float(np.sqrt(max(gaps[i], 0.0)))
 
-    if "l310" in blocks:
-        out.update(_perp_derivative_metrics(q, pi2, basis, ctx))
-        basis.raw_nodefields = None     # l310 was their last reader
-
     if "l37" in blocks:
         out.update(_hessian_difference_metrics(q, pi2, basis, ctx,
                                                seed=seed, n_test=n_test))
+
+    if "l310" in blocks:
+        out.update(_perp_derivative_metrics(q, pi2, basis, ctx))
 
     return out
 
@@ -556,23 +554,34 @@ def _hessian_difference_metrics(q, pi2, basis, ctx, seed, n_test):
 
 
 def _perp_derivative_metrics(q, pi2, basis, ctx):
+    """The FD and analytic derivatives of a_1 along q_1, projected off
+    span{a_i}, read off one streamed Gram H of the rows [rich - d2, rich,
+    d2A, f_1..f_8] (d2A and the f_j from one A, sharing its atoms): with M
+    the projection rows, the norms are read from M H M^T, the FD one's
+    pairings with the a_i from C (M H), and its inner-chart norm from its
+    row's Gram on the inner chart's nodes alone."""
     out = {}
     a11 = float(basis.coeff[0, 0])
-    fd, halving = basis_directional_derivative(q, 1, 1, basis, pi2=pi2)
-    fd_perp, an_perp = project_perp(
-        [fd, *ctx.arrays([d2A_dp1p1(q, pi2)])], basis)
-    # (fd_perp, a_i) = C (fd_perp, f_j), read off the raw fields' pairings
-    G = _raw_gram(ctx, [fd_perp, an_perp] + basis.samples())
-    total = max(G[0, 0], 0.0)
-    inner_weights = ctx.rule.weights.copy()
-    inner_weights[ctx.rule.n_inner:] = 0.0
-    inner2 = _raw_gram(ctx, [fd_perp], weights=inner_weights)[0, 0]
+    fd_fields, fd_rows = basis_directional_derivative(q, 1, 1, basis, pi2=pi2)
+    raw = derivative_fields(glued_connection(q, pi2=pi2))
+    fields = fd_fields + derivative_fields(raw[0], ("p1",)) + raw
+    rows = np.zeros((11, len(fields)))
+    rows[:2, :len(fd_fields)] = fd_rows
+    rows[2:, len(fd_fields):] = np.eye(9)
+    H = _raw_gram(ctx, fields, rows)
+    M = project_perp(H[1:, 1:], 2, basis)
+    MH = M @ H[1:, 1:]
+    P = MH @ M.T
+    total = max(P[0, 0], 0.0)
+    inner2 = _raw_gram(inner_chart_context(ctx), fields,
+                       M[:1] @ rows[1:])[0, 0]
     out["l310_fd_norm"] = float(np.sqrt(total))
-    out["l310_an_norm"] = a11 ** 2 * float(np.sqrt(max(G[1, 1], 0.0)))
+    out["l310_an_norm"] = a11 ** 2 * float(np.sqrt(max(P[1, 1], 0.0)))
     out["l310_inner_norm"] = float(np.sqrt(max(inner2, 0.0)))
     out["l310_outer_norm"] = float(np.sqrt(max(total - inner2, 0.0)))
-    out["l310_halving"] = halving
-    out["l310_ortho_residual"] = float(np.max(np.abs(basis.coeff @ G[0, 2:])))
+    out["l310_halving"] = float(np.sqrt(max(H[0, 0], 0.0))
+                                / np.sqrt(max(H[1, 1], 1e-300)))
+    out["l310_ortho_residual"] = float(np.max(np.abs(basis.coeff @ MH[0, 2:])))
     return out
 
 

@@ -150,6 +150,8 @@ def parse_eps_list(text: str):
                 out.append(float(t))
         except ValueError:
             raise ConfigError(f"cannot parse eps value {t!r}") from None
+        except OverflowError:
+            raise ConfigError(f"eps value {t!r} overflows a float") from None
     return out
 
 
@@ -163,6 +165,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    if cp.defaults():
+        raise ConfigError(f"unknown config section [{cp.default_section}]")
     out = {}
     for section in cp.sections():
         if section == "sweep":
@@ -330,15 +334,22 @@ def report_svg(reports, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write an output file, or raise ConfigError naming it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+
+
 def emit_outputs(reports, out_dir: str, stem: str):
     """Write the CSV table and the SVG chart; returns (csv_path, svg_path)."""
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{stem}.csv")
     svg_path = os.path.join(out_dir, f"{stem}.svg")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report_csv(reports))
-    with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report_svg(reports, stem))
+    _write_text(csv_path, report_csv(reports))
+    _write_text(svg_path, report_svg(reports, stem))
     return csv_path, svg_path
 
 
@@ -419,8 +430,7 @@ def _cmd_build_basis(args) -> int:
                 lines.append(f"{kind},{i+1},{j+1},{_fmt(C[i, j])}")
     lines.append(f"ball_gram_residual,0,0,{_fmt(rb)}")
     lines.append(f"weighted_gram_residual,0,0,{_fmt(rw)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
     ok = rb <= 1e-8 and rw <= 1e-8
     print(f"ball Gram residual {rb:.3e}, weighted Gram residual {rw:.3e}  "
           f"-> {'pass' if ok else 'fail'}")
@@ -494,8 +504,7 @@ def _cmd_dump_field(args) -> int:
             row = coords + [str(mu)] + [_fmt(vals[a, mu, col[r]])
                                         for a in range(3)]
             lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
     print(f"wrote {path}")
     return 0
 

@@ -17,7 +17,8 @@ the suite-3.7 probes paired one at a time with the whole representer, and
 their direct differences in long double.  The last section pairs basis
 combinations the explicit way, combining the eight fields node by node
 before any pairing, against the library's reading of those pairings through
-the coefficient matrix.
+the coefficient matrix; it holds the node-field arithmetic (lincomb) and the
+whole-rule samples of a basis' raw fields, which the library never forms.
 """
 
 import numpy as np
@@ -28,6 +29,7 @@ from ymeps.basis import (
     _combine,
     _raw_gram,
     mgs_coefficients,
+    project_perp,
     weighted_context,
 )
 from ymeps.functionals import (
@@ -59,6 +61,7 @@ from ymeps.instanton import (
     difference_b,
     extended_connection,
     glue,
+    glued_connection,
     rad_i1,
     rad_i2,
     sample_charted,
@@ -482,7 +485,7 @@ def full_rule_probe_draws(q, ctx, n: int, seed: int):
         C = rng.standard_normal((3, 4))
         nf = sample_form(bump_one_form(center, sc, C), ctx.rule)
         nrm2 = ctx.inner_nf(nf, nf)
-        draws.append((center, sc, nf * (1.0 / np.sqrt(nrm2))
+        draws.append((center, sc, lincomb([1.0 / np.sqrt(nrm2)], [nf])
                       if nrm2 > 1e-20 else None))
     return draws
 
@@ -497,18 +500,16 @@ def full_rule_probes(q, ctx, n: int, seed: int):
 # whole-rule routes the library streams
 
 
-def long_double_gram(ctx: InnerContext, nodefields,
-                     weights=None) -> np.ndarray:
+def long_double_gram(ctx: InnerContext, nodefields) -> np.ndarray:
     """The raw Gram of node fields over the whole rule, summed in long double.
 
     Row k of M holds field k's weighted gradient entries, then its weighted
     value entries, so M @ M.T pairs every two fields in ctx; the products are
     summed in long double over blocks of M's columns, whose round-off lies far
-    below that of any float64 summation order.  weights replace the rule's
-    node weights, as in the library's Gram.
+    below that of any float64 summation order.
     """
     N = len(ctx.rule)
-    sw = np.sqrt(ctx.rule.weights if weights is None else weights)
+    sw = np.sqrt(ctx.rule.weights)
     sl = sw * np.sqrt(ctx.wvals) if ctx.weighted else sw
     M = np.empty((len(nodefields), N * 60))
     for row, nf in zip(M, nodefields):
@@ -633,6 +634,30 @@ def long_double_l37_differences(q, pi2, basis, ctx, probes,
 # basis combinations formed node by node
 
 
+def lincomb(coeffs, nodefields) -> NodeField:
+    """sum_k c_k v_k of node fields on one rule, summed node by node in
+    order."""
+    return NodeField(nodefields[0].rule,
+                     sum(c * nf.val for c, nf in zip(coeffs, nodefields)),
+                     sum(c * nf.jac for c, nf in zip(coeffs, nodefields)))
+
+
+def raw_samples(q, pi2, ctx) -> list:
+    """The ball basis' eight raw fields dA/dq_j at q, sampled on ctx's whole
+    rule."""
+    return ctx.arrays(derivative_fields(glued_connection(q, pi2=pi2)))
+
+
+def perp_nodefields(vs, basis, raw) -> list:
+    """Each node field v of vs minus its projection onto span{a_i}, formed
+    node by node from the library's projection rows (project_perp) over
+    [v_1..v_k, f_1..f_8]; raw are the f_j sampled on the basis' rule."""
+    G = _raw_gram(basis.ctx, list(vs) + raw)
+    M = project_perp(G, len(vs), basis)
+    samples = [(nf.val, nf.jac) for nf in list(vs) + raw]
+    return [NodeField(basis.ctx.rule, *_combine(row, samples)) for row in M]
+
+
 def combined_fields(coeff, nodefields) -> list:
     """The fields sum_j c_ij f_j, one per row of coeff, summed node-wise."""
     vals = np.stack([nf.val for nf in nodefields])
@@ -656,22 +681,20 @@ def weighted_coeff_by_combination(q, ball_basis) -> np.ndarray:
         _raw_gram(ctx, extension_combinations(ctx, q, ball_basis.coeff)))
 
 
-def basis_gaps_by_combination(q, basis) -> np.ndarray:
+def basis_gaps_by_combination(q, pi2, basis) -> np.ndarray:
     """The suite-3.6 norms ||a_i - sum_j c_ij dAt/dq_j|| in the ball product,
     each difference formed node by node from the basis field a_i."""
     ctx = basis.ctx
-    diffs = []
-    for i, t in enumerate(extension_combinations(ctx, q, basis.coeff)):
-        a = basis.node_field(i + 1)
-        diffs.append(NodeField(ctx.rule, a.val - t.val, a.jac - t.jac))
+    fields = combined_fields(basis.coeff, raw_samples(q, pi2, ctx))
+    diffs = [lincomb((1.0, -1.0), (a, t)) for a, t in
+             zip(fields, extension_combinations(ctx, q, basis.coeff))]
     return np.sqrt(np.diag(_raw_gram(ctx, diffs)))
 
 
-def project_perp_by_combination(v: NodeField, basis) -> NodeField:
+def project_perp_by_combination(v: NodeField, basis, raw) -> NodeField:
     """v minus sum_i (v, a_i) a_i, with the eight basis fields combined
-    first and the pairings read off one Gram of [v, a_1..a_8]."""
-    fields = combined_fields(basis.coeff, basis.raw_nodefields)
+    first from raw, the f_j sampled on the basis' rule, and the pairings
+    read off one Gram of [v, a_1..a_8]."""
+    fields = combined_fields(basis.coeff, raw)
     row = _raw_gram(basis.ctx, [v] + fields)[0, 1:]
-    return NodeField(v.rule,
-                     v.val - sum(c * a.val for c, a in zip(row, fields)),
-                     v.jac - sum(c * a.jac for c, a in zip(row, fields)))
+    return lincomb(np.concatenate(([1.0], -row)), [v] + fields)

@@ -43,6 +43,7 @@ from oracle import (
     grad_pairing,
     i1_form,
     inner_field,
+    lincomb,
     outer_field,
     sample_form,
     wedge_bracket,
@@ -254,7 +255,7 @@ def test_criterion_10_structural_suite(tmp_path):
     nfa = sample_form(a, brule)
 
     def E(t):
-        nf = nfA + t * nfa
+        nf = lincomb((1.0, t), (nfA, nfa))
         Ft = curvature_coeffs(nf.val, nf.jac, q.eps)
         return weighted_sum(brule.weights, 0.5 * cdot(Ft, Ft))
 

@@ -26,22 +26,27 @@ from ymeps.instanton import (
 )
 from ymeps.liealg import AlgElement, GroupElement, exp_map
 from ymeps.basis import (
-    GramBasis,
+    NodeField,
     _basis_field_at,
+    _combine,
     _raw_gram,
     ball_context,
     basis_directional_derivative,
     gram_schmidt_ball,
     gram_schmidt_weighted,
+    inner_chart_context,
     mgs_coefficients,
-    project_perp,
     weighted_context,
 )
 from oracle import (
     bump_one_form,
+    combined_fields,
     constant_form,
     flat_context,
+    lincomb,
     long_double_gram,
+    perp_nodefields,
+    raw_samples,
     sample_form,
 )
 
@@ -217,26 +222,26 @@ def test_mgs_large_norm_spread():
 
 
 def _gram_cases(sampled=True):
-    """(case, ctx, fields, weights) off-centre and at g != 1: the glued
-    family's derivatives on its ball context for every pi2, the extension's
-    on its weighted one, and the model ones again on the inner chart's
-    nodes; the fields sampled on ctx's rule, or as term lists."""
+    """(case, ctx, fields) off-centre and at g != 1: the glued family's
+    derivatives on its ball context for every pi2, the extension's on its
+    weighted one, and the model ones again on the ball context restricted
+    to the inner chart's nodes; the fields sampled on ctx's rule, or as
+    term lists."""
     q = ParamQ.default(2.0 ** -4, p=[0.1, -0.15, 0.05, 0.2],
                        g=exp_map(AlgElement(-0.7, 1.1, 0.4)))
     for pi2 in PI2_STRATEGIES:
         A = glued_connection(q, pi2=pi2)
         ctx = ball_context(A, q.eps)
         fields = derivative_fields(A)
-        fields = ctx.arrays(fields) if sampled else fields
-        yield pi2, ctx, fields, None
+        yield pi2, ctx, ctx.arrays(fields) if sampled else fields
         if pi2 == "model":
-            inner = ctx.rule.weights.copy()
-            inner[ctx.rule.n_inner:] = 0.0
-            yield "inner-chart", ctx, fields, inner
+            inner = inner_chart_context(ctx)
+            yield ("inner-chart", inner,
+                   inner.arrays(fields) if sampled else fields)
     At = extended_connection(q)
     ctx = weighted_context(At, q.eps)
     fields = derivative_fields(At)
-    yield "weighted", ctx, ctx.arrays(fields) if sampled else fields, None
+    yield "weighted", ctx, ctx.arrays(fields) if sampled else fields
 
 
 # a chunk size that leaves a partial last chunk on every rule of the tests
@@ -245,10 +250,10 @@ _PARTIAL_CHUNK = 1000
 
 def test_streamed_gram_matches_long_double_sum(monkeypatch):
     u = np.finfo(float).eps / 2
-    for case, ctx, fields, weights in _gram_cases():
+    for case, ctx, fields in _gram_cases():
         N = len(ctx.rule)
         assert N % _PARTIAL_CHUNK != 0
-        ref = long_double_gram(ctx, fields, weights)
+        ref = long_double_gram(ctx, fields)
         d = np.diag(ref).astype(float)
         scale = np.sqrt(np.outer(d, d))
         # blocks of ~1,000 nodes keep every float64 partial sum short; one
@@ -256,7 +261,7 @@ def test_streamed_gram_matches_long_double_sum(monkeypatch):
         # held to the sqrt(60N)*u estimate of that sum's round-off
         for chunk, tol in ((_PARTIAL_CHUNK, 1e-14), (N, np.sqrt(60 * N) * u)):
             monkeypatch.setattr("ymeps.basis._GRAM_CHUNK", chunk)
-            G = _raw_gram(ctx, fields, weights)
+            G = _raw_gram(ctx, fields)
             assert np.array_equal(G, G.T)
             err = np.abs(G - ref).astype(float)
             assert np.all(err <= tol * scale), (case, chunk)
@@ -279,32 +284,73 @@ def test_streamed_gram_raises_on_nan_in_the_last_partial_chunk(monkeypatch):
 def test_charted_gram_equals_the_sampled_fields_gram(monkeypatch):
     # sampling block by block gives the whole-rule samples' Gram bit for
     # bit: with a block edge inside the inner chart and a block straddling
-    # its end, with the inner chart as the first block, and at the default
-    # sizes; the last block is partial in each
+    # its end, with the inner chart as the first block (on the inner-chart
+    # context, whose rule is that chart, two thirds of it), and at the
+    # default sizes; the last block is partial in each.  So do the Grams of
+    # coefficient rows: a unit row passing its field through, a row with a
+    # zero and a row of every field, each combined node by node
     import ymeps.basis as basis_mod
 
-    for case, ctx, fields, weights in _gram_cases(sampled=False):
+    rng = np.random.default_rng(RNG_SEED + 6)
+    rows = rng.standard_normal((3, 8))
+    rows[0] = np.eye(8)[5]
+    rows[1, 2] = 0.0
+    for case, ctx, fields in _gram_cases(sampled=False):
         N, n_inner = len(ctx.rule), ctx.rule.n_inner
-        assert 0 < n_inner < N and n_inner % 3 == 0
+        assert 0 < n_inner <= N and n_inner % 3 == 0
+        assert (n_inner == N) == (case == "inner-chart")
+        first = n_inner if n_inner < N else 2 * n_inner // 3
         nfs = ctx.arrays(fields)
-        for chunk, block in ((1000, 3000), (n_inner // 3, n_inner),
+        for chunk, block in ((1000, 3000), (n_inner // 3, first),
                              (basis_mod._GRAM_CHUNK, basis_mod._SAMPLE_BLOCK)):
             assert block % chunk == 0 and N % block != 0
             monkeypatch.setattr(basis_mod, "_GRAM_CHUNK", chunk)
             monkeypatch.setattr(basis_mod, "_SAMPLE_BLOCK", block)
-            want = _raw_gram(ctx, nfs, weights)
-            assert np.array_equal(_raw_gram(ctx, fields, weights), want), (
+            want = _raw_gram(ctx, nfs)
+            assert np.array_equal(_raw_gram(ctx, fields), want), (case, block)
+            want = _raw_gram(ctx, nfs, rows)
+            assert np.array_equal(_raw_gram(ctx, fields, rows), want), (
                 case, block)
 
 
-def test_gram_default_weights_are_the_rules():
-    _, ctx, fields, _ = next(_gram_cases())
-    assert np.array_equal(_raw_gram(ctx, fields, weights=ctx.rule.weights),
-                          _raw_gram(ctx, fields))
+def test_gram_of_rows_is_the_gram_of_the_combined_fields():
+    # each row is one combination, formed node by node before pairing: the
+    # Gram of the node fields _combine forms, bit for bit, and that of the
+    # node-wise sums in another order up to round-off
+    _, ctx, nfs = next(_gram_cases())
+    rng = np.random.default_rng(RNG_SEED + 7)
+    rows = rng.standard_normal((4, 8))
+    rows[0] = np.eye(8)[2]
+    samples = [(nf.val, nf.jac) for nf in nfs]
+    G = _raw_gram(ctx, nfs, rows)
+    combined = [nfs[2]] + [NodeField(ctx.rule, *_combine(row, samples))
+                           for row in rows[1:]]
+    assert np.array_equal(G, _raw_gram(ctx, combined))
+    want = _raw_gram(ctx, combined_fields(rows, nfs))
+    d = np.sqrt(np.diag(want))
+    assert np.all(np.abs(G - want) <= 1e-13 * np.outer(d, d))
+
+
+def test_inner_chart_context_is_the_rules_inner_prefix():
+    # the inner-chart context sums the inner chart's nodes alone, with the
+    # rule's own weights and connection there
+    _, ctx, fields = next(_gram_cases(sampled=False))
+    inner = inner_chart_context(ctx)
+    n = ctx.rule.n_inner
+    assert len(inner.rule) == inner.rule.n_inner == n
+    assert np.array_equal(inner.rule.nodes, ctx.rule.nodes[:n])
+    assert np.array_equal(inner.rule.weights, ctx.rule.weights[:n])
+    assert np.array_equal(inner.Aval, ctx.Aval[..., :n])
+    assert not inner.weighted and inner.eps == ctx.eps
+    G, G_in = _raw_gram(ctx, fields), _raw_gram(inner, fields)
+    assert np.all(np.diag(G_in) < np.diag(G))
+    want = long_double_gram(inner, inner.arrays(fields)).astype(float)
+    d = np.sqrt(np.diag(want))
+    assert np.all(np.abs(G_in - want) <= 1e-14 * np.outer(d, d))
 
 
 def test_inner_nf_is_the_two_field_gram_entry():
-    _, ctx, fields, _ = next(_gram_cases())
+    _, ctx, fields = next(_gram_cases())
     fa, fb = fields[0], fields[6]
     assert ctx.inner_nf(fa, fb) == _raw_gram(ctx, [fa, fb])[0, 1]
 
@@ -325,9 +371,9 @@ def test_inner_nf_raises_on_a_nan_field():
         ctx.inner_nf(nf, nf)
 
 
-def _ball_basis(eps=2.0 ** -5, keep_samples=False):
+def _ball_basis(eps=2.0 ** -5):
     q = ParamQ.default(eps)
-    return q, gram_schmidt_ball(q, keep_samples=keep_samples)
+    return q, gram_schmidt_ball(q)
 
 
 def test_gram_schmidt_ball_orthonormal():
@@ -347,7 +393,7 @@ def test_gram_schmidt_ball_synthetic_orthonormal_inputs():
         M = np.zeros((3, 4))
         M[a, mu] = np.sqrt(2.0 / np.pi ** 2)  # unit H^1 norm: constants
         fields.append(sample_form(constant_form(1, M), ctx.rule))
-    basis = _basis_from_fields(ctx, _raw_gram(ctx, fields), fields)
+    basis = _basis_from_fields(ctx, _raw_gram(ctx, fields))
     assert np.allclose(basis.coeff, np.eye(8), atol=1e-6)
 
 
@@ -361,32 +407,18 @@ def test_gram_schmidt_ball_minus_g_invariant():
 
 def test_reconstruction_from_coefficients():
     # inverting the triangular system reproduces the raw fields in norm
-    q, basis = _ball_basis(keep_samples=True)
+    q, basis = _ball_basis()
     ctx = basis.ctx
+    raw = raw_samples(q, "model", ctx)
+    fields = combined_fields(basis.coeff, raw)
     Cinv = np.linalg.inv(basis.coeff)
     for j in (0, 4, 7):
-        recon = None
-        for k in range(8):
-            if Cinv[j, k] == 0.0:
-                continue
-            nf = basis.node_field(k + 1) * Cinv[j, k]
-            recon = nf if recon is None else recon + nf
-        diff = recon - basis.raw_nodefields[j]
+        ks = [k for k in range(8) if Cinv[j, k] != 0.0]
+        recon = lincomb(Cinv[j, ks], [fields[k] for k in ks])
+        diff = lincomb((1.0, -1.0), (recon, raw[j]))
         rel = np.sqrt(ctx.inner_nf(diff, diff)
-                      / ctx.inner_nf(basis.raw_nodefields[j],
-                                     basis.raw_nodefields[j]))
+                      / ctx.inner_nf(raw[j], raw[j]))
         assert rel <= 1e-8
-
-
-def test_basis_without_samples_says_so():
-    q, basis = _ball_basis(2.0 ** -4)
-    assert basis.raw_nodefields is None
-    weighted = gram_schmidt_weighted(q, basis)
-    v = basis.ctx.arrays(derivative_fields(glued_connection(q), ("p1",)))[0]
-    for call in (lambda: basis.node_field(1), lambda: weighted.node_field(1),
-                 lambda: project_perp([v], basis)):
-        with pytest.raises(ValueError, match="holds no samples.*keep_samples"):
-            call()
 
 
 def test_gram_schmidt_weighted_near_identity():
@@ -401,43 +433,49 @@ def test_gram_schmidt_weighted_near_identity():
 
 
 def test_project_perp_annihilates_basis_and_obeys_bessel():
-    q, basis = _ball_basis(keep_samples=True)
+    # the projection rows applied node by node (oracle.perp_nodefields)
+    q, basis = _ball_basis()
     ctx = basis.ctx
+    raw = raw_samples(q, "model", ctx)
+    a = combined_fields(basis.coeff, raw)
     # v = a_3 projects to ~0
-    (res,) = project_perp([basis.node_field(3)], basis)
+    (res,) = perp_nodefields([a[2]], basis, raw)
     n3 = np.sqrt(max(ctx.inner_nf(res, res), 0.0))
     assert n3 <= 1e-8
     # random v: residual orthogonal to every basis field, norm non-increasing
     rng = np.random.default_rng(RNG_SEED + 4)
     v = bump_one_form(q.p + 0.05, 2 * q.lam, rng.standard_normal((3, 4)))
     nv = sample_form(v, ctx.rule)
-    (res,) = project_perp([nv], basis)
+    (res,) = perp_nodefields([nv], basis, raw)
     norm_v = np.sqrt(ctx.inner_nf(nv, nv))
     norm_r = np.sqrt(max(ctx.inner_nf(res, res), 0.0))
     assert norm_r <= norm_v * (1 + 1e-12)
-    for i in range(1, 9):
-        ai = basis.node_field(i)
+    for ai in a:
         assert abs(ctx.inner_nf(res, ai)) <= 1e-8 * max(1.0, norm_v)
 
 
 def test_project_perp_fixed_point_for_orthogonal_input():
-    q, basis = _ball_basis(keep_samples=True)
+    q, basis = _ball_basis()
     ctx = basis.ctx
+    raw = raw_samples(q, "model", ctx)
     rng = np.random.default_rng(RNG_SEED + 5)
     v = bump_one_form(q.p - 0.03, 1.5 * q.lam, rng.standard_normal((3, 4)))
-    (first,) = project_perp([sample_form(v, ctx.rule)], basis)
-    (second,) = project_perp([first], basis)
-    diff = second - first
+    (first,) = perp_nodefields([sample_form(v, ctx.rule)], basis, raw)
+    (second,) = perp_nodefields([first], basis, raw)
+    diff = lincomb((1.0, -1.0), (second, first))
     assert np.sqrt(max(ctx.inner_nf(diff, diff), 0.0)) <= 1e-8
 
 
 def test_basis_directional_derivative_step_halving():
+    # the rows are rich - d(h/2) and rich over the 4 shifted fields
     q = ParamQ.default(2.0 ** -5)
     basis = gram_schmidt_ball(q)
-    d, halving = basis_directional_derivative(q, 1, 1, basis)
+    fields, rows = basis_directional_derivative(q, 1, 1, basis)
+    assert len(fields) == 4 and rows.shape == (2, 4)
+    G = _raw_gram(basis.ctx, fields, rows)
+    halving = np.sqrt(max(G[0, 0], 0.0) / G[1, 1])
     assert halving < 0.01
-    ctx = basis.ctx
-    assert np.isfinite(ctx.inner_nf(d, d))
+    assert np.isfinite(G[1, 1])
 
 
 def test_fd_rebuild_samples_only_the_leading_fields(monkeypatch):
@@ -459,6 +497,7 @@ def test_fd_rebuild_samples_only_the_leading_fields(monkeypatch):
 
 
 _GRAM_BITS = """
+import numpy as np
 from ymeps.basis import _raw_gram, ball_context
 from ymeps.instanton import ParamQ, derivative_fields, glued_connection
 q = ParamQ.default(2.0 ** -4)
@@ -467,13 +506,17 @@ ctx = ball_context(A, q.eps)
 fields = derivative_fields(A)
 for n in (1, 8):
     print(_raw_gram(ctx, fields[:n]).tobytes().hex())
+rows = np.linspace(-1.0, 1.0, 24).reshape(3, 8)
+for r in (1, 3):
+    print(_raw_gram(ctx, fields, rows[:r]).tobytes().hex())
 """
 
 
 def test_raw_gram_bits_do_not_depend_on_the_blas_thread_count():
-    # one- and eight-field Grams, each computed at 1 and at 2 BLAS threads
-    # in its own process: a one-row product with itself would sum in an
-    # order that depends on the thread count
+    # one- and eight-field Grams and one- and three-row Grams of
+    # combinations, each computed at 1 and at 2 BLAS threads in its own
+    # process: a one-row product with itself would sum in an order that
+    # depends on the thread count
     root = Path(__file__).resolve().parent.parent
     bits = []
     for threads in ("1", "2"):
@@ -483,18 +526,23 @@ def test_raw_gram_bits_do_not_depend_on_the_blas_thread_count():
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         bits.append(proc.stdout.split())
-    assert len(bits[0]) == 2
+    assert len(bits[0]) == 4
     assert bits[0] == bits[1]
 
 
 def test_fd_rebuild_at_the_base_point_is_the_basis_field():
     # the FD rebuild is the ordinary build on the base rule, so at the
-    # unshifted q it reproduces the basis' own fields bit for bit
+    # unshifted q it reproduces the basis' own coefficient row, and the
+    # field that row combines from its fields, bit for bit
     q = ParamQ.default(2.0 ** -4, p=[0.05, -0.03, 0.02, 0.01],
                        g=exp_map(AlgElement(0.3, -0.2, 0.5)))
-    basis = gram_schmidt_ball(q, "model", keep_samples=True)
+    basis = gram_schmidt_ball(q, "model")
+    raw = [(nf.val, nf.jac) for nf in raw_samples(q, "model", basis.ctx)]
     for i in (1, 5, 8):
-        got = _basis_field_at(q, i, basis.ctx, "model")
-        want = basis.node_field(i)
-        assert np.array_equal(got.val, want.val)
-        assert np.array_equal(got.jac, want.jac)
+        fields, row = _basis_field_at(q, i, basis.ctx, "model")
+        assert np.array_equal(row, basis.coeff[i - 1, :i])
+        got = _combine(row, [(nf.val, nf.jac)
+                             for nf in basis.ctx.arrays(fields)])
+        want = _combine(basis.coeff[i - 1], raw)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from ymeps.basis import (
-    GramBasis,
     InnerContext,
     NodeField,
+    _raw_gram,
     ball_context,
     gram_schmidt_ball,
     gram_schmidt_weighted,
@@ -78,13 +78,16 @@ from oracle import (
     full_rule_probes,
     grad_pairing,
     hessian_form,
+    lincomb,
     long_double_l37_differences,
     node_first,
     node_last,
     combined_fields,
     per_probe_l37,
+    perp_nodefields,
     probe_pairings,
     project_perp_by_combination,
+    raw_samples,
     sample_form,
     weighted_coeff_by_combination,
     whole_rule_representers,
@@ -96,6 +99,11 @@ RNG_SEED = 77023
 def _generic_q(eps=2.0 ** -6):
     return ParamQ.default(eps, p=[0.1, -0.08, 0.05, 0.12],
                           g=exp_map(AlgElement(0.3, -0.4, 0.2)))
+
+
+def _holds_no_samples(basis) -> bool:
+    """A basis holds its coefficients, context and raw Gram, no field."""
+    return list(vars(basis)) == ["coeff", "ctx", "raw_gram"]
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +186,7 @@ def _energy_curve(A, a, eps, rule):
     nfa = sample_form(a, rule)
 
     def E(t):
-        nf = nfA + t * nfa
+        nf = lincomb((1.0, t), (nfA, nfa))
         F = curvature_coeffs(nf.val, nf.jac, eps)
         return weighted_sum(rule.weights, 0.5 * cdot(F, F))
 
@@ -213,7 +221,7 @@ def test_grad_pairing_linear():
                                     rng.standard_normal((3, 4))), rule)
     nfb = sample_form(bump_one_form([-0.1, 0.0, 0.2, 0.1], 0.4,
                                     rng.standard_normal((3, 4))), rule)
-    combo = nfa * 2.0 + nfb * 3.0
+    combo = lincomb((2.0, 3.0), (nfa, nfb))
     lhs = grad_pairing(A, combo, q.eps, rule=rule)
     rhs = (2.0 * grad_pairing(A, nfa, q.eps, rule=rule)
            + 3.0 * grad_pairing(A, nfb, q.eps, rule=rule))
@@ -366,8 +374,7 @@ def test_basis_gap_report(small_sweep_metrics):
 @pytest.fixture(scope="module", params=PI2_STRATEGIES)
 def generic_basis(request):
     q = _generic_q(2.0 ** -4)
-    return q, request.param, gram_schmidt_ball(q, request.param,
-                                               keep_samples=True)
+    return q, request.param, gram_schmidt_ball(q, request.param)
 
 
 def test_glued_derivatives_are_extension_minus_b_derivatives(generic_basis):
@@ -393,7 +400,7 @@ def test_glued_derivatives_are_extension_minus_b_derivatives(generic_basis):
 def test_weighted_basis_matches_the_combined_fields_gram(generic_basis):
     q, _, basis = generic_basis
     wb = gram_schmidt_weighted(q, basis)
-    assert wb.raw_nodefields is None
+    assert _holds_no_samples(wb)
     want = weighted_coeff_by_combination(q, basis)
     assert np.max(np.abs(wb.coeff - want)) <= 1e-12
 
@@ -402,80 +409,108 @@ def test_basis_gaps_match_the_combined_differences(generic_basis):
     q, pi2, basis = generic_basis
     m = compute_point_metrics(q, pi2, blocks=frozenset({"l36"}))
     got = [m[f"basis_diff_{i}"] for i in range(1, 9)]
-    np.testing.assert_allclose(got, basis_gaps_by_combination(q, basis),
+    np.testing.assert_allclose(got, basis_gaps_by_combination(q, pi2, basis),
                                rtol=1e-10, atol=0)
 
 
 def test_project_perp_matches_the_eight_field_projection(generic_basis):
     # one Gram of [v_1, v_2, f_1..f_8] projects both fields as a Gram per
-    # field does, bit for bit, and as the combined basis fields do
+    # field does, bit for bit, and as the combined basis fields do; the
+    # projected fields are the rows' combinations formed node by node, and
+    # their Gram is M G M^T
     q, pi2, basis = generic_basis
     ctx = basis.ctx
+    raw = raw_samples(q, pi2, ctx)
     rng = np.random.default_rng(RNG_SEED)
     bump = bump_one_form(q.p + 0.05, 2 * q.lam, rng.standard_normal((3, 4)))
     vs = [sample_form(bump, ctx.rule), *ctx.arrays([d2A_dp1p1(q, pi2)])]
-    for v, got in zip(vs, project_perp(vs, basis)):
-        (alone,) = project_perp([v], basis)
-        assert (np.array_equal(got.val, alone.val)
-                and np.array_equal(got.jac, alone.jac)), pi2
-        want = project_perp_by_combination(v, basis)
-        diff = NodeField(ctx.rule, got.val - want.val, got.jac - want.jac)
+    G = _raw_gram(ctx, vs + raw)
+    M = project_perp(G, 2, basis)
+    assert M.shape == (2, 10)
+    perps = perp_nodefields(vs, basis, raw)
+    for k, (v, got) in enumerate(zip(vs, perps)):
+        alone = project_perp(_raw_gram(ctx, [v] + raw), 1, basis)
+        assert (np.array_equal(M[k, 2:], alone[0, 1:])
+                and M[k, k] == alone[0, 0] == 1.0
+                and M[k, 1 - k] == 0.0), pi2
+        (got_alone,) = perp_nodefields([v], basis, raw)
+        assert (np.array_equal(got.val, got_alone.val)
+                and np.array_equal(got.jac, got_alone.jac)), pi2
+        want = project_perp_by_combination(v, basis, raw)
+        diff = lincomb((1.0, -1.0), (got, want))
         assert (np.sqrt(ctx.inner_nf(diff, diff))
                 <= 1e-10 * np.sqrt(ctx.inner_nf(v, v)))
+    P = _raw_gram(ctx, perps)
+    assert np.all(np.abs(M @ G @ M.T - P) <= 1e-10 * np.max(np.diag(P)))
 
 
 def test_l310_point_pairs_the_raw_fields_in_two_grams(monkeypatch):
-    # the FD and the analytic derivative are projected from one Gram, and
-    # the norms read a second; no other Gram of the block holds the eight
-    # raw fields (the FD rebuilds pair fields sampled at shifted q)
+    # the FD and the analytic derivative are projected from one Gram of
+    # combinations over the shifted fields, d2A and the eight raw fields,
+    # and the inner-chart norm is a one-row Gram on the inner chart; no
+    # other Gram of the block holds the raw fields (the FD rebuilds pair
+    # fields sampled at shifted q) and none pairs node fields
     import ymeps.basis as basis_mod
     import ymeps.functionals as functionals_mod
 
     q = ParamQ.default(2.0 ** -4)
-    basis = gram_schmidt_ball(q, keep_samples=True)
+    basis = gram_schmidt_ball(q)
     grams, gram = [], basis_mod._raw_gram
+    derived, derive = [], functionals_mod.derivative_fields
 
-    def recorded(ctx, fields, weights=None):
-        grams.append(list(fields))
-        return gram(ctx, fields, weights)
+    def recorded(ctx, fields, rows=None):
+        grams.append((ctx, list(fields), rows))
+        return gram(ctx, fields, rows)
+
+    def recorded_fields(*args):
+        derived.append(derive(*args))
+        return derived[-1]
 
     monkeypatch.setattr(basis_mod, "_raw_gram", recorded)
     monkeypatch.setattr(functionals_mod, "_raw_gram", recorded)
+    monkeypatch.setattr(functionals_mod, "derivative_fields", recorded_fields)
     _perp_derivative_metrics(q, "model", basis, basis.ctx)
-    raw = basis.samples()
-    holding = [fields for fields in grams
+    (raw,) = [fields for fields in derived if len(fields) == 8]
+    holding = [(ctx, rows) for ctx, fields, rows in grams
                if all(any(f is r for f in fields) for r in raw)]
     assert len(holding) == 2 and len(grams) > 2
+    (base, H_rows), (inner, perp_row) = holding
+    assert base is basis.ctx and H_rows.shape == (11, 13)
+    assert len(inner.rule) == basis.ctx.rule.n_inner
+    assert perp_row.shape == (1, 13)
+    assert not any(isinstance(f, NodeField)
+                   for _, fields, _ in grams for f in fields)
 
 
 def test_weighted_and_l36_combine_no_field_and_a_projection_one(monkeypatch):
     # pairings with basis combinations are read through the coefficients:
-    # the weighted and l36 blocks combine no field, and a projection makes
-    # one combination of v and the raw fields
+    # the weighted and l36 blocks combine no field, a projection forms only
+    # coefficient rows, and a Gram of one such row over charted fields
+    # makes one combination per sampled block
     import ymeps.basis as basis_mod
 
     calls = []
-    combine, node_field = basis_mod._combine, GramBasis.node_field
+    combine = basis_mod._combine
 
     def counted_combine(*args, **kwargs):
         calls.append("_combine")
         return combine(*args, **kwargs)
 
-    def counted_node_field(*args, **kwargs):
-        calls.append("node_field")
-        return node_field(*args, **kwargs)
-
     monkeypatch.setattr(basis_mod, "_combine", counted_combine)
-    monkeypatch.setattr(GramBasis, "node_field", counted_node_field)
     q = ParamQ.default(2.0 ** -4)
     m = compute_point_metrics(q, blocks=frozenset({"weighted", "l36"}))
     assert "w_coeff" in m and "basis_diff_8" in m
     assert calls == []
-    basis = gram_schmidt_ball(q, keep_samples=True)
-    (v,) = basis.ctx.arrays([d2A_dp1p1(q, "model")])
+    basis = gram_schmidt_ball(q)
+    ctx = basis.ctx
+    fields = [d2A_dp1p1(q, "model")] + derivative_fields(glued_connection(q))
+    M = project_perp(_raw_gram(ctx, fields), 1, basis)
+    assert calls == []
+    blocks = -(-len(ctx.rule) // basis_mod._SAMPLE_BLOCK)
+    assert blocks > 1
     for k in (1, 2):
-        project_perp([v], basis)
-        assert calls == ["_combine"] * k
+        _raw_gram(ctx, fields, M)
+        assert calls == ["_combine"] * (k * blocks)
 
 
 def test_basis_only_point_holds_no_samples(monkeypatch):
@@ -498,28 +533,8 @@ def test_basis_only_point_holds_no_samples(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(built) == 1 and built[0].raw_nodefields is None
+    assert len(built) == 1 and _holds_no_samples(built[0])
     assert peak <= 64 * 2 ** 20, peak / 2 ** 20
-
-
-def test_point_keeps_basis_samples_only_for_the_blocks_reading_them(
-        monkeypatch):
-    import ymeps.functionals as functionals_mod
-
-    class Built(Exception):
-        pass
-
-    def recorded(*args, keep_samples=False, **kwargs):
-        raise Built(keep_samples)
-
-    monkeypatch.setattr(functionals_mod, "gram_schmidt_ball", recorded)
-    q = ParamQ.default(2.0 ** -4)
-    for blocks, keep in (({"basis"}, False), ({"weighted", "l36"}, False),
-                         ({"l37"}, False), ({"l310"}, True),
-                         ({"weighted", "l36", "l37", "l310"}, True)):
-        with pytest.raises(Built) as built:
-            compute_point_metrics(q, blocks=frozenset(blocks))
-        assert built.value.args == (keep,), blocks
 
 
 def test_l37_point_builds_its_representers_from_block_samples():
@@ -540,9 +555,28 @@ def test_l37_point_builds_its_representers_from_block_samples():
     assert peak <= 64 * 2 ** 20, peak / 2 ** 20
 
 
+def test_l37_and_l310_point_holds_no_full_rule_sample():
+    # at 2^-7 the eight raw fields sampled whole take 149 MB; both blocks
+    # pair the fields they read block by block, suite 3.10 its 13 fields
+    # (the four shifted ones, d2A and the f_j) in one streamed Gram, so the
+    # point stays near a basis-only one
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        m = compute_point_metrics(ParamQ.default(2.0 ** -7),
+                                  blocks=frozenset({"l37", "l310"}),
+                                  n_test=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m["hess_dual_i5"] > 0.0 and m["l310_fd_norm"] > 0.0
+    assert peak <= 80 * 2 ** 20, peak / 2 ** 20
+
+
 def test_l37_and_l310_together_equal_each_alone():
-    # l310 runs first and drops the basis samples before l37, which never
-    # reads them: the shared point's values are those of each block alone
+    # neither block leaves state behind for the other: the shared point's
+    # values are those of each block alone
     q = _generic_q(2.0 ** -4)
     both = compute_point_metrics(q, blocks=frozenset({"l37", "l310"}),
                                  n_test=4, seed=RNG_SEED)
@@ -621,7 +655,7 @@ def test_l37_probe_loop_matches_per_tag_oracle(pi2):
     # samples: the loop combines a_1 and a_5 from its own
     q = _generic_q(2.0 ** -4)
     basis = gram_schmidt_ball(q, pi2)
-    assert basis.raw_nodefields is None
+    assert _holds_no_samples(basis)
     got = _hessian_difference_metrics(q, pi2, basis, basis.ctx,
                                       seed=RNG_SEED, n_test=4)
     want = _per_tag_l37_oracle(q, pi2, basis, basis.ctx,
@@ -676,7 +710,7 @@ def test_l37_shape_groups_match_per_probe_oracle(pi2, monkeypatch):
     # the 0.95-scale probes all sit at centre 0, so they share one shape and
     # one L; on each node block each tag pairs all its shapes in one product
     q = _generic_q(2.0 ** -4)
-    basis = gram_schmidt_ball(q, pi2, keep_samples=True)
+    basis = gram_schmidt_ball(q, pi2)
     shapes = _probe_shapes(probe_family(q, basis.ctx, 8, RNG_SEED))
     assert any(len(members) > 1 for *_, members in shapes)
     assert sorted(k for *_, members in shapes for k in members) == list(range(8))
@@ -697,7 +731,7 @@ def test_l37_shape_groups_cross_the_group_boundary(monkeypatch):
     r = domain_ball_rule(q.p, q.lam)
     rule = QuadratureRule(r.nodes[::7], r.weights[::7], r.center, r.lam,
                           r.region)
-    basis = gram_schmidt_ball(q, "model", rule=rule, keep_samples=True)
+    basis = gram_schmidt_ball(q, "model", rule=rule)
     n, per = 40, 120 // 5
     shapes = _probe_shapes(probe_family(q, basis.ctx, n, RNG_SEED))
     assert per < len(shapes) <= 2 * per
@@ -840,7 +874,7 @@ def test_l37_makes_no_layout_copy_and_no_node_field_arithmetic(monkeypatch):
         raise AssertionError("layout copy or NodeField arithmetic in l37")
 
     for op in ("__add__", "__sub__", "__mul__", "__rmul__"):
-        monkeypatch.setattr(NodeField, op, forbidden)
+        monkeypatch.setattr(NodeField, op, forbidden, raising=False)
     q = ParamQ.default(2.0 ** -4)
     basis = gram_schmidt_ball(q)
     blocks = _record_l37_blocks(monkeypatch)

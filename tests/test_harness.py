@@ -71,6 +71,8 @@ def test_parse_eps_list_forms():
     assert parse_eps_list("2^-4 2^-5") == [2.0 ** -4, 2.0 ** -5]
     with pytest.raises(ConfigError, match="cannot parse"):
         parse_eps_list("0.1, zebra")
+    with pytest.raises(ConfigError, match=r"'2\^9999' overflows"):
+        parse_eps_list("2^9999, 2^-5")
     with pytest.raises(ConfigError, match="empty"):
         parse_eps_list("  ")
 
@@ -104,6 +106,15 @@ def test_load_config_rejects_unknown(tmp_path):
     bad_section.write_text("[swoop]\neps_list = 1\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="unknown config section"):
         load_config(str(bad_section))
+    # configparser folds [DEFAULT] into every section, so it is refused
+    # itself, with or without a [sweep] section beside it
+    for text in ("[DEFAULT]\nseed = -3\nbogus = 1\n",
+                 "[DEFAULT]\nbogus = 1\n[sweep]\nseed = 3\n"):
+        defaults = tmp_path / "c.ini"
+        defaults.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError,
+                           match=r"unknown config section \[DEFAULT\]"):
+            load_config(str(defaults))
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "missing.ini"))
 
@@ -211,6 +222,21 @@ def test_bad_eps_exits_2_naming_eps(argv, tmp_path, capsys):
     assert "lam" not in err
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_overflowing_sweep_eps_exits_2_naming_it(how, tmp_path, capsys):
+    eps = "2^9999,2^-5,2^-6,2^-7"
+    if how == "flag":
+        argv = ["verify-scaling", "--eps-list", eps]
+    else:
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(f"[sweep]\neps_list = {eps}\n", encoding="utf-8")
+        argv = ["verify-scaling", "--config", str(cfg)]
+    rc = run_command(argv + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error" in err and "eps value '2^9999' overflows" in err
+
+
 def test_inadmissible_single_eps_exits_2(capsys):
     # eps so large that lam = sqrt(eps) leaves the admissible box
     rc = run_command(["charge", "--eps", "0.25"])
@@ -315,6 +341,23 @@ def test_unusable_out_dir_exits_2_before_computing(argv, sub, tmp_path,
     assert rc == 2
     assert "sweep point" not in cap.out
     assert "config error" in cap.err and str(out) in cap.err
+
+
+@pytest.mark.parametrize("command,name", [
+    ("build-basis", "basis_eps_0.0625.csv"),
+    ("dump-field", "field_A_eps_0.0625.csv"),
+])
+def test_failed_output_write_exits_2_naming_the_file(command, name, tmp_path,
+                                                     capsys):
+    # a directory where the output file should go: the write fails after
+    # the computation, and the exit code is the unusable-output one, not
+    # the failed-verdict one
+    (tmp_path / name).mkdir()
+    rc = run_command([command, "--eps", "0.0625", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: cannot write output file" in err
+    assert str(tmp_path / name) in err
 
 
 def test_help_exits_0(capsys):
