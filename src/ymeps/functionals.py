@@ -20,7 +20,6 @@ import numpy as np
 
 from .basis import (
     InnerContext,
-    _combine,
     _raw_gram,
     _sample_blocks,
     basis_directional_derivative,
@@ -53,6 +52,7 @@ from .instanton import (
     extended_connection,
     glue,
     glued_connection,
+    linear_combination,
     sample_charted,
 )
 
@@ -277,11 +277,17 @@ def _row_slope_min(name, eps, vals, expo, noise=None) -> QuantityRow:
 
 
 def _row_bounded(name, eps, vals, expo, scales=None) -> QuantityRow:
-    """One-sided verdict: |value|/eps^expo bounded across the sweep.
+    """Boundedness verdict on the ratios r_k = |value_k| / eps_k^expo.
 
-    Passes when the ratio's max/min <= _MAX_RATIO, or the ratio sequence is
-    non-increasing (5% slack) as eps decreases, or the values are null
-    within precision (_NULL_REL) relative to the provided scales.
+    Passes when, checked in this order, every value is null within
+    precision (|value| <= _NULL_REL * scale, scales given), or every ratio
+    is positive and max/min <= _MAX_RATIO, or the ratios are non-increasing
+    (5% slack) as eps decreases; otherwise fails.  That is a spread test
+    with a monotone escape, not a one-sided bound: a sequence that stays
+    below its first ratio can fail.  A resolved pairing that changes sign
+    mid-sweep does, as its |value| dips towards 0 and grows again: 5.7
+    pair_p1_p2 at p = (0.1, -0.08, 0.05, 0.12), g = exp(0.3, -0.4, 0.2),
+    D = 1 on the six default eps reads max/min 408 and fails.
     """
     eps = list(eps)
     vals = [abs(v) for v in vals]
@@ -432,8 +438,8 @@ def _shape_functionals(G) -> np.ndarray:
 
 
 def _representers(q, pi2, basis, ctx):
-    """(a, {tag: Rt (rows, m)}) per node block a, ..., a + m - 1 of ctx's
-    rule, for the basis fields a_1 (tag i1) and a_5 (i5).
+    """(a, tag, Rt (rows, m)) per node block a, ..., a + m - 1 of ctx's rule
+    and per basis field a_1 (tag i1) and a_5 (i5), in that order.
 
     Rt holds, per node (its last axis), the probe-independent coefficients
     of four functionals of a probe beta: HA, HAt, the five-term expansion
@@ -449,40 +455,40 @@ def _representers(q, pi2, basis, ctx):
     cAt - cA = <y_2, delta_At beta> + <delta_A a, eps adjoint(b, beta)>:
     neither expansion is a difference of nearly equal pairings.
 
-    Each block is sampled fresh (_sample_blocks: A, Atilde, b and f_1..f_5,
-    a_1 and a_5 being combined there), so the basis needs no samples and no
-    full-rule sample is held.  The blocks share two buffers, overwritten by
-    the next block, so a caller pairs each block before asking for the next.
-    Every entry is computed node by node, so none depends on the block size.
+    a_1 and a_5 are folded into term lists (linear_combination), and each
+    block samples A, Atilde, b, a_1 and a_5 fresh (_sample_blocks), so the
+    basis needs no samples and no full-rule sample is held.  Every Rt is
+    one buffer, overwritten by the next tag and block, so a caller pairs
+    each Rt before asking for the next.  Every entry is computed node by
+    node, so none depends on the block size.
     """
     eps = q.eps
     # A = Atilde - b holds Atilde's and b's atom objects, and so do the f_j
-    # derived from A, so one pass per block samples all eight fields with
-    # each atom channel evaluated once; C is lower triangular, so a_1 and
-    # a_5 need only f_1..f_5
+    # derived from A and their combinations, so one pass per block samples
+    # all five fields with each atom channel evaluated once; C is lower
+    # triangular, so a_1 and a_5 need only f_1..f_5
     At, b = extended_connection(q), difference_b(q, pi2=pi2)
     A = glue(At, b)
-    fields = [A, At, b] + derivative_fields(A, DIRECTIONS[:5])
-    tags = {"i1": basis.coeff[0, :5], "i5": basis.coeff[4, :5]}
+    raw = derivative_fields(A, DIRECTIONS[:5])
+    tags = {tag: linear_combination(raw, basis.coeff[i, :5])
+            for tag, i in (("i1", 0), ("i5", 4))}
     n_dphi, n_phi = _DPHI_MAP.shape
-    bufs = {}
-    for a, ((A_, jA), (At_, jAt), (b_, jb), *raw) in _sample_blocks(ctx,
-                                                                   fields):
+    buf = None
+    for a, ((A_, jA), (At_, jAt), (b_, jb), *samples) in _sample_blocks(
+            ctx, [A, At, b, *tags.values()]):
         m = A_.shape[-1]
         FA = curvature_coeffs(A_, jA, eps)
         FAt = curvature_coeffs(At_, jAt, eps)
         # t4 + t5 = eps <Fb, [a ^ beta]>, Fb = d_A b + (eps/2) [b ^ b]
         Fb = (cov_d_coeffs(1, A_, b_, jb, eps)
               + 0.5 * eps * bracket_wedge_coeffs(1, b_, b_))
-        if not bufs:        # the first block is the largest
-            bufs = {tag: np.empty((n_phi + n_dphi // 4, m)) for tag in tags}
-        Rts = {tag: buf[:, :m] for tag, buf in bufs.items()}
-        for tag, coeffs in tags.items():
-            val, jac = _combine(coeffs, raw)
-            Rt = Rts[tag]
-            V = Rt[:n_phi].reshape(-1, 3, 4, m)
-            X = Rt[n_phi:-3].reshape(3, 3, 6, m)
-            y2 = Rt[-3:].reshape(3, 1, m)
+        if buf is None:     # the first block is the largest
+            buf = np.empty((n_phi + n_dphi // 4, m))
+        Rt = buf[:, :m]
+        V = Rt[:n_phi].reshape(-1, 3, 4, m)
+        X = Rt[n_phi:-3].reshape(3, 3, 6, m)
+        y2 = Rt[-3:].reshape(3, 1, m)
+        for tag, (val, jac) in zip(tags, samples):
             # HA: <d_A a, eps [A ^ beta]> + eps <F_A, [a ^ beta]>, HAt alike
             for k, Ct, F in ((0, A_, FA), (1, At_, FAt)):
                 X[k] = cov_d_coeffs(1, Ct, val, jac, eps)
@@ -499,7 +505,7 @@ def _representers(q, pi2, basis, ctx):
             y0 = codiff_coeffs(1, A_, val, jac, eps)        # delta_A a
             V[3] = eps * (bracket_wedge_coeffs(0, At_, y2)
                           + bracket_wedge_coeffs(0, b_, y0))
-        yield a, Rts
+            yield a, tag, Rt
 
 
 def _hessian_difference_metrics(q, pi2, basis, ctx, seed, n_test):
@@ -509,35 +515,36 @@ def _hessian_difference_metrics(q, pi2, basis, ctx, seed, n_test):
     only through its five channels (phi, grad phi), which vanish outside its
     ball.  So each tag's representer (_representers) pairs with every probe
     linearly in C.  On each node block, every shape's (center, scale)
-    weighted channels take five rows of one W, and each tag's block, checked
-    for non-finite entries on every node, adds W @ Rt.T to that tag's
-    (5S, rows) sum; after the last block each shape's pairings L (4, 12)
-    with the unit coefficients are read off the sum, and each probe is
-    L @ C.  Both dual norms are read from their expansions: hess_dual from
-    the five-term one, codiff_dual from the two-term one.  The direct
+    weighted channels take five rows of one W, and each tag's representer,
+    checked for non-finite entries on every node, adds W @ Rt.T to that
+    tag's (5S, rows) sum; after the last block each shape's pairings L
+    (4, 12) with the unit coefficients are read off the sum, and each probe
+    is L @ C.  Both dual norms are read from their expansions: hess_dual
+    from the five-term one, codiff_dual from the two-term one.  The direct
     difference HAt - HA gives five_term_residual.
     """
     nodes, weights = ctx.rule.nodes, ctx.rule.weights
     probes = test_field_family(q, ctx, n_test, seed)
     shapes = _probe_shapes(probes)
-    W, G = None, {}
-    for a, Rts in _representers(q, pi2, basis, ctx):
-        m = next(iter(Rts.values())).shape[1]
+    W, G, filled = None, {}, None
+    for a, tag, Rt in _representers(q, pi2, basis, ctx):
+        m = Rt.shape[1]
         if W is None:       # the first block is the largest
             W = np.empty((5 * len(shapes), m))
         Wb = W[:, :m]
-        Wb.fill(0.0)
-        for j, (rows, center, scale, _) in enumerate(shapes):
-            s = rows[slice(*np.searchsorted(rows, (a, a + m)))]
-            Wb[5 * j:5 * j + 5, s - a] = (_bump_channels(nodes[s], center, scale)
-                                          * weights[s])
-        for tag, Rt in Rts.items():
-            # outside a probe's support a non-finite entry would still poison
-            # the full-rule integrals, so every node is checked
-            if not np.all(np.isfinite(Rt)):
-                raise NumericalError(
-                    f"non-finite integrand in the l37 pairings ({tag})")
-            G[tag] = G.get(tag, 0.0) + Wb @ Rt.T
+        if filled != a:     # once per block, for both tags
+            Wb.fill(0.0)
+            for j, (rows, center, scale, _) in enumerate(shapes):
+                s = rows[slice(*np.searchsorted(rows, (a, a + m)))]
+                Wb[5 * j:5 * j + 5, s - a] = (
+                    _bump_channels(nodes[s], center, scale) * weights[s])
+            filled = a
+        # outside a probe's support a non-finite entry would still poison
+        # the full-rule integrals, so every node is checked
+        if not np.all(np.isfinite(Rt)):
+            raise NumericalError(
+                f"non-finite integrand in the l37 pairings ({tag})")
+        G[tag] = G.get(tag, 0.0) + Wb @ Rt.T
     out, five_term_resid = {}, 0.0
     for tag, Gt in G.items():
         # the probes in shape order: only maxima over them are reported

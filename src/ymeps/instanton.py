@@ -54,6 +54,7 @@ __all__ = [
     "extended_connection",
     "difference_b",
     "derivative_fields",
+    "linear_combination",
     "d2A_dp1p1",
     "inner_first",
     "sample_charted",
@@ -202,8 +203,9 @@ class _ProfileW:
 #
 # A memo is a dict of evaluations on one node batch X: atom channels keyed
 # (atom, ydirs, dlam), the geometry (Y, |Y|^2) of each centre, each radial
-# law channel and each BetaAtom's profile.  It remembers the X it was first
-# filled on under _NODES and refuses other nodes.
+# law channel and each BetaAtom's profile, and the grouping of each term list
+# summed on it.  It remembers the X it was first filled on under _NODES and
+# refuses other nodes.
 
 _NODES = "nodes"
 
@@ -403,35 +405,50 @@ def _term_value(memo, t: Term, X, extra_ydirs, out):
                 out += v.T * factor
 
 
+def _term_groups(memo, terms):
+    """The grouping of a term list for _terms_sum, built once per memo (one
+    chart of a sampling pass): each term's row span in K, terms sharing
+    (algebra matrix, atom tensor) — the conjugation R, or R L_i after a
+    rotation derivative — sharing one; the largest span; and the stacked
+    tensors T^T (12, sum k).  Keyed on the list's id, the entry holds the
+    list, so the id is not recycled while the memo lives."""
+    def make():
+        offsets = {}      # (matrix bytes, tensor bytes) -> first row in K
+        tensors, spans, width = [], [], 0
+        for t in terms:
+            B = t.lie.tensor
+            key = (None if t.mat is None else t.mat.tobytes(), B.tobytes())
+            if key not in offsets:
+                offsets[key] = width
+                width += len(B)
+                tensors.append((B if t.mat is None else np.matmul(t.mat, B))
+                               .reshape(-1, 12))
+            spans.append(slice(offsets[key], offsets[key] + len(B)))
+        if not tensors:
+            return terms, spans, 0, None
+        return (terms, spans, max(len(T) for T in tensors),
+                np.concatenate(tensors).T)
+    return _cached(memo, ("groups", id(terms)), make)[1:]
+
+
 def _terms_sum(memo, terms, X, extra_ydirs, out):
     """Sum of the terms' values written into out, node-last (3,4,N), by one GEMM.
 
-    Terms sharing (algebra matrix, atom tensor) — the conjugation R, or R L_i
-    after a rotation derivative — are summed on their coefficients first:
-    each group owns a range of rows of K (sum k,N), its first term's sum is
-    written there and each later term's, formed in a scratch, added to it.
-    K is expanded with the stacked tensors mat @ tensor (sum k, 12) as
-    T^T @ K, straight into out's (12,N) rows; reshape(copy=False) raises
-    rather than write a copy.
+    Terms of one group (_term_groups) are summed on their coefficients
+    first: each group owns a range of rows of K (sum k,N), its first term's
+    sum is written there and each later term's, formed in a scratch, added
+    to it.  K is expanded with the stacked tensors mat @ tensor as T^T @ K,
+    straight into out's (12,N) rows; reshape(copy=False) raises rather than
+    write a copy.
     """
     rows = np.reshape(out, (12, -1), copy=False)
-    offsets = {}      # (matrix bytes, tensor bytes) -> first row in K
-    tensors, spans, width = [], [], 0
-    for t in terms:
-        B = t.lie.tensor
-        key = (None if t.mat is None else t.mat.tobytes(), B.tobytes())
-        if key not in offsets:
-            offsets[key] = width
-            width += len(B)
-            tensors.append((B if t.mat is None else np.matmul(t.mat, B))
-                           .reshape(-1, 12))
-        spans.append(slice(offsets[key], offsets[key] + len(B)))
-    if not tensors:
+    spans, kmax, Tt = _term_groups(memo, terms)
+    if Tt is None:
         rows[...] = 0.0
         return
     N = X.shape[0]
-    K = np.empty((width, N))
-    scratch = np.empty((max(len(T) for T in tensors), N))
+    K = np.empty((Tt.shape[1], N))
+    scratch = np.empty((kmax, N))
     written = set()
     for t, span in zip(terms, spans):
         if span.start in written:
@@ -441,7 +458,7 @@ def _terms_sum(memo, terms, X, extra_ydirs, out):
         else:
             _term_value(memo, t, X, extra_ydirs, K[span])
             written.add(span.start)
-    np.matmul(np.concatenate(tensors).T, K, out=rows)
+    np.matmul(Tt, K, out=rows)
 
 
 def terms_value(terms, X, memo=None, out=None):
@@ -713,6 +730,18 @@ def derivative_fields(A: ChartedField, directions=DIRECTIONS) -> list:
                          _apply_direction(A.inner_terms, d),
                          _apply_direction(A.outer_terms, d))
             for d in directions]
+
+
+def linear_combination(fields, coeffs) -> ChartedField:
+    """sum_j c_j f_j on the term lists: the f_j's terms with coef scaled by
+    c_j, zero c_j skipped.  It holds the f_j's atom objects, so it samples
+    in one memo with them."""
+    def scaled(chart):
+        return [dataclasses.replace(t, coef=float(c) * t.coef)
+                for c, f in zip(coeffs, fields) if c != 0.0
+                for t in getattr(f, chart)]
+    return ChartedField(fields[0].p, fields[0].lam, scaled("inner_terms"),
+                        scaled("outer_terms"))
 
 
 def d2A_dp1p1(q: ParamQ, pi2: str = "model") -> ChartedField:

@@ -556,11 +556,11 @@ def probe_pairings(R, wphi, coeff) -> np.ndarray:
 
 def whole_rule_representers(q, pi2, basis, ctx) -> dict:
     """{tag: Rt (rows, N)}: the library's representer blocks, copied out of
-    its buffers as they come and concatenated over the whole rule."""
+    its one buffer as they come, one tag after the other on each node
+    block, and concatenated over the whole rule."""
     blocks = {}
-    for _, Rts in _representers(q, pi2, basis, ctx):
-        for tag, Rt in Rts.items():
-            blocks.setdefault(tag, []).append(Rt.copy())
+    for _, tag, Rt in _representers(q, pi2, basis, ctx):
+        blocks.setdefault(tag, []).append(Rt.copy())
     return {tag: np.concatenate(b, axis=1) for tag, b in blocks.items()}
 
 

@@ -56,6 +56,7 @@ from ymeps.functionals import (
 # aliased, so that pytest does not collect it as a test
 from ymeps.functionals import test_field_family as probe_family
 from ymeps.instanton import (
+    DIRECTIONS,
     PI2_STRATEGIES,
     ChartedField,
     ParamQ,
@@ -64,6 +65,7 @@ from ymeps.instanton import (
     difference_b,
     extended_connection,
     glued_connection,
+    linear_combination,
     sample_charted,
 )
 from ymeps.liealg import AlgElement, exp_map
@@ -537,22 +539,36 @@ def test_basis_only_point_holds_no_samples(monkeypatch):
     assert peak <= 64 * 2 ** 20, peak / 2 ** 20
 
 
-def test_l37_point_builds_its_representers_from_block_samples():
+def test_l37_point_builds_its_representers_from_block_samples(monkeypatch):
     # at 2^-7 the eight raw fields sampled whole take 142 MiB and A, Atilde,
     # b with their jacobians 56 MiB more, and two whole-rule representers
-    # would take 40 MiB each; suite 3.7 samples, builds and pairs them a
-    # block at a time, so the basis build sets the peak
+    # would take 40 MiB each; suite 3.7 samples five fields, A, Atilde, b,
+    # a_1 and a_5, a block at a time and builds and pairs the representers
+    # there, so its pass peaks no higher than the basis build before it
     import tracemalloc
 
+    import ymeps.functionals as functionals_mod
+
+    peaks = []
+
+    def recorded(*args, **kwargs):
+        basis = gram_schmidt_ball(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return basis
+
+    monkeypatch.setattr(functionals_mod, "gram_schmidt_ball", recorded)
     tracemalloc.start()
     try:
         m = compute_point_metrics(ParamQ.default(2.0 ** -7),
                                   blocks=frozenset({"l37"}), n_test=16)
-        peak = tracemalloc.get_traced_memory()[1]
+        peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
     assert m["hess_dual_i5"] > 0.0
-    assert peak <= 64 * 2 ** 20, peak / 2 ** 20
+    basis_peak, l37_peak = peaks
+    assert l37_peak <= basis_peak, (l37_peak / 2 ** 20, basis_peak / 2 ** 20)
+    assert max(peaks) <= 64 * 2 ** 20, max(peaks) / 2 ** 20
 
 
 def test_l37_and_l310_point_holds_no_full_rule_sample():
@@ -680,20 +696,20 @@ def _assert_l37_close(got, want):
 
 
 def _count_shape_gemms(monkeypatch) -> tuple:
-    """The number of node blocks each tag's representer comes in, and the
-    number of shapes of each _shape_functionals call: one per tag, reading
-    the product of all shapes' channels with that tag's representer, summed
-    over the blocks."""
+    """The tags of each node block's representers, in order, keyed by the
+    block's first node, and the number of shapes of each _shape_functionals
+    call: one per tag, reading the product of all shapes' channels with that
+    tag's representer, summed over the blocks."""
     import ymeps.functionals as functionals_mod
 
-    blocks, calls = [], []
+    blocks, calls = {}, []
     representers, fn = (functionals_mod._representers,
                         functionals_mod._shape_functionals)
 
     def counted_blocks(*args):
-        for a, Rts in representers(*args):
-            blocks.append(sorted(Rts))
-            yield a, Rts
+        for a, tag, Rt in representers(*args):
+            blocks.setdefault(a, []).append(tag)
+            yield a, tag, Rt
 
     def counted(G):
         assert G.shape[1] == _representer_rows()
@@ -717,7 +733,8 @@ def test_l37_shape_groups_match_per_probe_oracle(pi2, monkeypatch):
     blocks, gemms = _count_shape_gemms(monkeypatch)
     got = _hessian_difference_metrics(q, pi2, basis, basis.ctx,
                                       seed=RNG_SEED, n_test=8)
-    assert len(blocks) > 1 and blocks == [["i1", "i5"]] * len(blocks)
+    assert len(blocks) > 1
+    assert list(blocks.values()) == [["i1", "i5"]] * len(blocks)
     assert gemms == [len(shapes)] * 2
     _assert_l37_close(got, per_probe_l37(q, pi2, basis, basis.ctx,
                                          seed=RNG_SEED, n_test=8))
@@ -863,30 +880,25 @@ def _record_l37_blocks(monkeypatch, poison=None) -> list:
 
 def test_l37_makes_no_layout_copy_and_no_node_field_arithmetic(monkeypatch):
     # the kernels read the samples as sampling returns them: on each node
-    # block, A, Atilde, b and their jacobians enter the kernels themselves,
-    # and each tag field is combined from the block's f_j into the arrays
-    # the covariant kernels read.  No transpose or contiguous copy runs, and
-    # no NodeField sum or product is formed.  Each block's representers are
-    # handed out before the next block is sampled, in the same two buffers
+    # block five fields are sampled, A, Atilde, b and the folded tag fields
+    # a_1 and a_5, and they and their jacobians enter the kernels
+    # themselves.  No transpose or contiguous copy runs, no NodeField sum or
+    # product is formed and no sample is combined (_combine).  Each
+    # representer is handed out before the next tag or block, in one buffer
+    import ymeps.basis as basis_mod
     import ymeps.functionals as functionals_mod
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("layout copy or NodeField arithmetic in l37")
+        raise AssertionError("layout copy or node-wise combination in l37")
 
     for op in ("__add__", "__sub__", "__mul__", "__rmul__"):
         monkeypatch.setattr(NodeField, op, forbidden, raising=False)
     q = ParamQ.default(2.0 ** -4)
     basis = gram_schmidt_ball(q)
+    assert not hasattr(functionals_mod, "_combine")
+    monkeypatch.setattr(basis_mod, "_combine", forbidden)
     blocks = _record_l37_blocks(monkeypatch)
-    combined, calls = [], {"curvature_coeffs": [], "cov_d_coeffs": [],
-                           "codiff_coeffs": []}
-    combine = functionals_mod._combine
-
-    def recorded_combine(coeffs, samples):
-        combined.append((samples, combine(coeffs, samples)))
-        return combined[-1][1]
-
-    monkeypatch.setattr(functionals_mod, "_combine", recorded_combine)
+    calls = {"curvature_coeffs": [], "cov_d_coeffs": [], "codiff_coeffs": []}
     for name, log in calls.items():
         def spy(*args, _fn=getattr(functionals_mod, name), _log=log):
             _log.append(args)
@@ -895,11 +907,10 @@ def test_l37_makes_no_layout_copy_and_no_node_field_arithmetic(monkeypatch):
     yielded, representers = [], functionals_mod._representers
 
     def recorded(*args):
-        for a, Rts in representers(*args):
-            yielded.append((a, len(blocks), {
-                tag: (Rt.shape, Rt.__array_interface__["data"][0])
-                for tag, Rt in Rts.items()}))
-            yield a, Rts
+        for a, tag, Rt in representers(*args):
+            yielded.append((a, len(blocks), tag, Rt.shape,
+                            Rt.__array_interface__["data"][0]))
+            yield a, tag, Rt
 
     monkeypatch.setattr(functionals_mod, "_representers", recorded)
     for name in ("moveaxis", "ascontiguousarray", "copyto", "transpose",
@@ -908,30 +919,54 @@ def test_l37_makes_no_layout_copy_and_no_node_field_arithmetic(monkeypatch):
     _hessian_difference_metrics(q, "model", basis, basis.ctx, seed=RNG_SEED,
                                 n_test=4)
     n = len(blocks)
-    assert n > 1 and len(yielded) == n
-    for k, (a, sampled, Rts) in enumerate(yielded):
-        m = blocks[k][0][0].shape[-1]
-        assert sampled == k + 1 and list(Rts) == ["i1", "i5"]
-        for tag, (shape, data) in Rts.items():
-            assert (shape == (_representer_rows(), m)
-                    and data == yielded[0][2][tag][1])
+    assert n > 1 and len(yielded) == 2 * n
+    assert all(len(samples) == 5 for samples in blocks)
+    assert {data for *_, data in yielded} == {yielded[0][4]}
+    for k, samples in enumerate(blocks):
+        m = samples[0][0].shape[-1]
+        assert [(sampled, tag, shape) for _, sampled, tag, shape, _
+                in yielded[2 * k:2 * k + 2]] == [
+            (k + 1, tag, (_representer_rows(), m)) for tag in ("i1", "i5")]
     curv, cov = calls["curvature_coeffs"], calls["cov_d_coeffs"]
-    assert len(curv) == 2 * n and len(combined) == 2 * n and len(cov) == 5 * n
+    assert len(curv) == 2 * n and len(cov) == 5 * n
     # delta_A a, once per tag and block, for the two-term expansion
     codiff = calls["codiff_coeffs"]
     assert len(codiff) == 2 * n
-    for k, (sA, sAt, sb, *raw) in enumerate(blocks):
+    for k, (sA, sAt, sb, *tag_fields) in enumerate(blocks):
         assert _same(curv[2 * k][:2], sA)
         assert _same(curv[2 * k + 1][:2], sAt)
         fb, *per_tag = cov[5 * k:5 * k + 5]
         assert _same(fb[1:4], (sA[0], *sb))
-        tag_fields = combined[2 * k:2 * k + 2]
-        assert all(_same(got, raw) for got, _ in tag_fields)
-        want = [(C, *a) for _, a in tag_fields for C in (sA[0], sAt[0])]
+        want = [(C, *a) for a in tag_fields for C in (sA[0], sAt[0])]
         assert all(_same(args[1:4], w) for args, w in zip(per_tag, want))
         assert all(_same(args[1:4], (sA[0], *a))
-                   for args, (_, a) in zip(codiff[2 * k:2 * k + 2],
-                                           tag_fields))
+                   for args, a in zip(codiff[2 * k:2 * k + 2], tag_fields))
+
+
+@pytest.mark.parametrize("pi2", ["model", "full"])
+def test_l37_folded_tag_fields_equal_the_combined_raw_samples(pi2):
+    # a_i = sum_j c_ij f_j folded into one term list samples, block by
+    # block, to the node-wise combination of the sampled f_1..f_5, up to
+    # round-off of the field's largest entry
+    import ymeps.basis as basis_mod
+
+    q = _generic_q(2.0 ** -4)
+    basis = gram_schmidt_ball(q, pi2)
+    ctx = basis.ctx
+    raw = derivative_fields(glued_connection(q, pi2=pi2), DIRECTIONS[:5])
+    for i in (0, 4):
+        coeffs = basis.coeff[i, :5]
+        folded = linear_combination(raw, coeffs)
+        err, top, n_blocks = np.zeros(2), np.zeros(2), 0
+        for _, (got, *samples) in basis_mod._sample_blocks(ctx,
+                                                           [folded] + raw):
+            want = basis_mod._combine(coeffs, samples)
+            for k in range(2):
+                err[k] = max(err[k], np.max(np.abs(got[k] - want[k])))
+                top[k] = max(top[k], np.max(np.abs(want[k])))
+            n_blocks += 1
+        assert n_blocks >= 2
+        assert np.all(top > 0.0) and np.all(err <= 1e-13 * top), (i, err / top)
 
 
 @pytest.mark.parametrize("stride", [1, 997])
@@ -1115,7 +1150,7 @@ def test_representer_codiff_expansion_slots_pair_with_the_difference():
 
 def _far_poison(ctx, index):
     """A poison for _record_l37_blocks: a NaN in the value of the sampled
-    field at index (A, Atilde, b, f_1..f_5) at the rule's farthest node."""
+    field at index (A, Atilde, b, a_1, a_5) at the rule's farthest node."""
     far = int(np.argmax(np.linalg.norm(ctx.rule.nodes, axis=1)))
 
     def poison(a, samples):
@@ -1140,35 +1175,33 @@ def test_l37_probe_loop_reports_non_finite_connection(monkeypatch):
 
 
 def test_l37_probe_loop_reports_non_finite_basis_field(monkeypatch):
-    # a NaN in the raw field f_5 at a node no probe covers reaches a_5 only
-    # (the coefficients are lower triangular), so on the poisoned block the
-    # i1 representer pairs cleanly and the i5 one, checked on every node,
-    # must report it; no later block is asked for
+    # a NaN in the sampled basis field a_5 at a node no probe covers reaches
+    # the i5 representer only, so on the poisoned block the i1 representer
+    # pairs cleanly and the i5 one, checked on every node, must report it;
+    # no later block is asked for
     import ymeps.functionals as functionals_mod
 
     q = ParamQ.default(2.0 ** -4)
     basis = gram_schmidt_ball(q)
-    far, poison = _far_poison(basis.ctx, 7)
+    far, poison = _far_poison(basis.ctx, 4)
     probes = probe_family(q, basis.ctx, 2, RNG_SEED)
     assert not any(far in rows for rows, *_ in probes)
     _record_l37_blocks(monkeypatch, poison)
     yielded, representers = [], functionals_mod._representers
 
     def recorded(*args):
-        for a, Rts in representers(*args):
-            yielded.append((a, Rts["i1"].shape[1],
-                            {tag: np.isfinite(Rt).all()
-                             for tag, Rt in Rts.items()}))
-            yield a, Rts
+        for a, tag, Rt in representers(*args):
+            yielded.append((a, Rt.shape[1], tag, np.isfinite(Rt).all()))
+            yield a, tag, Rt
 
     monkeypatch.setattr(functionals_mod, "_representers", recorded)
     with pytest.raises(NumericalError, match=r"\(i5\)"):
         _hessian_difference_metrics(q, "model", basis, basis.ctx,
                                     seed=RNG_SEED, n_test=2)
-    a, m, finite = yielded[-1]
-    assert a <= far < a + m
-    assert list(finite.items()) == [("i1", True), ("i5", False)]
-    assert all(all(f.values()) for *_, f in yielded[:-1])
+    (a, m, _, _), last = yielded[-2], yielded[-1]
+    assert a <= far < a + m and last[0] == a
+    assert [y[2:] for y in yielded[-2:]] == [("i1", True), ("i5", False)]
+    assert all(finite for *_, finite in yielded[:-2])
 
 
 def test_perp_derivative_paths_single_point():

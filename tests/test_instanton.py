@@ -35,6 +35,7 @@ from ymeps.instanton import (
     glue,
     glued_connection,
     inner_first,
+    linear_combination,
     rad_i1,
     rad_i2,
     rad_model_h,
@@ -915,6 +916,46 @@ def test_memo_refuses_other_nodes():
             terms_value(terms, other, memo)
         with pytest.raises(ValueError):
             terms_jac(terms, other, memo)
+
+
+def test_term_grouping_is_built_once_per_memo(monkeypatch):
+    # the (matrix, tensor) grouping depends on the term list alone: one
+    # memo (one chart of a sampling pass) builds it once for the value and
+    # the four jacobian channels, and the sums stay bit for bit the same
+    q = _generic_q()
+    X, _ = _pass_nodes(q, n=60)
+    terms = linear_combination(derivative_fields(glued_connection(q)),
+                               np.linspace(1.0, 2.0, 8)).outer_terms
+    want = terms_value(terms, X), terms_jac(terms, X)
+    builds, concatenate = [], np.concatenate
+
+    def counted(*args, **kwargs):
+        builds.append(len(args[0]))
+        return concatenate(*args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", counted)
+    memo = {}
+    got = terms_value(terms, X, memo), terms_jac(terms, X, memo)
+    assert len(builds) == 1
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_linear_combination_scales_the_terms_of_its_fields():
+    # sum_j c_j f_j as one term list: the f_j's terms in order with coef
+    # scaled by c_j, none of a zero c_j, and the same atom objects
+    q = _generic_q()
+    raw = derivative_fields(glued_connection(q), DIRECTIONS[:5])
+    coeffs = np.array([0.5, 0.0, -2.0, 0.0, 3.0])
+    got = linear_combination(raw, coeffs)
+    assert np.array_equal(got.p, q.p) and got.lam == q.lam
+    for chart in ("inner_terms", "outer_terms"):
+        want = [(c * t.coef, t) for c, f in zip(coeffs, raw) if c != 0.0
+                for t in getattr(f, chart)]
+        terms = getattr(got, chart)
+        assert len(terms) == len(want) > 0
+        for t, (coef, src) in zip(terms, want):
+            assert t.coef == coef and t.lie is src.lie and t.beta is src.beta
+            assert dataclasses.replace(t, coef=src.coef) == src
 
 
 def test_terms_write_into_a_node_range_of_out():
