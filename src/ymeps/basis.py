@@ -233,12 +233,13 @@ _GRAM_CHUNK = 1024
 # nodes per sampling block of a charted-field Gram, a multiple of _GRAM_CHUNK
 # so that both kinds of input pair the same chunks (_sample_blocks).  The four
 # basis-only builds of verify-scaling (2^-4..2^-7, in process, one BLAS
-# thread, 2-core x86_64, medians of 8 alternating runs) took 1.42 s wall
-# (1.35 s user, 20k minor faults) with blocks of 1,024 nodes, 1.33 s (1.28 s,
-# 13k) with 2,048, 1.15 s (1.10 s, 18k) with 4,096 and 1.30 s (1.00 s user,
-# 0.30 s system, 96k faults) sampling the whole rule; each block's atom and
-# term passes cost Python time, and whole-rule samples cost page faults.
-# 8,192 faulted 24k times and peaked at 86 MiB RSS against 63 MiB here.
+# thread, 2-core x86_64, medians of 8 alternating runs, with each pass's
+# plans built once) took 0.99 s wall (0.93 s user, 18k minor faults, 52 MiB
+# peak RSS) with blocks of 2,048 nodes, 0.94 s (0.88 s, 22k, 63 MiB) with
+# 4,096 and 0.86 s (0.77 s, 31k, 86 MiB) with 8,192: larger blocks spend
+# less time per node on each block's atom lookups and products, but their
+# samples raise the peak by 23 MiB; whole-rule samples cost page faults
+# (96k, 0.30 s of system time, when last measured).
 _SAMPLE_BLOCK = 4 * _GRAM_CHUNK
 
 
@@ -249,7 +250,8 @@ def _sample_blocks(ctx: InnerContext, fields):
     Node fields, which must be sampled on ctx's rule, are one block of the
     whole rule.  Charted fields are sampled _SAMPLE_BLOCK nodes at a time,
     each block's inner chart being its part of the rule's first n_inner
-    nodes, into buffers allocated once and overwritten by the next block.
+    nodes, into buffers allocated once and overwritten by the next block,
+    with one plan dict for the pass (sample_charted).
     """
     if all(isinstance(f, NodeField) for f in fields):
         if any(nf.rule is not ctx.rule for nf in fields):
@@ -260,12 +262,14 @@ def _sample_blocks(ctx: InnerContext, fields):
     blk = min(_SAMPLE_BLOCK, N)
     vals = np.empty((len(fields), 12 * blk))
     jacs = np.empty((len(fields), 48 * blk))
+    plans = {}
     for a in range(0, N, blk):
         m = min(blk, N - a)
         out = [(v[:12 * m].reshape(3, 4, m), j[:48 * m].reshape(3, 4, 4, m))
                for v, j in zip(vals, jacs)]
         yield a, sample_charted(fields, nodes[a:a + m],
-                                min(max(n_inner - a, 0), m), out=out)
+                                min(max(n_inner - a, 0), m), out=out,
+                                plans=plans)
 
 
 def _raw_gram(ctx: InnerContext, fields, rows=None) -> np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -264,15 +265,15 @@ def cov_grad_coeffs(Aval, val, jac, eps: float, out=None) -> np.ndarray:
 
 
 def sq_norms(Y: np.ndarray) -> np.ndarray:
-    """|y|^2 of each row of an (N, 4) batch, (N,).
+    """|y|^2 of each node of a node-last (4, N) batch, (N,).
 
-    Summed column by column in the order np.sum(Y * Y, axis=1) uses on four
-    columns, so the two agree bit for bit; the column sum skips the (N, 4)
-    product array and the reduction's per-row overhead.
+    Summed row by row in the order np.sum(Y * Y, axis=0) uses on four rows,
+    so the two agree bit for bit; the row sum skips the (4, N) product
+    array.
     """
-    s = Y[:, 0] * Y[:, 0]
+    s = Y[0] * Y[0]
     for e in (1, 2, 3):
-        s += Y[:, e] * Y[:, e]
+        s += Y[e] * Y[e]
     return s
 
 
@@ -320,6 +321,15 @@ class QuadratureRule:
         return self.nodes.shape[0]
 
 
+@lru_cache(maxsize=None)
+def _leggauss(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    (an eigenvalue solve each time, most of a rule's build) and read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def s3_nodes(n: int):
     """Product angular rule on S^3, exact for spherical polynomials of degree <= 2n-1.
 
@@ -330,7 +340,7 @@ def s3_nodes(n: int):
     k = np.arange(1, n + 1)
     u = np.cos(k * np.pi / (n + 1))
     wu = (np.pi / (n + 1)) * np.sin(k * np.pi / (n + 1)) ** 2
-    v, wv = np.polynomial.legendre.leggauss(n)
+    v, wv = _leggauss(n)
     m = 2 * n
     phi = (np.arange(m) + 0.5) * (2 * np.pi / m)
     wphi = np.full(m, 2 * np.pi / m)
@@ -367,7 +377,7 @@ def _radial_breaks(lam: float, R: float):
 def _gauss_panel(a, b, order: int):
     """Gauss-Legendre radii on [a, b] with weights carrying r^3; an edge given
     per direction, shape (M,), gives (order, M) arrays."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = _leggauss(order)
     if np.ndim(a) or np.ndim(b):
         xg, wg = xg[:, None], wg[:, None]
     mid, half = (a + b) / 2, (b - a) / 2
@@ -377,7 +387,7 @@ def _gauss_panel(a, b, order: int):
 
 def _tail_nodes(R0: float, order: int):
     """Inversion tail for [R0, inf): r = 1/t, r^3 dr = t^-5 dt on (0, 1/R0]."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = _leggauss(order)
     half = 0.5 / R0               # t runs over (0, 1/R0]: its midpoint is half
     t = half + half * xg
     return 1.0 / t, half * wg * t ** -5.0
@@ -419,29 +429,53 @@ def _radial_pieces(p, lam: float, region: str, R, dirs, n_rad: int):
     return pieces
 
 
+# the orders of every polar rule: the S^3 rule s3_nodes(N_ANG) and N_RAD
+# Gauss radii per radial piece; the self-check refines to (N_ANG + 2, 2 N_RAD)
+N_ANG = 6
+N_RAD = 10
+
 _CHECK_CACHE: dict = {}
 
 
-def _polar_rule(p, lam: float, region: str, R=None, tol: float = None,
-                n_ang: int = 6, n_rad: int = 10) -> QuadratureRule:
+def _peaked_integral(p, lam: float, region: str, R, n_ang: int,
+                     n_rad: int) -> float:
+    """The integral of the canonical peaked density
+    48 lam^4 / (lam^2 + |x - p|^2)^4 by the polar rule of orders
+    (n_ang, n_rad) around p, summed without its nodes: the density is radial
+    about p, so a piece of shared radii (K,) gives sum_k w_k f(r_k) times
+    the angular weights' sum, and a piece run per direction (K, M) its sum
+    over both axes with the angular weights."""
+    dirs, wdirs = s3_nodes(n_ang)
+    total = 0.0
+    for r, wr in _radial_pieces(p, lam, region, R, dirs, n_rad):
+        f = wr * (48 * lam ** 4 / (lam ** 2 + r * r) ** 4)
+        total += (np.sum(f) * np.sum(wdirs) if f.ndim == 1
+                  else np.sum(f * wdirs))
+    return float(total)
+
+
+def _polar_rule(p, lam: float, region: str, R=None,
+                tol: float = None) -> QuadratureRule:
     """Nodes p + r u and weights w_r w_u over the S^3 rule u and the radial
     pieces, radius-major within each piece; R None is the unit ball (|p| <= 0.4).
 
-    With a tol, one refinement doubling (n_ang + 2, 2 n_rad) must move the
+    With a tol, one refinement doubling (N_ANG + 2, 2 N_RAD) must move the
     integral of the canonical peaked density by at most tol, else
-    QuadratureError.  A weighted-r4 rule checks only its unit-ball part, the
-    B^4 rule of the same p and lam, and reports that part's error.
+    QuadratureError; both integrals are radial sums (_peaked_integral), so
+    the refined rule is never built.  A weighted-r4 rule checks only its
+    unit-ball part, the B^4 rule of the same p and lam, and reports that
+    part's error.
     """
     p = np.asarray(p, dtype=float)
     if R is None:
         if np.linalg.norm(p) > 0.4:
             raise ValueError("domain_ball_rule expects |p| <= 0.4")
         p = np.zeros(4) if np.linalg.norm(p) < 1e-14 else p
-    dirs, wdirs = s3_nodes(n_ang)
+    dirs, wdirs = s3_nodes(N_ANG)
     # every piece broadcast to (K, M), stacked outward
     r, wr = (np.concatenate([np.broadcast_to(x.reshape(len(x), -1), (len(x), len(dirs)))
                              for x in xs])
-             for xs in zip(*_radial_pieces(p, lam, region, R, dirs, n_rad)))
+             for xs in zip(*_radial_pieces(p, lam, region, R, dirs, N_RAD)))
     rule = QuadratureRule((p + r[..., None] * dirs).reshape(-1, 4),
                           (wr * wdirs).reshape(-1), p, lam, region)
     if tol is None:
@@ -449,11 +483,8 @@ def _polar_rule(p, lam: float, region: str, R=None, tol: float = None,
     checked = "ball" if region == "weighted-r4" else region
     key = (checked, tuple(np.round(p, 12)), round(lam, 14), R)
     if key not in _CHECK_CACHE:
-        def peaked(X):
-            return 48 * lam ** 4 / (lam ** 2 + np.sum((X - p) ** 2, axis=1)) ** 4
-        base = rule if checked == region else _polar_rule(p, lam, checked, R)
-        fine = _polar_rule(p, lam, checked, R, None, n_ang + 2, 2 * n_rad)
-        a, b = integrate(base, peaked), integrate(fine, peaked)
+        a, b = (_peaked_integral(p, lam, checked, R, n_ang, n_rad)
+                for n_ang, n_rad in ((N_ANG, N_RAD), (N_ANG + 2, 2 * N_RAD)))
         _CHECK_CACHE[key] = abs(a - b) / max(abs(b), 1e-300)
     rule.self_check_error = err = _CHECK_CACHE[key]
     if err > tol:

@@ -147,11 +147,11 @@ def _bump_channels(X, center, scale):
     """The five scalar channels (phi, d_0 phi, ..., d_3 phi) of the bump
     phi = (1 - |x-c|^2/s^2)^3 at nodes X inside its ball, as (5, len(X));
     outside the ball all five vanish (the profile is C^2 there)."""
-    Y = X - center
+    Y = np.subtract(X.T, center[:, None], order="C")
     u = 1.0 - sq_norms(Y) / scale ** 2
     out = np.empty((5, len(X)))
     out[0] = u ** 3
-    np.multiply(-6.0 / scale ** 2 * u ** 2, Y.T, out=out[1:])
+    np.multiply(-6.0 / scale ** 2 * u ** 2, Y, out=out[1:])
     return out
 
 
@@ -185,7 +185,8 @@ def test_field_family(q: ParamQ, ctx: InnerContext, n: int, seed: int):
             d /= np.linalg.norm(d)
             center = q.p + rng.uniform(0.0, 2.0 * q.lam) * d
         C = rng.standard_normal((3, 4))
-        rows = np.flatnonzero(1.0 - sq_norms(X - center) / sc ** 2 > 0)
+        Y = np.subtract(X.T, center[:, None], order="C")
+        rows = np.flatnonzero(1.0 - sq_norms(Y) / sc ** 2 > 0)
         phi = _bump_channels(X[rows], center, sc)
         C2 = float(np.sum(C * C))
         bracket2 = A2[rows] * C2 - (C @ C.T).reshape(9) @ AAt[:, rows]

@@ -18,13 +18,15 @@ never numerical differences.  The su(2) coefficients are on e_i = u_i/2; the
 eta/etabar tables and all radial laws were frozen from a symbolic quaternion
 expansion (see the coefficient-table tests).
 
-Sampling works on scalar coefficient channels.  Every atom channel is a sum
-of a few scalar profiles times constant algebra tensors: an atom's eval
-returns the coefficients K (N,k) of its tensor (k,3,4), so the value is
-sum_e K[:, e] tensor[e]; a cutoff factor is one scalar (N,).  Terms and
-their Leibniz products are summed on those coefficients, and a term list is
-expanded into its node-last (3,4,N) block (the layout of forms) by one GEMM
-over the groups of terms that share (algebra matrix, atom tensor).
+Sampling works on scalar coefficient channels, node-last like forms.  Every
+atom channel is a sum of a few scalar profiles times constant algebra
+tensors: an atom's eval returns the coefficients K (k,N) of its tensor
+(k,3,4), so the value is sum_e K[e] tensor[e]; a cutoff factor is one scalar
+(N,).  Terms and their Leibniz products are summed on those coefficient
+rows, and a term list is expanded into its (3,4,N) block by one GEMM over
+the groups of terms that share (algebra matrix, atom tensor).  What depends
+on a term list alone, its groups and each term's Leibniz products, is its
+plan, built once per sampling pass.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ __all__ = [
     "difference_b",
     "derivative_fields",
     "linear_combination",
-    "d2A_dp1p1",
     "inner_first",
     "sample_charted",
 ]
@@ -202,12 +203,14 @@ class _ProfileW:
 # atoms and their evaluation memo
 #
 # A memo is a dict of evaluations on one node batch X: atom channels keyed
-# (atom, ydirs, dlam), the geometry (Y, |Y|^2) of each centre, each radial
-# law channel and each BetaAtom's profile, and the grouping of each term list
-# summed on it.  It remembers the X it was first filled on under _NODES and
-# refuses other nodes.
+# (atom, sorted ydirs, dlam), the geometry (Y, |Y|^2) of each centre, each
+# radial law channel and each BetaAtom's profile.  It remembers the X it was
+# first filled on under _NODES and refuses other nodes.  Under _PLANS it may
+# hold the plan dict of a sampling pass (_plan), which all of the pass's
+# memos share; a memo without one holds its plans itself.
 
 _NODES = "nodes"
+_PLANS = "plans"
 
 
 def _memo_for(memo, X):
@@ -229,9 +232,10 @@ def _cached(memo, key, make):
 
 
 def _geometry(memo, X, p):
-    """(Y, |Y|^2) for Y = X - p, or Y = X for p None (the origin)."""
+    """(Y, |Y|^2) for Y = X - p node-last (4,N), or the view Y = X.T for p
+    None (the origin)."""
     def make():
-        Y = X if p is None else X - p
+        Y = X.T if p is None else np.subtract(X.T, p[:, None], order="C")
         return Y, sq_norms(Y)
     return _cached(memo, ("geometry", None if p is None else p.tobytes()), make)
 
@@ -242,21 +246,22 @@ def _radial(memo, law, centre, s, *args):
 
 
 def _scalar_radial_derivs(Y, f, ydirs):
-    """d^{|ydirs|}/dy... of f(s), s = |Y|^2, given f = [f0, ..., f_k], k = |ydirs|."""
+    """d^{|ydirs|}/dy... of f(s), s = |Y|^2 for node-last Y (4,N), given
+    f = [f0, ..., f_k], k = |ydirs|."""
     k = len(ydirs)
     if k == 0:
         return f[0]
     if k == 1:
         (e,) = ydirs
-        return 2.0 * Y[:, e] * f[1]
+        return 2.0 * Y[e] * f[1]
     if k == 2:
         e1, e2 = ydirs
         d = 2.0 * f[1] if e1 == e2 else 0.0
-        return d + 4.0 * Y[:, e1] * Y[:, e2] * f[2]
+        return d + 4.0 * Y[e1] * Y[e2] * f[2]
     if k == 3:
         a, b, c = ydirs
-        out = 4.0 * f[2] * ((b == c) * Y[:, a] + (a == c) * Y[:, b] + (a == b) * Y[:, c])
-        return out + 8.0 * f[3] * Y[:, a] * Y[:, b] * Y[:, c]
+        out = 4.0 * f[2] * ((b == c) * Y[a] + (a == c) * Y[b] + (a == b) * Y[c])
+        return out + 8.0 * f[3] * Y[a] * Y[b] * Y[c]
     raise ValueError("scalar radial derivatives implemented to order 3")
 
 
@@ -265,7 +270,7 @@ class LinRadAtom:
 
     M: (3,4,4) including any constant coefficient factors.  The value is
     sum_e M[:, :, e] y_e f(s), so every channel is linear in the tensor
-    M[:, :, e]: eval returns the coefficients K (N,4) of the mixed partial
+    M[:, :, e]: eval returns the coefficients K (4,N) of the mixed partial
     d_y^{ydirs} d_lam^{dlam}, K_e = d^{ydirs}(y_e f), to be expanded with
     tensor = M moved to (e, a, u) order.
     """
@@ -286,9 +291,9 @@ class LinRadAtom:
         f = [_radial(memo, self.radial, centre, s, self.lam, j, dlam)
              for j in range(k + 1)]
         # y_e is linear, so each derivative falls on f except at most one
-        K = Y * _scalar_radial_derivs(Y, f, ydirs)[:, None]
+        K = Y * _scalar_radial_derivs(Y, f, ydirs)
         for i, e in enumerate(ydirs):
-            K[:, e] += _scalar_radial_derivs(Y, f, ydirs[:i] + ydirs[i + 1:])
+            K[e] += _scalar_radial_derivs(Y, f, ydirs[:i] + ydirs[i + 1:])
         return K
 
 
@@ -325,7 +330,7 @@ class BetaAtom:
 class BgAtom:
     """Background 1-form Cmat (1 - |x|^2)^3 on the unit ball, 0 outside.
 
-    eval returns the coefficient (N,1) of tensor = Cmat[None]; it does not
+    eval returns the coefficient (1,N) of tensor = Cmat[None]; it does not
     depend on lam, so every lam-channel is 0.
     """
 
@@ -334,12 +339,12 @@ class BgAtom:
 
     def eval(self, X, ydirs=(), dlam=0, memo=None):
         if dlam > 0:
-            return np.zeros((X.shape[0], 1))
+            return np.zeros((1, X.shape[0]))
         memo = _memo_for(memo, X)
-        _, sig = _geometry(memo, X, None)
+        Y, sig = _geometry(memo, X, None)
         f = [_radial(memo, _cubic, None, sig, 1.0, j)
              for j in range(len(ydirs) + 1)]
-        return _scalar_radial_derivs(X, f, ydirs)[:, None]
+        return _scalar_radial_derivs(Y, f, ydirs)[None]
 
 
 # ---------------------------------------------------------------------------
@@ -364,100 +369,110 @@ class Term:
     mat: Optional[np.ndarray] = None
 
 
-def _atom_eval(memo, atom, X, ydirs, dlam):
-    # keyed on the atom object itself: the key keeps it alive, so a memo
-    # shared across term lists never sees a recycled id
-    ydirs = tuple(sorted(ydirs))
-    key = (atom, ydirs, dlam)
+def _channel(memo, X, key):
+    """The atom channel key = (atom, sorted ydirs, dlam) on X, evaluated once
+    per memo.  Keyed on the atom object itself: the key keeps it alive, so a
+    memo shared across term lists never sees a recycled id."""
     if key not in memo:
+        atom, ydirs, dlam = key
         memo[key] = atom.eval(X, ydirs, dlam, memo)
     return memo[key]
 
 
-def _term_value(memo, t: Term, X, extra_ydirs, out):
-    """coef * beta * atom coefficients of a term with extra spatial
-    derivatives, written into out (k,N): the atom's (N,k) coefficients
-    transposed.
+def _products(t: Term, extra_ydirs):
+    """The Leibniz expansion of a term with extra spatial derivatives: per
+    product, the channel keys of its atom and of its beta factor (None
+    without one), the extra derivatives distributed between the two."""
+    n = len(extra_ydirs)
+    out = []
+    for r in range(n + 1 if t.beta is not None else 1):
+        for sel in combinations(range(n), r):
+            lie = tuple(extra_ydirs[i] for i in range(n) if i not in sel)
+            beta = tuple(extra_ydirs[i] for i in sel)
+            out.append(((t.lie, tuple(sorted(t.lie_ydirs + lie)), t.lie_dlam),
+                        None if t.beta is None else
+                        (t.beta, tuple(sorted(t.beta_ydirs + beta)), t.beta_dlam)))
+    return out
 
-    The Leibniz expansion is summed here, in place in out; the atom tensor
-    and the algebra matrix t.mat are left for _terms_sum.
+
+def _term_value(memo, coef, products, X, out):
+    """coef * beta * atom coefficients of a term's Leibniz products
+    (_products), summed in place into out (k,N) in their order.
+
+    The atom tensor and the algebra matrix t.mat are left for _terms_sum.
     """
-    n_extra = len(extra_ydirs)
-    first = True
-    # distribute extra derivatives between the beta factor and the atom
-    idx = range(n_extra)
-    for r in range(n_extra + 1):
-        for sel in combinations(idx, r):
-            beta_dirs = tuple(extra_ydirs[i] for i in sel)
-            lie_dirs = tuple(extra_ydirs[i] for i in idx if i not in sel)
-            if t.beta is None and beta_dirs:
-                continue
-            v = _atom_eval(memo, t.lie, X, t.lie_ydirs + lie_dirs, t.lie_dlam)
-            if t.beta is not None:
-                b = _atom_eval(memo, t.beta, X, t.beta_ydirs + beta_dirs, t.beta_dlam)
-                factor = t.coef * b
-            else:
-                factor = t.coef
-            if first:
-                np.multiply(v.T, factor, out=out)
-                first = False
-            else:
-                out += v.T * factor
+    for j, (lie, beta) in enumerate(products):
+        v = _channel(memo, X, lie)
+        factor = coef if beta is None else coef * _channel(memo, X, beta)
+        if j == 0:
+            np.multiply(v, factor, out=out)
+        else:
+            out += v * factor
 
 
-def _term_groups(memo, terms):
-    """The grouping of a term list for _terms_sum, built once per memo (one
-    chart of a sampling pass): each term's row span in K, terms sharing
-    (algebra matrix, atom tensor) — the conjugation R, or R L_i after a
-    rotation derivative — sharing one; the largest span; and the stacked
-    tensors T^T (12, sum k).  Keyed on the list's id, the entry holds the
-    list, so the id is not recycled while the memo lives."""
-    def make():
-        offsets = {}      # (matrix bytes, tensor bytes) -> first row in K
-        tensors, spans, width = [], [], 0
-        for t in terms:
-            B = t.lie.tensor
-            key = (None if t.mat is None else t.mat.tobytes(), B.tobytes())
-            if key not in offsets:
-                offsets[key] = width
-                width += len(B)
-                tensors.append((B if t.mat is None else np.matmul(t.mat, B))
-                               .reshape(-1, 12))
-            spans.append(slice(offsets[key], offsets[key] + len(B)))
-        if not tensors:
-            return terms, spans, 0, None
-        return (terms, spans, max(len(T) for T in tensors),
-                np.concatenate(tensors).T)
-    return _cached(memo, ("groups", id(terms)), make)[1:]
+def _term_groups(terms):
+    """The grouping of a term list for _terms_sum: each term's row span in
+    K, terms sharing (algebra matrix, atom tensor) — the conjugation R, or
+    R L_i after a rotation derivative — sharing one, and whether the term
+    opens its span; the largest span; and the stacked tensors
+    T^T (12, sum k), None for an empty list."""
+    offsets = {}      # (matrix bytes, tensor bytes) -> first row in K
+    tensors, spans, opens, width = [], [], [], 0
+    for t in terms:
+        B = t.lie.tensor
+        key = (None if t.mat is None else t.mat.tobytes(), B.tobytes())
+        opens.append(key not in offsets)
+        if opens[-1]:
+            offsets[key] = width
+            width += len(B)
+            tensors.append((B if t.mat is None else np.matmul(t.mat, B))
+                           .reshape(-1, 12))
+        spans.append(slice(offsets[key], offsets[key] + len(B)))
+    if not tensors:
+        return spans, opens, 0, None
+    return (spans, opens, max(len(T) for T in tensors),
+            np.concatenate(tensors).T)
+
+
+def _plan(memo, terms, extra_ydirs):
+    """A term list's plan for _terms_sum with extra spatial derivatives:
+    its grouping (_term_groups), shared by every extra_ydirs, and each
+    term's products (_products).  It depends on the list alone, so it is
+    built once in memo[_PLANS], the plan dict of a sampling pass, or in the
+    memo itself without one.  Keyed on the list's id, each entry holds the
+    list, so the id is not recycled while the entry lives."""
+    store = memo.get(_PLANS, memo)
+    groups = _cached(store, ("groups", id(terms)),
+                     lambda: (terms, _term_groups(terms)))[1]
+    return _cached(store, (id(terms), extra_ydirs), lambda: (
+        terms, groups, [_products(t, extra_ydirs) for t in terms]))[1:]
 
 
 def _terms_sum(memo, terms, X, extra_ydirs, out):
     """Sum of the terms' values written into out, node-last (3,4,N), by one GEMM.
 
     Terms of one group (_term_groups) are summed on their coefficients
-    first: each group owns a range of rows of K (sum k,N), its first term's
-    sum is written there and each later term's, formed in a scratch, added
-    to it.  K is expanded with the stacked tensors mat @ tensor as T^T @ K,
-    straight into out's (12,N) rows; reshape(copy=False) raises rather than
-    write a copy.
+    first: each group owns a range of rows of K (sum k,N), the term that
+    opens it writes its sum there and each later term's, formed in a
+    scratch, is added to it.  K is expanded with the stacked tensors
+    mat @ tensor as T^T @ K, straight into out's (12,N) rows;
+    reshape(copy=False) raises rather than write a copy.
     """
     rows = np.reshape(out, (12, -1), copy=False)
-    spans, kmax, Tt = _term_groups(memo, terms)
+    (spans, opens, kmax, Tt), products = _plan(memo, terms, extra_ydirs)
     if Tt is None:
         rows[...] = 0.0
         return
     N = X.shape[0]
     K = np.empty((Tt.shape[1], N))
     scratch = np.empty((kmax, N))
-    written = set()
-    for t, span in zip(terms, spans):
-        if span.start in written:
-            tmp = scratch[:span.stop - span.start]
-            _term_value(memo, t, X, extra_ydirs, tmp)
-            K[span] += tmp
+    for t, span, first, prods in zip(terms, spans, opens, products):
+        if first:
+            _term_value(memo, t.coef, prods, X, K[span])
         else:
-            _term_value(memo, t, X, extra_ydirs, K[span])
-            written.add(span.start)
+            tmp = scratch[:span.stop - span.start]
+            _term_value(memo, t.coef, prods, X, tmp)
+            K[span] += tmp
     np.matmul(Tt, K, out=rows)
 
 
@@ -465,10 +480,11 @@ def terms_value(terms, X, memo=None, out=None):
     """Value of a term list at X, (3,4,N), written into out when given.
 
     memo (optional) caches evaluations on X across calls: atom channels, the
-    geometry of each atom centre and each radial law channel.  Term lists
-    holding the same atom objects then evaluate each of them once.  A memo
-    remembers the X it was first filled on and raises ValueError with other
-    nodes.  out may be a node range val[..., a:b] of a (3,4,M) array.
+    geometry of each atom centre and each radial law channel, and the term
+    lists' plans unless it holds a pass's plan dict.  Term lists holding the
+    same atom objects then evaluate each of them once.  A memo remembers the
+    X it was first filled on and raises ValueError with other nodes.  out
+    may be a node range val[..., a:b] of a (3,4,M) array.
     """
     X = np.asarray(X, dtype=float)
     memo = _memo_for(memo, X)
@@ -610,7 +626,7 @@ def inner_first(mask_inner):
     return np.argsort(~mask_inner, kind="stable"), int(np.count_nonzero(mask_inner))
 
 
-def sample_charted(fields, X, n_inner, need_jac=True, out=None):
+def sample_charted(fields, X, n_inner, need_jac=True, out=None, plans=None):
     """Node-last values (3,4,N) (and jacobians (3,4,4,N)) of charted fields
     at X, in one pass per chart.
 
@@ -620,7 +636,9 @@ def sample_charted(fields, X, n_inner, need_jac=True, out=None):
     memo, so fields holding the same atom objects (the derivative_fields of
     one connection) evaluate each atom channel, centre geometry and radial
     law once, and each GEMM writes into its chart's node range of the
-    outputs.  The memo lives only for the pass.
+    outputs.  The memo lives only for the pass.  plans, a dict, holds the
+    term lists' plans (_plan) across calls: a block sampler passes one per
+    pass over its blocks, so each block only looks its channels up.
     Returns (val, jac) pairs, jac None when need_jac is false.  out, a list
     of such pairs, one per field, receives the samples in place of fresh
     arrays (a block sampler reuses its buffers this way); each array must
@@ -636,11 +654,12 @@ def sample_charted(fields, X, n_inner, need_jac=True, out=None):
         vals = [np.empty((3, 4, N)) for _ in fields]
         jacs = [np.empty((3, 4, 4, N)) if need_jac else None for _ in fields]
         out = list(zip(vals, jacs))
+    plans = {} if plans is None else plans
     for a, b, chart in ((0, n_inner, "inner_terms"), (n_inner, N, "outer_terms")):
         if a == b:
             continue
         Xs = X[a:b]
-        memo = {}
+        memo = {_PLANS: plans}
         for f, (val, jac) in zip(fields, out):
             terms = getattr(f, chart)
             terms_value(terms, Xs, memo, val[..., a:b])
@@ -742,11 +761,3 @@ def linear_combination(fields, coeffs) -> ChartedField:
                 for t in getattr(f, chart)]
     return ChartedField(fields[0].p, fields[0].lam, scaled("inner_terms"),
                         scaled("outer_terms"))
-
-
-def d2A_dp1p1(q: ParamQ, pi2: str = "model") -> ChartedField:
-    """Second p1-derivative of the glued family (exact term-level differentiation)."""
-    A = glued_connection(q, pi2=pi2)
-    return ChartedField(q.p, q.lam,
-                        d_dp(d_dp(A.inner_terms, 0), 0),
-                        d_dp(d_dp(A.outer_terms, 0), 0))

@@ -19,6 +19,10 @@ combinations the explicit way, combining the eight fields node by node
 before any pairing, against the library's reading of those pairings through
 the coefficient matrix; it holds the node-field arithmetic (lincomb) and the
 whole-rule samples of a basis' raw fields, which the library never forms.
+The term-list helpers include d2A_dp1p1, the exact second p1-derivative of
+the family, which suite 3.10 no longer needs.  The final section builds the
+polar rules of the rule self-check node by node and integrates its density
+over them, the reference for the library's node-free radial sums.
 """
 
 import numpy as np
@@ -40,6 +44,8 @@ from ymeps.functionals import (
 )
 from ymeps.forms import (
     N_COMP,
+    QuadratureRule,
+    _radial_pieces,
     bracket_wedge_coeffs,
     cdot,
     codiff_coeffs,
@@ -47,16 +53,20 @@ from ymeps.forms import (
     cov_grad_coeffs,
     curvature_coeffs,
     d_coeffs,
+    integrate,
+    s3_nodes,
     weighted_sum,
 )
 from ymeps.instanton import (
     DIRECTIONS,
     ETA,
     ETABAR,
+    ChartedField,
     LinRadAtom,
     Term,
     _terms_sum,
     beta_profile,
+    d_dp,
     derivative_fields,
     difference_b,
     extended_connection,
@@ -375,6 +385,15 @@ def inner_field(A) -> FormField:
 def outer_field(A) -> FormField:
     """The outer-chart term list of a ChartedField, on all of R^4."""
     return terms_form_field(A.outer_terms)
+
+
+def d2A_dp1p1(q, pi2: str = "model") -> ChartedField:
+    """Second p1-derivative of the glued family (exact term-level
+    differentiation)."""
+    A = glued_connection(q, pi2=pi2)
+    return ChartedField(q.p, q.lam,
+                        d_dp(d_dp(A.inner_terms, 0), 0),
+                        d_dp(d_dp(A.outer_terms, 0), 0))
 
 
 def i1_form(lam: float, p) -> FormField:
@@ -698,3 +717,32 @@ def project_perp_by_combination(v: NodeField, basis, raw) -> NodeField:
     fields = combined_fields(basis.coeff, raw)
     row = _raw_gram(basis.ctx, [v] + fields)[0, 1:]
     return lincomb(np.concatenate(([1.0], -row)), [v] + fields)
+
+
+# ---------------------------------------------------------------------------
+# the rule self-check on materialised rules
+
+
+def materialised_rule(p, lam: float, region: str, R, n_ang: int,
+                      n_rad: int) -> QuadratureRule:
+    """The polar rule of orders (n_ang, n_rad) around p with all its nodes,
+    built as forms._polar_rule builds its rule of the default orders."""
+    p = np.asarray(p, dtype=float)
+    dirs, wdirs = s3_nodes(n_ang)
+    r, wr = (np.concatenate([np.broadcast_to(x.reshape(len(x), -1),
+                                             (len(x), len(dirs)))
+                             for x in xs])
+             for xs in zip(*_radial_pieces(p, lam, region, R, dirs, n_rad)))
+    return QuadratureRule((p + r[..., None] * dirs).reshape(-1, 4),
+                          (wr * wdirs).reshape(-1), p, lam, region)
+
+
+def materialised_peaked_integral(p, lam: float, region: str, R, n_ang: int,
+                                 n_rad: int) -> float:
+    """The canonical peaked density 48 lam^4 / (lam^2 + |x - p|^2)^4 summed
+    node by node over materialised_rule: the reference for the self-check's
+    radial sums (forms._peaked_integral)."""
+    p = np.asarray(p, dtype=float)
+    rule = materialised_rule(p, lam, region, R, n_ang, n_rad)
+    return integrate(rule, lambda X: 48 * lam ** 4
+                     / (lam ** 2 + np.sum((X - p) ** 2, axis=1)) ** 4)

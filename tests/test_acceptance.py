@@ -190,6 +190,79 @@ def test_criterion_09_perpendicular_derivative(sweep):
         assert _row(rep, name).verdict == "pass", name
 
 
+# ---------------------------------------------------------------------------
+# negative controls: each verdict kind rejects a wrong predicted exponent
+
+
+def _shifted(points, key, shift):
+    """The points with the metric key rescaled by (eps / eps_0)^-shift: the
+    recorded data read against a predicted exponent larger by shift, the
+    first point's value kept."""
+    eps0 = points[0]["eps"]
+    return [{**pt, key: pt[key] * (pt["eps"] / eps0) ** -shift}
+            for pt in points]
+
+
+# kind -> (report, row, metric, the shifts of +-0.5 its verdict must reject).
+# A two-sided claim (a slope window, a band, the analytic path's agreement
+# with the FD path) rejects both; a one-sided claim (a least decay rate, a
+# bounded ratio to eps^e) rejects the stronger, +0.5, and passes the weaker
+NEGATIVE_CONTROLS = {
+    "slope-window": [(lemma57_report, f"norm_{d}", f"norm_{d}", (-0.5, 0.5))
+                     for d in ("p1", "p2", "p3", "p4", "xi1", "xi2", "xi3",
+                               "lam")],
+    "band": [(lemma58_report, f"a{i}{i}", "ball_coeff", (-0.5, 0.5))
+             for i in (1, 2, 5, 8)],
+    "threshold": [(lemma310_report, "path_agreement", "l310_an_norm",
+                   (-0.5, 0.5))],
+    "slope-min": [(lemma310_report, "fd_perp_norm", "l310_fd_norm", (0.5,))],
+    "bounded": [(lemma57_report, "pair_p1_xi1", "pair_p1_xi1", (0.5,))],
+}
+
+
+@pytest.mark.parametrize("kind", NEGATIVE_CONTROLS)
+def test_each_verdict_kind_rejects_a_shifted_exponent(sweep, kind):
+    points = sweep["points"]
+    for report, name, key, rejected in NEGATIVE_CONTROLS[kind]:
+        row = _row(report(points), name)
+        assert row.kind == {"threshold": "identity"}.get(kind, kind)
+        assert row.verdict == "pass", (name, row.note)
+        for shift in (-0.5, 0.5):
+            got = _row(report(_shifted(points, key, shift)), name)
+            want = "fail" if shift in rejected else "pass"
+            assert got.verdict == want, (name, shift, got.note)
+
+
+# every bounded row that is not null within precision, with its metric
+BOUNDED_ROWS = (
+    [(lemma57_report, "pair_p1_xi1", "pair_p1_xi1")]
+    + [(lemma36_report, f"basis_diff_{i}", f"basis_diff_{i}")
+       for i in range(1, 9)]
+    + [(lemma37_report, f"{f}_dual_{t}", f"{f}_dual_{t}")
+       for t in ("i1", "i5") for f in ("hess", "codiff")]
+    + [(lemma310_report, f"{c}_chart_norm", f"l310_{c}_norm")
+       for c in ("inner", "outer")]
+    + [(lemma59_report, "max_offdiag_b", "w_coeff")])
+
+
+def test_bounded_rows_reject_only_shifts_beyond_their_spread(sweep):
+    # a bounded row allows its ratios to eps^e a 10-fold spread, so on a
+    # 32-fold eps sweep an exponent raised by up to log 10 / log 32 = 0.66
+    # passes a row whose ratios are flat: at +0.5 only pair_p1_xi1 (ratios
+    # spread 1.84-fold) fails, while every row fails at +1.5
+    points = sweep["points"]
+    failing = []
+    for report, name, key in BOUNDED_ROWS:
+        row = _row(report(points), name)
+        assert row.kind == "bounded" and row.verdict == "pass", name
+        assert "null" not in row.note, name
+        if _row(report(_shifted(points, key, 0.5)), name).verdict == "fail":
+            failing.append(name)
+        got = _row(report(_shifted(points, key, 1.5)), name)
+        assert got.verdict == "fail", (name, got.note)
+    assert failing == ["pair_p1_xi1"]
+
+
 def test_criterion_10_structural_suite(tmp_path):
     q = ParamQ.default(2.0 ** -5, p=[0.1, -0.08, 0.05, 0.12],
                        g=exp_map(AlgElement(0.3, -0.4, 0.2)))

@@ -60,7 +60,6 @@ from ymeps.instanton import (
     PI2_STRATEGIES,
     ChartedField,
     ParamQ,
-    d2A_dp1p1,
     derivative_fields,
     difference_b,
     extended_connection,
@@ -76,6 +75,7 @@ from oracle import (
     cdot_nf,
     codifferential_eps,
     covariant_d_eps,
+    d2A_dp1p1,
     full_rule_probe_draws,
     full_rule_probes,
     grad_pairing,

@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ymeps import instanton
+from ymeps import basis, instanton
 from ymeps.forms import domain_ball_rule, star_coeffs
 from ymeps.instanton import (
     DEFAULT_BG_CMAT,
@@ -26,7 +26,6 @@ from ymeps.instanton import (
     Term,
     _ProfileW,
     beta_profile,
-    d2A_dp1p1,
     d_dlam,
     d_dxi,
     derivative_fields,
@@ -46,6 +45,7 @@ from ymeps.instanton import (
 from ymeps.liealg import AlgElement, GroupElement, exp_map
 from oracle import (
     cutoff,
+    d2A_dp1p1,
     exterior_d,
     i1_form,
     i2_form,
@@ -363,8 +363,8 @@ def _expanded(atom, X, ydirs=(), dlam=0):
     if isinstance(atom, BetaAtom):       # a scalar factor, no tensor
         assert K.shape == (len(X),)
         return K
-    assert K.shape == (len(X), len(atom.tensor))
-    return np.einsum("ne,eau->nau", K, atom.tensor)
+    assert K.shape == (len(atom.tensor), len(X))
+    return np.einsum("en,eau->nau", K, atom.tensor)
 
 
 def _lin_closed_form(M, f):
@@ -865,8 +865,9 @@ def test_one_pass_evaluates_each_law_profile_and_geometry_once(monkeypatch):
     seen = []
 
     def batch(a):
-        """The node batch an evaluation ran on (its chart and its atom)."""
-        return len(a), hash(a.tobytes())
+        """The node batch an evaluation ran on (its chart and its atom):
+        a node-last array's node count and bytes."""
+        return a.shape[-1], hash(a.tobytes())
 
     def counting(fn, name, record=lambda *args: True):
         def counted(x, *args, **kw):
@@ -919,9 +920,9 @@ def test_memo_refuses_other_nodes():
 
 
 def test_term_grouping_is_built_once_per_memo(monkeypatch):
-    # the (matrix, tensor) grouping depends on the term list alone: one
-    # memo (one chart of a sampling pass) builds it once for the value and
-    # the four jacobian channels, and the sums stay bit for bit the same
+    # the (matrix, tensor) grouping depends on the term list alone: a memo
+    # without a pass's plan dict builds it once for the value and the four
+    # jacobian channels, and the sums stay bit for bit the same
     q = _generic_q()
     X, _ = _pass_nodes(q, n=60)
     terms = linear_combination(derivative_fields(glued_connection(q)),
@@ -938,6 +939,54 @@ def test_term_grouping_is_built_once_per_memo(monkeypatch):
     got = terms_value(terms, X, memo), terms_jac(terms, X, memo)
     assert len(builds) == 1
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_block_pass_builds_each_plan_once(monkeypatch):
+    # a term list's plan depends on the list alone: one pass over many node
+    # blocks builds each list's grouping once and its products once per
+    # derivative order, in one plan dict whose every entry holds the list
+    # its id keys; each block's samples are bit for bit a plan-free pass's
+    q = ParamQ.default(2.0 ** -4, p=[0.1, 0.0, -0.1, 0.05])
+    A = glued_connection(q)
+    ctx = basis.ball_context(A, q.eps)
+    fields = derivative_fields(A)
+    lists = {id(terms): terms for f in fields
+             for terms in (f.inner_terms, f.outer_terms)}
+    groups, products = instanton._term_groups, instanton._products
+    sample = basis.sample_charted
+    grouped, expanded, dicts = [], [], []
+
+    def counted_groups(terms):
+        grouped.append(id(terms))
+        return groups(terms)
+
+    def counted_products(t, extra_ydirs):
+        expanded.append(extra_ydirs)
+        return products(t, extra_ydirs)
+
+    def spy(*args, **kwargs):
+        dicts.append(kwargs["plans"])
+        return sample(*args, **kwargs)
+    monkeypatch.setattr(instanton, "_term_groups", counted_groups)
+    monkeypatch.setattr(instanton, "_products", counted_products)
+    monkeypatch.setattr(basis, "sample_charted", spy)
+    blocks = [(a, [(val.copy(), jac.copy()) for val, jac in samples])
+              for a, samples in basis._sample_blocks(ctx, fields)]
+    assert len(blocks) > 1 and all(d is dicts[0] for d in dicts)
+    assert sorted(grouped) == sorted(lists)
+    n_terms = sum(len(terms) for terms in lists.values())
+    assert len(expanded) == 5 * n_terms
+    assert set(expanded) == {(), (0,), (1,), (2,), (3,)}
+    plans = dicts[0]
+    assert len(plans) == 6 * len(lists)
+    for key, entry in plans.items():
+        assert lists[key[1] if key[0] == "groups" else key[0]] is entry[0]
+    nodes, n_inner = ctx.rule.nodes, ctx.rule.n_inner
+    for a, samples in blocks:
+        m = samples[0][0].shape[-1]
+        fresh = sample(fields, nodes[a:a + m], min(max(n_inner - a, 0), m))
+        for (val, jac), (val0, jac0) in zip(samples, fresh):
+            assert np.array_equal(val, val0) and np.array_equal(jac, jac0)
 
 
 def test_linear_combination_scales_the_terms_of_its_fields():

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from ymeps.forms import (
+    N_ANG,
+    N_RAD,
     NumericalError,
     QuadratureError,
     QuadratureRule,
+    _peaked_integral,
+    _polar_rule,
     ball_rule,
     domain_ball_rule,
     integrate,
@@ -18,6 +22,7 @@ from ymeps.forms import (
     weight_fn,
     weighted_r4_rule,
 )
+from oracle import materialised_peaked_integral, materialised_rule
 
 
 def sphere_monomial_oracle(a, b, c, d):
@@ -209,11 +214,19 @@ def test_zero_integrand():
 
 
 def test_sq_norms_is_the_row_sum_bit_for_bit():
+    # node-last batches: the transposed view of an (N, 4) array, the
+    # contiguous offsets the atoms form, and a strided view of either
     rng = np.random.default_rng(77)
     Y = rng.standard_normal((5000, 4)) * rng.uniform(0.0, 1e3, (5000, 1))
     rule = weighted_r4_rule(np.array([0.1, 0.0, -0.2, 0.05]), 0.2)
+    offsets = np.subtract(rule.nodes.T, rule.center[:, None], order="C")
     for Z in (Y, rule.nodes, rule.nodes - rule.center, Y[::3]):
-        assert np.array_equal(sq_norms(Z), np.sum(Z * Z, axis=1))
+        assert np.array_equal(sq_norms(Z.T), np.sum(Z * Z, axis=1))
+    for Z in (offsets, offsets[:, ::3], np.ascontiguousarray(Y.T)):
+        assert Z.shape[0] == 4
+        assert np.array_equal(sq_norms(Z), np.sum(Z * Z, axis=0))
+    assert np.array_equal(sq_norms(offsets),
+                          np.sum((rule.nodes - rule.center) ** 2, axis=1))
 
 
 OFF_CENTRE_P = np.array([0.12, -0.2, 0.07, 0.15])
@@ -233,6 +246,32 @@ def test_inner_chart_is_a_node_prefix(k):
             assert 0 < rule.n_inner < n
             assert np.array_equal(rule.r < rule.lam / 4.0,
                                   np.arange(n) < rule.n_inner)
+
+
+# (p, region, R) of each kind of radial piece: shared radii from p = 0, the
+# off-centre domain ball's last panel per direction, the r4 inversion tail,
+# and the weighted rule's exterior panels and tail
+SELF_CHECK_CASES = {
+    "ball-at-0": (np.zeros(4), "ball", 1.0),
+    "domain-off-centre": (OFF_CENTRE_P, "ball", None),
+    "r4": (OFF_CENTRE_P, "r4", math.inf),
+    "weighted-r4": (OFF_CENTRE_P, "weighted-r4", None),
+}
+
+
+@pytest.mark.parametrize("lam", [0.25, 2.0 ** -4.5])
+@pytest.mark.parametrize("case", SELF_CHECK_CASES)
+def test_self_check_radial_sums_match_the_materialised_rules(case, lam):
+    # the self-check builds neither rule: its radial sums must give the
+    # node-by-node integrals over both orders' materialised rules, the
+    # default-order one being the library's rule node for node
+    p, region, R = SELF_CHECK_CASES[case]
+    built = materialised_rule(p, lam, region, R, N_ANG, N_RAD)
+    assert np.array_equal(built.nodes, _polar_rule(p, lam, region, R).nodes)
+    for orders in ((N_ANG, N_RAD), (N_ANG + 2, 2 * N_RAD)):
+        want = materialised_peaked_integral(p, lam, region, R, *orders)
+        got = _peaked_integral(p, lam, region, R, *orders)
+        assert abs(got - want) <= 1e-13 * abs(want), orders
 
 
 def test_rule_listing_an_inner_node_late_raises():
