@@ -15,11 +15,12 @@ norms of the checks are all entries of it.
 
 Fields enter as two-chart ChartedField term lists, split at |x-p| = lam/4
 by the rule's inner chart (its first n_inner nodes), and are sampled on the
-rule node-last as in forms.  The Gram of charted fields samples them one
-block of nodes at a time and drops each block once paired, so no full-rule
-sample of a field is ever held; suite 3.7 reads its basis fields off the
-same block sampler.  A basis is the coefficient matrix C over its raw
-fields' Gram.  Every pairing with the combinations a_i = sum_j c_ij f_j is
+rule node-last as in forms.  The Gram samples its fields one block of
+nodes at a time straight into the rows it pairs, finishes each row's
+covariant gradient and weights in place and drops the block once paired,
+so no full-rule sample of a field is ever held; suite 3.7 reads its basis
+fields off the same block sampler.  A basis is the coefficient matrix C
+over its raw fields' Gram.  Every pairing with the combinations a_i = sum_j c_ij f_j is
 read through C off the raw fields' Gram, so no list of combined fields is
 built.  Where a pairing needs a combination formed node by node (the FD
 differences of suite 3.10, whose cancellation a Gram quadratic form would
@@ -38,7 +39,7 @@ from .forms import (
     NumericalError,
     QuadratureRule,
     ball_rule,  # not called here: perfbench/tracer.py's expect for it names basis
-    cov_grad_coeffs,
+    cov_grad_scaled,
     domain_ball_rule,
     weight_fn,
     weighted_r4_rule,
@@ -102,12 +103,15 @@ class InnerContext:
         return [NodeField(self.rule, val, jac) for val, jac in
                 sample_charted(fields, self.rule.nodes, self.rule.n_inner)]
 
-    def grad_of(self, val, jac, cols=slice(None), out=None) -> np.ndarray:
+    def grad_of(self, val, jac, At=None, out=None) -> np.ndarray:
         """Covariant gradient (3,4,4,n) under this context's connection of a
-        field with values val (3,4,n) and jacobian jac (3,4,4,n) on a slice
-        of the rule's nodes (all of them by default), written into out when
-        given."""
-        return cov_grad_coeffs(self.Aval[..., cols], val, jac, self.eps, out)
+        field with values val (3,4,n) and jacobian jac (3,4,4,n), written
+        into out when given, which may be jac itself.  At is eps times the
+        connection on the field's nodes, which a Gram forms once per block
+        of nodes for all its fields; by default the whole rule's."""
+        if At is None:
+            At = self.eps * self.Aval
+        return cov_grad_scaled(At, val, jac, out)
 
     # -- pairing --------------------------------------------------------
     def inner_nf(self, fa: NodeField, fb: NodeField) -> float:
@@ -198,24 +202,20 @@ class GramBasis:
         return float(np.max(np.abs(got - np.eye(len(self.coeff)))))
 
 
-def _combine(coeffs, samples) -> tuple:
+def _combine(coeffs, samples, out) -> tuple:
     """sum_j c_j f_j over samples (val, jac) of fields on one set of nodes,
-    skipping zero coefficients: for a single coefficient 1 its field's own
-    samples, else a new (val, jac).
+    written into out, a (val, jac) pair of their shapes, and returned;
+    zero coefficients are skipped, so a unit row copies its field.
 
     The sum runs in place, one coefficient at a time and in order, each term
     formed in one scratch.
     """
-    nz = np.flatnonzero(coeffs)
-    if len(nz) == 1 and coeffs[nz[0]] == 1.0:
-        return samples[nz[0]]
-    val0, jac0 = samples[0]
-    val, jac, tmp = np.empty_like(val0), np.empty_like(jac0), np.empty(jac0.size)
+    tmp = np.empty(out[1].size)
     first = True
     for cj, (v, j) in zip(coeffs, samples):
         if cj == 0.0:
             continue
-        for src, dst in ((v, val), (j, jac)):
+        for src, dst in zip((v, j), out):
             if first:
                 np.multiply(src, cj, out=dst)
             else:
@@ -223,94 +223,110 @@ def _combine(coeffs, samples) -> tuple:
                 np.multiply(src, cj, out=term)
                 dst += term
         first = False
-    return val, jac
+    return out
 
 
-# nodes per block of the streamed Gram, whose weighted rows then take 3.75 MiB:
-# at 2^-7 (one core of a 2-core Xeon, one BLAS thread) blocks of 256 to 4,096
-# nodes took the same time, and 16,384 took 40% longer
-_GRAM_CHUNK = 1024
-# nodes per sampling block of a charted-field Gram, a multiple of _GRAM_CHUNK
-# so that both kinds of input pair the same chunks (_sample_blocks).  The four
-# basis-only builds of verify-scaling (2^-4..2^-7, in process, one BLAS
-# thread, 2-core x86_64, medians of 8 alternating runs, with each pass's
-# plans built once) took 0.99 s wall (0.93 s user, 18k minor faults, 52 MiB
-# peak RSS) with blocks of 2,048 nodes, 0.94 s (0.88 s, 22k, 63 MiB) with
-# 4,096 and 0.86 s (0.77 s, 31k, 86 MiB) with 8,192: larger blocks spend
-# less time per node on each block's atom lookups and products, but their
-# samples raise the peak by 23 MiB; whole-rule samples cost page faults
-# (96k, 0.30 s of system time, when last measured).
-_SAMPLE_BLOCK = 4 * _GRAM_CHUNK
+# nodes per block of the streamed Gram, whose rows M take 60 entries a node
+# and field, 8.4 MiB for the eight basis fields.  The four basis builds of
+# verify-scaling (2^-4..2^-7, in process, one BLAS thread, 2-core x86_64,
+# best of 3, interleaved) took 0.85 / 0.70 / 0.68 / 0.68 / 0.69 / 0.72 s of
+# CPU with blocks of 1,024 / 2,048 / 2,304 / 2,560 / 3,072 / 4,096 nodes,
+# and one Gram of the eight basis fields at 2^-7 peaked at 6.2 / 12.0 /
+# 13.4 / 14.9 / 17.8 / 23.5 MiB under tracemalloc
+_GRAM_BLOCK = 2304
+# nodes per sampling block of suite 3.7's representers (_sample_blocks
+# called without a block size).  Its pass holds the representer rows, the
+# probes' weighted channels and supports besides five fields' samples, and
+# peaks no higher than the basis build before it (at 2^-7, 18.3 MiB under
+# tracemalloc against the build's 19.5) only with blocks smaller than the
+# Gram's: at 4,096 nodes it peaked at 28.9 MiB.  Its four points took 1.15
+# / 1.22 / 1.33 / 1.37 s of CPU with blocks of 4,096 / 2,048 / 1,792 /
+# 1,536 nodes (best of 3, as above).
+_SAMPLE_BLOCK = 2048
 
 
-def _sample_blocks(ctx: InnerContext, fields):
-    """(a, samples) per block of the rule's nodes a, a+1, ..., with samples
-    the fields' (val, jac) there.
+def _row_samples(buf, m) -> list:
+    """(val (3,4,m), jac (3,4,4,m)) views of each row of buf, whose first
+    60 m entries hold a field's jacobian entries, then its value entries:
+    the layout of the Gram's rows."""
+    return [(row[48 * m:60 * m].reshape(3, 4, m),
+             row[:48 * m].reshape(3, 4, 4, m)) for row in buf]
 
-    Node fields, which must be sampled on ctx's rule, are one block of the
-    whole rule.  Charted fields are sampled _SAMPLE_BLOCK nodes at a time,
-    each block's inner chart being its part of the rule's first n_inner
-    nodes, into buffers allocated once and overwritten by the next block,
-    with one plan dict for the pass (sample_charted).
+
+def _sample_blocks(ctx: InnerContext, fields, block=None, buf=None):
+    """(a, samples) per block of the rule's nodes a, ..., a + m - 1, with
+    samples the fields' (val, jac) there: views of the rows of buf
+    (_row_samples), allocated once unless given and overwritten by the next
+    block.  Blocks hold _SAMPLE_BLOCK nodes unless a block size is given.
+
+    Charted fields are sampled on each block, its inner chart being its
+    part of the rule's first n_inner nodes, with one plan dict for the pass
+    (sample_charted).  Node fields, which must be sampled on ctx's rule,
+    are copied block by block.
     """
-    if all(isinstance(f, NodeField) for f in fields):
-        if any(nf.rule is not ctx.rule for nf in fields):
-            raise ValueError("NodeField sampled on a different rule")
-        yield 0, [(nf.val, nf.jac) for nf in fields]
-        return
+    nodefields = all(isinstance(f, NodeField) for f in fields)
+    if nodefields and any(nf.rule is not ctx.rule for nf in fields):
+        raise ValueError("NodeField sampled on a different rule")
     nodes, n_inner, N = ctx.rule.nodes, ctx.rule.n_inner, len(ctx.rule)
-    blk = min(_SAMPLE_BLOCK, N)
-    vals = np.empty((len(fields), 12 * blk))
-    jacs = np.empty((len(fields), 48 * blk))
+    blk = min(block or _SAMPLE_BLOCK, N)
+    if buf is None:
+        buf = np.empty((len(fields), 60 * blk))
     plans = {}
     for a in range(0, N, blk):
         m = min(blk, N - a)
-        out = [(v[:12 * m].reshape(3, 4, m), j[:48 * m].reshape(3, 4, 4, m))
-               for v, j in zip(vals, jacs)]
-        yield a, sample_charted(fields, nodes[a:a + m],
-                                min(max(n_inner - a, 0), m), out=out,
-                                plans=plans)
+        out = _row_samples(buf, m)[:len(fields)]
+        if nodefields:
+            for nf, (val, jac) in zip(fields, out):
+                val[...] = nf.val[..., a:a + m]
+                jac[...] = nf.jac[..., a:a + m]
+        else:
+            sample_charted(fields, nodes[a:a + m],
+                           min(max(n_inner - a, 0), m), out=out, plans=plans)
+        yield a, out
 
 
 def _raw_gram(ctx: InnerContext, fields, rows=None) -> np.ndarray:
     """All pairwise inner products, accumulated over blocks of nodes.
 
     The one H^1 pairing: every inner product of the library is an entry of
-    such a Gram.  fields are node fields sampled on ctx's rule, or charted
-    fields, which are sampled block by block (_sample_blocks) and give the
-    same Gram bit for bit without a full-rule sample ever being held.  With
-    rows, an (r, n) array of coefficients over the n fields, the Gram is
-    that of the r combinations sum_j rows_kj f_j, each formed node by node
-    on every block (_combine).  On each chunk of _GRAM_CHUNK nodes, row
-    k of M holds field k's weighted gradient entries (48, m), then its
-    weighted value entries (12, m), and G gains M @ M.T.  Gradients are
-    computed on the chunk only, straight into M, so no full-rule gradient
-    or weighted matrix is held.  M has at least two rows, a zero one below
-    a single field: the BLAS product of one row with itself sums in an
-    order that depends on the thread count, that of two rows does not.
+    such a Gram.  fields are node fields sampled on ctx's rule or charted
+    fields; with rows, an (r, n) array of coefficients over the n fields,
+    the Gram is that of the r combinations sum_j rows_kj f_j.  Both kinds
+    of input take one path over blocks of _GRAM_BLOCK nodes, whose samples
+    go straight into one buffer M (_sample_blocks): row k holds field k's
+    jacobian entries (48, m), then its value entries (12, m).  With rows,
+    the fields are sampled into a second buffer and each combination is
+    formed node by node into its row of M (_combine).  Each row is then
+    finished in place: grad_of adds eps [A_nu, a_mu] onto the jacobian part,
+    eps A being formed once per block, the gradient entries are weighted by
+    sqrt(w) and the value entries by sqrt(w) (sqrt(w w_R4) in the weighted
+    product), and G gains M @ M.T.  So no full-rule sample, gradient or
+    weighted matrix is held, and a charted field's Gram is its node field's
+    bit for bit.  M has at least two rows, a zero one below a single row:
+    the BLAS product of one row with itself sums in an order that depends
+    on the thread count, that of two rows does not.
     """
     N = len(ctx.rule)
     sw = np.sqrt(ctx.rule.weights)
     sl = sw * np.sqrt(ctx.wvals) if ctx.weighted else sw
     n = len(fields) if rows is None else len(rows)
     G = np.zeros((n, n))
-    buf = np.zeros((max(n, 2), min(_GRAM_CHUNK, N) * 60))
-    for a, samples in _sample_blocks(ctx, fields):
+    blk = min(_GRAM_BLOCK, N)
+    buf = np.zeros((max(n, 2), 60 * blk))
+    src = buf if rows is None else np.empty((len(fields), 60 * blk))
+    for a, samples in _sample_blocks(ctx, fields, blk, src):
+        m = samples[0][0].shape[-1]
+        cols = slice(a, a + m)
         if rows is not None:
-            samples = [_combine(row, samples) for row in rows]
-        size = samples[0][0].shape[-1]
-        for c in range(0, size, _GRAM_CHUNK):
-            d = min(c + _GRAM_CHUNK, size)
-            m, cols = d - c, slice(a + c, a + d)
-            M = buf[:, :m * 60]
-            for row, (val, jac) in zip(M, samples):
-                grad = row[:m * 48].reshape(48, m)
-                ctx.grad_of(val[..., c:d], jac[..., c:d], cols,
-                            grad.reshape(3, 4, 4, m))
-                grad *= sw[cols]
-                np.multiply(val[..., c:d].reshape(12, m), sl[cols],
-                            out=row[m * 48:].reshape(12, m))
-            G += (M @ M.T)[:n, :n]
+            samples = [_combine(row, samples, out) for row, out
+                       in zip(rows, _row_samples(buf, m))]
+        At = ctx.eps * ctx.Aval[..., cols]
+        for val, jac in samples:
+            ctx.grad_of(val, jac, At, out=jac)
+            jac *= sw[cols]
+            val *= sl[cols]
+        M = buf[:, :60 * m]
+        G += (M @ M.T)[:n, :n]
     if not np.all(np.isfinite(G)):
         raise NumericalError("non-finite Gram matrix")
     return G

@@ -39,12 +39,12 @@ __all__ = [
     "codiff_coeffs",
     "curvature_coeffs",
     "cov_grad_coeffs",
+    "cov_grad_scaled",
     "sq_norms",
     "ball_rule",
     "domain_ball_rule",
     "weighted_r4_rule",
     "weight_fn",
-    "integrate",
     "weighted_sum",
 ]
 
@@ -248,19 +248,32 @@ def codiff_signs(degree: int) -> np.ndarray:
     return _sign_array(CODIFF_TABLE[degree], N_COMP[degree])
 
 
-def cov_grad_coeffs(Aval, val, jac, eps: float, out=None) -> np.ndarray:
-    """grad_A^eps a of a 1-form: out[a,mu,nu,n] = d_nu a_mu + eps [A_nu, a_mu].
+def cov_grad_coeffs(Aval, val, jac, eps: float) -> np.ndarray:
+    """grad_A^eps a of a 1-form: out[a,mu,nu,n] = d_nu a_mu + eps [A_nu, a_mu],
+    (3,4,4,N) (cov_grad_scaled with At = eps * Aval)."""
+    return cov_grad_scaled(eps * Aval, val, jac)
 
-    (3,4,4,N), written into out when given.  The cross product is written
-    out component by component, so every product runs over all nodes in
-    one pass.
+
+def cov_grad_scaled(At, val, jac, out=None) -> np.ndarray:
+    """grad_A^eps a given At = eps A (3,4,N), which a caller pairing many
+    fields forms once: out[a,mu,nu,n] = d_nu a_mu + [At_nu, a_mu], (3,4,4,N).
+
+    out may be jac itself, whose entries then gain the bracket in place.
+    The cross product is written out component by component, so every
+    product runs over all nodes in one pass; each component's bracket is
+    formed in a (4,4,N) scratch before it is added, so an entry rounds as
+    the sum of jac and bracket whether or not out is jac.
     """
-    At = eps * Aval                                    # [b,nu,n]
-    out = np.empty(jac.shape) if out is None else out
+    if out is None:
+        out = np.empty(jac.shape)
+    if out is not jac:
+        out[...] = jac
+    br, tmp = np.empty((2,) + out.shape[1:])
     for a, b, c in _CYCLIC:
-        np.multiply(At[b], val[c][:, None], out=out[a])    # [mu,nu,n]
-        out[a] -= At[c] * val[b][:, None]
-    out += jac
+        np.multiply(At[b], val[c][:, None], out=br)       # [mu,nu,n]
+        np.multiply(At[c], val[b][:, None], out=tmp)
+        br -= tmp
+        out[a] += br
     return out
 
 
@@ -293,8 +306,8 @@ class NumericalError(RuntimeError):
 class QuadratureRule:
     """Weighted nodes for a polar rule centered at `center`.
 
-    weights include the r^3 polar Jacobian: integrate(f) = sum w_i f(node_i).
-    r holds |node - center|.  The inner chart r < lam/4 is the node range
+    weights include the r^3 polar Jacobian: sum_i w_i f(node_i) integrates f.
+    r holds |node - center|, computed from the nodes unless given.  The inner chart r < lam/4 is the node range
     [:n_inner]: a polar rule lists its radii outward and lam/4 is a panel
     edge, so a node order with an inner node after an outer one raises
     ValueError.
@@ -477,7 +490,8 @@ def _polar_rule(p, lam: float, region: str, R=None,
                              for x in xs])
              for xs in zip(*_radial_pieces(p, lam, region, R, dirs, N_RAD)))
     rule = QuadratureRule((p + r[..., None] * dirs).reshape(-1, 4),
-                          (wr * wdirs).reshape(-1), p, lam, region)
+                          (wr * wdirs).reshape(-1), p, lam, region,
+                          r.reshape(-1))
     if tol is None:
         return rule
     checked = "ball" if region == "weighted-r4" else region
@@ -554,24 +568,6 @@ def tail_report(rule: QuadratureRule, vals: np.ndarray) -> dict:
         "shell_values": (c1, c2),
         "tail_value": c3,
     }
-
-
-def integrate(rule: QuadratureRule, density) -> float:
-    """Deterministic weighted sum of a scalar density over the rule's nodes.
-
-    density: callable on the (N,4) batch of nodes returning (N,) values; a
-    result of another shape raises ValueError.  Non-finite values raise
-    NumericalError naming the offending node.
-    """
-    vals = np.asarray(density(rule.nodes), dtype=float)
-    if vals.shape != (len(rule),):
-        raise ValueError(f"density returned shape {vals.shape}, "
-                         f"expected ({len(rule)},)")
-    if not np.all(np.isfinite(vals)):
-        i = int(np.argmin(np.isfinite(vals)))
-        raise NumericalError(
-            f"non-finite density value at node {i}: x={rule.nodes[i]!r}")
-    return weighted_sum(rule.weights, vals)
 
 
 def weighted_sum(weights: np.ndarray, vals: np.ndarray) -> float:

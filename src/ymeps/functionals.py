@@ -159,7 +159,8 @@ def test_field_family(q: ParamQ, ctx: InnerContext, n: int, seed: int):
     """n seeded bump probes at scales {lam/4, lam, 1}, unit norm in ctx.
 
     Each probe C * phi is returned as a spec (rows, center, scale, coeff):
-    rows are the nodes of ctx.rule inside the bump's ball, and _bump_channels
+    rows are the nodes of ctx.rule inside the bump's ball (one array per
+    ball, which probes of one center and scale share), and _bump_channels
     on them gives phi and its gradient; both are 0 on every other node.  The
     covariant H^1 norm (ctx unweighted) is summed over those rows only, in
     closed form: with grad_A beta = C (x) grad phi + eps phi [A, C] and
@@ -172,7 +173,7 @@ def test_field_family(q: ParamQ, ctx: InnerContext, n: int, seed: int):
                     optimize=False).reshape(9, -1)
     A2 = AAt[0] + AAt[4] + AAt[8]
     scales = [q.lam / 4.0, q.lam, 1.0]
-    out = []
+    out, supports = [], {}
     k = 0
     while len(out) < n:
         sc = scales[k % 3]
@@ -185,8 +186,11 @@ def test_field_family(q: ParamQ, ctx: InnerContext, n: int, seed: int):
             d /= np.linalg.norm(d)
             center = q.p + rng.uniform(0.0, 2.0 * q.lam) * d
         C = rng.standard_normal((3, 4))
-        Y = np.subtract(X.T, center[:, None], order="C")
-        rows = np.flatnonzero(1.0 - sq_norms(Y) / sc ** 2 > 0)
+        key = (center.tobytes(), sc)
+        if key not in supports:     # the full-ball probes share one
+            Y = np.subtract(X.T, center[:, None], order="C")
+            supports[key] = np.flatnonzero(1.0 - sq_norms(Y) / sc ** 2 > 0)
+        rows = supports[key]
         phi = _bump_channels(X[rows], center, sc)
         C2 = float(np.sum(C * C))
         bracket2 = A2[rows] * C2 - (C @ C.T).reshape(9) @ AAt[:, rows]
@@ -507,6 +511,7 @@ def _representers(q, pi2, basis, ctx):
             V[3] = eps * (bracket_wedge_coeffs(0, At_, y2)
                           + bracket_wedge_coeffs(0, b_, y0))
             yield a, tag, Rt
+        del FA, FAt, Fb     # not held while the next block is sampled
 
 
 def _hessian_difference_metrics(q, pi2, basis, ctx, seed, n_test):

@@ -22,7 +22,9 @@ whole-rule samples of a basis' raw fields, which the library never forms.
 The term-list helpers include d2A_dp1p1, the exact second p1-derivative of
 the family, which suite 3.10 no longer needs.  The final section builds the
 polar rules of the rule self-check node by node and integrates its density
-over them, the reference for the library's node-free radial sums.
+over them (integrate, the weighted sum of a density over a rule's nodes,
+with its shape and finiteness checks), the reference for the library's
+node-free radial sums.
 """
 
 import numpy as np
@@ -44,6 +46,7 @@ from ymeps.functionals import (
 )
 from ymeps.forms import (
     N_COMP,
+    NumericalError,
     QuadratureRule,
     _radial_pieces,
     bracket_wedge_coeffs,
@@ -53,7 +56,6 @@ from ymeps.forms import (
     cov_grad_coeffs,
     curvature_coeffs,
     d_coeffs,
-    integrate,
     s3_nodes,
     weighted_sum,
 )
@@ -628,7 +630,7 @@ def long_double_l37_differences(q, pi2, basis, ctx, probes,
     nodes = ctx.rule.nodes
     out = {}
     for tag, i in (("i1", 0), ("i5", 4)):
-        val, jac = (x.astype(dtype) for x in _combine(basis.coeff[i, :5], raw))
+        val, jac = (x.astype(dtype) for x in combine(basis.coeff[i, :5], raw))
         diffs = []
         for s, center, scale, coeff in probes:
             phi = _bump_channels(nodes[s], center, scale).astype(dtype)
@@ -653,6 +655,13 @@ def long_double_l37_differences(q, pi2, basis, ctx, probes,
 # basis combinations formed node by node
 
 
+def combine(coeffs, samples) -> tuple:
+    """The library's node-by-node combination (_combine) of samples
+    (val, jac), into fresh arrays."""
+    val, jac = samples[0]
+    return _combine(coeffs, samples, (np.empty(val.shape), np.empty(jac.shape)))
+
+
 def lincomb(coeffs, nodefields) -> NodeField:
     """sum_k c_k v_k of node fields on one rule, summed node by node in
     order."""
@@ -674,7 +683,7 @@ def perp_nodefields(vs, basis, raw) -> list:
     G = _raw_gram(basis.ctx, list(vs) + raw)
     M = project_perp(G, len(vs), basis)
     samples = [(nf.val, nf.jac) for nf in list(vs) + raw]
-    return [NodeField(basis.ctx.rule, *_combine(row, samples)) for row in M]
+    return [NodeField(basis.ctx.rule, *combine(row, samples)) for row in M]
 
 
 def combined_fields(coeff, nodefields) -> list:
@@ -746,3 +755,25 @@ def materialised_peaked_integral(p, lam: float, region: str, R, n_ang: int,
     rule = materialised_rule(p, lam, region, R, n_ang, n_rad)
     return integrate(rule, lambda X: 48 * lam ** 4
                      / (lam ** 2 + np.sum((X - p) ** 2, axis=1)) ** 4)
+
+
+# ---------------------------------------------------------------------------
+# densities integrated over a rule's nodes
+
+
+def integrate(rule: QuadratureRule, density) -> float:
+    """Deterministic weighted sum of a scalar density over the rule's nodes.
+
+    density: callable on the (N,4) batch of nodes returning (N,) values; a
+    result of another shape raises ValueError.  Non-finite values raise
+    NumericalError naming the offending node.
+    """
+    vals = np.asarray(density(rule.nodes), dtype=float)
+    if vals.shape != (len(rule),):
+        raise ValueError(f"density returned shape {vals.shape}, "
+                         f"expected ({len(rule)},)")
+    if not np.all(np.isfinite(vals)):
+        i = int(np.argmin(np.isfinite(vals)))
+        raise NumericalError(
+            f"non-finite density value at node {i}: x={rule.nodes[i]!r}")
+    return weighted_sum(rule.weights, vals)

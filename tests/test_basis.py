@@ -12,6 +12,8 @@ import pytest
 from ymeps.forms import (
     NumericalError,
     ball_rule,
+    cov_grad_coeffs,
+    cov_grad_scaled,
     domain_ball_rule,
     tail_report,
     weighted_r4_rule,
@@ -26,9 +28,9 @@ from ymeps.instanton import (
 )
 from ymeps.liealg import AlgElement, GroupElement, exp_map
 from ymeps.basis import (
+    InnerContext,
     NodeField,
     _basis_field_at,
-    _combine,
     _raw_gram,
     ball_context,
     basis_directional_derivative,
@@ -40,11 +42,15 @@ from ymeps.basis import (
 )
 from oracle import (
     bump_one_form,
+    combine,
     combined_fields,
     constant_form,
+    covariant_grad_eps,
     flat_context,
     lincomb,
     long_double_gram,
+    node_first,
+    node_last,
     perp_nodefields,
     raw_samples,
     sample_form,
@@ -218,7 +224,7 @@ def test_mgs_large_norm_spread():
 
 
 # ---------------------------------------------------------------------------
-# the raw Gram, streamed over node chunks
+# the raw Gram, streamed over node blocks
 
 
 def _gram_cases(sampled=True):
@@ -244,39 +250,39 @@ def _gram_cases(sampled=True):
     yield "weighted", ctx, ctx.arrays(fields) if sampled else fields
 
 
-# a chunk size that leaves a partial last chunk on every rule of the tests
-_PARTIAL_CHUNK = 1000
+# a block size that leaves a partial last block on every rule of the tests
+_PARTIAL_BLOCK = 1000
 
 
 def test_streamed_gram_matches_long_double_sum(monkeypatch):
     u = np.finfo(float).eps / 2
     for case, ctx, fields in _gram_cases():
         N = len(ctx.rule)
-        assert N % _PARTIAL_CHUNK != 0
+        assert N % _PARTIAL_BLOCK != 0
         ref = long_double_gram(ctx, fields)
         d = np.diag(ref).astype(float)
         scale = np.sqrt(np.outer(d, d))
         # blocks of ~1,000 nodes keep every float64 partial sum short; one
         # block of the whole rule sums 60N products per entry in one GEMM,
         # held to the sqrt(60N)*u estimate of that sum's round-off
-        for chunk, tol in ((_PARTIAL_CHUNK, 1e-14), (N, np.sqrt(60 * N) * u)):
-            monkeypatch.setattr("ymeps.basis._GRAM_CHUNK", chunk)
+        for block, tol in ((_PARTIAL_BLOCK, 1e-14), (N, np.sqrt(60 * N) * u)):
+            monkeypatch.setattr("ymeps.basis._GRAM_BLOCK", block)
             G = _raw_gram(ctx, fields)
             assert np.array_equal(G, G.T)
             err = np.abs(G - ref).astype(float)
-            assert np.all(err <= tol * scale), (case, chunk)
+            assert np.all(err <= tol * scale), (case, block)
 
 
 def test_streamed_gram_raises_on_nan_in_the_last_partial_chunk(monkeypatch):
     ctx = _flat_ball(0.1)
     N = len(ctx.rule)
-    chunk = _PARTIAL_CHUNK
-    assert N % chunk != 0
-    monkeypatch.setattr("ymeps.basis._GRAM_CHUNK", chunk)
+    block = _PARTIAL_BLOCK
+    assert N % block != 0
+    monkeypatch.setattr("ymeps.basis._GRAM_BLOCK", block)
     fields = [sample_form(constant_form(1, np.eye(3, 4) * (k + 1)), ctx.rule)
               for k in range(8)]
     assert np.all(np.isfinite(_raw_gram(ctx, fields)))
-    fields[5].jac[2, 1, 3, N - 1 - (N % chunk) // 2] = np.nan
+    fields[5].jac[2, 1, 3, N - 1 - (N % block) // 2] = np.nan
     with pytest.raises(NumericalError, match="non-finite Gram"):
         _raw_gram(ctx, fields)
 
@@ -286,9 +292,9 @@ def test_charted_gram_equals_the_sampled_fields_gram(monkeypatch):
     # bit: with a block edge inside the inner chart and a block straddling
     # its end, with the inner chart as the first block (on the inner-chart
     # context, whose rule is that chart, two thirds of it), and at the
-    # default sizes; the last block is partial in each.  So do the Grams of
-    # coefficient rows: a unit row passing its field through, a row with a
-    # zero and a row of every field, each combined node by node
+    # default size; the last block is partial in each.  So do the Grams of
+    # coefficient rows: a unit row copying its field, a row with a zero and
+    # a row of every field, each combined node by node
     import ymeps.basis as basis_mod
 
     rng = np.random.default_rng(RNG_SEED + 6)
@@ -301,16 +307,72 @@ def test_charted_gram_equals_the_sampled_fields_gram(monkeypatch):
         assert (n_inner == N) == (case == "inner-chart")
         first = n_inner if n_inner < N else 2 * n_inner // 3
         nfs = ctx.arrays(fields)
-        for chunk, block in ((1000, 3000), (n_inner // 3, first),
-                             (basis_mod._GRAM_CHUNK, basis_mod._SAMPLE_BLOCK)):
-            assert block % chunk == 0 and N % block != 0
-            monkeypatch.setattr(basis_mod, "_GRAM_CHUNK", chunk)
-            monkeypatch.setattr(basis_mod, "_SAMPLE_BLOCK", block)
+        for block in (3000, first, basis_mod._GRAM_BLOCK):
+            assert N % block != 0
+            monkeypatch.setattr(basis_mod, "_GRAM_BLOCK", block)
             want = _raw_gram(ctx, nfs)
             assert np.array_equal(_raw_gram(ctx, fields), want), (case, block)
             want = _raw_gram(ctx, nfs, rows)
             assert np.array_equal(_raw_gram(ctx, fields, rows), want), (
                 case, block)
+
+
+def test_in_place_gradient_is_the_fresh_kernels_and_the_oracles():
+    # grad_of writing into the field's jacobian gives the out-of-place
+    # kernel's entries bit for bit: on the whole rule, and on a block of
+    # nodes with that block's eps A formed once, as the Gram calls it; both
+    # are the oracle's node-first covariant gradient and the bracket
+    # written as a cross product, d_nu a_mu + eps A_nu x a_mu
+    rng = np.random.default_rng(RNG_SEED + 9)
+    eps = 0.37
+    rule = ball_rule(np.zeros(4), 0.25, R=1.0)
+    A = bump_one_form(np.array([0.1, 0.0, -0.2, 0.05]), 0.9,
+                      rng.standard_normal((3, 4)))
+    alpha = bump_one_form(np.array([-0.1, 0.2, 0.0, 0.1]), 0.7,
+                          rng.standard_normal((3, 4)))
+    ctx = InnerContext(rule, eps, node_last(A.value(rule.nodes)))
+    nf = sample_form(alpha, rule)
+    want = cov_grad_coeffs(ctx.Aval, nf.val, nf.jac, eps)
+    assert np.array_equal(ctx.grad_of(nf.val, nf.jac), want)
+    jac = nf.jac.copy()
+    assert ctx.grad_of(nf.val, jac, out=jac) is jac
+    assert np.array_equal(jac, want)
+    N = len(rule)
+    for a, b in ((0, 1000), (N - 777, N)):
+        At = eps * ctx.Aval[..., a:b]
+        val, jac = nf.val[..., a:b], nf.jac[..., a:b].copy()
+        assert np.array_equal(cov_grad_scaled(At, val, jac), want[..., a:b])
+        assert ctx.grad_of(val, jac, At, out=jac) is jac
+        assert np.array_equal(jac, want[..., a:b])
+    got = node_first(want)
+    oracle = covariant_grad_eps(A, alpha, eps)(rule.nodes)
+    cross = (node_first(nf.jac) + eps * np.cross(
+        A.value(rule.nodes)[:, :, None, :],
+        node_first(nf.val)[:, :, :, None], axis=1))
+    scale = np.max(np.abs(got))
+    assert scale > 0.0
+    assert np.max(np.abs(got - oracle)) <= 1e-14 * scale
+    assert np.max(np.abs(got - cross)) <= 1e-14 * scale
+
+
+def test_basis_gram_at_2_7_peaks_below_16_mib():
+    # one Gram of the eight basis fields at 2^-7 samples each 2,304-node
+    # block straight into the rows it pairs, 60 entries per node and field
+    # (8.4 MiB), with no second sample or gradient buffer
+    import tracemalloc
+
+    q = ParamQ.default(2.0 ** -7)
+    A = glued_connection(q)
+    ctx = ball_context(A, q.eps)
+    fields = derivative_fields(A)
+    tracemalloc.start()
+    try:
+        G = _raw_gram(ctx, fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.diag(G) > 0.0)
+    assert peak <= 16 * 2 ** 20, peak / 2 ** 20
 
 
 def test_gram_of_rows_is_the_gram_of_the_combined_fields():
@@ -323,7 +385,7 @@ def test_gram_of_rows_is_the_gram_of_the_combined_fields():
     rows[0] = np.eye(8)[2]
     samples = [(nf.val, nf.jac) for nf in nfs]
     G = _raw_gram(ctx, nfs, rows)
-    combined = [nfs[2]] + [NodeField(ctx.rule, *_combine(row, samples))
+    combined = [nfs[2]] + [NodeField(ctx.rule, *combine(row, samples))
                            for row in rows[1:]]
     assert np.array_equal(G, _raw_gram(ctx, combined))
     want = _raw_gram(ctx, combined_fields(rows, nfs))
@@ -541,8 +603,8 @@ def test_fd_rebuild_at_the_base_point_is_the_basis_field():
     for i in (1, 5, 8):
         fields, row = _basis_field_at(q, i, basis.ctx, "model")
         assert np.array_equal(row, basis.coeff[i - 1, :i])
-        got = _combine(row, [(nf.val, nf.jac)
-                             for nf in basis.ctx.arrays(fields)])
-        want = _combine(basis.coeff[i - 1], raw)
+        got = combine(row, [(nf.val, nf.jac)
+                            for nf in basis.ctx.arrays(fields)])
+        want = combine(basis.coeff[i - 1], raw)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])

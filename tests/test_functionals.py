@@ -74,6 +74,7 @@ from oracle import (
     bump_one_form,
     cdot_nf,
     codifferential_eps,
+    combine,
     covariant_d_eps,
     d2A_dp1p1,
     full_rule_probe_draws,
@@ -508,7 +509,7 @@ def test_weighted_and_l36_combine_no_field_and_a_projection_one(monkeypatch):
     fields = [d2A_dp1p1(q, "model")] + derivative_fields(glued_connection(q))
     M = project_perp(_raw_gram(ctx, fields), 1, basis)
     assert calls == []
-    blocks = -(-len(ctx.rule) // basis_mod._SAMPLE_BLOCK)
+    blocks = -(-len(ctx.rule) // basis_mod._GRAM_BLOCK)
     assert blocks > 1
     for k in (1, 2):
         _raw_gram(ctx, fields, M)
@@ -960,7 +961,7 @@ def test_l37_folded_tag_fields_equal_the_combined_raw_samples(pi2):
         err, top, n_blocks = np.zeros(2), np.zeros(2), 0
         for _, (got, *samples) in basis_mod._sample_blocks(ctx,
                                                            [folded] + raw):
-            want = basis_mod._combine(coeffs, samples)
+            want = combine(coeffs, samples)
             for k in range(2):
                 err[k] = max(err[k], np.max(np.abs(got[k] - want[k])))
                 top[k] = max(top[k], np.max(np.abs(want[k])))

@@ -15,14 +15,13 @@ from ymeps.forms import (
     _polar_rule,
     ball_rule,
     domain_ball_rule,
-    integrate,
     s3_nodes,
     sq_norms,
     tail_report,
     weight_fn,
     weighted_r4_rule,
 )
-from oracle import materialised_peaked_integral, materialised_rule
+from oracle import integrate, materialised_peaked_integral, materialised_rule
 
 
 def sphere_monomial_oracle(a, b, c, d):
@@ -257,6 +256,30 @@ SELF_CHECK_CASES = {
     "r4": (OFF_CENTRE_P, "r4", math.inf),
     "weighted-r4": (OFF_CENTRE_P, "weighted-r4", None),
 }
+
+
+@pytest.mark.parametrize("lam", [0.25, 2.0 ** -4.5])
+@pytest.mark.parametrize("case", SELF_CHECK_CASES)
+def test_rule_radii_are_the_node_distances(case, lam):
+    # a polar rule keeps its radial pieces' radii instead of recomputing
+    # |node - center|: the two agree to the round-off of forming p + r u
+    # and subtracting p again, and put every node on the same side of lam/4
+    # and of the tail shells' edges 2, 4 and 8, so n_inner and
+    # tail_report's shell masks and values are unchanged
+    p, region, R = SELF_CHECK_CASES[case]
+    rule = _polar_rule(p, lam, region, R)
+    again = QuadratureRule(rule.nodes, rule.weights, rule.center, rule.lam,
+                           rule.region)
+    u = np.finfo(float).eps
+    assert np.all(np.abs(rule.r - again.r)
+                  <= 2 * u * (again.r + np.linalg.norm(p)))
+    assert rule.n_inner == again.n_inner
+    for edge in (lam / 4.0, 2.0, 4.0, 8.0):
+        assert np.array_equal(rule.r < edge, again.r < edge), edge
+    if region == "weighted-r4":
+        s = 1 + np.sum(rule.nodes ** 2, axis=1)
+        for vals in (weight_fn(rule.nodes), s ** -3.0):
+            assert tail_report(rule, vals) == tail_report(again, vals)
 
 
 @pytest.mark.parametrize("lam", [0.25, 2.0 ** -4.5])
