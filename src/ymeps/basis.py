@@ -20,12 +20,12 @@ nodes at a time straight into the rows it pairs, finishes each row's
 covariant gradient and weights in place and drops the block once paired,
 so no full-rule sample of a field is ever held; suite 3.7 reads its basis
 fields off the same block sampler.  A basis is the coefficient matrix C
-over its raw fields' Gram.  Every pairing with the combinations a_i = sum_j c_ij f_j is
-read through C off the raw fields' Gram, so no list of combined fields is
-built.  Where a pairing needs a combination formed node by node (the FD
-differences of suite 3.10, whose cancellation a Gram quadratic form would
-square), the Gram takes it as a coefficient row over its fields and
-combines each sampled block (_combine).
+over its raw fields' Gram.  Every pairing with the combinations
+a_i = sum_j c_ij f_j is read through C off the raw fields' Gram, so no list
+of combined fields is built.  Where a pairing needs a combination formed
+node by node (the FD differences of suite 3.10, whose cancellation a Gram
+quadratic form would square), the combination is folded into one term list
+(instanton.linear_combination), whose sampling forms it on each node.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .instanton import (
     derivative_fields,
     extended_connection,
     glued_connection,
+    linear_combination,
     sample_charted,
 )
 from .liealg import AlgElement, exp_map
@@ -202,30 +203,6 @@ class GramBasis:
         return float(np.max(np.abs(got - np.eye(len(self.coeff)))))
 
 
-def _combine(coeffs, samples, out) -> tuple:
-    """sum_j c_j f_j over samples (val, jac) of fields on one set of nodes,
-    written into out, a (val, jac) pair of their shapes, and returned;
-    zero coefficients are skipped, so a unit row copies its field.
-
-    The sum runs in place, one coefficient at a time and in order, each term
-    formed in one scratch.
-    """
-    tmp = np.empty(out[1].size)
-    first = True
-    for cj, (v, j) in zip(coeffs, samples):
-        if cj == 0.0:
-            continue
-        for src, dst in zip((v, j), out):
-            if first:
-                np.multiply(src, cj, out=dst)
-            else:
-                term = tmp[:dst.size].reshape(dst.shape)
-                np.multiply(src, cj, out=term)
-                dst += term
-        first = False
-    return out
-
-
 # nodes per block of the streamed Gram, whose rows M take 60 entries a node
 # and field, 8.4 MiB for the eight basis fields.  The four basis builds of
 # verify-scaling (2^-4..2^-7, in process, one BLAS thread, 2-core x86_64,
@@ -285,41 +262,34 @@ def _sample_blocks(ctx: InnerContext, fields, block=None, buf=None):
         yield a, out
 
 
-def _raw_gram(ctx: InnerContext, fields, rows=None) -> np.ndarray:
+def _raw_gram(ctx: InnerContext, fields) -> np.ndarray:
     """All pairwise inner products, accumulated over blocks of nodes.
 
     The one H^1 pairing: every inner product of the library is an entry of
     such a Gram.  fields are node fields sampled on ctx's rule or charted
-    fields; with rows, an (r, n) array of coefficients over the n fields,
-    the Gram is that of the r combinations sum_j rows_kj f_j.  Both kinds
-    of input take one path over blocks of _GRAM_BLOCK nodes, whose samples
-    go straight into one buffer M (_sample_blocks): row k holds field k's
-    jacobian entries (48, m), then its value entries (12, m).  With rows,
-    the fields are sampled into a second buffer and each combination is
-    formed node by node into its row of M (_combine).  Each row is then
-    finished in place: grad_of adds eps [A_nu, a_mu] onto the jacobian part,
-    eps A being formed once per block, the gradient entries are weighted by
-    sqrt(w) and the value entries by sqrt(w) (sqrt(w w_R4) in the weighted
-    product), and G gains M @ M.T.  So no full-rule sample, gradient or
-    weighted matrix is held, and a charted field's Gram is its node field's
-    bit for bit.  M has at least two rows, a zero one below a single row:
-    the BLAS product of one row with itself sums in an order that depends
-    on the thread count, that of two rows does not.
+    fields.  Both kinds take one path over blocks of _GRAM_BLOCK nodes,
+    whose samples go straight into one buffer M (_sample_blocks): row k
+    holds field k's jacobian entries (48, m), then its value entries
+    (12, m).  Each row is then finished in place: grad_of adds
+    eps [A_nu, a_mu] onto the jacobian part, eps A being formed once per
+    block, the gradient entries are weighted by sqrt(w) and the value
+    entries by sqrt(w) (sqrt(w w_R4) in the weighted product), and G gains
+    M @ M.T.  So no full-rule sample, gradient or weighted matrix is held,
+    and a charted field's Gram is its node field's bit for bit.  M has at
+    least two rows, a zero one below a single row: the BLAS product of one
+    row with itself sums in an order that depends on the thread count, that
+    of two rows does not.
     """
     N = len(ctx.rule)
     sw = np.sqrt(ctx.rule.weights)
     sl = sw * np.sqrt(ctx.wvals) if ctx.weighted else sw
-    n = len(fields) if rows is None else len(rows)
+    n = len(fields)
     G = np.zeros((n, n))
     blk = min(_GRAM_BLOCK, N)
     buf = np.zeros((max(n, 2), 60 * blk))
-    src = buf if rows is None else np.empty((len(fields), 60 * blk))
-    for a, samples in _sample_blocks(ctx, fields, blk, src):
+    for a, samples in _sample_blocks(ctx, fields, blk, buf):
         m = samples[0][0].shape[-1]
         cols = slice(a, a + m)
-        if rows is not None:
-            samples = [_combine(row, samples, out) for row, out
-                       in zip(rows, _row_samples(buf, m))]
         At = ctx.eps * ctx.Aval[..., cols]
         for val, jac in samples:
             ctx.grad_of(val, jac, At, out=jac)
@@ -393,47 +363,47 @@ def _shift_along(q: ParamQ, vec: np.ndarray, t: float) -> ParamQ:
     return replace(q, p=q.p + dp, g=g, lam=q.lam + t * vec[7])
 
 
-def _basis_field_at(q: ParamQ, i: int, ctx: InnerContext,
-                    pi2: str) -> tuple[list, np.ndarray]:
-    """a_i at a (possibly shifted) q on the base rule and its charts, as the
-    raw fields f_1..f_i there and row i of their C.
+def _basis_field_at(q: ParamQ, i: int, row: np.ndarray,
+                    pi2: str) -> ChartedField:
+    """a_i = sum_{j<=i} c_ij f_j at a (possibly shifted) q, with row the
+    base point's row i of C, folded into one term list.
 
-    C is lower triangular, so a_i = sum_{j<=i} c_ij f_j: only f_1..f_i are
-    paired and orthonormalized, in q's own product.
+    C is lower triangular, so only f_1..f_i are derived; no context, Gram
+    or MGS is built at q.
     """
-    A = glued_connection(q, pi2=pi2)
-    sub = ball_context(A, q.eps, rule=ctx.rule)
-    fields = derivative_fields(A, DIRECTIONS[:i])
-    return fields, _basis_from_fields(sub, _raw_gram(sub, fields)).coeff[i - 1]
+    fields = derivative_fields(glued_connection(q, pi2=pi2), DIRECTIONS[:i])
+    return linear_combination(fields, row[:i])
 
 
 _H_REL = 1e-3   # first FD step, relative to lam along a unit-length q_j
 
 
 def basis_directional_derivative(q: ParamQ, i: int, j: int, basis: GramBasis,
-                                 pi2: str = "model") -> tuple[list, np.ndarray]:
-    """Central-difference derivative of a_i along the vector field q_j.
+                                 pi2: str = "model") -> tuple:
+    """Central-difference derivative of a_i along the vector field q_j, on
+    the base point's coefficients.
 
-    a_i is rebuilt from the leading i raw fields at q +/- h and q +/- h/2,
-    all sampled on the base rule with its inner chart, so differences are
-    taken in a fixed chart and gauge.  Returns those 4i fields and their
-    coefficient rows (2, 4i) of rich - d(h/2) and of the Richardson value
-    rich = (4 d(h/2) - d(h)) / 3, which a Gram of rows combines node by
-    node; the ratio of the two norms is the step-halving relative change.
+    C is lower triangular, so every derivative of C lies in span{a_i}:
+    perp(d_{q_j} a_i) = sum_{k,l} c_jk c_il perp(d_k d_l A), and keeping
+    C fixed changes no perpendicular part.  a_i is folded at q +/- h and
+    q +/- h/2 (_basis_field_at) from the same row of C, and those four term
+    lists are folded again into the two returned fields rich - d(h/2) and
+    the Richardson value rich = (4 d(h/2) - d(h)) / 3.  Their sampling forms
+    each difference node by node, in a fixed chart and gauge, so no
+    cancellation is left to a Gram quadratic form; the ratio of the two
+    norms is the step-halving relative change.
     """
-    ctx = basis.ctx
     vec = basis.coeff[j - 1]
     vnorm = float(np.linalg.norm(vec))
     if vnorm == 0.0:
         raise NumericalError("q_j vector vanishes; no flow direction")
     t = _H_REL * q.lam / vnorm
-    fields, coeffs = [], []
-    for s in (t, -t, t / 2.0, -t / 2.0):
-        raw, c = _basis_field_at(_shift_along(q, vec, s), i, ctx, pi2)
-        fields += raw
-        coeffs.append(c / (2.0 * s))
-    d = np.zeros((2, 4 * i))    # rows d(h), d(h/2)
-    d[0, :2 * i] = np.concatenate(coeffs[:2])
-    d[1, 2 * i:] = np.concatenate(coeffs[2:])
+    steps = (t, -t, t / 2.0, -t / 2.0)
+    shifted = [_basis_field_at(_shift_along(q, vec, s), i,
+                               basis.coeff[i - 1], pi2) for s in steps]
+    d = np.zeros((2, 4))    # rows d(h), d(h/2) over the four shifts
+    d[0, :2] = [1.0 / (2.0 * s) for s in steps[:2]]
+    d[1, 2:] = [1.0 / (2.0 * s) for s in steps[2:]]
     rich = d[1] * (4.0 / 3.0) - d[0] * (1.0 / 3.0)
-    return fields, np.stack((rich - d[1], rich))
+    return (linear_combination(shifted, rich - d[1]),
+            linear_combination(shifted, rich))

@@ -38,7 +38,6 @@ __all__ = [
     "cov_d_coeffs",
     "codiff_coeffs",
     "curvature_coeffs",
-    "cov_grad_coeffs",
     "cov_grad_scaled",
     "sq_norms",
     "ball_rule",
@@ -246,12 +245,6 @@ def codiff_signs(degree: int) -> np.ndarray:
     """The derivative part of delta on k-forms as signs S (C_{k-1}, 4, C_k):
     (delta w)_J = sum S[J,nu,src] d_nu w_src + bracket terms."""
     return _sign_array(CODIFF_TABLE[degree], N_COMP[degree])
-
-
-def cov_grad_coeffs(Aval, val, jac, eps: float) -> np.ndarray:
-    """grad_A^eps a of a 1-form: out[a,mu,nu,n] = d_nu a_mu + eps [A_nu, a_mu],
-    (3,4,4,N) (cov_grad_scaled with At = eps * Aval)."""
-    return cov_grad_scaled(eps * Aval, val, jac)
 
 
 def cov_grad_scaled(At, val, jac, out=None) -> np.ndarray:

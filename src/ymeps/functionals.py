@@ -568,26 +568,29 @@ def _hessian_difference_metrics(q, pi2, basis, ctx, seed, n_test):
 
 def _perp_derivative_metrics(q, pi2, basis, ctx):
     """The FD and analytic derivatives of a_1 along q_1, projected off
-    span{a_i}, read off one streamed Gram H of the rows [rich - d2, rich,
-    d2A, f_1..f_8] (d2A and the f_j from one A, sharing its atoms): with M
-    the projection rows, the norms are read from M H M^T, the FD one's
-    pairings with the a_i from C (M H), and its inner-chart norm from its
-    row's Gram on the inner chart's nodes alone."""
+    span{a_i}, read off one streamed Gram H of the fields [rich - d2, rich,
+    d2A, f_1..f_8] (the FD fields folded on the base C, d2A and the f_j
+    from one A, sharing its atoms): with M the projection rows, the norms
+    are read from M H M^T and the FD one's pairings with the a_i from
+    C (M H).  Its inner-chart norm is the one-field Gram, on the inner
+    chart's nodes alone, of its projection folded into one term list.
+
+    With C fixed, perp(d_{q_1} a_1) = a11^2 perp(d2A) exactly, so the
+    "analytic" norm is the exact perpendicular derivative and the FD checks
+    the differences of the raw fields against the second-derivative term
+    lists."""
     out = {}
     a11 = float(basis.coeff[0, 0])
-    fd_fields, fd_rows = basis_directional_derivative(q, 1, 1, basis, pi2=pi2)
+    fd = basis_directional_derivative(q, 1, 1, basis, pi2=pi2)
     raw = derivative_fields(glued_connection(q, pi2=pi2))
-    fields = fd_fields + derivative_fields(raw[0], ("p1",)) + raw
-    rows = np.zeros((11, len(fields)))
-    rows[:2, :len(fd_fields)] = fd_rows
-    rows[2:, len(fd_fields):] = np.eye(9)
-    H = _raw_gram(ctx, fields, rows)
+    fields = [*fd, *derivative_fields(raw[0], ("p1",)), *raw]
+    H = _raw_gram(ctx, fields)
     M = project_perp(H[1:, 1:], 2, basis)
     MH = M @ H[1:, 1:]
     P = MH @ M.T
     total = max(P[0, 0], 0.0)
-    inner2 = _raw_gram(inner_chart_context(ctx), fields,
-                       M[:1] @ rows[1:])[0, 0]
+    inner2 = _raw_gram(inner_chart_context(ctx),
+                       [linear_combination(fields[1:], M[0])])[0, 0]
     out["l310_fd_norm"] = float(np.sqrt(total))
     out["l310_an_norm"] = a11 ** 2 * float(np.sqrt(max(P[1, 1], 0.0)))
     out["l310_inner_norm"] = float(np.sqrt(max(inner2, 0.0)))

@@ -18,7 +18,12 @@ their direct differences in long double.  The last section pairs basis
 combinations the explicit way, combining the eight fields node by node
 before any pairing, against the library's reading of those pairings through
 the coefficient matrix; it holds the node-field arithmetic (lincomb) and the
-whole-rule samples of a basis' raw fields, which the library never forms.
+whole-rule samples of a basis' raw fields, which the library never forms,
+and combine, the node-wise reference for term lists folded by
+instanton.linear_combination.  The next section takes suite 3.10's FD with
+C rebuilt at every shifted point, the reference for the library's FD on
+the base point's C: a context, Gram and MGS per shifted point (rebuilt_fd)
+and coefficient rows combined node by node on each block (rows_gram).
 The term-list helpers include d2A_dp1p1, the exact second p1-derivative of
 the family, which suite 3.10 no longer needs.  The final section builds the
 polar rules of the rule self-check node by node and integrates its density
@@ -30,10 +35,13 @@ node-free radial sums.
 import numpy as np
 
 from ymeps.basis import (
+    _H_REL,
     InnerContext,
     NodeField,
-    _combine,
     _raw_gram,
+    _sample_blocks,
+    _shift_along,
+    ball_context,
     mgs_coefficients,
     project_perp,
     weighted_context,
@@ -53,7 +61,7 @@ from ymeps.forms import (
     cdot,
     codiff_coeffs,
     cov_d_coeffs,
-    cov_grad_coeffs,
+    cov_grad_scaled,
     curvature_coeffs,
     d_coeffs,
     s3_nodes,
@@ -125,6 +133,12 @@ def codiff_nf(k, Aval, val, jac, eps):
     """codiff_coeffs on node-first arrays."""
     return node_first(codiff_coeffs(k, node_last(Aval), node_last(val),
                                     node_last(jac), eps))
+
+
+def cov_grad_coeffs(Aval, val, jac, eps: float) -> np.ndarray:
+    """grad_A^eps a of a 1-form: out[a,mu,nu,n] = d_nu a_mu + eps [A_nu, a_mu],
+    (3,4,4,N) (cov_grad_scaled with At = eps * Aval)."""
+    return cov_grad_scaled(eps * Aval, val, jac)
 
 
 def cov_grad_nf(Aval, val, jac, eps):
@@ -656,10 +670,27 @@ def long_double_l37_differences(q, pi2, basis, ctx, probes,
 
 
 def combine(coeffs, samples) -> tuple:
-    """The library's node-by-node combination (_combine) of samples
-    (val, jac), into fresh arrays."""
+    """sum_j c_j f_j over samples (val, jac) of fields on one set of nodes,
+    into fresh arrays; zero coefficients are skipped, so a unit row copies
+    its field.  The node-wise reference for folded term lists: the sum runs
+    in place, one coefficient at a time and in order, each term formed in
+    one scratch."""
     val, jac = samples[0]
-    return _combine(coeffs, samples, (np.empty(val.shape), np.empty(jac.shape)))
+    out = (np.empty(val.shape), np.empty(jac.shape))
+    tmp = np.empty(jac.size)
+    first = True
+    for cj, (v, j) in zip(coeffs, samples):
+        if cj == 0.0:
+            continue
+        for src, dst in zip((v, j), out):
+            if first:
+                np.multiply(src, cj, out=dst)
+            else:
+                term = tmp[:dst.size].reshape(dst.shape)
+                np.multiply(src, cj, out=term)
+                dst += term
+        first = False
+    return out
 
 
 def lincomb(coeffs, nodefields) -> NodeField:
@@ -726,6 +757,55 @@ def project_perp_by_combination(v: NodeField, basis, raw) -> NodeField:
     fields = combined_fields(basis.coeff, raw)
     row = _raw_gram(basis.ctx, [v] + fields)[0, 1:]
     return lincomb(np.concatenate(([1.0], -row)), [v] + fields)
+
+
+# ---------------------------------------------------------------------------
+# the suite-3.10 FD with C rebuilt at every shifted point
+
+
+def rows_gram(ctx, fields, rows) -> np.ndarray:
+    """The Gram in ctx of the combinations sum_j rows_kj f_j of charted
+    fields, each formed node by node (combine) from the fields' samples on
+    one block of nodes at a time and paired on that block."""
+    r, G = ctx.rule, 0.0
+    for a, samples in _sample_blocks(ctx, fields):
+        b = a + samples[0][0].shape[-1]
+        rule = QuadratureRule(r.nodes[a:b], r.weights[a:b], r.center, r.lam,
+                              r.region, r.r[a:b])
+        sub = InnerContext(rule, ctx.eps, ctx.Aval[..., a:b])
+        G = G + _raw_gram(sub, [NodeField(rule, *combine(row, samples))
+                                for row in rows])
+    return G
+
+
+def rebuilt_basis_field(q, i, rule, pi2):
+    """a_i at q with its own C: the raw fields f_1..f_i there and row i of
+    the C that MGS gives on their Gram, in q's own product on rule."""
+    A = glued_connection(q, pi2=pi2)
+    fields = derivative_fields(A, DIRECTIONS[:i])
+    ctx = ball_context(A, q.eps, rule=rule)
+    return fields, mgs_coefficients(_raw_gram(ctx, fields))[i - 1]
+
+
+def rebuilt_fd(q, i, j, basis, pi2="model"):
+    """The central-difference derivative of a_i along q_j with a_i rebuilt,
+    C included, at q +/- h and q +/- h/2 on the basis' rule: the 4i
+    shifted raw fields and the rows (2, 4i) of rich - d(h/2) and
+    rich = (4 d(h/2) - d(h)) / 3 over them, for rows_gram.  The steps are
+    the library's (basis_directional_derivative)."""
+    vec = basis.coeff[j - 1]
+    t = _H_REL * q.lam / float(np.linalg.norm(vec))
+    fields, coeffs = [], []
+    for s in (t, -t, t / 2.0, -t / 2.0):
+        raw, c = rebuilt_basis_field(_shift_along(q, vec, s), i,
+                                     basis.ctx.rule, pi2)
+        fields += raw
+        coeffs.append(c / (2.0 * s))
+    d = np.zeros((2, 4 * i))    # rows d(h), d(h/2)
+    d[0, :2 * i] = np.concatenate(coeffs[:2])
+    d[1, 2 * i:] = np.concatenate(coeffs[2:])
+    rich = d[1] * (4.0 / 3.0) - d[0] * (1.0 / 3.0)
+    return fields, np.stack((rich - d[1], rich))
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,49 @@ def test_bounded_rows_reject_only_shifts_beyond_their_spread(sweep):
     assert failing == ["pair_p1_xi1"]
 
 
+# ---------------------------------------------------------------------------
+# the sweep off the default point: p != 0, g != 1
+
+
+GENERIC_P = (0.1, -0.08, 0.05, 0.12)
+GENERIC_XI = (0.3, -0.4, 0.2)
+REPORTS = (lemma57_report, lemma58_report, lemma59_report, lemma36_report,
+           lemma37_report, lemma310_report)
+
+
+@pytest.fixture(scope="session")
+def generic_rows():
+    """Every report's rows, keyed (lemma, quantity), on the default eps
+    sweep at a generic centre and gauge, with 8 test fields."""
+    g = exp_map(AlgElement(*GENERIC_XI))
+    points = [compute_point_metrics(ParamQ.default(e, p=GENERIC_P, g=g),
+                                    blocks=ALL_BLOCKS, seed=SEED, n_test=8)
+              for e in ACC_EPS]
+    return {(rep.lemma, r.quantity): r for report in REPORTS
+            for rep in [report(points)] for r in rep.rows}
+
+
+def test_generic_point_passes_every_other_verdict(generic_rows):
+    # every verdict of the six suites holds off the default point, suite
+    # 3.10's FD on the base coefficients included; 5.7 pair_p1_p2 is the
+    # expected failure below
+    assert len(generic_rows) == 46
+    failed = {key: (r.note, r.values) for key, r in generic_rows.items()
+              if r.verdict not in ("pass", "exact")
+              and key != ("5.7", "pair_p1_p2")}
+    assert failed == {}
+    assert max(generic_rows["3.10", "path_agreement"].values) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a resolved pairing that changes sign near 2^-7: its ratios to "
+    "eps^-1.5 spread 408-fold though none exceeds the first, and the "
+    "bounded rule tests the spread (see CHANGES.md)"))
+def test_generic_point_pair_p1_p2_is_bounded(generic_rows):
+    row = generic_rows["5.7", "pair_p1_p2"]
+    assert row.verdict == "pass", (row.note, row.values)
+
+
 def test_criterion_10_structural_suite(tmp_path):
     q = ParamQ.default(2.0 ** -5, p=[0.1, -0.08, 0.05, 0.12],
                        g=exp_map(AlgElement(0.3, -0.4, 0.2)))

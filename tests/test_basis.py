@@ -12,7 +12,6 @@ import pytest
 from ymeps.forms import (
     NumericalError,
     ball_rule,
-    cov_grad_coeffs,
     cov_grad_scaled,
     domain_ball_rule,
     tail_report,
@@ -25,6 +24,7 @@ from ymeps.instanton import (
     derivative_fields,
     extended_connection,
     glued_connection,
+    linear_combination,
 )
 from ymeps.liealg import AlgElement, GroupElement, exp_map
 from ymeps.basis import (
@@ -45,6 +45,7 @@ from oracle import (
     combine,
     combined_fields,
     constant_form,
+    cov_grad_coeffs,
     covariant_grad_eps,
     flat_context,
     lincomb,
@@ -293,8 +294,8 @@ def test_charted_gram_equals_the_sampled_fields_gram(monkeypatch):
     # its end, with the inner chart as the first block (on the inner-chart
     # context, whose rule is that chart, two thirds of it), and at the
     # default size; the last block is partial in each.  So do the Grams of
-    # coefficient rows: a unit row copying its field, a row with a zero and
-    # a row of every field, each combined node by node
+    # fields folded into term lists: a unit row copying its field, a row
+    # with a zero and a row of every field
     import ymeps.basis as basis_mod
 
     rng = np.random.default_rng(RNG_SEED + 6)
@@ -307,13 +308,15 @@ def test_charted_gram_equals_the_sampled_fields_gram(monkeypatch):
         assert (n_inner == N) == (case == "inner-chart")
         first = n_inner if n_inner < N else 2 * n_inner // 3
         nfs = ctx.arrays(fields)
+        folded = [linear_combination(fields, row) for row in rows]
+        folded_nfs = ctx.arrays(folded)
         for block in (3000, first, basis_mod._GRAM_BLOCK):
             assert N % block != 0
             monkeypatch.setattr(basis_mod, "_GRAM_BLOCK", block)
             want = _raw_gram(ctx, nfs)
             assert np.array_equal(_raw_gram(ctx, fields), want), (case, block)
-            want = _raw_gram(ctx, nfs, rows)
-            assert np.array_equal(_raw_gram(ctx, fields, rows), want), (
+            want = _raw_gram(ctx, folded_nfs)
+            assert np.array_equal(_raw_gram(ctx, folded), want), (
                 case, block)
 
 
@@ -376,21 +379,26 @@ def test_basis_gram_at_2_7_peaks_below_16_mib():
 
 
 def test_gram_of_rows_is_the_gram_of_the_combined_fields():
-    # each row is one combination, formed node by node before pairing: the
-    # Gram of the node fields _combine forms, bit for bit, and that of the
-    # node-wise sums in another order up to round-off
-    _, ctx, nfs = next(_gram_cases())
+    # each folded field is one combination, formed node by node in its
+    # sampling: a unit row samples to its field bit for bit, and every
+    # Gram entry is that of the node fields combine forms, and of the
+    # node-wise sums in another order, up to round-off
+    _, ctx, fields = next(_gram_cases(sampled=False))
+    nfs = ctx.arrays(fields)
     rng = np.random.default_rng(RNG_SEED + 7)
     rows = rng.standard_normal((4, 8))
     rows[0] = np.eye(8)[2]
     samples = [(nf.val, nf.jac) for nf in nfs]
-    G = _raw_gram(ctx, nfs, rows)
-    combined = [nfs[2]] + [NodeField(ctx.rule, *combine(row, samples))
-                           for row in rows[1:]]
-    assert np.array_equal(G, _raw_gram(ctx, combined))
-    want = _raw_gram(ctx, combined_fields(rows, nfs))
-    d = np.sqrt(np.diag(want))
-    assert np.all(np.abs(G - want) <= 1e-13 * np.outer(d, d))
+    folded = [linear_combination(fields, row) for row in rows]
+    unit = ctx.arrays(folded[:1])[0]
+    assert (np.array_equal(unit.val, nfs[2].val)
+            and np.array_equal(unit.jac, nfs[2].jac))
+    G = _raw_gram(ctx, folded)
+    for want in (_raw_gram(ctx, [NodeField(ctx.rule, *combine(row, samples))
+                                 for row in rows]),
+                 _raw_gram(ctx, combined_fields(rows, nfs))):
+        d = np.sqrt(np.diag(want))
+        assert np.all(np.abs(G - want) <= 1e-13 * np.outer(d, d))
 
 
 def test_inner_chart_context_is_the_rules_inner_prefix():
@@ -529,53 +537,66 @@ def test_project_perp_fixed_point_for_orthogonal_input():
 
 
 def test_basis_directional_derivative_step_halving():
-    # the rows are rich - d(h/2) and rich over the 4 shifted fields
+    # the two fields rich - d(h/2) and rich, each folded from the 4 shifted
+    # a_1, hold four times a_1's terms
     q = ParamQ.default(2.0 ** -5)
     basis = gram_schmidt_ball(q)
-    fields, rows = basis_directional_derivative(q, 1, 1, basis)
-    assert len(fields) == 4 and rows.shape == (2, 4)
-    G = _raw_gram(basis.ctx, fields, rows)
+    fields = basis_directional_derivative(q, 1, 1, basis)
+    a_1 = _basis_field_at(q, 1, basis.coeff[0], "model")
+    assert len(fields) == 2
+    for f in fields:
+        for chart in ("inner_terms", "outer_terms"):
+            assert len(getattr(f, chart)) == 4 * len(getattr(a_1, chart))
+    G = _raw_gram(basis.ctx, fields)
     halving = np.sqrt(max(G[0, 0], 0.0) / G[1, 1])
     assert halving < 0.01
     assert np.isfinite(G[1, 1])
 
 
 def test_fd_rebuild_samples_only_the_leading_fields(monkeypatch):
-    # C is lower triangular, so a_i is rebuilt from f_1..f_i alone
+    # C is lower triangular, so a_i is folded from f_1..f_i alone, on the
+    # base point's row of C: no context, Gram or MGS is built for it
     import ymeps.basis as basis_mod
 
     q = ParamQ.default(2.0 ** -4)
-    ctx = gram_schmidt_ball(q).ctx
+    coeff = gram_schmidt_ball(q).coeff
     seen = []
 
     def recorded(A, directions):
         seen.append(tuple(directions))
         return derivative_fields(A, directions)
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a context, Gram or MGS at a shifted point")
+
     monkeypatch.setattr(basis_mod, "derivative_fields", recorded)
+    for name in ("ball_context", "_raw_gram", "mgs_coefficients"):
+        monkeypatch.setattr(basis_mod, name, forbidden)
     for i in (1, 5):
-        _basis_field_at(q, i, ctx, "model")
+        _basis_field_at(q, i, coeff[i - 1], "model")
     assert seen == [DIRECTIONS[:1], DIRECTIONS[:5]]
 
 
 _GRAM_BITS = """
 import numpy as np
 from ymeps.basis import _raw_gram, ball_context
-from ymeps.instanton import ParamQ, derivative_fields, glued_connection
+from ymeps.instanton import (ParamQ, derivative_fields, glued_connection,
+                             linear_combination)
 q = ParamQ.default(2.0 ** -4)
 A = glued_connection(q)
 ctx = ball_context(A, q.eps)
 fields = derivative_fields(A)
 for n in (1, 8):
     print(_raw_gram(ctx, fields[:n]).tobytes().hex())
-rows = np.linspace(-1.0, 1.0, 24).reshape(3, 8)
+folded = [linear_combination(fields, row)
+          for row in np.linspace(-1.0, 1.0, 24).reshape(3, 8)]
 for r in (1, 3):
-    print(_raw_gram(ctx, fields, rows[:r]).tobytes().hex())
+    print(_raw_gram(ctx, folded[:r]).tobytes().hex())
 """
 
 
 def test_raw_gram_bits_do_not_depend_on_the_blas_thread_count():
-    # one- and eight-field Grams and one- and three-row Grams of
+    # one- and eight-field Grams and Grams of one and of three folded
     # combinations, each computed at 1 and at 2 BLAS threads in its own
     # process: a one-row product with itself would sum in an order that
     # depends on the thread count
@@ -593,18 +614,17 @@ def test_raw_gram_bits_do_not_depend_on_the_blas_thread_count():
 
 
 def test_fd_rebuild_at_the_base_point_is_the_basis_field():
-    # the FD rebuild is the ordinary build on the base rule, so at the
-    # unshifted q it reproduces the basis' own coefficient row, and the
-    # field that row combines from its fields, bit for bit
+    # at the unshifted q the folded a_i samples to the basis field, the
+    # node-wise combination of the raw fields with the basis' own row, up
+    # to round-off of the field's largest entry
     q = ParamQ.default(2.0 ** -4, p=[0.05, -0.03, 0.02, 0.01],
                        g=exp_map(AlgElement(0.3, -0.2, 0.5)))
     basis = gram_schmidt_ball(q, "model")
     raw = [(nf.val, nf.jac) for nf in raw_samples(q, "model", basis.ctx)]
     for i in (1, 5, 8):
-        fields, row = _basis_field_at(q, i, basis.ctx, "model")
-        assert np.array_equal(row, basis.coeff[i - 1, :i])
-        got = combine(row, [(nf.val, nf.jac)
-                            for nf in basis.ctx.arrays(fields)])
+        (got,) = basis.ctx.arrays(
+            [_basis_field_at(q, i, basis.coeff[i - 1], "model")])
         want = combine(basis.coeff[i - 1], raw)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        for g, w in zip((got.val, got.jac), want):
+            top = np.max(np.abs(w))
+            assert top > 0.0 and np.max(np.abs(g - w)) <= 1e-13 * top, i

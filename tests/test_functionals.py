@@ -13,6 +13,7 @@ from ymeps.basis import (
     NodeField,
     _raw_gram,
     ball_context,
+    basis_directional_derivative,
     gram_schmidt_ball,
     gram_schmidt_weighted,
     project_perp,
@@ -27,7 +28,6 @@ from ymeps.forms import (
     cdot,
     codiff_coeffs,
     cov_d_coeffs,
-    cov_grad_coeffs,
     curvature_coeffs,
     d_coeffs,
     domain_ball_rule,
@@ -75,6 +75,7 @@ from oracle import (
     cdot_nf,
     codifferential_eps,
     combine,
+    cov_grad_coeffs,
     covariant_d_eps,
     d2A_dp1p1,
     full_rule_probe_draws,
@@ -91,6 +92,8 @@ from oracle import (
     probe_pairings,
     project_perp_by_combination,
     raw_samples,
+    rebuilt_fd,
+    rows_gram,
     sample_form,
     weighted_coeff_by_combination,
     whole_rule_representers,
@@ -449,10 +452,11 @@ def test_project_perp_matches_the_eight_field_projection(generic_basis):
 
 def test_l310_point_pairs_the_raw_fields_in_two_grams(monkeypatch):
     # the FD and the analytic derivative are projected from one Gram of
-    # combinations over the shifted fields, d2A and the eight raw fields,
-    # and the inner-chart norm is a one-row Gram on the inner chart; no
-    # other Gram of the block holds the raw fields (the FD rebuilds pair
-    # fields sampled at shifted q) and none pairs node fields
+    # the two folded FD fields, d2A and the eight raw fields, and the
+    # inner-chart norm is a one-field Gram on the inner chart of the FD
+    # field's projection, folded over the same fields; the block takes no
+    # other Gram (the FD builds no basis at shifted q) and pairs no node
+    # field
     import ymeps.basis as basis_mod
     import ymeps.functionals as functionals_mod
 
@@ -461,9 +465,9 @@ def test_l310_point_pairs_the_raw_fields_in_two_grams(monkeypatch):
     grams, gram = [], basis_mod._raw_gram
     derived, derive = [], functionals_mod.derivative_fields
 
-    def recorded(ctx, fields, rows=None):
-        grams.append((ctx, list(fields), rows))
-        return gram(ctx, fields, rows)
+    def recorded(ctx, fields):
+        grams.append((ctx, list(fields)))
+        return gram(ctx, fields)
 
     def recorded_fields(*args):
         derived.append(derive(*args))
@@ -474,46 +478,56 @@ def test_l310_point_pairs_the_raw_fields_in_two_grams(monkeypatch):
     monkeypatch.setattr(functionals_mod, "derivative_fields", recorded_fields)
     _perp_derivative_metrics(q, "model", basis, basis.ctx)
     (raw,) = [fields for fields in derived if len(fields) == 8]
-    holding = [(ctx, rows) for ctx, fields, rows in grams
-               if all(any(f is r for f in fields) for r in raw)]
-    assert len(holding) == 2 and len(grams) > 2
-    (base, H_rows), (inner, perp_row) = holding
-    assert base is basis.ctx and H_rows.shape == (11, 13)
+    assert len(grams) == 2
+    (base, fields), (inner, (perp,)) = grams
+    assert base is basis.ctx and len(fields) == 11
+    assert all(f is r for f, r in zip(fields[3:], raw))
     assert len(inner.rule) == basis.ctx.rule.n_inner
-    assert perp_row.shape == (1, 13)
+    # rich's terms, then those of the f_j with a nonzero projection
+    # coefficient
+    for chart in ("inner_terms", "outer_terms"):
+        assert len(getattr(perp, chart)) == sum(
+            len(getattr(f, chart)) for f in [fields[1], *raw])
     assert not any(isinstance(f, NodeField)
-                   for _, fields, _ in grams for f in fields)
+                   for _, fields in grams for f in fields)
 
 
 def test_weighted_and_l36_combine_no_field_and_a_projection_one(monkeypatch):
     # pairings with basis combinations are read through the coefficients:
-    # the weighted and l36 blocks combine no field, a projection forms only
-    # coefficient rows, and a Gram of one such row over charted fields
-    # makes one combination per sampled block
+    # the weighted and l36 blocks fold no field, a projection forms only
+    # coefficient rows, and the Gram of one such row folded over charted
+    # fields samples that one field per block
     import ymeps.basis as basis_mod
+    import ymeps.functionals as functionals_mod
 
-    calls = []
-    combine = basis_mod._combine
+    calls, sample_blocks = [], basis_mod._sample_blocks
 
-    def counted_combine(*args, **kwargs):
-        calls.append("_combine")
-        return combine(*args, **kwargs)
+    def counted_fold(*args, **kwargs):
+        calls.append("linear_combination")
+        return linear_combination(*args, **kwargs)
 
-    monkeypatch.setattr(basis_mod, "_combine", counted_combine)
+    def counted_blocks(ctx, fields, *args):
+        for a, samples in sample_blocks(ctx, fields, *args):
+            calls.append(len(samples))
+            yield a, samples
+
+    for module in (basis_mod, functionals_mod):
+        monkeypatch.setattr(module, "linear_combination", counted_fold)
     q = ParamQ.default(2.0 ** -4)
     m = compute_point_metrics(q, blocks=frozenset({"weighted", "l36"}))
     assert "w_coeff" in m and "basis_diff_8" in m
-    assert calls == []
+    assert "linear_combination" not in calls
     basis = gram_schmidt_ball(q)
     ctx = basis.ctx
     fields = [d2A_dp1p1(q, "model")] + derivative_fields(glued_connection(q))
     M = project_perp(_raw_gram(ctx, fields), 1, basis)
-    assert calls == []
+    assert "linear_combination" not in calls
     blocks = -(-len(ctx.rule) // basis_mod._GRAM_BLOCK)
     assert blocks > 1
-    for k in (1, 2):
-        _raw_gram(ctx, fields, M)
-        assert calls == ["_combine"] * (k * blocks)
+    calls.clear()
+    monkeypatch.setattr(basis_mod, "_sample_blocks", counted_blocks)
+    _raw_gram(ctx, [functionals_mod.linear_combination(fields, M[0])])
+    assert calls == ["linear_combination"] + [1] * blocks
 
 
 def test_basis_only_point_holds_no_samples(monkeypatch):
@@ -884,8 +898,9 @@ def test_l37_makes_no_layout_copy_and_no_node_field_arithmetic(monkeypatch):
     # block five fields are sampled, A, Atilde, b and the folded tag fields
     # a_1 and a_5, and they and their jacobians enter the kernels
     # themselves.  No transpose or contiguous copy runs, no NodeField sum or
-    # product is formed and no sample is combined (_combine).  Each
-    # representer is handed out before the next tag or block, in one buffer
+    # product is formed and no sample is combined node by node (the library
+    # has no such combination).  Each representer is handed out before the
+    # next tag or block, in one buffer
     import ymeps.basis as basis_mod
     import ymeps.functionals as functionals_mod
 
@@ -896,8 +911,8 @@ def test_l37_makes_no_layout_copy_and_no_node_field_arithmetic(monkeypatch):
         monkeypatch.setattr(NodeField, op, forbidden, raising=False)
     q = ParamQ.default(2.0 ** -4)
     basis = gram_schmidt_ball(q)
-    assert not hasattr(functionals_mod, "_combine")
-    monkeypatch.setattr(basis_mod, "_combine", forbidden)
+    assert not any(hasattr(module, "_combine")
+                   for module in (basis_mod, functionals_mod))
     blocks = _record_l37_blocks(monkeypatch)
     calls = {"curvature_coeffs": [], "cov_d_coeffs": [], "codiff_coeffs": []}
     for name, log in calls.items():
@@ -1213,6 +1228,42 @@ def test_perp_derivative_paths_single_point():
     assert rel < 0.05, (m["l310_fd_norm"], m["l310_an_norm"])
     total = np.hypot(m["l310_inner_norm"], m["l310_outer_norm"])
     assert total == pytest.approx(m["l310_fd_norm"], rel=1e-10)
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_fd_on_fixed_coefficients_keeps_the_rebuilt_fds_perpendicular_part(i):
+    # C is lower triangular, so every derivative of C lies in span{a_i} and
+    # perp(d_{q_i} a_i) = sum_{k,l} c_ik c_il perp(d_k d_l A), a_11^2
+    # perp(d2A) at i = 1.  Three values of that norm at the generic point:
+    # the FD with a_i rebuilt, C included, at every shifted point
+    # (oracle.rebuilt_fd), the FD on the base C, and the exact one from
+    # the second-derivative term lists.  The Richardson FD at h = 1e-3 lam
+    # changes by about 1e-5 of itself when h halves (l310_halving), so its
+    # error is about (1e-5)^2 = 1e-10 of the norm: the rebuilt FD is held
+    # to 1e-9.  Keeping C fixed leaves only round-off, held to 1e-12.
+    q = _generic_q(2.0 ** -4)
+    basis = gram_schmidt_ball(q)
+    ctx, c = basis.ctx, basis.coeff[i - 1]
+    raw = derivative_fields(glued_connection(q))
+    p = [f"p{k}" for k in range(1, i + 1)]
+
+    def perp_norm(G):
+        M = project_perp(G, 1, basis)
+        return float(np.sqrt((M @ G @ M.T)[0, 0]))
+
+    fields, rows = rebuilt_fd(q, i, i, basis)
+    R = np.zeros((9, len(fields) + 8))
+    R[0, :len(fields)] = rows[1]
+    R[1:, len(fields):] = np.eye(8)
+    rebuilt = perp_norm(rows_gram(ctx, fields + raw, R))
+    rich = basis_directional_derivative(q, i, i, basis)[1]
+    fixed = perp_norm(_raw_gram(ctx, [rich, *raw]))
+    d2 = linear_combination(
+        [g for f in raw[:i] for g in derivative_fields(f, p)],
+        [c[k] * c[l] for k in range(i) for l in range(i)])
+    exact = perp_norm(_raw_gram(ctx, [d2, *raw]))
+    assert abs(fixed - exact) <= 1e-12 * exact, (fixed, exact)
+    assert abs(rebuilt - exact) <= 1e-9 * exact, (rebuilt, exact)
 
 
 def test_l310_point_looks_up_fd_rebuild_and_projection_by_module(monkeypatch):

@@ -239,3 +239,67 @@ def test_library_parameters_are_all_set():
     sources = [path.read_text(encoding="utf-8") for folder in CALLERS
                for path in sorted(folder.glob("*.py"))]
     assert unset_parameters(library, sources) == []
+
+
+# every function, class and method of the library is reached from the
+# library itself: one that only tests or tools call is API nothing ships
+UNREACHED_KEPT = {
+    ("basis", "InnerContext.arrays"): "wrapped by perfbench/tracer.py",
+    ("basis", "InnerContext.inner_nf"): "wrapped by perfbench/tracer.py",
+    ("forms", "tail_report"): "ROADMAP item 6",
+}
+
+
+def unreferenced_defs(library: dict) -> list:
+    """(module, name) for each top-level function or class and each method
+    of a top-level class in library ({module: source}) whose name no code
+    of the library references outside its own def: as a name or an
+    attribute, not as a string (an __all__ entry reaches nothing).  Dunder
+    methods, which Python calls itself, are not counted."""
+    trees = {module: ast.parse(source) for module, source in library.items()}
+    defs = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((module, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(module, f"{node.name}.{f.name}", f)
+                         for f in node.body
+                         if isinstance(f, ast.FunctionDef)
+                         and not (f.name.startswith("__")
+                                  and f.name.endswith("__"))]
+
+    def refs(tree, skip):
+        """Names and attributes in tree, outside the node skip."""
+        if tree is skip:
+            return
+        if isinstance(tree, ast.Name):
+            yield tree.id
+        elif isinstance(tree, ast.Attribute):
+            yield tree.attr
+        for child in ast.iter_child_nodes(tree):
+            yield from refs(child, skip)
+
+    return sorted((module, name) for module, name, node in defs
+                  if not any(node.name in refs(tree, node)
+                             for tree in trees.values()))
+
+
+def test_unreferenced_defs_are_found():
+    lib = {"a": ("__all__ = ['only_exported']\n"
+                 "def only_exported():\n    pass\n"
+                 "def recursive(n):\n    return recursive(n - 1)\n"
+                 "def used():\n    pass\n"
+                 "class K:\n"
+                 "    def __len__(self):\n        return 0\n"
+                 "    def called(self):\n        return used()\n"
+                 "    def never(self):\n        pass\n"),
+           "b": "from .a import K\nK().called()\n"}
+    assert unreferenced_defs(lib) == [("a", "K.never"), ("a", "only_exported"),
+                                      ("a", "recursive")]
+
+
+def test_library_defs_are_all_referenced():
+    library = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_defs(library) == sorted(UNREACHED_KEPT)
