@@ -155,27 +155,46 @@ def _bump_channels(X, center, scale):
     return out
 
 
-def test_field_family(q: ParamQ, ctx: InnerContext, n: int, seed: int):
-    """n seeded bump probes at scales {lam/4, lam, 1}, unit norm in ctx.
+def _shape_gram(ctx: InnerContext, center, scale):
+    """The rows of ctx.rule inside the bump's ball (center, scale), and the
+    12 x 12 covariant H^1 Gram N (ctx unweighted) of the probes C phi of
+    that shape: |C phi|^2 = c^T N c with c = C.ravel().
 
-    Each probe C * phi is returned as a spec (rows, center, scale, coeff):
-    rows are the nodes of ctx.rule inside the bump's ball (one array per
-    ball, which probes of one center and scale share), and _bump_channels
-    on them gives phi and its gradient; both are 0 on every other node.  The
-    covariant H^1 norm (ctx unweighted) is summed over those rows only, in
-    closed form: with grad_A beta = C (x) grad phi + eps phi [A, C] and
-    <C_mu, [A_nu, C_mu]> = 0, its density is
-    |C|^2 (|grad phi|^2 + phi^2) + eps^2 phi^2 (|A|^2 |C|^2 - tr(C^T A A^T C)).
+    phi and its gradient are 0 on every other node, so N is summed over the
+    rows only, in closed form: with grad_A beta = C (x) grad phi +
+    eps phi [A, C] and <C_mu, [A_nu, C_mu]> = 0, the density of |beta|^2 is
+    |C|^2 (|grad phi|^2 + phi^2) + eps^2 phi^2 (|A|^2 |C|^2 - tr(C^T A A^T C)),
+    so N = (m + eps^2 tr B) I_12 - eps^2 B (x) I_4 with m = sum w |(phi,
+    grad phi)|^2 and B = sum w phi^2 A A^T (3 x 3), both summed without
+    BLAS, so that their bits do not depend on the thread count.
+    """
+    X, w = ctx.rule.nodes, ctx.rule.weights
+    Y = np.subtract(X.T, center[:, None], order="C")
+    rows = np.flatnonzero(1.0 - sq_norms(Y) / scale ** 2 > 0)
+    phi, wr, Ar = (_bump_channels(X[rows], center, scale), w[rows],
+                   ctx.Aval[..., rows])
+    m = weighted_sum(wr, np.einsum("cn,cn->n", phi, phi, optimize=False))
+    B = np.einsum("amn,bmn,n->ab", Ar, Ar, wr * phi[0] ** 2, optimize=False)
+    eps2 = ctx.eps ** 2
+    return rows, ((m + eps2 * np.trace(B)) * np.eye(12)
+                  - eps2 * np.kron(B, np.eye(4)))
+
+
+def test_field_family(q: ParamQ, ctx: InnerContext, n: int, seed: int):
+    """n seeded bump probes C phi at scales {lam/4, lam, 1}, unit norm in ctx,
+    grouped by shape (center, scale).
+
+    Each shape is returned as (rows, center, scale, coeffs), in the order of
+    its first accepted probe: rows and its Gram N come from _shape_gram, and
+    coeffs (k, 3, 4) holds the shape's accepted C in draw order, each scaled
+    to c^T N c = 1.  A draw with c^T N c <= 1e-20 (a bump covering no node)
+    is rejected and the next one drawn.
     """
     rng = np.random.default_rng(seed)
-    X, w = ctx.rule.nodes, ctx.rule.weights
-    AAt = np.einsum("amn,bmn->abn", ctx.Aval, ctx.Aval,
-                    optimize=False).reshape(9, -1)
-    A2 = AAt[0] + AAt[4] + AAt[8]
     scales = [q.lam / 4.0, q.lam, 1.0]
-    out, supports = [], {}
-    k = 0
-    while len(out) < n:
+    grams, shapes = {}, {}
+    k = accepted = 0
+    while accepted < n:
         sc = scales[k % 3]
         k += 1
         if sc >= 1.0:
@@ -187,20 +206,17 @@ def test_field_family(q: ParamQ, ctx: InnerContext, n: int, seed: int):
             center = q.p + rng.uniform(0.0, 2.0 * q.lam) * d
         C = rng.standard_normal((3, 4))
         key = (center.tobytes(), sc)
-        if key not in supports:     # the full-ball probes share one
-            Y = np.subtract(X.T, center[:, None], order="C")
-            supports[key] = np.flatnonzero(1.0 - sq_norms(Y) / sc ** 2 > 0)
-        rows = supports[key]
-        phi = _bump_channels(X[rows], center, sc)
-        C2 = float(np.sum(C * C))
-        bracket2 = A2[rows] * C2 - (C @ C.T).reshape(9) @ AAt[:, rows]
-        dens = (C2 * np.einsum("cn,cn->n", phi, phi, optimize=False)
-                + ctx.eps ** 2 * phi[0] ** 2 * bracket2)
-        nrm2 = weighted_sum(w[rows], dens)
+        if key not in grams:        # the full-ball probes share one
+            grams[key] = _shape_gram(ctx, center, sc)
+        rows, N = grams[key]
+        nrm2 = C.reshape(12) @ N @ C.reshape(12)
         if nrm2 <= 1e-20:
             continue
-        out.append((rows, center, sc, C / np.sqrt(nrm2)))
-    return out
+        shapes.setdefault(key, (rows, center, sc, []))[3].append(
+            C / np.sqrt(nrm2))
+        accepted += 1
+    return [(rows, center, sc, np.array(coeffs))
+            for rows, center, sc, coeffs in shapes.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +437,6 @@ def _dphi_map() -> np.ndarray:
 _DPHI_MAP = _dphi_map()
 
 
-def _probe_shapes(probes):
-    """The probes grouped by shape (center, scale), in order of first use, as
-    (rows, center, scale, indices of the probes of that shape)."""
-    shapes = {}
-    for k, (rows, center, scale, _) in enumerate(probes):
-        shapes.setdefault((center.tobytes(), scale),
-                          (rows, center, scale, []))[3].append(k)
-    return list(shapes.values())
-
-
 def _shape_functionals(G) -> np.ndarray:
     """The (S, 4, 12) pairings of S shapes' unit coefficients with a
     representer, from the product G (5S, rows) of their stacked weighted
@@ -442,9 +448,10 @@ def _shape_functionals(G) -> np.ndarray:
     return L.reshape(len(G), -1, 12)
 
 
-def _representers(q, pi2, basis, ctx):
-    """(a, tag, Rt (rows, m)) per node block a, ..., a + m - 1 of ctx's rule
-    and per basis field a_1 (tag i1) and a_5 (i5), in that order.
+def _representer(eps, A_, At_, b_, FA, FAt, Fb, val, jac, Rt):
+    """Write into Rt (rows, m) the representer of the basis field a with
+    samples (val, jac) on m nodes, given A, Atilde, b and the curvatures
+    F_A, F_At and Fb = d_A b + (eps/2) [b ^ b] there.
 
     Rt holds, per node (its last axis), the probe-independent coefficients
     of four functionals of a probe beta: HA, HAt, the five-term expansion
@@ -458,16 +465,49 @@ def _representers(q, pi2, basis, ctx):
     delta only through that bracket, bilinearly, and At - A = b, so
     delta_At a - delta_A a = y_2 = eps adjoint(b, a) node by node and
     cAt - cA = <y_2, delta_At beta> + <delta_A a, eps adjoint(b, beta)>:
-    neither expansion is a difference of nearly equal pairings.
-
-    a_1 and a_5 are folded into term lists (linear_combination), and each
-    block samples A, Atilde, b, a_1 and a_5 fresh (_sample_blocks), so the
-    basis needs no samples and no full-rule sample is held.  Every Rt is
-    one buffer, overwritten by the next tag and block, so a caller pairs
-    each Rt before asking for the next.  Every entry is computed node by
-    node, so none depends on the block size.
+    neither expansion is a difference of nearly equal pairings.  Every
+    entry is computed node by node, so none depends on how the nodes are
+    blocked.
     """
-    eps = q.eps
+    n_phi, m = _DPHI_MAP.shape[1], Rt.shape[1]
+    V = Rt[:n_phi].reshape(-1, 3, 4, m)
+    X = Rt[n_phi:-3].reshape(3, 3, 6, m)
+    y2 = Rt[-3:].reshape(3, 1, m)
+    # HA: <d_A a, eps [A ^ beta]> + eps <F_A, [a ^ beta]>, HAt alike
+    for k, Ct, F in ((0, A_, FA), (1, At_, FAt)):
+        X[k] = cov_d_coeffs(1, Ct, val, jac, eps)
+        V[k] = eps * (bracket_wedge_adjoint(1, Ct, X[k])
+                      + bracket_wedge_adjoint(1, val, F))
+    X[2] = eps * bracket_wedge_coeffs(1, b_, val)
+    y2[...] = eps * bracket_wedge_adjoint(0, b_, val)
+    # t1 + t3 = eps <d_A a + eps [b ^ a], [b ^ beta]>, t2's bracket
+    # eps <eps [b ^ a], [A ^ beta]>, then t4 + t5 = eps <Fb, [a ^ beta]>
+    V[2] = eps * (bracket_wedge_adjoint(1, b_, X[0] + X[2])
+                  + bracket_wedge_adjoint(1, A_, X[2])
+                  + bracket_wedge_adjoint(1, val, Fb))
+    # the brackets of <y_2, delta_At beta> and <y_0, eps adj(b, beta)>
+    y0 = codiff_coeffs(1, A_, val, jac, eps)        # delta_A a
+    V[3] = eps * (bracket_wedge_coeffs(0, At_, y2)
+                  + bracket_wedge_coeffs(0, b_, y0))
+
+
+def _hessian_difference_metrics(q, pi2, basis, ctx, seed, n_test):
+    """Sampled dual norms of H_A - H_Atilde and delta_A - delta_Atilde.
+
+    A probe beta = C phi enters every pairing only through its bump's five
+    channels (phi, grad phi), which vanish outside its ball, so each tag's
+    representer (_representer) pairs with every probe linearly in C.  One
+    loop over node blocks samples A, Atilde, b and the tag fields a_1 (i1)
+    and a_5 (i5), folded into term lists, puts every shape's weighted
+    channels into five rows of one W, and adds W @ Rt.T to each tag's
+    (5S, rows) sum, every representer Rt written into one buffer and checked
+    on every node.  Each shape's pairings L (4, 12) with the unit
+    coefficients are read off the sums, and its probes' as coeffs @ L.T.
+    hess_dual and codiff_dual are read from the five- and two-term
+    expansions; the direct difference HAt - HA gives five_term_residual.
+    """
+    eps, nodes, weights = q.eps, ctx.rule.nodes, ctx.rule.weights
+    shapes = test_field_family(q, ctx, n_test, seed)
     # A = Atilde - b holds Atilde's and b's atom objects, and so do the f_j
     # derived from A and their combinations, so one pass per block samples
     # all five fields with each atom channel evaluated once; C is lower
@@ -478,84 +518,38 @@ def _representers(q, pi2, basis, ctx):
     tags = {tag: linear_combination(raw, basis.coeff[i, :5])
             for tag, i in (("i1", 0), ("i5", 4))}
     n_dphi, n_phi = _DPHI_MAP.shape
-    buf = None
+    W = R = None
+    G = dict.fromkeys(tags, 0.0)
     for a, ((A_, jA), (At_, jAt), (b_, jb), *samples) in _sample_blocks(
             ctx, [A, At, b, *tags.values()]):
         m = A_.shape[-1]
-        FA = curvature_coeffs(A_, jA, eps)
-        FAt = curvature_coeffs(At_, jAt, eps)
-        # t4 + t5 = eps <Fb, [a ^ beta]>, Fb = d_A b + (eps/2) [b ^ b]
-        Fb = (cov_d_coeffs(1, A_, b_, jb, eps)
-              + 0.5 * eps * bracket_wedge_coeffs(1, b_, b_))
-        if buf is None:     # the first block is the largest
-            buf = np.empty((n_phi + n_dphi // 4, m))
-        Rt = buf[:, :m]
-        V = Rt[:n_phi].reshape(-1, 3, 4, m)
-        X = Rt[n_phi:-3].reshape(3, 3, 6, m)
-        y2 = Rt[-3:].reshape(3, 1, m)
-        for tag, (val, jac) in zip(tags, samples):
-            # HA: <d_A a, eps [A ^ beta]> + eps <F_A, [a ^ beta]>, HAt alike
-            for k, Ct, F in ((0, A_, FA), (1, At_, FAt)):
-                X[k] = cov_d_coeffs(1, Ct, val, jac, eps)
-                V[k] = eps * (bracket_wedge_adjoint(1, Ct, X[k])
-                              + bracket_wedge_adjoint(1, val, F))
-            X[2] = eps * bracket_wedge_coeffs(1, b_, val)
-            y2[...] = eps * bracket_wedge_adjoint(0, b_, val)
-            # t1 + t3 = eps <d_A a + eps [b ^ a], [b ^ beta]>, t2's bracket
-            # eps <eps [b ^ a], [A ^ beta]>, then t4 + t5
-            V[2] = eps * (bracket_wedge_adjoint(1, b_, X[0] + X[2])
-                          + bracket_wedge_adjoint(1, A_, X[2])
-                          + bracket_wedge_adjoint(1, val, Fb))
-            # the brackets of <y_2, delta_At beta> and <y_0, eps adj(b, beta)>
-            y0 = codiff_coeffs(1, A_, val, jac, eps)        # delta_A a
-            V[3] = eps * (bracket_wedge_coeffs(0, At_, y2)
-                          + bracket_wedge_coeffs(0, b_, y0))
-            yield a, tag, Rt
-        del FA, FAt, Fb     # not held while the next block is sampled
-
-
-def _hessian_difference_metrics(q, pi2, basis, ctx, seed, n_test):
-    """Sampled dual norms of H_A - H_Atilde and delta_A - delta_Atilde.
-
-    A probe beta = C phi (a bump phi, a constant 3x4 C) enters every pairing
-    only through its five channels (phi, grad phi), which vanish outside its
-    ball.  So each tag's representer (_representers) pairs with every probe
-    linearly in C.  On each node block, every shape's (center, scale)
-    weighted channels take five rows of one W, and each tag's representer,
-    checked for non-finite entries on every node, adds W @ Rt.T to that
-    tag's (5S, rows) sum; after the last block each shape's pairings L
-    (4, 12) with the unit coefficients are read off the sum, and each probe
-    is L @ C.  Both dual norms are read from their expansions: hess_dual
-    from the five-term one, codiff_dual from the two-term one.  The direct
-    difference HAt - HA gives five_term_residual.
-    """
-    nodes, weights = ctx.rule.nodes, ctx.rule.weights
-    probes = test_field_family(q, ctx, n_test, seed)
-    shapes = _probe_shapes(probes)
-    W, G, filled = None, {}, None
-    for a, tag, Rt in _representers(q, pi2, basis, ctx):
-        m = Rt.shape[1]
         if W is None:       # the first block is the largest
             W = np.empty((5 * len(shapes), m))
-        Wb = W[:, :m]
-        if filled != a:     # once per block, for both tags
-            Wb.fill(0.0)
-            for j, (rows, center, scale, _) in enumerate(shapes):
-                s = rows[slice(*np.searchsorted(rows, (a, a + m)))]
-                Wb[5 * j:5 * j + 5, s - a] = (
-                    _bump_channels(nodes[s], center, scale) * weights[s])
-            filled = a
-        # outside a probe's support a non-finite entry would still poison
-        # the full-rule integrals, so every node is checked
-        if not np.all(np.isfinite(Rt)):
-            raise NumericalError(
-                f"non-finite integrand in the l37 pairings ({tag})")
-        G[tag] = G.get(tag, 0.0) + Wb @ Rt.T
+            R = np.empty((n_phi + n_dphi // 4, m))
+        Wb, Rt = W[:, :m], R[:, :m]
+        Wb.fill(0.0)
+        for j, (rows, center, scale, _) in enumerate(shapes):
+            s = rows[slice(*np.searchsorted(rows, (a, a + m)))]
+            Wb[5 * j:5 * j + 5, s - a] = (
+                _bump_channels(nodes[s], center, scale) * weights[s])
+        FA = curvature_coeffs(A_, jA, eps)
+        FAt = curvature_coeffs(At_, jAt, eps)
+        Fb = (cov_d_coeffs(1, A_, b_, jb, eps)
+              + 0.5 * eps * bracket_wedge_coeffs(1, b_, b_))
+        for tag, (val, jac) in zip(tags, samples):
+            _representer(eps, A_, At_, b_, FA, FAt, Fb, val, jac, Rt)
+            # outside a probe's support a non-finite entry would still
+            # poison the full-rule integrals, so every node is checked
+            if not np.all(np.isfinite(Rt)):
+                raise NumericalError(
+                    f"non-finite integrand in the l37 pairings ({tag})")
+            G[tag] += Wb @ Rt.T
+        del FA, FAt, Fb     # not held while the next block is sampled
     out, five_term_resid = {}, 0.0
     for tag, Gt in G.items():
         # the probes in shape order: only maxima over them are reported
-        P = np.array([L @ probes[k][3].reshape(12) for (*_, members), L
-                      in zip(shapes, _shape_functionals(Gt)) for k in members])
+        P = np.concatenate([coeffs.reshape(-1, 12) @ L.T for (*_, coeffs), L
+                            in zip(shapes, _shape_functionals(Gt))])
         HA, HAt, expansion, codiff = P.T
         five_term_resid = max(five_term_resid, np.max(
             np.abs(HAt - HA - expansion)

@@ -150,14 +150,12 @@ def beta_profile(t, order=0):
         d = 420 * u ** 2 - 1680 * u ** 3 + 2100 * u ** 4 - 840 * u ** 5
     elif order == 3:
         d = 840 * u - 5040 * u ** 2 + 8400 * u ** 3 - 4200 * u ** 4
-    elif order == 4:
-        d = 840 - 10080 * u + 25200 * u ** 2 - 16800 * u ** 3
     else:
-        raise ValueError("profile derivatives available to order 4")
+        raise ValueError("profile derivatives available to order 3")
     return np.where(mid, -d, 0.0)
 
 
-# the band value of P^(k), k = 0..4, by the chain rule from the t-derivatives
+# the band value of P^(k), k = 0..3, by the chain rule from the t-derivatives
 # b[0..k] of beta at t = sqrt(w)
 _CHAIN = (
     lambda b, t: b[0],
@@ -165,8 +163,6 @@ _CHAIN = (
     lambda b, t: b[2] / (4 * t ** 2) - b[1] / (4 * t ** 3),
     lambda b, t: (b[3] / (8 * t ** 3) - 3 * b[2] / (8 * t ** 4)
                   + 3 * b[1] / (8 * t ** 5)),
-    lambda b, t: (b[4] / (16 * t ** 4) - 6 * b[3] / (16 * t ** 5)
-                  + 15 * b[2] / (16 * t ** 6) - 15 * b[1] / (16 * t ** 7)),
 )
 
 
@@ -176,7 +172,8 @@ class _ProfileW:
     Off the transition band 1 < w < 4, P is exactly 1 (w <= 1) or 0 and its
     derivatives are 0, so the chain rule runs on the band's entries only.
     The list P = [P, P', ...] grows an order at a time: upto(order) adds the
-    orders it lacks, each with one beta_profile call, and returns P.
+    orders it lacks, each with one beta_profile call, and returns P.  Orders
+    0..3 are available (a channel reads k + dlam <= 3); a higher one raises.
     """
 
     def __init__(self, w):
@@ -187,8 +184,9 @@ class _ProfileW:
         self.P = []
 
     def upto(self, order):
-        if order not in range(5):
-            raise ValueError("order must be 0..4")
+        if order not in range(len(_CHAIN)):
+            raise ValueError(f"profile order {order} is not available "
+                             f"(0..{len(_CHAIN) - 1})")
         for k in range(len(self.P), order + 1):
             self.b.append(beta_profile(self.t, k))
             out = np.zeros(self.w.shape)

@@ -9,12 +9,13 @@ through the node-first adapters below.  The helpers at the end turn
 FormFields into (node-last) NodeFields on a rule, so they can enter the
 library's pairings, give the energy's first and second variations in a
 sampled direction (grad_pairing, hessian_form), and build the suite-3.7
-bump probes on the full rule, as an independent check of the support-only
-specs of functionals.test_field_family.  Last come the whole-rule
+bump probes on the full rule, as an independent check of the probe shapes
+of functionals.test_field_family and their closed-form Grams
+(full_rule_shape_gram).  Last come the whole-rule
 references for routes the library streams: the raw Gram summed in long
 double over the whole rule, chart sampling scattered through boolean masks,
-the suite-3.7 probes paired one at a time with the whole representer, and
-their direct differences in long double.  The last section pairs basis
+the suite-3.7 probes paired one at a time with the representer kernel run
+on the whole rule, and their direct differences in long double.  The last section pairs basis
 combinations the explicit way, combining the eight fields node by node
 before any pairing, against the library's reading of those pairings through
 the coefficient matrix; it holds the node-field arithmetic (lincomb) and the
@@ -49,7 +50,7 @@ from ymeps.basis import (
 from ymeps.functionals import (
     _DPHI_MAP,
     _bump_channels,
-    _representers,
+    _representer,
     test_field_family,
 )
 from ymeps.forms import (
@@ -82,6 +83,7 @@ from ymeps.instanton import (
     extended_connection,
     glue,
     glued_connection,
+    linear_combination,
     rad_i1,
     rad_i2,
     sample_charted,
@@ -272,13 +274,6 @@ def bump_one_form(center, scale, coeff, degree: int = 1,
         return C[None, :, :, None] * (dprof[:, None] * Y)[:, None, None, :]
 
     return FormField(degree, value, jac)
-
-
-def bump_arrays(X, center, scale, coeff):
-    """Node-last value and jacobian of the 1-form bump
-    coeff * (1 - |x-c|^2/s^2)^3 at nodes X (0 outside its ball)."""
-    f = bump_one_form(center, scale, coeff)
-    return node_last(f.value(X)), node_last(f.jac(X))
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +526,15 @@ def full_rule_probes(q, ctx, n: int, seed: int):
             if p is not None]
 
 
+def full_rule_shape_gram(ctx, center, scale) -> np.ndarray:
+    """The raw Gram, over all of ctx.rule, of the 12 bumps E phi of one
+    probe shape, E running over the unit 3x4 coefficients in C.ravel()
+    order."""
+    return _raw_gram(ctx, [sample_form(bump_one_form(center, scale, E),
+                                       ctx.rule)
+                           for E in np.eye(12).reshape(12, 3, 4)])
+
+
 # ---------------------------------------------------------------------------
 # whole-rule routes the library streams
 
@@ -590,13 +594,27 @@ def probe_pairings(R, wphi, coeff) -> np.ndarray:
 
 
 def whole_rule_representers(q, pi2, basis, ctx) -> dict:
-    """{tag: Rt (rows, N)}: the library's representer blocks, copied out of
-    its one buffer as they come, one tag after the other on each node
-    block, and concatenated over the whole rule."""
-    blocks = {}
-    for _, tag, Rt in _representers(q, pi2, basis, ctx):
-        blocks.setdefault(tag, []).append(Rt.copy())
-    return {tag: np.concatenate(b, axis=1) for tag, b in blocks.items()}
+    """{tag: Rt (rows, N)}: the library's representer kernel run once per
+    tag on the five fields A, Atilde, b, a_1 and a_5 (folded as the library
+    folds them) sampled on the whole rule."""
+    eps = q.eps
+    At, b = extended_connection(q), difference_b(q, pi2=pi2)
+    A = glue(At, b)
+    raw = derivative_fields(A, DIRECTIONS[:5])
+    tags = {tag: linear_combination(raw, basis.coeff[i, :5])
+            for tag, i in (("i1", 0), ("i5", 4))}
+    (A_, jA), (At_, jAt), (b_, jb), *samples = [
+        (nf.val, nf.jac) for nf in ctx.arrays([A, At, b, *tags.values()])]
+    FA = curvature_coeffs(A_, jA, eps)
+    FAt = curvature_coeffs(At_, jAt, eps)
+    Fb = (cov_d_coeffs(1, A_, b_, jb, eps)
+          + 0.5 * eps * bracket_wedge_coeffs(1, b_, b_))
+    n_dphi, n_phi = _DPHI_MAP.shape
+    out = {}
+    for tag, (val, jac) in zip(tags, samples):
+        out[tag] = np.empty((n_phi + n_dphi // 4, len(ctx.rule)))
+        _representer(eps, A_, At_, b_, FA, FAt, Fb, val, jac, out[tag])
+    return out
 
 
 def per_probe_l37(q, pi2, basis, ctx, seed: int, n_test: int) -> dict:
@@ -605,29 +623,31 @@ def per_probe_l37(q, pi2, basis, ctx, seed: int, n_test: int) -> dict:
     (one (5, N) @ (N, rows) product per probe and tag).  The dual norms are
     read from the same expansion columns as the library's."""
     nodes, weights = ctx.rule.nodes, ctx.rule.weights
-    probes = test_field_family(q, ctx, n_test, seed)
+    shapes = test_field_family(q, ctx, n_test, seed)
     wphi = np.zeros((5, len(nodes)))
     out, resid = {}, 0.0
     for tag, Rt in whole_rule_representers(q, pi2, basis, ctx).items():
         sup_h = sup_c = 0.0
-        for s, center, scale, coeff in probes:
+        for s, center, scale, coeffs in shapes:
             wphi[:, s] = _bump_channels(nodes[s], center, scale) * weights[s]
-            HA, HAt, expansion, codiff = probe_pairings(Rt.T, wphi, coeff)
+            for coeff in coeffs:
+                HA, HAt, expansion, codiff = probe_pairings(Rt.T, wphi, coeff)
+                sup_h = max(sup_h, abs(expansion))
+                resid = max(resid, abs(HAt - HA - expansion)
+                            / max(abs(HA), abs(HAt), 1.0))
+                sup_c = max(sup_c, abs(codiff))
             wphi[:, s] = 0.0
-            sup_h = max(sup_h, abs(expansion))
-            resid = max(resid, abs(HAt - HA - expansion)
-                        / max(abs(HA), abs(HAt), 1.0))
-            sup_c = max(sup_c, abs(codiff))
         out[f"hess_dual_{tag}"] = sup_h
         out[f"codiff_dual_{tag}"] = sup_c
     out["five_term_residual"] = resid
     return out
 
 
-def long_double_l37_differences(q, pi2, basis, ctx, probes,
+def long_double_l37_differences(q, pi2, basis, ctx, shapes,
                                 dtype=np.longdouble) -> dict:
-    """{tag: (n, 2)} direct differences (HAt - HA, cAt - cA) of every probe,
-    each pairing formed and summed in dtype over its support.
+    """{tag: (n, 2)} direct differences (HAt - HA, cAt - cA) of every probe
+    of the shapes, in shape order, each pairing formed and summed in dtype
+    over its support.
 
     The samples of A, Atilde and a_1, a_5 (combined in float64, as the
     library combines them), the probes' channels and the weights are the
@@ -646,21 +666,23 @@ def long_double_l37_differences(q, pi2, basis, ctx, probes,
     for tag, i in (("i1", 0), ("i5", 4)):
         val, jac = (x.astype(dtype) for x in combine(basis.coeff[i, :5], raw))
         diffs = []
-        for s, center, scale, coeff in probes:
+        for s, center, scale, coeffs in shapes:
             phi = _bump_channels(nodes[s], center, scale).astype(dtype)
-            C = coeff.astype(dtype)
-            bv, bj = C[:, :, None] * phi[0], C[:, :, None, None] * phi[1:]
             a, ja, ws = val[..., s], jac[..., s], w[s]
-            H, c = [], []
-            for Cv, jC in ((Av[..., s], jA[..., s]), (Atv[..., s], jAt[..., s])):
-                F = curvature_coeffs(Cv, jC, eps)
-                H.append(np.sum(ws * (
-                    cdot(cov_d_coeffs(1, Cv, a, ja, eps),
-                         cov_d_coeffs(1, Cv, bv, bj, eps))
-                    + eps * cdot(F, bracket_wedge_coeffs(1, a, bv)))))
-                c.append(np.sum(ws * cdot(codiff_coeffs(1, Cv, a, ja, eps),
-                                          codiff_coeffs(1, Cv, bv, bj, eps))))
-            diffs.append((H[1] - H[0], c[1] - c[0]))
+            for C in coeffs.astype(dtype):
+                bv, bj = C[:, :, None] * phi[0], C[:, :, None, None] * phi[1:]
+                H, c = [], []
+                for Cv, jC in ((Av[..., s], jA[..., s]),
+                               (Atv[..., s], jAt[..., s])):
+                    F = curvature_coeffs(Cv, jC, eps)
+                    H.append(np.sum(ws * (
+                        cdot(cov_d_coeffs(1, Cv, a, ja, eps),
+                             cov_d_coeffs(1, Cv, bv, bj, eps))
+                        + eps * cdot(F, bracket_wedge_coeffs(1, a, bv)))))
+                    c.append(np.sum(ws * cdot(
+                        codiff_coeffs(1, Cv, a, ja, eps),
+                        codiff_coeffs(1, Cv, bv, bj, eps))))
+                diffs.append((H[1] - H[0], c[1] - c[0]))
         out[tag] = np.array(diffs, dtype=dtype)
     return out
 

@@ -41,9 +41,9 @@ from ymeps.functionals import (
     _bump_channels,
     _hessian_difference_metrics,
     _perp_derivative_metrics,
-    _probe_shapes,
     _row_band,
     _shape_functionals,
+    _shape_gram,
     charge,
     compute_point_metrics,
     fit_slope,
@@ -70,16 +70,15 @@ from ymeps.instanton import (
 from ymeps.liealg import AlgElement, exp_map
 from oracle import (
     basis_gaps_by_combination,
-    bump_arrays,
     bump_one_form,
     cdot_nf,
     codifferential_eps,
     combine,
-    cov_grad_coeffs,
     covariant_d_eps,
     d2A_dp1p1,
     full_rule_probe_draws,
     full_rule_probes,
+    full_rule_shape_gram,
     grad_pairing,
     hessian_form,
     lincomb,
@@ -712,26 +711,29 @@ def _assert_l37_close(got, want):
 
 def _count_shape_gemms(monkeypatch) -> tuple:
     """The tags of each node block's representers, in order, keyed by the
-    block's first node, and the number of shapes of each _shape_functionals
+    block's number, and the number of shapes of each _shape_functionals
     call: one per tag, reading the product of all shapes' channels with that
-    tag's representer, summed over the blocks."""
+    tag's representer, summed over the blocks.  A representer's tag is the
+    tag field it is built from: a_1 (i1) or a_5 (i5), the fourth and fifth
+    samples of its block."""
     import ymeps.functionals as functionals_mod
 
-    blocks, calls = {}, []
-    representers, fn = (functionals_mod._representers,
-                        functionals_mod._shape_functionals)
+    sampled, blocks, calls = _record_l37_blocks(monkeypatch), {}, []
+    kernel, fn = (functionals_mod._representer,
+                  functionals_mod._shape_functionals)
 
-    def counted_blocks(*args):
-        for a, tag, Rt in representers(*args):
-            blocks.setdefault(a, []).append(tag)
-            yield a, tag, Rt
+    def counted_kernel(*args):
+        val = args[-3]
+        tag = [s[0] is val for s in sampled[-1][3:]].index(True)
+        blocks.setdefault(len(sampled), []).append(("i1", "i5")[tag])
+        return kernel(*args)
 
     def counted(G):
         assert G.shape[1] == _representer_rows()
         calls.append(len(G) // 5)
         return fn(G)
 
-    monkeypatch.setattr(functionals_mod, "_representers", counted_blocks)
+    monkeypatch.setattr(functionals_mod, "_representer", counted_kernel)
     monkeypatch.setattr(functionals_mod, "_shape_functionals", counted)
     return blocks, calls
 
@@ -742,9 +744,9 @@ def test_l37_shape_groups_match_per_probe_oracle(pi2, monkeypatch):
     # one L; on each node block each tag pairs all its shapes in one product
     q = _generic_q(2.0 ** -4)
     basis = gram_schmidt_ball(q, pi2)
-    shapes = _probe_shapes(probe_family(q, basis.ctx, 8, RNG_SEED))
-    assert any(len(members) > 1 for *_, members in shapes)
-    assert sorted(k for *_, members in shapes for k in members) == list(range(8))
+    shapes = probe_family(q, basis.ctx, 8, RNG_SEED)
+    assert any(len(coeffs) > 1 for *_, coeffs in shapes)
+    assert sum(len(coeffs) for *_, coeffs in shapes) == 8
     blocks, gemms = _count_shape_gemms(monkeypatch)
     got = _hessian_difference_metrics(q, pi2, basis, basis.ctx,
                                       seed=RNG_SEED, n_test=8)
@@ -765,7 +767,7 @@ def test_l37_shape_groups_cross_the_group_boundary(monkeypatch):
                           r.region)
     basis = gram_schmidt_ball(q, "model", rule=rule)
     n, per = 40, 120 // 5
-    shapes = _probe_shapes(probe_family(q, basis.ctx, n, RNG_SEED))
+    shapes = probe_family(q, basis.ctx, n, RNG_SEED)
     assert per < len(shapes) <= 2 * per
     blocks, gemms = _count_shape_gemms(monkeypatch)
     got = _hessian_difference_metrics(q, "model", basis, basis.ctx,
@@ -790,20 +792,20 @@ def test_l37_expansions_are_closer_to_long_double_than_direct_differences():
                           r.region)
     basis = gram_schmidt_ball(q, "full", rule=rule)
     ctx = basis.ctx
-    probes = probe_family(q, ctx, 8, RNG_SEED)
+    shapes = probe_family(q, ctx, 8, RNG_SEED)
     got = _hessian_difference_metrics(q, "full", basis, ctx, seed=RNG_SEED,
                                       n_test=8)
-    exact = long_double_l37_differences(q, "full", basis, ctx, probes)
-    direct = long_double_l37_differences(q, "full", basis, ctx, probes,
+    exact = long_double_l37_differences(q, "full", basis, ctx, shapes)
+    direct = long_double_l37_differences(q, "full", basis, ctx, shapes,
                                          dtype=float)
     Rts = whole_rule_representers(q, "full", basis, ctx)
     nodes, w = rule.nodes, rule.weights
     wphi = np.zeros((5, len(rule)))
     for tag, Rt in Rts.items():
         P = []
-        for s, center, scale, coeff in probes:
+        for s, center, scale, coeffs in shapes:
             wphi[:, s] = _bump_channels(nodes[s], center, scale) * w[s]
-            P.append(probe_pairings(Rt.T, wphi, coeff))
+            P += [probe_pairings(Rt.T, wphi, coeff) for coeff in coeffs]
             wphi[:, s] = 0.0
         P = np.array(P)
         for k, (name, expansion) in enumerate((("hess_dual", P[:, 2]),
@@ -899,8 +901,8 @@ def test_l37_makes_no_layout_copy_and_no_node_field_arithmetic(monkeypatch):
     # a_1 and a_5, and they and their jacobians enter the kernels
     # themselves.  No transpose or contiguous copy runs, no NodeField sum or
     # product is formed and no sample is combined node by node (the library
-    # has no such combination).  Each representer is handed out before the
-    # next tag or block, in one buffer
+    # has no such combination).  The kernel writes each tag's representer
+    # into one buffer, a_1's then a_5's on each block
     import ymeps.basis as basis_mod
     import ymeps.functionals as functionals_mod
 
@@ -920,29 +922,31 @@ def test_l37_makes_no_layout_copy_and_no_node_field_arithmetic(monkeypatch):
             _log.append(args)
             return _fn(*args)
         monkeypatch.setattr(functionals_mod, name, spy)
-    yielded, representers = [], functionals_mod._representers
+    built, kernel = [], functionals_mod._representer
 
     def recorded(*args):
-        for a, tag, Rt in representers(*args):
-            yielded.append((a, len(blocks), tag, Rt.shape,
-                            Rt.__array_interface__["data"][0]))
-            yield a, tag, Rt
+        Rt = args[-1]
+        built.append((len(blocks), args[1:4], args[-3:-1], Rt.shape,
+                      Rt.__array_interface__["data"][0]))
+        return kernel(*args)
 
-    monkeypatch.setattr(functionals_mod, "_representers", recorded)
+    monkeypatch.setattr(functionals_mod, "_representer", recorded)
     for name in ("moveaxis", "ascontiguousarray", "copyto", "transpose",
                  "swapaxes"):
         monkeypatch.setattr(np, name, forbidden)
     _hessian_difference_metrics(q, "model", basis, basis.ctx, seed=RNG_SEED,
                                 n_test=4)
     n = len(blocks)
-    assert n > 1 and len(yielded) == 2 * n
+    assert n > 1 and len(built) == 2 * n
     assert all(len(samples) == 5 for samples in blocks)
-    assert {data for *_, data in yielded} == {yielded[0][4]}
+    assert {data for *_, data in built} == {built[0][4]}
     for k, samples in enumerate(blocks):
         m = samples[0][0].shape[-1]
-        assert [(sampled, tag, shape) for _, sampled, tag, shape, _
-                in yielded[2 * k:2 * k + 2]] == [
-            (k + 1, tag, (_representer_rows(), m)) for tag in ("i1", "i5")]
+        connections = tuple(s[0] for s in samples[:3])
+        for (sampled, conn, field, shape, _), a in zip(
+                built[2 * k:2 * k + 2], samples[3:]):
+            assert sampled == k + 1 and shape == (_representer_rows(), m)
+            assert _same(conn, connections) and _same(field, a)
     curv, cov = calls["curvature_coeffs"], calls["cov_d_coeffs"]
     assert len(curv) == 2 * n and len(cov) == 5 * n
     # delta_A a, once per tag and block, for the two-term expansion
@@ -985,55 +989,75 @@ def test_l37_folded_tag_fields_equal_the_combined_raw_samples(pi2):
         assert np.all(top > 0.0) and np.all(err <= 1e-13 * top), (i, err / top)
 
 
-@pytest.mark.parametrize("stride", [1, 997])
-@pytest.mark.parametrize("pi2", ["model", "full"])
-def test_probe_specs_match_full_rule_probes(pi2, stride):
-    # the specs against the bumps sampled on the full rule and normalised
-    # there, drawn from the same RNG sequence; on a rule thinned to every
-    # 997th node some candidates cover no node and are rejected
-    q = _generic_q(2.0 ** -4)
+def _thinned_context(q, pi2, stride) -> InnerContext:
+    """The ball context of the glued connection at q on every stride-th
+    node of its rule."""
     ctx = ball_context(glued_connection(q, pi2=pi2), q.eps)
     r = ctx.rule
     rule = QuadratureRule(r.nodes[::stride], r.weights[::stride], r.center,
                           r.lam, r.region)
-    ctx = InnerContext(rule, q.eps, ctx.Aval[..., ::stride])
+    return InnerContext(rule, q.eps, ctx.Aval[..., ::stride])
+
+
+@pytest.mark.parametrize("stride", [1, 997])
+@pytest.mark.parametrize("pi2", ["model", "full"])
+def test_probe_specs_match_full_rule_probes(pi2, stride):
+    # the shapes against the bumps sampled on the full rule and normalised
+    # there, drawn from the same RNG sequence: the shapes come in the order
+    # of their first accepted probe, each with its probes' C in draw order.
+    # On a rule thinned to every 997th node some candidates cover no node
+    # and are rejected
+    q = _generic_q(2.0 ** -4)
+    ctx = _thinned_context(q, pi2, stride)
+    rule = ctx.rule
     n = 8
-    specs = probe_family(q, ctx, n, RNG_SEED)
+    shapes = probe_family(q, ctx, n, RNG_SEED)
     draws = full_rule_probe_draws(q, ctx, n, RNG_SEED)
     assert (len(draws) > n) == (stride > 1)
-    accepted = [(c, sc, beta) for c, sc, beta in draws if beta is not None]
-    assert len(specs) == len(accepted) == n
-    for (rows, center, scale, coeff), (c, sc, beta) in zip(specs, accepted):
-        assert np.array_equal(center, c) and scale == sc
-        on = (np.any(beta.val != 0.0, axis=(0, 1))
-              | np.any(beta.jac != 0.0, axis=(0, 1, 2)))
-        assert np.array_equal(rows, np.flatnonzero(on))
+    accepted = [((c.tobytes(), sc), beta) for c, sc, beta in draws
+                if beta is not None]
+    assert sum(len(coeffs) for *_, coeffs in shapes) == len(accepted) == n
+    keys = [(center.tobytes(), scale) for _, center, scale, _ in shapes]
+    assert keys == list(dict.fromkeys(key for key, _ in accepted))
+    for key, (rows, center, scale, coeffs) in zip(keys, shapes):
+        betas = [beta for k, beta in accepted if k == key]
+        assert len(betas) == len(coeffs)
         off = np.ones(len(rule), dtype=bool)
         off[rows] = False
-        assert not beta.val[..., off].any() and not beta.jac[..., off].any()
-        # the probe coeff * phi from its channels (phi, grad phi) on the rows
         phi = _bump_channels(rule.nodes[rows], center, scale)
-        val = coeff[:, :, None] * phi[0]
-        jac = coeff[:, :, None, None] * phi[1:]
-        np.testing.assert_allclose(val, beta.val[..., rows], rtol=1e-12,
-                                   atol=0)
-        np.testing.assert_allclose(jac, beta.jac[..., rows], rtol=1e-12,
-                                   atol=0)
+        for coeff, beta in zip(coeffs, betas):
+            on = (np.any(beta.val != 0.0, axis=(0, 1))
+                  | np.any(beta.jac != 0.0, axis=(0, 1, 2)))
+            assert np.array_equal(rows, np.flatnonzero(on))
+            assert not beta.val[..., off].any()
+            assert not beta.jac[..., off].any()
+            # the probe coeff * phi from its channels (phi, grad phi)
+            val = coeff[:, :, None] * phi[0]
+            jac = coeff[:, :, None, None] * phi[1:]
+            np.testing.assert_allclose(val, beta.val[..., rows], rtol=1e-12,
+                                       atol=0)
+            np.testing.assert_allclose(jac, beta.jac[..., rows], rtol=1e-12,
+                                       atol=0)
 
 
 @pytest.mark.parametrize("pi2", PI2_STRATEGIES)
 def test_probe_norm_closed_form_matches_covariant_gradient_density(pi2):
-    # each spec is normalised with the closed-form density; the covariant
-    # gradient of its arrays must give it unit H^1 norm on its rows
+    # each shape's closed-form Gram N, summed over its rows, is the full-rule
+    # Gram of its 12 unit-coefficient bumps, covariant gradients included,
+    # entry by entry; on the rule and on every 997th node of it.  Every
+    # probe of the shape has unit norm in that Gram
     q = _generic_q(2.0 ** -4)
-    ctx = ball_context(glued_connection(q, pi2=pi2), q.eps)
-    w = ctx.rule.weights
-    for rows, center, scale, coeff in probe_family(q, ctx, 9, RNG_SEED):
-        val, jac = bump_arrays(ctx.rule.nodes[rows], center, scale, coeff)
-        grad = cov_grad_coeffs(ctx.Aval[..., rows], val, jac, q.eps)
-        dens = (np.einsum("amun,amun->n", grad, grad)
-                + np.einsum("amn,amn->n", val, val))
-        assert abs(weighted_sum(w[rows], dens) - 1.0) <= 1e-13
+    for stride in (1, 997):
+        ctx = _thinned_context(q, pi2, stride)
+        for rows, center, scale, coeffs in probe_family(q, ctx, 4,
+                                                        RNG_SEED):
+            got_rows, N = _shape_gram(ctx, center, scale)
+            want = full_rule_shape_gram(ctx, center, scale)
+            assert np.array_equal(got_rows, rows)
+            assert np.max(np.abs(N - want)) <= 1e-12 * np.max(np.abs(want))
+            c = coeffs.reshape(-1, 12)
+            np.testing.assert_allclose(np.einsum("ki,ij,kj->k", c, want, c),
+                                       1.0, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1200,24 +1224,27 @@ def test_l37_probe_loop_reports_non_finite_basis_field(monkeypatch):
     q = ParamQ.default(2.0 ** -4)
     basis = gram_schmidt_ball(q)
     far, poison = _far_poison(basis.ctx, 4)
-    probes = probe_family(q, basis.ctx, 2, RNG_SEED)
-    assert not any(far in rows for rows, *_ in probes)
-    _record_l37_blocks(monkeypatch, poison)
-    yielded, representers = [], functionals_mod._representers
+    shapes = probe_family(q, basis.ctx, 2, RNG_SEED)
+    assert not any(far in rows for rows, *_ in shapes)
+    blocks = _record_l37_blocks(monkeypatch, poison)
+    built, kernel = [], functionals_mod._representer
 
     def recorded(*args):
-        for a, tag, Rt in representers(*args):
-            yielded.append((a, Rt.shape[1], tag, np.isfinite(Rt).all()))
-            yield a, tag, Rt
+        kernel(*args)
+        built.append((len(blocks), args[-3] is blocks[-1][3][0],
+                      np.isfinite(args[-1]).all()))
 
-    monkeypatch.setattr(functionals_mod, "_representers", recorded)
+    monkeypatch.setattr(functionals_mod, "_representer", recorded)
     with pytest.raises(NumericalError, match=r"\(i5\)"):
         _hessian_difference_metrics(q, "model", basis, basis.ctx,
                                     seed=RNG_SEED, n_test=2)
-    (a, m, _, _), last = yielded[-2], yielded[-1]
-    assert a <= far < a + m and last[0] == a
-    assert [y[2:] for y in yielded[-2:]] == [("i1", True), ("i5", False)]
-    assert all(finite for *_, finite in yielded[:-2])
+    # the poisoned block, the one holding the far node, is the last sampled
+    n = len(blocks)
+    m = blocks[0][0][0].shape[-1]
+    assert (n - 1) * m <= far < n * m
+    assert len(built) == 2 * n
+    assert built[-2:] == [(n, True, True), (n, False, False)]
+    assert all(finite for *_, finite in built[:-2])
 
 
 def test_perp_derivative_paths_single_point():

@@ -305,13 +305,11 @@ def _profile_w_full(w, order):
         return beta_profile(t, 0)
     mid = (t > 1.0) & (t < 2.0)
     ts = np.where(mid, t, 1.5)
-    b1, b2, b3, b4 = (beta_profile(ts, k) for k in (1, 2, 3, 4))
+    b1, b2, b3 = (beta_profile(ts, k) for k in (1, 2, 3))
     out = {
         1: b1 / (2 * ts),
         2: b2 / (4 * ts ** 2) - b1 / (4 * ts ** 3),
         3: b3 / (8 * ts ** 3) - 3 * b2 / (8 * ts ** 4) + 3 * b1 / (8 * ts ** 5),
-        4: (b4 / (16 * ts ** 4) - 6 * b3 / (16 * ts ** 5)
-            + 15 * b2 / (16 * ts ** 6) - 15 * b1 / (16 * ts ** 7)),
     }[order]
     return np.where(mid, out, 0.0)
 
@@ -320,11 +318,11 @@ def test_profile_w_on_band_matches_full_chain_rule():
     rng = np.random.default_rng(RNG_SEED + 8)
     joints = [1.0, 4.0, np.nextafter(1.0, 2.0), np.nextafter(4.0, 0.0)]
     w = np.concatenate([rng.uniform(0.0, 6.0, 400), joints, [0.0, 0.5, 5.0]])
-    orders = _ProfileW(w).upto(4)
-    assert len(orders) == 5
+    orders = _ProfileW(w).upto(3)
+    assert len(orders) == 4
     # grown an order at a time, the list is the one computed at once
     grown = _ProfileW(w)
-    for order in range(5):
+    for order in range(4):
         grown.upto(order)
     assert all(np.array_equal(a, b) for a, b in zip(grown.P, orders))
     for order, got in enumerate(orders):
@@ -333,6 +331,17 @@ def test_profile_w_on_band_matches_full_chain_rule():
         # the band is open: at w = 1 and w = 4 only the plateau values remain
         assert got[400] == (1.0 if order == 0 else 0.0)
         assert got[401] == 0.0
+
+
+def test_profile_orders_above_three_raise():
+    # no channel reads more than k + dlam = 3 profile orders, so order 4 is
+    # not implemented: asking for it names the order and changes nothing
+    profile = _ProfileW(np.array([0.5, 2.0, 5.0]))
+    with pytest.raises(ValueError, match="order 4"):
+        profile.upto(4)
+    assert profile.P == [] and profile.b == []
+    with pytest.raises(ValueError):
+        beta_profile(1.5, 4)
 
 
 def test_lam_channels_above_first_order_raise():
@@ -400,7 +409,8 @@ def _atom_cases():
 @pytest.mark.parametrize("dlam", [0, 1])
 def test_beta_atom_evaluates_each_profile_order_once(monkeypatch, dlam):
     # one _profile_w pass gives the orders 0..len(ydirs)+dlam a channel
-    # reads, with one beta_profile call per order
+    # reads, with one beta_profile call per order; a channel that would read
+    # order 4 raises before any call
     calls = []
 
     def counted(t, order=0):
@@ -412,6 +422,11 @@ def test_beta_atom_evaluates_each_profile_order_once(monkeypatch, dlam):
     X = ATOM_P + (lam * np.array([0.29, 0.37, 0.46]))[:, None] * np.eye(4)[:3]
     for ydirs in CHANNEL_YDIRS:
         calls.clear()
+        if len(ydirs) + dlam > 3:
+            with pytest.raises(ValueError, match="order 4"):
+                atom.eval(X, ydirs, dlam)
+            assert calls == [], (ydirs, calls)
+            continue
         atom.eval(X, ydirs, dlam)
         assert calls == list(range(len(ydirs) + dlam + 1)), (ydirs, calls)
 
@@ -442,7 +457,8 @@ def _richardson(fn, h):
 @pytest.mark.parametrize("case", list(_atom_cases()), ids=lambda c: c[0])
 def test_atom_coefficients_expand_to_closed_form_channels(case):
     # order 0 against the closed form; each further y- or lam-derivative
-    # against a finite difference of the channel one order below
+    # against a finite difference of the channel one order below.  A cutoff
+    # channel reads profile order len(ydirs) + dlam, available up to 3
     name, make, closed, radii = case
     lam = 0.2
     rng = np.random.default_rng(RNG_SEED + 9)
@@ -455,6 +471,10 @@ def test_atom_coefficients_expand_to_closed_form_channels(case):
     h = 1e-4 * lam
     for ydirs in CHANNEL_YDIRS:
         for dlam in (0, 1):
+            if isinstance(atom, BetaAtom) and len(ydirs) + dlam > 3:
+                with pytest.raises(ValueError, match="order 4"):
+                    _expanded(atom, X, ydirs, dlam)
+                continue
             got = _expanded(atom, X, ydirs, dlam)
             if dlam:
                 fd = _richardson(lambda t: _expanded(make(lam + t), X, ydirs), h)
