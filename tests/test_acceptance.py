@@ -306,6 +306,27 @@ def test_generic_point_pair_p1_p2_is_bounded(generic_rows):
     assert row.verdict == "pass", (row.note, row.values)
 
 
+def test_pi2_zero_control_fails_exactly_the_pi2_rows():
+    # negative control: PI2 = 0 leaves the whole I2 tail in b, so the rows
+    # that see b's size fail and every other verdict holds.  The sweep is
+    # fixed at 2^-4..2^-7: on the six default points 3.6 basis_diff_5..8
+    # (about 1 at every eps) fail their eps^1 bound too
+    points = [compute_point_metrics(ParamQ.default(e), "zero",
+                                    blocks=ALL_BLOCKS, seed=SEED, n_test=8)
+              for e in ACC_EPS[:4]]
+    verdicts = {(rep.lemma, r.quantity): r.verdict for report in REPORTS
+                for rep in [report(points)] for r in rep.rows}
+    want = ({("5.9", f"b{i}{i}_minus_1") for i in range(1, 9)}
+            | {("5.9", "max_offdiag_b")}
+            | {("3.6", f"basis_diff_{i}") for i in range(1, 5)}
+            | {("3.7", f"{kind}_dual_{tag}") for kind in ("hess", "codiff")
+               for tag in ("i1", "i5")})
+    assert len(verdicts) == 46 and len(want) == 17
+    assert {k for k, v in verdicts.items() if v == "fail"} == want
+    assert all(v in ("pass", "exact") for k, v in verdicts.items()
+               if k not in want)
+
+
 def test_criterion_10_structural_suite(tmp_path):
     q = ParamQ.default(2.0 ** -5, p=[0.1, -0.08, 0.05, 0.12],
                        g=exp_map(AlgElement(0.3, -0.4, 0.2)))
