@@ -440,8 +440,6 @@ def _radial_pieces(p, lam: float, region: str, R, dirs, n_rad: int):
 N_ANG = 6
 N_RAD = 10
 
-_CHECK_CACHE: dict = {}
-
 
 def _peaked_integral(p, lam: float, region: str, R, n_ang: int,
                      n_rad: int) -> float:
@@ -488,12 +486,9 @@ def _polar_rule(p, lam: float, region: str, R=None,
     if tol is None:
         return rule
     checked = "ball" if region == "weighted-r4" else region
-    key = (checked, tuple(np.round(p, 12)), round(lam, 14), R)
-    if key not in _CHECK_CACHE:
-        a, b = (_peaked_integral(p, lam, checked, R, n_ang, n_rad)
-                for n_ang, n_rad in ((N_ANG, N_RAD), (N_ANG + 2, 2 * N_RAD)))
-        _CHECK_CACHE[key] = abs(a - b) / max(abs(b), 1e-300)
-    rule.self_check_error = err = _CHECK_CACHE[key]
+    a, b = (_peaked_integral(p, lam, checked, R, n_ang, n_rad)
+            for n_ang, n_rad in ((N_ANG, N_RAD), (N_ANG + 2, 2 * N_RAD)))
+    rule.self_check_error = err = abs(a - b) / max(abs(b), 1e-300)
     if err > tol:
         raise QuadratureError(f"rule self-check failed: refinement changes "
                               f"integral by {err:.3e} > tol {tol:.1e}")

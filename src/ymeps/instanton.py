@@ -24,9 +24,9 @@ tensors: an atom's eval returns the coefficients K (k,N) of its tensor
 (k,3,4), so the value is sum_e K[e] tensor[e]; a cutoff factor is one scalar
 (N,).  Terms and their Leibniz products are summed on those coefficient
 rows, and a term list is expanded into its (3,4,N) block by one GEMM over
-the groups of terms that share (algebra matrix, atom tensor).  What depends
-on a term list alone, its groups and each term's Leibniz products, is its
-plan, built once per sampling pass.
+its terms, each term owning one row block of the coefficients.  What
+depends on a term list alone, its terms' Leibniz products and stacked
+tensors, is its plan, built once per sampling pass.
 """
 
 from __future__ import annotations
@@ -393,84 +393,48 @@ def _products(t: Term, extra_ydirs):
     return out
 
 
-def _term_value(memo, coef, products, X, out):
-    """coef * beta * atom coefficients of a term's Leibniz products
-    (_products), summed in place into out (k,N) in their order.
-
-    The atom tensor and the algebra matrix t.mat are left for _terms_sum.
-    """
-    for j, (lie, beta) in enumerate(products):
-        v = _channel(memo, X, lie)
-        factor = coef if beta is None else coef * _channel(memo, X, beta)
-        if j == 0:
-            np.multiply(v, factor, out=out)
-        else:
-            out += v * factor
-
-
-def _term_groups(terms):
-    """The grouping of a term list for _terms_sum: each term's row span in
-    K, terms sharing (algebra matrix, atom tensor) — the conjugation R, or
-    R L_i after a rotation derivative — sharing one, and whether the term
-    opens its span; the largest span; and the stacked tensors
-    T^T (12, sum k), None for an empty list."""
-    offsets = {}      # (matrix bytes, tensor bytes) -> first row in K
-    tensors, spans, opens, width = [], [], [], 0
-    for t in terms:
-        B = t.lie.tensor
-        key = (None if t.mat is None else t.mat.tobytes(), B.tobytes())
-        opens.append(key not in offsets)
-        if opens[-1]:
-            offsets[key] = width
-            width += len(B)
-            tensors.append((B if t.mat is None else np.matmul(t.mat, B))
-                           .reshape(-1, 12))
-        spans.append(slice(offsets[key], offsets[key] + len(B)))
-    if not tensors:
-        return spans, opens, 0, None
-    return (spans, opens, max(len(T) for T in tensors),
-            np.concatenate(tensors).T)
-
-
 def _plan(memo, terms, extra_ydirs):
     """A term list's plan for _terms_sum with extra spatial derivatives:
-    its grouping (_term_groups), shared by every extra_ydirs, and each
-    term's products (_products).  It depends on the list alone, so it is
-    built once in memo[_PLANS], the plan dict of a sampling pass, or in the
-    memo itself without one.  Keyed on the list's id, each entry holds the
-    list, so the id is not recycled while the entry lives."""
-    store = memo.get(_PLANS, memo)
-    groups = _cached(store, ("groups", id(terms)),
-                     lambda: (terms, _term_groups(terms)))[1]
-    return _cached(store, (id(terms), extra_ydirs), lambda: (
-        terms, groups, [_products(t, extra_ydirs) for t in terms]))[1:]
+    each term's products (_products) and the stacked tensors
+    T^T (12, sum k) of its terms' mat @ tensor, None for an empty list.  It
+    depends on the list and extra_ydirs alone, so it is built once in
+    memo[_PLANS], the plan dict of a sampling pass, or in the memo itself
+    without one.  Keyed on the list's id, each entry holds the list, so the
+    id is not recycled while the entry lives."""
+    def make():
+        Tt = np.concatenate([
+            (t.lie.tensor if t.mat is None else np.matmul(t.mat, t.lie.tensor))
+            .reshape(-1, 12) for t in terms]).T if terms else None
+        return terms, [_products(t, extra_ydirs) for t in terms], Tt
+    return _cached(memo.get(_PLANS, memo), (id(terms), extra_ydirs), make)[1:]
 
 
 def _terms_sum(memo, terms, X, extra_ydirs, out):
     """Sum of the terms' values written into out, node-last (3,4,N), by one GEMM.
 
-    Terms of one group (_term_groups) are summed on their coefficients
-    first: each group owns a range of rows of K (sum k,N), the term that
-    opens it writes its sum there and each later term's, formed in a
-    scratch, is added to it.  K is expanded with the stacked tensors
-    mat @ tensor as T^T @ K, straight into out's (12,N) rows;
-    reshape(copy=False) raises rather than write a copy.
+    Each term owns the k rows of K (sum k,N) of its atom tensor, in list
+    order, and sums coef * beta * atom coefficients over its Leibniz
+    products there.  K is expanded with the stacked tensors mat @ tensor as
+    T^T @ K, straight into out's (12,N) rows; reshape(copy=False) raises
+    rather than write a copy.
     """
     rows = np.reshape(out, (12, -1), copy=False)
-    (spans, opens, kmax, Tt), products = _plan(memo, terms, extra_ydirs)
+    products, Tt = _plan(memo, terms, extra_ydirs)
     if Tt is None:
         rows[...] = 0.0
         return
-    N = X.shape[0]
-    K = np.empty((Tt.shape[1], N))
-    scratch = np.empty((kmax, N))
-    for t, span, first, prods in zip(terms, spans, opens, products):
-        if first:
-            _term_value(memo, t.coef, prods, X, K[span])
-        else:
-            tmp = scratch[:span.stop - span.start]
-            _term_value(memo, t.coef, prods, X, tmp)
-            K[span] += tmp
+    K = np.empty((Tt.shape[1], X.shape[0]))
+    a = 0
+    for t, prods in zip(terms, products):
+        block = K[a:a + len(t.lie.tensor)]
+        a += len(block)
+        for j, (lie, beta) in enumerate(prods):
+            v = _channel(memo, X, lie)
+            factor = t.coef if beta is None else t.coef * _channel(memo, X, beta)
+            if j == 0:
+                np.multiply(v, factor, out=block)
+            else:
+                block += v * factor
     np.matmul(Tt, K, out=rows)
 
 
@@ -647,11 +611,8 @@ def sample_charted(fields, X, n_inner, need_jac=True, out=None, plans=None):
     if not 0 <= n_inner <= N:
         raise ValueError(f"n_inner = {n_inner} outside 0..{N}")
     if out is None:
-        # all values, then all jacobians: allocated interleaved, they left
-        # verify-lemma 3.7 on 2^-4..2^-7 peaking at 313.5 MiB RSS, not 277.6
-        vals = [np.empty((3, 4, N)) for _ in fields]
-        jacs = [np.empty((3, 4, 4, N)) if need_jac else None for _ in fields]
-        out = list(zip(vals, jacs))
+        out = [(np.empty((3, 4, N)),
+                np.empty((3, 4, 4, N)) if need_jac else None) for _ in fields]
     plans = {} if plans is None else plans
     for a, b, chart in ((0, n_inner, "inner_terms"), (n_inner, N, "outer_terms")):
         if a == b:

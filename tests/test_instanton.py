@@ -939,10 +939,11 @@ def test_memo_refuses_other_nodes():
             terms_jac(terms, other, memo)
 
 
-def test_term_grouping_is_built_once_per_memo(monkeypatch):
-    # the (matrix, tensor) grouping depends on the term list alone: a memo
-    # without a pass's plan dict builds it once for the value and the four
-    # jacobian channels, and the sums stay bit for bit the same
+def test_term_plans_are_built_once_per_memo(monkeypatch):
+    # a term list's plan depends on the list and the derivative order alone:
+    # a memo without a pass's plan dict stacks the tensors once for the
+    # value and once for each of the four jacobian channels, repeating the
+    # calls stacks none, and the sums stay bit for bit the same
     q = _generic_q()
     X, _ = _pass_nodes(q, n=60)
     terms = linear_combination(derivative_fields(glued_connection(q)),
@@ -957,28 +958,27 @@ def test_term_grouping_is_built_once_per_memo(monkeypatch):
     monkeypatch.setattr(np, "concatenate", counted)
     memo = {}
     got = terms_value(terms, X, memo), terms_jac(terms, X, memo)
-    assert len(builds) == 1
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert builds == [len(terms)] * 5
+    again = terms_value(terms, X, memo), terms_jac(terms, X, memo)
+    assert len(builds) == 5
+    assert all(np.array_equal(g, w) for g, w in zip(got + again, want + want))
 
 
 def test_block_pass_builds_each_plan_once(monkeypatch):
-    # a term list's plan depends on the list alone: one pass over many node
-    # blocks builds each list's grouping once and its products once per
-    # derivative order, in one plan dict whose every entry holds the list
-    # its id keys; each block's samples are bit for bit a plan-free pass's
+    # a term list's plan depends on the list and the derivative order alone:
+    # one pass over many node blocks builds each list's plan once per
+    # derivative order, its products included, in one plan dict whose every
+    # entry holds the list its id keys; each block's samples are bit for bit
+    # a plan-free pass's
     q = ParamQ.default(2.0 ** -4, p=[0.1, 0.0, -0.1, 0.05])
     A = glued_connection(q)
     ctx = basis.ball_context(A, q.eps)
     fields = derivative_fields(A)
     lists = {id(terms): terms for f in fields
              for terms in (f.inner_terms, f.outer_terms)}
-    groups, products = instanton._term_groups, instanton._products
+    products = instanton._products
     sample = basis.sample_charted
-    grouped, expanded, dicts = [], [], []
-
-    def counted_groups(terms):
-        grouped.append(id(terms))
-        return groups(terms)
+    expanded, dicts = [], []
 
     def counted_products(t, extra_ydirs):
         expanded.append(extra_ydirs)
@@ -987,20 +987,19 @@ def test_block_pass_builds_each_plan_once(monkeypatch):
     def spy(*args, **kwargs):
         dicts.append(kwargs["plans"])
         return sample(*args, **kwargs)
-    monkeypatch.setattr(instanton, "_term_groups", counted_groups)
     monkeypatch.setattr(instanton, "_products", counted_products)
     monkeypatch.setattr(basis, "sample_charted", spy)
     blocks = [(a, [(val.copy(), jac.copy()) for val, jac in samples])
               for a, samples in basis._sample_blocks(ctx, fields)]
     assert len(blocks) > 1 and all(d is dicts[0] for d in dicts)
-    assert sorted(grouped) == sorted(lists)
     n_terms = sum(len(terms) for terms in lists.values())
     assert len(expanded) == 5 * n_terms
-    assert set(expanded) == {(), (0,), (1,), (2,), (3,)}
+    orders = {(), (0,), (1,), (2,), (3,)}
+    assert set(expanded) == orders
     plans = dicts[0]
-    assert len(plans) == 6 * len(lists)
-    for key, entry in plans.items():
-        assert lists[key[1] if key[0] == "groups" else key[0]] is entry[0]
+    assert set(plans) == {(i, o) for i in lists for o in orders}
+    for (i, _), entry in plans.items():
+        assert lists[i] is entry[0]
     nodes, n_inner = ctx.rule.nodes, ctx.rule.n_inner
     for a, samples in blocks:
         m = samples[0][0].shape[-1]

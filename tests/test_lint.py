@@ -303,3 +303,45 @@ def test_library_defs_are_all_referenced():
     library = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(SRC.glob("*.py"))}
     assert unreferenced_defs(library) == sorted(UNREACHED_KEPT)
+
+
+# a module-level empty container filled at run time is a cache that outlives
+# its context: each run builds what it needs and passes it along instead
+EMPTY_CALLS = {"dict", "list", "set"}
+
+
+def module_containers(source: str) -> list:
+    """(line, name) of each module-level assignment of an empty mutable
+    container: {}, [], set(), dict() or list()."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        empty = ((isinstance(value, ast.Dict) and not value.keys)
+                 or (isinstance(value, ast.List) and not value.elts)
+                 or (isinstance(value, ast.Call) and not value.args
+                     and not value.keywords
+                     and getattr(value.func, "id", None) in EMPTY_CALLS))
+        if empty:
+            found += [(node.lineno, getattr(t, "id", None)) for t in targets]
+    return found
+
+
+def test_module_containers_are_found():
+    src = ("A = {}\nB: dict = {}\nC = []\nD = set()\nE = dict()\n"
+           "F = {'a': 1}\nG = [1]\nH = set(x)\nI = frozenset()\n"
+           "J = ()\nK: list\n"
+           "def f():\n    cache = {}\n    return cache\n"
+           "class L:\n    rows = []\n")
+    assert module_containers(src) == [(1, "A"), (2, "B"), (3, "C"),
+                                      (4, "D"), (5, "E")]
+
+
+def test_library_holds_no_module_level_cache():
+    found = [(path.stem,) + hit for path in sorted(SRC.glob("*.py"))
+             for hit in module_containers(path.read_text(encoding="utf-8"))]
+    assert found == []
