@@ -54,7 +54,7 @@ from .instanton import (
     linear_combination,
     sample_charted,
 )
-from .liealg import AlgElement, exp_map
+from .liealg import rotation
 
 __all__ = [
     "NodeField",
@@ -359,8 +359,7 @@ def _shift_along(q: ParamQ, vec: np.ndarray, t: float) -> ParamQ:
     """Flow the parameter point by t along a coefficient vector (p, xi, lam)."""
     dp = t * vec[0:4]
     xi = t * vec[4:7]
-    g = q.g * exp_map(AlgElement(*xi))
-    return replace(q, p=q.p + dp, g=g, lam=q.lam + t * vec[7])
+    return replace(q, p=q.p + dp, g=q.g @ rotation(xi), lam=q.lam + t * vec[7])
 
 
 def _basis_field_at(q: ParamQ, i: int, row: np.ndarray,

@@ -40,7 +40,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .forms import sq_norms
-from .liealg import SO3_GENERATORS, GroupElement, adjoint_matrix, so3_generator
+from .liealg import SO3_GENERATORS, so3_generator
 
 __all__ = [
     "ETA",
@@ -512,11 +512,13 @@ class ParamError(ValueError):
 class ParamQ:
     """Gluing parameter q = (p, [g], lam) with its eps and admissibility bounds.
 
-    The bounds satisfy 0 < 2 lam0 < d0.
+    [g] in SU(2)/{+-1} = SO(3) is held as g, the rotation Ad(g) (3, 3) of
+    su(2) coefficients: the family reads g only through Ad(g), so -g is the
+    same point.  The bounds satisfy 0 < 2 lam0 < d0.
     """
 
     p: np.ndarray
-    g: GroupElement
+    g: np.ndarray
     lam: float
     eps: float
     d0: ClassVar[float] = 0.6
@@ -529,6 +531,19 @@ class ParamQ:
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
         if self.p.shape != (4,):
             raise ParamError("p must be a point of R^4")
+        g = np.asarray(self.g, dtype=float)
+        object.__setattr__(self, "g", g)
+        if g.shape != (3, 3):
+            raise ParamError(f"[g] must be a (3, 3) rotation, got shape {g.shape}")
+        # on Python floats, as numpy's 3x3 temporaries raised peak RSS; det g
+        # is the triple product g[0] . (g[1] x g[2]), NaN where g has one
+        a, b, c = rows = g.tolist()
+        det = (a[0] * (b[1] * c[2] - b[2] * c[1]) + a[1] * (b[2] * c[0] - b[0] * c[2])
+               + a[2] * (b[0] * c[1] - b[1] * c[0]))
+        off = max(abs(sum(x * y for x, y in zip(u, v)) - (i == j))
+                  for i, u in enumerate(rows) for j, v in enumerate(rows))
+        if not (det > 0 and off <= 1e-12):
+            raise ParamError("[g] must be a rotation: g g^T = I, det g > 0")
         if np.linalg.norm(self.p) >= 1.0 - self.d0:
             raise ParamError(f"|p| = {np.linalg.norm(self.p):.4f} not < 1 - d0 = {1-self.d0}")
         if not (0 < self.lam < self.lam0):
@@ -542,7 +557,7 @@ class ParamQ:
     def default(eps: float, D: float = 1.0, p=None, g=None) -> "ParamQ":
         eps = _check_eps(float(eps))
         p = np.zeros(4) if p is None else np.asarray(p, dtype=float)
-        g = GroupElement.identity() if g is None else g
+        g = np.eye(3) if g is None else g
         return ParamQ(p=p, g=g, lam=float(np.sqrt(D * eps)), eps=eps)
 
 
@@ -658,10 +673,9 @@ def glue(At: ChartedField, b: ChartedField) -> ChartedField:
 
 def extended_connection(q: ParamQ) -> ChartedField:
     """The extension: pure (1/eps)-scaled instanton in both charts, on all of R^4."""
-    R = adjoint_matrix(q.g)
-    inner = [Term(1.0 / q.eps, lie=LinRadAtom(2 * ETA, rad_i1, q.p, q.lam), mat=R)]
+    inner = [Term(1.0 / q.eps, lie=LinRadAtom(2 * ETA, rad_i1, q.p, q.lam), mat=q.g)]
     outer = [Term(1.0 / q.eps, lie=LinRadAtom(2 * ETABAR, rad_i2, q.p, q.lam),
-                  mat=R)]
+                  mat=q.g)]
     return ChartedField(q.p, q.lam, inner, outer)
 
 
@@ -678,10 +692,9 @@ def difference_b(q: ParamQ, pi2: str = "model") -> ChartedField:
              Term(1.0, lie=bga, beta=BetaAtom(1.0, q.p, q.lam))]
     radial = _H_RADIAL[pi2]
     if radial is not None:
-        R = adjoint_matrix(q.g)
         h = LinRadAtom(2 * ETABAR, radial, q.p, q.lam)
-        outer.append(Term(1.0 / q.eps, lie=h, mat=R))
-        outer.append(Term(-1.0 / q.eps, lie=h, mat=R, beta=BetaAtom(4.0, q.p, q.lam)))
+        outer.append(Term(1.0 / q.eps, lie=h, mat=q.g))
+        outer.append(Term(-1.0 / q.eps, lie=h, mat=q.g, beta=BetaAtom(4.0, q.p, q.lam)))
     return ChartedField(q.p, q.lam, [], outer)
 
 

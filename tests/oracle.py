@@ -11,7 +11,9 @@ library's pairings, give the energy's first and second variations in a
 sampled direction (grad_pairing, hessian_form), and build the suite-3.7
 bump probes on the full rule, as an independent check of the probe shapes
 of functionals.test_field_family and their closed-form Grams
-(full_rule_shape_gram).  Last come the whole-rule
+(full_rule_shape_gram).  SU(2) is here as unit quaternions on plain
+(4,) arrays (qmul, qconj, qexp, ad, bracket), the reference for
+liealg.rotation and for the charts' transition.  Last come the whole-rule
 references for routes the library streams: the raw Gram summed in long
 double over the whole rule, chart sampling scattered through boolean masks,
 the suite-3.7 probes paired one at a time with the representer kernel run
@@ -90,7 +92,6 @@ from ymeps.instanton import (
     terms_jac,
     terms_value,
 )
-from ymeps.liealg import AlgElement, qmul
 
 
 def _as_batch(X) -> np.ndarray:
@@ -433,24 +434,64 @@ def cutoff(lam: float, p, scale: float, x, order: int = 0):
     return float(out[0]) if single else out
 
 
-def transition_quaternion(p, g, X) -> np.ndarray:
-    """g * g12(x) * g^{-1} as unit quaternions (N,4), g12 = (x-p)/|x-p|."""
-    Y = np.asarray(X, dtype=float) - np.asarray(p, dtype=float)
-    g12 = Y / np.linalg.norm(Y, axis=1, keepdims=True)
-    return qmul(qmul(g.quaternion(), g12), g.inverse().quaternion())
+# ---------------------------------------------------------------------------
+# SU(2) as unit quaternions (4,), the reference for liealg.rotation and for
+# the charts' transition: e_i = u_i/2 is the pure quaternion (0, x/2)
 
 
-def bracket(X: AlgElement, Y: AlgElement) -> AlgElement:
-    """Ordinary Lie bracket [X, Y], computed as the quaternion commutator.
+def qmul(a, b) -> np.ndarray:
+    """Hamilton product of quaternions on the last axis; (4,) and (N,4) broadcast."""
+    a0, a1, a2, a3 = (a[..., i] for i in range(4))
+    b0, b1, b2, b3 = (b[..., i] for i in range(4))
+    return np.stack([
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    ], axis=-1)
+
+
+def qconj(a) -> np.ndarray:
+    """Quaternion conjugate on the last axis: the inverse of a unit quaternion."""
+    return np.asarray(a, dtype=float) * np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def qexp(x) -> np.ndarray:
+    """exp(x . e) as a unit quaternion: the image (0, x/2) has length
+    theta = |x|/2, so exp = cos(theta) + sin(theta) x/|x|."""
+    x = np.asarray(x, dtype=float)
+    t = float(np.linalg.norm(x))
+    if t == 0.0:
+        return np.array([1.0, 0.0, 0.0, 0.0])
+    return np.concatenate(([np.cos(t / 2)], np.sin(t / 2) * x / t))
+
+
+def ad(g) -> np.ndarray:
+    """Ad(g) (3,3) on e-coefficients, by conjugation X -> g X g^{-1} of a
+    unit quaternion g: column i is Im(g u_i g^{-1}), as the halving of
+    e_i = u_i/2 and the doubling back to coefficients cancel."""
+    return np.stack([qmul(qmul(g, u), qconj(g))[1:] for u in np.eye(4)[1:]],
+                    axis=1)
+
+
+def bracket(x, y) -> np.ndarray:
+    """Lie bracket [X, Y] of e-coefficients (3,), as the quaternion commutator.
 
     In e-basis coefficients this equals the cross product, which the library
     uses; the commutator route is the definition.
     """
-    qx = X.quaternion()
-    qy = Y.quaternion()
-    comm = qmul(qx, qy) - qmul(qy, qx)
+    qx = np.concatenate(([0.0], np.asarray(x, dtype=float) / 2))
+    qy = np.concatenate(([0.0], np.asarray(y, dtype=float) / 2))
     # imaginary part, rescaled back to e-coefficients (factor 2)
-    return AlgElement(2.0 * comm[1], 2.0 * comm[2], 2.0 * comm[3])
+    return 2.0 * (qmul(qx, qy) - qmul(qy, qx))[1:]
+
+
+def transition_quaternion(p, g, X) -> np.ndarray:
+    """g * g12(x) * g^{-1} as unit quaternions (N,4), g12 = (x-p)/|x-p|, for
+    a unit quaternion g."""
+    Y = np.asarray(X, dtype=float) - np.asarray(p, dtype=float)
+    g12 = Y / np.linalg.norm(Y, axis=1, keepdims=True)
+    return qmul(qmul(g, g12), qconj(g))
 
 
 # ---------------------------------------------------------------------------

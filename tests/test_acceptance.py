@@ -33,8 +33,8 @@ from ymeps.functionals import (
 )
 from ymeps.harness import emit_outputs, report_csv
 from ymeps.instanton import ParamQ, extended_connection, glued_connection
-from ymeps.liealg import AlgElement, exp_map
 from oracle import (
+    ad,
     bump_one_form,
     cdot_nf,
     codifferential_eps,
@@ -45,6 +45,7 @@ from oracle import (
     inner_field,
     lincomb,
     outer_field,
+    qexp,
     sample_form,
     wedge_bracket,
 )
@@ -277,7 +278,7 @@ REPORTS = (lemma57_report, lemma58_report, lemma59_report, lemma36_report,
 def generic_rows():
     """Every report's rows, keyed (lemma, quantity), on the default eps
     sweep at a generic centre and gauge, with 8 test fields."""
-    g = exp_map(AlgElement(*GENERIC_XI))
+    g = ad(qexp(GENERIC_XI))
     points = [compute_point_metrics(ParamQ.default(e, p=GENERIC_P, g=g),
                                     blocks=ALL_BLOCKS, seed=SEED, n_test=8)
               for e in ACC_EPS]
@@ -329,7 +330,7 @@ def test_pi2_zero_control_fails_exactly_the_pi2_rows():
 
 def test_criterion_10_structural_suite(tmp_path):
     q = ParamQ.default(2.0 ** -5, p=[0.1, -0.08, 0.05, 0.12],
-                       g=exp_map(AlgElement(0.3, -0.4, 0.2)))
+                       g=ad(qexp([0.3, -0.4, 0.2])))
     notes = []
 
     # double star is the exact sign (-1)^{k(4-k)}

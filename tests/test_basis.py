@@ -26,7 +26,6 @@ from ymeps.instanton import (
     glued_connection,
     linear_combination,
 )
-from ymeps.liealg import AlgElement, GroupElement, exp_map
 from ymeps.basis import (
     InnerContext,
     NodeField,
@@ -41,6 +40,7 @@ from ymeps.basis import (
     weighted_context,
 )
 from oracle import (
+    ad,
     bump_one_form,
     combine,
     combined_fields,
@@ -53,6 +53,7 @@ from oracle import (
     node_first,
     node_last,
     perp_nodefields,
+    qexp,
     raw_samples,
     sample_form,
 )
@@ -235,7 +236,7 @@ def _gram_cases(sampled=True):
     to the inner chart's nodes; the fields sampled on ctx's rule, or as
     term lists."""
     q = ParamQ.default(2.0 ** -4, p=[0.1, -0.15, 0.05, 0.2],
-                       g=exp_map(AlgElement(-0.7, 1.1, 0.4)))
+                       g=ad(qexp([-0.7, 1.1, 0.4])))
     for pi2 in PI2_STRATEGIES:
         A = glued_connection(q, pi2=pi2)
         ctx = ball_context(A, q.eps)
@@ -468,10 +469,9 @@ def test_gram_schmidt_ball_synthetic_orthonormal_inputs():
 
 
 def test_gram_schmidt_ball_minus_g_invariant():
-    q, basis = _ball_basis()
-    minus_g = GroupElement(-q.g.q0, -q.g.q1, -q.g.q2, -q.g.q3)
-    qm = ParamQ(p=q.p, g=minus_g, lam=q.lam, eps=q.eps)
-    basism = gram_schmidt_ball(qm)
+    g = qexp([0.3, -0.4, 0.2])
+    basis, basism = (gram_schmidt_ball(ParamQ.default(2.0 ** -5, g=ad(h)))
+                     for h in (g, -g))
     assert np.allclose(basis.coeff, basism.coeff, atol=1e-8)
 
 
@@ -618,7 +618,7 @@ def test_fd_rebuild_at_the_base_point_is_the_basis_field():
     # node-wise combination of the raw fields with the basis' own row, up
     # to round-off of the field's largest entry
     q = ParamQ.default(2.0 ** -4, p=[0.05, -0.03, 0.02, 0.01],
-                       g=exp_map(AlgElement(0.3, -0.2, 0.5)))
+                       g=ad(qexp([0.3, -0.2, 0.5])))
     basis = gram_schmidt_ball(q, "model")
     raw = [(nf.val, nf.jac) for nf in raw_samples(q, "model", basis.ctx)]
     for i in (1, 5, 8):

@@ -67,8 +67,8 @@ from ymeps.instanton import (
     linear_combination,
     sample_charted,
 )
-from ymeps.liealg import AlgElement, exp_map
 from oracle import (
+    ad,
     basis_gaps_by_combination,
     bump_one_form,
     cdot_nf,
@@ -90,6 +90,7 @@ from oracle import (
     perp_nodefields,
     probe_pairings,
     project_perp_by_combination,
+    qexp,
     raw_samples,
     rebuilt_fd,
     rows_gram,
@@ -101,9 +102,12 @@ from oracle import (
 RNG_SEED = 77023
 
 
-def _generic_q(eps=2.0 ** -6):
-    return ParamQ.default(eps, p=[0.1, -0.08, 0.05, 0.12],
-                          g=exp_map(AlgElement(0.3, -0.4, 0.2)))
+# the generic points' [g], as a unit quaternion of the oracle
+GENERIC_G = qexp([0.3, -0.4, 0.2])
+
+
+def _generic_q(eps=2.0 ** -6, g=GENERIC_G):
+    return ParamQ.default(eps, p=[0.1, -0.08, 0.05, 0.12], g=ad(g))
 
 
 def _holds_no_samples(basis) -> bool:
@@ -154,7 +158,7 @@ def test_energy_flat_is_zero():
 
 def test_energy_constant_group_invariance():
     q1 = ParamQ.default(2.0 ** -5, p=[0.05, 0.0, -0.1, 0.02])
-    q2 = ParamQ(p=q1.p, g=exp_map(AlgElement(-0.7, 0.25, 1.1)), lam=q1.lam,
+    q2 = ParamQ(p=q1.p, g=ad(qexp([-0.7, 0.25, 1.1])), lam=q1.lam,
                 eps=q1.eps)
     e1 = ym_eps(extended_connection(q1), q1.eps)
     e2 = ym_eps(extended_connection(q2), q2.eps)
@@ -172,10 +176,7 @@ def test_charge_flat_is_zero():
 
 def test_charge_negated_group_element():
     # -g acts by the same rotation, so the connection and charge are unchanged
-    q = _generic_q(2.0 ** -5)
-    gneg = q.g * exp_map(AlgElement(2.0 * np.pi, 0.0, 0.0))
-    assert np.allclose(gneg.quaternion(), -q.g.quaternion(), atol=1e-14)
-    qn = ParamQ(p=q.p, g=gneg, lam=q.lam, eps=q.eps)
+    q, qn = _generic_q(2.0 ** -5), _generic_q(2.0 ** -5, -GENERIC_G)
     c1 = charge(extended_connection(q), q.eps)
     c2 = charge(extended_connection(qn), q.eps)
     assert c1 == pytest.approx(c2, rel=1e-13)

@@ -42,8 +42,8 @@ from ymeps.instanton import (
     terms_jac,
     terms_value,
 )
-from ymeps.liealg import AlgElement, GroupElement, exp_map
 from oracle import (
+    ad,
     cutoff,
     d2A_dp1p1,
     exterior_d,
@@ -51,6 +51,9 @@ from oracle import (
     i2_form,
     node_first,
     node_last,
+    qconj,
+    qexp,
+    qmul,
     scatter_sample_charted,
     terms_form_field,
     terms_hess,
@@ -63,21 +66,6 @@ RNG_SEED = 20240816
 
 # ---------------------------------------------------------------------------
 # quaternion oracle
-
-
-def qmul(a, b):
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return np.array([
-        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-    ])
-
-
-def qconj(a):
-    return np.array([a[0], -a[1], -a[2], -a[3]])
 
 
 UNITS = [np.array(u, dtype=float) for u in
@@ -102,11 +90,6 @@ def i2_oracle(y, lam):
         v = qmul(qconj(y), UNITS[nu])
         out[:, nu] = 2.0 * lam ** 2 * v[1:] / (s * (lam ** 2 + s))
     return out
-
-
-def random_unit_quat(rng):
-    v = rng.standard_normal(4)
-    return v / np.linalg.norm(v)
 
 
 # ---------------------------------------------------------------------------
@@ -551,13 +534,24 @@ def test_param_validation():
     with pytest.raises(ParamError):
         ParamQ.default(2.0 ** -6, p=np.array([0.45, 0.0, 0.0, 0.0]))  # |p| too big
     with pytest.raises(ParamError):
-        ParamQ(p=np.zeros(4), g=GroupElement.identity(), lam=0.3, eps=0.09)  # lam >= lam0
+        ParamQ(p=np.zeros(4), g=np.eye(3), lam=0.3, eps=0.09)  # lam >= lam0
     with pytest.raises(ParamError):
-        ParamQ(p=np.zeros(4), g=GroupElement.identity(), lam=0.1, eps=0.1)  # lam^2 too small
+        ParamQ(p=np.zeros(4), g=np.eye(3), lam=0.1, eps=0.1)  # lam^2 too small
     with pytest.raises(ParamError):
-        ParamQ(p=np.zeros(4), g=GroupElement.identity(), lam=0.2, eps=0.01)  # lam^2 too big
+        ParamQ(p=np.zeros(4), g=np.eye(3), lam=0.2, eps=0.01)  # lam^2 too big
     with pytest.raises(ParamError):
-        ParamQ(p=np.zeros(3), g=GroupElement.identity(), lam=0.1, eps=0.01)
+        ParamQ(p=np.zeros(3), g=np.eye(3), lam=0.1, eps=0.01)
+    for g in (-np.eye(3),                          # a reflection, det -1
+              np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+              np.array([1.0, 0.0, 0.0, 0.0]),      # a quaternion, not [g]
+              np.diag([np.nan, 1.0, 1.0]),
+              np.diag([np.inf, 1.0, 1.0])):
+        with pytest.raises(ParamError, match=r"\[g\]"):
+            ParamQ.default(2.0 ** -6, g=g)
+    R = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]          # nested lists, accepted
+    q = ParamQ.default(2.0 ** -6, g=R)
+    assert isinstance(q.g, np.ndarray) and q.g.dtype == float
+    assert np.array_equal(q.g, np.array(R, dtype=float))
     for j in range(4, 10):
         ParamQ.default(2.0 ** -j)  # whole sweep range is admissible
 
@@ -568,18 +562,21 @@ def test_bad_eps_is_rejected_by_name(eps):
     with pytest.raises(ParamError, match="eps must be positive and finite"):
         ParamQ.default(eps)
     with pytest.raises(ParamError, match="eps must be positive and finite"):
-        ParamQ(p=np.zeros(4), g=GroupElement.identity(), lam=0.1, eps=eps)
+        ParamQ(p=np.zeros(4), g=np.eye(3), lam=0.1, eps=eps)
+
+
+# the generic points' [g], as a unit quaternion of the oracle
+GENERIC_G = qexp([0.3, -0.4, 0.2])
 
 
 def _generic_q(eps=2.0 ** -6):
-    g = exp_map(AlgElement(0.3, -0.4, 0.2))
-    return ParamQ.default(eps, p=np.array([0.1, -0.08, 0.05, 0.12]), g=g)
+    return ParamQ.default(eps, p=np.array([0.1, -0.08, 0.05, 0.12]),
+                          g=ad(GENERIC_G))
 
 
 def test_plus_minus_g_give_same_connection():
     q = _generic_q()
-    minus_g = GroupElement(-q.g.q0, -q.g.q1, -q.g.q2, -q.g.q3)
-    qm = ParamQ(p=q.p, g=minus_g, lam=q.lam, eps=q.eps)
+    qm = ParamQ(p=q.p, g=ad(-GENERIC_G), lam=q.lam, eps=q.eps)
     X = np.array([[0.3, 0.1, -0.2, 0.05], [0.12, -0.02, 0.03, 0.01]])
     A, Am = glued_connection(q), glued_connection(qm)
     assert np.allclose(terms_value(A.outer_terms, X), terms_value(Am.outer_terms, X))
@@ -625,13 +622,14 @@ def test_chart_overlap_density_agreement():
 
 
 def test_transition_relates_charts_pointwise():
-    # inner = T outer T^{-1} + (1/eps) T dT^{-1}, T = g g12 g^{-1}, inside the plateau
+    # inner = T outer T^{-1} + (1/eps) T dT^{-1}, T = g g12 g^{-1}, inside
+    # the plateau; T takes g as the oracle's quaternion, q holds Ad(g)
     q = _generic_q()
     A = glued_connection(q)
     x = q.p + np.array([0.3, 0.5, -0.1, 0.4]) * (q.lam / 8)
     vi = terms_value(A.inner_terms, x[None])[..., 0]   # e-coeffs (3,4)
     vo = terms_value(A.outer_terms, x[None])[..., 0]
-    T = transition_quaternion(q.p, q.g, x[None])[0]
+    T = transition_quaternion(q.p, GENERIC_G, x[None])[0]
     h = 1e-7
     for nu in range(4):
         qo = np.zeros(4)
@@ -639,8 +637,8 @@ def test_transition_relates_charts_pointwise():
         xp, xm = x.copy(), x.copy()
         xp[nu] += h
         xm[nu] -= h
-        Tp = transition_quaternion(q.p, q.g, xp[None])[0]
-        Tm = transition_quaternion(q.p, q.g, xm[None])[0]
+        Tp = transition_quaternion(q.p, GENERIC_G, xp[None])[0]
+        Tm = transition_quaternion(q.p, GENERIC_G, xm[None])[0]
         dTinv = (qconj(Tp) - qconj(Tm)) / (2 * h)
         want = qmul(qmul(T, qo), qconj(T)) + qmul(T, dTinv) / q.eps
         got = np.zeros(4)
@@ -690,8 +688,7 @@ def _param_shift(q, direction, t):
         i = int(direction[2])
         coeffs = [0.0, 0.0, 0.0]
         coeffs[i - 1] = t
-        return ParamQ(p=q.p, g=q.g * exp_map(AlgElement(*coeffs)), lam=q.lam,
-                      eps=q.eps)
+        return ParamQ(p=q.p, g=q.g @ ad(qexp(coeffs)), lam=q.lam, eps=q.eps)
     return dataclasses.replace(q, lam=q.lam + t)
 
 
@@ -826,7 +823,7 @@ def _pass_nodes(q, n=240):
 def test_one_pass_matches_per_field_evaluation(pi2):
     # reference: each direction's own family member and its own atom memo
     q = ParamQ.default(2.0 ** -5, p=[0.12, -0.2, 0.07, 0.15],
-                       g=exp_map(AlgElement(0.9, -0.4, 1.3)))
+                       g=ad(qexp([0.9, -0.4, 1.3])))
     assert np.linalg.norm(q.p) < 0.4
     X, mask = _pass_nodes(q)
     assert 0 < mask.sum() < len(mask)
@@ -1047,7 +1044,7 @@ def _chart_cases():
     """(X, mask) pairs: a domain rule's prefix mask, an interleaved mask on
     shuffled nodes, and all-inner and all-outer masks."""
     q = ParamQ.default(2.0 ** -4, p=[0.12, -0.2, 0.07, 0.15],
-                       g=exp_map(AlgElement(0.9, -0.4, 1.3)))
+                       g=ad(qexp([0.9, -0.4, 1.3])))
     rule = domain_ball_rule(q.p, q.lam)
     prefix = np.arange(len(rule)) < rule.n_inner
     X, mask = _pass_nodes(q)

@@ -345,3 +345,44 @@ def test_library_holds_no_module_level_cache():
     found = [(path.stem,) + hit for path in sorted(SRC.glob("*.py"))
              for hit in module_containers(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+# a test module's top-level helper named like one of the oracle or the
+# library is a second copy of it: the tests import the one reference instead
+TESTS = SRC.parent.parent / "tests"
+
+
+def top_level_defs(source: str) -> set:
+    """Names of a module's top-level functions and classes."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def second_copies(tests: dict, references: list) -> list:
+    """(module, name) for each top-level function or class of a test module
+    in tests ({module: source}) that a source in references also defines
+    at top level."""
+    defined = set().union(*map(top_level_defs, references))
+    return sorted((module, name) for module, source in tests.items()
+                  for name in top_level_defs(source) & defined)
+
+
+def test_second_copies_are_found():
+    oracle = "def qmul(a, b):\n    pass\nclass FormField:\n    pass\n"
+    lib = "def rotation(xi):\n    pass\nX = 1\n"
+    test = ("from oracle import qmul\n"
+            "def qmul(a, b):\n    pass\n"
+            "class FormField:\n    pass\n"
+            "def rotation(xi):\n    pass\n"
+            "def X():\n    pass\n"
+            "def test_qmul():\n    def rotation():\n        pass\n")
+    assert second_copies({"test_a": test}, [oracle, lib]) == [
+        ("test_a", "FormField"), ("test_a", "qmul"), ("test_a", "rotation")]
+
+
+def test_tests_hold_no_second_copy_of_a_helper():
+    tests = {path.stem: path.read_text(encoding="utf-8")
+             for path in sorted(TESTS.glob("test_*.py"))}
+    references = [path.read_text(encoding="utf-8")
+                  for path in [TESTS / "oracle.py", *sorted(SRC.glob("*.py"))]]
+    assert second_copies(tests, references) == []
