@@ -36,6 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .forms import (
+    DEFAULT_TOL,
     NumericalError,
     QuadratureRule,
     ball_rule,  # not called here: perfbench/tracer.py's expect for it names basis
@@ -45,6 +46,7 @@ from .forms import (
     weighted_r4_rule,
 )
 from .instanton import (
+    DEFAULT_PI2,
     DIRECTIONS,
     ChartedField,
     ParamQ,
@@ -120,7 +122,7 @@ class InnerContext:
         return float(_raw_gram(self, [fa, fb])[0, 1])
 
 
-def ball_context(A: ChartedField, eps, rule=None, tol=1e-4) -> InnerContext:
+def ball_context(A: ChartedField, eps, rule=None, tol=DEFAULT_TOL) -> InnerContext:
     """Context for the B^4 product with connection A, on the unit-ball rule
     polar around A's center unless a rule is given."""
     if rule is None:
@@ -128,7 +130,7 @@ def ball_context(A: ChartedField, eps, rule=None, tol=1e-4) -> InnerContext:
     return InnerContext(rule, eps, A.value_split(rule.nodes, rule.n_inner))
 
 
-def weighted_context(A: ChartedField, eps, tol=1e-4) -> InnerContext:
+def weighted_context(A: ChartedField, eps, tol=DEFAULT_TOL) -> InnerContext:
     """Context for the weighted R^4 product with connection A."""
     rule = weighted_r4_rule(A.p, A.lam, tol=tol)
     return InnerContext(rule, eps, A.value_split(rule.nodes, rule.n_inner))
@@ -307,7 +309,7 @@ def _basis_from_fields(ctx, G) -> GramBasis:
     return GramBasis(mgs_coefficients(G), ctx, G)
 
 
-def gram_schmidt_ball(q: ParamQ, pi2: str = "model", tol: float = 1e-4,
+def gram_schmidt_ball(q: ParamQ, pi2: str = DEFAULT_PI2, tol: float = DEFAULT_TOL,
                       rule: QuadratureRule = None) -> GramBasis:
     """Orthonormalize the eight parameter derivatives of the glued family.
 
@@ -320,7 +322,7 @@ def gram_schmidt_ball(q: ParamQ, pi2: str = "model", tol: float = 1e-4,
 
 
 def gram_schmidt_weighted(q: ParamQ, ball_basis: GramBasis,
-                          tol: float = 1e-4) -> GramBasis:
+                          tol: float = DEFAULT_TOL) -> GramBasis:
     """Orthonormalize the extension's derivatives along the ball-basis q_i.
 
     Inputs are the fields sum_j c_ij dAt/dq_j obtained by applying the ball
@@ -378,7 +380,7 @@ _H_REL = 1e-3   # first FD step, relative to lam along a unit-length q_j
 
 
 def basis_directional_derivative(q: ParamQ, i: int, j: int, basis: GramBasis,
-                                 pi2: str = "model") -> tuple:
+                                 pi2: str = DEFAULT_PI2) -> tuple:
     """Central-difference derivative of a_i along the vector field q_j, on
     the base point's coefficients.
 

@@ -439,6 +439,9 @@ def _radial_pieces(p, lam: float, region: str, R, dirs, n_rad: int):
 # Gauss radii per radial piece; the self-check refines to (N_ANG + 2, 2 N_RAD)
 N_ANG = 6
 N_RAD = 10
+# the default gate of that self-check: the relative change the refinement
+# may make to the peaked integral (the CLI's --tol)
+DEFAULT_TOL = 1e-4
 
 
 def _peaked_integral(p, lam: float, region: str, R, n_ang: int,
@@ -495,7 +498,7 @@ def _polar_rule(p, lam: float, region: str, R=None,
     return rule
 
 
-def ball_rule(p, lam: float, R: float, tol: float = 1e-4) -> QuadratureRule:
+def ball_rule(p, lam: float, R: float, tol: float = DEFAULT_TOL) -> QuadratureRule:
     """Polar rule on the ball B_R(p) (R = inf gives all of R^4 with a tail).
 
     Graded radial panels through {lam/8, lam/4, lam/2, lam, 2lam, geometric, 1/2, 1}
@@ -508,7 +511,7 @@ def ball_rule(p, lam: float, R: float, tol: float = 1e-4) -> QuadratureRule:
     return _polar_rule(p, lam, "r4" if math.isinf(R) else "ball", R, tol)
 
 
-def domain_ball_rule(p, lam: float, tol: float = 1e-4) -> QuadratureRule:
+def domain_ball_rule(p, lam: float, tol: float = DEFAULT_TOL) -> QuadratureRule:
     """Rule over the unit ball B^4 (centered at the origin), polar around p.
 
     For p = 0 this is ball_rule(0, lam, 1).  For small |p| != 0 the final panel
@@ -523,7 +526,7 @@ def weight_fn(X: np.ndarray) -> np.ndarray:
     return np.where(s <= 1.0, 1.0, 1.0 / (1.0 + s) ** 2)
 
 
-def weighted_r4_rule(p, lam: float, tol: float = 1e-4) -> QuadratureRule:
+def weighted_r4_rule(p, lam: float, tol: float = DEFAULT_TOL) -> QuadratureRule:
     """Rule for integrals over R^4 split at the unit sphere (weight jump there).
 
     Its first nodes are domain_ball_rule's; exterior panels are geometric to

@@ -29,6 +29,7 @@ from .basis import (
     project_perp,
 )
 from .forms import (
+    DEFAULT_TOL,
     NumericalError,
     ball_rule,
     bracket_wedge_adjoint,
@@ -44,6 +45,8 @@ from .forms import (
     weighted_sum,
 )
 from .instanton import (
+    DEFAULT_D,
+    DEFAULT_PI2,
     DIRECTIONS,
     ChartedField,
     ParamQ,
@@ -118,7 +121,7 @@ def _r4_curvature(A: ChartedField, eps, tol):
     return curvature_coeffs(val, jac, eps), rule.weights
 
 
-def ym_eps(A: ChartedField, eps: float, tol: float = 1e-4) -> float:
+def ym_eps(A: ChartedField, eps: float, tol: float = DEFAULT_TOL) -> float:
     """The deformed energy: integral of |dA + (eps/2)[A^A]|^2 (trace pairing).
 
     Integrates over all of R^4 (graded radial rule with an inversion tail).
@@ -127,7 +130,7 @@ def ym_eps(A: ChartedField, eps: float, tol: float = 1e-4) -> float:
     return weighted_sum(w, 0.5 * cdot(F, F))
 
 
-def charge(Atilde: ChartedField, eps: float, tol: float = 1e-4) -> float:
+def charge(Atilde: ChartedField, eps: float, tol: float = DEFAULT_TOL) -> float:
     """Normalized topological charge of the curvature over R^4.
 
     charge = (eps^2 / 8 pi^2) * int <F ^ F> with the trace pairing; the sign
@@ -364,20 +367,27 @@ _PAIRS_57 = (
 )
 
 
-def sweep_points(eps_list, D=1.0):
+_POINT_BLOCKS = ("weighted", "l36", "l37", "l310")
+
+
+def sweep_points(eps_list, D=DEFAULT_D):
     """ParamQ points for a sweep: lam = sqrt(D * eps)."""
     return [ParamQ.default(e, D=D) for e in eps_list]
 
 
-def compute_point_metrics(q: ParamQ, pi2: str = "model", tol: float = 1e-4,
-                          seed: int = 0, n_test: int = 32,
-                          blocks=frozenset({"basis"})) -> dict:
+def compute_point_metrics(q: ParamQ, pi2: str = DEFAULT_PI2, tol: float = DEFAULT_TOL,
+                          seed: int = 0, n_test: int = 32, blocks=frozenset()) -> dict:
     """All scalar diagnostics of one sweep point needed by the reports.
 
-    blocks selects the expensive parts: "basis" (always computed),
-    "weighted", "l36", "l37", "l310".  Each block samples the fields it
-    pairs block by block, so no block holds a full-rule sample.
+    The ball basis is always computed; blocks names the expensive parts
+    beyond it, "weighted", "l36", "l37" and "l310" (another name raises
+    ValueError).  Each block samples the fields it pairs block by block,
+    so no block holds a full-rule sample.
     """
+    unknown = sorted(set(blocks) - set(_POINT_BLOCKS))
+    if unknown:
+        raise ValueError(f"unknown metric blocks {unknown}; "
+                         f"choose from {_POINT_BLOCKS}")
     out = {"eps": q.eps}
     basis = gram_schmidt_ball(q, pi2, tol=tol)
     ctx = basis.ctx

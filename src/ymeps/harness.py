@@ -15,10 +15,11 @@ import configparser
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .forms import NumericalError, QuadratureError
+from .forms import DEFAULT_TOL, NumericalError, QuadratureError
 from .functionals import (
     EstimateReport,
     SlopeFit,
@@ -35,6 +36,8 @@ from .functionals import (
     ym_eps,
 )
 from .instanton import (
+    DEFAULT_D,
+    DEFAULT_PI2,
     PI2_STRATEGIES,
     ParamError,
     ParamQ,
@@ -55,18 +58,11 @@ class ConfigError(ValueError):
 
 DEFAULT_EPS_SWEEP = tuple(2.0 ** -k for k in range(4, 10))
 DEFAULT_EPS_SINGLE = 2.0 ** -6
-DEFAULT_TOL = 1e-4
 
 LEMMA_TAGS = ("5.7", "5.8", "5.9", "3.6", "3.7", "3.10")
 
-_LEMMA_BLOCKS = {
-    "5.7": frozenset({"basis"}),
-    "5.8": frozenset({"basis"}),
-    "5.9": frozenset({"basis", "weighted"}),
-    "3.6": frozenset({"basis", "l36"}),
-    "3.7": frozenset({"basis", "l37"}),
-    "3.10": frozenset({"basis", "l310"}),
-}
+# the metric block a suite reads beyond the ball basis, if any
+_LEMMA_BLOCKS = {"5.9": "weighted", "3.6": "l36", "3.7": "l37", "3.10": "l310"}
 
 _LEMMA_BUILDERS = {
     "5.7": lemma57_report,
@@ -83,11 +79,11 @@ class SweepConfig:
     """Validated sweep parameters shared by the verification commands."""
 
     eps_list: tuple = DEFAULT_EPS_SWEEP
-    D: float = 1.0
+    D: float = DEFAULT_D
     tol: float = DEFAULT_TOL
     seed: int = 0
     n_test: int = 32
-    pi2: str = "model"
+    pi2: str = DEFAULT_PI2
     out_dir: str = "."
 
     def __post_init__(self):
@@ -132,10 +128,6 @@ def _check_tol(tol: float) -> float:
 # config file
 
 
-_SWEEP_KEYS = {"eps_list", "ratio_d", "tol", "seed", "n_test", "pi2"}
-_OUTPUT_KEYS = {"dir"}
-
-
 def parse_eps_list(text: str):
     """Comma/whitespace separated eps values; 2^-k shorthand is accepted."""
     toks = [t for t in text.replace(",", " ").split() if t]
@@ -155,6 +147,38 @@ def parse_eps_list(text: str):
     return out
 
 
+class _Option(NamedTuple):
+    """A SweepConfig field as a flag and a config key: parse reads the key's
+    text, and the flag's too unless argparse types it (flag_kw's "type")."""
+
+    field: str
+    flag: str
+    section: str
+    key: str
+    parse: Callable
+    flag_kw: dict
+
+
+_OPTIONS = (
+    _Option("eps_list", "--eps-list", "sweep", "eps_list", parse_eps_list, dict(
+        metavar="LIST", help="comma-separated eps sweep (2^-k shorthand allowed)")),
+    _Option("D", "--ratio-D", "sweep", "ratio_d", float, dict(
+        type=float, metavar="D", help=f"lam^2 / eps ratio (default {DEFAULT_D})")),
+    _Option("tol", "--tol", "sweep", "tol", float, dict(
+        type=float, help=f"quadrature self-check tolerance (default {DEFAULT_TOL})")),
+    _Option("seed", "--seed", "sweep", "seed", int, dict(
+        type=int, help="seed for the sampled test fields")),
+    _Option("n_test", "--n-test", "sweep", "n_test", int, dict(
+        type=int,
+        help=f"number of sampled test fields (default {SweepConfig.n_test})")),
+    _Option("pi2", "--pi2", "sweep", "pi2", str, dict(
+        choices=PI2_STRATEGIES,
+        help=f"outer-extension strategy (default {DEFAULT_PI2})")),
+    _Option("out_dir", "--out", "output", "dir", str, dict(
+        metavar="DIR", help=f"output directory (default {SweepConfig.out_dir})")),
+)
+
+
 def load_config(path: str) -> dict:
     """Read an INI-style config: [sweep] and [output] sections, key = value."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -167,52 +191,30 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if cp.defaults():
         raise ConfigError(f"unknown config section [{cp.default_section}]")
-    out = {}
+    options = {(o.section, o.key): o for o in _OPTIONS}
+    text = {}
     for section in cp.sections():
-        if section == "sweep":
-            allowed = _SWEEP_KEYS
-        elif section == "output":
-            allowed = _OUTPUT_KEYS
-        else:
+        if section not in {o.section for o in _OPTIONS}:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in cp.items(section):
-            if key not in allowed:
+            if (section, key) not in options:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            out[key if section == "sweep" else "out_dir"] = raw
+            text[options[section, key].field] = raw
+    # every key is checked before any value is parsed, in _OPTIONS' order
     try:
-        if "eps_list" in out:
-            out["eps_list"] = parse_eps_list(out["eps_list"])
-        if "ratio_d" in out:
-            out["D"] = float(out.pop("ratio_d"))
-        if "tol" in out:
-            out["tol"] = float(out["tol"])
-        if "seed" in out:
-            out["seed"] = int(out["seed"])
-        if "n_test" in out:
-            out["n_test"] = int(out["n_test"])
+        return {o.field: o.parse(text[o.field])
+                for o in _OPTIONS if o.field in text}
     except ValueError as exc:
         raise ConfigError(f"bad value in config file: {exc}") from exc
-    return out
 
 
 def _merge_config(args) -> SweepConfig:
-    kw = {}
-    if args.config:
-        kw.update(load_config(args.config))
-    if args.eps_list is not None:
-        kw["eps_list"] = parse_eps_list(args.eps_list)
-    if args.ratio_D is not None:
-        kw["D"] = args.ratio_D
-    if args.tol is not None:
-        kw["tol"] = args.tol
-    if args.seed is not None:
-        kw["seed"] = args.seed
-    if args.out is not None:
-        kw["out_dir"] = args.out
-    if args.n_test is not None:
-        kw["n_test"] = args.n_test
-    if args.pi2 is not None:
-        kw["pi2"] = args.pi2
+    """The config file's values, each overridden by its flag when given."""
+    kw = load_config(args.config) if args.config else {}
+    for o in _OPTIONS:
+        value = getattr(args, o.field)
+        if value is not None:
+            kw[o.field] = value if "type" in o.flag_kw else o.parse(value)
     return SweepConfig(**kw)
 
 
@@ -440,7 +442,7 @@ def _cmd_build_basis(args) -> int:
 
 def _run_lemmas(tags, cfg: SweepConfig, stem: str) -> int:
     _make_out_dir(cfg.out_dir)
-    blocks = frozenset().union(*(_LEMMA_BLOCKS[t] for t in tags))
+    blocks = frozenset(_LEMMA_BLOCKS[t] for t in tags if t in _LEMMA_BLOCKS)
     metrics = []
     for k, q in enumerate(cfg.points()):
         print(f"sweep point {k+1}/{len(cfg.eps_list)}: eps = {q.eps:g}, "
@@ -515,19 +517,10 @@ def _cmd_dump_field(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", metavar="PATH", help="INI config file")
-    p.add_argument("--eps-list", metavar="LIST",
-                   help="comma-separated eps sweep (2^-k shorthand allowed)")
-    p.add_argument("--ratio-D", type=float, metavar="D",
-                   help="lam^2 / eps ratio (default 1.0)")
-    p.add_argument("--tol", type=float, help="quadrature self-check tolerance (default 1e-4)")
-    p.add_argument("--seed", type=int, help="seed for the sampled test fields")
-    p.add_argument("--out", metavar="DIR", help="output directory (default .)")
+    for o in _OPTIONS:
+        p.add_argument(o.flag, dest=o.field, **o.flag_kw)
     p.add_argument("--eps", type=float,
                    help="single eps for charge/energy/build-basis/dump-field")
-    p.add_argument("--n-test", type=int, dest="n_test",
-                   help="number of sampled test fields (default 32)")
-    p.add_argument("--pi2", choices=PI2_STRATEGIES,
-                   help="outer-extension strategy (default model)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -143,15 +143,14 @@ def beta_profile(t, order=0):
     if order == 0:
         S = ((( _S_COEF[3] * u + _S_COEF[2]) * u + _S_COEF[1]) * u + _S_COEF[0]) * u ** 4
         return np.where(t <= 1.0, 1.0, np.where(t >= 2.0, 0.0, 1.0 - S))
-    mid = (t > 1.0) & (t < 2.0)
-    if order == 1:
-        d = 140 * u ** 3 - 420 * u ** 4 + 420 * u ** 5 - 140 * u ** 6
-    elif order == 2:
-        d = 420 * u ** 2 - 1680 * u ** 3 + 2100 * u ** 4 - 840 * u ** 5
-    elif order == 3:
-        d = 840 * u - 5040 * u ** 2 + 8400 * u ** 3 - 4200 * u ** 4
-    else:
+    if order not in (1, 2, 3):
         raise ValueError("profile derivatives available to order 3")
+    # S^(k) = sum_j c_j j!/(j-k)! u^(j-k), its exact integer derivative, summed
+    # by ascending powers, left to right: the outputs' bits depend on this
+    # order (the start 0 changes no bit, as no first term is -0.0)
+    d = sum(c * math.perm(j, order) * u ** (j - order)
+            for j, c in enumerate(_S_COEF, start=4))
+    mid = (t > 1.0) & (t < 2.0)
     return np.where(mid, -d, 0.0)
 
 
@@ -508,13 +507,18 @@ class ParamError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+# the ratio lam^2 / eps of a default point (the CLI's --ratio-D)
+DEFAULT_D = 1.0
+
+
+@dataclass(frozen=True, eq=False)
 class ParamQ:
     """Gluing parameter q = (p, [g], lam) with its eps and admissibility bounds.
 
     [g] in SU(2)/{+-1} = SO(3) is held as g, the rotation Ad(g) (3, 3) of
     su(2) coefficients: the family reads g only through Ad(g), so -g is the
-    same point.  The bounds satisfy 0 < 2 lam0 < d0.
+    same point.  The bounds satisfy 0 < 2 lam0 < d0.  Points compare and
+    hash by identity, as their fields are arrays.
     """
 
     p: np.ndarray
@@ -554,7 +558,7 @@ class ParamQ:
                 f"({self.D1*self.eps:.5g}, {self.D2*self.eps:.5g})")
 
     @staticmethod
-    def default(eps: float, D: float = 1.0, p=None, g=None) -> "ParamQ":
+    def default(eps: float, D: float = DEFAULT_D, p=None, g=None) -> "ParamQ":
         eps = _check_eps(float(eps))
         p = np.zeros(4) if p is None else np.asarray(p, dtype=float)
         g = np.eye(3) if g is None else g
@@ -653,9 +657,11 @@ _H_RADIAL = {
     "full": None,            # PI2 = I2, h = 0
 }
 PI2_STRATEGIES = tuple(_H_RADIAL)
+# the strategy the estimates cover (the CLI's --pi2)
+DEFAULT_PI2 = "model"
 
 
-def glued_connection(q: ParamQ, pi2: str = "model") -> ChartedField:
+def glued_connection(q: ParamQ, pi2: str = DEFAULT_PI2) -> ChartedField:
     """The glued family member A(q) = Atilde(q) - b(q).
 
     Outer chart: (1-beta_lam) bg + (1/eps) beta_{lam/4} g I2 g^{-1}
@@ -679,7 +685,7 @@ def extended_connection(q: ParamQ) -> ChartedField:
     return ChartedField(q.p, q.lam, inner, outer)
 
 
-def difference_b(q: ParamQ, pi2: str = "model") -> ChartedField:
+def difference_b(q: ParamQ, pi2: str = DEFAULT_PI2) -> ChartedField:
     """b(q) = extension minus glued family member (identically 0 on the inner chart).
 
     Derived directly from the definitions:

@@ -51,7 +51,7 @@ from oracle import (
 )
 
 ACC_EPS = tuple(2.0 ** -k for k in range(4, 10))
-ALL_BLOCKS = frozenset({"basis", "weighted", "l36", "l37", "l310"})
+ALL_BLOCKS = frozenset({"weighted", "l36", "l37", "l310"})
 SEED = 0
 N_TEST = 32
 
@@ -420,8 +420,8 @@ def test_criterion_10_structural_suite(tmp_path):
 
     # determinism: identical metrics, CSV, and file bytes on a repeated run
     qd = ParamQ.default(2.0 ** -5)
-    m1 = compute_point_metrics(qd, blocks=frozenset({"basis"}))
-    m2 = compute_point_metrics(qd, blocks=frozenset({"basis"}))
+    m1 = compute_point_metrics(qd)
+    m2 = compute_point_metrics(qd)
     assert np.array_equal(m1["ball_coeff"], m2["ball_coeff"])
     rep1 = report_csv([lemma58_report([m1])])
     rep2 = report_csv([lemma58_report([m2])])

@@ -348,7 +348,7 @@ def test_sweep_points_defaults():
 @pytest.fixture(scope="module")
 def small_sweep_metrics():
     eps_list = [2.0 ** -4, 2.0 ** -5, 2.0 ** -6, 2.0 ** -7]
-    return [compute_point_metrics(q, blocks=frozenset({"basis", "l36"}))
+    return [compute_point_metrics(q, blocks=frozenset({"l36"}))
             for q in sweep_points(eps_list)]
 
 
@@ -618,6 +618,21 @@ def test_l37_and_l310_together_equal_each_alone():
     assert sorted(both) == sorted(alone)
     for key, want in alone.items():
         assert np.asarray(both[key]).tobytes() == np.asarray(want).tobytes(), key
+
+
+@pytest.mark.parametrize("blocks,name", [({"l73"}, "l73"),
+                                         ({"basis"}, "basis"),
+                                         ({"l37", "l73"}, "l73")])
+def test_unknown_metric_block_is_refused_by_name(blocks, name, monkeypatch):
+    # before any rule is built: an unknown block would otherwise run the
+    # basis alone and leave its suite's report without its metrics
+    def no_rule(self):
+        raise AssertionError("a quadrature rule was built")
+
+    monkeypatch.setattr("ymeps.forms.QuadratureRule.__post_init__", no_rule)
+    with pytest.raises(ValueError, match=rf"unknown metric blocks \['{name}'\]"):
+        compute_point_metrics(ParamQ.default(2.0 ** -4),
+                              blocks=frozenset(blocks))
 
 
 def test_five_term_expansion_single_point():

@@ -1,7 +1,10 @@
 """Command-line driver: config validation, exit codes, and report files."""
 
+import argparse
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,9 +23,12 @@ from ymeps.instanton import (
     terms_value,
 )
 from ymeps.harness import (
+    _OPTIONS,
     CSV_HEADER,
     ConfigError,
     SweepConfig,
+    _merge_config,
+    build_parser,
     emit_outputs,
     fit_slope,
     load_config,
@@ -117,6 +123,80 @@ def test_load_config_rejects_unknown(tmp_path):
             load_config(str(defaults))
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "missing.ini"))
+
+
+# one value per option, as a config key's and a flag's text, and another
+# for the other source; each is valid and differs from the default
+_FILE_TEXT = {"eps_list": "2^-4, 2^-5, 2^-6, 2^-7", "D": "0.75",
+              "tol": "2e-4", "seed": "3", "n_test": "5", "pi2": "zero",
+              "out_dir": "from_file"}
+_FLAG_TEXT = {"eps_list": "2^-5,2^-6,2^-7,2^-8", "D": "1.25", "tol": "1e-3",
+              "seed": "7", "n_test": "8", "pi2": "full",
+              "out_dir": "from_flag"}
+
+
+def _config_from(argv, tmp_path, file_text=None):
+    """The SweepConfig one sweep command resolves from argv and, when
+    given, a config file setting every key to file_text's values."""
+    if file_text is not None:
+        path = tmp_path / "all_keys.ini"
+        lines = []
+        for section in ("sweep", "output"):
+            lines.append(f"[{section}]")
+            lines += [f"{o.key} = {file_text[o.field]}" for o in _OPTIONS
+                      if o.section == section]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = argv + ["--config", str(path)]
+    return _merge_config(build_parser().parse_args(["verify-scaling", *argv]))
+
+
+def test_each_sweep_option_is_one_flag_and_one_key(tmp_path):
+    fields = [f.name for f in dataclasses.fields(SweepConfig)]
+    assert sorted(o.field for o in _OPTIONS) == sorted(fields)
+    assert len({o.flag for o in _OPTIONS}) == len(_OPTIONS)
+    assert len({(o.section, o.key) for o in _OPTIONS}) == len(_OPTIONS)
+    # every subcommand accepts every flag
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert len(sub.choices) == 7
+    for command, parser in sub.choices.items():
+        tag = ["3.7"] if command == "verify-lemma" else []
+        for o in _OPTIONS:
+            args = parser.parse_args(tag + [o.flag, _FLAG_TEXT[o.field]])
+            assert getattr(args, o.field) is not None, (command, o.flag)
+    # a file setting every key reads as the same values given as flags
+    def as_flags(text):
+        return [t for o in _OPTIONS for t in (o.flag, text[o.field])]
+
+    from_file = _config_from([], tmp_path, _FILE_TEXT)
+    assert from_file == _config_from(as_flags(_FILE_TEXT), tmp_path)
+    from_flags = _config_from(as_flags(_FLAG_TEXT), tmp_path)
+    for field in fields:
+        assert len({getattr(cfg, field) for cfg in (
+            SweepConfig(), from_file, from_flags)}) == 3, field
+    # and each flag beats its key, leaving the others to the file
+    for o in _OPTIONS:
+        cfg = _config_from([o.flag, _FLAG_TEXT[o.field]], tmp_path, _FILE_TEXT)
+        assert cfg == dataclasses.replace(
+            from_file, **{o.field: getattr(from_flags, o.field)}), o.flag
+
+
+def test_readme_names_exactly_the_options():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    flags_part = readme.split("Common flags (every subcommand):")[1]
+    flags_part = flags_part.split("`dump-field` additionally")[0]
+    flags = set(re.findall(r"^- `(--[\w-]+)", flags_part, re.M))
+    # --config and --eps are not sweep options
+    assert flags == {o.flag for o in _OPTIONS} | {"--config", "--eps"}
+    ini = readme.split("## Config file")[1].split("```ini")[1].split("```")[0]
+    keys, section = set(), None
+    for line in ini.splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif "=" in line:
+            keys.add((section, line.split("=")[0].strip()))
+    assert keys == {(o.section, o.key) for o in _OPTIONS}
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,18 @@ def test_profile_smoothness_c3():
     assert np.all(np.diff(beta_profile(ts, 0)) <= 1e-15)  # monotone
 
 
+def test_profile_derivatives_are_exact():
+    # on the band, beta = 1 - S(t - 1), S = 35u^4 - 84u^5 + 70u^6 - 20u^7;
+    # orders 1..3 are its exact derivatives, not only to FD accuracy, up to
+    # rounding relative to the derivative's size (its roots cancel)
+    ts = np.linspace(1.0, 2.0, 203)[1:-1]
+    beta = 1 - np.polynomial.Polynomial([0, 0, 0, 0, 35, -84, 70, -20])
+    for k in (1, 2, 3):
+        ref = beta.deriv(k)(ts - 1.0)
+        err = np.max(np.abs(beta_profile(ts, k) - ref))
+        assert err <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_cutoff_derivative_sup_scaling():
     # sup |d^k beta_scale| grows like scale^{-k}
     p = np.zeros(4)
@@ -554,6 +566,17 @@ def test_param_validation():
     assert np.array_equal(q.g, np.array(R, dtype=float))
     for j in range(4, 10):
         ParamQ.default(2.0 ** -j)  # whole sweep range is admissible
+
+
+def test_param_points_compare_by_identity():
+    # the fields are arrays, so a value comparison would be ambiguous
+    q = ParamQ.default(2.0 ** -6)
+    assert q == q and hash(q) == hash(q)
+    assert q != ParamQ.default(2.0 ** -6)
+    assert len({q, ParamQ.default(2.0 ** -6)}) == 2
+    # a replaced point is validated as a new one
+    with pytest.raises(ParamError, match="lam"):
+        dataclasses.replace(q, lam=0.3)
 
 
 @pytest.mark.filterwarnings("error")

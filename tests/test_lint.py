@@ -386,3 +386,58 @@ def test_tests_hold_no_second_copy_of_a_helper():
     references = [path.read_text(encoding="utf-8")
                   for path in [TESTS / "oracle.py", *sorted(SRC.glob("*.py"))]]
     assert second_copies(tests, references) == []
+
+
+# a default that several signatures spell out is one value written in
+# several places: the module that owns it names it once and they read it
+def repeated_defaults(library: dict) -> list:
+    """(parameter, default, sites) for each float or str literal default
+    that a parameter of that name takes in two or more signatures of the
+    module-level functions and methods of library ({module: source});
+    sites are "module.function" or "module.Class.method", sorted."""
+    sites = {}
+    for module, source in library.items():
+        defs = []
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{f.name}", f) for f in node.body
+                         if isinstance(f, ast.FunctionDef)]
+        for name, func in defs:
+            args = func.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults):],
+                             args.defaults))
+            pairs += zip(args.kwonlyargs, args.kw_defaults)
+            for arg, default in pairs:
+                if (isinstance(default, ast.Constant)
+                        and type(default.value) in (float, str)):
+                    sites.setdefault((arg.arg, default.value), []).append(
+                        f"{module}.{name}")
+    return sorted(((arg, value, sorted(where))
+                   for (arg, value), where in sites.items() if len(where) > 1),
+                  key=lambda t: (t[0], repr(t[1])))
+
+
+def test_repeated_defaults_are_found():
+    lib = {"a": ("def f(x, tol=1e-4, *, name='m', flag=None):\n    pass\n"
+                 "class K:\n"
+                 "    def g(self, tol=1e-4, D=1.0):\n        pass\n"
+                 "    @staticmethod\n"
+                 "    def h(name='m', D=2.0, n=3):\n        pass\n"),
+           "b": ("TOL = 1e-4\n"
+                 "def k(tol=TOL, n=3, flag=True, *, D=1.0):\n"
+                 "    def inner(name='m'):\n        pass\n"
+                 "def j(name='other'):\n    pass\n")}
+    assert repeated_defaults(lib) == [
+        ("D", 1.0, ["a.K.g", "b.k"]),
+        ("name", "m", ["a.K.h", "a.f"]),
+        ("tol", 1e-4, ["a.K.g", "a.f"]),
+    ]
+
+
+def test_library_writes_each_default_once():
+    library = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert repeated_defaults(library) == []
