@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "COMP_INDEX",
     "QuadratureRule",
     "QuadratureError",
+    "RuleSpec",
     "NumericalError",
     "cdot",
     "star_coeffs",
@@ -362,6 +363,111 @@ def s3_nodes(n: int):
     return dirs, w
 
 
+def _sphere_moments(t: int) -> np.ndarray:
+    """The closed-form S^3 integrals E[a] of the monomials u^a, a in
+    0..t per coordinate: 2 prod Gamma((a_i+1)/2) / Gamma((|a|+4)/2) for
+    even exponents, 0 when one is odd."""
+    a = np.indices((t + 1,) * 4)
+    g = np.array([math.gamma((k + 1) / 2) for k in range(4 * t + 4)])
+    E = 2.0 * np.prod(g[a], axis=0) / g[a.sum(axis=0) + 3]
+    E[np.any(a % 2, axis=0)] = 0.0
+    return E
+
+
+# the round-off bound of the design check, relative to the weights' sum
+# 2 pi^2: the 600-cell and s3_nodes(6) miss no monomial of degree <= 11 by
+# more than 3.2e-14 and 1.4e-14, a coarse design by 1e-3 or more
+_DESIGN_RTOL = 1e-13
+
+
+@dataclass(frozen=True, eq=False)
+class RuleSpec:
+    """The orders of a polar rule: an angular design on S^3, directions
+    dirs (M,4) with weights (M,), that claims to integrate every polynomial
+    of degree <= t exactly, and n_rad Gauss radii per radial piece.
+
+    The claim is checked once, at the spec's first rule build, and the
+    result is kept on the spec (check_design).
+    """
+
+    dirs: np.ndarray
+    weights: np.ndarray
+    t: int
+    n_rad: int
+
+    def __post_init__(self):
+        for name in ("dirs", "weights"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if (self.dirs.ndim != 2 or self.dirs.shape[1] != 4
+                or self.weights.shape != self.dirs.shape[:1]):
+            raise ValueError("a design is (M, 4) directions and (M,) weights")
+
+    def refined(self) -> "RuleSpec":
+        """The self-check's refinement: the product rule of degree t + 4
+        and twice the radial order."""
+        return product_spec((self.t + 1) // 2 + 2, 2 * self.n_rad)
+
+    def check_design(self) -> float:
+        """The largest error of the design on the monomials of degree <= t
+        against their closed-form S^3 moments; QuadratureError names the
+        first monomial beyond the round-off bound _DESIGN_RTOL."""
+        return self._design_error
+
+    @cached_property
+    def _design_error(self) -> float:
+        t, M = self.t, len(self.dirs)
+        P = [self.dirs[:, i, None] ** np.arange(t + 1) for i in range(4)]
+        # got[a, b, c, d] = sum_m w_m u0^a u1^b u2^c u3^d, as one GEMM
+        # over the pairs (a, b) and (c, d)
+        wab = (self.weights[:, None, None] * P[0][:, :, None] * P[1][:, None])
+        cd = P[2][:, :, None] * P[3][:, None]
+        got = (wab.reshape(M, -1).T @ cd.reshape(M, -1)).reshape((t + 1,) * 4)
+        err = np.abs(got - _sphere_moments(t))
+        err[np.indices(err.shape).sum(axis=0) > t] = 0.0
+        bound = _DESIGN_RTOL * float(np.sum(np.abs(self.weights)))
+        bad = np.argwhere(err > bound)
+        if len(bad):
+            a = tuple(int(k) for k in bad[0])
+            raise QuadratureError(
+                f"angular design of {len(self.dirs)} directions is not of "
+                f"degree {t}: monomial u^{a} off its S^3 moment by "
+                f"{err[a]:.3e} > {bound:.1e}")
+        return float(err.max())
+
+
+@lru_cache(maxsize=None)
+def product_spec(n: int, n_rad: int) -> RuleSpec:
+    """The spec of the product rule s3_nodes(n), of degree 2n - 1, built
+    once per (n, n_rad), so that its design is checked once."""
+    return RuleSpec(*s3_nodes(n), 2 * n - 1, n_rad)
+
+
+def _icosians() -> np.ndarray:
+    """The 120 unit icosians, the vertices of the 600-cell: the 8
+    permutations of (+-1, 0, 0, 0), the 16 sign patterns of (+-1/2)^4 and
+    the 96 even permutations of (+-phi, +-1, +-1/phi, 0) / 2."""
+    phi = (1 + math.sqrt(5)) / 2
+    even = [s for s in permutations(range(4)) if _perm_sign(s) > 0]
+    out = [np.roll([float(s), 0.0, 0.0, 0.0], k) for k in range(4) for s in (1, -1)]
+    out += [0.5 * np.array(s) for s in product((1.0, -1.0), repeat=4)]
+    for s in product((1.0, -1.0), repeat=3):
+        v = 0.5 * np.array([s[0] * phi, s[1], s[2] / phi, 0.0])
+        out += [v[list(perm)] for perm in even]
+    return np.array(out)
+
+
+# the spec of every polar rule unless another is given: the 600-cell, an
+# 11-design on S^3 (Delsarte-Goethals-Seidel 1977) of 120 equal weights, the
+# degree of the 432-direction product rule s3_nodes(6), with 10 Gauss radii
+# per radial piece
+DEFAULT_SPEC = RuleSpec(_icosians(), np.full(120, 2 * math.pi ** 2 / 120), 11, 10)
+# the default gate of the self-check: the relative change the refinement
+# may make to the peaked integral (the CLI's --tol)
+DEFAULT_TOL = 1e-4
+
+
 def _radial_breaks(lam: float, R: float):
     """Graded radial panel edges from 0 to R resolving the cutoff scales."""
     pts = [0.0, lam / 8, lam / 4, lam / 2, lam, 2 * lam]
@@ -435,62 +541,52 @@ def _radial_pieces(p, lam: float, region: str, R, dirs, n_rad: int):
     return pieces
 
 
-# the orders of every polar rule: the S^3 rule s3_nodes(N_ANG) and N_RAD
-# Gauss radii per radial piece; the self-check refines to (N_ANG + 2, 2 N_RAD)
-N_ANG = 6
-N_RAD = 10
-# the default gate of that self-check: the relative change the refinement
-# may make to the peaked integral (the CLI's --tol)
-DEFAULT_TOL = 1e-4
-
-
-def _peaked_integral(p, lam: float, region: str, R, n_ang: int,
-                     n_rad: int) -> float:
+def _peaked_integral(p, lam: float, region: str, R, spec: RuleSpec) -> float:
     """The integral of the canonical peaked density
-    48 lam^4 / (lam^2 + |x - p|^2)^4 by the polar rule of orders
-    (n_ang, n_rad) around p, summed without its nodes: the density is radial
-    about p, so a piece of shared radii (K,) gives sum_k w_k f(r_k) times
-    the angular weights' sum, and a piece run per direction (K, M) its sum
-    over both axes with the angular weights."""
-    dirs, wdirs = s3_nodes(n_ang)
+    48 lam^4 / (lam^2 + |x - p|^2)^4 by the polar rule of spec around p,
+    summed without its nodes: the density is radial about p, so a piece of
+    shared radii (K,) gives sum_k w_k f(r_k) times the angular weights'
+    sum, and a piece run per direction (K, M) its sum over both axes with
+    the angular weights."""
     total = 0.0
-    for r, wr in _radial_pieces(p, lam, region, R, dirs, n_rad):
+    for r, wr in _radial_pieces(p, lam, region, R, spec.dirs, spec.n_rad):
         f = wr * (48 * lam ** 4 / (lam ** 2 + r * r) ** 4)
-        total += (np.sum(f) * np.sum(wdirs) if f.ndim == 1
-                  else np.sum(f * wdirs))
+        total += (np.sum(f) * np.sum(spec.weights) if f.ndim == 1
+                  else np.sum(f * spec.weights))
     return float(total)
 
 
-def _polar_rule(p, lam: float, region: str, R=None,
-                tol: float = None) -> QuadratureRule:
-    """Nodes p + r u and weights w_r w_u over the S^3 rule u and the radial
-    pieces, radius-major within each piece; R None is the unit ball (|p| <= 0.4).
+def _polar_rule(p, lam: float, region: str, R=None, tol: float = None,
+                spec: RuleSpec = DEFAULT_SPEC) -> QuadratureRule:
+    """Nodes p + r u and weights w_r w_u over spec's S^3 design u and the
+    radial pieces, radius-major within each piece; R None is the unit ball
+    (|p| <= 0.4).  The design's degree is checked first (check_design).
 
-    With a tol, one refinement doubling (N_ANG + 2, 2 N_RAD) must move the
-    integral of the canonical peaked density by at most tol, else
-    QuadratureError; both integrals are radial sums (_peaked_integral), so
-    the refined rule is never built.  A weighted-r4 rule checks only its
-    unit-ball part, the B^4 rule of the same p and lam, and reports that
-    part's error.
+    With a tol, the refinement spec.refined() must move the integral of the
+    canonical peaked density by at most tol, else QuadratureError; both
+    integrals are radial sums (_peaked_integral), so the refined rule is
+    never built.  A weighted-r4 rule checks only its unit-ball part, the B^4
+    rule of the same p and lam, and reports that part's error.
     """
+    spec.check_design()
     p = np.asarray(p, dtype=float)
     if R is None:
         if np.linalg.norm(p) > 0.4:
             raise ValueError("domain_ball_rule expects |p| <= 0.4")
         p = np.zeros(4) if np.linalg.norm(p) < 1e-14 else p
-    dirs, wdirs = s3_nodes(N_ANG)
+    dirs = spec.dirs
     # every piece broadcast to (K, M), stacked outward
     r, wr = (np.concatenate([np.broadcast_to(x.reshape(len(x), -1), (len(x), len(dirs)))
                              for x in xs])
-             for xs in zip(*_radial_pieces(p, lam, region, R, dirs, N_RAD)))
+             for xs in zip(*_radial_pieces(p, lam, region, R, dirs, spec.n_rad)))
     rule = QuadratureRule((p + r[..., None] * dirs).reshape(-1, 4),
-                          (wr * wdirs).reshape(-1), p, lam, region,
+                          (wr * spec.weights).reshape(-1), p, lam, region,
                           r.reshape(-1))
     if tol is None:
         return rule
     checked = "ball" if region == "weighted-r4" else region
-    a, b = (_peaked_integral(p, lam, checked, R, n_ang, n_rad)
-            for n_ang, n_rad in ((N_ANG, N_RAD), (N_ANG + 2, 2 * N_RAD)))
+    a, b = (_peaked_integral(p, lam, checked, R, s)
+            for s in (spec, spec.refined()))
     rule.self_check_error = err = abs(a - b) / max(abs(b), 1e-300)
     if err > tol:
         raise QuadratureError(f"rule self-check failed: refinement changes "
@@ -498,26 +594,28 @@ def _polar_rule(p, lam: float, region: str, R=None,
     return rule
 
 
-def ball_rule(p, lam: float, R: float, tol: float = DEFAULT_TOL) -> QuadratureRule:
+def ball_rule(p, lam: float, R: float, tol: float = DEFAULT_TOL,
+              spec: RuleSpec = DEFAULT_SPEC) -> QuadratureRule:
     """Polar rule on the ball B_R(p) (R = inf gives all of R^4 with a tail).
 
     Graded radial panels through {lam/8, lam/4, lam/2, lam, 2lam, geometric, 1/2, 1}
-    x product S^3 angular rule, self-checked to tol.
+    x spec's S^3 design, self-checked to tol.
     """
     if not (lam > 0):
         raise ValueError("lam must be positive")
     if not (R > 0):
         raise ValueError("R must be positive")
-    return _polar_rule(p, lam, "r4" if math.isinf(R) else "ball", R, tol)
+    return _polar_rule(p, lam, "r4" if math.isinf(R) else "ball", R, tol, spec)
 
 
-def domain_ball_rule(p, lam: float, tol: float = DEFAULT_TOL) -> QuadratureRule:
+def domain_ball_rule(p, lam: float, tol: float = DEFAULT_TOL,
+                     spec: RuleSpec = DEFAULT_SPEC) -> QuadratureRule:
     """Rule over the unit ball B^4 (centered at the origin), polar around p.
 
     For p = 0 this is ball_rule(0, lam, 1).  For small |p| != 0 the final panel
     runs, per direction, to the boundary distance along that direction.
     """
-    return _polar_rule(p, lam, "ball", None, tol)
+    return _polar_rule(p, lam, "ball", None, tol, spec)
 
 
 def weight_fn(X: np.ndarray) -> np.ndarray:
@@ -526,14 +624,15 @@ def weight_fn(X: np.ndarray) -> np.ndarray:
     return np.where(s <= 1.0, 1.0, 1.0 / (1.0 + s) ** 2)
 
 
-def weighted_r4_rule(p, lam: float, tol: float = DEFAULT_TOL) -> QuadratureRule:
+def weighted_r4_rule(p, lam: float, tol: float = DEFAULT_TOL,
+                     spec: RuleSpec = DEFAULT_SPEC) -> QuadratureRule:
     """Rule for integrals over R^4 split at the unit sphere (weight jump there).
 
     Its first nodes are domain_ball_rule's; exterior panels are geometric to
     R_far = 8 with an inversion tail.  Only the unit-ball part is
     self-checked, and its error is the one reported.
     """
-    return _polar_rule(p, lam, "weighted-r4", None, tol)
+    return _polar_rule(p, lam, "weighted-r4", None, tol, spec)
 
 
 def tail_report(rule: QuadratureRule, vals: np.ndarray) -> dict:

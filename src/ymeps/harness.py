@@ -21,6 +21,8 @@ import numpy as np
 
 from .forms import DEFAULT_TOL, NumericalError, QuadratureError
 from .functionals import (
+    DEFAULT_N_TEST,
+    DEFAULT_SEED,
     EstimateReport,
     SlopeFit,
     charge,
@@ -81,8 +83,8 @@ class SweepConfig:
     eps_list: tuple = DEFAULT_EPS_SWEEP
     D: float = DEFAULT_D
     tol: float = DEFAULT_TOL
-    seed: int = 0
-    n_test: int = 32
+    seed: int = DEFAULT_SEED
+    n_test: int = DEFAULT_N_TEST
     pi2: str = DEFAULT_PI2
     out_dir: str = "."
 

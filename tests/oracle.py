@@ -59,6 +59,7 @@ from ymeps.forms import (
     N_COMP,
     NumericalError,
     QuadratureRule,
+    RuleSpec,
     _radial_pieces,
     bracket_wedge_coeffs,
     cdot,
@@ -67,7 +68,6 @@ from ymeps.forms import (
     cov_grad_scaled,
     curvature_coeffs,
     d_coeffs,
-    s3_nodes,
     weighted_sum,
 )
 from ymeps.instanton import (
@@ -875,27 +875,28 @@ def rebuilt_fd(q, i, j, basis, pi2="model"):
 # the rule self-check on materialised rules
 
 
-def materialised_rule(p, lam: float, region: str, R, n_ang: int,
-                      n_rad: int) -> QuadratureRule:
-    """The polar rule of orders (n_ang, n_rad) around p with all its nodes,
-    built as forms._polar_rule builds its rule of the default orders."""
+def materialised_rule(p, lam: float, region: str, R,
+                      spec: RuleSpec) -> QuadratureRule:
+    """The polar rule of spec around p with all its nodes, built as
+    forms._polar_rule builds it."""
     p = np.asarray(p, dtype=float)
-    dirs, wdirs = s3_nodes(n_ang)
+    dirs = spec.dirs
     r, wr = (np.concatenate([np.broadcast_to(x.reshape(len(x), -1),
                                              (len(x), len(dirs)))
                              for x in xs])
-             for xs in zip(*_radial_pieces(p, lam, region, R, dirs, n_rad)))
+             for xs in zip(*_radial_pieces(p, lam, region, R, dirs,
+                                           spec.n_rad)))
     return QuadratureRule((p + r[..., None] * dirs).reshape(-1, 4),
-                          (wr * wdirs).reshape(-1), p, lam, region)
+                          (wr * spec.weights).reshape(-1), p, lam, region)
 
 
-def materialised_peaked_integral(p, lam: float, region: str, R, n_ang: int,
-                                 n_rad: int) -> float:
+def materialised_peaked_integral(p, lam: float, region: str, R,
+                                 spec: RuleSpec) -> float:
     """The canonical peaked density 48 lam^4 / (lam^2 + |x - p|^2)^4 summed
     node by node over materialised_rule: the reference for the self-check's
     radial sums (forms._peaked_integral)."""
     p = np.asarray(p, dtype=float)
-    rule = materialised_rule(p, lam, region, R, n_ang, n_rad)
+    rule = materialised_rule(p, lam, region, R, spec)
     return integrate(rule, lambda X: 48 * lam ** 4
                      / (lam ** 2 + np.sum((X - p) ** 2, axis=1)) ** 4)
 

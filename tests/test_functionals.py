@@ -20,6 +20,7 @@ from ymeps.basis import (
 )
 from ymeps.forms import (
     COMP_INDEX,
+    DEFAULT_SPEC,
     MULTI_INDEX,
     NumericalError,
     QuadratureRule,
@@ -31,11 +32,13 @@ from ymeps.forms import (
     curvature_coeffs,
     d_coeffs,
     domain_ball_rule,
+    product_spec,
     star_coeffs,
     weighted_sum,
 )
 from ymeps.functionals import (
     _DPHI_MAP,
+    L37_N_ANG,
     EstimateReport,
     QuantityRow,
     _bump_channels,
@@ -100,6 +103,8 @@ from oracle import (
 )
 
 RNG_SEED = 77023
+# suite 3.7's rule spec at the default radial order
+L37_SPEC = product_spec(L37_N_ANG, DEFAULT_SPEC.n_rad)
 
 
 # the generic points' [g], as a unit quaternion of the oracle
@@ -555,15 +560,17 @@ def test_basis_only_point_holds_no_samples(monkeypatch):
 
 
 def test_l37_point_builds_its_representers_from_block_samples(monkeypatch):
-    # at 2^-7 the eight raw fields sampled whole take 142 MiB and A, Atilde,
-    # b with their jacobians 56 MiB more, and two whole-rule representers
-    # would take 40 MiB each; suite 3.7 samples five fields, A, Atilde, b,
-    # a_1 and a_5, a block at a time and builds and pairs the representers
-    # there, so its pass peaks no higher than the basis build before it
+    # at 2^-7 the eight raw fields sampled whole on suite 3.7's rule take
+    # 142 MiB and A, Atilde, b with their jacobians 56 MiB more, and two
+    # whole-rule representers would take 40 MiB each; suite 3.7 samples
+    # five fields, A, Atilde, b, a_1 and a_5, a block at a time and builds
+    # and pairs the representers there, so its pass peaks no higher than a
+    # basis build on its rule
     import tracemalloc
 
     import ymeps.functionals as functionals_mod
 
+    q = ParamQ.default(2.0 ** -7)
     peaks = []
 
     def recorded(*args, **kwargs):
@@ -575,13 +582,14 @@ def test_l37_point_builds_its_representers_from_block_samples(monkeypatch):
     monkeypatch.setattr(functionals_mod, "gram_schmidt_ball", recorded)
     tracemalloc.start()
     try:
-        m = compute_point_metrics(ParamQ.default(2.0 ** -7),
-                                  blocks=frozenset({"l37"}), n_test=16)
+        m = compute_point_metrics(q, blocks=frozenset({"l37"}), n_test=16)
         peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        recorded(q, spec=L37_SPEC)
     finally:
         tracemalloc.stop()
     assert m["hess_dual_i5"] > 0.0
-    basis_peak, l37_peak = peaks
+    _, l37_peak, basis_peak = peaks
     assert l37_peak <= basis_peak, (l37_peak / 2 ** 20, basis_peak / 2 ** 20)
     assert max(peaks) <= 64 * 2 ** 20, max(peaks) / 2 ** 20
 
@@ -702,7 +710,7 @@ def test_l37_probe_loop_matches_per_tag_oracle(pi2):
     q = _generic_q(2.0 ** -4)
     basis = gram_schmidt_ball(q, pi2)
     assert _holds_no_samples(basis)
-    got = _hessian_difference_metrics(q, pi2, basis, basis.ctx,
+    got = _hessian_difference_metrics(q, pi2, basis.coeff, basis.ctx,
                                       seed=RNG_SEED, n_test=4)
     want = _per_tag_l37_oracle(q, pi2, basis, basis.ctx,
                                seed=RNG_SEED, n_test=4)
@@ -764,7 +772,7 @@ def test_l37_shape_groups_match_per_probe_oracle(pi2, monkeypatch):
     assert any(len(coeffs) > 1 for *_, coeffs in shapes)
     assert sum(len(coeffs) for *_, coeffs in shapes) == 8
     blocks, gemms = _count_shape_gemms(monkeypatch)
-    got = _hessian_difference_metrics(q, pi2, basis, basis.ctx,
+    got = _hessian_difference_metrics(q, pi2, basis.coeff, basis.ctx,
                                       seed=RNG_SEED, n_test=8)
     assert len(blocks) > 1
     assert list(blocks.values()) == [["i1", "i5"]] * len(blocks)
@@ -776,9 +784,9 @@ def test_l37_shape_groups_match_per_probe_oracle(pi2, monkeypatch):
 def test_l37_shape_groups_cross_the_group_boundary(monkeypatch):
     # more shapes than 120 // 5, the most one product took while the whole
     # representer was paired at once: all of them now pair in one product
-    # per node block and tag, on a rule of two blocks
+    # per node block and tag, on suite 3.7's rule thinned to two blocks
     q = _generic_q(2.0 ** -4)
-    r = domain_ball_rule(q.p, q.lam)
+    r = domain_ball_rule(q.p, q.lam, spec=L37_SPEC)
     rule = QuadratureRule(r.nodes[::7], r.weights[::7], r.center, r.lam,
                           r.region)
     basis = gram_schmidt_ball(q, "model", rule=rule)
@@ -786,7 +794,7 @@ def test_l37_shape_groups_cross_the_group_boundary(monkeypatch):
     shapes = probe_family(q, basis.ctx, n, RNG_SEED)
     assert per < len(shapes) <= 2 * per
     blocks, gemms = _count_shape_gemms(monkeypatch)
-    got = _hessian_difference_metrics(q, "model", basis, basis.ctx,
+    got = _hessian_difference_metrics(q, "model", basis.coeff, basis.ctx,
                                       seed=RNG_SEED, n_test=n)
     assert len(blocks) > 1
     assert gemms == [len(shapes)] * 2
@@ -809,8 +817,8 @@ def test_l37_expansions_are_closer_to_long_double_than_direct_differences():
     basis = gram_schmidt_ball(q, "full", rule=rule)
     ctx = basis.ctx
     shapes = probe_family(q, ctx, 8, RNG_SEED)
-    got = _hessian_difference_metrics(q, "full", basis, ctx, seed=RNG_SEED,
-                                      n_test=8)
+    got = _hessian_difference_metrics(q, "full", basis.coeff, ctx,
+                                      seed=RNG_SEED, n_test=8)
     exact = long_double_l37_differences(q, "full", basis, ctx, shapes)
     direct = long_double_l37_differences(q, "full", basis, ctx, shapes,
                                          dtype=float)
@@ -852,7 +860,7 @@ def test_l37_dual_norms_do_not_depend_on_the_block_size(pi2, k, monkeypatch):
     got = []
     for block in (1024, len(basis.ctx.rule)):
         monkeypatch.setattr(basis_mod, "_SAMPLE_BLOCK", block)
-        got.append(_hessian_difference_metrics(q, pi2, basis, basis.ctx,
+        got.append(_hessian_difference_metrics(q, pi2, basis.coeff, basis.ctx,
                                                seed=RNG_SEED, n_test=8))
     for key, want in got[1].items():
         if key != "five_term_residual":
@@ -950,8 +958,8 @@ def test_l37_makes_no_layout_copy_and_no_node_field_arithmetic(monkeypatch):
     for name in ("moveaxis", "ascontiguousarray", "copyto", "transpose",
                  "swapaxes"):
         monkeypatch.setattr(np, name, forbidden)
-    _hessian_difference_metrics(q, "model", basis, basis.ctx, seed=RNG_SEED,
-                                n_test=4)
+    _hessian_difference_metrics(q, "model", basis.coeff, basis.ctx,
+                                seed=RNG_SEED, n_test=4)
     n = len(blocks)
     assert n > 1 and len(built) == 2 * n
     assert all(len(samples) == 5 for samples in blocks)
@@ -1006,9 +1014,9 @@ def test_l37_folded_tag_fields_equal_the_combined_raw_samples(pi2):
 
 
 def _thinned_context(q, pi2, stride) -> InnerContext:
-    """The ball context of the glued connection at q on every stride-th
-    node of its rule."""
-    ctx = ball_context(glued_connection(q, pi2=pi2), q.eps)
+    """Suite 3.7's ball context of the glued connection at q on every
+    stride-th node of its rule."""
+    ctx = ball_context(glued_connection(q, pi2=pi2), q.eps, spec=L37_SPEC)
     r = ctx.rule
     rule = QuadratureRule(r.nodes[::stride], r.weights[::stride], r.center,
                           r.lam, r.region)
@@ -1226,8 +1234,8 @@ def test_l37_probe_loop_reports_non_finite_connection(monkeypatch):
     _, poison = _far_poison(ctx, 2)      # b, sampled with A and Atilde
     _record_l37_blocks(monkeypatch, poison)
     with pytest.raises(NumericalError):
-        _hessian_difference_metrics(q, "model", basis, ctx, seed=RNG_SEED,
-                                    n_test=2)
+        _hessian_difference_metrics(q, "model", basis.coeff, ctx,
+                                    seed=RNG_SEED, n_test=2)
 
 
 def test_l37_probe_loop_reports_non_finite_basis_field(monkeypatch):
@@ -1252,7 +1260,7 @@ def test_l37_probe_loop_reports_non_finite_basis_field(monkeypatch):
 
     monkeypatch.setattr(functionals_mod, "_representer", recorded)
     with pytest.raises(NumericalError, match=r"\(i5\)"):
-        _hessian_difference_metrics(q, "model", basis, basis.ctx,
+        _hessian_difference_metrics(q, "model", basis.coeff, basis.ctx,
                                     seed=RNG_SEED, n_test=2)
     # the poisoned block, the one holding the far node, is the last sampled
     n = len(blocks)

@@ -391,11 +391,19 @@ def test_tests_hold_no_second_copy_of_a_helper():
 # a default that several signatures spell out is one value written in
 # several places: the module that owns it names it once and they read it
 def repeated_defaults(library: dict) -> list:
-    """(parameter, default, sites) for each float or str literal default
-    that a parameter of that name takes in two or more signatures of the
-    module-level functions and methods of library ({module: source});
-    sites are "module.function" or "module.Class.method", sorted."""
+    """(parameter, default, sites) for each int, float or str literal
+    default (a bool is not counted) that a parameter or class field of that
+    name takes in two or more places: the signatures of the module-level
+    functions and methods of library ({module: source}) and the annotated
+    fields of its classes.  sites are "module.function",
+    "module.Class.method" or "module.Class", sorted."""
     sites = {}
+
+    def add(name, default, where):
+        if (isinstance(default, ast.Constant)
+                and type(default.value) in (int, float, str)):
+            sites.setdefault((name, default.value), []).append(where)
+
     for module, source in library.items():
         defs = []
         for node in ast.parse(source).body:
@@ -404,6 +412,9 @@ def repeated_defaults(library: dict) -> list:
             elif isinstance(node, ast.ClassDef):
                 defs += [(f"{node.name}.{f.name}", f) for f in node.body
                          if isinstance(f, ast.FunctionDef)]
+                for f in node.body:
+                    if isinstance(f, ast.AnnAssign) and f.value is not None:
+                        add(f.target.id, f.value, f"{module}.{node.name}")
         for name, func in defs:
             args = func.args
             positional = args.posonlyargs + args.args
@@ -411,10 +422,7 @@ def repeated_defaults(library: dict) -> list:
                              args.defaults))
             pairs += zip(args.kwonlyargs, args.kw_defaults)
             for arg, default in pairs:
-                if (isinstance(default, ast.Constant)
-                        and type(default.value) in (float, str)):
-                    sites.setdefault((arg.arg, default.value), []).append(
-                        f"{module}.{name}")
+                add(arg.arg, default, f"{module}.{name}")
     return sorted(((arg, value, sorted(where))
                    for (arg, value), where in sites.items() if len(where) > 1),
                   key=lambda t: (t[0], repr(t[1])))
@@ -429,15 +437,31 @@ def test_repeated_defaults_are_found():
            "b": ("TOL = 1e-4\n"
                  "def k(tol=TOL, n=3, flag=True, *, D=1.0):\n"
                  "    def inner(name='m'):\n        pass\n"
-                 "def j(name='other'):\n    pass\n")}
+                 "def j(name='other'):\n    pass\n"),
+           "c": ("SEED = 0\n"
+                 "class Config:\n"
+                 "    seed: int = 0\n    n: int = 3\n    flag: bool = True\n"
+                 "    size: int = SEED\n    rows = 5\n"
+                 "def run(seed=0, flag=True, size=0, rows=5):\n    pass\n")}
     assert repeated_defaults(lib) == [
         ("D", 1.0, ["a.K.g", "b.k"]),
+        ("n", 3, ["a.K.h", "b.k", "c.Config"]),
         ("name", "m", ["a.K.h", "a.f"]),
+        ("seed", 0, ["c.Config", "c.run"]),
         ("tol", 1e-4, ["a.K.g", "a.f"]),
     ]
+
+
+# the derivative orders of the radial laws' and atoms' common signature,
+# where 0 is the function itself rather than a value chosen in two places
+REPEATED_KEPT = {
+    ("dlam", 0): "d/dlam order of the radial laws and atom evaluations",
+    ("ds", 0): "d/ds order of the radial laws",
+}
 
 
 def test_library_writes_each_default_once():
     library = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(SRC.glob("*.py"))}
-    assert repeated_defaults(library) == []
+    assert [(arg, value) for arg, value, _ in repeated_defaults(library)] == \
+        sorted(REPEATED_KEPT)

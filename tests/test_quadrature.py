@@ -1,26 +1,33 @@
-"""Quadrature tests: volumes, exactness, the peaked oracle, tails, determinism."""
+"""Quadrature tests: volumes, exactness, the peaked oracle, tails,
+determinism, and the rule spec's angular design check."""
 
+import functools
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
+from ymeps import functionals, harness
 from ymeps.forms import (
-    N_ANG,
-    N_RAD,
+    DEFAULT_SPEC,
+    DEFAULT_TOL,
     NumericalError,
     QuadratureError,
     QuadratureRule,
+    RuleSpec,
     _peaked_integral,
     _polar_rule,
     ball_rule,
     domain_ball_rule,
+    product_spec,
     s3_nodes,
     sq_norms,
     tail_report,
     weight_fn,
     weighted_r4_rule,
 )
+from ymeps.instanton import ParamQ
 from oracle import integrate, materialised_peaked_integral, materialised_rule
 
 
@@ -229,6 +236,8 @@ def test_sq_norms_is_the_row_sum_bit_for_bit():
 
 
 OFF_CENTRE_P = np.array([0.12, -0.2, 0.07, 0.15])
+# the centre of the generic sweep point
+GENERIC_P = np.array([0.1, -0.08, 0.05, 0.12])
 
 
 @pytest.mark.parametrize("k", range(4, 10))
@@ -289,15 +298,109 @@ def test_self_check_radial_sums_match_the_materialised_rules(case, lam):
     # node-by-node integrals over both orders' materialised rules, the
     # default-order one being the library's rule node for node
     p, region, R = SELF_CHECK_CASES[case]
-    built = materialised_rule(p, lam, region, R, N_ANG, N_RAD)
+    built = materialised_rule(p, lam, region, R, DEFAULT_SPEC)
     assert np.array_equal(built.nodes, _polar_rule(p, lam, region, R).nodes)
-    for orders in ((N_ANG, N_RAD), (N_ANG + 2, 2 * N_RAD)):
-        want = materialised_peaked_integral(p, lam, region, R, *orders)
-        got = _peaked_integral(p, lam, region, R, *orders)
-        assert abs(got - want) <= 1e-13 * abs(want), orders
+    for spec in (DEFAULT_SPEC, DEFAULT_SPEC.refined()):
+        want = materialised_peaked_integral(p, lam, region, R, spec)
+        got = _peaked_integral(p, lam, region, R, spec)
+        assert abs(got - want) <= 1e-13 * abs(want), len(spec.dirs)
 
 
 def test_rule_listing_an_inner_node_late_raises():
     r = domain_ball_rule(OFF_CENTRE_P, 0.25, tol=None)
     with pytest.raises(ValueError, match="inner-chart nodes first"):
         QuadratureRule(r.nodes[::-1], r.weights[::-1], r.center, r.lam, r.region)
+
+
+# ---------------------------------------------------------------------------
+# the angular design check
+
+
+def design_moments(spec: RuleSpec, degree: int) -> dict:
+    """{exponents: (the design's sum, the closed form)} of every monomial
+    of degree <= degree on S^3."""
+    u = spec.dirs
+    out = {}
+    for a in product(range(degree + 1), repeat=4):
+        if sum(a) <= degree:
+            vals = u[:, 0] ** a[0] * u[:, 1] ** a[1] * u[:, 2] ** a[2] * u[:, 3] ** a[3]
+            out[a] = (float(spec.weights @ vals), sphere_monomial_oracle(*a))
+    return out
+
+
+def test_600_cell_is_a_design_of_degree_exactly_11():
+    # the default spec's directions are 120 distinct unit vectors of equal
+    # weight; every monomial of degree <= 11 integrates to its S^3 moment
+    # and some monomial of degree 12 does not, so t = 11 is its degree
+    dirs = DEFAULT_SPEC.dirs
+    assert dirs.shape == (120, 4) and DEFAULT_SPEC.t == 11
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0, atol=1e-15)
+    assert len({tuple(np.round(d, 12)) for d in dirs}) == 120
+    assert np.all(DEFAULT_SPEC.weights == DEFAULT_SPEC.weights[0])
+    moments = design_moments(DEFAULT_SPEC, 12)
+    err = {a: abs(got - want) for a, (got, want) in moments.items()}
+    assert max(e for a, e in err.items() if sum(a) <= 11) <= 1e-13
+    assert max(e for a, e in err.items() if sum(a) == 12) >= 1e-3
+    with pytest.raises(QuadratureError, match=r"not of degree 12: monomial "
+                                              r"u\^\(\d+, \d+, \d+, \d+\)"):
+        RuleSpec(dirs, DEFAULT_SPEC.weights, 12, 10).check_design()
+
+
+@pytest.mark.parametrize("spec", [DEFAULT_SPEC, product_spec(6, 10)],
+                         ids=["600-cell", "s3_nodes(6)"])
+def test_degree_11_designs_pass_the_design_check(spec):
+    # both integrate every monomial of degree <= 11 to round-off, by the
+    # check's moments and by this module's oracle
+    moments = design_moments(spec, 11)
+    assert spec.t == 11
+    assert max(abs(got - want) for got, want in moments.values()) <= 1e-13
+    assert spec.check_design() <= 1e-13
+
+
+@pytest.mark.parametrize("p", [np.zeros(4), GENERIC_P],
+                         ids=["p=0", "generic"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_coarse_design_claiming_degree_11_is_refused(n, p):
+    # s3_nodes(1) (2 directions) and s3_nodes(2) (16) claiming degree 11:
+    # the radial self-check alone passes either at the default tol (at
+    # p = 0 it reads the same for every design), the design check refuses
+    # both at every rule build
+    spec = RuleSpec(*s3_nodes(n), 11, 10)
+    assert len(spec.dirs) == 2 * n ** 3
+    lam = 0.125
+    radial = [_peaked_integral(p, lam, "ball", None, s)
+              for s in (spec, spec.refined())]
+    assert abs(radial[0] - radial[1]) <= DEFAULT_TOL * abs(radial[1])
+    for build in (lambda: domain_ball_rule(p, lam, spec=spec),
+                  lambda: weighted_r4_rule(p, lam, spec=spec),
+                  lambda: ball_rule(p, lam, 1.0, spec=spec)):
+        with pytest.raises(QuadratureError, match="not of degree 11"):
+            build()
+    with pytest.raises(QuadratureError, match="not of degree 11"):
+        functionals.compute_point_metrics(ParamQ.default(2.0 ** -6, p=p),
+                                          spec=spec)
+
+
+def test_coarse_design_exits_with_code_3(monkeypatch, tmp_path, capsys):
+    # the sweep commands reach the spec through compute_point_metrics, so
+    # a coarse design is refused there with the exit code of every other
+    # quadrature failure
+    spec = RuleSpec(*s3_nodes(2), 11, 10)
+    monkeypatch.setattr(harness, "compute_point_metrics", functools.partial(
+        functionals.compute_point_metrics, spec=spec))
+    code = harness.run_command(["verify-scaling", "--eps-list",
+                                "2^-4,2^-5,2^-6,2^-7", "--out", str(tmp_path)])
+    assert code == 3
+    assert "not of degree 11" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", range(4, 10))
+def test_default_spec_self_check_error_at_the_generic_p(k):
+    # at the generic p the last panel runs per direction, so the self-check
+    # sees the design: on the default sweep's lam the 600-cell reads 2.7e-15
+    # to 1.6e-14, within 12% of s3_nodes(6)'s
+    lam = 2.0 ** (-k / 2)
+    errs = [domain_ball_rule(GENERIC_P, lam, spec=s).self_check_error
+            for s in (DEFAULT_SPEC, product_spec(6, 10))]
+    assert 0.0 < errs[0] <= 2e-14
+    assert abs(errs[0] - errs[1]) <= 0.12 * errs[1]
