@@ -36,11 +36,9 @@ from typing import Optional
 import numpy as np
 
 from .forms import (
-    DEFAULT_SPEC,
     DEFAULT_TOL,
     NumericalError,
     QuadratureRule,
-    RuleSpec,
     ball_rule,  # not called here: perfbench/tracer.py's expect for it names basis
     cov_grad_scaled,
     domain_ball_rule,
@@ -124,20 +122,17 @@ class InnerContext:
         return float(_raw_gram(self, [fa, fb])[0, 1])
 
 
-def ball_context(A: ChartedField, eps, rule=None, tol=DEFAULT_TOL,
-                 spec: RuleSpec = DEFAULT_SPEC) -> InnerContext:
+def ball_context(A: ChartedField, eps, rule=None, tol=DEFAULT_TOL) -> InnerContext:
     """Context for the B^4 product with connection A, on the unit-ball rule
-    of spec polar around A's center unless a rule is given."""
+    polar around A's center unless a rule is given."""
     if rule is None:
-        rule = domain_ball_rule(A.p, A.lam, tol=tol, spec=spec)
+        rule = domain_ball_rule(A.p, A.lam, tol=tol)
     return InnerContext(rule, eps, A.value_split(rule.nodes, rule.n_inner))
 
 
-def weighted_context(A: ChartedField, eps, tol=DEFAULT_TOL,
-                     spec: RuleSpec = DEFAULT_SPEC) -> InnerContext:
-    """Context for the weighted R^4 product with connection A, on the rule
-    of spec."""
-    rule = weighted_r4_rule(A.p, A.lam, tol=tol, spec=spec)
+def weighted_context(A: ChartedField, eps, tol=DEFAULT_TOL) -> InnerContext:
+    """Context for the weighted R^4 product with connection A."""
+    rule = weighted_r4_rule(A.p, A.lam, tol=tol)
     return InnerContext(rule, eps, A.value_split(rule.nodes, rule.n_inner))
 
 
@@ -315,32 +310,29 @@ def _basis_from_fields(ctx, G) -> GramBasis:
 
 
 def gram_schmidt_ball(q: ParamQ, pi2: str = DEFAULT_PI2, tol: float = DEFAULT_TOL,
-                      rule: QuadratureRule = None,
-                      spec: RuleSpec = DEFAULT_SPEC) -> GramBasis:
-    """Orthonormalize the eight parameter derivatives of the glued family,
-    on rule or else on the domain rule of spec.
+                      rule: QuadratureRule = None) -> GramBasis:
+    """Orthonormalize the eight parameter derivatives of the glued family.
 
     The eight fields dA/dq_i are derived from one A and paired block by
     block; the basis holds no samples of them.
     """
     A = glued_connection(q, pi2=pi2)
-    ctx = ball_context(A, q.eps, rule=rule, tol=tol, spec=spec)
+    ctx = ball_context(A, q.eps, rule=rule, tol=tol)
     return _basis_from_fields(ctx, _raw_gram(ctx, derivative_fields(A)))
 
 
 def gram_schmidt_weighted(q: ParamQ, ball_basis: GramBasis,
-                          tol: float = DEFAULT_TOL,
-                          spec: RuleSpec = DEFAULT_SPEC) -> GramBasis:
+                          tol: float = DEFAULT_TOL) -> GramBasis:
     """Orthonormalize the extension's derivatives along the ball-basis q_i.
 
     Inputs are the fields sum_j c_ij dAt/dq_j obtained by applying the ball
     basis' parameter vector fields (rows of C) to the extension; the product
     is the weighted one with the extension itself in the derivative term.
     Their Gram is C Gt C^T from the raw derivatives' Gram Gt, sampled block
-    by block; no field is kept.  The weighted rule is that of spec.
+    by block; no field is kept.
     """
     At = extended_connection(q)
-    ctx = weighted_context(At, q.eps, tol=tol, spec=spec)
+    ctx = weighted_context(At, q.eps, tol=tol)
     C = ball_basis.coeff
     return _basis_from_fields(
         ctx, C @ _raw_gram(ctx, derivative_fields(At)) @ C.T)

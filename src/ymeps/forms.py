@@ -387,7 +387,7 @@ class RuleSpec:
     of degree <= t exactly, and n_rad Gauss radii per radial piece.
 
     The claim is checked once, at the spec's first rule build, and the
-    result is kept on the spec (check_design).
+    result is kept on the spec (design_error).
     """
 
     dirs: np.ndarray
@@ -409,14 +409,11 @@ class RuleSpec:
         and twice the radial order."""
         return product_spec((self.t + 1) // 2 + 2, 2 * self.n_rad)
 
-    def check_design(self) -> float:
+    @cached_property
+    def design_error(self) -> float:
         """The largest error of the design on the monomials of degree <= t
         against their closed-form S^3 moments; QuadratureError names the
         first monomial beyond the round-off bound _DESIGN_RTOL."""
-        return self._design_error
-
-    @cached_property
-    def _design_error(self) -> float:
         t, M = self.t, len(self.dirs)
         P = [self.dirs[:, i, None] ** np.arange(t + 1) for i in range(4)]
         # got[a, b, c, d] = sum_m w_m u0^a u1^b u2^c u3^d, as one GEMM
@@ -557,10 +554,11 @@ def _peaked_integral(p, lam: float, region: str, R, spec: RuleSpec) -> float:
 
 
 def _polar_rule(p, lam: float, region: str, R=None, tol: float = None,
-                spec: RuleSpec = DEFAULT_SPEC) -> QuadratureRule:
-    """Nodes p + r u and weights w_r w_u over spec's S^3 design u and the
-    radial pieces, radius-major within each piece; R None is the unit ball
-    (|p| <= 0.4).  The design's degree is checked first (check_design).
+                spec: RuleSpec = None) -> QuadratureRule:
+    """Nodes p + r u and weights w_r w_u over spec's S^3 design u (None is
+    DEFAULT_SPEC) and the radial pieces, radius-major within each piece; R
+    None is the unit ball (|p| <= 0.4).  The design's degree is checked
+    first (design_error).
 
     With a tol, the refinement spec.refined() must move the integral of the
     canonical peaked density by at most tol, else QuadratureError; both
@@ -568,7 +566,8 @@ def _polar_rule(p, lam: float, region: str, R=None, tol: float = None,
     never built.  A weighted-r4 rule checks only its unit-ball part, the B^4
     rule of the same p and lam, and reports that part's error.
     """
-    spec.check_design()
+    spec = DEFAULT_SPEC if spec is None else spec
+    spec.design_error        # QuadratureError unless of degree spec.t
     p = np.asarray(p, dtype=float)
     if R is None:
         if np.linalg.norm(p) > 0.4:
@@ -594,23 +593,23 @@ def _polar_rule(p, lam: float, region: str, R=None, tol: float = None,
     return rule
 
 
-def ball_rule(p, lam: float, R: float, tol: float = DEFAULT_TOL,
-              spec: RuleSpec = DEFAULT_SPEC) -> QuadratureRule:
+def ball_rule(p, lam: float, R: float, tol: float = DEFAULT_TOL) -> QuadratureRule:
     """Polar rule on the ball B_R(p) (R = inf gives all of R^4 with a tail).
 
     Graded radial panels through {lam/8, lam/4, lam/2, lam, 2lam, geometric, 1/2, 1}
-    x spec's S^3 design, self-checked to tol.
+    x the S^3 design of DEFAULT_SPEC, self-checked to tol.
     """
     if not (lam > 0):
         raise ValueError("lam must be positive")
     if not (R > 0):
         raise ValueError("R must be positive")
-    return _polar_rule(p, lam, "r4" if math.isinf(R) else "ball", R, tol, spec)
+    return _polar_rule(p, lam, "r4" if math.isinf(R) else "ball", R, tol)
 
 
 def domain_ball_rule(p, lam: float, tol: float = DEFAULT_TOL,
-                     spec: RuleSpec = DEFAULT_SPEC) -> QuadratureRule:
-    """Rule over the unit ball B^4 (centered at the origin), polar around p.
+                     spec: RuleSpec = None) -> QuadratureRule:
+    """Rule over the unit ball B^4 (centered at the origin), polar around p,
+    of spec (None is DEFAULT_SPEC).
 
     For p = 0 this is ball_rule(0, lam, 1).  For small |p| != 0 the final panel
     runs, per direction, to the boundary distance along that direction.
@@ -624,15 +623,14 @@ def weight_fn(X: np.ndarray) -> np.ndarray:
     return np.where(s <= 1.0, 1.0, 1.0 / (1.0 + s) ** 2)
 
 
-def weighted_r4_rule(p, lam: float, tol: float = DEFAULT_TOL,
-                     spec: RuleSpec = DEFAULT_SPEC) -> QuadratureRule:
+def weighted_r4_rule(p, lam: float, tol: float = DEFAULT_TOL) -> QuadratureRule:
     """Rule for integrals over R^4 split at the unit sphere (weight jump there).
 
     Its first nodes are domain_ball_rule's; exterior panels are geometric to
     R_far = 8 with an inversion tail.  Only the unit-ball part is
     self-checked, and its error is the one reported.
     """
-    return _polar_rule(p, lam, "weighted-r4", None, tol, spec)
+    return _polar_rule(p, lam, "weighted-r4", None, tol)
 
 
 def tail_report(rule: QuadratureRule, vals: np.ndarray) -> dict:

@@ -33,7 +33,6 @@ from .forms import (
     DEFAULT_SPEC,
     DEFAULT_TOL,
     NumericalError,
-    RuleSpec,
     ball_rule,
     bracket_wedge_adjoint,
     bracket_wedge_coeffs,
@@ -43,6 +42,7 @@ from .forms import (
     cov_d_coeffs,
     curvature_coeffs,
     d_signs,
+    domain_ball_rule,
     product_spec,
     sq_norms,
     star_coeffs,
@@ -376,11 +376,11 @@ _POINT_BLOCKS = ("weighted", "l36", "l37", "l310")
 # --seed and --n-test)
 DEFAULT_SEED = 0
 DEFAULT_N_TEST = 32
-# suite 3.7 samples its fields on the product rule s3_nodes(L37_N_ANG) of
-# the point's radial order: its lam/4 probes cover a few nodes of a rule,
-# so that rule is kept until each probe gets a rule of its own; the ball
-# basis it reads is the point's spec's
-L37_N_ANG = 6
+# suite 3.7 samples its fields on the product rule s3_nodes(6) of the
+# default radial order: its lam/4 probes cover a few nodes of a rule, so
+# that rule is kept until each probe gets a rule of its own; the ball basis
+# it reads is on the default spec
+L37_SPEC = product_spec(6, DEFAULT_SPEC.n_rad)
 
 
 def sweep_points(eps_list, D=DEFAULT_D):
@@ -390,28 +390,21 @@ def sweep_points(eps_list, D=DEFAULT_D):
 
 def compute_point_metrics(q: ParamQ, pi2: str = DEFAULT_PI2, tol: float = DEFAULT_TOL,
                           seed: int = DEFAULT_SEED, n_test: int = DEFAULT_N_TEST,
-                          blocks=frozenset(),
-                          spec: RuleSpec = DEFAULT_SPEC) -> dict:
+                          blocks=frozenset()) -> dict:
     """All scalar diagnostics of one sweep point needed by the reports.
 
     The ball basis is always computed; blocks names the expensive parts
     beyond it, "weighted", "l36", "l37" and "l310" (another name raises
     ValueError).  Each block samples the fields it pairs block by block,
-    so no block holds a full-rule sample.  Every rule is of spec but
-    suite 3.7's, a domain rule of product_spec(L37_N_ANG, spec.n_rad).
+    so no block holds a full-rule sample.  Every rule is of DEFAULT_SPEC
+    but suite 3.7's, a domain rule of L37_SPEC.
     """
     unknown = sorted(set(blocks) - set(_POINT_BLOCKS))
     if unknown:
         raise ValueError(f"unknown metric blocks {unknown}; "
                          f"choose from {_POINT_BLOCKS}")
     out = {"eps": q.eps}
-    # suite 3.7's spec is made before the basis, so that its few small
-    # arrays sit below the point's in the heap: made after it, at the first
-    # point, they moved the dual-norms peak RSS by 2.4 MiB with how the
-    # process was launched (stdout piped or not, the --out length)
-    l37_spec = (product_spec(L37_N_ANG, spec.n_rad) if "l37" in blocks
-                else None)
-    basis = gram_schmidt_ball(q, pi2, tol=tol, spec=spec)
+    basis = gram_schmidt_ball(q, pi2, tol=tol)
     ctx = basis.ctx
     G = basis.raw_gram
     diag = np.sqrt(np.diag(G))
@@ -424,7 +417,7 @@ def compute_point_metrics(q: ParamQ, pi2: str = DEFAULT_PI2, tol: float = DEFAUL
     out["ball_gram_residual"] = basis.gram_residual()
 
     if "weighted" in blocks:
-        wb = gram_schmidt_weighted(q, basis, tol=tol, spec=spec)
+        wb = gram_schmidt_weighted(q, basis, tol=tol)
         out["w_coeff"] = wb.coeff.copy()
         out["w_gram_residual"] = wb.gram_residual()
         del wb
@@ -445,8 +438,9 @@ def compute_point_metrics(q: ParamQ, pi2: str = DEFAULT_PI2, tol: float = DEFAUL
         # are let go before it builds its own
         coeff = basis.coeff
         del basis, ctx
-        ctx37 = ball_context(glued_connection(q, pi2=pi2), q.eps, tol=tol,
-                             spec=l37_spec)
+        A = glued_connection(q, pi2=pi2)
+        ctx37 = ball_context(A, q.eps, rule=domain_ball_rule(
+            A.p, A.lam, tol=tol, spec=L37_SPEC))
         out.update(_hessian_difference_metrics(q, pi2, coeff, ctx37,
                                                seed=seed, n_test=n_test))
 

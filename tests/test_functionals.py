@@ -20,7 +20,6 @@ from ymeps.basis import (
 )
 from ymeps.forms import (
     COMP_INDEX,
-    DEFAULT_SPEC,
     MULTI_INDEX,
     NumericalError,
     QuadratureRule,
@@ -32,13 +31,12 @@ from ymeps.forms import (
     curvature_coeffs,
     d_coeffs,
     domain_ball_rule,
-    product_spec,
     star_coeffs,
     weighted_sum,
 )
 from ymeps.functionals import (
     _DPHI_MAP,
-    L37_N_ANG,
+    L37_SPEC,
     EstimateReport,
     QuantityRow,
     _bump_channels,
@@ -103,8 +101,6 @@ from oracle import (
 )
 
 RNG_SEED = 77023
-# suite 3.7's rule spec at the default radial order
-L37_SPEC = product_spec(L37_N_ANG, DEFAULT_SPEC.n_rad)
 
 
 # the generic points' [g], as a unit quaternion of the oracle
@@ -585,7 +581,7 @@ def test_l37_point_builds_its_representers_from_block_samples(monkeypatch):
         m = compute_point_metrics(q, blocks=frozenset({"l37"}), n_test=16)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.reset_peak()
-        recorded(q, spec=L37_SPEC)
+        recorded(q, rule=domain_ball_rule(q.p, q.lam, spec=L37_SPEC))
     finally:
         tracemalloc.stop()
     assert m["hess_dual_i5"] > 0.0
@@ -1016,7 +1012,9 @@ def test_l37_folded_tag_fields_equal_the_combined_raw_samples(pi2):
 def _thinned_context(q, pi2, stride) -> InnerContext:
     """Suite 3.7's ball context of the glued connection at q on every
     stride-th node of its rule."""
-    ctx = ball_context(glued_connection(q, pi2=pi2), q.eps, spec=L37_SPEC)
+    A = glued_connection(q, pi2=pi2)
+    ctx = ball_context(A, q.eps,
+                       rule=domain_ball_rule(A.p, A.lam, spec=L37_SPEC))
     r = ctx.rule
     rule = QuadratureRule(r.nodes[::stride], r.weights[::stride], r.center,
                           r.lam, r.region)

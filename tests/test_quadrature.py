@@ -1,14 +1,13 @@
 """Quadrature tests: volumes, exactness, the peaked oracle, tails,
 determinism, and the rule spec's angular design check."""
 
-import functools
 import math
 from itertools import product
 
 import numpy as np
 import pytest
 
-from ymeps import functionals, harness
+from ymeps import forms, functionals, harness
 from ymeps.forms import (
     DEFAULT_SPEC,
     DEFAULT_TOL,
@@ -343,7 +342,7 @@ def test_600_cell_is_a_design_of_degree_exactly_11():
     assert max(e for a, e in err.items() if sum(a) == 12) >= 1e-3
     with pytest.raises(QuadratureError, match=r"not of degree 12: monomial "
                                               r"u\^\(\d+, \d+, \d+, \d+\)"):
-        RuleSpec(dirs, DEFAULT_SPEC.weights, 12, 10).check_design()
+        RuleSpec(dirs, DEFAULT_SPEC.weights, 12, 10).design_error
 
 
 @pytest.mark.parametrize("spec", [DEFAULT_SPEC, product_spec(6, 10)],
@@ -354,40 +353,42 @@ def test_degree_11_designs_pass_the_design_check(spec):
     moments = design_moments(spec, 11)
     assert spec.t == 11
     assert max(abs(got - want) for got, want in moments.values()) <= 1e-13
-    assert spec.check_design() <= 1e-13
+    assert spec.design_error <= 1e-13
 
 
 @pytest.mark.parametrize("p", [np.zeros(4), GENERIC_P],
                          ids=["p=0", "generic"])
 @pytest.mark.parametrize("n", [1, 2])
-def test_coarse_design_claiming_degree_11_is_refused(n, p):
+def test_coarse_design_claiming_degree_11_is_refused(n, p, monkeypatch):
     # s3_nodes(1) (2 directions) and s3_nodes(2) (16) claiming degree 11:
     # the radial self-check alone passes either at the default tol (at
     # p = 0 it reads the same for every design), the design check refuses
-    # both at every rule build
+    # both, on its own and at every rule build, the sweep point's too when
+    # the design is the default
     spec = RuleSpec(*s3_nodes(n), 11, 10)
     assert len(spec.dirs) == 2 * n ** 3
     lam = 0.125
     radial = [_peaked_integral(p, lam, "ball", None, s)
               for s in (spec, spec.refined())]
     assert abs(radial[0] - radial[1]) <= DEFAULT_TOL * abs(radial[1])
+    with pytest.raises(QuadratureError, match="not of degree 11"):
+        spec.design_error
     for build in (lambda: domain_ball_rule(p, lam, spec=spec),
-                  lambda: weighted_r4_rule(p, lam, spec=spec),
-                  lambda: ball_rule(p, lam, 1.0, spec=spec)):
+                  lambda: _polar_rule(p, lam, "weighted-r4", None,
+                                      DEFAULT_TOL, spec),
+                  lambda: _polar_rule(p, lam, "ball", 1.0, DEFAULT_TOL,
+                                      spec)):
         with pytest.raises(QuadratureError, match="not of degree 11"):
             build()
+    monkeypatch.setattr(forms, "DEFAULT_SPEC", spec)
     with pytest.raises(QuadratureError, match="not of degree 11"):
-        functionals.compute_point_metrics(ParamQ.default(2.0 ** -6, p=p),
-                                          spec=spec)
+        functionals.compute_point_metrics(ParamQ.default(2.0 ** -6, p=p))
 
 
 def test_coarse_design_exits_with_code_3(monkeypatch, tmp_path, capsys):
-    # the sweep commands reach the spec through compute_point_metrics, so
-    # a coarse design is refused there with the exit code of every other
-    # quadrature failure
-    spec = RuleSpec(*s3_nodes(2), 11, 10)
-    monkeypatch.setattr(harness, "compute_point_metrics", functools.partial(
-        functionals.compute_point_metrics, spec=spec))
+    # a coarse default design is refused at the sweep's first rule build,
+    # with the exit code of every other quadrature failure
+    monkeypatch.setattr(forms, "DEFAULT_SPEC", RuleSpec(*s3_nodes(2), 11, 10))
     code = harness.run_command(["verify-scaling", "--eps-list",
                                 "2^-4,2^-5,2^-6,2^-7", "--out", str(tmp_path)])
     assert code == 3
