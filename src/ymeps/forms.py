@@ -301,10 +301,10 @@ class QuadratureRule:
     """Weighted nodes for a polar rule centered at `center`.
 
     weights include the r^3 polar Jacobian: sum_i w_i f(node_i) integrates f.
-    r holds |node - center|, computed from the nodes unless given.  The inner chart r < lam/4 is the node range
-    [:n_inner]: a polar rule lists its radii outward and lam/4 is a panel
-    edge, so a node order with an inner node after an outer one raises
-    ValueError.
+    r holds |node - center|, computed from the nodes unless given.  The inner
+    chart r < lam/4 is the node range [:n_inner]: a polar rule lists its radii
+    outward and lam/4 is a panel edge, so a node order with an inner node
+    after an outer one raises ValueError.
     """
 
     nodes: np.ndarray

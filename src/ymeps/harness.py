@@ -169,7 +169,7 @@ _OPTIONS = (
     _Option("tol", "--tol", "sweep", "tol", float, dict(
         type=float, help=f"quadrature self-check tolerance (default {DEFAULT_TOL})")),
     _Option("seed", "--seed", "sweep", "seed", int, dict(
-        type=int, help="seed for the sampled test fields")),
+        type=int, help=f"seed for the sampled test fields (default {DEFAULT_SEED})")),
     _Option("n_test", "--n-test", "sweep", "n_test", int, dict(
         type=int,
         help=f"number of sampled test fields (default {SweepConfig.n_test})")),
@@ -211,10 +211,10 @@ def load_config(path: str) -> dict:
 
 
 def _merge_config(args) -> SweepConfig:
-    """The config file's values, each overridden by its flag when given."""
+    """The config file's values, each overridden by its flag if offered and given."""
     kw = load_config(args.config) if args.config else {}
     for o in _OPTIONS:
-        value = getattr(args, o.field)
+        value = getattr(args, o.field, None)
         if value is not None:
             kw[o.field] = value if "type" in o.flag_kw else o.parse(value)
     return SweepConfig(**kw)
@@ -373,16 +373,11 @@ def _print_report(rep: EstimateReport):
 # commands
 
 
-def _single_point(args):
-    """The point of a single-eps command and the config its options give.
-
-    The config is merged from --config and the flags as for the sweeps; its
-    D, tol and out_dir apply, and --eps picks the point.
-    """
-    cfg = _merge_config(args)
+def _single_point(args, cfg: SweepConfig) -> ParamQ:
+    """The point of a single-eps command: --eps at the config's D."""
     eps = DEFAULT_EPS_SINGLE if args.eps is None else args.eps
     try:
-        return ParamQ.default(eps, D=cfg.D), cfg
+        return ParamQ.default(eps, D=cfg.D)
     except ParamError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -397,8 +392,8 @@ def _make_out_dir(path: str) -> None:
             f"cannot create output directory {path}: {exc}") from exc
 
 
-def _cmd_charge(args) -> int:
-    q, cfg = _single_point(args)
+def _cmd_charge(args, cfg: SweepConfig) -> int:
+    q = _single_point(args, cfg)
     c = charge(extended_connection(q), q.eps, tol=cfg.tol)
     ok = abs(c - 1.0) <= 1e-2
     print(f"charge(eps={q.eps:g}) = {c:.6f}  target 1.0 +/- 0.01  "
@@ -406,8 +401,8 @@ def _cmd_charge(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_energy(args) -> int:
-    q, cfg = _single_point(args)
+def _cmd_energy(args, cfg: SweepConfig) -> int:
+    q = _single_point(args, cfg)
     e = q.eps ** 2 * ym_eps(extended_connection(q), q.eps, tol=cfg.tol)
     target = 8.0 * np.pi ** 2
     ok = abs(e - target) <= 0.01 * target
@@ -416,8 +411,8 @@ def _cmd_energy(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_build_basis(args) -> int:
-    q, cfg = _single_point(args)
+def _cmd_build_basis(args, cfg: SweepConfig) -> int:
+    q = _single_point(args, cfg)
     _make_out_dir(cfg.out_dir)
     ball = gram_schmidt_ball(q, pi2=cfg.pi2, tol=cfg.tol)
     weighted = gram_schmidt_weighted(q, ball, tol=cfg.tol)
@@ -464,27 +459,23 @@ def _run_lemmas(tags, cfg: SweepConfig, stem: str) -> int:
     return 0 if all(r.passed() for r in reports) else 1
 
 
-def _cmd_verify_lemma(args) -> int:
-    cfg = _merge_config(args)
-    tag = args.tag
-    return _run_lemmas([tag], cfg, f"lemma_{tag.replace('.', '_')}")
+def _cmd_verify_lemma(args, cfg: SweepConfig) -> int:
+    return _run_lemmas([args.tag], cfg, f"lemma_{args.tag.replace('.', '_')}")
 
 
-def _cmd_verify_scaling(args) -> int:
-    cfg = _merge_config(args)
+def _cmd_verify_scaling(args, cfg: SweepConfig) -> int:
     return _run_lemmas(["5.7", "5.8"], cfg, "scaling")
 
 
-def _cmd_all(args) -> int:
-    cfg = _merge_config(args)
+def _cmd_all(args, cfg: SweepConfig) -> int:
     _make_out_dir(cfg.out_dir)
-    status = max(_cmd_charge(args), _cmd_energy(args))
+    status = max(_cmd_charge(args, cfg), _cmd_energy(args, cfg))
     rc = _run_lemmas(list(LEMMA_TAGS), cfg, "report_all")
     return max(status, rc)
 
 
-def _cmd_dump_field(args) -> int:
-    q, cfg = _single_point(args)
+def _cmd_dump_field(args, cfg: SweepConfig) -> int:
+    q = _single_point(args, cfg)
     _make_out_dir(cfg.out_dir)
     field = {"A": lambda: glued_connection(q, pi2=cfg.pi2),
              "Atilde": lambda: extended_connection(q),
@@ -517,43 +508,58 @@ def _cmd_dump_field(args) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", metavar="PATH", help="INI config file")
-    for o in _OPTIONS:
-        p.add_argument(o.flag, dest=o.field, **o.flag_kw)
-    p.add_argument("--eps", type=float,
-                   help="single eps for charge/energy/build-basis/dump-field")
+class _Command(NamedTuple):
+    """A subcommand: the function that runs it, its help, and the flags it
+    reads besides --config, which every command takes."""
+
+    run: Callable
+    help: str
+    flags: tuple
+
+
+_SWEEP = tuple(o.flag for o in _OPTIONS)
+_POINT = ("--eps", "--ratio-D", "--tol")
+
+_COMMANDS = {
+    "charge": _Command(_cmd_charge, "topological charge of the extension", _POINT),
+    "energy": _Command(_cmd_energy, "eps^2-normalized energy of the extension",
+                       _POINT),
+    "build-basis": _Command(_cmd_build_basis, "orthonormal bases at one eps, "
+                            "written as CSV", _POINT + ("--pi2", "--out")),
+    "verify-scaling": _Command(_cmd_verify_scaling, "norm/coefficient scaling "
+                               "checks over a sweep", _SWEEP),
+    "verify-lemma": _Command(_cmd_verify_lemma, "one named scaling check suite",
+                             _SWEEP),
+    "dump-field": _Command(_cmd_dump_field, "sample a field on a plane grid",
+                           ("--eps", "--ratio-D", "--pi2", "--out")),
+    "all": _Command(_cmd_all, "every check; exit 0 only if all pass",
+                    _SWEEP + ("--eps",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per _COMMANDS entry, offering exactly its flags; no
+    flag may be abbreviated, so a refused flag is never read as another."""
     ap = argparse.ArgumentParser(
-        prog="ymeps",
+        prog="ymeps", allow_abbrev=False,
         description="Glued-connection laboratory: energies, bases, and "
                     "eps-scaling verdicts.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    names = {
-        "charge": (_cmd_charge, "topological charge of the extension"),
-        "energy": (_cmd_energy, "eps^2-normalized energy of the extension"),
-        "build-basis": (_cmd_build_basis,
-                        "orthonormal bases at one eps, written as CSV"),
-        "verify-scaling": (_cmd_verify_scaling,
-                           "norm/coefficient scaling checks over a sweep"),
-        "dump-field": (_cmd_dump_field, "sample a field on a plane grid"),
-        "all": (_cmd_all, "every check; exit 0 only if all pass"),
-    }
-    for name, (fn, desc) in names.items():
-        p = sub.add_parser(name, help=desc)
-        _add_common(p)
-        p.set_defaults(fn=fn)
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help, allow_abbrev=False)
+        if name == "verify-lemma":
+            p.add_argument("tag", choices=LEMMA_TAGS, help="check suite tag")
+        p.add_argument("--config", metavar="PATH", help="INI config file")
+        for o in _OPTIONS:
+            if o.flag in cmd.flags:
+                p.add_argument(o.flag, dest=o.field, **o.flag_kw)
+        if "--eps" in cmd.flags:
+            p.add_argument("--eps", type=float, help=(
+                f"single eps (default {DEFAULT_EPS_SINGLE:g}; in all, of "
+                "its charge and energy checks)"))
         if name == "dump-field":
             p.add_argument("--field", choices=("A", "Atilde", "b"),
                            default="A", help="which field to sample")
-
-    p = sub.add_parser("verify-lemma", help="one named scaling check suite")
-    p.add_argument("tag", choices=LEMMA_TAGS, help="check suite tag")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_verify_lemma)
     return ap
 
 
@@ -565,7 +571,7 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        return _COMMANDS[args.command].run(args, _merge_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import ymeps.functionals as functionals
+import ymeps.harness as harness
 from ymeps.functionals import EstimateReport, QuantityRow
 from ymeps.instanton import (
     ParamQ,
@@ -23,6 +24,7 @@ from ymeps.instanton import (
     terms_value,
 )
 from ymeps.harness import (
+    _COMMANDS,
     _OPTIONS,
     CSV_HEADER,
     ConfigError,
@@ -150,20 +152,41 @@ def _config_from(argv, tmp_path, file_text=None):
     return _merge_config(build_parser().parse_args(["verify-scaling", *argv]))
 
 
+# the flags each subcommand reads besides --config: a single-point command
+# reads the options of its point, a sweep command every sweep option
+_SWEEP_FLAGS = {"--eps-list", "--ratio-D", "--tol", "--seed", "--n-test",
+                "--pi2", "--out"}
+_READS = {
+    "charge": {"--eps", "--ratio-D", "--tol"},
+    "energy": {"--eps", "--ratio-D", "--tol"},
+    "build-basis": {"--eps", "--ratio-D", "--tol", "--pi2", "--out"},
+    "verify-scaling": _SWEEP_FLAGS,
+    "verify-lemma": _SWEEP_FLAGS,
+    "dump-field": {"--eps", "--ratio-D", "--pi2", "--out"},
+    "all": _SWEEP_FLAGS | {"--eps"},
+}
+
+
+def _offered():
+    """The flags each subparser of the CLI offers, --help aside."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {command: {s for a in parser._actions for s in a.option_strings}
+            - {"-h", "--help"} for command, parser in sub.choices.items()}
+
+
 def test_each_sweep_option_is_one_flag_and_one_key(tmp_path):
     fields = [f.name for f in dataclasses.fields(SweepConfig)]
     assert sorted(o.field for o in _OPTIONS) == sorted(fields)
     assert len({o.flag for o in _OPTIONS}) == len(_OPTIONS)
     assert len({(o.section, o.key) for o in _OPTIONS}) == len(_OPTIONS)
-    # every subcommand accepts every flag
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert len(sub.choices) == 7
-    for command, parser in sub.choices.items():
-        tag = ["3.7"] if command == "verify-lemma" else []
-        for o in _OPTIONS:
-            args = parser.parse_args(tag + [o.flag, _FLAG_TEXT[o.field]])
-            assert getattr(args, o.field) is not None, (command, o.flag)
+    # each subcommand offers --config and the flags of its table row, and
+    # the sweep commands every sweep flag
+    assert _SWEEP_FLAGS == {o.flag for o in _OPTIONS}
+    assert {c: set(cmd.flags) for c, cmd in _COMMANDS.items()} == _READS
+    assert _offered() == {c: flags | {"--config"} | (
+        {"--field"} if c == "dump-field" else set())
+        for c, flags in _READS.items()}
     # a file setting every key reads as the same values given as flags
     def as_flags(text):
         return [t for o in _OPTIONS for t in (o.flag, text[o.field])]
@@ -184,11 +207,18 @@ def test_each_sweep_option_is_one_flag_and_one_key(tmp_path):
 def test_readme_names_exactly_the_options():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
         encoding="utf-8")
-    flags_part = readme.split("Common flags (every subcommand):")[1]
-    flags_part = flags_part.split("`dump-field` additionally")[0]
+    by_command = readme.split("Flags by subcommand.")[1]
+    by_command = by_command.split("Flag reference:")[0]
+    listed = {}
+    for row in re.findall(r"^\| (`[\w-]+`.*)\|$", by_command, re.M):
+        commands, flags = row.split("|")
+        for command in re.findall(r"`([\w-]+)`", commands):
+            assert command not in listed, command
+            listed[command] = set(re.findall(r"`(--[\w-]+)`", flags))
+    assert listed == _offered()
+    flags_part = readme.split("Flag reference:")[1].split("Exit codes:")[0]
     flags = set(re.findall(r"^- `(--[\w-]+)", flags_part, re.M))
-    # --config and --eps are not sweep options
-    assert flags == {o.flag for o in _OPTIONS} | {"--config", "--eps"}
+    assert flags == set().union(*listed.values())
     ini = readme.split("## Config file")[1].split("```ini")[1].split("```")[0]
     keys, section = set(), None
     for line in ini.splitlines():
@@ -263,6 +293,101 @@ def test_emit_outputs_deterministic(tmp_path):
 # command-line behavior
 
 
+def _out(command, path):
+    """--out path for a command that writes files, nothing for one that
+    does not (and so refuses the flag)."""
+    return ["--out", str(path)] if "--out" in _COMMANDS[command].flags else []
+
+
+class _Reached(Exception):
+    """Raised by a recorded entry point to stop the command there."""
+
+
+def _record_entry_points(monkeypatch):
+    """Replace the library entry points the commands call by recorders.
+
+    Each call is recorded as its keywords plus the eps and D of its point.
+    charge and energy return passing values, so that `all` goes on to its
+    sweep; the basis, dump-field and sweep entry points raise _Reached.
+    """
+    calls = []
+
+    def recorder(result=None):
+        def record(q, *args, **kw):
+            calls.append(dict(kw, eps=q.eps, D=q.lam ** 2 / q.eps))
+            if result is None:
+                raise _Reached
+            return result(q.eps)
+        return record
+
+    monkeypatch.setattr(harness, "extended_connection", lambda q: q)
+    monkeypatch.setattr(harness, "charge", recorder(lambda eps: 1.0))
+    monkeypatch.setattr(harness, "ym_eps",
+                        recorder(lambda eps: 8 * np.pi ** 2 / eps ** 2))
+    for name in ("gram_schmidt_ball", "glued_connection",
+                 "compute_point_metrics"):
+        monkeypatch.setattr(harness, name, recorder())
+    return calls
+
+
+def test_each_command_refuses_exactly_the_flags_it_does_not_read(
+        tmp_path, monkeypatch, capsys):
+    def no_rule(self):
+        raise AssertionError("a quadrature rule was built")
+
+    monkeypatch.setattr("ymeps.forms.QuadratureRule.__post_init__", no_rule)
+    monkeypatch.chdir(tmp_path)
+    calls = _record_entry_points(monkeypatch)
+    config = tmp_path / "ratio.ini"
+    config.write_text("[sweep]\nratio_d = 0.6\n", encoding="utf-8")
+    # per flag: a valid value other than the default, and how the recorded
+    # calls (or the output directory) show that the command read it
+    reach = {
+        "--config": (str(config),
+                     lambda: all(np.isclose(c["D"], 0.6) for c in calls)),
+        "--eps": ("0.0625", lambda: calls[0]["eps"] == 0.0625),
+        "--eps-list": ("2^-5,2^-6,2^-7,2^-8",
+                       lambda: calls[-1]["eps"] == 2.0 ** -5),
+        "--ratio-D": ("0.75",
+                      lambda: all(np.isclose(c["D"], 0.75) for c in calls)),
+        "--tol": ("2e-4", lambda: all(c["tol"] == 2e-4 for c in calls)),
+        "--seed": ("7", lambda: calls[-1]["seed"] == 7),
+        "--n-test": ("5", lambda: calls[-1]["n_test"] == 5),
+        "--pi2": ("full", lambda: calls[-1]["pi2"] == "full"),
+        "--out": ("made", lambda: (tmp_path / "made").is_dir()),
+    }
+    accepted = refused = 0
+    for command, cmd in _COMMANDS.items():
+        tag = ["3.7"] if command == "verify-lemma" else []
+        for flag, (value, reached) in reach.items():
+            calls.clear()
+            if (tmp_path / "made").exists():
+                (tmp_path / "made").rmdir()
+            try:
+                rc = run_command([command, *tag, flag, value])
+            except _Reached:
+                rc = None
+            err = capsys.readouterr().err
+            if flag == "--config" or flag in cmd.flags:
+                accepted += 1
+                assert rc in (0, None) and calls and reached(), (command, flag)
+            else:
+                refused += 1
+                assert rc == 2 and not calls, (command, flag)
+                assert f"unrecognized arguments: {flag} {value}" in err
+    assert (accepted, refused) == (44, 19)
+    # a refused flag is not read as an abbreviation of another, and no flag
+    # may be abbreviated
+    sweep = "2^-4,2^-5,2^-6,2^-7"
+    for argv, extra in (
+            (["verify-lemma", "5.8", "--eps", "-5", "--eps-list", sweep],
+             "--eps -5"),
+            (["verify-scaling", "--eps-l", sweep], f"--eps-l {sweep}")):
+        calls.clear()
+        assert run_command(argv) == 2 and not calls
+        assert f"unrecognized arguments: {extra}" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_2(capsys):
     rc = run_command(["charge", "--frobnicate"])
     assert rc == 2
@@ -295,7 +420,7 @@ def test_bad_sweep_flag_value_exits_2(capsys):
 def test_bad_eps_exits_2_naming_eps(argv, tmp_path, capsys):
     # eps is checked before lam = sqrt(D eps) is derived from it, so no
     # invalid-value warning is raised and the message names eps, not lam
-    rc = run_command(argv + ["--out", str(tmp_path)])
+    rc = run_command(argv + _out(argv[0], tmp_path))
     err = capsys.readouterr().err
     assert rc == 2
     assert "config error: eps" in err and "must be positive and finite" in err
@@ -349,7 +474,7 @@ def test_non_positive_tol_exits_2_before_any_rule(command, value, tmp_path,
         raise AssertionError("a quadrature rule was built")
 
     monkeypatch.setattr("ymeps.forms.QuadratureRule.__post_init__", no_rule)
-    rc = run_command([command, "--tol", value, "--out", str(tmp_path)])
+    rc = run_command([command, "--tol", value, *_out(command, tmp_path)])
     assert rc == 2
     assert "tol must be positive" in capsys.readouterr().err
 
@@ -376,7 +501,8 @@ def test_single_point_bad_config_exits_2(command, text, tmp_path, capsys):
     path = tmp_path / "run.ini"
     if text is not None:
         path.write_text(text, encoding="utf-8")
-    rc = run_command([command, "--config", str(path), "--out", str(tmp_path)])
+    rc = run_command([command, "--config", str(path),
+                      *_out(command, tmp_path)])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
